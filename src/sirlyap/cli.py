@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,16 @@ _KNOWN_LYAP_KEYS = {
     "mu0", "eps", "delta",                       # disease-free
     "lambda_hat2", "k", "l_bar", "lambda3",      # endemic
 }
+
+
+def _finite(where: str, v) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {v!r}")
+    return x
 
 
 @dataclass
@@ -52,27 +63,48 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "model" not in d:
             raise ConfigError("config requires a 'model' section")
+        for key in ("model", "lyap", "signal"):
+            if key in d and not isinstance(d[key], dict):
+                raise ConfigError(f"'{key}' must be an object")
         try:
-            p = ModelParams.from_dict(d["model"])
+            p = ModelParams.from_dict({k: _finite(f"model.{k}", v) for k, v in d["model"].items()})
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
         eq = d.get("equilibrium", "df")
         if eq not in ("df", "endemic"):
             raise ConfigError("equilibrium must be 'df' or 'endemic'")
-        lyap = d.get("lyap", {})
+        lyap = {k: _finite(f"lyap.{k}", v) for k, v in d.get("lyap", {}).items()}
         bad = set(lyap) - _KNOWN_LYAP_KEYS
         if bad:
             raise ConfigError(f"unknown lyap keys: {sorted(bad)}")
-        sig = ode.signal_from_dict(d["signal"]) if "signal" in d else ode.Constant(p.b_hat)
-        x0 = State(*map(float, d["x0"])) if "x0" in d else None
+        partial = {"lambda_hat2", "k", "lambda3"} & set(lyap)
+        if partial and not {"l_bar", "lambda_hat2", "k"} <= set(lyap):
+            raise ConfigError("lambda_hat2, k and lambda3 need the full l_bar, lambda_hat2, k triple")
+        try:
+            sig = ode.signal_from_dict(d["signal"]) if "signal" in d else ode.Constant(p.b_hat)
+        except KeyError as exc:
+            raise ConfigError(f"signal is missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad signal: {exc}") from exc
+        x0 = d.get("x0")
+        if x0 is not None:
+            if not isinstance(x0, list) or len(x0) != 3:
+                raise ConfigError(f"x0 must be a list of 3 numbers, got {x0!r}")
+            x0 = State(*(_finite("x0", v) for v in x0))
+        horizon = _finite("horizon", d.get("horizon", 5000.0))
+        dt = _finite("dt", d.get("dt", 0.01))
+        if horizon < 0.0 or dt <= 0.0:
+            raise ConfigError("need horizon >= 0 and dt > 0")
         return cls(
-            model=p, equilibrium=eq, lyap=dict(lyap), signal=sig, x0=x0,
-            horizon=float(d.get("horizon", 5000.0)), dt=float(d.get("dt", 0.01)),
-            levels=[float(v) for v in d.get("levels", [])],
+            model=p, equilibrium=eq, lyap=lyap, signal=sig, x0=x0,
+            horizon=horizon, dt=dt,
+            levels=[_finite("levels", v) for v in d.get("levels", [])],
             window=d.get("window"), plane=d.get("plane"),
             resolution=[int(v) for v in d.get("resolution", [800, 800])],
-            out_dir=d.get("out_dir", "out"), seed=int(d.get("seed", verify.DEFAULT_SEED)),
-            grid_n=int(d.get("grid_n", 60)), n_samples=int(d.get("n_samples", 100_000)),
+            out_dir=d.get("out_dir", "out"),
+            seed=int(_finite("seed", d.get("seed", verify.DEFAULT_SEED))),
+            grid_n=int(_finite("grid_n", d.get("grid_n", 60))),
+            n_samples=int(_finite("n_samples", d.get("n_samples", 100_000))),
         )
 
     def to_dict(self) -> dict:
@@ -100,22 +132,16 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
+    """Read the config file, apply the flag overrides, then validate."""
     with open(args.config) as fh:
         raw = json.load(fh)
-    cfg = RunConfig.from_dict(raw)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.dt is not None:
-        cfg.dt = args.dt
-    if args.t_end is not None:
-        cfg.horizon = args.t_end
-    if args.levels is not None:
-        cfg.levels = [float(v) for v in args.levels.split(",")]
-    if args.equilibrium is not None:
-        cfg.equilibrium = args.equilibrium
-    return cfg
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    flags = {"out_dir": args.out, "seed": args.seed, "dt": args.dt, "horizon": args.t_end,
+             "levels": None if args.levels is None else args.levels.split(","),
+             "equilibrium": args.equilibrium}
+    raw.update({k: v for k, v in flags.items() if v is not None})
+    return RunConfig.from_dict(raw)
 
 
 def _build_lyap(cfg: RunConfig):

@@ -3,6 +3,12 @@
 The function is linear on each of three regions of the deviation space
 R x R+^2; the regions are separated by the plane x1t = 0 and by the tilted
 plane x1t = -(beta*x1hat/mu0) * (x2t + lambda3*x3t).
+
+Evaluation is array-first: each region's value formula and gradient, the
+region split and the boundary band are written once, over deviation arrays
+of shape (n, 3).  The scalar functions (`df_region`, `df_value`,
+`df_gradient`, `df_grad_dot_f`) check the domain of one `Deviation` and read
+row 0 of the array path.
 """
 from __future__ import annotations
 
@@ -99,50 +105,9 @@ def _x1hat(p: ModelParams) -> float:
     return p.b_hat / p.mu
 
 
-def _threshold(lp: DfLyapParams, p: ModelParams, x2t, x3t):
+def df_threshold(lp: DfLyapParams, p: ModelParams, x2t, x3t):
     """Boundary surface between regions B and C (an x1t level per point)."""
     return -(p.beta * _x1hat(p) / lp.mu0) * (x2t + lp.lambda3 * x3t)
-
-
-def _require_domain(dev: Deviation) -> None:
-    if dev.x2t < 0.0 or dev.x3t < 0.0:
-        raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
-
-
-def df_region(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> DfRegion:
-    """Classify a deviation; boundary points go to the closed-inequality side."""
-    _require_domain(dev)
-    if dev.x1t >= 0.0:
-        return DfRegion.A
-    if dev.x1t >= _threshold(lp, p, dev.x2t, dev.x3t):
-        return DfRegion.B
-    return DfRegion.C
-
-
-def df_value(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> float:
-    _require_domain(dev)
-    reg = df_region(lp, p, dev)
-    if reg is DfRegion.A:
-        return dev.x1t + dev.x2t + lp.lambda3 * dev.x3t
-    if reg is DfRegion.B:
-        return dev.x2t + lp.lambda3 * dev.x3t
-    return -lp.mu0 * dev.x1t / (p.beta * _x1hat(p))
-
-
-def df_gradient(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> tuple:
-    """Analytic gradient; refuses points within the boundary band."""
-    _require_domain(dev)
-    norm = np.sqrt(dev.x1t ** 2 + dev.x2t ** 2 + dev.x3t ** 2)
-    band = BOUNDARY_BAND * (1.0 + norm)
-    thr = _threshold(lp, p, dev.x2t, dev.x3t)
-    if abs(dev.x1t) <= band or abs(dev.x1t - thr) <= band:
-        raise OnBoundary("deviation within band of a region boundary")
-    reg = df_region(lp, p, dev)
-    if reg is DfRegion.A:
-        return (1.0, 1.0, lp.lambda3)
-    if reg is DfRegion.B:
-        return (0.0, 1.0, lp.lambda3)
-    return (-lp.mu0 / (p.beta * _x1hat(p)), 0.0, 0.0)
 
 
 def df_chi(lp: DfLyapParams, p: ModelParams, u_mag: float) -> float:
@@ -155,23 +120,80 @@ def df_decay_rate(lp: DfLyapParams, p: ModelParams) -> float:
     return (1.0 - lp.delta) * (p.mu - lp.mu0)
 
 
-def df_grad_dot_f(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float) -> float:
-    """Directional derivative along the deviation dynamics.
+# ---------------------------------------------------------------------------
+# array evaluation over deviations X (n, 3); scalar forms read row 0
+# ---------------------------------------------------------------------------
 
-    Uses the gradient of the region the point is assigned to, so on a
+def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
+    """The value formulas of regions A, B and C, each evaluated at every row."""
+    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
+    lin23 = x2t + lp.lambda3 * x3t
+    return x1t + lin23, lin23, -lp.mu0 * x1t / (p.beta * _x1hat(p))
+
+
+def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
+    """Values and region codes (0=A, 1=B, 2=C) for deviations X of shape (n, 3);
+    boundary points go to the closed-inequality side."""
+    x1t = X[:, 0]
+    in_b = x1t >= df_threshold(lp, p, X[:, 1], X[:, 2])
+    codes = np.where(x1t >= 0.0, 0, np.where(in_b, 1, 2)).astype(np.int8)
+    return np.choose(codes, df_region_values(lp, p, X)), codes
+
+
+def df_gradient_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Per-point gradient (n, 3) of the assigned region; no boundary-band policing."""
+    grads = np.array([[1.0, 1.0, lp.lambda3], [0.0, 1.0, lp.lambda3],
+                      [-lp.mu0 / (p.beta * _x1hat(p)), 0.0, 0.0]])
+    return grads[df_value_region_arrays(lp, p, X)[1]]
+
+
+def df_grad_dot_f_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray, u: float) -> np.ndarray:
+    """grad V . f along the deviation dynamics under a constant perturbation u.
+
+    Uses the gradient of the region each point is assigned to, so on a
     boundary this is the one-sided derivative of the closed-inequality side
     (at the anchor itself the dynamics vanish and the choice is immaterial).
     """
-    reg = df_region(lp, p, dev)
-    if reg is DfRegion.A:
-        g = (1.0, 1.0, lp.lambda3)
-    elif reg is DfRegion.B:
-        g = (0.0, 1.0, lp.lambda3)
-    else:
-        g = (-lp.mu0 / (p.beta * _x1hat(p)), 0.0, 0.0)
-    x1h = _x1hat(p)
-    f = model.rhs_arrays(p, x1h + dev.x1t, dev.x2t, dev.x3t, p.b_hat + u)
-    return g[0] * f[0] + g[1] * f[1] + g[2] * f[2]
+    G = df_gradient_arrays(lp, p, X)
+    f1, f2, f3 = model.rhs_arrays(p, _x1hat(p) + X[:, 0], X[:, 1], X[:, 2], p.b_hat + u)
+    return G[:, 0] * f1 + G[:, 1] * f2 + G[:, 2] * f3
+
+
+def df_near_boundary(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
+    """True where a point lies within the band BOUNDARY_BAND*(1+|X|), measured
+    along x1t, of a region boundary."""
+    thr = df_threshold(lp, p, X[:, 1], X[:, 2])
+    dist = np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
+    return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
+
+
+def _row(dev: Deviation) -> np.ndarray:
+    """One deviation as a 1-row batch for the array path."""
+    if dev.x2t < 0.0 or dev.x3t < 0.0:
+        raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
+    return dev.as_array()[None, :]
+
+
+def df_region(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> DfRegion:
+    """Classify a deviation; boundary points go to the closed-inequality side."""
+    return list(DfRegion)[df_value_region_arrays(lp, p, _row(dev))[1][0]]
+
+
+def df_value(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> float:
+    return float(df_value_region_arrays(lp, p, _row(dev))[0][0])
+
+
+def df_gradient(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> tuple:
+    """Analytic gradient; refuses points within the boundary band."""
+    X = _row(dev)
+    if df_near_boundary(lp, p, X)[0]:
+        raise OnBoundary("deviation within band of a region boundary")
+    return tuple(float(g) for g in df_gradient_arrays(lp, p, X)[0])
+
+
+def df_grad_dot_f(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float) -> float:
+    """Directional derivative along the deviation dynamics; see df_grad_dot_f_arrays."""
+    return float(df_grad_dot_f_arrays(lp, p, _row(dev), u)[0])
 
 
 def df_decrease_slack(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float) -> float:
@@ -185,39 +207,6 @@ def df_decrease_slack(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float
     gf = df_grad_dot_f(lp, p, dev, u)
     v = df_value(lp, p, dev)
     return -gf - df_decay_rate(lp, p) * v
-
-
-# ---------------------------------------------------------------------------
-# vectorised evaluation (used by grid certification and level sets)
-# ---------------------------------------------------------------------------
-
-def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
-    """Values and region codes (0=A, 1=B, 2=C) for deviations X of shape (n, 3)."""
-    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
-    thr = _threshold(lp, p, x2t, x3t)
-    in_a = x1t >= 0.0
-    in_b = ~in_a & (x1t >= thr)
-    lin23 = x2t + lp.lambda3 * x3t
-    v = np.where(in_a, x1t + lin23, np.where(in_b, lin23, -lp.mu0 * x1t / (p.beta * _x1hat(p))))
-    codes = np.where(in_a, 0, np.where(in_b, 1, 2)).astype(np.int8)
-    return v, codes
-
-
-def df_grad_dot_f_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray, u: float) -> np.ndarray:
-    """grad V . f for a batch of deviations under a constant perturbation u."""
-    _, codes = df_value_region_arrays(lp, p, X)
-    x1h = _x1hat(p)
-    f1, f2, f3 = model.rhs_arrays(p, x1h + X[:, 0], X[:, 1], X[:, 2], p.b_hat + u)
-    g1 = np.where(codes == 0, 1.0, np.where(codes == 1, 0.0, -lp.mu0 / (p.beta * x1h)))
-    g2 = np.where(codes == 2, 0.0, 1.0)
-    g3 = np.where(codes == 2, 0.0, lp.lambda3)
-    return g1 * f1 + g2 * f2 + g3 * f3
-
-
-def df_boundary_distance_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Per-point distance (along x1t) to the nearest region boundary."""
-    thr = _threshold(lp, p, X[:, 1], X[:, 2])
-    return np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
 
 
 def write_grid_csv(path, X: np.ndarray, codes: np.ndarray, v: np.ndarray,
@@ -242,9 +231,6 @@ class DiseaseFreeLyapunov:
         self.lp = lp
         self.equilibrium = model.disease_free_eq(p)
 
-    def value(self, dev: Deviation) -> float:
-        return df_value(self.lp, self.p, dev)
-
     def value_many(self, X: np.ndarray) -> np.ndarray:
         return df_value_region_arrays(self.lp, self.p, X)[0]
 
@@ -255,6 +241,14 @@ class DiseaseFreeLyapunov:
     def chi(self, u_mag: float) -> float:
         return df_chi(self.lp, self.p, u_mag)
 
+    def chi_signed(self, u_pos: float, u_neg: float) -> float:
+        """Threshold for inputs within [-u_neg, u_pos]: chi of the larger side."""
+        return self.chi(max(u_pos, u_neg))
+
     def admissible_u(self) -> tuple:
         """Perturbation range keeping B(t) nonnegative."""
         return (-self.p.b_hat, np.inf)
+
+    def admits(self, u_pos: float, u_neg: float) -> bool:
+        """Inputs within [-u_neg, u_pos] lie in the range, closed at -b_hat."""
+        return -u_neg >= self.admissible_u()[0]

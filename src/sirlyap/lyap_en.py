@@ -16,6 +16,10 @@ defined for s < lam0*x2h, with derivative bounded below by lambda_hat2/lam0.
 The sublevel sets of V = V12 + lambda3*|x3t| are closed loops around the
 endemic equilibrium; feasibility of (k, lambda3, lambda_hat2, l_bar) is
 certified numerically by `check_condition_50`.
+
+Each region's V12 is written once, as a linear form in (x1t, x2t) taken
+through P^{-1} in regions C, D and E (`_region_forms`), and evaluated by the
+array functions over deviations (n, 3); the scalar functions read row 0.
 """
 from __future__ import annotations
 
@@ -126,34 +130,37 @@ def _xhat(p: ModelParams) -> tuple:
 # monotone helper maps
 # ---------------------------------------------------------------------------
 
+def _theta_inv(xh: tuple, s):
+    """x1h*s/(x2h-s) without the domain check."""
+    return xh[0] * s / (xh[1] - s)
+
+
+def _p_inv(lp: EnLyapParams, xh: tuple, s):
+    """lambda1*theta^{-1}(s/lam0) + lambda_hat2*s/lam0 without the domain check."""
+    r = s / lp.lam0
+    return lp.lambda1 * _theta_inv(xh, r) + lp.lambda_hat2 * r
+
+
 def theta(p: ModelParams, s):
     """x2h*s/(x1h+s); strictly increasing on (-x1h, inf) with range (-inf, x2h)."""
     x1h, x2h, _ = _xhat(p)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= -x1h):
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= -x1h):
         raise DomainError("theta needs s > -x1h")
-    out = x2h * s_arr / (x1h + s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return x2h * s / (x1h + s)
 
 
 def theta_inv(p: ModelParams, s):
     """Exact inverse x1h*s/(x2h-s), defined for s < x2h."""
-    x1h, x2h, _ = _xhat(p)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr >= x2h):
+    xh = _xhat(p)
+    s = np.asarray(s, dtype=float)
+    if np.any(s >= xh[1]):
         raise DomainError("theta_inv needs s < x2h")
-    out = x1h * s_arr / (x2h - s_arr)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return _theta_inv(xh, s)
 
 
 def omega(p: ModelParams, lp: EnLyapParams, s):
-    out = lp.lambda1 * np.asarray(s, dtype=float) + lp.lambda_hat2 * theta(p, s)
-    return float(out) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
-
-
-def _omega_prime(p: ModelParams, lp: EnLyapParams, s):
-    x1h, x2h, _ = _xhat(p)
-    return lp.lambda1 + lp.lambda_hat2 * x1h * x2h / (x1h + s) ** 2
+    return lp.lambda1 * np.asarray(s, dtype=float) + lp.lambda_hat2 * theta(p, s)
 
 
 def omega_inv(p: ModelParams, lp: EnLyapParams, v, rtol: float = OMEGA_INV_RTOL):
@@ -193,43 +200,36 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v, rtol: float = OMEGA_INV_RTOL)
         step = (w(s) - v_arr) / (lam1 + lh2 * x1h * x2h / (x1h + s) ** 2)
         s = np.clip(s - step, lo, hi)
     s[v_arr == 0.0] = 0.0  # omega(0) = 0 exactly
-    if np.isscalar(v) or np.asarray(v).ndim == 0:
-        return float(s[0])
-    return s
+    return s.reshape(np.shape(v))[()]
 
 
 def p_fun(p: ModelParams, lp: EnLyapParams, s):
     """P(s) = lam0 * theta(omega^{-1}(s)); increasing, range (-inf, lam0*x2h)."""
-    out = lp.lam0 * theta(p, omega_inv(p, lp, s))
-    return float(out) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
+    return lp.lam0 * theta(p, omega_inv(p, lp, s))
 
 
 def p_inv(p: ModelParams, lp: EnLyapParams, s):
     """Closed-form inverse of P, defined for s < lam0*x2h."""
-    _, x2h, _ = _xhat(p)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr >= lp.lam0 * x2h):
+    xh = _xhat(p)
+    s = np.asarray(s, dtype=float)
+    if np.any(s >= lp.lam0 * xh[1]):
         raise DomainError("p_inv needs s < lam0*x2h")
-    r = s_arr / lp.lam0
-    out = lp.lambda1 * theta_inv(p, r) + lp.lambda_hat2 * r
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return _p_inv(lp, xh, s)
 
 
 def p_inv_prime(p: ModelParams, lp: EnLyapParams, s):
     """(P^{-1})'(s) > lambda_hat2/lam0 for s < lam0*x2h."""
     x1h, x2h, _ = _xhat(p)
-    s_arr = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float)
     lam0 = lp.lam0
-    out = (lp.lambda1 * lam0 ** 2 * x1h * x2h / (lam0 * x2h - s_arr) ** 2
-           + lp.lambda_hat2) / lam0
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return (lp.lambda1 * lam0 ** 2 * x1h * x2h / (lam0 * x2h - s) ** 2
+            + lp.lambda_hat2) / lam0
 
 
 def nu_fun(p: ModelParams, lp: EnLyapParams, s):
     """Boundary curve between the two regions left of the equilibrium."""
-    s_arr = np.asarray(s, dtype=float)
-    out = (lp.lambda_hat2 * s_arr - p_fun(p, lp, lp.lam0 * s_arr)) / lp.lambda1
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    s = np.asarray(s, dtype=float)
+    return (lp.lambda_hat2 * s - p_fun(p, lp, lp.lam0 * s)) / lp.lambda1
 
 
 # ---------------------------------------------------------------------------
@@ -411,34 +411,62 @@ def _h_masks(p: ModelParams, lp: EnLyapParams, x1t, x2t, l_cap: float):
     return h1 & h2 & h3
 
 
+#: P^{-1} arguments are clipped this factor below the pole lam0*x2h
+_POLE_CLIP = 1.0 - 1e-15
+
+#: regions whose V12 is P^{-1} of the region's linear form: C, D and E
+_CURVED = np.array([False, False, True, True, True, False])
+
+
+def _region_forms(lp: EnLyapParams) -> np.ndarray:
+    """Linear form (c1, c2) of each region A..F in (x1t, x2t).
+
+    V12 = c1*x1t + c2*x2t in A, B and F, and P^{-1}(c1*x1t + c2*x2t) in C, D
+    and E; the gradient of V12 is (c1, c2), times (P^{-1})' in C, D and E.
+    """
+    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
+    return np.array([[lam1, lam2], [0.0, lam0], [-lam1, lh2],
+                     [-lam1, -lam2], [0.0, -lam0], [lam1, -lh2]])
+
+
+def _linear_form(lp: EnLyapParams, codes, x1t, x2t):
+    c = _region_forms(lp)[codes]
+    return c[..., 0] * x1t + c[..., 1] * x2t
+
+
+def en_region_v12(p: ModelParams, lp: EnLyapParams, codes, x1t, x2t):
+    """V12 by the formula of region `codes` (0..5 for A..F; one code, or one
+    per point) wherever the points lie; P^{-1} arguments are clipped just
+    below its pole."""
+    xh = _xhat(p)
+    curved = _CURVED[codes]
+    lin = _linear_form(lp, codes, x1t, x2t)
+    arg = np.minimum(np.where(curved, lin, 0.0), lp.lam0 * xh[1] * _POLE_CLIP)
+    return np.where(curved, _p_inv(lp, xh, arg), lin)
+
+
 def _region_codes(p: ModelParams, lp: EnLyapParams, x1t, x2t):
     """Codes 0..5 for regions A..F; assumes arguments already lie in H."""
-    _, x2h, _ = _xhat(p)
-    lam0, lam1, lh2 = lp.lam0, lp.lambda1, lp.lambda_hat2
-    pos = x2t >= 0.0
-    codes = np.full(x1t.shape, 5, dtype=np.int8)
-    # upper half: A / B / C split by -k*x2t and the nu-curve
-    a = pos & (x1t >= -lp.k * x2t)
-    codes[a] = 0
-    rest = pos & ~a
-    v = -lam1 * x1t + lh2 * x2t
-    v_c = np.minimum(v, lam0 * x2h * (1.0 - 1e-15))  # clip for safe p_inv evaluation
-    r = v_c / lam0
-    pinv_v = lam1 * (np.where(r < x2h, np.asarray(theta_inv(p, np.minimum(r, x2h * (1 - 1e-15))), dtype=float), np.inf)) + lh2 * r
-    # x1t < nu(x2t)  <=>  P^{-1}(v) > lam0*x2t  (monotone transform of the same cut)
-    c = rest & (pinv_v > lam0 * x2t)
-    b = rest & ~c
-    codes[c] = 2
-    codes[b] = 1
+    xh = _xhat(p)
+    kx2 = -lp.k * x2t
+    # upper half: A right of -k*x2t; left of it, x1t < nu(x2t) (region C)
+    # exactly where C's formula exceeds B's (a monotone transform of the cut)
+    upper_c = en_region_v12(p, lp, 2, x1t, x2t) > _linear_form(lp, 1, x1t, x2t)
+    upper = np.where(x1t >= kx2, 0, np.where(upper_c, 2, 1))
     # lower half: D / E / F split by -k*x2t and the hyperbola branch
-    neg = ~pos
-    d = neg & (x1t <= -lp.k * x2t)
-    codes[d] = 3
-    rest = neg & ~d
-    ti = theta_inv(p, np.minimum(-x2t, x2h * (1 - 1e-15)))
-    e = rest & (x1t <= ti)
-    codes[e] = 4
-    return codes
+    ti = _theta_inv(xh, np.minimum(-x2t, xh[1] * _POLE_CLIP))
+    lower = np.where(x1t <= kx2, 3, np.where(x1t <= ti, 4, 5))
+    return np.where(x2t >= 0.0, upper, lower).astype(np.int8)
+
+
+def en_region_terms(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> tuple:
+    """Per point in H: the region code (0..5 for A..F), the P^{-1} argument of
+    its region (0 outside C, D and E) and (P^{-1})' at that argument."""
+    x1t, x2t = X[:, 0], X[:, 1]
+    codes = _region_codes(p, lp, x1t, x2t)
+    arg = np.where(_CURVED[codes], _linear_form(lp, codes, x1t, x2t), 0.0)
+    dpinv = p_inv_prime(p, lp, np.minimum(arg, lp.lam0 * _xhat(p)[1] * _POLE_CLIP))
+    return codes, arg, dpinv
 
 
 def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
@@ -453,83 +481,19 @@ def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
         l_cap = lp.l_bar
     x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
     ok = _h_masks(p, lp, x1t, x2t, l_cap)
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
-    _, x2h, _ = _xhat(p)
     codes = _region_codes(p, lp, np.where(ok, x1t, 0.0), np.where(ok, x2t, 0.0))
-
-    def pinv_of(arg):
-        arg = np.minimum(arg, lam0 * x2h * (1.0 - 1e-15))
-        r = arg / lam0
-        return lam1 * (_xhat(p)[0] * r / (x2h - r)) + lh2 * r
-
-    v12 = np.empty_like(x1t)
-    m = codes == 0
-    v12[m] = lam1 * x1t[m] + lam2 * x2t[m]
-    m = codes == 1
-    v12[m] = lam0 * x2t[m]
-    m = codes == 2
-    v12[m] = pinv_of(-lam1 * x1t[m] + lh2 * x2t[m])
-    m = codes == 3
-    v12[m] = pinv_of(-lam1 * x1t[m] - lam2 * x2t[m])
-    m = codes == 4
-    v12[m] = pinv_of(lam0 * (-x2t[m]))
-    m = codes == 5
-    v12[m] = lam1 * x1t[m] - lh2 * x2t[m]
-    out = v12 + lp.lambda3 * np.abs(x3t)
+    out = en_region_v12(p, lp, codes, x1t, x2t) + lp.lambda3 * np.abs(x3t)
     out[~ok] = np.nan
     return out
 
 
-def en_region(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> EnRegionLabel:
-    """Classify a deviation; boundary points follow the non-strict inequalities."""
-    if not in_H(p, lp, dev):
-        raise OutOfH("deviation outside the domain H")
-    code = int(_region_codes(p, lp, np.array([dev.x1t]), np.array([dev.x2t]))[0])
-    sign = X3Sign.NONNEG if dev.x3t >= 0.0 else X3Sign.NEG
-    return EnRegionLabel(list(EnRegion)[code], sign)
-
-
-def en_value(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> float:
-    v = en_value_many(p, lp, dev.as_array()[None, :])
-    if math.isnan(v[0]):
-        raise OutOfH("deviation outside the domain H")
-    return float(v[0])
-
-
 def en_gradient_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:
     """Per-point analytic gradient (n, 3); no boundary-band policing."""
-    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
-    codes = _region_codes(p, lp, x1t, x2t)
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
-    arg = np.zeros_like(x1t)
-    arg = np.where(codes == 2, -lam1 * x1t + lh2 * x2t, arg)
-    arg = np.where(codes == 3, -lam1 * x1t - lam2 * x2t, arg)
-    arg = np.where(codes == 4, lam0 * (-x2t), arg)
-    q = p_inv_prime(p, lp, np.minimum(arg, lam0 * _xhat(p)[1] * (1.0 - 1e-15)))
-    masks = [codes == j for j in range(6)]
-    g1 = np.select(masks, [np.full_like(q, lam1), np.zeros_like(q), -lam1 * q,
-                           -lam1 * q, np.zeros_like(q), np.full_like(q, lam1)])
-    g2 = np.select(masks, [np.full_like(q, lam2), np.full_like(q, lam0), lh2 * q,
-                           -lam2 * q, (lp.k * lam1 - lam2) * q, np.full_like(q, -lh2)])
-    g3 = np.where(x3t >= 0.0, lp.lambda3, -lp.lambda3)
-    return np.stack([g1, g2, g3], axis=1)
-
-
-def en_gradient(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> tuple:
-    """Analytic gradient; raises OnBoundary within the band of any kink."""
-    if not in_H(p, lp, dev):
-        raise OutOfH("deviation outside the domain H")
-    norm = math.sqrt(dev.x1t ** 2 + dev.x2t ** 2 + dev.x3t ** 2)
-    band = BOUNDARY_BAND * (1.0 + norm)
-    dists = [abs(dev.x2t), abs(dev.x1t + lp.k * dev.x2t), abs(dev.x3t)]
-    if dev.x2t >= 0.0:
-        dists.append(abs(dev.x1t - nu_fun(p, lp, dev.x2t)))
-    else:
-        dists.append(abs(dev.x1t - theta_inv(p, -dev.x2t)))
-    if min(dists) <= band:
-        raise OnBoundary("deviation within band of a region boundary or the x3t kink")
-    g = en_gradient_arrays(p, lp, dev.as_array()[None, :])[0]
-    return (float(g[0]), float(g[1]), float(g[2]))
+    codes, _, dpinv = en_region_terms(p, lp, X)
+    scale = np.where(_CURVED[codes], dpinv, 1.0)
+    c = _region_forms(lp)[codes]
+    g3 = np.where(X[:, 2] >= 0.0, lp.lambda3, -lp.lambda3)
+    return np.stack([c[:, 0] * scale, c[:, 1] * scale, g3], axis=1)
 
 
 def en_grad_dot_f_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
@@ -542,21 +506,16 @@ def en_grad_dot_f_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
     return G[:, 0] * f1 + G[:, 1] * f2 + G[:, 2] * f3
 
 
-def in_H(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> bool:
-    """Membership in the Lipschitz domain H (three strict/closed inequalities)."""
-    return bool(_h_masks(p, lp, np.array([dev.x1t]), np.array([dev.x2t]), lp.l_bar)[0])
-
-
-def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> bool:
-    """Membership in the closed sublevel set {V <= L} within the orthant shift."""
-    if not (0.0 <= L <= lp.l_bar * (1.0 + 1e-12)):
-        raise DomainError("L must lie in [0, l_bar]")
-    x1h, x2h, x3h = _xhat(p)
-    if dev.x1t < -x1h or dev.x2t < -x2h or dev.x3t < -x3h:
-        return False
-    if not in_H(p, lp, dev):
-        return False
-    return en_value(p, lp, dev) <= L
+def en_near_boundary(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:
+    """True where a point lies within the band BOUNDARY_BAND*(1+|X|) of a
+    region boundary or of the x3t kink."""
+    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
+    x2h = _xhat(p)[1]
+    curve = np.where(x2t >= 0.0, nu_fun(p, lp, np.maximum(x2t, 0.0)),
+                     theta_inv(p, np.minimum(-x2t, x2h * _POLE_CLIP)))
+    dist = np.minimum.reduce([np.abs(x2t), np.abs(x1t + lp.k * x2t), np.abs(x3t),
+                              np.abs(x1t - curve)])
+    return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
 
 
 def in_sublevel_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray, L: float) -> np.ndarray:
@@ -564,6 +523,48 @@ def in_sublevel_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray, L: float) 
     phys = (X[:, 0] >= -x1h) & (X[:, 1] >= -x2h) & (X[:, 2] >= -x3h)
     v = en_value_many(p, lp, X)
     return phys & np.isfinite(v) & (v <= L)
+
+
+def _row(dev: Deviation) -> np.ndarray:
+    return dev.as_array()[None, :]
+
+
+def in_H(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> bool:
+    """Membership in the Lipschitz domain H (three strict/closed inequalities)."""
+    return bool(_h_masks(p, lp, np.array([dev.x1t]), np.array([dev.x2t]), lp.l_bar)[0])
+
+
+def en_region(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> EnRegionLabel:
+    """Classify a deviation; boundary points follow the non-strict inequalities."""
+    if not in_H(p, lp, dev):
+        raise OutOfH("deviation outside the domain H")
+    code = int(_region_codes(p, lp, np.array([dev.x1t]), np.array([dev.x2t]))[0])
+    sign = X3Sign.NONNEG if dev.x3t >= 0.0 else X3Sign.NEG
+    return EnRegionLabel(list(EnRegion)[code], sign)
+
+
+def en_value(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> float:
+    v = float(en_value_many(p, lp, _row(dev))[0])
+    if math.isnan(v):
+        raise OutOfH("deviation outside the domain H")
+    return v
+
+
+def en_gradient(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> tuple:
+    """Analytic gradient; raises OnBoundary within the band of any kink."""
+    if not in_H(p, lp, dev):
+        raise OutOfH("deviation outside the domain H")
+    X = _row(dev)
+    if en_near_boundary(p, lp, X)[0]:
+        raise OnBoundary("deviation within band of a region boundary or the x3t kink")
+    return tuple(float(g) for g in en_gradient_arrays(p, lp, X)[0])
+
+
+def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> bool:
+    """Membership in the closed sublevel set {V <= L} within the orthant shift."""
+    if not (0.0 <= L <= lp.l_bar * (1.0 + 1e-12)):
+        raise DomainError("L must lie in [0, l_bar]")
+    return bool(in_sublevel_many(p, lp, _row(dev), L)[0])
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
@@ -658,9 +659,6 @@ class EndemicLyapunov:
         self.lp = lp
         self.equilibrium = model.endemic_eq(p)
 
-    def value(self, dev: Deviation) -> float:
-        return en_value(self.p, self.lp, dev)
-
     def value_many(self, X: np.ndarray) -> np.ndarray:
         return en_value_many(self.p, self.lp, X)
 
@@ -670,6 +668,11 @@ class EndemicLyapunov:
 
     def admissible_u(self) -> tuple:
         return en_input_range(self.p, self.lp)
+
+    def admits(self, u_pos: float, u_neg: float) -> bool:
+        """Inputs within [-u_neg, u_pos] lie in the open admissible range."""
+        lo, hi = self.admissible_u()
+        return lo < -u_neg and u_pos < hi
 
     def chi_signed(self, u_pos: float, u_neg: float) -> float:
         """Level threshold above which decrease is certified for inputs

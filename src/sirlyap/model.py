@@ -136,22 +136,6 @@ def endemic_eq(p: ModelParams) -> Equilibrium:
     return Equilibrium(EquilibriumKind.ENDEMIC, State(s, i, r))
 
 
-def equilibrium_of_kind(p: ModelParams, kind: EquilibriumKind) -> Equilibrium:
-    if kind is EquilibriumKind.DISEASE_FREE:
-        return disease_free_eq(p)
-    return endemic_eq(p)
-
-
-def rhs(p: ModelParams, x: State, b: float) -> tuple:
-    """Time derivative (dS, dI, dR) under newborn rate b >= 0."""
-    if b < 0.0:
-        raise DomainError("newborn rate must be nonnegative")
-    ds = b - p.mu * x.s - p.beta * x.i * x.s
-    di = p.beta * x.i * x.s - p.gamma * x.i - p.mu * x.i
-    dr = p.gamma * x.i - p.mu * x.r
-    return (ds, di, dr)
-
-
 def rhs_arrays(p: ModelParams, s, i, r, b):
     """Vectorised right-hand side; accepts scalars or numpy arrays."""
     infect = p.beta * i * s
@@ -161,16 +145,23 @@ def rhs_arrays(p: ModelParams, s, i, r, b):
     return ds, di, dr
 
 
-def total_population_bound(x0: State, b_max: float, p: ModelParams, t: float) -> float:
-    """Upper envelope exp(-t)*N(0) + b_max/mu for the total population.
+def rhs(p: ModelParams, x: State, b: float) -> tuple:
+    """Time derivative (dS, dI, dR) of one state under newborn rate b >= 0."""
+    if b < 0.0:
+        raise DomainError("newborn rate must be nonnegative")
+    return rhs_arrays(p, x.s, x.i, x.r, b)
 
-    Valid whenever N(0) <= b_max/mu (then N(t) <= b_max/mu for all time) or
-    mu >= 1; the exact solution of dN = B - mu*N is available via
-    `total_population_exact` for sharper comparisons.
+
+def total_population_bound(x0: State, b_max: float, p: ModelParams, t: float) -> float:
+    """Upper envelope exp(-mu*t)*N(0) + b_max/mu for the total population.
+
+    Valid for every N(0) whenever B(t) <= b_max, since dN = B - mu*N.  The
+    form exp(-t)*N(0) + b_max/mu holds only when N(0) <= b_max/mu or mu >= 1.
+    The exact solution for a constant rate is `total_population_exact`.
     """
     if t < 0.0:
         raise DomainError("t must be nonnegative")
-    return math.exp(-t) * x0.n + b_max / p.mu
+    return math.exp(-p.mu * t) * x0.n + b_max / p.mu
 
 
 def total_population_exact(x0: State, c: float, p: ModelParams, t) -> np.ndarray:

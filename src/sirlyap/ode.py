@@ -1,8 +1,10 @@
 """Fixed-step RK4 integration of the SIR system under time-varying inputs.
 
-Discontinuous (step/piecewise-constant) inputs are handled by aligning the
-integration grid with the switch times, which preserves the classical order
-of the method across each segment.
+`integrate_batch` is the one integrator, for a batch of states under one
+shared input or one input per row; `integrate` and `steady_state` run
+through it.  Discontinuous (step/piecewise-constant) inputs are handled by
+aligning the integration grid with the switch times of every row's input,
+which preserves the classical order of the method across each segment.
 """
 from __future__ import annotations
 
@@ -32,6 +34,13 @@ class InputSignal:
     def breakpoints(self, t_end: float) -> list:
         """Interior discontinuity times in (0, t_end)."""
         return []
+
+    def value_range(self, t_end: float) -> tuple:
+        """Exact (min, max) of B over [0, t_end]: the levels active in range."""
+        if not self.piecewise_constant:
+            raise NotImplementedError
+        vals = [self.value(t) for t in [0.0, *self.breakpoints(t_end), t_end]]
+        return min(vals), max(vals)
 
     #: True when the signal is constant between consecutive breakpoints
     piecewise_constant = False
@@ -111,6 +120,16 @@ class Sinusoid(InputSignal):
     def value(self, t: float) -> float:
         return max(0.0, self.mean + self.amplitude * math.sin(self.angular_frequency * t))
 
+    def value_range(self, t_end: float) -> tuple:
+        """Exact (min, max) over [0, t_end]: the endpoints plus every crest
+        and trough of the sine in range, clipped at 0."""
+        vals = [self.value(0.0), self.value(t_end)]
+        lo, hi = sorted((0.0, self.angular_frequency * t_end))
+        for phase, sin in ((0.5 * math.pi, 1.0), (1.5 * math.pi, -1.0)):
+            if phase + 2.0 * math.pi * math.ceil((lo - phase) / (2.0 * math.pi)) <= hi:
+                vals.append(max(0.0, self.mean + self.amplitude * sin))
+        return min(vals), max(vals)
+
 
 def sample_input(sig: InputSignal, t: float) -> float:
     """Evaluate B(t); t must be nonnegative."""
@@ -120,12 +139,18 @@ def sample_input(sig: InputSignal, t: float) -> float:
 
 
 def signal_from_dict(d: dict) -> InputSignal:
+    def num(v) -> float:
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"signal values must be finite, got {v!r}")
+        return x
+
     kinds = {
-        "constant": lambda d: Constant(float(d["value"])),
-        "step": lambda d: Step(float(d["t_switch"]), float(d["before"]), float(d["after"])),
-        "piecewise": lambda d: Piecewise(tuple((float(t), float(c)) for t, c in d["points"])),
+        "constant": lambda d: Constant(num(d["value"])),
+        "step": lambda d: Step(num(d["t_switch"]), num(d["before"]), num(d["after"])),
+        "piecewise": lambda d: Piecewise(tuple((num(t), num(c)) for t, c in d["points"])),
         "sinusoid": lambda d: Sinusoid(
-            float(d["mean"]), float(d["amplitude"]), float(d["angular_frequency"])
+            num(d["mean"]), num(d["amplitude"]), num(d["angular_frequency"])
         ),
     }
     kind = d.get("kind")
@@ -195,10 +220,24 @@ class Trajectory:
 # integration
 # ---------------------------------------------------------------------------
 
-def _segments(sig: InputSignal, t_end: float) -> list:
-    cuts = sorted(set(sig.breakpoints(t_end)))
+def _segments(signals: list, t_end: float) -> list:
+    cuts = sorted(set().union(*(sig.breakpoints(t_end) for sig in signals)))
     edges = [0.0] + cuts + [t_end]
     return [(edges[j], edges[j + 1]) for j in range(len(edges) - 1)]
+
+
+def _input_on_segment(signals: list, a: float):
+    """B(t) on the segment starting at a: a scalar for one shared signal, one
+    value per row otherwise.  Piecewise-constant signals hold the level at
+    the segment start (segments are left-closed)."""
+    if all(sig.piecewise_constant for sig in signals):
+        levels = [sig.value(a) for sig in signals]
+        c = levels[0] if len(signals) == 1 else np.array(levels)
+        return lambda t: c
+    if len(signals) == 1:
+        return signals[0].value
+    return lambda t: np.array([sig.value(a if sig.piecewise_constant else t)
+                               for sig in signals])
 
 
 def _check_state(X: np.ndarray, t: float) -> None:
@@ -241,12 +280,14 @@ def _rk4_span(p: ModelParams, X: np.ndarray, t0: float, t1: float, dt: float,
     return X
 
 
-def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal, t_end: float,
-                    dt: float = DEFAULT_DT, observer=None) -> np.ndarray:
+def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
+                    t_end: float, dt: float = DEFAULT_DT, observer=None) -> np.ndarray:
     """RK4 for a batch of initial states; returns the final batch.
 
-    `observer(t, X, b)` is invoked after every accepted step.  Pure apart
-    from the observer callback; safe to run concurrently on separate data.
+    `sig` is one InputSignal for every row or a sequence with one per row,
+    whose breakpoints are merged.  `observer(t, X, b)` is invoked after every
+    accepted step (b per row for a sequence).  Pure apart from the observer
+    callback; safe to run concurrently on separate data.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -255,13 +296,11 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal, t_end: flo
     X = np.array(X0, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError("X0 must have shape (m, 3)")
-    for a, b in _segments(sig, t_end):
-        if sig.piecewise_constant:
-            c = sig.value(a)  # left-closed: the level at the segment start governs
-            b_of_t = lambda t, c=c: c
-        else:
-            b_of_t = sig.value
-        X = _rk4_span(p, X, a, b, dt, b_of_t, observer=observer)
+    signals = [sig] if isinstance(sig, InputSignal) else list(sig)
+    if len(signals) != 1 and len(signals) != len(X):
+        raise ValueError("need one signal, or one signal per row of X0")
+    for a, b in _segments(signals, t_end):
+        X = _rk4_span(p, X, a, b, dt, _input_on_segment(signals, a), observer=observer)
     return X
 
 
@@ -288,44 +327,33 @@ def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
     return Trajectory(np.array(times), np.array(states), np.array(inputs))
 
 
-def steady_state(p: ModelParams, c: float, x0: State, tol: float = 1e-9,
-                 t_max: float = 1e5, dt: float = 0.1) -> State:
-    """Integrate under Constant(c) until ||rhs||_1 < tol*(1 + ||x||_1).
+def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
+                       tol: float = 1e-8, t_max: float = 4e4, dt: float = 0.25) -> np.ndarray:
+    """Steady states for several constant inputs advanced in lockstep: every
+    row integrates under its Constant(c) until ||rhs||_1 < tol*(1 + ||x||_1).
 
     Raises NotConverged when t_max is reached first.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    X = x0.as_array()[None, :]
-    sig = Constant(c)
-    t = 0.0
-    chunk = max(dt, 200.0 * dt)
-    while t < t_max:
-        step = min(chunk, t_max - t)
-        X = integrate_batch(p, X, sig, step, dt)
-        t += step
-        ds, di, dr = rhs_arrays(p, X[0, 0], X[0, 1], X[0, 2], c)
-        resid = abs(ds) + abs(di) + abs(dr)
-        if resid < tol * (1.0 + float(np.abs(X).sum())):
-            return State(float(X[0, 0]), float(X[0, 1]), float(X[0, 2]))
-    raise NotConverged(f"no steady state within t_max={t_max:.6g} (c={c:.6g})")
-
-
-def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
-                       tol: float = 1e-8, t_max: float = 4e4, dt: float = 0.25) -> np.ndarray:
-    """Steady states for several constant inputs advanced in lockstep."""
     cs = np.asarray(cs, dtype=float)
+    signals = [Constant(c) for c in cs]
     X = np.array(x0s, dtype=float, copy=True)
     t = 0.0
     chunk = 200.0 * dt
     while t < t_max:
         step = min(chunk, t_max - t)
-        # all runs share the time grid; input differs per run
-        for a, b in [(0.0, step)]:
-            X = _rk4_span(p, X, a, b, dt, lambda tt: cs)
+        X = integrate_batch(p, X, signals, step, dt)
         t += step
         ds, di, dr = rhs_arrays(p, X[:, 0], X[:, 1], X[:, 2], cs)
         resid = np.abs(ds) + np.abs(di) + np.abs(dr)
         if np.all(resid < tol * (1.0 + np.abs(X).sum(axis=1))):
             return X
-    raise NotConverged(f"steady-state batch did not converge by t_max={t_max:.6g}")
+    raise NotConverged(f"no steady state within t_max={t_max:.6g} (c={cs.tolist()})")
+
+
+def steady_state(p: ModelParams, c: float, x0: State, tol: float = 1e-9,
+                 t_max: float = 1e5, dt: float = 0.1) -> State:
+    """Single-input form of `steady_state_batch`; raises NotConverged."""
+    s, i, r = steady_state_batch(p, [c], x0.as_array()[None, :], tol, t_max, dt)[0]
+    return State(float(s), float(i), float(r))

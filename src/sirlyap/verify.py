@@ -92,23 +92,20 @@ def _loc(X_row) -> list:
 
 def check_df_continuity(lp: DfLyapParams, p: ModelParams, n: int = 1000,
                         seed: int = DEFAULT_SEED, rtol: float = 1e-9) -> CheckResult:
-    """One-sided values of adjacent region formulas agree on both boundaries."""
+    """The library's adjacent region formulas agree on both boundaries."""
     rng = np.random.default_rng(seed)
     x1h = p.b_hat / p.mu
     half = n // 2
-    lam3 = lp.lambda3
     # surface x1t = 0: formula A vs formula B
     x2 = rng.uniform(0.0, 3.0 * x1h, half)
     x3 = rng.uniform(0.0, 3.0 * x1h, half)
-    va = 0.0 + x2 + lam3 * x3
-    vb = x2 + lam3 * x3
+    va, vb, _ = lyap_df.df_region_values(lp, p, np.column_stack([np.zeros(half), x2, x3]))
     res1 = np.abs(va - vb) / (1.0 + np.abs(vb))
     # tilted surface: formula B vs formula C
     x2 = rng.uniform(0.0, 3.0 * x1h, n - half)
     x3 = rng.uniform(0.0, 3.0 * x1h, n - half)
-    x1 = -(p.beta * x1h / lp.mu0) * (x2 + lam3 * x3)
-    vb = x2 + lam3 * x3
-    vc = -lp.mu0 * x1 / (p.beta * x1h)
+    x1 = lyap_df.df_threshold(lp, p, x2, x3)
+    _, vb, vc = lyap_df.df_region_values(lp, p, np.column_stack([x1, x2, x3]))
     res2 = np.abs(vb - vc) / (1.0 + np.abs(vb))
     worst = float(max(res1.max(initial=0.0), res2.max(initial=0.0)))
     return CheckResult("df_continuity", worst <= rtol, -worst, None, n,
@@ -147,8 +144,7 @@ def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
     g = np.meshgrid(ax1, ax2, ax2, indexing="ij")
     X = np.stack([a.ravel() for a in g], axis=1)
     v, codes = lyap_df.df_value_region_arrays(lp, p, X)
-    band = 1e-9 * (1.0 + np.linalg.norm(X, axis=1))
-    off_band = lyap_df.df_boundary_distance_arrays(lp, p, X) > band
+    off_band = ~lyap_df.df_near_boundary(lp, p, X)
     rate = lyap_df.df_decay_rate(lp, p)
     worst = math.inf
     worst_loc = None
@@ -178,46 +174,35 @@ def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
 
 def check_en_continuity(p: ModelParams, lp: EnLyapParams, n_per_boundary: int = 200,
                         seed: int = DEFAULT_SEED, rtol: float = 1e-9) -> CheckResult:
-    """Adjacent region formulas agree on all five internal boundaries."""
+    """The library's adjacent region formulas agree on all five internal boundaries."""
     rng = np.random.default_rng(seed)
-    q = model.endemic_eq(p).point
-    x2h = q.i
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
+    x2h = model.endemic_eq(p).point.i
+    lam0 = lp.lam0
+    A, B, C, D, E, F = range(6)
+
+    def gap(r, s, x1, x2):
+        """Relative gap between the V12 formulas of regions r and s."""
+        vr = lyap_en.en_region_v12(p, lp, r, x1, x2)
+        vs = lyap_en.en_region_v12(p, lp, s, x1, x2)
+        return np.abs(vr - vs) / (1.0 + np.abs(vs))
+
     res = {}
-
     x2 = rng.uniform(0.0, lp.l_bar / lam0, n_per_boundary)
-    x1 = -lp.k * x2
-    res["A/B"] = np.abs((lam1 * x1 + lam2 * x2) - lam0 * x2) / (1.0 + lam0 * x2)
-
+    res["A/B"] = gap(A, B, -lp.k * x2, x2)
     x2 = rng.uniform(0.0, lp.l_bar / lam0, n_per_boundary)
-    x1 = lyap_en.nu_fun(p, lp, x2)
-    vb = lam0 * x2
-    vc = lyap_en.p_inv(p, lp, -lam1 * x1 + lh2 * x2)
-    res["B/C"] = np.abs(vb - vc) / (1.0 + np.abs(vb))
-
+    res["B/C"] = gap(C, B, lyap_en.nu_fun(p, lp, x2), x2)
     lo2 = -lyap_en.p_fun(p, lp, lp.l_bar) / lam0
     x2 = rng.uniform(lo2, 0.0, n_per_boundary)
-    x1 = -lp.k * x2
-    vd = lyap_en.p_inv(p, lp, -lam1 * x1 - lam2 * x2)
-    ve = lyap_en.p_inv(p, lp, (lp.k * lam1 - lam2) * x2)
-    res["D/E"] = np.abs(vd - ve) / (1.0 + np.abs(ve))
-
+    res["D/E"] = gap(D, E, -lp.k * x2, x2)
     x2 = rng.uniform(lo2, -1e-6 * x2h, n_per_boundary)
-    x1 = lyap_en.theta_inv(p, -x2)
-    ve = lyap_en.p_inv(p, lp, (lp.k * lam1 - lam2) * x2)
-    vf = lam1 * x1 - lh2 * x2
-    res["E/F"] = np.abs(ve - vf) / (1.0 + np.abs(vf))
+    res["E/F"] = gap(E, F, lyap_en.theta_inv(p, -x2), x2)
 
     # along x2t = 0 the upper formulas (A, C) must meet the lower ones (F, D)
     half = n_per_boundary // 2
-    x1 = rng.uniform(1e-9, lp.l_bar / lam1, half)
-    upper = lam1 * x1 + lam2 * 0.0
-    lower = lam1 * x1 - lh2 * 0.0
+    x1 = rng.uniform(1e-9, lp.l_bar / lp.lambda1, half)
     x1n = rng.uniform(-(1.0 - lp.k) * x2h * 0.9, -1e-9, n_per_boundary - half)
-    upper_n = lyap_en.p_inv(p, lp, -lam1 * x1n + lh2 * 0.0)
-    lower_n = lyap_en.p_inv(p, lp, -lam1 * x1n - lam2 * 0.0)
-    res["x2=0"] = np.concatenate([np.abs(upper - lower) / (1.0 + np.abs(upper)),
-                                  np.abs(upper_n - lower_n) / (1.0 + np.abs(upper_n))])
+    res["x2=0"] = np.concatenate([gap(F, A, x1, np.zeros(half)),
+                                  gap(D, C, x1n, np.zeros(len(x1n)))])
 
     worst = float(max(r.max() for r in res.values()))
     which = max(res, key=lambda k: res[k].max())
@@ -279,27 +264,15 @@ def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
     """
     q = model.endemic_eq(p).point
     X = sample_sublevel(p, lp, n, seed)
-    band = 1e-9 * (1.0 + np.linalg.norm(X, axis=1))
-    d_nu = np.where(X[:, 1] >= 0.0,
-                    np.abs(X[:, 0] - lyap_en.nu_fun(p, lp, np.maximum(X[:, 1], 0.0))),
-                    np.abs(X[:, 0] - lyap_en.theta_inv(p, np.minimum(-X[:, 1], q.i * (1 - 1e-15)))))
-    off = (np.abs(X[:, 1]) > band) & (np.abs(X[:, 0] + lp.k * X[:, 1]) > band) \
-        & (np.abs(X[:, 2]) > band) & (d_nu > band)
-    X = X[off]
+    X = X[~lyap_en.en_near_boundary(p, lp, X)]
     v = lyap_en.en_value_many(p, lp, X)
     v3 = lp.lambda3 * np.abs(X[:, 2])
-    codes = lyap_en._region_codes(p, lp, X[:, 0], X[:, 1])
+    codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
     gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, 0.0)
 
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
     dc = lyap_en.derived_constants(p, lp)
-    spread = q.i - lyap_en.p_fun(p, lp, lp.l_bar) / lam0
-    gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lh2 * lp.k * spread * p.beta)
-    arg = np.zeros(len(X))
-    arg = np.where(codes == 2, -lam1 * X[:, 0] + lh2 * X[:, 1], arg)
-    arg = np.where(codes == 3, -lam1 * X[:, 0] - lam2 * X[:, 1], arg)
-    arg = np.where(codes == 4, lam0 * (-X[:, 1]), arg)
-    qd = lyap_en.p_inv_prime(p, lp, np.minimum(arg, lam0 * q.i * (1 - 1e-15)))
+    spread = q.i - lyap_en.p_fun(p, lp, lp.l_bar) / lp.lam0
+    gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * spread * p.beta)
     rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
     rate = np.where(codes == 1, dc.a_b * v, rate)
     rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
@@ -340,13 +313,7 @@ def check_en_iss_pointwise(p: ModelParams, lp: EnLyapParams, n: int = 20_000,
     X = sample_sublevel(p, lp, n, seed)
     v = lyap_en.en_value_many(p, lp, X)
     v3 = lp.lambda3 * np.abs(X[:, 2])
-    codes = lyap_en._region_codes(p, lp, X[:, 0], X[:, 1])
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
-    q = model.endemic_eq(p).point
-    arg = np.zeros(len(X))
-    arg = np.where(codes == 2, -lam1 * X[:, 0] + lh2 * X[:, 1], arg)
-    arg = np.where(codes == 3, -lam1 * X[:, 0] - lam2 * X[:, 1], arg)
-    qd = lyap_en.p_inv_prime(p, lp, np.minimum(arg, lam0 * q.i * (1 - 1e-15)))
+    codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
     lo, hi = lyap_en.en_input_range(p, lp)
     worst = math.inf
     worst_loc = None
@@ -355,9 +322,9 @@ def check_en_iss_pointwise(p: ModelParams, lp: EnLyapParams, n: int = 20_000,
     cd = np.isin(codes, [2, 3])
     for u in np.linspace(0.98 * lo, 0.98 * hi, n_u):
         gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, u)
-        hyp_af = af & (u <= lp.delta * p.mu * v / lam1)
+        hyp_af = af & (u <= lp.delta * p.mu * v / lp.lambda1)
         rate_af = (1.0 - lp.delta) * p.mu * v
-        hyp_cd = cd & (-lam1 * u <= lp.delta * p.mu * (arg + v3 / qd))
+        hyp_cd = cd & (-lp.lambda1 * u <= lp.delta * p.mu * (arg + v3 / qd))
         rate_cd = (1.0 - lp.delta) * p.mu * (qd * arg + v3)
         for hyp, rate in ((hyp_af, rate_af), (hyp_cd, rate_cd)):
             if not hyp.any():
@@ -464,9 +431,48 @@ def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[floa
 
 
 def _signal_u_extremes(lyap, sig: ode.InputSignal, t_end: float) -> tuple:
-    ts = np.linspace(0.0, t_end, 4097)
-    u = np.array([sig.value(t) for t in ts]) - lyap.p.b_hat
-    return float(np.maximum(u, 0.0).max()), float(np.maximum(-u, 0.0).max())
+    """Exact (sup u+, sup u-) of u = B(t) - b_hat over [0, t_end]."""
+    lo, hi = sig.value_range(t_end)
+    b_hat = lyap.p.b_hat
+    return max(hi - b_hat, 0.0), max(b_hat - lo, 0.0)
+
+
+def _require_admissible(lyap, u_pos: float, u_neg: float) -> None:
+    if not lyap.admits(u_pos, u_neg):
+        lo, hi = lyap.admissible_u()
+        raise RangeError(f"input range [{-u_neg:.6g}, {u_pos:.6g}] outside ({lo:.6g}, {hi:.6g})")
+
+
+def _iss_runs(lyap, signals: list, X0: np.ndarray, t_end: float, dt: float,
+              tail: float, headroom: float) -> tuple:
+    """The body of check_iss_bound, for row j of X0 under signals[j].
+
+    Returns (ok, margins, details) with one entry per row in each array.
+    """
+    ext = np.array([_signal_u_extremes(lyap, sig, t_end) for sig in signals])
+    for u_pos, u_neg in ext:
+        _require_admissible(lyap, u_pos, u_neg)
+    thr = np.array([lyap.chi_signed(u_pos, u_neg) for u_pos, u_neg in ext])
+    t_tail = (1.0 - tail) * t_end
+    vmax_tail = np.zeros(len(signals))
+    vmax_all = np.zeros(len(signals))
+
+    def observer(t, X, b):
+        v = _lyap_values_of_states(lyap, X)
+        np.maximum(vmax_all, v, out=vmax_all)
+        if t >= t_tail:
+            np.maximum(vmax_tail, v, out=vmax_tail)
+
+    ode.integrate_batch(lyap.p, X0, signals, t_end, dt, observer=observer)
+    margins = np.maximum(thr * (1.0 + headroom), 1e-6) - vmax_tail
+    ok = margins >= 0.0
+    details = {"limsup_v": vmax_tail, "threshold": thr, "u_pos": ext[:, 0], "u_neg": ext[:, 1]}
+    if lyap.kind is EquilibriumKind.ENDEMIC:
+        inv_ok = vmax_all <= lyap.lp.l_bar * (1.0 + 1e-9)
+        details["max_v_full_horizon"] = vmax_all
+        details["forward_invariant"] = inv_ok
+        ok = ok & inv_ok
+    return ok, margins, details
 
 
 def check_iss_bound(lyap, sig: ode.InputSignal, t_end: Optional[float] = None,
@@ -479,46 +485,20 @@ def check_iss_bound(lyap, sig: ode.InputSignal, t_end: Optional[float] = None,
     (capped at l_bar, where the assertion reduces to forward invariance,
     which is checked along the whole horizon).
     """
-    p = lyap.p
     if t_end is None:
-        t_end = 50.0 / p.mu
-    u_pos, u_neg = _signal_u_extremes(lyap, sig, t_end)
-    lo, hi = lyap.admissible_u()
-    endemic = lyap.kind is EquilibriumKind.ENDEMIC
-    # endemic range is open; the disease-free one is closed at u = -b_hat
-    bad = (-u_neg <= lo or u_pos >= hi) if endemic else (-u_neg < lo)
-    if bad:
-        raise RangeError(f"input range [{-u_neg:.6g}, {u_pos:.6g}] outside ({lo:.6g}, {hi:.6g})")
-    thr = lyap.chi_signed(u_pos, u_neg) if endemic else lyap.chi(max(u_pos, u_neg))
+        t_end = 50.0 / lyap.p.mu
     if x0 is None:
         x0 = lyap.equilibrium.point
-    state = {"vmax_tail": 0.0, "vmax_all": 0.0}
-    t_tail = (1.0 - tail) * t_end
-
-    def observer(t, X, b):
-        v = float(_lyap_values_of_states(lyap, X)[0])
-        state["vmax_all"] = max(state["vmax_all"], v)
-        if t >= t_tail:
-            state["vmax_tail"] = max(state["vmax_tail"], v)
-
-    ode.integrate_batch(p, x0.as_array()[None, :], sig, t_end, dt, observer=observer)
-    limsup = state["vmax_tail"]
-    allowance = max(thr * (1.0 + headroom), 1e-6)
-    margin = allowance - limsup
-    ok = margin >= 0.0
-    details = {"limsup_v": limsup, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
-    if endemic:
-        inv_ok = state["vmax_all"] <= lyap.lp.l_bar * (1.0 + 1e-9)
-        details["max_v_full_horizon"] = state["vmax_all"]
-        details["forward_invariant"] = inv_ok
-        ok = ok and inv_ok
-    return CheckResult("iss_bound", ok, float(margin), None, 1, details)
+    ok, margins, details = _iss_runs(lyap, [sig], x0.as_array()[None, :], t_end, dt,
+                                     tail, headroom)
+    details = {k: v[0].item() for k, v in details.items()}
+    return CheckResult("iss_bound", bool(ok[0]), float(margins[0]), None, 1, details)
 
 
 def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None,
                    dt: float = 0.05, tail: float = 0.2,
                    headroom: float = 1e-3) -> CheckResult:
-    """Batched version of check_iss_bound for a family of step perturbations.
+    """check_iss_bound for a family of step perturbations, one batch row each.
 
     Every run starts at the equilibrium under the nominal rate and switches
     to b_hat + u at 20% of the horizon.
@@ -526,43 +506,19 @@ def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None
     p = lyap.p
     if t_end is None:
         t_end = 50.0 / p.mu
-    lo, hi = lyap.admissible_u()
-    endemic = lyap.kind is EquilibriumKind.ENDEMIC
-    for u in u_steps:
-        if (endemic and not (lo < u < hi)) or (not endemic and u < lo):
-            raise RangeError(f"step u={u:.6g} outside ({lo:.6g}, {hi:.6g})")
+    for u in u_steps:  # before building the steps, whose levels must be nonnegative
+        _require_admissible(lyap, max(u, 0.0), max(-u, 0.0))
     u_vec = np.asarray(u_steps, dtype=float)
-    thr = np.array([lyap.chi_signed(max(u, 0.0), max(-u, 0.0)) if endemic
-                    else lyap.chi(abs(u)) for u in u_vec])
-    t_switch = 0.2 * t_end
-    t_tail = (1.0 - tail) * t_end
+    signals = [ode.Step(0.2 * t_end, p.b_hat, p.b_hat + u) for u in u_vec]
     X0 = np.tile(lyap.equilibrium.point.as_array(), (len(u_vec), 1))
-    vmax_tail = np.zeros(len(u_vec))
-    vmax_all = np.zeros(len(u_vec))
-    state = {"t": 0.0}
-
-    def observer(t, X, b):
-        v = _lyap_values_of_states(lyap, X)
-        np.maximum(vmax_all, v, out=vmax_all)
-        if t >= t_tail:
-            np.maximum(vmax_tail, v, out=vmax_tail)
-
-    # two aligned spans: nominal input, then the stepped input
-    X = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_switch, dt)
-    bvec = p.b_hat + u_vec
-    X = ode._rk4_span(p, X, t_switch, t_end, dt, lambda t: bvec, observer=observer)
-    allowance = np.maximum(thr * (1.0 + headroom), 1e-6)
-    margins = allowance - vmax_tail
-    ok = bool(np.all(margins >= 0.0))
-    details = {"u_steps": list(map(float, u_vec)), "limsups": vmax_tail.tolist(),
-               "thresholds": thr.tolist()}
-    if endemic:
-        inv_ok = bool(np.all(vmax_all <= lyap.lp.l_bar * (1.0 + 1e-9)))
-        details["forward_invariant"] = inv_ok
-        details["max_v_full_horizon"] = vmax_all.tolist()
-        ok = ok and inv_ok
+    ok, margins, run = _iss_runs(lyap, signals, X0, t_end, dt, tail, headroom)
+    details = {"u_steps": u_vec.tolist(), "limsups": run["limsup_v"].tolist(),
+               "thresholds": run["threshold"].tolist()}
+    if "forward_invariant" in run:
+        details["forward_invariant"] = bool(run["forward_invariant"].all())
+        details["max_v_full_horizon"] = run["max_v_full_horizon"].tolist()
     j = int(np.argmin(margins))
-    return CheckResult("iss_step_suite", ok, float(margins[j]), float(u_vec[j]),
+    return CheckResult("iss_step_suite", bool(ok.all()), float(margins[j]), float(u_vec[j]),
                        len(u_vec), details)
 
 

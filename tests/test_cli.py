@@ -122,3 +122,17 @@ def test_bad_json_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["equilibria", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {**DF_CONFIG, "signal": {"kind": "constant"}},
+    {**DF_CONFIG, "lyap": {"mu0": "x"}},
+    {**DF_CONFIG, "x0": [1, 2]},
+    {**DF_CONFIG, "horizon": float("inf")},
+    {**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}},
+], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
+        "partial_endemic_override"])
+def test_bad_config_values(tmp_path, capsys, bad):
+    rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err

@@ -75,6 +75,11 @@ def test_total_population_bound(p_df):
     x0 = sl.State(100.0, 50.0, 0.0)
     assert sl.total_population_bound(x0, 3.0, p_df, 0.0) == pytest.approx(350.0)
     assert sl.total_population_bound(x0, 3.0, p_df, 1e9) == pytest.approx(200.0)
+    # a start above b_max/mu decays at rate mu, not at rate 1
+    big = sl.State(1000.0, 0.0, 0.0)
+    exact = float(model.total_population_exact(big, 3.0, p_df, 10.0))
+    assert exact == pytest.approx(888.57, abs=0.01)
+    assert sl.total_population_bound(big, 3.0, p_df, 10.0) >= exact
     with pytest.raises(DomainError):
         sl.total_population_bound(x0, 3.0, p_df, -1.0)
 

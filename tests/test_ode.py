@@ -21,6 +21,20 @@ def test_sample_input_examples():
     assert sl.sample_input(pw, 100.0) == 0.5
 
 
+def test_signal_value_range():
+    assert ode.Constant(3.0).value_range(10.0) == (3.0, 3.0)
+    assert ode.Step(5.0, 3.0, 17.0).value_range(10.0) == (3.0, 17.0)
+    assert ode.Step(5.0, 3.0, 17.0).value_range(4.0) == (3.0, 3.0)
+    pw = ode.Piecewise(((0.0, 1.0), (2.0, 5.0), (4.0, 0.5)))
+    assert pw.value_range(3.0) == (1.0, 5.0)
+    assert pw.value_range(100.0) == (0.5, 5.0)
+    sin = ode.Sinusoid(1.0, 2.0, 1.0)
+    assert sin.value_range(10.0) == (0.0, 3.0)  # trough clipped at 0
+    lo, hi = sin.value_range(1.0)  # rising quarter wave: no crest in range
+    assert lo == 1.0 and hi == pytest.approx(1.0 + 2.0 * np.sin(1.0), rel=1e-15)
+    assert ode.Sinusoid(1.0, 0.5, -1.0).value_range(2.0)[0] == 0.5  # trough at t = pi/2
+
+
 def test_signal_validation_and_json():
     with pytest.raises(ValueError):
         ode.Constant(-1.0)
@@ -96,6 +110,22 @@ def test_step_alignment_preserves_order(p_df):
     e1 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.5).final_state.as_array() - ref).sum()
     e2 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.25).final_state.as_array() - ref).sum()
     assert 8.0 <= e1 / e2 <= 32.0
+
+
+def test_integrate_batch_one_signal_per_row(p_df):
+    X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0]])
+    sigs = [ode.Step(2.5, 3.0, 8.0), ode.Step(2.5, 3.0, 1.0)]
+    both = ode.integrate_batch(p_df, X0, sigs, 10.0, dt=0.5)
+    for j, sig in enumerate(sigs):
+        alone = ode.integrate_batch(p_df, X0[j:j + 1], sig, 10.0, dt=0.5)
+        assert np.array_equal(both[j], alone[0])
+    # the grid holds every row's switch times
+    times = []
+    ode.integrate_batch(p_df, X0, [ode.Step(2.5, 3.0, 8.0), ode.Sinusoid(3.0, 1.0, 0.1)],
+                        10.0, dt=1.0, observer=lambda t, X, b: times.append(t))
+    assert 2.5 in times and times[-1] == 10.0
+    with pytest.raises(ValueError):
+        ode.integrate_batch(p_df, X0, [ode.Constant(3.0)] * 3, 1.0)
 
 
 def test_steady_state_cases(p_df, p_en):

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import sirlyap as sl
-from sirlyap import lyap_en, ode, verify
+from sirlyap import lyap_df, lyap_en, ode, verify
 from sirlyap.errors import MismatchedEquilibrium, RangeError
 from sirlyap.model import EquilibriumKind
 
@@ -53,6 +54,38 @@ def test_iss_bound_range_error(ly_en, p_en):
         verify.check_iss_bound(ly_en, ode.Constant(p_en.b_hat + hi + 0.5), t_end=100.0)
     with pytest.raises(RangeError):
         verify.iss_step_suite(ly_en, [hi + 0.1], t_end=100.0)
+
+
+def test_iss_bound_aliased_sinusoid_range_error(ly_en, p_en):
+    # one period per step of a 4097-point sample grid: sampling sees only the mean
+    lo, hi = ly_en.admissible_u()
+    t_end = 1000.0
+    sig = ode.Sinusoid(p_en.b_hat, 2.0 * hi, 2.0 * math.pi * 4096 / t_end)
+    with pytest.raises(RangeError):
+        verify.check_iss_bound(ly_en, sig, t_end=t_end)
+
+
+@pytest.mark.parametrize("region", range(3))
+def test_df_continuity_checks_library_formulas(monkeypatch, p_df, lp_df, region):
+    original = lyap_df.df_region_values
+
+    def perturbed(lp, p, X):
+        values = list(original(lp, p, X))
+        values[region] = values[region] * (1.0 + 1e-6)
+        return tuple(values)
+
+    assert verify.check_df_continuity(lp_df, p_df, n=200).passed
+    monkeypatch.setattr(lyap_df, "df_region_values", perturbed)
+    assert not verify.check_df_continuity(lp_df, p_df, n=200).passed
+
+
+@pytest.mark.parametrize("region", range(6))
+def test_en_continuity_checks_library_formulas(monkeypatch, p_en, lp_en, region):
+    original = lyap_en._region_forms
+    factor = np.where(np.arange(6)[:, None] == region, 1.0 + 1e-6, 1.0)
+    assert verify.check_en_continuity(p_en, lp_en, n_per_boundary=40).passed
+    monkeypatch.setattr(lyap_en, "_region_forms", lambda lp: original(lp) * factor)
+    assert not verify.check_en_continuity(p_en, lp_en, n_per_boundary=40).passed
 
 
 def test_reproducible_margins(p_en, lp_en):
