@@ -38,6 +38,26 @@ def _finite(where: str, v) -> float:
     return x
 
 
+def _window(v) -> list:
+    if not (isinstance(v, list) and len(v) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in v)):
+        raise ConfigError(f"window must be [[lo, hi], [lo, hi]], got {v!r}")
+    return [[_finite("window", x) for x in row] for row in v]
+
+
+def _plane(v) -> dict:
+    if not (isinstance(v, dict) and set(v) == {"axis", "value"} and v["axis"] in ("x2t", "x3t")):
+        raise ConfigError(f"plane must hold axis 'x2t' or 'x3t' and a value, got {v!r}")
+    return {"axis": v["axis"], "value": _finite("plane.value", v["value"])}
+
+
+def _resolution(v) -> list:
+    if not (isinstance(v, list) and len(v) == 2
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in v)):
+        raise ConfigError(f"resolution must be two integers >= 2, got {v!r}")
+    return list(v)
+
+
 @dataclass
 class RunConfig:
     model: ModelParams
@@ -99,8 +119,9 @@ class RunConfig:
             model=p, equilibrium=eq, lyap=lyap, signal=sig, x0=x0,
             horizon=horizon, dt=dt,
             levels=[_finite("levels", v) for v in d.get("levels", [])],
-            window=d.get("window"), plane=d.get("plane"),
-            resolution=[int(v) for v in d.get("resolution", [800, 800])],
+            window=None if d.get("window") is None else _window(d["window"]),
+            plane=None if d.get("plane") is None else _plane(d["plane"]),
+            resolution=_resolution(d.get("resolution", [800, 800])),
             out_dir=d.get("out_dir", "out"),
             seed=int(_finite("seed", d.get("seed", verify.DEFAULT_SEED))),
             grid_n=int(_finite("grid_n", d.get("grid_n", 60))),
@@ -207,13 +228,8 @@ def cmd_levelsets(cfg: RunConfig) -> int:
     if not levels:
         levels = [10.0, 30.0, 60.0, 100.0, 180.0, 260.0, 340.0, 420.0, 500.0] \
             if cfg.equilibrium == "df" else [20.0, 100.0, 180.0, 260.0, 340.0]
-    plane = ("x3t", 0.0)
-    if cfg.plane is not None:
-        plane = (cfg.plane["axis"], float(cfg.plane["value"]))
-    window = None
-    if cfg.window is not None:
-        window = ((float(cfg.window[0][0]), float(cfg.window[0][1])),
-                  (float(cfg.window[1][0]), float(cfg.window[1][1])))
+    plane = ("x3t", 0.0) if cfg.plane is None else (cfg.plane["axis"], cfg.plane["value"])
+    window = None if cfg.window is None else tuple(map(tuple, cfg.window))
     contours = levelset.extract_contours(lyap, levels, plane=plane, window=window,
                                          resolution=tuple(cfg.resolution))
     out_dir = Path(cfg.out_dir)

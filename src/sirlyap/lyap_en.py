@@ -13,6 +13,10 @@ P has the closed-form inverse
     P^{-1}(s) = lambda1*theta^{-1}(s/lam0) + lambda_hat2*s/lam0,  lam0 = lambda2 - k*lambda1,
 
 defined for s < lam0*x2h, with derivative bounded below by lambda_hat2/lam0.
+omega^{-1} is a root of a quadratic, so P is closed-form as well.  The ISS
+gain eta (`en_eta`) and its inverse (`en_eta_inv`) are extrema over one
+variable, w = P(V12) in [0, S) with S = lam0*x2h, taken at the ends of the
+range and at the real roots of a quartic and a cubic in t = 1 - w/S.
 The sublevel sets of V = V12 + lambda3*|x3t| are closed loops around the
 endemic equilibrium; feasibility of (k, lambda3, lambda_hat2, l_bar) is
 certified numerically by `check_condition_50`.
@@ -37,7 +41,6 @@ from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
 from .model import Deviation, EquilibriumKind, ModelParams, Regime
 
 BOUNDARY_BAND = 1e-9
-OMEGA_INV_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,44 +166,21 @@ def omega(p: ModelParams, lp: EnLyapParams, s):
     return lp.lambda1 * np.asarray(s, dtype=float) + lp.lambda_hat2 * theta(p, s)
 
 
-def omega_inv(p: ModelParams, lp: EnLyapParams, v, rtol: float = OMEGA_INV_RTOL):
-    """Invert omega by bracketing bisection with a Newton polish.
+def omega_inv(p: ModelParams, lp: EnLyapParams, v):
+    """Closed-form inverse of omega, onto (-x1h, inf).
 
-    omega is strictly increasing with a pole at -x1h, so the left bracket end
-    is shrunk geometrically toward -x1h and the right end grown geometrically
-    until the target is enclosed.
+    omega(s) = v is the quadratic lambda1*s^2 + b*s - v*x1h = 0 with
+    b = lambda1*x1h + lambda_hat2*x2h - v; it is negative at s = -x1h, so one
+    root lies on each side of the pole and the larger is wanted.  That root
+    is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
+    otherwise, neither of which subtracts nearly equal numbers.
     """
     x1h, x2h, _ = _xhat(p)
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    lam1, lh2 = lp.lambda1, lp.lambda_hat2
-
-    def w(sv):
-        return lam1 * sv + lh2 * x2h * sv / (x1h + sv)
-
-    gap = np.full_like(v_arr, 0.5 * x1h)
-    for _ in range(400):
-        need = w(-x1h + gap) > v_arr
-        if not need.any():
-            break
-        gap[need] /= 16.0
-    lo = -x1h + gap
-    hi = np.full_like(v_arr, x1h)
-    for _ in range(400):
-        need = w(hi) < v_arr
-        if not need.any():
-            break
-        hi[need] = 2.0 * hi[need] + x1h
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        left = w(mid) < v_arr
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    s = 0.5 * (lo + hi)
-    for _ in range(4):
-        step = (w(s) - v_arr) / (lam1 + lh2 * x1h * x2h / (x1h + s) ** 2)
-        s = np.clip(s - step, lo, hi)
-    s[v_arr == 0.0] = 0.0  # omega(0) = 0 exactly
-    return s.reshape(np.shape(v))[()]
+    v = np.asarray(v, dtype=float)
+    lam1 = lp.lambda1
+    b = lam1 * x1h + lp.lambda_hat2 * x2h - v
+    sq = np.sqrt(b * b + 4.0 * lam1 * v * x1h)
+    return np.where(b > 0.0, 2.0 * v * x1h / (b + sq), (sq - b) / (2.0 * lam1))[()]
 
 
 def p_fun(p: ModelParams, lp: EnLyapParams, s):
@@ -254,13 +234,18 @@ def k0_bound(p: ModelParams, l_bar: float, lambda1: float = 1.0,
     return min(term1, term2)
 
 
+def spread(p: ModelParams, lp: EnLyapParams) -> float:
+    """x2h - theta(omega^{-1}(l_bar)) = x2h - P(l_bar)/lam0: the infected
+    count at the lower edge x2t = -P(l_bar)/lam0 of the sublevel set."""
+    return float(_xhat(p)[1] - theta(p, omega_inv(p, lp, lp.l_bar)))
+
+
 def lambda3_bound_terms(p: ModelParams, lp: EnLyapParams) -> tuple:
     """The four admissibility ceilings for lambda3, in declaration order."""
     r0 = model.r0_hat(p)
-    _, x2h, _ = _xhat(p)
     t1 = lp.k * p.mu * lp.lambda1 * (r0 - 1.0) * (1.0 - lp.k) / p.gamma
     t2 = lp.lambda_hat2 ** 2 / ((1.0 - lp.k) * lp.lambda1)
-    t3 = p.beta * lp.lambda_hat2 * (x2h - theta(p, omega_inv(p, lp, lp.l_bar))) / p.gamma
+    t3 = p.beta * lp.lambda_hat2 * spread(p, lp) / p.gamma
     t4 = lp.lambda_hat2
     return t1, t2, t3, t4
 
@@ -305,13 +290,11 @@ def check_condition_50(p: ModelParams, lp: EnLyapParams,
 
 def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
     r0 = model.r0_hat(p)
-    _, x2h, _ = _xhat(p)
     lam0 = lp.lam0
-    spread = x2h - theta(p, omega_inv(p, lp, lp.l_bar))
     gamma_a = p.gamma * (1.0 - lp.lambda3 / lp.lambda2)
     gamma_c = p.gamma * (1.0 - lp.lambda3 * lam0 / lp.lambda_hat2 ** 2)
     gamma_d = p.gamma * (1.0 - lp.lambda3 * lam0 / (lp.lambda2 * lp.lambda_hat2))
-    gamma_e = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * spread * p.beta)
+    gamma_e = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * spread(p, lp) * p.beta)
     gamma_f = p.gamma * (1.0 - lp.lambda3 / lp.lambda_hat2)
     a_b = min(lp.k * p.mu * (r0 - 1.0) - lp.lambda3 * p.gamma / lam0, p.mu)
     return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_f, a_b)
@@ -574,66 +557,57 @@ def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
     return (lo, hi)
 
 
-def en_eta(p: ModelParams, lp: EnLyapParams, l_total: float,
-           rtol: float = 1e-10) -> float:
+def _roots_in(coeffs, S: float, hi: float) -> np.ndarray:
+    """w = S*(1 - t) at the real roots t of a polynomial, kept in (0, hi)."""
+    w = S * (1.0 - np.roots(coeffs).real)
+    return w[(w > 0.0) & (w < hi)]
+
+
+def en_eta(p: ModelParams, lp: EnLyapParams, l_total: float) -> float:
     """Worst-case split of a level budget between the planar and x3 parts.
 
-    Minimises P(V12) + lambda3*V3/(P^{-1})'(P(V12)) over V12 + V3 = l_total
-    by a coarse scan followed by golden-section refinement.
+    With w = P(V12) and V3 = l_total - V12 this is the minimum over
+    w in [0, P(l_total)] of  w + lambda3*(l_total - P^{-1}(w))/(P^{-1})'(w),
+    taken at the two ends and at the stationary points in between: the real
+    roots in t = 1 - w/S (S = lam0*x2h) of the quartic
+    (1 - lambda3)*(1 + r*t^2)^2 - 2*lambda3*(r*t^2 + (1 - r + l_total/(lambda1*x1h))*t - 1).
     """
     if l_total < 0.0:
         raise DomainError("l_total must be nonnegative")
     if l_total == 0.0:
         return 0.0
-
-    def obj(t: float) -> float:
-        v12 = t * l_total
-        pv = p_fun(p, lp, v12)
-        return pv + lp.lambda3 * (1.0 - t) * l_total / p_inv_prime(p, lp, pv)
-
-    ts = np.linspace(0.0, 1.0, 33)
-    vals = [obj(t) for t in ts]
-    j = int(np.argmin(vals))
-    lo = ts[max(j - 1, 0)]
-    hi = ts[min(j + 1, len(ts) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > rtol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-    return min(fc, fd, vals[j])
+    x1h, x2h, _ = xh = _xhat(p)
+    S, lam3 = lp.lam0 * x2h, lp.lambda3
+    r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
+    pl = p_fun(p, lp, l_total)
+    quartic = [(1.0 - lam3) * r * r, 0.0, 2.0 * r * (1.0 - 2.0 * lam3),
+               -2.0 * lam3 * (1.0 - r + l_total / (lp.lambda1 * x1h)), 1.0 + lam3]
+    w = np.concatenate([[0.0], _roots_in(quartic, S, pl)])
+    obj = w + lam3 * (l_total - _p_inv(lp, xh, w)) / p_inv_prime(p, lp, w)
+    return float(min(obj.min(), pl))
 
 
 def en_eta_inv(p: ModelParams, lp: EnLyapParams, y: float) -> float:
-    """Smallest level with eta(level) >= y; inf when y exceeds sup eta."""
-    _, x2h, _ = _xhat(p)
+    """Smallest level with eta(level) >= y; inf when y reaches sup eta = S.
+
+    On [0, P(L)] the objective of `en_eta` is at least w, so it can fall
+    below y only at some w < y, and there it is >= y exactly when
+    L >= g(w) = P^{-1}(w) + (y - w)*(P^{-1})'(w)/lambda3; since g(y) =
+    P^{-1}(y), the condition also forces y <= P(L).  Hence eta(L) >= y iff
+    L >= max g over [0, y], taken at the two ends and at the real roots in
+    t = 1 - w/S of the cubic (lambda3 - 1)*r*t^3 + (1 + lambda3)*t + 2*(y/S - 1).
+    """
+    x1h, x2h, _ = xh = _xhat(p)
+    S, lam3 = lp.lam0 * x2h, lp.lambda3
     if y <= 0.0:
         return 0.0
-    if y >= lp.lam0 * x2h:
+    if y >= S:
         return math.inf
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if en_eta(p, lp, hi) >= y:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if en_eta(p, lp, mid) >= y:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
+    cubic = [(lam3 - 1.0) * r, 0.0, 1.0 + lam3, 2.0 * (y / S - 1.0)]
+    w = np.concatenate([[0.0, y], _roots_in(cubic, S, y)])
+    g = _p_inv(lp, xh, w) + (y - w) * p_inv_prime(p, lp, w) / lam3
+    return float(g.max())
 
 
 def feasibility_report(p: ModelParams, lp: EnLyapParams) -> dict:

@@ -226,7 +226,7 @@ def sample_sublevel(p: ModelParams, lp: EnLyapParams, n: int,
     pl = lyap_en.p_fun(p, lp, lp.l_bar)
     lo1 = -(pl + lp.lambda_hat2 * q.i) / lp.lambda1 - 1.0
     hi1 = lp.l_bar / lp.lambda1 + 1.0
-    lo2 = -lyap_en.p_fun(p, lp, lp.l_bar) / lp.lam0 - 1.0
+    lo2 = -pl / lp.lam0 - 1.0
     hi2 = lp.l_bar / lp.lam0 + 1.0
     out = []
     got = 0
@@ -262,7 +262,6 @@ def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
     and -(Pinv)'(z)*k*beta*(x2h - theta(omega^{-1}(l_bar)))*gamma_Ek*z - mu*V3
     in E, where gamma_Ek keeps the absorbed x2t cross term accounted for.
     """
-    q = model.endemic_eq(p).point
     X = sample_sublevel(p, lp, n, seed)
     X = X[~lyap_en.en_near_boundary(p, lp, X)]
     v = lyap_en.en_value_many(p, lp, X)
@@ -271,7 +270,7 @@ def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
     gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, 0.0)
 
     dc = lyap_en.derived_constants(p, lp)
-    spread = q.i - lyap_en.p_fun(p, lp, lp.l_bar) / lp.lam0
+    spread = lyap_en.spread(p, lp)
     gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * spread * p.beta)
     rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
     rate = np.where(codes == 1, dc.a_b * v, rate)

@@ -130,8 +130,13 @@ def test_bad_json_config(tmp_path):
     {**DF_CONFIG, "x0": [1, 2]},
     {**DF_CONFIG, "horizon": float("inf")},
     {**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}},
+    {**DF_CONFIG, "window": [[0.0]]},
+    {**DF_CONFIG, "resolution": [1]},
+    {**DF_CONFIG, "plane": {"axis": "x3t"}},
+    {**DF_CONFIG, "plane": {"axis": "x1t", "value": 0}},
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
-        "partial_endemic_override"])
+        "partial_endemic_override", "short_window", "short_resolution",
+        "plane_without_value", "plane_bad_axis"])
 def test_bad_config_values(tmp_path, capsys, bad):
     rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert rc == 1

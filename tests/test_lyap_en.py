@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
 from sirlyap import lyap_en, verify
@@ -34,11 +35,15 @@ def test_omega_and_inverse(p_en, lp_en):
     s = np.linspace(-X1H * 0.99, 3000.0, 500)
     w = lyap_en.omega(p_en, lp_en, s)
     assert np.all(np.diff(w) > 0.0)
+    # toward the pole the roots stay inside (-x1h, 0) and keep decreasing
+    roots = lyap_en.omega_inv(p_en, lp_en, -10.0 ** np.arange(16))
+    assert np.all((roots > -X1H) & (roots < 0.0))
+    assert np.all(np.diff(roots) < 0.0)
 
 
 def test_omega_inv_against_quadratic_formula(p_en, lp_en):
-    # omega(s) = v reduces to a quadratic in s; its positive-branch root is
-    # an independent closed-form oracle for the bracketed solver
+    # omega(s) = v reduces to a quadratic in s; the textbook formula for its
+    # larger root is an oracle for the cancellation-free branch in omega_inv
     rng = np.random.default_rng(3)
     v = rng.uniform(-5000.0, 5000.0, 2000)
     a = lp_en.lambda1 * X1H
@@ -287,6 +292,33 @@ def test_en_eta(p_en, lp_en):
     sup = lp_en.lam0 * X2H
     big = lyap_en.en_eta(p_en, lp_en, 1e9)
     assert big <= sup and big > 0.9 * sup
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_mu=st.floats(-3.0, -1.0), log_ratio=st.floats(-0.5, 1.0),
+       log_excess=st.floats(-1.5, 1.0), log_beta=st.floats(-5.0, -3.0),
+       log_budget=st.floats(-1.0, 1.0), depth=st.floats(0.01, 4.0))
+def test_en_eta_inv_brackets_en_eta(log_mu, log_ratio, log_excess, log_beta,
+                                    log_budget, depth):
+    # R0 above gamma/mu + 2, so the endemic construction applies
+    mu, ratio, beta = 10.0 ** log_mu, 10.0 ** log_ratio, 10.0 ** log_beta
+    r0 = (ratio + 2.0) * (1.0 + 10.0 ** log_excess)
+    p = sl.ModelParams(beta=beta, gamma=ratio * mu, mu=mu,
+                       b_hat=r0 * mu * (ratio * mu + mu) / beta)
+    q = sl.model.endemic_eq(p).point
+    lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
+    S = lp.lam0 * q.i
+    # y = S*(1 - 10^-depth) crowds toward sup eta = S, where both extrema are
+    # interior (cubic and quartic roots); within 1e-4 of S a 1e-9 change in L
+    # moves eta by less than rounding
+    y = S * (1.0 - 10.0 ** -depth)
+    L = lyap_en.en_eta_inv(p, lp, y)
+    assert lyap_en.en_eta(p, lp, L) >= y * (1.0 - 1e-12)
+    assert lyap_en.en_eta(p, lp, L * (1.0 - 1e-9)) < y
+    # eta is the minimum of its objective over w = P(V12) in [0, P(L)]
+    w = np.linspace(0.0, lyap_en.p_fun(p, lp, L), 2001)
+    obj = w + lp.lambda3 * (L - lyap_en.p_inv(p, lp, w)) / lyap_en.p_inv_prime(p, lp, w)
+    assert lyap_en.en_eta(p, lp, L) <= obj.min() * (1.0 + 1e-12)
 
 
 def test_derived_constants(p_en, lp_en):
