@@ -38,6 +38,12 @@ def _finite(where: str, v) -> float:
     return x
 
 
+def _integer(where: str, v, lo: int) -> int:
+    if not (isinstance(v, int) and not isinstance(v, bool) and v >= lo):
+        raise ConfigError(f"{where} must be an integer >= {lo}, got {v!r}")
+    return v
+
+
 def _window(v) -> list:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in v)):
@@ -52,10 +58,9 @@ def _plane(v) -> dict:
 
 
 def _resolution(v) -> list:
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in v)):
+    if not (isinstance(v, list) and len(v) == 2):
         raise ConfigError(f"resolution must be two integers >= 2, got {v!r}")
-    return list(v)
+    return [_integer("resolution", n, 2) for n in v]
 
 
 @dataclass
@@ -115,17 +120,22 @@ class RunConfig:
         dt = _finite("dt", d.get("dt", 0.01))
         if horizon < 0.0 or dt <= 0.0:
             raise ConfigError("need horizon >= 0 and dt > 0")
+        levels, out_dir = d.get("levels", []), d.get("out_dir", "out")
+        if not isinstance(levels, list) or any(_finite("levels", v) < 0.0 for v in levels):
+            raise ConfigError(f"levels must be a list of numbers >= 0, got {levels!r}")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
         return cls(
             model=p, equilibrium=eq, lyap=lyap, signal=sig, x0=x0,
             horizon=horizon, dt=dt,
-            levels=[_finite("levels", v) for v in d.get("levels", [])],
+            levels=[float(v) for v in levels],
             window=None if d.get("window") is None else _window(d["window"]),
             plane=None if d.get("plane") is None else _plane(d["plane"]),
             resolution=_resolution(d.get("resolution", [800, 800])),
-            out_dir=d.get("out_dir", "out"),
-            seed=int(_finite("seed", d.get("seed", verify.DEFAULT_SEED))),
-            grid_n=int(_finite("grid_n", d.get("grid_n", 60))),
-            n_samples=int(_finite("n_samples", d.get("n_samples", 100_000))),
+            out_dir=out_dir,
+            seed=_integer("seed", d.get("seed", verify.DEFAULT_SEED), 0),
+            grid_n=_integer("grid_n", d.get("grid_n", 60), 2),
+            n_samples=_integer("n_samples", d.get("n_samples", 100_000), 1),
         )
 
     def to_dict(self) -> dict:

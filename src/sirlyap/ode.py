@@ -2,13 +2,16 @@
 
 `integrate_batch` is the one integrator, for a batch of states under one
 shared input or one input per row; `integrate` and `steady_state` run
-through it.  Discontinuous (step/piecewise-constant) inputs are handled by
-aligning the integration grid with the switch times of every row's input,
-which preserves the classical order of the method across each segment.
+through it.  Its observer sees blocks of steps, each a short recorded
+trajectory, so a check along trajectories is one array reduction per block.
+Discontinuous (step/piecewise-constant) inputs are handled by aligning the
+integration grid with the switch times of every row's input, which
+preserves the classical order of the method across each segment.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,6 +22,7 @@ from .errors import DomainError, NonFiniteState, NotConverged
 from .model import EquilibriumKind, ModelParams, State, rhs_arrays
 
 DEFAULT_DT = 0.01
+_BLOCK_STEPS = 512  # steps per observer call: a 50-row block stays under 1 MB
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,7 @@ class Trajectory:
 def _segments(signals: list, t_end: float) -> list:
     cuts = sorted(set().union(*(sig.breakpoints(t_end) for sig in signals)))
     edges = [0.0] + cuts + [t_end]
-    return [(edges[j], edges[j + 1]) for j in range(len(edges) - 1)]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
 def _input_on_segment(signals: list, a: float):
@@ -251,33 +255,30 @@ def _check_state(X: np.ndarray, t: float) -> None:
     np.clip(X, 0.0, None, out=X)
 
 
-def _rk4_span(p: ModelParams, X: np.ndarray, t0: float, t1: float, dt: float,
-              b_of_t, observer=None) -> np.ndarray:
-    """Advance the batch X (m, 3) from t0 to t1 with steps of size <= dt."""
-    span = t1 - t0
-    if span <= 0.0:
-        return X
-    n = max(1, int(math.ceil(span / dt - 1e-12)))
-    h = span / n
-    for j in range(n):
-        t = t0 + j * h
-        t_next = t1 if j == n - 1 else t0 + (j + 1) * h  # land exactly on t1
-        b0 = b_of_t(t)
-        bm = b_of_t(t + 0.5 * h)
-        b1 = b_of_t(t_next)
-        s, i, r = X[:, 0], X[:, 1], X[:, 2]
-        k1 = np.stack(rhs_arrays(p, s, i, r, b0), axis=1)
-        Y = X + 0.5 * h * k1
-        k2 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], bm), axis=1)
-        Y = X + 0.5 * h * k2
-        k3 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], bm), axis=1)
-        Y = X + h * k3
-        k4 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], b1), axis=1)
-        X = X + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(X, t_next)
-        if observer is not None:
-            observer(t_next, X, b1)
-    return X
+def _rk4_steps(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float):
+    """Yield (t, X, b) after each RK4 step of the batch X (m, 3) from 0 to
+    t_end, every segment between switch times cut into equal steps <= dt."""
+    for t0, t1 in _segments(signals, t_end):
+        b_of_t = _input_on_segment(signals, t0)
+        n = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / n
+        for j in range(n):
+            t = t0 + j * h
+            t_next = t1 if j == n - 1 else t0 + (j + 1) * h  # land exactly on t1
+            b0 = b_of_t(t)
+            bm = b_of_t(t + 0.5 * h)
+            b1 = b_of_t(t_next)
+            s, i, r = X[:, 0], X[:, 1], X[:, 2]
+            k1 = np.stack(rhs_arrays(p, s, i, r, b0), axis=1)
+            Y = X + 0.5 * h * k1
+            k2 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], bm), axis=1)
+            Y = X + 0.5 * h * k2
+            k3 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], bm), axis=1)
+            Y = X + h * k3
+            k4 = np.stack(rhs_arrays(p, Y[:, 0], Y[:, 1], Y[:, 2], b1), axis=1)
+            X = X + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            _check_state(X, t_next)
+            yield t_next, X, b1
 
 
 def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
@@ -285,9 +286,12 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     """RK4 for a batch of initial states; returns the final batch.
 
     `sig` is one InputSignal for every row or a sequence with one per row,
-    whose breakpoints are merged.  `observer(t, X, b)` is invoked after every
-    accepted step (b per row for a sequence).  Pure apart from the observer
-    callback; safe to run concurrently on separate data.
+    whose breakpoints are merged.  `observer(t, X, b)` is invoked once per
+    block of up to `_BLOCK_STEPS` accepted steps, with new arrays t (k+1,),
+    X (k+1, m, 3) and b (k+1,), or (k+1, m) for a sequence.  Row 0 is the
+    row the block starts from: (0, X0), then the previous block's last row.
+    Pure apart from the observer callback; safe to run concurrently on
+    separate data.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -299,32 +303,30 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     signals = [sig] if isinstance(sig, InputSignal) else list(sig)
     if len(signals) != 1 and len(signals) != len(X):
         raise ValueError("need one signal, or one signal per row of X0")
-    for a, b in _segments(signals, t_end):
-        X = _rk4_span(p, X, a, b, dt, _input_on_segment(signals, a), observer=observer)
-    return X
+    rows = _rk4_steps(p, X, signals, t_end, dt)
+    last = (0.0, X, _input_on_segment(signals, 0.0)(0.0))
+    while block := list(itertools.islice(rows, _BLOCK_STEPS)):
+        block.insert(0, last)
+        if observer is not None:
+            observer(*(np.array(column) for column in zip(*block)))
+        last = block[-1]
+    return last[1]
 
 
 def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
               dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
-    """Integrate from x0 and record every `record_every`-th step."""
-    times = [0.0]
-    states = [x0.as_array()]
-    inputs = [sample_input(sig, 0.0)]
-    counter = [0]
-
-    def observer(t, X, b):
-        counter[0] += 1
-        if counter[0] % record_every == 0:
-            times.append(t)
-            states.append(X[0].copy())
-            inputs.append(b)
-
-    Xf = integrate_batch(p, x0.as_array()[None, :], sig, t_end, dt, observer=observer)
-    if times[-1] != t_end and t_end > 0.0:
-        times.append(t_end)
-        states.append(Xf[0].copy())
-        inputs.append(sig.value(t_end))
-    return Trajectory(np.array(times), np.array(states), np.array(inputs))
+    """Integrate from x0 and record every `record_every`-th step plus the last."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    blocks = [([0.0], x0.as_array()[None, :], [sample_input(sig, 0.0)])]
+    integrate_batch(p, x0.as_array()[None, :], sig, t_end, dt,
+                    observer=lambda t, X, b: blocks.append((t[1:], X[1:, 0], b[1:])))
+    t, X, b = (np.concatenate(column) for column in zip(*blocks))
+    keep = np.arange(len(t)) % record_every == 0  # row j is the state after step j
+    if not keep[-1]:
+        keep[-1] = True
+        b[-1] = sig.value(t_end)
+    return Trajectory(t[keep], X[keep], b[keep])
 
 
 def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,

@@ -343,33 +343,40 @@ def check_en_iss_pointwise(p: ModelParams, lp: EnLyapParams, n: int = 20_000,
 # ---------------------------------------------------------------------------
 
 def _lyap_values_of_states(lyap, S: np.ndarray) -> np.ndarray:
-    v = lyap.value_of_states(S)
+    """V at states of shape (..., 3); RangeError for one outside the domain
+    (for an integrator block: at the end of the block holding the step)."""
+    v = lyap.value_of_states(S.reshape(-1, 3)).reshape(S.shape[:-1])
     if np.any(~np.isfinite(v)):
         raise RangeError("trajectory left the domain of the Lyapunov function")
     return v
 
 
+def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0,
+                  tol_scale: float = 1e-6) -> np.ndarray:
+    """Forward-difference (Dini) slack of each step of a recorded V(t).
+
+    `v` is (n,) or (n, m) at the n times `t`; entry j, for the step from t[j]
+    to t[j+1], is nonnegative when the bound holds: with decay_rate == 0,
+    (V(t+h)-V(t))/h <= tol = tol_scale*(1+V(t)); with a positive rate the
+    step-wise contraction V(t+h) <= V(t)*exp(-r*h) + tol*h, the valid discrete
+    consequence of the continuous bound (a raw quotient carries an O(h) bias).
+    """
+    h = np.diff(t).reshape((-1,) + (1,) * (v.ndim - 1))
+    tol = tol_scale * (1.0 + v[:-1])
+    if decay_rate == 0.0:
+        return tol - (v[1:] - v[:-1]) / h
+    return v[:-1] * np.exp(-decay_rate * h) + tol * h - v[1:]
+
+
 def check_dini_along_trajectory(lyap, traj: ode.Trajectory, decay_rate: float = 0.0,
                                 tol_scale: float = 1e-6, v_stop: float = 0.0) -> CheckResult:
-    """Forward-difference derivative estimate along a recorded trajectory.
-
-    With decay_rate == 0 asserts (V(t+h)-V(t))/h <= tol_scale*(1+V); with a
-    positive rate asserts the step-wise contraction V(t+h) <= V(t)*exp(-r*h)
-    up to the same allowance, which is the valid discrete consequence of the
-    continuous bound (a raw difference quotient carries an O(h) bias).
-    """
+    """The Dini bound of `_step_margins` at every recorded step with V > v_stop."""
     if traj.anchor is not None and traj.anchor is not lyap.kind:
         raise MismatchedEquilibrium(
             f"trajectory anchored to {traj.anchor}, function to {lyap.kind}")
     v = _lyap_values_of_states(lyap, traj.states)
-    h = np.diff(traj.times)
-    tol = tol_scale * (1.0 + v[:-1])
-    active = v[:-1] > v_stop
-    if decay_rate == 0.0:
-        quot = np.diff(v) / h
-        margin = np.where(active, tol - quot, np.inf)
-    else:
-        margin = np.where(active, v[:-1] * np.exp(-decay_rate * h) + tol * h - v[1:], np.inf)
+    margin = np.where(v[:-1] > v_stop, _step_margins(traj.times, v, decay_rate, tol_scale),
+                      np.inf)
     j = int(np.argmin(margin))
     worst = float(margin[j]) if len(margin) else math.inf
     return CheckResult("dini_along_trajectory", worst >= 0.0, worst,
@@ -380,7 +387,7 @@ def check_dini_along_trajectory(lyap, traj: ode.Trajectory, decay_rate: float = 
 def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[float] = None,
                                   dt: float = 0.05, seed: int = DEFAULT_SEED,
                                   v_stop: float = 1e-6, final_tol: float = 1e-3) -> CheckResult:
-    """Streaming Dini check over a batch of nominal-input trajectories.
+    """Dini check over a batch of nominal-input trajectories, one reduction per block.
 
     Asserts V decreases (difference quotient below 1e-6*(1+V)) while
     V > v_stop, and the final state lands within final_tol of the anchor
@@ -400,33 +407,26 @@ def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[floa
         devs = sample_sublevel(p, lyap.lp, n_starts, seed, level_frac=0.95,
                                x3_moderate=True)
         X0 = devs + qpt[None, :]
-    state = {"v": _lyap_values_of_states(lyap, X0), "t": 0.0,
-             "worst": math.inf, "worst_t": 0.0, "nonstrict": 0}
+    blocks = [(math.inf, 0.0, 0)]  # per block: worst margin, its step's end time, nonstrict steps
 
     def observer(t, X, b):
-        v_new = _lyap_values_of_states(lyap, X)
-        h = t - state["t"]
-        quot = (v_new - state["v"]) / h
-        tol = 1e-6 * (1.0 + state["v"])
-        active = state["v"] > v_stop
-        if active.any():
-            m = float((tol - quot)[active].min())
-            if m < state["worst"]:
-                state["worst"], state["worst_t"] = m, t
-        state["nonstrict"] += int(np.sum((v_new >= state["v"]) & (state["v"] > 1e-9)))
-        state["v"] = v_new
-        state["t"] = t
+        v = _lyap_values_of_states(lyap, X)
+        margin = np.where(v[:-1] > v_stop, _step_margins(t, v), np.inf)
+        j = int(np.argmin(margin)) // margin.shape[1]  # first step holding the minimum
+        blocks.append((float(margin.min()), float(t[j + 1]),
+                       int(np.sum((v[1:] >= v[:-1]) & (v[:-1] > 1e-9)))))
 
     Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, dt, observer=observer)
+    worst, worst_t, _ = min(blocks, key=lambda blk: blk[0])
+    nonstrict = sum(blk[2] for blk in blocks)
     final_dist = np.abs(Xf - qpt[None, :]).sum(axis=1)
-    ok = state["worst"] >= 0.0 and bool(np.all(final_dist <= final_tol)) \
-        and state["nonstrict"] == 0
+    ok = worst >= 0.0 and bool(np.all(final_dist <= final_tol)) and nonstrict == 0
     return CheckResult(f"trajectory_monotonicity_{lyap.kind.value}", ok,
-                       float(min(state["worst"], float(final_tol - final_dist.max()))),
-                       state["worst_t"], n_starts,
+                       float(min(worst, float(final_tol - final_dist.max()))),
+                       worst_t, n_starts,
                        {"max_final_dist": float(final_dist.max()),
                         "final_tol": final_tol, "t_end": t_end,
-                        "nonstrict_steps_above_1e-9": state["nonstrict"]})
+                        "nonstrict_steps_above_1e-9": nonstrict})
 
 
 def _signal_u_extremes(lyap, sig: ode.InputSignal, t_end: float) -> tuple:
@@ -457,10 +457,10 @@ def _iss_runs(lyap, signals: list, X0: np.ndarray, t_end: float, dt: float,
     vmax_all = np.zeros(len(signals))
 
     def observer(t, X, b):
-        v = _lyap_values_of_states(lyap, X)
-        np.maximum(vmax_all, v, out=vmax_all)
-        if t >= t_tail:
-            np.maximum(vmax_tail, v, out=vmax_tail)
+        v = _lyap_values_of_states(lyap, X[1:])  # row 0 is x0 or already seen
+        np.maximum(vmax_all, v.max(axis=0), out=vmax_all)
+        tail = v[t[1:] >= t_tail].max(axis=0, initial=0.0)  # V >= 0, as is vmax_tail
+        np.maximum(vmax_tail, tail, out=vmax_tail)
 
     ode.integrate_batch(lyap.p, X0, signals, t_end, dt, observer=observer)
     margins = np.maximum(thr * (1.0 + headroom), 1e-6) - vmax_tail
@@ -630,43 +630,29 @@ def check_w_region(p: ModelParams, lp: EnLyapParams, n_starts: int = 20,
     D0[0] = 0.0  # include the equilibrium itself: W stays at zero
     X0 = D0 + qpt[None, :]
 
-    def w_of(X):
-        D = X - qpt[None, :]
-        return -D[:, 0] - D[:, 1] + np.abs(D[:, 2])
-
-    def in_t(X):
-        D = X - qpt[None, :]
-        return (D[:, 0] <= -lp.k * D[:, 1]) & (D[:, 1] <= 0.0)
-
-    state = {"w": w_of(X0), "int": in_t(X0), "t": 0.0, "worst": math.inf,
-             "entry": np.full(n_starts, np.nan)}
-    state["entry"][lyap_en.in_sublevel_many(p, lp, D0, lp.l_bar)] = 0.0
-    counter = [0]
+    entry = np.full(n_starts, np.nan)
+    entry[lyap_en.in_sublevel_many(p, lp, D0, lp.l_bar)] = 0.0
+    block_worst = [math.inf]  # per block: the worst contraction slack inside the wedge
 
     def observer(t, X, b):
-        h = t - state["t"]
-        w_new = w_of(X)
-        both = state["int"] & in_t(X)
-        if both.any():
-            tol = 1e-6 * (1.0 + state["w"])
-            m = (state["w"] * math.exp(-p.mu * h) + tol * h - w_new)[both].min()
-            state["worst"] = min(state["worst"], float(m))
-        counter[0] += 1
-        if counter[0] % 5 == 0:
-            pending = np.isnan(state["entry"])
-            if pending.any():
-                inside = lyap_en.in_sublevel_many(p, lp, X[pending] - qpt[None, :], lp.l_bar)
-                idx = np.flatnonzero(pending)[inside]
-                state["entry"][idx] = t
-        state["w"] = w_new
-        state["int"] = in_t(X)
-        state["t"] = t
+        D = X - qpt
+        w = -D[..., 0] - D[..., 1] + np.abs(D[..., 2])
+        wedge = (D[..., 0] <= -lp.k * D[..., 1]) & (D[..., 1] <= 0.0)
+        both = wedge[:-1] & wedge[1:]
+        block_worst.append(float(_step_margins(t, w, p.mu)[both].min(initial=math.inf)))
+        pending = np.flatnonzero(np.isnan(entry))
+        if len(pending):  # sublevel-set entry, tested at every step
+            inside = lyap_en.in_sublevel_many(p, lp, D[1:, pending].reshape(-1, 3), lp.l_bar)
+            inside = inside.reshape(-1, len(pending))
+            hit = inside.any(axis=0)
+            entry[pending[hit]] = t[1:][inside.argmax(axis=0)[hit]]
 
     ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, dt, observer=observer)
-    entered = ~np.isnan(state["entry"])
-    ok = state["worst"] >= 0.0 and bool(entered.all())
-    return CheckResult("w_region", ok, float(state["worst"]), None, n_starts,
-                       {"max_entry_time": float(np.nanmax(state["entry"])),
+    entered = ~np.isnan(entry)
+    worst = min(block_worst)
+    ok = worst >= 0.0 and bool(entered.all())
+    return CheckResult("w_region", ok, worst, None, n_starts,
+                       {"max_entry_time": float(np.nanmax(entry)),
                         "all_entered": bool(entered.all())})
 
 

@@ -41,6 +41,8 @@ def test_config_rejects_unknown_keys():
         cli.RunConfig.from_dict({**DF_CONFIG, "lyap": {"mu0": 0.0148, "nope": 2}})
     with pytest.raises(ConfigError):
         cli.RunConfig.from_dict({**DF_CONFIG, "equilibrium": "both"})
+    with pytest.raises(ConfigError):
+        cli.RunConfig.from_dict({**DF_CONFIG, "out_dir": 5})
 
 
 def test_cmd_equilibria(tmp_path, capsys):
@@ -134,9 +136,16 @@ def test_bad_json_config(tmp_path):
     {**DF_CONFIG, "resolution": [1]},
     {**DF_CONFIG, "plane": {"axis": "x3t"}},
     {**DF_CONFIG, "plane": {"axis": "x1t", "value": 0}},
+    {**DF_CONFIG, "levels": 5},
+    {**DF_CONFIG, "levels": [10.0, -1.0]},
+    {**DF_CONFIG, "seed": -1},
+    {**DF_CONFIG, "seed": 1.5},
+    {**DF_CONFIG, "grid_n": 0},
+    {**EN_CONFIG, "n_samples": 0},
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
         "partial_endemic_override", "short_window", "short_resolution",
-        "plane_without_value", "plane_bad_axis"])
+        "plane_without_value", "plane_bad_axis", "scalar_levels", "negative_level",
+        "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples"])
 def test_bad_config_values(tmp_path, capsys, bad):
     rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert rc == 1

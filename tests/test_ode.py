@@ -122,10 +122,33 @@ def test_integrate_batch_one_signal_per_row(p_df):
     # the grid holds every row's switch times
     times = []
     ode.integrate_batch(p_df, X0, [ode.Step(2.5, 3.0, 8.0), ode.Sinusoid(3.0, 1.0, 0.1)],
-                        10.0, dt=1.0, observer=lambda t, X, b: times.append(t))
+                        10.0, dt=1.0, observer=lambda t, X, b: times.extend(t[1:]))
     assert 2.5 in times and times[-1] == 10.0
     with pytest.raises(ValueError):
         ode.integrate_batch(p_df, X0, [ode.Constant(3.0)] * 3, 1.0)
+
+
+def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
+    monkeypatch.setattr(ode, "_BLOCK_STEPS", 4)
+    X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0]])
+    sigs = [ode.Step(2.5, 3.0, 8.0), ode.Step(6.0, 3.0, 1.0)]
+    blocks = []
+    Xf = ode.integrate_batch(p_df, X0, sigs, 10.0, dt=0.5,
+                             observer=lambda t, X, b: blocks.append((t, X, b)))
+    t, X, b = blocks[0]
+    assert t[0] == 0.0 and np.array_equal(X[0], X0) and np.array_equal(b[0], [3.0, 3.0])
+    for (t, X, b), (t_next, X_next, b_next) in zip(blocks, blocks[1:]):
+        assert X.shape == (len(t), 2, 3) and b.shape == (len(t), 2) and 2 <= len(t) <= 5
+        assert t_next[0] == t[-1]
+        assert np.array_equal(X_next[0], X[-1]) and np.array_equal(b_next[0], b[-1])
+    assert np.array_equal(blocks[-1][1][-1], Xf)
+    # the blocks' steps form the full grid, each switch time exactly once
+    grid = np.concatenate([t[1:] for t, _, _ in blocks])
+    expected = []
+    for a, c, n in ((0.0, 2.5, 5), (2.5, 6.0, 7), (6.0, 10.0, 8)):
+        expected += [a + j * ((c - a) / n) for j in range(1, n)] + [c]
+    assert np.array_equal(grid, expected)
+    assert list(grid).count(2.5) == 1 and list(grid).count(6.0) == 1
 
 
 def test_steady_state_cases(p_df, p_en):

@@ -56,6 +56,31 @@ def test_iss_bound_range_error(ly_en, p_en):
         verify.iss_step_suite(ly_en, [hi + 0.1], t_end=100.0)
 
 
+def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
+    # x2t starts above l_bar/(lambda2*(1-k)): the run leaves the endemic domain H,
+    # which the observer reports at the end of the block holding the step
+    assert 700.0 - sl.endemic_eq(p_en).point.i > lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
+    with pytest.raises(RangeError):
+        verify.check_iss_bound(ly_en, ode.Constant(p_en.b_hat), t_end=100.0,
+                               x0=sl.State(235.0, 700.0, 100.0))
+
+
+def test_block_length_leaves_results_unchanged(monkeypatch, p_df, p_en, lp_en, ly_en):
+    def run():
+        traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(7.3, 3.0, 5.0), 40.0,
+                            dt=0.05, record_every=7)
+        return ([traj.times.tolist(), traj.states.tolist(), traj.inputs.tolist()],
+                verify.check_trajectory_monotonicity(ly_en, n_starts=4, t_end=60.0,
+                                                     final_tol=1e4),
+                verify.iss_step_suite(ly_en, [-0.5, 1.0], t_end=60.0),
+                verify.check_w_region(p_en, lp_en, n_starts=4, t_end=60.0, seed=2))
+
+    default = run()
+    for steps in (1, 3):
+        monkeypatch.setattr(ode, "_BLOCK_STEPS", steps)
+        assert run() == default
+
+
 def test_iss_bound_aliased_sinusoid_range_error(ly_en, p_en):
     # one period per step of a 4097-point sample grid: sampling sees only the mean
     lo, hi = ly_en.admissible_u()
