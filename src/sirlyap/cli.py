@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import levelset, lyap_df, lyap_en, model, ode, verify
 from .errors import ConfigError, RegimeError, SirLyapError
-from .model import EquilibriumKind, ModelParams, State
+from .model import ModelParams, State
 
 _KNOWN_KEYS = {
     "model", "equilibrium", "lyap", "signal", "x0", "horizon", "dt",
@@ -220,10 +220,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    p = cfg.model
-    lyap = _build_lyap(cfg)
-    kind = EquilibriumKind.DISEASE_FREE if cfg.equilibrium == "df" else EquilibriumKind.ENDEMIC
-    rep = verify.run_certification(p, kind, lyap.lp, seed=cfg.seed,
+    rep = verify.run_certification(_build_lyap(cfg), seed=cfg.seed,
                                    grid_n=cfg.grid_n, n_samples=cfg.n_samples)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +254,7 @@ def cmd_params(cfg: RunConfig) -> int:
     if cfg.equilibrium == "endemic":
         out["feasibility"] = lyap_en.feasibility_report(cfg.model, lyap.lp)
     else:
-        out["chi_slope"] = 1.0 / (lyap.lp.delta * (cfg.model.mu - lyap.lp.mu0))
+        out["chi_slope"] = lyap.chi(1.0)
     print(json.dumps(out, indent=2))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -300,14 +300,25 @@ def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
     return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_f, a_b)
 
 
+def _require_overrides(delta: float, **positive: float) -> None:
+    """InfeasibleOverride for delta outside (0, 1) or a named value <= 0."""
+    if not 0.0 < delta < 1.0:
+        raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
+    for name, v in positive.items():
+        if not v > 0.0:
+            raise InfeasibleOverride(f"{name}={v:.6g} must be positive")
+
+
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
                    lambda3: Optional[float] = None, delta: float = 0.5,
                    lambda1: float = 1.0, n_cond50: int = 2048) -> EnLyapParams:
     """Build validated constants from explicit choices.
 
-    Raises InfeasibleOverride when k, lambda3 or the (l_bar, lambda_hat2)
-    pair fails its feasibility condition.
+    Raises InfeasibleOverride when l_bar, lambda_hat2 or delta is out of
+    range, or k, lambda3 or the (l_bar, lambda_hat2) pair fails its
+    feasibility condition.
     """
+    _require_overrides(delta, l_bar=l_bar, lambda_hat2=lambda_hat2)
     k0 = k0_bound(p, l_bar, lambda1, lambda1)
     if not (0.0 < k < k0):
         raise InfeasibleOverride(f"k={k:.6g} outside (0, k0={k0:.6g})")
@@ -340,7 +351,8 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
     Either a level budget l_bar or a compact deviation box inside G must be
     supplied; with a box target the budget is raised to cover the box and
     lambda_hat2 (and, on a slower schedule, k) is halved until condition (50)
-    passes and the box lies in the sublevel set.
+    passes and the box lies in the sublevel set.  Raises InfeasibleOverride
+    for l_bar <= 0 or delta outside (0, 1).
     """
     _require_endemic_regime(p)
     if (l_bar is None) == (box is None):
@@ -355,6 +367,7 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
         l_cur = max(1.0, 2.0 * float(np.abs(pts).sum(axis=1).max()))
     else:
         l_cur = float(l_bar)
+    _require_overrides(delta, l_bar=l_cur)
 
     lam_h2 = 0.1
     k_frac = 0.9

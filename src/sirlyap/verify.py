@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lyap_df, lyap_en, model, ode
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
-from .lyap_df import DfLyapParams, DiseaseFreeLyapunov
-from .lyap_en import EndemicLyapunov, EnLyapParams
+from .lyap_df import DfLyapParams
+from .lyap_en import EnLyapParams
 from .model import Deviation, EquilibriumKind, ModelParams, State
 
 DEFAULT_SEED = 0x5121  # "SIR1"
@@ -375,12 +375,13 @@ def check_dini_along_trajectory(lyap, traj: ode.Trajectory, decay_rate: float = 
         raise MismatchedEquilibrium(
             f"trajectory anchored to {traj.anchor}, function to {lyap.kind}")
     v = _lyap_values_of_states(lyap, traj.states)
-    margin = np.where(v[:-1] > v_stop, _step_margins(traj.times, v, decay_rate, tol_scale),
-                      np.inf)
+    steps = np.where(v[:-1] > v_stop, _step_margins(traj.times, v, decay_rate, tol_scale),
+                     np.inf)
+    margin = np.append(steps, np.inf)  # one entry per row: the last row starts no step
     j = int(np.argmin(margin))
-    worst = float(margin[j]) if len(margin) else math.inf
+    worst = float(margin[j])
     return CheckResult("dini_along_trajectory", worst >= 0.0, worst,
-                       float(traj.times[j]), max(len(margin), 1),
+                       float(traj.times[j]), max(len(steps), 1),
                        {"decay_rate": decay_rate, "v_final": float(v[-1])})
 
 
@@ -429,29 +430,34 @@ def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[floa
                         "nonstrict_steps_above_1e-9": nonstrict})
 
 
-def _signal_u_extremes(lyap, sig: ode.InputSignal, t_end: float) -> tuple:
-    """Exact (sup u+, sup u-) of u = B(t) - b_hat over [0, t_end]."""
-    lo, hi = sig.value_range(t_end)
-    b_hat = lyap.p.b_hat
-    return max(hi - b_hat, 0.0), max(b_hat - lo, 0.0)
-
-
 def _require_admissible(lyap, u_pos: float, u_neg: float) -> None:
     if not lyap.admits(u_pos, u_neg):
         lo, hi = lyap.admissible_u()
         raise RangeError(f"input range [{-u_neg:.6g}, {u_pos:.6g}] outside ({lo:.6g}, {hi:.6g})")
 
 
-def _iss_runs(lyap, signals: list, X0: np.ndarray, t_end: float, dt: float,
-              tail: float, headroom: float) -> tuple:
-    """The body of check_iss_bound, for row j of X0 under signals[j].
+def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[float] = None,
+                    dt: float = 0.05, x0: Optional[State] = None,
+                    tail: float = 0.2, headroom: float = 1e-3) -> list:
+    """limsup of V over the final stretch stays below the gain threshold,
+    one `iss_bound` result per signal.
 
-    Returns (ok, margins, details) with one entry per row in each array.
+    The signals run as one batch, one row each, every row from x0 (by
+    default the anchor); RangeError before integrating if any signal leaves
+    the admissible range.  For the disease-free function the threshold is
+    chi(sup|u|) = sup|u|/(delta*(mu-mu0)); for the endemic one it is the
+    eta-derived level (capped at l_bar, where the assertion reduces to
+    forward invariance, which is checked along the whole horizon).
     """
-    ext = np.array([_signal_u_extremes(lyap, sig, t_end) for sig in signals])
+    if t_end is None:
+        t_end = 50.0 / lyap.p.mu
+    if x0 is None:
+        x0 = lyap.equilibrium.point
+    b_hat = lyap.p.b_hat
+    ext = [(max(hi - b_hat, 0.0), max(b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
+           for lo, hi in (sig.value_range(t_end) for sig in signals)]
     for u_pos, u_neg in ext:
         _require_admissible(lyap, u_pos, u_neg)
-    thr = np.array([lyap.chi_signed(u_pos, u_neg) for u_pos, u_neg in ext])
     t_tail = (1.0 - tail) * t_end
     vmax_tail = np.zeros(len(signals))
     vmax_all = np.zeros(len(signals))
@@ -462,42 +468,26 @@ def _iss_runs(lyap, signals: list, X0: np.ndarray, t_end: float, dt: float,
         tail = v[t[1:] >= t_tail].max(axis=0, initial=0.0)  # V >= 0, as is vmax_tail
         np.maximum(vmax_tail, tail, out=vmax_tail)
 
-    ode.integrate_batch(lyap.p, X0, signals, t_end, dt, observer=observer)
-    margins = np.maximum(thr * (1.0 + headroom), 1e-6) - vmax_tail
-    ok = margins >= 0.0
-    details = {"limsup_v": vmax_tail, "threshold": thr, "u_pos": ext[:, 0], "u_neg": ext[:, 1]}
-    if lyap.kind is EquilibriumKind.ENDEMIC:
-        inv_ok = vmax_all <= lyap.lp.l_bar * (1.0 + 1e-9)
-        details["max_v_full_horizon"] = vmax_all
-        details["forward_invariant"] = inv_ok
-        ok = ok & inv_ok
-    return ok, margins, details
-
-
-def check_iss_bound(lyap, sig: ode.InputSignal, t_end: Optional[float] = None,
-                    dt: float = 0.05, x0: Optional[State] = None,
-                    tail: float = 0.2, headroom: float = 1e-3) -> CheckResult:
-    """limsup of V over the final stretch stays below the gain threshold.
-
-    For the disease-free function the threshold is chi(sup|u|) =
-    sup|u|/(delta*(mu-mu0)); for the endemic one it is the eta-derived level
-    (capped at l_bar, where the assertion reduces to forward invariance,
-    which is checked along the whole horizon).
-    """
-    if t_end is None:
-        t_end = 50.0 / lyap.p.mu
-    if x0 is None:
-        x0 = lyap.equilibrium.point
-    ok, margins, details = _iss_runs(lyap, [sig], x0.as_array()[None, :], t_end, dt,
-                                     tail, headroom)
-    details = {k: v[0].item() for k, v in details.items()}
-    return CheckResult("iss_bound", bool(ok[0]), float(margins[0]), None, 1, details)
+    ode.integrate_batch(lyap.p, np.tile(x0.as_array(), (len(signals), 1)), signals, t_end, dt,
+                        observer=observer)
+    results = []
+    for (u_pos, u_neg), v_tail, v_all in zip(ext, vmax_tail.tolist(), vmax_all.tolist()):
+        thr = float(lyap.chi_signed(u_pos, u_neg))
+        margin = max(thr * (1.0 + headroom), 1e-6) - v_tail
+        ok = margin >= 0.0
+        details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
+        if lyap.kind is EquilibriumKind.ENDEMIC:
+            details["max_v_full_horizon"] = v_all
+            details["forward_invariant"] = v_all <= lyap.lp.l_bar * (1.0 + 1e-9)
+            ok = ok and details["forward_invariant"]
+        results.append(CheckResult("iss_bound", ok, margin, None, 1, details))
+    return results
 
 
 def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None,
                    dt: float = 0.05, tail: float = 0.2,
                    headroom: float = 1e-3) -> CheckResult:
-    """check_iss_bound for a family of step perturbations, one batch row each.
+    """check_iss_bound for a family of step perturbations, summarised in one result.
 
     Every run starts at the equilibrium under the nominal rate and switches
     to b_hat + u at 20% of the horizon.
@@ -508,17 +498,16 @@ def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None
     for u in u_steps:  # before building the steps, whose levels must be nonnegative
         _require_admissible(lyap, max(u, 0.0), max(-u, 0.0))
     u_vec = np.asarray(u_steps, dtype=float)
-    signals = [ode.Step(0.2 * t_end, p.b_hat, p.b_hat + u) for u in u_vec]
-    X0 = np.tile(lyap.equilibrium.point.as_array(), (len(u_vec), 1))
-    ok, margins, run = _iss_runs(lyap, signals, X0, t_end, dt, tail, headroom)
-    details = {"u_steps": u_vec.tolist(), "limsups": run["limsup_v"].tolist(),
-               "thresholds": run["threshold"].tolist()}
-    if "forward_invariant" in run:
-        details["forward_invariant"] = bool(run["forward_invariant"].all())
-        details["max_v_full_horizon"] = run["max_v_full_horizon"].tolist()
-    j = int(np.argmin(margins))
-    return CheckResult("iss_step_suite", bool(ok.all()), float(margins[j]), float(u_vec[j]),
-                       len(u_vec), details)
+    runs = check_iss_bound(lyap, [ode.Step(0.2 * t_end, p.b_hat, p.b_hat + u) for u in u_vec],
+                           t_end, dt, tail=tail, headroom=headroom)
+    details = {"u_steps": u_vec.tolist(), "limsups": [r.details["limsup_v"] for r in runs],
+               "thresholds": [r.details["threshold"] for r in runs]}
+    if lyap.kind is EquilibriumKind.ENDEMIC:
+        details["forward_invariant"] = all(r.details["forward_invariant"] for r in runs)
+        details["max_v_full_horizon"] = [r.details["max_v_full_horizon"] for r in runs]
+    j = int(np.argmin([r.worst_margin for r in runs]))
+    return CheckResult("iss_step_suite", all(r.passed for r in runs), runs[j].worst_margin,
+                       float(u_vec[j]), len(u_vec), details)
 
 
 # ---------------------------------------------------------------------------
@@ -735,27 +724,25 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
     ]
 
 
-def run_certification(p: ModelParams, kind: EquilibriumKind, lp=None,
-                      seed: int = DEFAULT_SEED, grid_n: int = 60,
+def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = 60,
                       n_samples: int = 100_000, n_traj: int = 50) -> VerificationReport:
-    """Full check suite for one equilibrium, as wired into the CLI."""
+    """Full check suite for the bound Lyapunov function `lyap`, as wired into the CLI.
+
+    The suite ends with one batched check_iss_bound over builtin_signal_suite,
+    of magnitude b_hat/10 (disease-free) or 45% of the nearer end of the
+    admissible input range (endemic).
+    """
+    p, lp = lyap.p, lyap.lp
     rep = VerificationReport()
     t_end = 50.0 / p.mu
-    if kind is EquilibriumKind.DISEASE_FREE:
-        if lp is None:
-            lp = lyap_df.select_df_params(p)
-        lyap = DiseaseFreeLyapunov(p, lp)
+    if lyap.kind is EquilibriumKind.DISEASE_FREE:
         rep.add(check_df_continuity(lp, p, seed=seed))
         rep.add(check_df_positive_definite(lp, p, seed=seed))
         rep.add(check_df_grid_iss(lp, p, n=grid_n))
         rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
                                               final_tol=1e-3))
-        for sig in builtin_signal_suite(p, p.b_hat / 10.0, t_end):
-            rep.add(check_iss_bound(lyap, sig, t_end=t_end))
+        u_mag = p.b_hat / 10.0
     else:
-        if lp is None:
-            lp = lyap_en.select_en_params(p, l_bar=340.0)
-        lyap = EndemicLyapunov(p, lp)
         res50 = lyap_en.check_condition_50(p, lp)
         rep.add(CheckResult("condition_50", res50.passed, res50.worst_margin,
                             res50.argmin_l, res50.samples))
@@ -765,8 +752,7 @@ def run_certification(p: ModelParams, kind: EquilibriumKind, lp=None,
         rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
                                               final_tol=1e-2))
         rep.add(check_sublevel_nesting(p, lp, seed=seed))
-        lo, hi = lyap_en.en_input_range(p, lp)
+        lo, hi = lyap.admissible_u()
         u_mag = 0.45 * min(-lo, hi)
-        for sig in builtin_signal_suite(p, u_mag, t_end):
-            rep.add(check_iss_bound(lyap, sig, t_end=t_end))
+    rep.checks.extend(check_iss_bound(lyap, builtin_signal_suite(p, u_mag, t_end), t_end=t_end))
     return rep

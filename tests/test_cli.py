@@ -150,3 +150,22 @@ def test_bad_config_values(tmp_path, capsys, bad):
     rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lyap", [
+    {"delta": 2.0},
+    {"delta": 1.0},
+    {**EN_CONFIG["lyap"], "delta": 2.0},
+    {"l_bar": 0.0},
+    {"l_bar": -5.0},
+    {**EN_CONFIG["lyap"], "l_bar": 0.0},
+    {**EN_CONFIG["lyap"], "lambda_hat2": 0.0},
+    {**EN_CONFIG["lyap"], "lambda_hat2": -1.0},
+], ids=["delta_2", "delta_1", "triple_delta_2", "zero_l_bar", "negative_l_bar",
+        "triple_zero_l_bar", "triple_zero_lambda_hat2", "triple_negative_lambda_hat2"])
+def test_endemic_override_out_of_range(tmp_path, capsys, lyap):
+    cfg = {**EN_CONFIG, "lyap": lyap}
+    rc = cli.main(["params", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error:" in err and "Traceback" not in err

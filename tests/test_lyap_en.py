@@ -157,6 +157,13 @@ def test_en_params_from_validation(p_en):
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.0902, lambda3=1.0)
 
 
+def test_out_of_range_overrides_are_infeasible(p_en):
+    with pytest.raises(InfeasibleOverride):
+        lyap_en.select_en_params(p_en, l_bar=340.0, delta=2.0)
+    with pytest.raises(InfeasibleOverride):
+        lyap_en.en_params_from(p_en, 340.0, 0.0, 0.0902)
+
+
 def test_select_en_params(p_en, p_df):
     lp = lyap_en.select_en_params(p_en, l_bar=340.0)
     assert lyap_en.check_condition_50(p_en, lp).passed

@@ -18,6 +18,15 @@ def test_dini_constant_at_equilibrium(p_df, ly_df):
     assert res.details["v_final"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_dini_one_row_trajectory(p_df, ly_df):
+    traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 0.0)
+    assert len(traj.times) == 1
+    res = verify.check_dini_along_trajectory(ly_df, traj)
+    assert res.passed
+    assert res.worst_margin == math.inf
+    assert res.worst_location == traj.times[0]
+
+
 def test_dini_mismatch_raises(ly_df, p_df):
     traj = sl.integrate(p_df, sl.State(100.0, 10.0, 0.0), ode.Constant(3.0), 5.0, dt=0.1)
     traj.anchor = EquilibriumKind.ENDEMIC
@@ -42,8 +51,8 @@ def test_dini_decrease_endemic_boundary_crossing(p_en, ly_en):
 
 
 def test_iss_bound_zero_input(ly_df, p_df):
-    res = verify.check_iss_bound(ly_df, ode.Constant(p_df.b_hat), dt=0.25,
-                                 x0=sl.State(180.0, 20.0, 5.0))
+    res, = verify.check_iss_bound(ly_df, [ode.Constant(p_df.b_hat)], dt=0.25,
+                                  x0=sl.State(180.0, 20.0, 5.0))
     assert res.passed
     assert res.details["limsup_v"] <= 1e-6
 
@@ -51,9 +60,30 @@ def test_iss_bound_zero_input(ly_df, p_df):
 def test_iss_bound_range_error(ly_en, p_en):
     lo, hi = ly_en.admissible_u()
     with pytest.raises(RangeError):
-        verify.check_iss_bound(ly_en, ode.Constant(p_en.b_hat + hi + 0.5), t_end=100.0)
+        verify.check_iss_bound(ly_en, [ode.Constant(p_en.b_hat + hi + 0.5)], t_end=100.0)
     with pytest.raises(RangeError):
         verify.iss_step_suite(ly_en, [hi + 0.1], t_end=100.0)
+
+
+def test_iss_bound_batch_matches_single_runs(ly_en, p_en):
+    # breakpoint-free signals step on the same grid alone and in a batch
+    lo, hi = ly_en.admissible_u()
+    u = 0.45 * min(-lo, hi)
+    signals = [ode.Constant(p_en.b_hat - u), ode.Constant(p_en.b_hat + u),
+               ode.Sinusoid(p_en.b_hat, u, 2.0 * math.pi / 7.5)]
+    batch = verify.check_iss_bound(ly_en, signals, t_end=60.0)
+    assert len(batch) == len(signals)
+    for sig, res in zip(signals, batch):
+        alone, = verify.check_iss_bound(ly_en, [sig], t_end=60.0)
+        assert res.to_dict() == alone.to_dict()
+
+
+def test_iss_bound_batch_range_error(ly_en, p_en):
+    lo, hi = ly_en.admissible_u()
+    signals = [ode.Constant(p_en.b_hat), ode.Constant(p_en.b_hat + hi + 0.5),
+               ode.Constant(p_en.b_hat + 0.5 * hi)]
+    with pytest.raises(RangeError):
+        verify.check_iss_bound(ly_en, signals, t_end=100.0)
 
 
 def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
@@ -61,7 +91,7 @@ def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
     # which the observer reports at the end of the block holding the step
     assert 700.0 - sl.endemic_eq(p_en).point.i > lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
     with pytest.raises(RangeError):
-        verify.check_iss_bound(ly_en, ode.Constant(p_en.b_hat), t_end=100.0,
+        verify.check_iss_bound(ly_en, [ode.Constant(p_en.b_hat)], t_end=100.0,
                                x0=sl.State(235.0, 700.0, 100.0))
 
 
@@ -87,7 +117,7 @@ def test_iss_bound_aliased_sinusoid_range_error(ly_en, p_en):
     t_end = 1000.0
     sig = ode.Sinusoid(p_en.b_hat, 2.0 * hi, 2.0 * math.pi * 4096 / t_end)
     with pytest.raises(RangeError):
-        verify.check_iss_bound(ly_en, sig, t_end=t_end)
+        verify.check_iss_bound(ly_en, [sig], t_end=t_end)
 
 
 @pytest.mark.parametrize("region", range(3))
@@ -175,7 +205,7 @@ def test_en_iss_pointwise(p_en, lp_en):
 
 
 def test_run_certification_df_small(p_df, lp_df):
-    rep = verify.run_certification(p_df, EquilibriumKind.DISEASE_FREE, lp_df,
+    rep = verify.run_certification(lyap_df.DiseaseFreeLyapunov(p_df, lp_df),
                                    grid_n=15, n_traj=6)
     assert rep.passed
     names = [c.name for c in rep.checks]
