@@ -231,14 +231,10 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_levelsets(cfg: RunConfig) -> int:
     lyap = _build_lyap(cfg)
-    levels = cfg.levels
-    if not levels:
-        levels = [10.0, 30.0, 60.0, 100.0, 180.0, 260.0, 340.0, 420.0, 500.0] \
-            if cfg.equilibrium == "df" else [20.0, 100.0, 180.0, 260.0, 340.0]
     plane = ("x3t", 0.0) if cfg.plane is None else (cfg.plane["axis"], cfg.plane["value"])
     window = None if cfg.window is None else tuple(map(tuple, cfg.window))
-    contours = levelset.extract_contours(lyap, levels, plane=plane, window=window,
-                                         resolution=tuple(cfg.resolution))
+    contours = levelset.extract_contours(lyap, cfg.levels or lyap.default_levels(), plane=plane,
+                                         window=window, resolution=tuple(cfg.resolution))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"levelsets_{cfg.equilibrium}.csv"
@@ -250,11 +246,7 @@ def cmd_levelsets(cfg: RunConfig) -> int:
 
 def cmd_params(cfg: RunConfig) -> int:
     lyap = _build_lyap(cfg)
-    out = {"equilibrium": cfg.equilibrium, "params": lyap.lp.as_dict()}
-    if cfg.equilibrium == "endemic":
-        out["feasibility"] = lyap_en.feasibility_report(cfg.model, lyap.lp)
-    else:
-        out["chi_slope"] = lyap.chi(1.0)
+    out = {"equilibrium": cfg.equilibrium, "params": lyap.lp.as_dict(), **lyap.params_report()}
     print(json.dumps(out, indent=2))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

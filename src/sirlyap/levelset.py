@@ -8,15 +8,14 @@ grid edges and no smoothing is applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import lyap_en
 from .errors import DomainError
 from .lyap_df import DfLyapParams
-from .model import EquilibriumKind, ModelParams
+from .model import ModelParams
 
 CONTOUR_TOL = 1e-3
 
@@ -56,22 +55,6 @@ def _plane_embedding(plane):
     if axis == "x2t":
         return lambda UV: np.column_stack([UV[:, 0], np.full(len(UV), c), UV[:, 1]])
     raise ValueError("plane axis must be 'x2t' or 'x3t'")
-
-
-def _check_window(lyap, plane, window) -> None:
-    axis, c = plane
-    (u0, u1), (v0, v1) = window
-    if u0 >= u1 or v0 >= v1:
-        raise DomainError("window must have positive extent")
-    if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        if c < 0.0 or v0 < 0.0:
-            raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
-    else:
-        x2h = lyap.equilibrium.point.i
-        if axis == "x3t" and v0 <= -x2h:
-            raise DomainError("window exits the domain: x2t <= -x2hat")
-        if axis == "x2t" and c <= -x2h:
-            raise DomainError("plane exits the domain: x2t <= -x2hat")
 
 
 def _edge_vertex(kind, iy, ix, xs, ys, s):
@@ -158,32 +141,21 @@ def _stitch(segments):
     return chains
 
 
-def _make_value_fn(lyap, levels):
-    """Grid evaluator; for the endemic function the domain cap is widened
-    slightly (after re-certifying the corner condition out to the wider
-    budget) so contours touching the nominal budget are not clipped by the
-    masked band just above it."""
-    if lyap.kind is EquilibriumKind.ENDEMIC:
-        cap = max(lyap.lp.l_bar, 1.05 * max(levels, default=0.0))
-        if cap > lyap.lp.l_bar:
-            wide = replace(lyap.lp, l_bar=cap)
-            if not lyap_en.check_condition_50(lyap.p, wide).passed:
-                cap = lyap.lp.l_bar
-        return lambda X: lyap_en.en_value_many(lyap.p, lyap.lp, X, l_cap=cap)
-    return lyap.value_many
-
-
 def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
                      window=None, resolution=(800, 800)) -> list:
     """Marching-squares contours of the bound Lyapunov function.
 
     `lyap` is a DiseaseFreeLyapunov or EndemicLyapunov; `window` gives the
-    ranges of the two free coordinates; level 0 degenerates to the anchor
-    point and is emitted as a marker.
+    ranges of the two free coordinates (default `lyap.default_window(plane)`);
+    level 0 degenerates to the anchor point and is emitted as a marker.
     """
+    embed = _plane_embedding(plane)
     if window is None:
-        window = _default_window(lyap)
-    _check_window(lyap, plane, window)
+        window = lyap.default_window(plane)
+    (u0, u1), (v0, v1) = window
+    if u0 >= u1 or v0 >= v1:
+        raise DomainError("window must have positive extent")
+    value_fn = lyap.contour_values(levels, plane, window)
     nu, nv = resolution
     if nu < 2 or nv < 2:
         raise ValueError("resolution must be at least 2x2")
@@ -191,8 +163,6 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
     ys = np.linspace(window[1][0], window[1][1], nv)
     U, V = np.meshgrid(xs, ys, indexing="xy")
     UV = np.column_stack([U.ravel(), V.ravel()])
-    embed = _plane_embedding(plane)
-    value_fn = _make_value_fn(lyap, levels)
     Z = value_fn(embed(UV)).reshape(V.shape)
 
     out = []
@@ -246,16 +216,6 @@ def _bisect_edges(verts, xs, ys, embed, value_fn, level, n_iter: int = 45):
     for j, key in enumerate(keys):
         out[key] = tuple(mid[j]) if bracket[j] else verts[key]
     return out
-
-
-def _default_window(lyap):
-    q = lyap.equilibrium.point
-    if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        return ((-q.s, 3.0 * q.s), (0.0, 3.1 * q.s))
-    l_bar = lyap.lp.l_bar
-    lam0 = lyap.lp.lam0
-    reach = lyap_en.p_fun(lyap.p, lyap.lp, l_bar)
-    return ((-1.2 * reach, 1.2 * l_bar), (-1.2 * reach / lam0, 1.2 * l_bar / lam0))
 
 
 def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,

@@ -225,6 +225,7 @@ class DiseaseFreeLyapunov:
     """Bound (model, params) pair with vectorised evaluation helpers."""
 
     kind = EquilibriumKind.DISEASE_FREE
+    invariance_level = None  # no level budget: the certificate is global
 
     def __init__(self, p: ModelParams, lp: DfLyapParams):
         self.p = p
@@ -252,3 +253,28 @@ class DiseaseFreeLyapunov:
     def admits(self, u_pos: float, u_neg: float) -> bool:
         """Inputs within [-u_neg, u_pos] lie in the range, closed at -b_hat."""
         return -u_neg >= self.admissible_u()[0]
+
+    def start_states(self, n: int, seed: int) -> np.ndarray:
+        """n seeded states in [0, 3*x1h] x [0, 2*x1h]^2."""
+        rng, x1h = np.random.default_rng(seed), self.equilibrium.point.s
+        return np.column_stack([rng.uniform(0.0, f * x1h, n) for f in (3.0, 2.0, 2.0)])
+
+    def default_window(self, plane) -> tuple:
+        """x1t in [-x1h, 3*x1h]; the other free coordinate from 0 to where V
+        reaches 3.1*x1h along it (slope 1 for x2t, lambda3 for x3t)."""
+        x1h = self.equilibrium.point.s
+        slope = 1.0 if plane[0] == "x3t" else self.lp.lambda3
+        return ((-x1h, 3.0 * x1h), (0.0, 3.1 * x1h / slope))
+
+    def default_levels(self) -> list:
+        return [10.0, 30.0, 60.0, 100.0, 180.0, 260.0, 340.0, 420.0, 500.0]
+
+    def contour_values(self, levels, plane, window):
+        """V for level-set extraction; DomainError when the plane or window
+        leaves x2t, x3t >= 0."""
+        if plane[1] < 0.0 or window[1][0] < 0.0:
+            raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
+        return self.value_many
+
+    def params_report(self) -> dict:
+        return {"chi_slope": self.chi(1.0)}

@@ -635,6 +635,49 @@ def feasibility_report(p: ModelParams, lp: EnLyapParams) -> dict:
     }
 
 
+def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
+                    x3_moderate: bool = False) -> np.ndarray:
+    """Rejection-sample n deviations from the sublevel set {V <= level_frac*l_bar}.
+
+    Half of the x3t draws are moderate (within a few x3h), half sweep the
+    full admissible magnitude range log-uniformly, since lambda3 is small and
+    the set is extremely elongated in the x3 direction.
+    """
+    p, lp = lyap.p, lyap.lp
+    rng = np.random.default_rng(seed)
+    q = lyap.equilibrium.point
+    level = level_frac * lp.l_bar
+    pl = p_fun(p, lp, lp.l_bar)
+    lo1 = -(pl + lp.lambda_hat2 * q.i) / lp.lambda1 - 1.0
+    hi1 = lp.l_bar / lp.lambda1 + 1.0
+    lo2 = -pl / lp.lam0 - 1.0
+    hi2 = lp.l_bar / lp.lam0 + 1.0
+    out = []
+    got = 0
+    for _ in range(400):
+        m = max(4 * (n - got), 20000)
+        X = np.empty((m, 3))
+        X[:, 0] = rng.uniform(lo1, hi1, m)
+        X[:, 1] = rng.uniform(max(lo2, -q.i * 0.999), hi2, m)
+        if x3_moderate:
+            X[:, 2] = rng.uniform(-0.8 * q.r, 2.0 * q.r, m)
+        else:
+            mag = 10.0 ** rng.uniform(-3.0, np.log10(level / lp.lambda3), m)
+            sgn = rng.choice([-1.0, 1.0], m)
+            half = rng.random(m) < 0.5
+            X[:, 2] = np.where(half, rng.uniform(-0.9 * q.r, 3.0 * q.r, m),
+                               np.clip(sgn * mag, -0.999 * q.r, None))
+        keep = in_sublevel_many(p, lp, X, level)
+        X = X[keep]
+        out.append(X)
+        got += len(X)
+        if got >= n:
+            break
+    if got < n:
+        raise RuntimeError("sublevel sampling failed to reach the requested count")
+    return np.vstack(out)[:n]
+
+
 class EndemicLyapunov:
     """Bound (model, params) pair with vectorised evaluation helpers."""
 
@@ -645,6 +688,7 @@ class EndemicLyapunov:
         self.p = p
         self.lp = lp
         self.equilibrium = model.endemic_eq(p)
+        self.invariance_level = lp.l_bar  # ISS checks also test forward invariance below it
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         return en_value_many(self.p, self.lp, X)
@@ -678,3 +722,41 @@ class EndemicLyapunov:
     def chi(self, u_mag: float) -> float:
         """Symmetric-range threshold; see chi_signed."""
         return self.chi_signed(abs(u_mag), abs(u_mag))
+
+    def start_states(self, n: int, seed: int) -> np.ndarray:
+        """n seeded states in the sublevel set of 0.95*l_bar, moderate in x3t."""
+        devs = sample_sublevel(self, n, seed, level_frac=0.95, x3_moderate=True)
+        return devs + self.equilibrium.point.as_array()[None, :]
+
+    def default_window(self, plane) -> tuple:
+        """1.2 times the reach of the l_bar sublevel set along each free
+        coordinate, x3t starting at the physical boundary -x3h."""
+        l_bar, lam0 = self.lp.l_bar, self.lp.lam0
+        reach = p_fun(self.p, self.lp, l_bar)
+        if plane[0] == "x3t":
+            free = (-1.2 * reach / lam0, 1.2 * l_bar / lam0)
+        else:
+            free = (-self.equilibrium.point.r, 1.2 * l_bar / self.lp.lambda3)
+        return ((-1.2 * reach, 1.2 * l_bar), free)
+
+    def default_levels(self) -> list:
+        """Five levels up to l_bar; (20, 100, 180, 260, 340) at l_bar = 340."""
+        return [self.lp.l_bar * n / 17.0 for n in (1, 5, 9, 13, 17)]
+
+    def contour_values(self, levels, plane, window):
+        """V for level-set extraction, its domain cap widened to 1.05*max(levels)
+        where condition (50) holds out to that budget, so contours touching
+        l_bar are not clipped; DomainError when the plane or window reaches
+        x2t <= -x2h."""
+        x2t_min = plane[1] if plane[0] == "x2t" else window[1][0]
+        if x2t_min <= -self.equilibrium.point.i:
+            raise DomainError("level-set plane or window exits the domain: x2t <= -x2hat")
+        cap = max(self.lp.l_bar, 1.05 * max(levels, default=0.0))
+        if cap > self.lp.l_bar and not check_condition_50(
+                self.p, replace(self.lp, l_bar=cap)).passed:
+            cap = self.lp.l_bar
+        return lambda X: en_value_many(self.p, self.lp, X, l_cap=cap)
+
+    def params_report(self) -> dict:
+        """Extra output of `sirlyap params`, here the feasibility summary."""
+        return {"feasibility": feasibility_report(self.p, self.lp)}

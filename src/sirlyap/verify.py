@@ -16,8 +16,7 @@ import numpy as np
 
 from . import lyap_df, lyap_en, model, ode
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
-from .lyap_df import DfLyapParams
-from .lyap_en import EnLyapParams
+from .lyap_en import sample_sublevel
 from .model import Deviation, EquilibriumKind, ModelParams, State
 
 DEFAULT_SEED = 0x5121  # "SIR1"
@@ -86,13 +85,19 @@ def _loc(X_row) -> list:
     return [float(v) for v in X_row]
 
 
+def _decrease_margins(gf: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Normalised slack of grad V . f <= -rate per point; nonnegative where it holds."""
+    return (-gf - rate) / (1.0 + np.abs(gf) + np.abs(rate))
+
+
 # ---------------------------------------------------------------------------
 # disease-free checks
 # ---------------------------------------------------------------------------
 
-def check_df_continuity(lp: DfLyapParams, p: ModelParams, n: int = 1000,
-                        seed: int = DEFAULT_SEED, rtol: float = 1e-9) -> CheckResult:
+def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED,
+                        rtol: float = 1e-9) -> CheckResult:
     """The library's adjacent region formulas agree on both boundaries."""
+    p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
     x1h = p.b_hat / p.mu
     half = n // 2
@@ -112,23 +117,21 @@ def check_df_continuity(lp: DfLyapParams, p: ModelParams, n: int = 1000,
                        {"rtol": rtol})
 
 
-def check_df_positive_definite(lp: DfLyapParams, p: ModelParams, n: int = 1000,
-                               seed: int = DEFAULT_SEED) -> CheckResult:
+def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
-    x1h = p.b_hat / p.mu
+    x1h = lyap.equilibrium.point.s
     X = np.column_stack([rng.uniform(-5.0 * x1h, 5.0 * x1h, n),
                          rng.uniform(0.0, 5.0 * x1h, n),
                          rng.uniform(0.0, 5.0 * x1h, n)])
-    v, _ = lyap_df.df_value_region_arrays(lp, p, X)
-    v0 = lyap_df.df_value(lp, p, Deviation(0.0, 0.0, 0.0))
+    v = lyap.value_many(X)
+    v0 = lyap_df.df_value(lyap.lp, lyap.p, Deviation(0.0, 0.0, 0.0))
     worst = float(v.min())
     ok = bool(v0 == 0.0 and np.all(v > 0.0))
     return CheckResult("df_positive_definite", ok, worst, _loc(X[np.argmin(v)]), n,
                        {"value_at_zero": v0})
 
 
-def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
-                      u_values: Optional[Sequence[float]] = None,
+def check_df_grid_iss(lyap, n: int = 60, u_values: Optional[Sequence[float]] = None,
                       tol: float = 1e-12, csv_path=None) -> CheckResult:
     """Grid certificate of the ISS decrease implication.
 
@@ -136,6 +139,7 @@ def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
     V >= chi(|u|) the derivative must not exceed -(1-delta)*(mu-mu0)*V,
     up to -tol per unit scale.
     """
+    p, lp = lyap.p, lyap.lp
     x1h = p.b_hat / p.mu
     if u_values is None:
         u_values = [-p.b_hat, -p.b_hat / 2.0, 0.0, p.b_hat, 10.0 * p.b_hat]
@@ -146,24 +150,19 @@ def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
     v, codes = lyap_df.df_value_region_arrays(lp, p, X)
     off_band = ~lyap_df.df_near_boundary(lp, p, X)
     rate = lyap_df.df_decay_rate(lp, p)
-    worst = math.inf
-    worst_loc = None
-    checked = 0
+    worst, worst_loc, checked = math.inf, None, 0
     for u in u_values:
-        hyp = off_band & (v >= lyap_df.df_chi(lp, p, abs(u)))
+        hyp = off_band & (v >= lyap.chi(abs(u)))
         if not hyp.any():
             continue
         gf = lyap_df.df_grad_dot_f_arrays(lp, p, X[hyp], u)
-        slack = -gf - rate * v[hyp]
-        scale = 1.0 + np.abs(gf) + rate * v[hyp]
-        norm_margin = slack / scale
-        j = int(np.argmin(norm_margin))
+        margin = _decrease_margins(gf, rate * v[hyp])
+        j = int(np.argmin(margin))
         checked += int(hyp.sum())
-        if norm_margin[j] < worst:
-            worst = float(norm_margin[j])
-            worst_loc = _loc(X[hyp][j]) + [float(u)]
+        if margin[j] < worst:
+            worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
         if csv_path is not None and u == 0.0:
-            lyap_df.write_grid_csv(csv_path, X[hyp], codes[hyp], v[hyp], slack)
+            lyap_df.write_grid_csv(csv_path, X[hyp], codes[hyp], v[hyp], -gf - rate * v[hyp])
     return CheckResult("df_grid_iss", worst >= -tol, worst, worst_loc, checked,
                        {"grid_n": n, "u_values": list(u_values), "tol": tol})
 
@@ -172,11 +171,12 @@ def check_df_grid_iss(lp: DfLyapParams, p: ModelParams, n: int = 60,
 # endemic checks
 # ---------------------------------------------------------------------------
 
-def check_en_continuity(p: ModelParams, lp: EnLyapParams, n_per_boundary: int = 200,
-                        seed: int = DEFAULT_SEED, rtol: float = 1e-9) -> CheckResult:
+def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEED,
+                        rtol: float = 1e-9) -> CheckResult:
     """The library's adjacent region formulas agree on all five internal boundaries."""
+    p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    x2h = model.endemic_eq(p).point.i
+    x2h = lyap.equilibrium.point.i
     lam0 = lp.lam0
     A, B, C, D, E, F = range(6)
 
@@ -211,60 +211,18 @@ def check_en_continuity(p: ModelParams, lp: EnLyapParams, n_per_boundary: int = 
                                             "per_boundary_max": {k: float(v.max()) for k, v in res.items()}})
 
 
-def sample_sublevel(p: ModelParams, lp: EnLyapParams, n: int,
-                    seed: int = DEFAULT_SEED, level_frac: float = 1.0,
-                    x3_moderate: bool = False) -> np.ndarray:
-    """Rejection-sample deviations from the sublevel set {V <= level_frac*l_bar}.
-
-    Half of the x3t draws are moderate (within a few x3h), half sweep the
-    full admissible magnitude range log-uniformly, since lambda3 is small and
-    the set is extremely elongated in the x3 direction.
-    """
-    rng = np.random.default_rng(seed)
-    q = model.endemic_eq(p).point
-    level = level_frac * lp.l_bar
-    pl = lyap_en.p_fun(p, lp, lp.l_bar)
-    lo1 = -(pl + lp.lambda_hat2 * q.i) / lp.lambda1 - 1.0
-    hi1 = lp.l_bar / lp.lambda1 + 1.0
-    lo2 = -pl / lp.lam0 - 1.0
-    hi2 = lp.l_bar / lp.lam0 + 1.0
-    out = []
-    got = 0
-    for _ in range(400):
-        m = max(4 * (n - got), 20000)
-        X = np.empty((m, 3))
-        X[:, 0] = rng.uniform(lo1, hi1, m)
-        X[:, 1] = rng.uniform(max(lo2, -q.i * 0.999), hi2, m)
-        if x3_moderate:
-            X[:, 2] = rng.uniform(-0.8 * q.r, 2.0 * q.r, m)
-        else:
-            mag = 10.0 ** rng.uniform(-3.0, np.log10(level / lp.lambda3), m)
-            sgn = rng.choice([-1.0, 1.0], m)
-            half = rng.random(m) < 0.5
-            X[:, 2] = np.where(half, rng.uniform(-0.9 * q.r, 3.0 * q.r, m),
-                               np.clip(sgn * mag, -0.999 * q.r, None))
-        keep = lyap_en.in_sublevel_many(p, lp, X, level)
-        X = X[keep]
-        out.append(X)
-        got += len(X)
-        if got >= n:
-            break
-    if got < n:
-        raise RuntimeError("sublevel sampling failed to reach the requested count")
-    return np.vstack(out)[:n]
-
-
-def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
-                             seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CheckResult:
+def check_en_sample_decrease(lyap, n: int = 100_000, seed: int = DEFAULT_SEED,
+                             tol: float = 1e-10) -> CheckResult:
     """Strict decrease with u = 0 plus the per-region certified rate bounds.
 
     Rates: -mu*V in A and F, -a_B*V in B, -mu*((Pinv)'*arg + V3) in C and D,
     and -(Pinv)'(z)*k*beta*(x2h - theta(omega^{-1}(l_bar)))*gamma_Ek*z - mu*V3
     in E, where gamma_Ek keeps the absorbed x2t cross term accounted for.
     """
-    X = sample_sublevel(p, lp, n, seed)
+    p, lp = lyap.p, lyap.lp
+    X = sample_sublevel(lyap, n, seed)
     X = X[~lyap_en.en_near_boundary(p, lp, X)]
-    v = lyap_en.en_value_many(p, lp, X)
+    v = lyap.value_many(X)
     v3 = lp.lambda3 * np.abs(X[:, 2])
     codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
     gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, 0.0)
@@ -281,8 +239,7 @@ def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
         rate_e = np.zeros(len(X))  # fall back to plain negativity in E
     rate = np.where(codes == 4, rate_e, rate)
 
-    scale = 1.0 + np.abs(gf) + np.abs(rate)
-    margin = (-gf - rate) / scale
+    margin = _decrease_margins(gf, rate)
     j = int(np.argmin(margin))
     strictly_negative = bool(np.all(gf < 0.0))
     ok = strictly_negative and bool(np.all(margin >= -tol))
@@ -298,8 +255,7 @@ def check_en_sample_decrease(p: ModelParams, lp: EnLyapParams, n: int = 100_000,
                        len(X), details)
 
 
-def check_en_iss_pointwise(p: ModelParams, lp: EnLyapParams, n: int = 20_000,
-                           n_u: int = 5, seed: int = DEFAULT_SEED,
+def check_en_iss_pointwise(lyap, n: int = 20_000, n_u: int = 5, seed: int = DEFAULT_SEED,
                            tol: float = 1e-10) -> CheckResult:
     """Pointwise ISS implications under nonzero perturbations.
 
@@ -309,31 +265,29 @@ def check_en_iss_pointwise(p: ModelParams, lp: EnLyapParams, n: int = 20_000,
     eta-based hypothesis and therefore covers it.  The two flat regions are
     input-independent and certified by the u = 0 check.
     """
-    X = sample_sublevel(p, lp, n, seed)
-    v = lyap_en.en_value_many(p, lp, X)
+    p, lp = lyap.p, lyap.lp
+    X = sample_sublevel(lyap, n, seed)
+    v = lyap.value_many(X)
     v3 = lp.lambda3 * np.abs(X[:, 2])
     codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
-    lo, hi = lyap_en.en_input_range(p, lp)
-    worst = math.inf
-    worst_loc = None
-    checked = 0
+    lo, hi = lyap.admissible_u()
     af = np.isin(codes, [0, 5])
     cd = np.isin(codes, [2, 3])
+    rate_af = (1.0 - lp.delta) * p.mu * v
+    rate_cd = (1.0 - lp.delta) * p.mu * (qd * arg + v3)
+    worst, worst_loc, checked = math.inf, None, 0
     for u in np.linspace(0.98 * lo, 0.98 * hi, n_u):
         gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, u)
         hyp_af = af & (u <= lp.delta * p.mu * v / lp.lambda1)
-        rate_af = (1.0 - lp.delta) * p.mu * v
         hyp_cd = cd & (-lp.lambda1 * u <= lp.delta * p.mu * (arg + v3 / qd))
-        rate_cd = (1.0 - lp.delta) * p.mu * (qd * arg + v3)
         for hyp, rate in ((hyp_af, rate_af), (hyp_cd, rate_cd)):
             if not hyp.any():
                 continue
-            margin = (-gf[hyp] - rate[hyp]) / (1.0 + np.abs(gf[hyp]) + np.abs(rate[hyp]))
+            margin = _decrease_margins(gf[hyp], rate[hyp])
             j = int(np.argmin(margin))
             checked += int(hyp.sum())
             if margin[j] < worst:
-                worst = float(margin[j])
-                worst_loc = _loc(X[hyp][j]) + [float(u)]
+                worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
     return CheckResult("en_iss_pointwise", worst >= -tol, worst, worst_loc, checked,
                        {"n_u": n_u, "tol": tol})
 
@@ -395,19 +349,10 @@ def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[floa
     in the 1-norm by t_end (default 50 mean lifetimes).
     """
     p = lyap.p
-    rng = np.random.default_rng(seed)
     qpt = lyap.equilibrium.point.as_array()
     if t_end is None:
         t_end = 50.0 / p.mu
-    if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        x1h = qpt[0]
-        X0 = np.column_stack([rng.uniform(0.0, 3.0 * x1h, n_starts),
-                              rng.uniform(0.0, 2.0 * x1h, n_starts),
-                              rng.uniform(0.0, 2.0 * x1h, n_starts)])
-    else:
-        devs = sample_sublevel(p, lyap.lp, n_starts, seed, level_frac=0.95,
-                               x3_moderate=True)
-        X0 = devs + qpt[None, :]
+    X0 = lyap.start_states(n_starts, seed)
     blocks = [(math.inf, 0.0, 0)]  # per block: worst margin, its step's end time, nonstrict steps
 
     def observer(t, X, b):
@@ -443,12 +388,14 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     one `iss_bound` result per signal.
 
     The signals run as one batch, one row each, every row from x0 (by
-    default the anchor); RangeError before integrating if any signal leaves
-    the admissible range.  For the disease-free function the threshold is
-    chi(sup|u|) = sup|u|/(delta*(mu-mu0)); for the endemic one it is the
-    eta-derived level (capped at l_bar, where the assertion reduces to
-    forward invariance, which is checked along the whole horizon).
+    default the anchor); ValueError for no signals and RangeError for a
+    signal leaving the admissible range, both before integrating.  The
+    threshold is chi(sup|u|) = sup|u|/(delta*(mu-mu0)) for the disease-free
+    function and the eta-derived level for the endemic one, capped at l_bar
+    (`lyap.invariance_level`), below which V must stay over the whole horizon.
     """
+    if len(signals) == 0:
+        raise ValueError("check_iss_bound needs at least one input signal")
     if t_end is None:
         t_end = 50.0 / lyap.p.mu
     if x0 is None:
@@ -476,9 +423,9 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
         margin = max(thr * (1.0 + headroom), 1e-6) - v_tail
         ok = margin >= 0.0
         details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
-        if lyap.kind is EquilibriumKind.ENDEMIC:
+        if lyap.invariance_level is not None:
             details["max_v_full_horizon"] = v_all
-            details["forward_invariant"] = v_all <= lyap.lp.l_bar * (1.0 + 1e-9)
+            details["forward_invariant"] = v_all <= lyap.invariance_level * (1.0 + 1e-9)
             ok = ok and details["forward_invariant"]
         results.append(CheckResult("iss_bound", ok, margin, None, 1, details))
     return results
@@ -502,7 +449,7 @@ def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None
                            t_end, dt, tail=tail, headroom=headroom)
     details = {"u_steps": u_vec.tolist(), "limsups": [r.details["limsup_v"] for r in runs],
                "thresholds": [r.details["threshold"] for r in runs]}
-    if lyap.kind is EquilibriumKind.ENDEMIC:
+    if lyap.invariance_level is not None:
         details["forward_invariant"] = all(r.details["forward_invariant"] for r in runs)
         details["max_v_full_horizon"] = [r.details["max_v_full_horizon"] for r in runs]
     j = int(np.argmin([r.worst_margin for r in runs]))
@@ -550,8 +497,7 @@ def check_bifurcation_continuity(p: ModelParams, c_values: Optional[np.ndarray] 
                         "max_formula_error": float(err.max()), "match_tol": match_tol})
 
 
-def check_sublevel_nesting(p: ModelParams, lp: EnLyapParams,
-                           lam_hat2_pairs=((0.005, 0.01),),
+def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
                            k_pairs=((0.05, 0.0902),),
                            L_values: Optional[Sequence[float]] = None,
                            n: int = 10_000, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -563,10 +509,11 @@ def check_sublevel_nesting(p: ModelParams, lp: EnLyapParams,
     positive x3 contribution, for which counterexamples exist), so it is
     sampled on the x3t = 0 slice, restricted to x2t <= L/lambda2.
     """
+    p, lp = lyap.p, lyap.lp
     if L_values is None:
         L_values = [lp.l_bar, 0.5 * lp.l_bar]
     rng = np.random.default_rng(seed)
-    q = model.endemic_eq(p).point
+    q = lyap.equilibrium.point
     X = np.empty((n, 3))
     X[:, 0] = rng.uniform(-0.99 * (1.0 - lp.k) * q.i, lp.l_bar, n)
     X[:, 1] = rng.uniform(-0.98 * q.i, lp.l_bar / lp.lam0, n)
@@ -575,40 +522,32 @@ def check_sublevel_nesting(p: ModelParams, lp: EnLyapParams,
     Xp[:, 2] = 0.0
     violations = 0
     tested = 0
-    for a, b in lam_hat2_pairs:
-        lpa, lpb = replace(lp, lambda_hat2=a), replace(lp, lambda_hat2=b)
-        for lq in (lpa, lpb):
-            if not lyap_en.check_condition_50(p, lq).passed:
-                raise RegimeError("condition (50) fails for a nesting parameter set")
-        for L in L_values:
-            inb = lyap_en.in_sublevel_many(p, lpb, X, L)
-            ina = lyap_en.in_sublevel_many(p, lpa, X, L)
-            violations += int(np.sum(inb & ~ina))
-            tested += int(inb.sum())
-    for a, b in k_pairs:
-        lpa, lpb = replace(lp, k=a), replace(lp, k=b)
-        for lq in (lpa, lpb):
-            if not lyap_en.check_condition_50(p, lq).passed:
-                raise RegimeError("condition (50) fails for a nesting parameter set")
-        for L in L_values:
-            cap = Xp[:, 1] <= L / lp.lambda2
-            inb = lyap_en.in_sublevel_many(p, lpb, Xp, L) & cap
-            ina = lyap_en.in_sublevel_many(p, lpa, Xp, L) & cap
-            violations += int(np.sum(inb & ~ina))
-            tested += int(inb.sum())
+    for name, pairs, Y, capped in (("lambda_hat2", lam_hat2_pairs, X, False),
+                                   ("k", k_pairs, Xp, True)):
+        for a, b in pairs:
+            lpa, lpb = replace(lp, **{name: a}), replace(lp, **{name: b})
+            for lq in (lpa, lpb):
+                if not lyap_en.check_condition_50(p, lq).passed:
+                    raise RegimeError("condition (50) fails for a nesting parameter set")
+            for L in L_values:
+                cap = Y[:, 1] <= L / lp.lambda2 if capped else True
+                inb = lyap_en.in_sublevel_many(p, lpb, Y, L) & cap
+                ina = lyap_en.in_sublevel_many(p, lpa, Y, L) & cap
+                violations += int(np.sum(inb & ~ina))
+                tested += int(inb.sum())
     return CheckResult("sublevel_nesting", violations == 0, -float(violations),
                        None, tested, {"lam_hat2_pairs": list(map(list, lam_hat2_pairs)),
                                       "k_pairs": list(map(list, k_pairs)),
                                       "L_values": list(map(float, L_values))})
 
 
-def check_w_region(p: ModelParams, lp: EnLyapParams, n_starts: int = 20,
-                   t_end: Optional[float] = None, dt: float = 0.05,
-                   seed: int = DEFAULT_SEED) -> CheckResult:
+def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
+                   dt: float = 0.05, seed: int = DEFAULT_SEED) -> CheckResult:
     """Exponential decay of W = -x1t - x2t + |x3t| inside the entry wedge,
     and finite entry time into the sublevel set."""
+    p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    q = model.endemic_eq(p).point
+    q = lyap.equilibrium.point
     qpt = q.as_array()
     if t_end is None:
         t_end = 50.0 / p.mu
@@ -736,9 +675,9 @@ def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = 60,
     rep = VerificationReport()
     t_end = 50.0 / p.mu
     if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        rep.add(check_df_continuity(lp, p, seed=seed))
-        rep.add(check_df_positive_definite(lp, p, seed=seed))
-        rep.add(check_df_grid_iss(lp, p, n=grid_n))
+        rep.add(check_df_continuity(lyap, seed=seed))
+        rep.add(check_df_positive_definite(lyap, seed=seed))
+        rep.add(check_df_grid_iss(lyap, n=grid_n))
         rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
                                               final_tol=1e-3))
         u_mag = p.b_hat / 10.0
@@ -746,12 +685,12 @@ def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = 60,
         res50 = lyap_en.check_condition_50(p, lp)
         rep.add(CheckResult("condition_50", res50.passed, res50.worst_margin,
                             res50.argmin_l, res50.samples))
-        rep.add(check_en_continuity(p, lp, seed=seed))
-        rep.add(check_en_sample_decrease(p, lp, n=n_samples, seed=seed))
-        rep.add(check_en_iss_pointwise(p, lp, n=min(n_samples, 20_000), seed=seed))
+        rep.add(check_en_continuity(lyap, seed=seed))
+        rep.add(check_en_sample_decrease(lyap, n=n_samples, seed=seed))
+        rep.add(check_en_iss_pointwise(lyap, n=min(n_samples, 20_000), seed=seed))
         rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
                                               final_tol=1e-2))
-        rep.add(check_sublevel_nesting(p, lp, seed=seed))
+        rep.add(check_sublevel_nesting(lyap, seed=seed))
         lo, hi = lyap.admissible_u()
         u_mag = 0.45 * min(-lo, hi)
     rep.checks.extend(check_iss_bound(lyap, builtin_signal_suite(p, u_mag, t_end), t_end=t_end))

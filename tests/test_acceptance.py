@@ -48,18 +48,18 @@ def test_criterion_02_feasibility_witness(p_en, lp_en):
             f"min interior (50) margin={interior.min():.3e}")
 
 
-def test_criterion_03_df_certification(p_df, lp_df):
-    grid = verify.check_df_grid_iss(lp_df, p_df, n=60, tol=1e-12)
-    cont = verify.check_df_continuity(lp_df, p_df, n=1000, seed=SEED, rtol=1e-9)
+def test_criterion_03_df_certification(ly_df):
+    grid = verify.check_df_grid_iss(ly_df, n=60, tol=1e-12)
+    cont = verify.check_df_continuity(ly_df, n=1000, seed=SEED, rtol=1e-9)
     ok = grid.passed and cont.passed
     _report(3, "disease-free grid certification", ok,
             f"grid margin={grid.worst_margin:.3e} on {grid.samples} checks, "
             f"continuity residual={-cont.worst_margin:.3e}")
 
 
-def test_criterion_04_endemic_certification(p_en, lp_en):
-    dec = verify.check_en_sample_decrease(p_en, lp_en, n=100_000, seed=SEED, tol=1e-10)
-    cont = verify.check_en_continuity(p_en, lp_en, n_per_boundary=200, seed=SEED)
+def test_criterion_04_endemic_certification(ly_en):
+    dec = verify.check_en_sample_decrease(ly_en, n=100_000, seed=SEED, tol=1e-10)
+    cont = verify.check_en_continuity(ly_en, n_per_boundary=200, seed=SEED)
     ok = dec.passed and cont.passed
     _report(4, "endemic sampled certification", ok,
             f"decrease margin={dec.worst_margin:.3e} on {dec.samples} points "
@@ -88,7 +88,7 @@ def test_criterion_06_iss_bounds(ly_df, ly_en, p_df, p_en, lp_en):
         for c in (0.5 * scale, 1.0 * scale) for s in (1.0, -1.0))
     lo, hi = lyap_en.en_input_range(p_en, lp_en)
     en = verify.iss_step_suite(ly_en, [-1.1, -0.5, 0.5, 1.0, 2.0, 2.45], dt=0.05)
-    point = verify.check_en_iss_pointwise(p_en, lp_en, n=20_000, seed=SEED)
+    point = verify.check_en_iss_pointwise(ly_en, n=20_000, seed=SEED)
     ok = df.passed and linear and en.passed and en.details["forward_invariant"] \
         and point.passed
     _report(6, "ISS gain bounds (df steps + linearity; endemic invariance)", ok,
@@ -96,9 +96,9 @@ def test_criterion_06_iss_bounds(ly_df, ly_en, p_df, p_en, lp_en):
             f"pointwise margin={point.worst_margin:.3e}, range=({lo:.3f},{hi:.3f})")
 
 
-def test_criterion_07_nesting(p_en, lp_en):
+def test_criterion_07_nesting(ly_en):
     res = verify.check_sublevel_nesting(
-        p_en, lp_en, lam_hat2_pairs=((0.005, 0.01), (0.002, 0.008)),
+        ly_en, lam_hat2_pairs=((0.005, 0.01), (0.002, 0.008)),
         k_pairs=((0.05, 0.0902), (0.03, 0.09)), n=10_000, seed=SEED)
     _report(7, "sublevel-set nesting", res.passed,
             f"violations={-res.worst_margin:.0f} over {res.samples} memberships")

@@ -1,9 +1,16 @@
+import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sirlyap import cli
 from sirlyap.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DF_CONFIG = {
     "model": {"beta": 0.0002, "gamma": 0.032, "mu": 0.015, "b_hat": 3.0},
@@ -89,6 +96,50 @@ def test_cmd_levelsets(tmp_path, capsys):
     lines = (tmp_path / "out" / "levelsets_df.csv").read_text().splitlines()
     assert lines[0] == "level,polyline_id,x1,x2"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("l_bar", [100.0, 1000.0])
+def test_endemic_default_levels_follow_l_bar(tmp_path, capsys, l_bar):
+    cfg = {**EN_CONFIG, "lyap": {"l_bar": l_bar}, "resolution": [400, 400]}
+    rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    with open(tmp_path / "out" / "levelsets_endemic.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    (u0, u1), (v0, v1) = cli._build_lyap(cli.RunConfig.from_dict(cfg)).default_window(("x3t", 0.0))
+    cell = np.hypot((u1 - u0) / 399, (v1 - v0) / 399)
+    levels = [l_bar * n / 17.0 for n in (1, 5, 9, 13, 17)]
+    assert sorted({float(r[0]) for r in rows}) == levels
+    for level in levels:
+        mine = [r for r in rows if float(r[0]) == level]
+        assert {r[1] for r in mine} == {"0"}  # one polyline
+        ends = np.array([mine[0][2:], mine[-1][2:]], dtype=float)
+        assert np.linalg.norm(ends[0] - ends[1]) <= cell  # closed
+
+
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["df", "endemic"])
+def test_certify_passes_benchmark_gate(tmp_path, capsys, name):
+    # the benchmark's output gate, on a 40x faster clock, against its reference reports
+    gate, workloads = _perfbench("gate"), _perfbench("workloads")
+    with open(ROOT / "configs" / f"{name}.json") as fh:
+        cfg = workloads.time_scaled(json.load(fh), 40)
+    out = tmp_path / "out"
+    rc = cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert rc == 0
+    with open(out / f"certify_{name}.json") as fh:
+        got = json.load(fh)
+    with open(ROOT / "perfbench" / "reference" / f"certify_{name}_x40.json") as fh:
+        ref = json.load(fh)
+    assert gate.compare_reports(got, ref) == []
 
 
 def test_levels_flag_override(tmp_path, capsys):

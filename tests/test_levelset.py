@@ -66,6 +66,22 @@ def test_endemic_closed_nested_loops(ly_en, p_en, lp_en):
         assert inside.all()  # nested without crossings
 
 
+@pytest.mark.parametrize("name", ["ly_df", "ly_en"])
+def test_default_window_x2t_plane_holds_default_levels(request, name):
+    # on x2t = 0 the set {V <= L} reaches x3t = L/lambda3 at x1t = 0
+    ly = request.getfixturevalue(name)
+    plane = ("x2t", 0.0)
+    (_, _), (bottom, top) = ly.default_window(plane)
+    cell = (top - bottom) / 199
+    conts = levelset.extract_contours(ly, ly.default_levels(), plane=plane,
+                                      resolution=(200, 200))
+    for cont in conts:
+        assert cont.polylines
+        x3 = np.concatenate([poly[:, 1] for poly in cont.polylines])
+        assert np.all(x3 < top)
+        assert abs(x3.max() - cont.level / ly.lp.lambda3) <= cell
+
+
 def test_level_zero_marker(ly_df):
     conts = levelset.extract_contours(ly_df, [0.0], window=((-10.0, 10.0), (0.0, 10.0)),
                                       resolution=(20, 20))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sirlyap as sl
-from sirlyap import lyap_en, verify
-from sirlyap.errors import (DomainError, InfeasibleOverride, OnBoundary, OutOfH,
-                            RegimeError)
-from sirlyap.model import Deviation
+from sirlyap import lyap_en, model, verify
+from sirlyap.errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
+                            OutOfH, RegimeError)
+from sirlyap.model import Deviation, Regime
 
 X1H = 235.0
 X2H = 286.7021276595745
@@ -212,8 +212,8 @@ def test_en_value(p_en, lp_en):
         lyap_en.en_value(p_en, lp_en, Deviation(-400.0, -250.0, 0.0))
 
 
-def test_en_continuity_five_boundaries(p_en, lp_en):
-    res = verify.check_en_continuity(p_en, lp_en)
+def test_en_continuity_five_boundaries(ly_en):
+    res = verify.check_en_continuity(ly_en)
     assert res.passed
     assert all(v < 1e-9 for v in res.details["per_boundary_max"].values())
 
@@ -326,6 +326,27 @@ def test_en_eta_inv_brackets_en_eta(log_mu, log_ratio, log_excess, log_beta,
     w = np.linspace(0.0, lyap_en.p_fun(p, lp, L), 2001)
     obj = w + lp.lambda3 * (L - lyap_en.p_inv(p, lp, w)) / lyap_en.p_inv_prime(p, lp, w)
     assert lyap_en.en_eta(p, lp, L) <= obj.min() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@settings(max_examples=25, deadline=None)
+@given(frac=st.floats(0.0, 1.0), gamma=st.floats(0.02, 0.045), mu=st.floats(0.01, 0.02),
+       log_l_bar=st.floats(-1.0, 5.0))
+def test_select_en_params_in_every_regime(regime, frac, gamma, mu, log_l_bar):
+    # feasible constants, or NoConvergence / RegimeError, and nothing else
+    tol = model.REGIME_BOUNDARY_RTOL
+    lo, hi = {Regime.DISEASE_FREE_STABLE: (0.3, 1.0 - 2.0 * tol),
+              Regime.BOUNDARY: (1.0 - 0.5 * tol, 1.0 + 0.5 * tol),
+              Regime.ENDEMIC_EXISTS: (1.0 + 2.0 * tol, gamma / mu + 2.0),
+              Regime.ENDEMIC_THEOREM_APPLIES: (gamma / mu + 2.0, 100.0)}[regime]
+    r0 = lo + frac * (hi - lo)
+    p = sl.ModelParams(beta=2e-4, gamma=gamma, mu=mu, b_hat=r0 * mu * (gamma + mu) / 2e-4)
+    assume(model.classify_regime(p) is regime)  # the interval ends may round across
+    try:
+        lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_l_bar)
+    except (NoConvergence, RegimeError):
+        return
+    assert lyap_en.check_condition_50(p, lp).passed
 
 
 def test_derived_constants(p_en, lp_en):

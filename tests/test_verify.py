@@ -78,6 +78,17 @@ def test_iss_bound_batch_matches_single_runs(ly_en, p_en):
         assert res.to_dict() == alone.to_dict()
 
 
+def test_iss_bound_empty_batch_value_error(monkeypatch, ly_df):
+    def integrate_batch(*args, **kwargs):
+        raise AssertionError("integrated an empty batch")
+
+    monkeypatch.setattr(ode, "integrate_batch", integrate_batch)
+    with pytest.raises(ValueError, match="at least one input signal"):
+        verify.check_iss_bound(ly_df, [])
+    with pytest.raises(ValueError, match="at least one input signal"):
+        verify.iss_step_suite(ly_df, [])
+
+
 def test_iss_bound_batch_range_error(ly_en, p_en):
     lo, hi = ly_en.admissible_u()
     signals = [ode.Constant(p_en.b_hat), ode.Constant(p_en.b_hat + hi + 0.5),
@@ -95,7 +106,7 @@ def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
                                x0=sl.State(235.0, 700.0, 100.0))
 
 
-def test_block_length_leaves_results_unchanged(monkeypatch, p_df, p_en, lp_en, ly_en):
+def test_block_length_leaves_results_unchanged(monkeypatch, p_df, ly_en):
     def run():
         traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(7.3, 3.0, 5.0), 40.0,
                             dt=0.05, record_every=7)
@@ -103,7 +114,7 @@ def test_block_length_leaves_results_unchanged(monkeypatch, p_df, p_en, lp_en, l
                 verify.check_trajectory_monotonicity(ly_en, n_starts=4, t_end=60.0,
                                                      final_tol=1e4),
                 verify.iss_step_suite(ly_en, [-0.5, 1.0], t_end=60.0),
-                verify.check_w_region(p_en, lp_en, n_starts=4, t_end=60.0, seed=2))
+                verify.check_w_region(ly_en, n_starts=4, t_end=60.0, seed=2))
 
     default = run()
     for steps in (1, 3):
@@ -121,7 +132,7 @@ def test_iss_bound_aliased_sinusoid_range_error(ly_en, p_en):
 
 
 @pytest.mark.parametrize("region", range(3))
-def test_df_continuity_checks_library_formulas(monkeypatch, p_df, lp_df, region):
+def test_df_continuity_checks_library_formulas(monkeypatch, ly_df, region):
     original = lyap_df.df_region_values
 
     def perturbed(lp, p, X):
@@ -129,23 +140,23 @@ def test_df_continuity_checks_library_formulas(monkeypatch, p_df, lp_df, region)
         values[region] = values[region] * (1.0 + 1e-6)
         return tuple(values)
 
-    assert verify.check_df_continuity(lp_df, p_df, n=200).passed
+    assert verify.check_df_continuity(ly_df, n=200).passed
     monkeypatch.setattr(lyap_df, "df_region_values", perturbed)
-    assert not verify.check_df_continuity(lp_df, p_df, n=200).passed
+    assert not verify.check_df_continuity(ly_df, n=200).passed
 
 
 @pytest.mark.parametrize("region", range(6))
-def test_en_continuity_checks_library_formulas(monkeypatch, p_en, lp_en, region):
+def test_en_continuity_checks_library_formulas(monkeypatch, ly_en, region):
     original = lyap_en._region_forms
     factor = np.where(np.arange(6)[:, None] == region, 1.0 + 1e-6, 1.0)
-    assert verify.check_en_continuity(p_en, lp_en, n_per_boundary=40).passed
+    assert verify.check_en_continuity(ly_en, n_per_boundary=40).passed
     monkeypatch.setattr(lyap_en, "_region_forms", lambda lp: original(lp) * factor)
-    assert not verify.check_en_continuity(p_en, lp_en, n_per_boundary=40).passed
+    assert not verify.check_en_continuity(ly_en, n_per_boundary=40).passed
 
 
-def test_reproducible_margins(p_en, lp_en):
-    a = verify.check_en_sample_decrease(p_en, lp_en, n=3000, seed=123)
-    b = verify.check_en_sample_decrease(p_en, lp_en, n=3000, seed=123)
+def test_reproducible_margins(ly_en):
+    a = verify.check_en_sample_decrease(ly_en, n=3000, seed=123)
+    b = verify.check_en_sample_decrease(ly_en, n=3000, seed=123)
     assert a.worst_margin == b.worst_margin
     assert a.worst_location == b.worst_location
 
@@ -159,14 +170,14 @@ def test_bifurcation_small_grid(p_df):
     assert np.isfinite(res.details["lipschitz_estimate"])
 
 
-def test_nesting_small(p_en, lp_en):
-    res = verify.check_sublevel_nesting(p_en, lp_en, n=2000)
+def test_nesting_small(ly_en):
+    res = verify.check_sublevel_nesting(ly_en, n=2000)
     assert res.passed
     assert res.worst_margin == 0.0
 
 
-def test_w_region(p_en, lp_en):
-    res = verify.check_w_region(p_en, lp_en, n_starts=6, seed=2)
+def test_w_region(ly_en):
+    res = verify.check_w_region(ly_en, n_starts=6, seed=2)
     assert res.passed
     assert res.details["all_entered"]
     assert np.isfinite(res.details["max_entry_time"])
@@ -188,9 +199,9 @@ def test_prohibited_region_demo(p_en):
     assert res.details["min_distance_to_disease_free"] < 550.0
 
 
-def test_grid_csv_emission(p_df, lp_df, tmp_path):
+def test_grid_csv_emission(ly_df, tmp_path):
     path = tmp_path / "grid.csv"
-    res = verify.check_df_grid_iss(lp_df, p_df, n=8, csv_path=path)
+    res = verify.check_df_grid_iss(ly_df, n=8, csv_path=path)
     assert res.passed
     lines = path.read_text().splitlines()
     assert lines[0] == "x1t,x2t,x3t,region,V,slack"
@@ -198,8 +209,8 @@ def test_grid_csv_emission(p_df, lp_df, tmp_path):
     assert all(line.split(",")[3] in ("A", "B", "C") for line in lines[1:])
 
 
-def test_en_iss_pointwise(p_en, lp_en):
-    res = verify.check_en_iss_pointwise(p_en, lp_en, n=4000, seed=1)
+def test_en_iss_pointwise(ly_en):
+    res = verify.check_en_iss_pointwise(ly_en, n=4000, seed=1)
     assert res.passed
     assert res.samples > 0
 
@@ -212,10 +223,10 @@ def test_run_certification_df_small(p_df, lp_df):
     assert "df_grid_iss" in names and names.count("iss_bound") == 3
 
 
-def test_report_json_and_table(p_df, lp_df, tmp_path):
+def test_report_json_and_table(ly_df, tmp_path):
     rep = verify.VerificationReport()
-    rep.add(verify.check_df_continuity(lp_df, p_df, n=100))
-    rep.add(verify.check_df_positive_definite(lp_df, p_df, n=100))
+    rep.add(verify.check_df_continuity(ly_df, n=100))
+    rep.add(verify.check_df_positive_definite(ly_df, n=100))
     assert rep.passed
     path = tmp_path / "report.json"
     rep.save_json(path)
