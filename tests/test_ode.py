@@ -94,10 +94,23 @@ def test_nonnegativity_preserved(p_en):
         assert traj.states.min() >= 0.0
 
 
-def test_nonfinite_detection(p_en):
+def test_nonfinite_detection(p_en, monkeypatch):
     # an absurd step size blows the quadratic term up
     with pytest.raises(NonFiniteState):
         sl.integrate(p_en, sl.State(1e5, 1e5, 0.0), ode.Constant(17.0), 4000.0, dt=2000.0)
+    # the float rows and the columns raise the same error: here a component
+    # below the -1e-12*N floor; with one row overflowing to inf in the same
+    # step as another (R = -1) falls below it, the non-finite one
+    cases = [(np.array([[1e5, 1e5, 0.0]] * 3), 4000.0, 2000.0,
+              "state component below -1e-12*N at t=2000; reduce dt"),
+             (np.array([[100.0, 0.0, -1.0], [1e200, 1e200, 0.0]]), 1.0, 0.1,
+              "non-finite state at t=0.1; reduce dt")]
+    for X0, t_end, dt, message in cases:
+        for width in (0, len(X0) + 1):  # all columns, then all float rows
+            monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+            with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
+                ode.integrate_batch(p_en, X0, ode.Constant(17.0), t_end, dt)
+            assert str(err.value) == message
 
 
 def test_step_alignment_preserves_order(p_df):
@@ -149,6 +162,55 @@ def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
         expected += [a + j * ((c - a) / n) for j in range(1, n)] + [c]
     assert np.array_equal(grid, expected)
     assert list(grid).count(2.5) == 1 and list(grid).count(6.0) == 1
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
+    monkeypatch.setattr(ode, "_BLOCK_STEPS", 16)
+    sigs = [ode.Constant(17.0), ode.Step(2.5, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7),
+            ode.Constant(3.0), ode.Step(6.0, 3.0, 25.0)]
+    X0 = np.array([[100.0, 0.0, -1e-13], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0],
+                   [50.0, 200.0, 10.0], [400.0, 1.0, 0.0]])
+
+    def run(m, float_rows):
+        monkeypatch.setattr(ode, "_FLOAT_ROWS", float_rows)
+        blocks = []
+        Xf = ode.integrate_batch(p_en, X0[:m], sigs[:m], 10.0, dt=0.1,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+        return Xf, blocks
+
+    for m in (1, 3, 5):
+        Xf, blocks = run(m, width)
+        assert blocks[0][1][1, 0, 2] == 0.0 > blocks[0][1][0, 0, 2]  # the first step clips R
+        # the same batch once all on float rows and once all on columns
+        for ref_width in (m + 1, m):
+            Xf_ref, blocks_ref = run(m, ref_width)
+            assert np.array_equal(Xf, Xf_ref) and len(blocks) == len(blocks_ref) > 2
+            for block, ref in zip(blocks, blocks_ref):
+                assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+                assert block[1].shape == ref[1].shape == (len(block[0]), m, 3)
+
+
+def test_step_calls_library_vector_field(p_df, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return model.rhs_arrays(*args)
+
+    monkeypatch.setattr(ode, "rhs_arrays", counted)
+    sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 1.0, dt=0.1)
+    assert len(calls) == 40  # four stages for each of the ten steps
+
+
+def test_recorded_rows_independent_of_record_every(p_df):
+    finals = []
+    for every in (1, 3, 7):
+        tr = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(1.0, 3.0, 9.0), 1.0,
+                          dt=0.1, record_every=every)
+        finals.append((tr.times[-1], tr.states[-1].tolist(), tr.inputs[-1]))
+    assert finals[0] == finals[1] == finals[2]
+    assert finals[0][2] == 3.0  # the level the last step used
 
 
 def test_steady_state_cases(p_df, p_en):
