@@ -318,7 +318,7 @@ def _float_steps(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt:
     """Yield (t, rows, b) at t = 0 and after each step, every row of X stepped
     on Python floats under its own scalar B(t); b is one level for a shared
     signal, else a list with one per row."""
-    rows = [tuple(x) for x in X.tolist()]
+    rows = X.tolist()
     b = [f(0.0) for f in _rates_on_segment(signals, 0.0)]
     yield 0.0, rows, b[0] if len(b) == 1 else b
     for t, h, t_next, rates in _grid(signals, t_end, dt):

@@ -1,0 +1,47 @@
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_record  # noqa: E402
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _runs(parent, change, name="round_ref_s"):
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, v in zip(("parent", "change"), values):
+            runs.append({"workload": "w", "pair": pair, "side": side, "failed": 0,
+                         "attempted": 3, "metrics": {name: {"value": v, "unit": "s"}}})
+    return runs
+
+
+def test_summary_applies_the_claim_rule():
+    parent = [6.0, 6.2, 5.9, 6.1, 6.0, 6.3, 5.8, 6.0, 6.1, 6.2]
+    row = bench_record.summarize(_runs(parent, [2.0] * 10), END_TO_END)["w"]["metrics"]
+    assert row["round_ref_s"]["change_wins"] == 10 and row["round_ref_s"]["gain_counts"]
+    assert row["round_ref_s"]["parent"]["median"] == 6.05
+    # one loss in ten pairs still counts; two do not
+    change = [2.0] * 9 + [7.0]
+    assert bench_record.summarize(_runs(parent, change), END_TO_END)["w"]["metrics"][
+        "round_ref_s"]["gain_counts"]
+    change = [2.0] * 8 + [7.0, 7.0]
+    assert not bench_record.summarize(_runs(parent, change), END_TO_END)["w"]["metrics"][
+        "round_ref_s"]["gain_counts"]
+    # winning every pair by less than the parent's interquartile range does not count
+    row = bench_record.summarize(_runs(parent, [p - 0.01 for p in parent]),
+                                 END_TO_END)["w"]["metrics"]["round_ref_s"]
+    assert row["change_wins"] == 10 and not row["gain_counts"]
+
+
+def test_summary_counts_ties_and_failures():
+    runs = _runs([0.3, 0.3], [0.3, 0.3], name="setup_s")
+    runs[1]["failed"] = 1
+    summary = bench_record.summarize(runs, END_TO_END)["w"]
+    assert summary["metrics"]["setup_s"]["ties"] == 2
+    assert summary["metrics"]["setup_s"]["change_wins"] == 0
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert "round_ref_s" not in summary["metrics"]
