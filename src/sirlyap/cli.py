@@ -78,11 +78,12 @@ class RunConfig:
     resolution: list = field(default_factory=lambda: [800, 800])
     out_dir: str = "out"
     seed: int = verify.DEFAULT_SEED
-    grid_n: int = 60
-    n_samples: int = 100_000
+    grid_n: int = verify.GRID_N
+    n_samples: int = verify.N_SAMPLES
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Validate a config; an omitted key takes its field's default."""
         unknown = set(d) - _KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -95,10 +96,11 @@ class RunConfig:
             p = ModelParams.from_dict({k: _finite(f"model.{k}", v) for k, v in d["model"].items()})
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        eq = d.get("equilibrium", "df")
+        d = {**vars(cls(model=p)), **d}
+        eq = d["equilibrium"]
         if eq not in ("df", "endemic"):
             raise ConfigError("equilibrium must be 'df' or 'endemic'")
-        lyap = {k: _finite(f"lyap.{k}", v) for k, v in d.get("lyap", {}).items()}
+        lyap = {k: _finite(f"lyap.{k}", v) for k, v in d["lyap"].items()}
         bad = set(lyap) - _KNOWN_LYAP_KEYS
         if bad:
             raise ConfigError(f"unknown lyap keys: {sorted(bad)}")
@@ -106,21 +108,20 @@ class RunConfig:
         if partial and not {"l_bar", "lambda_hat2", "k"} <= set(lyap):
             raise ConfigError("lambda_hat2, k and lambda3 need the full l_bar, lambda_hat2, k triple")
         try:
-            sig = ode.signal_from_dict(d["signal"]) if "signal" in d else ode.Constant(p.b_hat)
+            sig = ode.Constant(p.b_hat) if d["signal"] is None else ode.signal_from_dict(d["signal"])
         except KeyError as exc:
             raise ConfigError(f"signal is missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad signal: {exc}") from exc
-        x0 = d.get("x0")
+        x0 = d["x0"]
         if x0 is not None:
             if not isinstance(x0, list) or len(x0) != 3:
                 raise ConfigError(f"x0 must be a list of 3 numbers, got {x0!r}")
             x0 = State(*(_finite("x0", v) for v in x0))
-        horizon = _finite("horizon", d.get("horizon", 5000.0))
-        dt = _finite("dt", d.get("dt", 0.01))
+        horizon, dt = _finite("horizon", d["horizon"]), _finite("dt", d["dt"])
         if horizon < 0.0 or dt <= 0.0:
             raise ConfigError("need horizon >= 0 and dt > 0")
-        levels, out_dir = d.get("levels", []), d.get("out_dir", "out")
+        levels, out_dir = d["levels"], d["out_dir"]
         if not isinstance(levels, list) or any(_finite("levels", v) < 0.0 for v in levels):
             raise ConfigError(f"levels must be a list of numbers >= 0, got {levels!r}")
         if not isinstance(out_dir, str):
@@ -129,13 +130,13 @@ class RunConfig:
             model=p, equilibrium=eq, lyap=lyap, signal=sig, x0=x0,
             horizon=horizon, dt=dt,
             levels=[float(v) for v in levels],
-            window=None if d.get("window") is None else _window(d["window"]),
-            plane=None if d.get("plane") is None else _plane(d["plane"]),
-            resolution=_resolution(d.get("resolution", [800, 800])),
+            window=None if d["window"] is None else _window(d["window"]),
+            plane=None if d["plane"] is None else _plane(d["plane"]),
+            resolution=_resolution(d["resolution"]),
             out_dir=out_dir,
-            seed=_integer("seed", d.get("seed", verify.DEFAULT_SEED), 0),
-            grid_n=_integer("grid_n", d.get("grid_n", 60), 2),
-            n_samples=_integer("n_samples", d.get("n_samples", 100_000), 1),
+            seed=_integer("seed", d["seed"], 0),
+            grid_n=_integer("grid_n", d["grid_n"], 2),
+            n_samples=_integer("n_samples", d["n_samples"], 1),
         )
 
     def to_dict(self) -> dict:
@@ -176,20 +177,16 @@ def _load_config(args) -> RunConfig:
 
 
 def _build_lyap(cfg: RunConfig):
-    p = cfg.model
+    p, ly = cfg.model, cfg.lyap
     if cfg.equilibrium == "df":
-        lp = lyap_df.select_df_params(p, mu0=cfg.lyap.get("mu0"),
-                                      eps=cfg.lyap.get("eps"),
-                                      delta=cfg.lyap.get("delta"))
+        lp = lyap_df.select_df_params(p, mu0=ly.get("mu0"), eps=ly.get("eps"),
+                                      delta=ly.get("delta"))
         return lyap_df.DiseaseFreeLyapunov(p, lp)
-    ly = dict(cfg.lyap)
     if "l_bar" in ly and "lambda_hat2" in ly and "k" in ly:
         lp = lyap_en.en_params_from(p, ly["l_bar"], ly["lambda_hat2"], ly["k"],
-                                    lambda3=ly.get("lambda3"),
-                                    delta=ly.get("delta", 0.5))
+                                    lambda3=ly.get("lambda3"), delta=ly.get("delta"))
     else:
-        lp = lyap_en.select_en_params(p, l_bar=ly.get("l_bar", 340.0),
-                                      delta=ly.get("delta", 0.5))
+        lp = lyap_en.select_en_params(p, l_bar=ly.get("l_bar", 340.0), delta=ly.get("delta"))
     return lyap_en.EndemicLyapunov(p, lp)
 
 
@@ -238,7 +235,7 @@ def cmd_levelsets(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"levelsets_{cfg.equilibrium}.csv"
-    levelset.write_contours_csv(path, contours, lyap=lyap)
+    levelset.write_contours_csv(path, contours)
     n_lines = sum(len(c.polylines) for c in contours)
     print(f"wrote {path} ({len(contours)} levels, {n_lines} polylines)")
     return 0

@@ -1,10 +1,10 @@
 """Level-contour extraction on coordinate planes of the deviation space.
 
-Marching squares on an evaluated grid, with vertices placed by linear
-interpolation and then tightened by bisection along their grid edge so that
-every emitted vertex satisfies |V(v) - level| <= 1e-3*(1 + level) even where
-the function has kinks inside a cell.  Kinks are preserved: vertices stay on
-grid edges and no smoothing is applied.
+Marching squares on an evaluated grid, with each vertex placed by bisection
+along the grid edge it crosses, so that every emitted vertex satisfies
+|V(v) - level| <= 1e-3*(1 + level) even where the function has kinks inside a
+cell.  Kinks are preserved: vertices stay on grid edges and no smoothing is
+applied.
 """
 from __future__ import annotations
 
@@ -57,24 +57,14 @@ def _plane_embedding(plane):
     raise ValueError("plane axis must be 'x2t' or 'x3t'")
 
 
-def _edge_vertex(kind, iy, ix, xs, ys, s):
-    """Linear-interpolation vertex on a grid edge; kind 'h' or 'v'."""
-    if kind == "h":
-        f0, f1 = s[iy, ix], s[iy, ix + 1]
-        t = f0 / (f0 - f1)
-        return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-    f0, f1 = s[iy, ix], s[iy + 1, ix]
-    t = f0 / (f0 - f1)
-    return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
-
-
 def _cell_edges(iy, ix):
     return {"B": ("h", iy, ix), "T": ("h", iy + 1, ix),
             "L": ("v", iy, ix), "R": ("v", iy, ix + 1)}
 
 
-def _march(xs, ys, Z, level):
-    """Segments of the level contour as pairs of edge ids, plus vertex map."""
+def _march(Z, level):
+    """Segments of the level contour as pairs of edge ids ("h" or "v", iy, ix);
+    the two ends of every such edge lie on opposite sides of the level."""
     s = Z - level
     finite = np.isfinite(Z)
     pos = np.where(finite, s > 0.0, False)
@@ -87,7 +77,6 @@ def _march(xs, ys, Z, level):
             + 4 * c11.astype(np.int8) + 8 * c01.astype(np.int8))
     cells = np.argwhere(ok & (case != 0) & (case != 15))
     segments = []
-    verts = {}
     for iy, ix in cells:
         cs = int(case[iy, ix])
         if cs in (5, 10):
@@ -97,13 +86,8 @@ def _march(xs, ys, Z, level):
         else:
             pairs = _CASES[cs]
         edges = _cell_edges(iy, ix)
-        for a, b in pairs:
-            ea, eb = edges[a], edges[b]
-            for e in (ea, eb):
-                if e not in verts:
-                    verts[e] = _edge_vertex(e[0], e[1], e[2], xs, ys, s)
-            segments.append((ea, eb))
-    return segments, verts
+        segments.extend((edges[a], edges[b]) for a, b in pairs)
+    return segments
 
 
 def _stitch(segments):
@@ -172,8 +156,8 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
         if level == 0.0:
             out.append(Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)))
             continue
-        segments, verts = _march(xs, ys, Z, level)
-        refined = _bisect_edges(verts, xs, ys, embed, value_fn, level)
+        segments = _march(Z, level)
+        refined = _bisect_edges(segments, xs, ys, embed, value_fn, level)
         chains = _stitch(segments)
         polylines = [np.array([refined[e] for e in chain]) for chain in chains
                      if len(chain) >= 2]
@@ -181,11 +165,12 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
     return out
 
 
-def _bisect_edges(verts, xs, ys, embed, value_fn, level, n_iter: int = 45):
-    """Tighten each lerp vertex by bisection of V - level along its edge."""
-    if not verts:
+def _bisect_edges(segments, xs, ys, embed, value_fn, level):
+    """The vertex of every edge of `segments`: 45 bisections of V - level
+    along the edge, whose ends straddle the level."""
+    if not segments:
         return {}
-    keys = list(verts.keys())
+    keys = list(dict.fromkeys(e for seg in segments for e in seg))
     P0 = np.empty((len(keys), 2))
     P1 = np.empty((len(keys), 2))
     for j, (kind, iy, ix) in enumerate(keys):
@@ -199,23 +184,16 @@ def _bisect_edges(verts, xs, ys, embed, value_fn, level, n_iter: int = 45):
     def values(PT):
         return value_fn(embed(PT)) - level
 
-    F0 = values(P0)
-    F1 = values(P1)
     lo, hi = P0.copy(), P1.copy()
-    swap = (F1 <= 0.0) & (F0 > 0.0)
+    swap = values(P0) > 0.0  # then the P1 end lies at or below the level
     lo[swap], hi[swap] = P1[swap], P0[swap]
-    bracket = (np.minimum(F0, F1) <= 0.0) & (np.maximum(F0, F1) > 0.0)
-    for _ in range(n_iter):
+    for _ in range(45):
         mid = 0.5 * (lo + hi)
-        fm = values(mid)
-        left = fm <= 0.0
-        lo = np.where((left & bracket)[:, None], mid, lo)
-        hi = np.where((~left & bracket)[:, None], mid, hi)
+        left = (values(mid) <= 0.0)[:, None]
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
     mid = 0.5 * (lo + hi)
-    out = {}
-    for j, key in enumerate(keys):
-        out[key] = tuple(mid[j]) if bracket[j] else verts[key]
-    return out
+    return {key: tuple(mid[j]) for j, key in enumerate(keys)}
 
 
 def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,

@@ -23,8 +23,13 @@ from . import model
 from .errors import DomainError, InfeasibleOverride, OnBoundary, RegimeError
 from .model import Deviation, EquilibriumKind, ModelParams
 
-#: boundary band (relative) inside which analytic gradients are refused
+#: boundary band (relative) inside which analytic gradients are refused,
+#: for this function and the endemic one
 BOUNDARY_BAND = 1e-9
+
+#: default share delta of the decay budget traded for the input gain, for
+#: this function and the endemic one
+DELTA = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def select_df_params(p: ModelParams, mu0: Optional[float] = None,
     elif not (0.0 < mu0 < p.mu):
         raise InfeasibleOverride(f"mu0={mu0:.6g} outside (0, mu)")
     if delta is None:
-        delta = 0.5
+        delta = DELTA
     elif not (0.0 < delta < 1.0):
         raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
     gamma0 = (p.gamma + p.mu) * (r0 + eps) - p.mu

@@ -38,9 +38,8 @@ import numpy as np
 from . import model
 from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
                      OutOfH, RegimeError)
+from .lyap_df import BOUNDARY_BAND, DELTA
 from .model import Deviation, EquilibriumKind, ModelParams, Regime
-
-BOUNDARY_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -269,15 +268,15 @@ def lambda3_default(p: ModelParams, lp: EnLyapParams) -> float:
 Cond50Result = namedtuple("Cond50Result", "passed worst_margin argmin_l samples")
 
 
-def check_condition_50(p: ModelParams, lp: EnLyapParams,
-                       n_samples: int = 2048) -> Cond50Result:
-    """Certify nu(L/lam0) <= theta_inv(-L/lam0) on an even grid of [0, l_bar].
+def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
+    """Certify nu(L/lam0) <= theta_inv(-L/lam0) on an even grid of [0, l_bar]
+    (2048 intervals).
 
     Both sides vanish at L = 0, so the reported worst margin legitimately
     touches zero at that endpoint; interior margins are what feasibility
     hinges on.
     """
-    L = np.linspace(0.0, lp.l_bar, n_samples + 1)
+    L = np.linspace(0.0, lp.l_bar, 2048 + 1)
     s = L / lp.lam0
     lhs = nu_fun(p, lp, s)
     rhs = theta_inv(p, -s)
@@ -300,59 +299,63 @@ def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
     return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_f, a_b)
 
 
-def _require_overrides(delta: float, **positive: float) -> None:
-    """InfeasibleOverride for delta outside (0, 1) or a named value <= 0."""
+def _require_overrides(delta: Optional[float], **positive: float) -> float:
+    """The delta to use (DELTA for None); InfeasibleOverride for delta outside
+    (0, 1) or a named value <= 0."""
+    if delta is None:
+        delta = DELTA
     if not 0.0 < delta < 1.0:
         raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
     for name, v in positive.items():
         if not v > 0.0:
             raise InfeasibleOverride(f"{name}={v:.6g} must be positive")
+    return delta
 
 
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
-                   lambda3: Optional[float] = None, delta: float = 0.5,
-                   lambda1: float = 1.0, n_cond50: int = 2048) -> EnLyapParams:
-    """Build validated constants from explicit choices.
+                   lambda3: Optional[float] = None,
+                   delta: Optional[float] = None) -> EnLyapParams:
+    """Build validated constants from explicit choices, with lambda1 = lambda2 = 1
+    and delta = DELTA unless given.
 
     Raises InfeasibleOverride when l_bar, lambda_hat2 or delta is out of
     range, or k, lambda3 or the (l_bar, lambda_hat2) pair fails its
     feasibility condition.
     """
-    _require_overrides(delta, l_bar=l_bar, lambda_hat2=lambda_hat2)
-    k0 = k0_bound(p, l_bar, lambda1, lambda1)
+    delta = _require_overrides(delta, l_bar=l_bar, lambda_hat2=lambda_hat2)
+    k0 = k0_bound(p, l_bar)
     if not (0.0 < k < k0):
         raise InfeasibleOverride(f"k={k:.6g} outside (0, k0={k0:.6g})")
-    provisional = EnLyapParams(lambda1, lambda1, lambda_hat2, k, 1e-300, l_bar, delta)
+    provisional = EnLyapParams(1.0, 1.0, lambda_hat2, k, 1e-300, l_bar, delta)
     bound = lambda3_bound(p, provisional)
     if lambda3 is None:
         lambda3 = lambda3_default(p, provisional)
     elif not (0.0 < lambda3 < bound):
         raise InfeasibleOverride(f"lambda3={lambda3:.6g} outside (0, {bound:.6g})")
     lp = replace(provisional, lambda3=lambda3)
-    res = check_condition_50(p, lp, n_cond50)
+    res = check_condition_50(p, lp)
     if not res.passed:
         raise InfeasibleOverride(
             f"condition (50) fails: margin {res.worst_margin:.3g} at L={res.argmin_l:.6g}")
     return lp
 
 
-def _box_corners_and_grid(box, n: int = 7) -> np.ndarray:
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
+def _box_corners_and_grid(box) -> np.ndarray:
+    axes = [np.linspace(lo, hi, 7) for lo, hi in box]
     G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     corners = np.array([[a, b, c] for a in box[0] for b in box[1] for c in box[2]])
     return np.vstack([G, corners])
 
 
 def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
-                     box=None, delta: float = 0.5,
-                     max_iter: int = 64) -> EnLyapParams:
-    """Geometric shrink search for feasible constants.
+                     box=None, delta: Optional[float] = None) -> EnLyapParams:
+    """Geometric shrink search for feasible constants, at most 64 rounds.
 
     Either a level budget l_bar or a compact deviation box inside G must be
     supplied; with a box target the budget is raised to cover the box and
     lambda_hat2 (and, on a slower schedule, k) is halved until condition (50)
-    passes and the box lies in the sublevel set.  Raises InfeasibleOverride
-    for l_bar <= 0 or delta outside (0, 1).
+    passes and the box lies in the sublevel set.  delta defaults to DELTA.
+    Raises InfeasibleOverride for l_bar <= 0 or delta outside (0, 1).
     """
     _require_endemic_regime(p)
     if (l_bar is None) == (box is None):
@@ -367,11 +370,11 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
         l_cur = max(1.0, 2.0 * float(np.abs(pts).sum(axis=1).max()))
     else:
         l_cur = float(l_bar)
-    _require_overrides(delta, l_bar=l_cur)
+    delta = _require_overrides(delta, l_bar=l_cur)
 
     lam_h2 = 0.1
     k_frac = 0.9
-    for it in range(max_iter):
+    for it in range(64):
         k = k_frac * k0_bound(p, l_cur)
         provisional = EnLyapParams(1.0, 1.0, lam_h2, k, 1e-300, l_cur, delta)
         lp = replace(provisional, lambda3=lambda3_default(p, provisional))
@@ -564,10 +567,11 @@ def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> b
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
-    """Open admissible perturbation interval around the nominal newborn rate."""
+    """Open admissible perturbation interval around the nominal newborn rate,
+    as Python floats (numpy-scalar inputs would slow the ISS batch's float rows)."""
     lo = -lp.delta * p.mu * p_fun(p, lp, lp.l_bar) / lp.lambda1
     hi = lp.delta * p.mu * lp.l_bar / lp.lambda1
-    return (lo, hi)
+    return (float(lo), float(hi))
 
 
 def _roots_in(coeffs, S: float, hi: float) -> np.ndarray:

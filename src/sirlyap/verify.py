@@ -20,6 +20,13 @@ from .lyap_en import sample_sublevel
 from .model import Deviation, EquilibriumKind, ModelParams, State
 
 DEFAULT_SEED = 0x5121  # "SIR1"
+GRID_N = 60              # grid points per axis of check_df_grid_iss
+N_SAMPLES = 100_000      # endemic decrease samples
+N_POINTWISE = 20_000     # cap on the pointwise ISS samples
+N_STARTS = 50            # nominal-input trajectory starts
+DT = 0.05                # RK4 step of every trajectory check
+CONTINUITY_RTOL = 1e-9   # relative gap allowed between adjacent region formulas
+EN_DECREASE_TOL = 1e-10  # margin tolerance of the two endemic sample checks
 
 
 @dataclass
@@ -94,8 +101,7 @@ def _decrease_margins(gf: np.ndarray, rate: np.ndarray) -> np.ndarray:
 # disease-free checks
 # ---------------------------------------------------------------------------
 
-def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED,
-                        rtol: float = 1e-9) -> CheckResult:
+def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckResult:
     """The library's adjacent region formulas agree on both boundaries."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
@@ -113,8 +119,8 @@ def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED,
     _, vb, vc = lyap_df.df_region_values(lp, p, np.column_stack([x1, x2, x3]))
     res2 = np.abs(vb - vc) / (1.0 + np.abs(vb))
     worst = float(max(res1.max(initial=0.0), res2.max(initial=0.0)))
-    return CheckResult("df_continuity", worst <= rtol, -worst, None, n,
-                       {"rtol": rtol})
+    return CheckResult("df_continuity", worst <= CONTINUITY_RTOL, -worst, None, n,
+                       {"rtol": CONTINUITY_RTOL})
 
 
 def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -131,18 +137,18 @@ def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) ->
                        {"value_at_zero": v0})
 
 
-def check_df_grid_iss(lyap, n: int = 60, u_values: Optional[Sequence[float]] = None,
-                      tol: float = 1e-12, csv_path=None) -> CheckResult:
+def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
     """Grid certificate of the ISS decrease implication.
 
     On [-x1h, 3*x1h] x [0, 3*x1h]^2 minus a boundary band, wherever
-    V >= chi(|u|) the derivative must not exceed -(1-delta)*(mu-mu0)*V,
-    up to -tol per unit scale.
+    V >= chi(|u|) for u in {-b_hat, -b_hat/2, 0, b_hat, 10*b_hat} the
+    derivative must not exceed -(1-delta)*(mu-mu0)*V, up to -1e-12 per unit
+    scale.  `csv_path` receives the u = 0 rows.
     """
     p, lp = lyap.p, lyap.lp
     x1h = p.b_hat / p.mu
-    if u_values is None:
-        u_values = [-p.b_hat, -p.b_hat / 2.0, 0.0, p.b_hat, 10.0 * p.b_hat]
+    u_values = [-p.b_hat, -p.b_hat / 2.0, 0.0, p.b_hat, 10.0 * p.b_hat]
+    tol = 1e-12
     ax1 = np.linspace(-x1h, 3.0 * x1h, n)
     ax2 = np.linspace(0.0, 3.0 * x1h, n)
     g = np.meshgrid(ax1, ax2, ax2, indexing="ij")
@@ -164,15 +170,14 @@ def check_df_grid_iss(lyap, n: int = 60, u_values: Optional[Sequence[float]] = N
         if csv_path is not None and u == 0.0:
             lyap_df.write_grid_csv(csv_path, X[hyp], codes[hyp], v[hyp], -gf - rate * v[hyp])
     return CheckResult("df_grid_iss", worst >= -tol, worst, worst_loc, checked,
-                       {"grid_n": n, "u_values": list(u_values), "tol": tol})
+                       {"grid_n": n, "u_values": u_values, "tol": tol})
 
 
 # ---------------------------------------------------------------------------
 # endemic checks
 # ---------------------------------------------------------------------------
 
-def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEED,
-                        rtol: float = 1e-9) -> CheckResult:
+def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
     """The library's adjacent region formulas agree on all five internal boundaries."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
@@ -206,13 +211,12 @@ def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEE
 
     worst = float(max(r.max() for r in res.values()))
     which = max(res, key=lambda k: res[k].max())
-    return CheckResult("en_continuity", worst <= rtol, -worst, which,
-                       5 * n_per_boundary, {"rtol": rtol,
+    return CheckResult("en_continuity", worst <= CONTINUITY_RTOL, -worst, which,
+                       5 * n_per_boundary, {"rtol": CONTINUITY_RTOL,
                                             "per_boundary_max": {k: float(v.max()) for k, v in res.items()}})
 
 
-def check_en_sample_decrease(lyap, n: int = 100_000, seed: int = DEFAULT_SEED,
-                             tol: float = 1e-10) -> CheckResult:
+def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED) -> CheckResult:
     """Strict decrease with u = 0 plus the per-region certified rate bounds.
 
     Rates: -mu*V in A and F, -a_B*V in B, -mu*((Pinv)'*arg + V3) in C and D,
@@ -242,9 +246,9 @@ def check_en_sample_decrease(lyap, n: int = 100_000, seed: int = DEFAULT_SEED,
     margin = _decrease_margins(gf, rate)
     j = int(np.argmin(margin))
     strictly_negative = bool(np.all(gf < 0.0))
-    ok = strictly_negative and bool(np.all(margin >= -tol))
+    ok = strictly_negative and bool(np.all(margin >= -EN_DECREASE_TOL))
     details = {
-        "tol": tol,
+        "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
         "max_grad_dot_f": float(gf.max()),
         "gamma_ek": float(gamma_ek),
@@ -255,9 +259,9 @@ def check_en_sample_decrease(lyap, n: int = 100_000, seed: int = DEFAULT_SEED,
                        len(X), details)
 
 
-def check_en_iss_pointwise(lyap, n: int = 20_000, n_u: int = 5, seed: int = DEFAULT_SEED,
-                           tol: float = 1e-10) -> CheckResult:
-    """Pointwise ISS implications under nonzero perturbations.
+def check_en_iss_pointwise(lyap, n: int = N_POINTWISE, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Pointwise ISS implications under five perturbations spanning 98% of
+    the admissible input range.
 
     In the outer linear regions the hypothesis is u <= delta*mu*V/lambda1;
     in the two inverse-map regions it is the per-state threshold
@@ -275,6 +279,7 @@ def check_en_iss_pointwise(lyap, n: int = 20_000, n_u: int = 5, seed: int = DEFA
     cd = np.isin(codes, [2, 3])
     rate_af = (1.0 - lp.delta) * p.mu * v
     rate_cd = (1.0 - lp.delta) * p.mu * (qd * arg + v3)
+    n_u = 5
     worst, worst_loc, checked = math.inf, None, 0
     for u in np.linspace(0.98 * lo, 0.98 * hi, n_u):
         gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, u)
@@ -288,8 +293,8 @@ def check_en_iss_pointwise(lyap, n: int = 20_000, n_u: int = 5, seed: int = DEFA
             checked += int(hyp.sum())
             if margin[j] < worst:
                 worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
-    return CheckResult("en_iss_pointwise", worst >= -tol, worst, worst_loc, checked,
-                       {"n_u": n_u, "tol": tol})
+    return CheckResult("en_iss_pointwise", worst >= -EN_DECREASE_TOL, worst, worst_loc, checked,
+                       {"n_u": n_u, "tol": EN_DECREASE_TOL})
 
 
 # ---------------------------------------------------------------------------
@@ -305,47 +310,43 @@ def _lyap_values_of_states(lyap, S: np.ndarray) -> np.ndarray:
     return v
 
 
-def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0,
-                  tol_scale: float = 1e-6) -> np.ndarray:
+def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.ndarray:
     """Forward-difference (Dini) slack of each step of a recorded V(t).
 
     `v` is (n,) or (n, m) at the n times `t`; entry j, for the step from t[j]
     to t[j+1], is nonnegative when the bound holds: with decay_rate == 0,
-    (V(t+h)-V(t))/h <= tol = tol_scale*(1+V(t)); with a positive rate the
+    (V(t+h)-V(t))/h <= tol = 1e-6*(1+V(t)); with a positive rate the
     step-wise contraction V(t+h) <= V(t)*exp(-r*h) + tol*h, the valid discrete
     consequence of the continuous bound (a raw quotient carries an O(h) bias).
     """
     h = np.diff(t).reshape((-1,) + (1,) * (v.ndim - 1))
-    tol = tol_scale * (1.0 + v[:-1])
+    tol = 1e-6 * (1.0 + v[:-1])
     if decay_rate == 0.0:
         return tol - (v[1:] - v[:-1]) / h
     return v[:-1] * np.exp(-decay_rate * h) + tol * h - v[1:]
 
 
-def check_dini_along_trajectory(lyap, traj: ode.Trajectory, decay_rate: float = 0.0,
-                                tol_scale: float = 1e-6, v_stop: float = 0.0) -> CheckResult:
-    """The Dini bound of `_step_margins` at every recorded step with V > v_stop."""
+def check_dini_along_trajectory(lyap, traj: ode.Trajectory, v_stop: float = 0.0) -> CheckResult:
+    """The rate-free Dini bound of `_step_margins` at every recorded step with V > v_stop."""
     if traj.anchor is not None and traj.anchor is not lyap.kind:
         raise MismatchedEquilibrium(
             f"trajectory anchored to {traj.anchor}, function to {lyap.kind}")
     v = _lyap_values_of_states(lyap, traj.states)
-    steps = np.where(v[:-1] > v_stop, _step_margins(traj.times, v, decay_rate, tol_scale),
-                     np.inf)
+    steps = np.where(v[:-1] > v_stop, _step_margins(traj.times, v), np.inf)
     margin = np.append(steps, np.inf)  # one entry per row: the last row starts no step
     j = int(np.argmin(margin))
     worst = float(margin[j])
     return CheckResult("dini_along_trajectory", worst >= 0.0, worst,
                        float(traj.times[j]), max(len(steps), 1),
-                       {"decay_rate": decay_rate, "v_final": float(v[-1])})
+                       {"decay_rate": 0.0, "v_final": float(v[-1])})
 
 
-def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[float] = None,
-                                  dt: float = 0.05, seed: int = DEFAULT_SEED,
-                                  v_stop: float = 1e-6, final_tol: float = 1e-3) -> CheckResult:
+def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optional[float] = None,
+                                  seed: int = DEFAULT_SEED, final_tol: float = 1e-3) -> CheckResult:
     """Dini check over a batch of nominal-input trajectories, one reduction per block.
 
     Asserts V decreases (difference quotient below 1e-6*(1+V)) while
-    V > v_stop, and the final state lands within final_tol of the anchor
+    V > 1e-6, and the final state lands within final_tol of the anchor
     in the 1-norm by t_end (default 50 mean lifetimes).
     """
     p = lyap.p
@@ -357,12 +358,12 @@ def check_trajectory_monotonicity(lyap, n_starts: int = 50, t_end: Optional[floa
 
     def observer(t, X, b):
         v = _lyap_values_of_states(lyap, X)
-        margin = np.where(v[:-1] > v_stop, _step_margins(t, v), np.inf)
+        margin = np.where(v[:-1] > 1e-6, _step_margins(t, v), np.inf)
         j = int(np.argmin(margin)) // margin.shape[1]  # first step holding the minimum
         blocks.append((float(margin.min()), float(t[j + 1]),
                        int(np.sum((v[1:] >= v[:-1]) & (v[:-1] > 1e-9)))))
 
-    Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, dt, observer=observer)
+    Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
     worst, worst_t, _ = min(blocks, key=lambda blk: blk[0])
     nonstrict = sum(blk[2] for blk in blocks)
     final_dist = np.abs(Xf - qpt[None, :]).sum(axis=1)
@@ -382,10 +383,9 @@ def _require_admissible(lyap, u_pos: float, u_neg: float) -> None:
 
 
 def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[float] = None,
-                    dt: float = 0.05, x0: Optional[State] = None,
-                    tail: float = 0.2, headroom: float = 1e-3) -> list:
-    """limsup of V over the final stretch stays below the gain threshold,
-    one `iss_bound` result per signal.
+                    dt: float = DT, x0: Optional[State] = None) -> list:
+    """limsup of V over the final 20% of the horizon stays below the gain
+    threshold (with relative headroom 1e-3), one `iss_bound` result per signal.
 
     The signals run as one batch, one row each, every row from x0 (by
     default the anchor); ValueError for no signals and RangeError for a
@@ -405,7 +405,7 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
            for lo, hi in (sig.value_range(t_end) for sig in signals)]
     for u_pos, u_neg in ext:
         _require_admissible(lyap, u_pos, u_neg)
-    t_tail = (1.0 - tail) * t_end
+    t_tail = 0.8 * t_end
     vmax_tail = np.zeros(len(signals))
     vmax_all = np.zeros(len(signals))
 
@@ -420,7 +420,7 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     results = []
     for (u_pos, u_neg), v_tail, v_all in zip(ext, vmax_tail.tolist(), vmax_all.tolist()):
         thr = float(lyap.chi_signed(u_pos, u_neg))
-        margin = max(thr * (1.0 + headroom), 1e-6) - v_tail
+        margin = max(thr * (1.0 + 1e-3), 1e-6) - v_tail
         ok = margin >= 0.0
         details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
         if lyap.invariance_level is not None:
@@ -431,9 +431,7 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     return results
 
 
-def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None,
-                   dt: float = 0.05, tail: float = 0.2,
-                   headroom: float = 1e-3) -> CheckResult:
+def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None) -> CheckResult:
     """check_iss_bound for a family of step perturbations, summarised in one result.
 
     Every run starts at the equilibrium under the nominal rate and switches
@@ -446,7 +444,7 @@ def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None
         _require_admissible(lyap, max(u, 0.0), max(-u, 0.0))
     u_vec = np.asarray(u_steps, dtype=float)
     runs = check_iss_bound(lyap, [ode.Step(0.2 * t_end, p.b_hat, p.b_hat + u) for u in u_vec],
-                           t_end, dt, tail=tail, headroom=headroom)
+                           t_end)
     details = {"u_steps": u_vec.tolist(), "limsups": [r.details["limsup_v"] for r in runs],
                "thresholds": [r.details["threshold"] for r in runs]}
     if lyap.invariance_level is not None:
@@ -468,10 +466,10 @@ def _formula_steady_state(p: ModelParams, c: float) -> np.ndarray:
     return model.endemic_eq(pc).point.as_array()
 
 
-def check_bifurcation_continuity(p: ModelParams, c_values: Optional[np.ndarray] = None,
-                                 tol: float = 1e-8, t_max: float = 4e4,
-                                 dt: float = 0.25, match_tol: float = 5e-2) -> CheckResult:
-    """Simulated steady states track the closed-form branches across R0 = 1."""
+def check_bifurcation_continuity(p: ModelParams,
+                                 c_values: Optional[np.ndarray] = None) -> CheckResult:
+    """Simulated steady states track the closed-form branches across R0 = 1,
+    within 5e-2 in the 1-norm."""
     c_star = p.mu * (p.gamma + p.mu) / p.beta
     if c_values is None:
         c_values = np.linspace(0.71 * c_star, 1.30 * c_star, 21)
@@ -479,7 +477,7 @@ def check_bifurcation_continuity(p: ModelParams, c_values: Optional[np.ndarray] 
     X0 = np.column_stack([0.8 * c_values / p.mu,
                           np.full(len(c_values), 10.0),
                           np.full(len(c_values), 5.0)])
-    X = ode.steady_state_batch(p, c_values, X0, tol=tol, t_max=t_max, dt=dt)
+    X = ode.steady_state_batch(p, c_values, X0, tol=1e-8, t_max=4e4, dt=0.25)
     F = np.stack([_formula_steady_state(p, c) for c in c_values])
     err = np.abs(X - F).sum(axis=1)
     dx = np.abs(np.diff(X, axis=0)).sum(axis=1)
@@ -490,6 +488,7 @@ def check_bifurcation_continuity(p: ModelParams, c_values: Optional[np.ndarray] 
     f_right = model.endemic_eq(pe).point.as_array()
     lim_gap = float(np.abs(f_left - f_right).sum() / (1.0 + np.abs(f_left).sum()))
     j = int(np.argmax(err))
+    match_tol = 5e-2
     ok = bool(np.all(err <= match_tol)) and lim_gap <= 1e-3
     return CheckResult("bifurcation_continuity", ok, float(match_tol - err[j]),
                        float(c_values[j]), len(c_values),
@@ -499,9 +498,9 @@ def check_bifurcation_continuity(p: ModelParams, c_values: Optional[np.ndarray] 
 
 def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
                            k_pairs=((0.05, 0.0902),),
-                           L_values: Optional[Sequence[float]] = None,
                            n: int = 10_000, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Monotonicity of the sublevel sets in lambda_hat2 and (restricted) in k.
+    """Monotonicity of the sublevel sets of levels l_bar and l_bar/2 in
+    lambda_hat2 and (restricted) in k.
 
     The lambda_hat2 ordering holds pointwise for the full function, so it is
     sampled in all three coordinates.  The k ordering is a property of the
@@ -510,8 +509,7 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
     sampled on the x3t = 0 slice, restricted to x2t <= L/lambda2.
     """
     p, lp = lyap.p, lyap.lp
-    if L_values is None:
-        L_values = [lp.l_bar, 0.5 * lp.l_bar]
+    L_values = [lp.l_bar, 0.5 * lp.l_bar]
     rng = np.random.default_rng(seed)
     q = lyap.equilibrium.point
     X = np.empty((n, 3))
@@ -538,11 +536,11 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
     return CheckResult("sublevel_nesting", violations == 0, -float(violations),
                        None, tested, {"lam_hat2_pairs": list(map(list, lam_hat2_pairs)),
                                       "k_pairs": list(map(list, k_pairs)),
-                                      "L_values": list(map(float, L_values))})
+                                      "L_values": L_values})
 
 
 def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
-                   dt: float = 0.05, seed: int = DEFAULT_SEED) -> CheckResult:
+                   seed: int = DEFAULT_SEED) -> CheckResult:
     """Exponential decay of W = -x1t - x2t + |x3t| inside the entry wedge,
     and finite entry time into the sublevel set."""
     p, lp = lyap.p, lyap.lp
@@ -575,7 +573,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
             hit = inside.any(axis=0)
             entry[pending[hit]] = t[1:][inside.argmax(axis=0)[hit]]
 
-    ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, dt, observer=observer)
+    ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
     entered = ~np.isnan(entry)
     worst = min(block_worst)
     ok = worst >= 0.0 and bool(entered.all())
@@ -612,20 +610,19 @@ def separability_obstruction_demo(p: ModelParams) -> CheckResult:
 
 
 def prohibited_region_demo(p: ModelParams, l_bars=(340.0, 1e3, 3e3, 1e4),
-                           start: State = None, t_end: float = 3000.0,
-                           dt: float = 0.05) -> CheckResult:
-    """The corner wedge along the S-axis stays outside every sublevel set,
-    and the infected count keeps falling while x1 < x1h."""
+                           t_end: float = 3000.0) -> CheckResult:
+    """The corner wedge along the S-axis, here the state (100, 0.01, 0), stays
+    outside every sublevel set, and the infected count keeps falling while
+    x1 < x1h."""
     q = model.endemic_eq(p).point
     xf = model.disease_free_eq(p).point.as_array()
-    if start is None:
-        start = State(100.0, 0.01, 0.0)
+    start = State(100.0, 0.01, 0.0)
     f0 = model.rhs(p, start, p.b_hat)
     di_negative = f0[1] < 0.0
     # on the axis itself the I-equation is at rest and S grows
     f_axis = model.rhs(p, State(start.s, 0.0, 0.0), p.b_hat)
     axis_ok = f_axis[1] == 0.0 and f_axis[0] > 0.0
-    traj = ode.integrate(p, start, ode.Constant(p.b_hat), t_end, dt, record_every=4)
+    traj = ode.integrate(p, start, ode.Constant(p.b_hat), t_end, DT, record_every=4)
     S, I = traj.states[:, 0], traj.states[:, 1]
     # the derivative sign is exact; the recorded decrease needs a small buffer
     # away from the threshold, where the decrement falls below roundoff
@@ -663,8 +660,8 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
     ]
 
 
-def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = 60,
-                      n_samples: int = 100_000, n_traj: int = 50) -> VerificationReport:
+def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = GRID_N,
+                      n_samples: int = N_SAMPLES, n_traj: int = N_STARTS) -> VerificationReport:
     """Full check suite for the bound Lyapunov function `lyap`, as wired into the CLI.
 
     The suite ends with one batched check_iss_bound over builtin_signal_suite,
@@ -687,7 +684,7 @@ def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = 60,
                             res50.argmin_l, res50.samples))
         rep.add(check_en_continuity(lyap, seed=seed))
         rep.add(check_en_sample_decrease(lyap, n=n_samples, seed=seed))
-        rep.add(check_en_iss_pointwise(lyap, n=min(n_samples, 20_000), seed=seed))
+        rep.add(check_en_iss_pointwise(lyap, n=min(n_samples, N_POINTWISE), seed=seed))
         rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
                                               final_tol=1e-2))
         rep.add(check_sublevel_nesting(lyap, seed=seed))

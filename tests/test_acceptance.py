@@ -49,8 +49,8 @@ def test_criterion_02_feasibility_witness(p_en, lp_en):
 
 
 def test_criterion_03_df_certification(ly_df):
-    grid = verify.check_df_grid_iss(ly_df, n=60, tol=1e-12)
-    cont = verify.check_df_continuity(ly_df, n=1000, seed=SEED, rtol=1e-9)
+    grid = verify.check_df_grid_iss(ly_df, n=60)
+    cont = verify.check_df_continuity(ly_df, n=1000, seed=SEED)
     ok = grid.passed and cont.passed
     _report(3, "disease-free grid certification", ok,
             f"grid margin={grid.worst_margin:.3e} on {grid.samples} checks, "
@@ -58,7 +58,7 @@ def test_criterion_03_df_certification(ly_df):
 
 
 def test_criterion_04_endemic_certification(ly_en):
-    dec = verify.check_en_sample_decrease(ly_en, n=100_000, seed=SEED, tol=1e-10)
+    dec = verify.check_en_sample_decrease(ly_en, n=100_000, seed=SEED)
     cont = verify.check_en_continuity(ly_en, n_per_boundary=200, seed=SEED)
     ok = dec.passed and cont.passed
     _report(4, "endemic sampled certification", ok,
@@ -69,9 +69,9 @@ def test_criterion_04_endemic_certification(ly_en):
 
 def test_criterion_05_trajectory_monotonicity(ly_df, ly_en):
     df = verify.check_trajectory_monotonicity(ly_df, n_starts=50, seed=SEED,
-                                              v_stop=1e-6, final_tol=1e-3)
+                                              final_tol=1e-3)
     en = verify.check_trajectory_monotonicity(ly_en, n_starts=50, seed=SEED,
-                                              v_stop=1e-6, final_tol=1e-2)
+                                              final_tol=1e-2)
     ok = df.passed and en.passed
     _report(5, "trajectory monotone decrease and convergence", ok,
             f"df final dist={df.details['max_final_dist']:.2e}, "
@@ -81,13 +81,13 @@ def test_criterion_05_trajectory_monotonicity(ly_df, ly_en):
 def test_criterion_06_iss_bounds(ly_df, ly_en, p_df, p_en, lp_en):
     scale = p_df.b_hat / 10.0
     u_steps = [f * scale for f in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
-    df = verify.iss_step_suite(ly_df, u_steps, dt=0.05)
+    df = verify.iss_step_suite(ly_df, u_steps)
     lims = dict(zip(df.details["u_steps"], df.details["limsups"]))
     linear = all(
         lims[2.0 * s * c] <= 2.0 * ly_df.chi(abs(c)) * 1.001
         for c in (0.5 * scale, 1.0 * scale) for s in (1.0, -1.0))
     lo, hi = lyap_en.en_input_range(p_en, lp_en)
-    en = verify.iss_step_suite(ly_en, [-1.1, -0.5, 0.5, 1.0, 2.0, 2.45], dt=0.05)
+    en = verify.iss_step_suite(ly_en, [-1.1, -0.5, 0.5, 1.0, 2.0, 2.45])
     point = verify.check_en_iss_pointwise(ly_en, n=20_000, seed=SEED)
     ok = df.passed and linear and en.passed and en.details["forward_invariant"] \
         and point.passed

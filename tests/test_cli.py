@@ -41,6 +41,16 @@ def test_config_round_trip():
     assert again.to_dict() == cfg.to_dict()
 
 
+def test_config_defaults_match_schema():
+    cfg = cli.RunConfig.from_dict({"model": DF_CONFIG["model"]})
+    assert cfg.to_dict() == {
+        "model": DF_CONFIG["model"], "equilibrium": "df", "lyap": {},
+        "signal": {"kind": "constant", "value": 3.0},
+        "horizon": 5000.0, "dt": 0.01, "levels": [], "resolution": [800, 800],
+        "out_dir": "out", "seed": 20769, "grid_n": 60, "n_samples": 100000,
+    }
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         cli.RunConfig.from_dict({**DF_CONFIG, "typo_key": 1})

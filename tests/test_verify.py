@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -235,3 +236,22 @@ def test_report_json_and_table(ly_df, tmp_path):
     assert len(loaded["checks"]) == 2
     table = rep.format_table()
     assert "df_continuity" in table and "True" in table
+
+
+def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
+    """numpy-scalar levels would run the ISS batch's float rows in numpy arithmetic."""
+    for ly in (ly_df, ly_en):
+        assert all(type(u) is float for u in ly.admissible_u())
+    signals = []
+
+    def record(lyap, sigs, t_end):
+        signals.extend(sigs)
+        return []
+
+    monkeypatch.setattr(verify, "check_iss_bound", record)
+    monkeypatch.setattr(verify, "check_trajectory_monotonicity",
+                        lambda *args, **kwargs: verify.CheckResult("stub", True, 0.0))
+    verify.run_certification(ly_en, n_samples=1000, n_traj=1)
+    assert len(signals) == 3
+    for sig in signals:
+        assert all(type(v) is float for v in dataclasses.astuple(sig)), sig
