@@ -5,6 +5,18 @@ along the grid edge it crosses, so that every emitted vertex satisfies
 |V(v) - level| <= 1e-3*(1 + level) even where the function has kinks inside a
 cell.  Kinks are preserved: vertices stay on grid edges and no smoothing is
 applied.
+
+Everything runs on arrays; no Python loop runs per cell or per edge.
+- The grid is evaluated in bands of grid rows, about `_BAND_POINTS` points
+  each, written into one reused buffer of deviations.
+- Grid edges are integer ids: horizontal edge (iy, ix) is `iy*(nu-1) + ix`,
+  and the vertical edges follow, (iy, ix) at `nv*(nu-1) + iy*nu + ix`.
+- One pass counts the levels below every node, which finds the crossing
+  cells of all levels at once; a table maps each crossed cell's case to its
+  segments as pairs of edge ids, in row-major cell order per level.
+- The crossing edges of all levels are bisected together in one pass of 45
+  steps, each edge against its own level.
+- Segments are chained into polylines by pointer jumping over their ends.
 """
 from __future__ import annotations
 
@@ -19,16 +31,18 @@ from .model import ModelParams
 
 CONTOUR_TOL = 1e-3
 
-#: segments per marching-squares case, as pairs of cell edge names
-_CASES = {
-    0: [], 15: [],
-    1: [("L", "B")], 14: [("L", "B")],
-    2: [("B", "R")], 13: [("B", "R")],
-    3: [("L", "R")], 12: [("L", "R")],
-    4: [("R", "T")], 11: [("R", "T")],
-    6: [("B", "T")], 9: [("B", "T")],
-    7: [("L", "T")], 8: [("L", "T")],
-}
+#: grid points per band of rows in the grid evaluation
+_BAND_POINTS = 1 << 16
+
+#: the four edges of a cell, as columns of the edge table in `_march`
+_L, _B, _R, _T = range(4)
+#: the segment of each one-segment marching-squares case, as a pair of cell edges
+_CASES = {1: (_L, _B), 14: (_L, _B), 2: (_B, _R), 13: (_B, _R), 3: (_L, _R), 12: (_L, _R),
+          4: (_R, _T), 11: (_R, _T), 6: (_B, _T), 9: (_B, _T), 7: (_L, _T), 8: (_L, _T)}
+#: segments per case, rows 16 and 17 holding the two resolutions of the
+#: saddle cases 5 and 10 (unused rows and second segments are zeros)
+_SEGMENTS = np.array([[_CASES.get(c, (0, 0)), (0, 0)] for c in range(16)]
+                     + [[(_L, _B), (_R, _T)], [(_L, _T), (_B, _R)]], dtype=np.intp)
 
 
 @dataclass
@@ -48,81 +62,129 @@ class Contour:
         return worst
 
 
-def _plane_embedding(plane):
-    axis, c = plane
-    if axis == "x3t":
-        return lambda UV: np.column_stack([UV[:, 0], UV[:, 1], np.full(len(UV), c)])
-    if axis == "x2t":
-        return lambda UV: np.column_stack([UV[:, 0], np.full(len(UV), c), UV[:, 1]])
+def _plane_columns(plane) -> tuple:
+    """The columns of the two free coordinates and of the fixed one."""
+    if plane[0] == "x3t":
+        return [0, 1], 2
+    if plane[0] == "x2t":
+        return [0, 2], 1
     raise ValueError("plane axis must be 'x2t' or 'x3t'")
 
 
-def _cell_edges(iy, ix):
-    return {"B": ("h", iy, ix), "T": ("h", iy + 1, ix),
-            "L": ("v", iy, ix), "R": ("v", iy, ix + 1)}
+def _grid_values(value_fn, xs, ys, free, fixed, c):
+    """V at every grid node, (len(ys), len(xs)), one band of rows at a time."""
+    nu, nv = len(xs), len(ys)
+    rows = max(1, min(nv, _BAND_POINTS // nu))
+    X = np.empty((rows * nu, 3))
+    X[:, free[0]] = np.tile(xs, rows)
+    X[:, fixed] = c
+    Z = np.empty((nv, nu))
+    for a in range(0, nv, rows):
+        b = min(a + rows, nv)
+        n = (b - a) * nu
+        X[:n, free[1]] = np.repeat(ys[a:b], nu)
+        Z[a:b] = value_fn(X[:n]).reshape(b - a, nu)
+    return Z
 
 
-def _march(Z, level):
-    """Segments of the level contour as pairs of edge ids ("h" or "v", iy, ix);
-    the two ends of every such edge lie on opposite sides of the level."""
-    s = Z - level
-    finite = np.isfinite(Z)
-    pos = np.where(finite, s > 0.0, False)
-    c00 = pos[:-1, :-1]
-    c10 = pos[:-1, 1:]
-    c11 = pos[1:, 1:]
-    c01 = pos[1:, :-1]
-    ok = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, 1:] & finite[1:, :-1]
-    case = (c00.astype(np.int8) + 2 * c10.astype(np.int8)
-            + 4 * c11.astype(np.int8) + 8 * c01.astype(np.int8))
-    cells = np.argwhere(ok & (case != 0) & (case != 15))
-    segments = []
-    for iy, ix in cells:
-        cs = int(case[iy, ix])
-        if cs in (5, 10):
-            center = 0.25 * (s[iy, ix] + s[iy, ix + 1] + s[iy + 1, ix] + s[iy + 1, ix + 1])
-            joined = (center > 0.0) == (cs == 5)
-            pairs = [("L", "B"), ("R", "T")] if joined else [("L", "T"), ("B", "R")]
-        else:
-            pairs = _CASES[cs]
-        edges = _cell_edges(iy, ix)
-        segments.extend((edges[a], edges[b]) for a, b in pairs)
-    return segments
+def _march(Z, levels):
+    """Segments of the contour of each of the increasing `levels`: per level,
+    (m, 2) pairs of edge ids in row-major cell order.  The two ends of every
+    such edge lie on opposite sides of the level; cells with a non-finite
+    corner are skipped."""
+    f = np.isfinite(Z)
+    ok = f[:-1, :-1] & f[:-1, 1:] & f[1:, 1:] & f[1:, :-1]
+    # a node lies above level j (for finite Z, Z > level is Z - level > 0)
+    # iff more than j levels lie below it, so a cell crosses the levels from
+    # the least to the greatest such count at its corners
+    count = np.zeros(Z.shape, dtype=np.min_scalar_type(len(levels)))
+    for level in levels:
+        count += Z > level
+    corners = [count[:-1, :-1], count[:-1, 1:], count[1:, 1:], count[1:, :-1]]
+    least = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
+    most = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    iy, ix = np.nonzero(ok & (least < most))
+    # one row per crossed (cell, level), by level, cells in row-major order
+    least = least[iy, ix].astype(np.intp)
+    reps = most[iy, ix] - least
+    j = np.repeat(least - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    order = np.argsort(j, kind="stable")
+    cell, j = np.repeat(np.arange(len(iy)), reps)[order], j[order]
+    iy, ix = iy[cell], ix[cell]
+    cs = sum(w * (c[iy, ix] > j) for w, c in zip((1, 2, 4, 8), corners))
+    saddle = np.flatnonzero((cs == 5) | (cs == 10))
+    y, x, lv = iy[saddle], ix[saddle], np.asarray(levels)[j[saddle]]
+    center = 0.25 * ((Z[y, x] - lv) + (Z[y, x + 1] - lv) + (Z[y + 1, x] - lv)
+                     + (Z[y + 1, x + 1] - lv))
+    joined = (center > 0.0) == (cs[saddle] == 5)
+    cs[saddle] = np.where(joined, 16, 17)
+    nv, nu = Z.shape
+    bottom = iy * (nu - 1) + ix
+    left = nv * (nu - 1) + iy * nu + ix
+    edges = np.column_stack([left, bottom, left + 1, bottom + nu - 1])  # L, B, R, T
+    ends = np.take_along_axis(edges, _SEGMENTS[cs].reshape(-1, 4), axis=1).reshape(-1, 2, 2)
+    two = np.column_stack([np.ones(len(cs), dtype=bool), cs >= 16])
+    level_of = np.broadcast_to(j[:, None], two.shape)[two]
+    return np.split(ends[two], np.searchsorted(level_of, np.arange(1, len(levels))))
+
+
+def _jump(nxt):
+    """Pointer jumping along `nxt` (-1 ends a walk): per position the last
+    position of its walk, the steps to it and the lowest position on the way.
+    On a cycle the last position is a cycle member and the lowest covers the
+    whole cycle."""
+    n = len(nxt)
+    succ = np.where(nxt < 0, np.arange(n), nxt)
+    dist = (nxt >= 0).astype(np.intp)
+    low = np.arange(n)
+    for _ in range(max(1, n - 1).bit_length()):
+        low = np.minimum(low, low[succ])
+        dist = dist + dist[succ]
+        succ = succ[succ]
+    return succ, dist, low
 
 
 def _stitch(segments):
-    """Chain segments that share grid edges into ordered polylines."""
-    adj = {}
-    for j, (a, b) in enumerate(segments):
-        adj.setdefault(a, []).append((b, j))
-        adj.setdefault(b, []).append((a, j))
-    used = set()
-    chains = []
+    """Chain segments that share grid edges into ordered polylines of node ids.
 
-    def walk(start):
-        chain = [start]
-        node = start
-        while True:
-            nxt = None
-            for nb, j in adj[node]:
-                if j not in used:
-                    used.add(j)
-                    nxt = nb
-                    break
-            if nxt is None:
-                return chain
-            chain.append(nxt)
-            node = nxt
-
-    open_ends = [n for n, lst in adj.items() if len(lst) == 1]
-    for n in open_ends:
-        if all(j in used for _, j in adj[n]):
-            continue
-        chains.append(walk(n))
-    for n in adj:
-        if any(j not in used for _, j in adj[n]):
-            chains.append(walk(n))
-    return chains
+    Every node meets one or two segments.  A chain starts at an open end
+    (first the end that appears first in `segments`) or, for a closed loop,
+    at its first-appearing node, and leaves a node by its earlier segment;
+    open chains come first, each group in the order of its start node, and a
+    loop ends on its start node again.
+    """
+    F = segments.ravel()
+    n = len(F)
+    if n == 0:
+        return []
+    # position q holds one end of segment q // 2; its mate is the other
+    # position of the same node, and a walk leaves position q along its
+    # segment to q ^ 1, then on by that node's other segment
+    order = np.argsort(F, kind="stable")
+    same = F[order[1:]] == F[order[:-1]]
+    mate = np.full(n, -1)
+    mate[order[:-1][same]] = order[1:][same]
+    mate[order[1:][same]] = order[:-1][same]
+    q = np.arange(n)
+    nxt = mate[q ^ 1]
+    last, _, low = _jump(nxt)
+    loop = nxt[last] >= 0
+    # an open walk starts where no walk arrives; of the two walks of an open
+    # chain, keep the one whose start position comes first.  A loop starts
+    # at its lowest position, which is even on the walk that leaves it.
+    first = np.full(n, -1)
+    heads = np.flatnonzero(mate < 0)
+    first[last[heads]] = heads
+    start = np.where(loop, low, first[last])
+    keep = np.where(loop, low % 2 == 0, start < (last ^ 1))
+    # cut each kept loop before its start and rank every walk from its start
+    cut = nxt.copy()
+    cut[keep & loop & (nxt == low)] = -1
+    _, dist, _ = _jump(cut)
+    walk = q[keep][np.lexsort((-dist[keep], start[keep], loop[keep]))]
+    begin = np.flatnonzero(np.r_[True, start[walk[1:]] != start[walk[:-1]]])
+    nodes = np.insert(F[walk ^ 1], begin, F[walk[begin]])
+    return np.split(nodes, begin[1:] + np.arange(1, len(begin)))
 
 
 def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
@@ -131,69 +193,74 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
 
     `lyap` is a DiseaseFreeLyapunov or EndemicLyapunov; `window` gives the
     ranges of the two free coordinates (default `lyap.default_window(plane)`);
-    level 0 degenerates to the anchor point and is emitted as a marker.
+    level 0 degenerates to the anchor point and is emitted as a marker.  The
+    grid is evaluated only when some level is positive.
     """
-    embed = _plane_embedding(plane)
+    free, fixed = _plane_columns(plane)
     if window is None:
         window = lyap.default_window(plane)
     (u0, u1), (v0, v1) = window
     if u0 >= u1 or v0 >= v1:
         raise DomainError("window must have positive extent")
-    value_fn = lyap.contour_values(levels, plane, window)
+    if any(level < 0.0 for level in levels):
+        raise DomainError("levels must be nonnegative")
     nu, nv = resolution
     if nu < 2 or nv < 2:
         raise ValueError("resolution must be at least 2x2")
-    xs = np.linspace(window[0][0], window[0][1], nu)
-    ys = np.linspace(window[1][0], window[1][1], nv)
-    U, V = np.meshgrid(xs, ys, indexing="xy")
-    UV = np.column_stack([U.ravel(), V.ravel()])
-    Z = value_fn(embed(UV)).reshape(V.shape)
-
-    out = []
-    for level in levels:
-        if level < 0.0:
-            raise DomainError("levels must be nonnegative")
-        if level == 0.0:
-            out.append(Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)))
-            continue
-        segments = _march(Z, level)
-        refined = _bisect_edges(segments, xs, ys, embed, value_fn, level)
-        chains = _stitch(segments)
-        polylines = [np.array([refined[e] for e in chain]) for chain in chains
-                     if len(chain) >= 2]
-        out.append(Contour(float(level), tuple(plane), polylines))
+    value_fn = lyap.contour_values(levels, plane, window)
+    out = [Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)) if level == 0.0
+           else Contour(float(level), tuple(plane)) for level in levels]
+    if not any(level > 0.0 for level in levels):
+        return out
+    xs = np.linspace(u0, u1, nu)
+    ys = np.linspace(v0, v1, nv)
+    Z = _grid_values(value_fn, xs, ys, free, fixed, plane[1])
+    grid_levels = np.array(sorted({float(level) for level in levels if level > 0.0}))
+    segments = _march(Z, grid_levels)
+    found = []
+    for cont in out:
+        if cont.level > 0.0:
+            j = np.searchsorted(grid_levels, cont.level)
+            edges, seg = np.unique(segments[j], return_inverse=True)
+            found.append((cont, edges, seg.reshape(-1, 2)))
+    edges = np.concatenate([e for _, e, _ in found])
+    level_of = np.concatenate([np.full(len(e), cont.level) for cont, e, _ in found])
+    vertices = _bisect_edges(edges, level_of, Z, xs, ys, free, fixed, plane[1], value_fn)
+    offset = 0
+    for cont, e, seg in found:
+        cont.polylines = [vertices[offset + chain] for chain in _stitch(seg)]
+        offset += len(e)
     return out
 
 
-def _bisect_edges(segments, xs, ys, embed, value_fn, level):
-    """The vertex of every edge of `segments`: 45 bisections of V - level
-    along the edge, whose ends straddle the level."""
-    if not segments:
-        return {}
-    keys = list(dict.fromkeys(e for seg in segments for e in seg))
-    P0 = np.empty((len(keys), 2))
-    P1 = np.empty((len(keys), 2))
-    for j, (kind, iy, ix) in enumerate(keys):
-        if kind == "h":
-            P0[j] = (xs[ix], ys[iy])
-            P1[j] = (xs[ix + 1], ys[iy])
-        else:
-            P0[j] = (xs[ix], ys[iy])
-            P1[j] = (xs[ix], ys[iy + 1])
-
-    def values(PT):
-        return value_fn(embed(PT)) - level
-
-    lo, hi = P0.copy(), P1.copy()
-    swap = values(P0) > 0.0  # then the P1 end lies at or below the level
-    lo[swap], hi[swap] = P1[swap], P0[swap]
+def _bisect_edges(edges, levels, Z, xs, ys, free, fixed, c, value_fn):
+    """The vertex on every edge, (n, 2): 45 bisections of V - level along the
+    edge, whose ends straddle its level, all edges in one pass."""
+    if len(edges) == 0:
+        return np.empty((0, 2))
+    nv, nu = Z.shape
+    vertical = edges >= nv * (nu - 1)
+    iy, ix = np.divmod(np.where(vertical, edges - nv * (nu - 1), edges),
+                       np.where(vertical, nu, nu - 1))
+    # bisect the one coordinate that runs along each edge, written into the
+    # deviations of the edges' first nodes
+    X = np.empty((len(edges), 3))
+    X[:, fixed] = c
+    X[:, free[0]] = xs[ix]
+    X[:, free[1]] = ys[iy]
+    rows, col = np.arange(len(edges)), np.where(vertical, free[1], free[0])
+    lo = X[rows, col]
+    hi = np.where(vertical, ys[iy + vertical], xs[ix + ~vertical])
+    swap = Z[iy, ix] - levels > 0.0  # then the second end lies at or below
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        left = (values(mid) <= 0.0)[:, None]
+        X[rows, col] = mid
+        left = value_fn(X) - levels <= 0.0
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
-    mid = 0.5 * (lo + hi)
-    return {key: tuple(mid[j]) for j, key in enumerate(keys)}
+    X[rows, col] = 0.5 * (lo + hi)
+    return X[:, free]
 
 
 def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,
@@ -252,8 +319,6 @@ def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
                        absolute: bool = False) -> None:
     """Emit `level,polyline_id,x1,x2` rows; `absolute` maps the plane
     coordinates to populations by adding the anchor components."""
-    import csv as _csv
-
     off = np.zeros(2)
     if absolute:
         if lyap is None:
@@ -262,14 +327,12 @@ def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
         axis = contours[0].plane[0] if contours else "x3t"
         off = np.array([q.s, q.i if axis == "x3t" else q.r])
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["level", "polyline_id", "x1", "x2"])
+        fh.write("level,polyline_id,x1,x2\r\n")
         for cont in contours:
+            level = repr(float(cont.level))
             for pid, poly in enumerate(cont.polylines):
-                for u, v in poly:
-                    w.writerow([repr(float(cont.level)), pid,
-                                repr(float(u + off[0])), repr(float(v + off[1]))])
+                fh.write("".join(f"{level},{pid},{u!r},{v!r}\r\n"
+                                 for u, v in (poly + off).tolist()))
             if cont.marker is not None:
-                w.writerow([repr(float(cont.level)), -1,
-                            repr(float(cont.marker[0] + off[0])),
-                            repr(float(cont.marker[1] + off[1]))])
+                u, v = (np.asarray(cont.marker) + off).tolist()
+                fh.write(f"{level},-1,{u!r},{v!r}\r\n")

@@ -12,7 +12,6 @@ row 0 of the array path.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -212,18 +211,6 @@ def df_decrease_slack(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float
     gf = df_grad_dot_f(lp, p, dev, u)
     v = df_value(lp, p, dev)
     return -gf - df_decay_rate(lp, p) * v
-
-
-def write_grid_csv(path, X: np.ndarray, codes: np.ndarray, v: np.ndarray,
-                   slack: np.ndarray) -> None:
-    """Emit grid-check rows `x1t,x2t,x3t,region,V,slack`."""
-    names = np.array(["A", "B", "C"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1t", "x2t", "x3t", "region", "V", "slack"])
-        for j in range(len(v)):
-            w.writerow([repr(float(X[j, 0])), repr(float(X[j, 1])), repr(float(X[j, 2])),
-                        names[codes[j]], repr(float(v[j])), repr(float(slack[j]))])
 
 
 class DiseaseFreeLyapunov:

@@ -168,7 +168,10 @@ def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
         if margin[j] < worst:
             worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
         if csv_path is not None and u == 0.0:
-            lyap_df.write_grid_csv(csv_path, X[hyp], codes[hyp], v[hyp], -gf - rate * v[hyp])
+            ode.write_csv(csv_path, "x1t,x2t,x3t,region,V,slack",
+                          [X[hyp], codes[hyp], v[hyp], -gf - rate * v[hyp]],
+                          lambda a, b, c, code, val, slack:
+                          f"{a!r},{b!r},{c!r},{'ABC'[int(code)]},{val!r},{slack!r}\r\n")
     return CheckResult("df_grid_iss", worst >= -tol, worst, worst_loc, checked,
                        {"grid_n": n, "u_values": u_values, "tol": tol})
 

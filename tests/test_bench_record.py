@@ -45,3 +45,10 @@ def test_summary_counts_ties_and_failures():
     assert summary["metrics"]["setup_s"]["change_wins"] == 0
     assert summary["failed"] == {"parent": 0, "change": 1}
     assert "round_ref_s" not in summary["metrics"]
+
+
+def test_each_side_gets_its_own_bytecode_cache(monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_record.side_env(tmp_path / "parent")
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
+    assert "PYTHONDONTWRITEBYTECODE" not in env

@@ -241,6 +241,23 @@ def test_trajectory_csv(tmp_path, p_df):
     assert len(rows) - 1 == expected
 
 
+@pytest.mark.parametrize("thin", [1, 3, 4096])
+def test_trajectory_csv_matches_csv_module_across_blocks(tmp_path, thin):
+    # more rows than one block of CSV text, with values whose repr is unusual
+    rng = np.random.default_rng(3)
+    n = 9000
+    states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    states[0] = [-0.0, 0.0, 1e-320]
+    traj = ode.Trajectory(np.arange(n) * 0.1, states, rng.random(n))
+    traj.to_csv(tmp_path / "traj.csv", thin=thin)
+    with open(tmp_path / "expected.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "S", "I", "R", "B"])
+        for j in sorted(set(range(0, n, thin)) | {n - 1}):
+            w.writerow([repr(float(x)) for x in (traj.times[j], *states[j], traj.inputs[j])])
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         ode.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros(2))

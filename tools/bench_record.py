@@ -1,7 +1,7 @@
 """Record alternating parent/change pairs of the benchmark into BENCH_<label>.json.
 
-    python3 tools/bench_record.py --label rk4_components --parent HEAD~1 \
-        --pairs trajectory=10 --pairs certify=3 --pairs geometry=3
+    python3 tools/bench_record.py --label levelset_arrays --parent HEAD~1 \
+        --pairs geometry=10 --pairs trajectory=3 --pairs certify=3 --traced geometry
 
 Run from the root of a sirlyap checkout: that working tree is the change.
 The parent commit is exported with `git archive` into a temporary directory,
@@ -9,12 +9,17 @@ so it runs from its committed files only.  Each pair runs the unchanged
 `perfbench/run.py` of each side, from that side's root, one run at a time,
 with the same workload, seed (the pair's number, from 1) and the
 `run_seconds` of BENCHMARK.json; the side that goes first alternates from
-pair to pair.  The temporary directory follows TMPDIR.  The JSON file holds
-the machine, Python and numpy versions, both git SHAs, every run's result
-line and, per workload and end-to-end metric of BENCHMARK.json, each side's
-median and quartiles, the change's wins and whether a gain would count:
-wins in at least nine tenths of the pairs and medians further apart than
-the parent's interquartile range.  Needs only the standard library and git.
+pair to pair.  Each side keeps its bytecode in its own fresh cache
+(PYTHONPYCACHEPREFIX in the temporary directory, with writing allowed), so
+bytecode that the working tree already holds cannot favour the change.  The
+temporary directory follows TMPDIR.  The JSON file holds the machine, Python
+and numpy versions, both git SHAs, every run's result line and, per
+workload and end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the change's wins and whether a gain would count: wins in at
+least nine tenths of the pairs and medians further apart than the parent's
+interquartile range.  `--traced WORKLOAD` adds one `--trace 1`
+run per side on seed 1, parent first, whose per-layer metrics go under
+"traced".  Needs only the standard library and git.
 """
 from __future__ import annotations
 
@@ -57,12 +62,21 @@ def machine() -> dict:
             "cpus": os.cpu_count()}
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def side_env(cache: Path) -> dict:
+    """The environment of one side's runs: bytecode read from and written to `cache`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+def run_one(root: Path, workload: str, seed: int, seconds: float, env: dict,
+            trace: int = 0) -> dict:
     """One `perfbench/run.py` run from `root`: its JSON result line plus wall time."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=root, capture_output=True, text=True)
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
+                          cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     try:
@@ -124,6 +138,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                     help="run N alternating pairs of WORKLOAD; repeatable")
+    ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
+                    help="one traced run per side of WORKLOAD on seed 1; repeatable")
     args = ap.parse_args(argv)
 
     root = Path.cwd()
@@ -140,18 +156,19 @@ def main(argv=None) -> int:
         "parent": {"ref": args.parent, "sha": git(root, "rev-parse", args.parent)},
         "change": {"sha": git(root, "rev-parse", "HEAD"),
                    "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no"))},
-        "runs": [],
+        "runs": [], "traced": [],
     }
     out_path = root / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp) / "parent"
         export(root, args.parent, parent_root)
         sides = {"parent": parent_root, "change": root}
+        envs = {side: side_env(Path(tmp) / "pycache" / side) for side in sides}
         for workload, n in plan:
             for pair in range(n):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_one(sides[side], workload, pair + 1, seconds)
+                    result = run_one(sides[side], workload, pair + 1, seconds, envs[side])
                     record["runs"].append({"workload": workload, "pair": pair, "side": side,
                                            "first": side == order[0], "seed": pair + 1,
                                            **result})
@@ -159,6 +176,12 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair + 1}/{n} {side:6s} round_ref_s {rref} "
                           f"failed {result['failed']}/{result['attempted']}", flush=True)
                 record["summary"] = summarize(record["runs"], spec["end_to_end"])
+                out_path.write_text(json.dumps(record, indent=1) + "\n")
+        for workload in args.traced:
+            for side in ("parent", "change"):
+                result = run_one(sides[side], workload, 1, seconds, envs[side], trace=1)
+                record["traced"].append({"workload": workload, "side": side, "seed": 1, **result})
+                print(f"{workload} traced {side:6s} correct {result['correct']}", flush=True)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
     for workload, s in record["summary"].items():
         for name, row in s["metrics"].items():
