@@ -7,8 +7,8 @@ cell.  Kinks are preserved: vertices stay on grid edges and no smoothing is
 applied.
 
 Everything runs on arrays; no Python loop runs per cell or per edge.
-- The grid is evaluated in bands of grid rows, about `_BAND_POINTS` points
-  each, written into one reused buffer of deviations.
+- The grid is evaluated in bands of grid rows, about `bands.BAND_POINTS`
+  points each, written into one reused buffer of deviations.
 - Grid edges are integer ids: horizontal edge (iy, ix) is `iy*(nu-1) + ix`,
   and the vertical edges follow, (iy, ix) at `nv*(nu-1) + iy*nu + ix`.
 - One pass counts the levels below every node, which finds the crossing
@@ -25,14 +25,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bands import bands
 from .errors import DomainError
 from .lyap_df import DfLyapParams
 from .model import ModelParams
 
 CONTOUR_TOL = 1e-3
-
-#: grid points per band of rows in the grid evaluation
-_BAND_POINTS = 1 << 16
 
 #: the four edges of a cell, as columns of the edge table in `_march`
 _L, _B, _R, _T = range(4)
@@ -40,7 +38,8 @@ _L, _B, _R, _T = range(4)
 _CASES = {1: (_L, _B), 14: (_L, _B), 2: (_B, _R), 13: (_B, _R), 3: (_L, _R), 12: (_L, _R),
           4: (_R, _T), 11: (_R, _T), 6: (_B, _T), 9: (_B, _T), 7: (_L, _T), 8: (_L, _T)}
 #: segments per case, rows 16 and 17 holding the two resolutions of the
-#: saddle cases 5 and 10 (unused rows and second segments are zeros)
+#: saddle cases 5 and 10: row 16 cuts off the corners c00 and c11, row 17
+#: the corners c01 and c10 (unused rows and second segments are zeros)
 _SEGMENTS = np.array([[_CASES.get(c, (0, 0)), (0, 0)] for c in range(16)]
                      + [[(_L, _B), (_R, _T)], [(_L, _T), (_B, _R)]], dtype=np.intp)
 
@@ -74,13 +73,12 @@ def _plane_columns(plane) -> tuple:
 def _grid_values(value_fn, xs, ys, free, fixed, c):
     """V at every grid node, (len(ys), len(xs)), one band of rows at a time."""
     nu, nv = len(xs), len(ys)
-    rows = max(1, min(nv, _BAND_POINTS // nu))
-    X = np.empty((rows * nu, 3))
-    X[:, free[0]] = np.tile(xs, rows)
+    rows = bands(nv, nu)
+    X = np.empty((rows[0][1] * nu, 3))
+    X[:, free[0]] = np.tile(xs, rows[0][1])
     X[:, fixed] = c
     Z = np.empty((nv, nu))
-    for a in range(0, nv, rows):
-        b = min(a + rows, nv)
+    for a, b in rows:
         n = (b - a) * nu
         X[:n, free[1]] = np.repeat(ys[a:b], nu)
         Z[a:b] = value_fn(X[:n]).reshape(b - a, nu)
@@ -116,8 +114,10 @@ def _march(Z, levels):
     y, x, lv = iy[saddle], ix[saddle], np.asarray(levels)[j[saddle]]
     center = 0.25 * ((Z[y, x] - lv) + (Z[y, x + 1] - lv) + (Z[y + 1, x] - lv)
                      + (Z[y + 1, x + 1] - lv))
-    joined = (center > 0.0) == (cs[saddle] == 5)
-    cs[saddle] = np.where(joined, 16, 17)
+    # a centre above the level joins the two corners above it, so the
+    # segments cut off the two below: c01 and c10 in case 5, c00 and c11 in
+    # case 10; a centre at or below it cuts off the two corners above
+    cs[saddle] = np.where((center > 0.0) == (cs[saddle] == 5), 17, 16)
     nv, nu = Z.shape
     bottom = iy * (nu - 1) + ix
     left = nv * (nu - 1) + iy * nu + ix

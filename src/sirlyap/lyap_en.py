@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
+from .bands import bands
 from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
                      OutOfH, RegimeError)
 from .lyap_df import BOUNDARY_BAND, DELTA
@@ -435,27 +436,30 @@ def _linear_form(lp: EnLyapParams, codes, x1t, x2t):
 
 def en_region_v12(p: ModelParams, lp: EnLyapParams, codes, x1t, x2t):
     """V12 by the formula of region `codes` (0..5 for A..F; one code, or one
-    per point) wherever the points lie; P^{-1} arguments are clipped just
-    below its pole."""
+    per point) wherever the points lie: each point's linear form, taken
+    through P^{-1} only in C, D and E, its argument clipped just below the
+    pole."""
     xh = _xhat(p)
-    curved = _CURVED[codes]
-    lin = _linear_form(lp, codes, x1t, x2t)
-    arg = np.minimum(np.where(curved, lin, 0.0), lp.lam0 * xh[1] * _POLE_CLIP)
-    return np.where(curved, _p_inv(lp, xh, arg), lin)
+    v12 = np.asarray(_linear_form(lp, codes, x1t, x2t), dtype=float)
+    curved = np.broadcast_to(_CURVED[codes], v12.shape)
+    v12[curved] = _p_inv(lp, xh, np.minimum(v12[curved], lp.lam0 * xh[1] * _POLE_CLIP))
+    return v12
 
 
 def _region_codes(p: ModelParams, lp: EnLyapParams, x1t, x2t):
     """Codes 0..5 for regions A..F; assumes arguments already lie in H."""
     xh = _xhat(p)
     kx2 = -lp.k * x2t
-    # upper half: A right of -k*x2t; left of it, x1t < nu(x2t) (region C)
-    # exactly where C's formula exceeds B's (a monotone transform of the cut)
-    upper_c = en_region_v12(p, lp, 2, x1t, x2t) > _linear_form(lp, 1, x1t, x2t)
-    upper = np.where(x1t >= kx2, 0, np.where(upper_c, 2, 1))
     # lower half: D / E / F split by -k*x2t and the hyperbola branch
     ti = _theta_inv(xh, np.minimum(-x2t, xh[1] * _POLE_CLIP))
     lower = np.where(x1t <= kx2, 3, np.where(x1t <= ti, 4, 5))
-    return np.where(x2t >= 0.0, upper, lower).astype(np.int8)
+    codes = np.where(x2t >= 0.0, np.where(x1t >= kx2, 0, 1), lower).astype(np.int8)
+    # upper half: A right of -k*x2t; left of it, x1t < nu(x2t) (region C)
+    # exactly where C's formula exceeds B's (a monotone transform of the cut)
+    left = np.flatnonzero(codes == 1)
+    x1l, x2l = x1t[left], x2t[left]
+    codes[left[en_region_v12(p, lp, 2, x1l, x2l) > _linear_form(lp, 1, x1l, x2l)]] = 2
+    return codes
 
 
 def en_region_terms(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> tuple:
@@ -666,20 +670,23 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
         if x3_moderate:
             X[:, 2] = rng.uniform(-0.8 * q.r, 2.0 * q.r, m)
         else:
-            mag = 10.0 ** rng.uniform(-3.0, np.log10(level / lp.lambda3), m)
-            sgn = rng.choice([-1.0, 1.0], m)
+            # a log-uniform magnitude with a random sign, clipped at the
+            # physical boundary, drawn in place; half of the rows then take
+            # a moderate uniform draw
+            np.power(10.0, rng.uniform(-3.0, np.log10(level / lp.lambda3), m), out=X[:, 2])
+            np.multiply(rng.choice([-1.0, 1.0], m), X[:, 2], out=X[:, 2])
             half = rng.random(m) < 0.5
-            X[:, 2] = np.where(half, rng.uniform(-0.9 * q.r, 3.0 * q.r, m),
-                               np.clip(sgn * mag, -0.999 * q.r, None))
-        keep = in_sublevel_many(p, lp, X, level)
-        X = X[keep]
-        out.append(X)
-        got += len(X)
+            np.clip(X[:, 2], -0.999 * q.r, None, out=X[:, 2])
+            X[half, 2] = rng.uniform(-0.9 * q.r, 3.0 * q.r, m)[half]
+        keep = np.concatenate([in_sublevel_many(p, lp, X[a:b], level) for a, b in bands(m)])
+        out.append(X[np.flatnonzero(keep)[:n - got]])  # the first rows kept, up to n in all
+        got += len(out[-1])
         if got >= n:
             break
     if got < n:
-        raise RuntimeError("sublevel sampling failed to reach the requested count")
-    return np.vstack(out)[:n]
+        raise NoConvergence(f"sublevel sampling kept {got} of the {n} requested points "
+                            f"in 400 rounds")
+    return np.vstack(out)
 
 
 class EndemicLyapunov:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -223,19 +224,27 @@ class Trajectory:
             raise ValueError("thin must be >= 1")
         n = len(self.times)
         rows = slice(0, n, thin) if (n - 1) % thin == 0 else np.r_[0:n:thin, n - 1]
-        write_csv(path, "t,S,I,R,B", [self.times[rows], self.states[rows], self.inputs[rows]],
-                  "{!r},{!r},{!r},{!r},{!r}\r\n".format)
+        with csv_file(path, "t,S,I,R,B") as fh:
+            write_rows(fh, [self.times[rows], self.states[rows], self.inputs[rows]],
+                       "{!r},{!r},{!r},{!r},{!r}\r\n".format)
 
 
-def write_csv(path, header: str, columns: Sequence[np.ndarray], line) -> None:
-    """Write the `header` line, then `line(*row)` for every row of the stacked
-    `columns` (arrays of equal length), _CSV_BLOCK rows at a time, so the text
-    held in memory stays bounded.  Lines end in "\r\n", as the csv module's."""
+@contextmanager
+def csv_file(path, header: str):
+    """`path` open for CSV text with its `header` line written; rows go in
+    by `write_rows`.  Lines end in "\r\n", as the csv module's."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for a in range(0, len(columns[0]), _CSV_BLOCK):
-            block = np.column_stack([c[a:a + _CSV_BLOCK] for c in columns]).tolist()
-            fh.write("".join(line(*row) for row in block))
+        yield fh
+
+
+def write_rows(fh, columns: Sequence[np.ndarray], line) -> None:
+    """Write `line(*row)` for every row of the stacked `columns` (arrays of
+    equal length), _CSV_BLOCK rows at a time, so the text held in memory
+    stays bounded."""
+    for a in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([c[a:a + _CSV_BLOCK] for c in columns]).tolist()
+        fh.write("".join(line(*row) for row in block))
 
 
 # ---------------------------------------------------------------------------

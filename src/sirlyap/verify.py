@@ -7,6 +7,7 @@ rerun with the same seed and grid reproduces the margins bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lyap_df, lyap_en, model, ode
+from .bands import bands
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
 from .lyap_en import sample_sublevel
 from .model import Deviation, EquilibriumKind, ModelParams, State
@@ -137,13 +139,24 @@ def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) ->
                        {"value_at_zero": v0})
 
 
+def _first_least(minima: list) -> tuple:
+    """The first of the per-band (least margin, location) pairs whose margin
+    is least, as np.argmin takes it over the bands joined: a NaN comes first."""
+    return minima[int(np.argmin([m for m, _ in minima]))]
+
+
+def _grid_line(a, b, c, code, val, slack) -> str:
+    return f"{a!r},{b!r},{c!r},{'ABC'[int(code)]},{val!r},{slack!r}\r\n"
+
+
 def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
     """Grid certificate of the ISS decrease implication.
 
     On [-x1h, 3*x1h] x [0, 3*x1h]^2 minus a boundary band, wherever
     V >= chi(|u|) for u in {-b_hat, -b_hat/2, 0, b_hat, 10*b_hat} the
     derivative must not exceed -(1-delta)*(mu-mu0)*V, up to -1e-12 per unit
-    scale.  `csv_path` receives the u = 0 rows.
+    scale.  The grid is built and evaluated one slab of the first axis at a
+    time, about BAND_POINTS points each.  `csv_path` receives the u = 0 rows.
     """
     p, lp = lyap.p, lyap.lp
     x1h = p.b_hat / p.mu
@@ -151,27 +164,41 @@ def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
     tol = 1e-12
     ax1 = np.linspace(-x1h, 3.0 * x1h, n)
     ax2 = np.linspace(0.0, 3.0 * x1h, n)
-    g = np.meshgrid(ax1, ax2, ax2, indexing="ij")
-    X = np.stack([a.ravel() for a in g], axis=1)
-    v, codes = lyap_df.df_value_region_arrays(lp, p, X)
-    off_band = ~lyap_df.df_near_boundary(lp, p, X)
     rate = lyap_df.df_decay_rate(lp, p)
-    worst, worst_loc, checked = math.inf, None, 0
-    for u in u_values:
-        hyp = off_band & (v >= lyap.chi(abs(u)))
-        if not hyp.any():
-            continue
-        gf = lyap_df.df_grad_dot_f_arrays(lp, p, X[hyp], u)
-        margin = _decrease_margins(gf, rate * v[hyp])
-        j = int(np.argmin(margin))
-        checked += int(hyp.sum())
-        if margin[j] < worst:
-            worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
-        if csv_path is not None and u == 0.0:
-            ode.write_csv(csv_path, "x1t,x2t,x3t,region,V,slack",
-                          [X[hyp], codes[hyp], v[hyp], -gf - rate * v[hyp]],
-                          lambda a, b, c, code, val, slack:
-                          f"{a!r},{b!r},{c!r},{'ABC'[int(code)]},{val!r},{slack!r}\r\n")
+    thresholds = [lyap.chi(abs(u)) for u in u_values]
+    # the "ij" grid over (ax1, ax2, ax2) in row order, one slab of ax1 at a
+    # time written into a reused buffer
+    slabs = bands(n, n * n)
+    G = np.empty((slabs[0][1] * n * n, 3))
+    G[:, 1] = np.tile(np.repeat(ax2, n), slabs[0][1])
+    G[:, 2] = np.tile(ax2, slabs[0][1] * n)
+    minima = [[] for _ in u_values]  # per u, per slab: the least margin and its location
+    checked = 0
+    with (ode.csv_file(csv_path, "x1t,x2t,x3t,region,V,slack") if csv_path is not None
+          else contextlib.nullcontext()) as fh:
+        for a, b in slabs:
+            X = G[:(b - a) * n * n]
+            X[:, 0] = np.repeat(ax1[a:b], n * n)
+            v, codes = lyap_df.df_value_region_arrays(lp, p, X)
+            off_band = ~lyap_df.df_near_boundary(lp, p, X)
+            for u, thr, least in zip(u_values, thresholds, minima):
+                hyp = off_band & (v >= thr)
+                if not hyp.any():
+                    continue
+                Xh, vh = X[hyp], v[hyp]
+                gf = lyap_df.df_grad_dot_f_arrays(lp, p, Xh, u)
+                margin = _decrease_margins(gf, rate * vh)
+                j = int(np.argmin(margin))
+                least.append((margin[j], _loc(Xh[j])))
+                checked += len(vh)
+                if fh is not None and u == 0.0:
+                    ode.write_rows(fh, [Xh, codes[hyp], vh, -gf - rate * vh], _grid_line)
+    worst, worst_loc = math.inf, None
+    for u, least in zip(u_values, minima):
+        if least:
+            m, x = _first_least(least)
+            if m < worst:
+                worst, worst_loc = float(m), x + [float(u)]
     return CheckResult("df_grid_iss", worst >= -tol, worst, worst_loc, checked,
                        {"grid_n": n, "u_values": u_values, "tol": tol})
 
@@ -225,41 +252,49 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
     Rates: -mu*V in A and F, -a_B*V in B, -mu*((Pinv)'*arg + V3) in C and D,
     and -(Pinv)'(z)*k*beta*(x2h - theta(omega^{-1}(l_bar)))*gamma_Ek*z - mu*V3
     in E, where gamma_Ek keeps the absorbed x2t cross term accounted for.
+    The sample is checked and reduced one band of BAND_POINTS rows at a time.
     """
     p, lp = lyap.p, lyap.lp
     X = sample_sublevel(lyap, n, seed)
-    X = X[~lyap_en.en_near_boundary(p, lp, X)]
-    v = lyap.value_many(X)
-    v3 = lp.lambda3 * np.abs(X[:, 2])
-    codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
-    gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, 0.0)
-
     dc = lyap_en.derived_constants(p, lp)
     spread = lyap_en.spread(p, lp)
     gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * spread * p.beta)
-    rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
-    rate = np.where(codes == 1, dc.a_b * v, rate)
-    rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
-    if gamma_ek > 0.0:
-        rate_e = qd * arg * lp.k * p.beta * spread * gamma_ek + p.mu * v3
-    else:
-        rate_e = np.zeros(len(X))  # fall back to plain negativity in E
-    rate = np.where(codes == 4, rate_e, rate)
-
-    margin = _decrease_margins(gf, rate)
-    j = int(np.argmin(margin))
-    strictly_negative = bool(np.all(gf < 0.0))
-    ok = strictly_negative and bool(np.all(margin >= -EN_DECREASE_TOL))
+    minima, gf_max, counts, checked = [], [], np.zeros(6, dtype=int), 0
+    strictly_negative = within_tol = True
+    for a, b in bands(len(X)):
+        Xb = X[a:b][~lyap_en.en_near_boundary(p, lp, X[a:b])]
+        if len(Xb) == 0:
+            continue
+        v = lyap.value_many(Xb)
+        v3 = lp.lambda3 * np.abs(Xb[:, 2])
+        codes, arg, qd = lyap_en.en_region_terms(p, lp, Xb)
+        gf = lyap_en.en_grad_dot_f_arrays(p, lp, Xb, 0.0)
+        rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
+        rate = np.where(codes == 1, dc.a_b * v, rate)
+        rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
+        if gamma_ek > 0.0:
+            rate_e = qd * arg * lp.k * p.beta * spread * gamma_ek + p.mu * v3
+        else:
+            rate_e = np.zeros(len(Xb))  # fall back to plain negativity in E
+        rate = np.where(codes == 4, rate_e, rate)
+        margin = _decrease_margins(gf, rate)
+        j = int(np.argmin(margin))
+        minima.append((margin[j], _loc(Xb[j])))
+        strictly_negative = strictly_negative and bool(np.all(gf < 0.0))
+        within_tol = within_tol and bool(np.all(margin >= -EN_DECREASE_TOL))
+        gf_max.append(gf.max())
+        counts += np.bincount(codes, minlength=6)
+        checked += len(Xb)
+    worst, worst_loc = _first_least(minima)
     details = {
         "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
-        "max_grad_dot_f": float(gf.max()),
+        "max_grad_dot_f": float(np.max(gf_max)),
         "gamma_ek": float(gamma_ek),
-        "region_counts": {r.value: int((codes == i).sum())
-                          for i, r in enumerate(lyap_en.EnRegion)},
+        "region_counts": {r.value: int(c) for r, c in zip(lyap_en.EnRegion, counts)},
     }
-    return CheckResult("en_sample_decrease", ok, float(margin[j]), _loc(X[j]),
-                       len(X), details)
+    return CheckResult("en_sample_decrease", strictly_negative and within_tol, float(worst),
+                       worst_loc, checked, details)
 
 
 def check_en_iss_pointwise(lyap, n: int = N_POINTWISE, seed: int = DEFAULT_SEED) -> CheckResult:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirlyap import cli
+from sirlyap import cli, lyap_en
 from sirlyap.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,3 +230,13 @@ def test_endemic_override_out_of_range(tmp_path, capsys, lyap):
     err = capsys.readouterr().err
     assert rc == 3
     assert "error:" in err and "Traceback" not in err
+
+
+def test_cmd_certify_sampler_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lyap_en, "in_sublevel_many",
+                        lambda p, lp, X, L: np.zeros(len(X), dtype=bool))
+    cfg = {**EN_CONFIG, "n_samples": 10}
+    rc = cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error:" in err and "sublevel sampling" in err

@@ -164,19 +164,19 @@ def _contours(stub, level, resolution):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_saddle_cells_take_both_resolutions(sign):
     # one cell whose diagonal corners lie 1 above and 1 below the offset a:
-    # case 5 for sign +1, case 10 for sign -1; the centre value a - 1 picks
-    # the resolution
-    pairs = []
-    for a in (1.2, 0.8):
+    # case 5 for sign +1, case 10 for sign -1.  The centre value a picks the
+    # resolution that agrees with it: above the level it joins the two
+    # corners above, so the segments cut off the two corners below.
+    # Edge ids: bottom 0, top 1, left 2, right 3; each segment cuts a corner.
+    cut_c01_c10 = {frozenset({2, 1}), frozenset({0, 3})}
+    cut_c00_c11 = {frozenset({2, 0}), frozenset({3, 1})}
+    expected = {1.2: cut_c01_c10, 0.8: cut_c00_c11} if sign > 0 else \
+        {1.2: cut_c00_c11, 0.8: cut_c01_c10}
+    for a, cut in expected.items():
         stub = _Stub(lambda u, v: a + sign * u * v)
         polys, segments = _contours(stub, 1.0, (2, 2))
         assert len(polys) == 2 and all(len(poly) == 2 for poly in polys)
-        # edge ids: bottom 0, top 1, left 2, right 3; each segment cuts a corner
-        cut = {frozenset(pair) for pair in segments.tolist()}
-        assert cut in ({frozenset({2, 0}), frozenset({3, 1})},
-                       {frozenset({2, 1}), frozenset({0, 3})})
-        pairs.append(cut)
-    assert pairs[0] != pairs[1]
+        assert {frozenset(pair) for pair in segments.tolist()} == cut
 
 
 def test_cells_with_a_nan_corner_are_skipped():

@@ -363,3 +363,10 @@ def test_json_and_report(p_en, lp_en):
                         "input_range"}
     assert rep["k0"] > lp_en.k
     assert rep["lambda3_bound"] > lp_en.lambda3
+
+
+def test_sampler_that_keeps_nothing_raises_no_convergence(monkeypatch, ly_en):
+    monkeypatch.setattr(lyap_en, "in_sublevel_many",
+                        lambda p, lp, X, L: np.zeros(len(X), dtype=bool))
+    with pytest.raises(NoConvergence):
+        lyap_en.sample_sublevel(ly_en, 10, seed=1)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sirlyap as sl
-from sirlyap import lyap_df, lyap_en, ode, verify
+from sirlyap import bands, lyap_df, lyap_en, ode, verify
 from sirlyap.errors import MismatchedEquilibrium, RangeError
 from sirlyap.model import EquilibriumKind
 
@@ -208,6 +210,45 @@ def test_grid_csv_emission(ly_df, tmp_path):
     assert lines[0] == "x1t,x2t,x3t,region,V,slack"
     assert len(lines) > 100
     assert all(line.split(",")[3] in ("A", "B", "C") for line in lines[1:])
+
+
+GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "df_grid_iss_n8.csv"
+
+
+@pytest.mark.parametrize("band_points", [None, 7])
+def test_grid_csv_matches_golden(monkeypatch, ly_df, tmp_path, band_points):
+    # one slab of the 8x8x8 grid by default, one per first-axis value at 7
+    if band_points is not None:
+        monkeypatch.setattr(bands, "BAND_POINTS", band_points)
+    path = tmp_path / "grid.csv"
+    verify.check_df_grid_iss(ly_df, n=8, csv_path=path)
+    assert path.read_bytes() == GRID_GOLDEN.read_bytes()
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_checks_hold_bounded_memory(ly_df, ly_en):
+    # evaluated all at once, the grid check peaked at 32 MB and the sample
+    # check (with its 400k-row acceptance test) at 41 MB
+    assert _peak_mb(lambda: verify.check_df_grid_iss(ly_df, n=verify.GRID_N)) <= 12.0
+    assert _peak_mb(lambda: verify.check_en_sample_decrease(ly_en, n=verify.N_SAMPLES)) <= 20.0
+
+
+def test_band_size_leaves_bulk_checks_unchanged(monkeypatch, ly_df, ly_en):
+    def run():
+        return (verify.check_df_grid_iss(ly_df, n=verify.GRID_N),
+                verify.check_en_sample_decrease(ly_en, n=verify.N_SAMPLES))
+
+    default = run()
+    monkeypatch.setattr(bands, "BAND_POINTS", 4_999)
+    assert run() == default
 
 
 def test_en_iss_pointwise(ly_en):
