@@ -8,11 +8,14 @@ Discontinuous (step/piecewise-constant) inputs are handled by aligning the
 integration grid with the switch times of every row's input, which
 preserves the classical order of the method across each segment.
 
-The RK4 step is written once, on the components (S, I, R), and calls the
-model's `rhs_arrays` at every stage.  It is fed two ways by batch width: a
-narrow batch steps every row in lockstep on Python floats under its own
-scalar B(t), which avoids the per-step numpy overhead that dominates small
-arrays; a wide one steps on three column arrays.  Both ways share the step
+The RK4 step calls the model's `rhs_arrays` at every stage and is fed two
+ways by batch width.  A narrow batch steps every row in lockstep on Python
+floats under its own scalar B(t), which avoids the per-step numpy overhead
+that dominates small arrays.  A wide one steps one stacked (3, m) array,
+whose rows are S, I and R, so each stage argument and the final combination
+is one array operation; every step is written in place into a block buffer
+that is reused from block to block, and the observer receives a fresh
+(k+1, m, 3) copy of each block, which it owns.  Both ways share the step
 grid, the observer blocks and the state check, and evaluate the same
 floating-point operations in the same order, so their results are
 bit-identical.
@@ -33,9 +36,10 @@ from .model import EquilibriumKind, ModelParams, State, rhs_arrays
 DEFAULT_DT = 0.01
 _BLOCK_STEPS = 512  # steps per observer call: a 50-row block stays under 1 MB
 # Batches narrower than this step row by row on Python floats, wider ones on
-# column arrays: one float row-step costs about 4 us and one column step about
-# 90 us, so the two cross at 20 to 28 rows (measured on a 2-vCPU Xeon VM).
-_FLOAT_ROWS = 24
+# one stacked array: under one shared input a float step costs about 2.5 us a
+# row and a stacked step about 45 us, so the two cross at 19 rows (measured on
+# a 2-vCPU Xeon VM; per-row inputs cost the float rows more and cross lower).
+_FLOAT_ROWS = 19
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
 
@@ -277,8 +281,8 @@ def _grid(signals: list, t_end: float, dt: float):
 
 
 def _rk4(p: ModelParams, s, i, r, h: float, b0, bm, b1) -> tuple:
-    """One classical RK4 step on the components (S, I, R): Python floats, or
-    equal-length columns with each b a scalar or one value per row."""
+    """One classical RK4 step on the components (S, I, R) of one row, as
+    Python floats."""
     k1s, k1i, k1r = rhs_arrays(p, s, i, r, b0)
     k2s, k2i, k2r = rhs_arrays(p, s + 0.5 * h * k1s, i + 0.5 * h * k1i, r + 0.5 * h * k1r, bm)
     k3s, k3i, k3r = rhs_arrays(p, s + 0.5 * h * k2s, i + 0.5 * h * k2i, r + 0.5 * h * k2r, bm)
@@ -316,16 +320,43 @@ def _check_rows(rows: list, t: float) -> list:
     return out
 
 
-def _check_columns(s: np.ndarray, i: np.ndarray, r: np.ndarray, t: float) -> tuple:
-    """`_check_rows` on columns: the same tests, messages and clip."""
-    n, low = s + i + r, np.minimum(np.minimum(s, i), r)
-    if low.min() > 0.0 and np.isfinite(n).all():
-        return s, i, r  # finite (as their sum is) and positive: nothing to clip
-    if not (np.isfinite(s).all() and np.isfinite(i).all() and np.isfinite(r).all()):
+def _stacked_rk4(p: ModelParams, m: int):
+    """`_rk4` on stacked (3, m) states: a function step(Y, out, h, b0, bm,
+    b1) that writes the step from Y into `out`, each b a scalar or one value
+    per row.  It runs the same operations in the same order, each one array
+    operation over the rows S, I, R, with the stage derivatives and
+    arguments held in a workspace that every step reuses."""
+    K, Z = np.empty((4, 3, m)), np.empty((3, m))
+    k1, k2, k3, k4 = K
+    z = tuple(Z)
+
+    def step(Y: np.ndarray, out: np.ndarray, h: float, b0, bm, b1) -> None:
+        k1[0], k1[1], k1[2] = rhs_arrays(p, *Y, b0)
+        for k, c, kn, b in ((k1, 0.5 * h, k2, bm), (k2, 0.5 * h, k3, bm), (k3, h, k4, b1)):
+            np.multiply(k, c, out=Z)
+            np.add(Y, Z, out=Z)
+            kn[0], kn[1], kn[2] = rhs_arrays(p, *z, b)
+        np.add(k2, k3, out=Z)
+        np.multiply(Z, 2.0, out=Z)
+        np.add(k1, Z, out=Z)
+        np.add(Z, k4, out=Z)
+        np.multiply(Z, h / 6.0, out=Z)
+        np.add(Y, Z, out=out)
+
+    return step
+
+
+def _check_stacked(Y: np.ndarray, t: float) -> None:
+    """`_check_rows` on a stacked (3, m) state, in place: the same tests,
+    messages and clip."""
+    if Y.min() > 0.0 and Y.max() < math.inf:
+        return  # finite and positive: nothing to clip
+    if not np.isfinite(Y).all():
         raise _nonfinite(t)
-    if (low < -1e-12 * np.maximum(1.0, n)).any():
+    s, i, r = Y
+    if (np.minimum(np.minimum(s, i), r) < -1e-12 * np.maximum(1.0, s + i + r)).any():
         raise _below_floor(t)
-    return np.maximum(s, 0.0), np.maximum(i, 0.0), np.maximum(r, 0.0)
+    np.maximum(Y, 0.0, out=Y)
 
 
 def _float_steps(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float):
@@ -349,24 +380,48 @@ def _rows_array(states: Sequence) -> np.ndarray:
     return np.array(states, dtype=float).reshape(len(states), len(states[0]), 3)
 
 
-def _column_steps(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float):
-    """Yield (t, (s, i, r), b) at t = 0 and after each step of the columns of
-    X; b is one level for a shared signal, else an array with one per row."""
+def _float_feed(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float,
+                observer) -> np.ndarray:
+    """The narrow feed: `_float_steps` cut into observer blocks."""
+    steps = _float_steps(p, X, signals, t_end, dt)
+    last = next(steps)
+    while block := list(itertools.islice(steps, _BLOCK_STEPS)):
+        block.insert(0, last)
+        if observer is not None:
+            t, states, b = zip(*block)
+            observer(np.array(t), _rows_array(states), np.array(b))
+        last = block[-1]
+    return _rows_array([last[1]])[0]
+
+
+def _stacked_feed(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float,
+                  observer) -> np.ndarray:
+    """The wide feed: every step of the rows S, I, R of one stacked (3, m)
+    state is written into a reused block buffer, and each full block reaches
+    the observer as a fresh (k+1, m, 3) copy; b is one level for a shared
+    signal, else an array with one per row."""
     def at(rates, t):
         return rates[0](t) if len(rates) == 1 else np.array([f(t) for f in rates])
 
-    s, i, r = X.T.copy()
-    yield 0.0, (s, i, r), at(_rates_on_segment(signals, 0.0), 0.0)
+    step = _stacked_rk4(p, len(X))
+    buf = np.empty((_BLOCK_STEPS + 1, 3, len(X)))
+    buf[0] = X.T
+    ts, bs = [0.0], [at(_rates_on_segment(signals, 0.0), 0.0)]
     for t, h, t_next, rates in _grid(signals, t_end, dt):
-        b1 = at(rates, t_next)
-        s, i, r = _check_columns(
-            *_rk4(p, s, i, r, h, at(rates, t), at(rates, t + 0.5 * h), b1), t_next)
-        yield t_next, (s, i, r), b1
-
-
-def _columns_array(states: Sequence) -> np.ndarray:
-    """(k, m, 3) array of k states yielded by `_column_steps`."""
-    return np.stack([np.array(c) for c in zip(*states)], axis=-1)
+        k = len(ts)
+        bs.append(at(rates, t_next))
+        step(buf[k - 1], buf[k], h, at(rates, t), at(rates, t + 0.5 * h), bs[-1])
+        _check_stacked(buf[k], t_next)
+        ts.append(t_next)
+        if k == _BLOCK_STEPS:
+            if observer is not None:
+                observer(np.array(ts), buf.transpose(0, 2, 1).copy(), np.array(bs))
+            buf[0] = buf[k]
+            ts, bs = ts[-1:], bs[-1:]
+    k = len(ts) - 1
+    if k and observer is not None:
+        observer(np.array(ts), buf[:k + 1].transpose(0, 2, 1).copy(), np.array(bs))
+    return buf[k].T.copy()
 
 
 def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
@@ -376,15 +431,16 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     `sig` is one InputSignal for every row or a sequence with one per row,
     whose breakpoints are merged.  `observer(t, X, b)` is invoked once per
     block of up to `_BLOCK_STEPS` accepted steps, with new arrays t (k+1,),
-    X (k+1, m, 3) and b (k+1,), or (k+1, m) for a sequence.  Row 0 is the
-    row the block starts from: (0, X0), then the previous block's last row.
+    X (k+1, m, 3) and b (k+1,), or (k+1, m) for a sequence, which it owns:
+    writing to them changes nothing that follows, nor does writing to the
+    returned batch.  Row 0 is the row the block starts from: (0, X0), then
+    the previous block's last row.
 
-    One RK4 step on the components (S, I, R) is fed two ways, by batch
-    width: a batch of fewer than `_FLOAT_ROWS` rows steps every row on
-    Python floats, a wider one steps on three column arrays.  Both ways use
-    the same step grid, blocks and state check, and give bit-identical
-    results.  Pure apart from the observer callback; safe to run
-    concurrently on separate data.
+    A batch of fewer than `_FLOAT_ROWS` rows steps every row on Python
+    floats, a wider one steps one stacked (3, m) array.  Both feeds use the
+    same step grid, blocks and state check, and give bit-identical results.
+    Pure apart from the observer callback; safe to run concurrently on
+    separate data.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -396,18 +452,8 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     signals = [sig] if isinstance(sig, InputSignal) else list(sig)
     if len(signals) != 1 and len(signals) != len(X):
         raise ValueError("need one signal, or one signal per row of X0")
-    if len(X) < _FLOAT_ROWS:
-        steps, as_array = _float_steps(p, X, signals, t_end, dt), _rows_array
-    else:
-        steps, as_array = _column_steps(p, X, signals, t_end, dt), _columns_array
-    last = next(steps)
-    while block := list(itertools.islice(steps, _BLOCK_STEPS)):
-        block.insert(0, last)
-        if observer is not None:
-            t, states, b = zip(*block)
-            observer(np.array(t), as_array(states), np.array(b))
-        last = block[-1]
-    return as_array([last[1]])[0]
+    feed = _float_feed if len(X) < _FLOAT_ROWS else _stacked_feed
+    return feed(p, X, signals, t_end, dt, observer)
 
 
 def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +53,27 @@ def test_each_side_gets_its_own_bytecode_cache(monkeypatch, tmp_path):
     env = bench_record.side_env(tmp_path / "parent")
     assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
     assert "PYTHONDONTWRITEBYTECODE" not in env
+
+
+def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda root, *args: "")
+    monkeypatch.setattr(bench_record, "export", lambda root, ref, dest: None)
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": {"round_ref_s": {"value": 1.0, "unit": "s"}}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    argv = ["--label", "t", "--parent", "HEAD", "--pairs", "certify=1", "--traced", "certify"]
+    for extra, size in (([], "bench"), (["--size", "full"], "full")):
+        calls.clear()
+        bench_record.main(argv + extra)
+        record = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert record["size"] == size and record["command"][-2:] == ["--size", size]
+        runs = [cmd for cmd in calls if "perfbench/run.py" in cmd]
+        assert len(runs) == 4 and all(cmd[cmd.index("--size") + 1] == size for cmd in runs)

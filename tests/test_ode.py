@@ -191,6 +191,68 @@ def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
                 assert block[1].shape == ref[1].shape == (len(block[0]), m, 3)
 
 
+def test_observer_owns_its_blocks(p_en, monkeypatch):
+    # the wide feed reuses one block buffer; what it hands out must not alias it
+    monkeypatch.setattr(ode, "_BLOCK_STEPS", 3)
+    monkeypatch.setattr(ode, "_FLOAT_ROWS", 2)
+    X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
+    sigs = [ode.Constant(17.0), ode.Step(0.45, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7)]
+
+    def run(observer):
+        return ode.integrate_batch(p_en, X0, sigs, 1.0, dt=0.1, observer=observer)
+
+    kept = []
+    Xf = run(lambda t, X, b: kept.append((t.copy(), X.copy(), b.copy())))
+    starts = []
+
+    def spoil(t, X, b):
+        starts.append((t[0], X[0].copy(), b[0].copy()))
+        for a in (t, X, b):
+            a[...] = np.nan
+
+    Xf_spoilt = run(spoil)
+    assert len(starts) == len(kept) == 4  # ten steps in blocks of three
+    for (t0, x0, b0), (t, X, b) in zip(starts, kept):
+        assert t0 == t[0] and np.array_equal(x0, X[0]) and np.array_equal(b0, b[0])
+    assert np.array_equal(Xf_spoilt, Xf)
+    last = []
+    Xf = run(lambda t, X, b: last.append(X))
+    final_row = last[-1][-1].copy()
+    Xf[...] = np.nan
+    assert np.array_equal(last[-1][-1], final_row)
+
+
+def test_state_check_at_block_boundaries(p_en, monkeypatch):
+    # one step per block: every step starts from the row the previous block
+    # ended on, and both feeds check and clip it alike
+    monkeypatch.setattr(ode, "_BLOCK_STEPS", 1)
+    cases = [(np.array([[1e5, 1e5, 0.0]] * 3), 4000.0, 2000.0,
+              "state component below -1e-12*N at t=2000; reduce dt"),
+             (np.array([[100.0, 0.0, -1.0], [1e200, 1e200, 0.0]]), 1.0, 0.1,
+              "non-finite state at t=0.1; reduce dt")]
+    for X0, t_end, dt, message in cases:
+        for width in (0, len(X0) + 1):
+            monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+            with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
+                ode.integrate_batch(p_en, X0, ode.Constant(17.0), t_end, dt)
+            assert str(err.value) == message
+    X0 = np.array([[100.0, 0.0, -1e-13], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
+    sigs = [ode.Constant(17.0), ode.Step(2.5, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7)]
+    runs = []
+    for width in (0, len(X0) + 1):
+        monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+        blocks = []
+        Xf = ode.integrate_batch(p_en, X0, sigs, 10.0, dt=0.1,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+        assert blocks[0][1][1, 0, 2] == 0.0 > blocks[0][1][0, 0, 2]  # the first step clips R
+        assert len(blocks) == 100 and all(len(t) == 2 for t, _, _ in blocks)
+        runs.append((Xf, blocks))
+    (Xf, blocks), (Xf_ref, blocks_ref) = runs
+    assert np.array_equal(Xf, Xf_ref)
+    for block, ref in zip(blocks, blocks_ref):
+        assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+
+
 def test_step_calls_library_vector_field(p_df, monkeypatch):
     calls = []
 

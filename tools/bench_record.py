@@ -7,13 +7,13 @@ Run from the root of a sirlyap checkout: that working tree is the change.
 The parent commit is exported with `git archive` into a temporary directory,
 so it runs from its committed files only.  Each pair runs the unchanged
 `perfbench/run.py` of each side, from that side's root, one run at a time,
-with the same workload, seed (the pair's number, from 1) and the
-`run_seconds` of BENCHMARK.json; the side that goes first alternates from
-pair to pair.  Each side keeps its bytecode in its own fresh cache
+with the same workload, seed (the pair's number, from 1), `--size` (default
+`bench`, the size BENCHMARK.json runs) and the `run_seconds` of
+BENCHMARK.json; the side that goes first alternates from pair to pair.  Each side keeps its bytecode in its own fresh cache
 (PYTHONPYCACHEPREFIX in the temporary directory, with writing allowed), so
 bytecode that the working tree already holds cannot favour the change.  The
 temporary directory follows TMPDIR.  The JSON file holds the machine, Python
-and numpy versions, both git SHAs, every run's result line and, per
+and numpy versions, the size, both git SHAs, every run's result line and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's wins and whether a gain would count: wins in at
 least nine tenths of the pairs and medians further apart than the parent's
@@ -70,12 +70,12 @@ def side_env(cache: Path) -> dict:
 
 
 def run_one(root: Path, workload: str, seed: int, seconds: float, env: dict,
-            trace: int = 0) -> dict:
+            trace: int = 0, size: str = "bench") -> dict:
     """One `perfbench/run.py` run from `root`: its JSON result line plus wall time."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
-                           "--trace", str(trace)],
+                           "--trace", str(trace), "--size", size],
                           cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
@@ -140,6 +140,8 @@ def main(argv=None) -> int:
                     help="run N alternating pairs of WORKLOAD; repeatable")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
                     help="one traced run per side of WORKLOAD on seed 1; repeatable")
+    ap.add_argument("--size", choices=("tiny", "bench", "full"), default="bench",
+                    help="workload size passed to perfbench/run.py (default: bench)")
     args = ap.parse_args(argv)
 
     root = Path.cwd()
@@ -151,8 +153,9 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "command": spec["command"] + ["--workload", "W", "--seed", "PAIR", "--seconds",
-                                      str(seconds)],
-        "machine": machine(), "python": platform.python_version(), "numpy": numpy_version,
+                                      str(seconds), "--size", args.size],
+        "size": args.size, "machine": machine(), "python": platform.python_version(),
+        "numpy": numpy_version,
         "parent": {"ref": args.parent, "sha": git(root, "rev-parse", args.parent)},
         "change": {"sha": git(root, "rev-parse", "HEAD"),
                    "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no"))},
@@ -168,7 +171,8 @@ def main(argv=None) -> int:
             for pair in range(n):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_one(sides[side], workload, pair + 1, seconds, envs[side])
+                    result = run_one(sides[side], workload, pair + 1, seconds, envs[side],
+                                     size=args.size)
                     record["runs"].append({"workload": workload, "pair": pair, "side": side,
                                            "first": side == order[0], "seed": pair + 1,
                                            **result})
@@ -179,7 +183,8 @@ def main(argv=None) -> int:
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
         for workload in args.traced:
             for side in ("parent", "change"):
-                result = run_one(sides[side], workload, 1, seconds, envs[side], trace=1)
+                result = run_one(sides[side], workload, 1, seconds, envs[side], trace=1,
+                                 size=args.size)
                 record["traced"].append({"workload": workload, "side": side, "seed": 1, **result})
                 print(f"{workload} traced {side:6s} correct {result['correct']}", flush=True)
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
