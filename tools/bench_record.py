@@ -9,10 +9,11 @@ so it runs from its committed files only.  Each pair runs the unchanged
 `perfbench/run.py` of each side, from that side's root, one run at a time,
 with the same workload, seed (the pair's number, from 1), `--size` (default
 `bench`, the size BENCHMARK.json runs) and the `run_seconds` of
-BENCHMARK.json; the side that goes first alternates from pair to pair.  Each side keeps its bytecode in its own fresh cache
-(PYTHONPYCACHEPREFIX in the temporary directory, with writing allowed), so
-bytecode that the working tree already holds cannot favour the change.  The
-temporary directory follows TMPDIR.  The JSON file holds the machine, Python
+BENCHMARK.json; the side that goes first alternates from pair to pair.
+Each side keeps its bytecode in its own fresh cache (PYTHONPYCACHEPREFIX in
+the temporary directory, with writing allowed), so bytecode that the working
+tree already holds cannot favour the change.  The temporary directory
+follows TMPDIR.  The JSON file holds the machine, Python
 and numpy versions, the size, both git SHAs, every run's result line and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's wins and whether a gain would count: wins in at
