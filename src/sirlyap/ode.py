@@ -13,15 +13,25 @@ ways by batch width.  A narrow batch steps every row in lockstep on Python
 floats under its own scalar B(t), which avoids the per-step numpy overhead
 that dominates small arrays.  A wide one steps one stacked (3, m) array,
 whose rows are S, I and R, so each stage argument and the final combination
-is one array operation; every step is written in place into a block buffer
-that is reused from block to block, and the observer receives a fresh
-(k+1, m, 3) copy of each block, which it owns.  Both ways share the step
-grid, the observer blocks and the state check, and evaluate the same
+is one array operation; its steps are written in place into a block buffer
+that is reused from block to block.  Either way the observer receives a
+fresh (k+1, m, 3) array per block, which it owns.
+
+The state check runs once per block: a block is stepped without it and its
+new values are tested together.  Values that are all finite and +0.0 or
+positive are exactly those no step's check would reject or clip; any other
+block is replayed from its first row with the check after every step.
+Input levels are read once per segment between switch times: the level of
+a piecewise-constant signal at the segment start, while a continuous one is
+evaluated at each step's midpoint and end, and its value at the step's start
+is the previous step's end.  Both ways share the step grid, the observer
+blocks, the state check and the input levels, and evaluate the same
 floating-point operations in the same order, so their results are
 bit-identical.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -36,10 +46,11 @@ from .model import EquilibriumKind, ModelParams, State, rhs_arrays
 DEFAULT_DT = 0.01
 _BLOCK_STEPS = 512  # steps per observer call: a 50-row block stays under 1 MB
 # Batches narrower than this step row by row on Python floats, wider ones on
-# one stacked array: under one shared input a float step costs about 2.5 us a
-# row and a stacked step about 45 us, so the two cross at 19 rows (measured on
-# a 2-vCPU Xeon VM; per-row inputs cost the float rows more and cross lower).
-_FLOAT_ROWS = 19
+# one stacked array.  A float step costs about 2.1 us a row under one shared
+# Constant and 2.2 us with one Constant per row, a stacked step 41-46 us
+# whatever the width, so the two cross at 21-22 rows for a shared input and
+# 20-21 rows for per-row ones (measured on a 2-vCPU Xeon VM).
+_FLOAT_ROWS = 21
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
 
@@ -261,23 +272,52 @@ def _segments(signals: list, t_end: float) -> list:
     return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
-def _rates_on_segment(signals: list, a: float) -> list:
-    """One scalar function t -> B(t) per signal on the segment starting at a.
-    Piecewise-constant signals hold the level at the segment start (segments
-    are left-closed)."""
-    return [(lambda t, c=sig.value(a): c) if sig.piecewise_constant else sig.value
-            for sig in signals]
+def _start_levels(signals: list, pack):
+    """B at t = 0: a scalar for one shared signal, else `pack`ed, one level per row."""
+    b = [sig.value(0.0) for sig in signals]
+    return b[0] if len(b) == 1 else pack(b)
 
 
-def _grid(signals: list, t_end: float, dt: float):
-    """Yield (t, h, t_next, rates) for each RK4 step from 0 to t_end, every
-    segment between switch times cut into equal steps <= dt."""
+def _rates(signals: list, a: float, pack):
+    """The input levels of the segment starting at a, as a function
+    rate(b, t, h, t_next) -> (b0, bm, b1): B at the start, midpoint and end
+    of a step, given b, the levels the step before ended on.  Each is a
+    scalar for one shared signal, else `pack`ed with one level per row.
+
+    A piecewise-constant signal holds its level at a (segments are
+    left-closed), read here once.  A continuous one is evaluated at t + h/2
+    and t_next only: its B(t) is the step before's B(t_next), which it took
+    at the same float t."""
+    held = [sig.value(a) if sig.piecewise_constant else None for sig in signals]
+    if len(signals) == 1:
+        c, f = held[0], signals[0].value
+        if c is not None:
+            return lambda b, t, h, t_next, bc=(c, c, c): bc
+        return lambda b, t, h, t_next: (b, f(t + 0.5 * h), f(t_next))
+    moving = [(j, sig.value) for j, sig in enumerate(signals) if held[j] is None]
+    held = pack([0.0 if c is None else c for c in held])
+    if not moving:
+        return lambda b, t, h, t_next, bc=(held, held, held): bc
+
+    def rate(b, t, h, t_next):
+        b0, bm, b1 = held.copy(), held.copy(), held.copy()
+        for j, f in moving:
+            b0[j], bm[j], b1[j] = b[j], f(t + 0.5 * h), f(t_next)
+        return b0, bm, b1
+
+    return rate
+
+
+def _grid(signals: list, t_end: float, dt: float, pack):
+    """Yield (t, h, t_next, rate) for each RK4 step from 0 to t_end, every
+    segment between switch times cut into equal steps <= dt; `rate` is the
+    segment's `_rates`."""
     for t0, t1 in _segments(signals, t_end):
-        rates = _rates_on_segment(signals, t0)
+        rate = _rates(signals, t0, pack)
         n = max(1, int(math.ceil((t1 - t0) / dt - 1e-12)))
         h = (t1 - t0) / n
         for j in range(n):
-            yield t0 + j * h, h, t1 if j == n - 1 else t0 + (j + 1) * h, rates  # land on t1
+            yield t0 + j * h, h, t1 if j == n - 1 else t0 + (j + 1) * h, rate  # land on t1
 
 
 def _rk4(p: ModelParams, s, i, r, h: float, b0, bm, b1) -> tuple:
@@ -304,11 +344,6 @@ def _check_rows(rows: list, t: float) -> list:
     """The state check after a step, on rows of Python floats: NonFiniteState
     for a non-finite component in any row, else for a component below
     -1e-12*max(1, S+I+R) of its row; otherwise every component clipped at 0."""
-    for s, i, r in rows:
-        if not (s > 0.0 and i > 0.0 and r > 0.0 and s + i + r < math.inf):
-            break
-    else:
-        return rows  # finite (as their sum is) and positive: nothing to clip
     out, below = [], False
     for s, i, r in rows:
         if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
@@ -349,8 +384,6 @@ def _stacked_rk4(p: ModelParams, m: int):
 def _check_stacked(Y: np.ndarray, t: float) -> None:
     """`_check_rows` on a stacked (3, m) state, in place: the same tests,
     messages and clip."""
-    if Y.min() > 0.0 and Y.max() < math.inf:
-        return  # finite and positive: nothing to clip
     if not np.isfinite(Y).all():
         raise _nonfinite(t)
     s, i, r = Y
@@ -359,69 +392,65 @@ def _check_stacked(Y: np.ndarray, t: float) -> None:
     np.maximum(Y, 0.0, out=Y)
 
 
-def _float_steps(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float):
-    """Yield (t, rows, b) at t = 0 and after each step, every row of X stepped
-    on Python floats under its own scalar B(t); b is one level for a shared
-    signal, else a list with one per row."""
-    rows = X.tolist()
-    b = [f(0.0) for f in _rates_on_segment(signals, 0.0)]
-    yield 0.0, rows, b[0] if len(b) == 1 else b
-    for t, h, t_next, rates in _grid(signals, t_end, dt):
-        tm = t + 0.5 * h
-        b = [(f(t), f(tm), f(t_next)) for f in rates]
-        per_row = itertools.repeat(b[0]) if len(b) == 1 else b
-        rows = _check_rows([_rk4(p, s, i, r, h, *bk) for (s, i, r), bk in zip(rows, per_row)],
-                           t_next)
-        yield t_next, rows, b[0][2] if len(b) == 1 else [bk[2] for bk in b]
+def _float_block(p: ModelParams, x0: np.ndarray, b, steps: list, check: bool) -> tuple:
+    """Step the rows of x0 (m, 3) on Python floats through `steps` of the
+    grid, from the levels b; with `check`, each step passes `_check_rows`.
+    Returns the block (k+1, m, 3) and its levels."""
+    rows = x0.tolist()
+    states, levels = [rows], [b]
+    for t, h, t_next, rate in steps:
+        b0, bm, b = rate(b, t, h, t_next)
+        if isinstance(b, list):
+            rows = [_rk4(p, s, i, r, h, c0, cm, c1)
+                    for (s, i, r), c0, cm, c1 in zip(rows, b0, bm, b)]
+        else:
+            rows = [_rk4(p, s, i, r, h, b0, bm, b) for s, i, r in rows]
+        if check:
+            rows = _check_rows(rows, t_next)
+        states.append(rows)
+        levels.append(b)
+    return np.array(states, dtype=float).reshape(len(states), len(x0), 3), levels
 
 
-def _rows_array(states: Sequence) -> np.ndarray:
-    """(k, m, 3) array of k states yielded by `_float_steps`."""
-    return np.array(states, dtype=float).reshape(len(states), len(states[0]), 3)
+def _stacked_block(p: ModelParams, m: int):
+    """`_float_block` on one stacked (3, m) state: its steps are written in
+    place into a block buffer that every block reuses, and the block is
+    returned as a fresh (k+1, m, 3) copy."""
+    step = _stacked_rk4(p, m)
+    buf = np.empty((_BLOCK_STEPS + 1, 3, m))
+
+    def block(x0: np.ndarray, b, steps: list, check: bool) -> tuple:
+        buf[0] = x0.T
+        levels = [b]
+        for k, (t, h, t_next, rate) in enumerate(steps, 1):
+            b0, bm, b = rate(b, t, h, t_next)
+            step(buf[k - 1], buf[k], h, b0, bm, b)
+            if check:
+                _check_stacked(buf[k], t_next)
+            levels.append(b)
+        return buf[:len(steps) + 1].transpose(0, 2, 1).copy(), levels
+
+    return block
 
 
-def _float_feed(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float,
-                observer) -> np.ndarray:
-    """The narrow feed: `_float_steps` cut into observer blocks."""
-    steps = _float_steps(p, X, signals, t_end, dt)
-    last = next(steps)
-    while block := list(itertools.islice(steps, _BLOCK_STEPS)):
-        block.insert(0, last)
-        if observer is not None:
-            t, states, b = zip(*block)
-            observer(np.array(t), _rows_array(states), np.array(b))
-        last = block[-1]
-    return _rows_array([last[1]])[0]
-
-
-def _stacked_feed(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float,
-                  observer) -> np.ndarray:
-    """The wide feed: every step of the rows S, I, R of one stacked (3, m)
-    state is written into a reused block buffer, and each full block reaches
-    the observer as a fresh (k+1, m, 3) copy; b is one level for a shared
-    signal, else an array with one per row."""
-    def at(rates, t):
-        return rates[0](t) if len(rates) == 1 else np.array([f(t) for f in rates])
-
-    step = _stacked_rk4(p, len(X))
-    buf = np.empty((_BLOCK_STEPS + 1, 3, len(X)))
-    buf[0] = X.T
-    ts, bs = [0.0], [at(_rates_on_segment(signals, 0.0), 0.0)]
-    for t, h, t_next, rates in _grid(signals, t_end, dt):
-        k = len(ts)
-        bs.append(at(rates, t_next))
-        step(buf[k - 1], buf[k], h, at(rates, t), at(rates, t + 0.5 * h), bs[-1])
-        _check_stacked(buf[k], t_next)
-        ts.append(t_next)
-        if k == _BLOCK_STEPS:
-            if observer is not None:
-                observer(np.array(ts), buf.transpose(0, 2, 1).copy(), np.array(bs))
-            buf[0] = buf[k]
-            ts, bs = ts[-1:], bs[-1:]
-    k = len(ts) - 1
-    if k and observer is not None:
-        observer(np.array(ts), buf[:k + 1].transpose(0, 2, 1).copy(), np.array(bs))
-    return buf[k].T.copy()
+def _checked_block(block, x0: np.ndarray, b, steps: list) -> tuple:
+    """The block of `steps` from x0 and b, stepped by `block` without the
+    state check and then tested once.  It is kept when every new value is
+    finite and +0.0 or positive, which is exactly when no step's check would
+    raise or clip.  Otherwise it is replayed with the check after every
+    step, under the caller's errstate.  The unchecked run raises on each
+    floating-point error that the caller does not ignore, and such a block
+    is replayed too, so numpy warns or raises as if every step had been
+    checked."""
+    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    try:
+        with np.errstate(**strict):
+            X, levels = block(x0, b, steps, False)
+        if np.isfinite(X[1:]).all() and not np.signbit(X[1:]).any():
+            return X, levels
+    except FloatingPointError:
+        pass
+    return block(x0, b, steps, True)
 
 
 def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
@@ -439,8 +468,13 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     A batch of fewer than `_FLOAT_ROWS` rows steps every row on Python
     floats, a wider one steps one stacked (3, m) array.  Both feeds use the
     same step grid, blocks and state check, and give bit-identical results.
-    Pure apart from the observer callback; safe to run concurrently on
-    separate data.
+    Each block is stepped without the state check and tested once.  A block
+    with a non-finite, negative or -0.0 value, or with a floating-point
+    error that the caller's `np.errstate` does not ignore, is replayed with
+    the check after every step, so NonFiniteState, its message, the clip at
+    0 and numpy's warnings come as if every step had been checked.  Pure
+    apart from the observer callback; safe to run concurrently on separate
+    data.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -452,8 +486,20 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     signals = [sig] if isinstance(sig, InputSignal) else list(sig)
     if len(signals) != 1 and len(signals) != len(X):
         raise ValueError("need one signal, or one signal per row of X0")
-    feed = _float_feed if len(X) < _FLOAT_ROWS else _stacked_feed
-    return feed(p, X, signals, t_end, dt, observer)
+    if len(X) < _FLOAT_ROWS:
+        block, pack = functools.partial(_float_block, p), list
+    else:
+        block, pack = _stacked_block(p, len(X)), np.array
+    b, t = _start_levels(signals, pack), 0.0
+    grid = _grid(signals, t_end, dt, pack)
+    while steps := list(itertools.islice(grid, _BLOCK_STEPS)):
+        Xb, levels = _checked_block(block, X, b, steps)
+        X, b = Xb[-1].copy(), levels[-1]  # the observer owns Xb
+        if observer is not None:
+            observer(np.array([t, *(t_next for _, _, t_next, _ in steps)]), Xb,
+                     np.array(levels))
+        t = steps[-1][2]
+    return X
 
 
 def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,

@@ -77,3 +77,22 @@ def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
         assert record["size"] == size and record["command"][-2:] == ["--size", size]
         runs = [cmd for cmd in calls if "perfbench/run.py" in cmd]
         assert len(runs) == 4 and all(cmd[cmd.index("--size") + 1] == size for cmd in runs)
+
+
+def test_dirty_reads_only_the_measured_paths(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    (tmp_path / "NOTES.md").write_text("notes\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "init")
+    assert not bench_record.dirty(tmp_path)
+    (tmp_path / "NOTES.md").write_text("edited\n")
+    (tmp_path / "new.py").write_text("untracked\n")
+    assert not bench_record.dirty(tmp_path)
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert bench_record.dirty(tmp_path)

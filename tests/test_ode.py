@@ -1,4 +1,7 @@
 import csv
+import warnings
+from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 import sirlyap as sl
 from sirlyap import model, ode
 from sirlyap.errors import NonFiniteState, NotConverged
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_sample_input_examples():
@@ -125,20 +130,24 @@ def test_step_alignment_preserves_order(p_df):
     assert 8.0 <= e1 / e2 <= 32.0
 
 
-def test_integrate_batch_one_signal_per_row(p_df):
-    X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0]])
-    sigs = [ode.Step(2.5, 3.0, 8.0), ode.Step(2.5, 3.0, 1.0)]
-    both = ode.integrate_batch(p_df, X0, sigs, 10.0, dt=0.5)
-    for j, sig in enumerate(sigs):
-        alone = ode.integrate_batch(p_df, X0[j:j + 1], sig, 10.0, dt=0.5)
-        assert np.array_equal(both[j], alone[0])
+def test_integrate_batch_one_signal_per_row(p_df, monkeypatch):
+    X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
+    # rows whose signals share their switch times step on the grid of their solo runs
+    for sigs in ([ode.Step(2.5, 3.0, 8.0), ode.Step(2.5, 3.0, 1.0)],
+                 [ode.Sinusoid(3.0, 1.0, 0.7), ode.Constant(5.0), ode.Sinusoid(8.0, 2.0, 0.3)]):
+        for width in (0, 4):  # all stacked, then all float rows
+            monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+            rows = ode.integrate_batch(p_df, X0[:len(sigs)], sigs, 10.0, dt=0.5)
+            for j, sig in enumerate(sigs):
+                alone = ode.integrate_batch(p_df, X0[j:j + 1], sig, 10.0, dt=0.5)
+                assert np.array_equal(rows[j], alone[0])
     # the grid holds every row's switch times
     times = []
-    ode.integrate_batch(p_df, X0, [ode.Step(2.5, 3.0, 8.0), ode.Sinusoid(3.0, 1.0, 0.1)],
+    ode.integrate_batch(p_df, X0[:2], [ode.Step(2.5, 3.0, 8.0), ode.Sinusoid(3.0, 1.0, 0.1)],
                         10.0, dt=1.0, observer=lambda t, X, b: times.extend(t[1:]))
     assert 2.5 in times and times[-1] == 10.0
     with pytest.raises(ValueError):
-        ode.integrate_batch(p_df, X0, [ode.Constant(3.0)] * 3, 1.0)
+        ode.integrate_batch(p_df, X0[:2], [ode.Constant(3.0)] * 3, 1.0)
 
 
 def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
@@ -251,6 +260,119 @@ def test_state_check_at_block_boundaries(p_en, monkeypatch):
     assert np.array_equal(Xf, Xf_ref)
     for block, ref in zip(blocks, blocks_ref):
         assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+
+
+def _observed(p, X0, sig, t_end, dt, expect):
+    """Run integrate_batch; return its rows 1.. joined over the observer
+    blocks, the final batch (None on error) and the error text."""
+    blocks, Xf, error = [], None, None
+    with pytest.raises(NonFiniteState) if expect else nullcontext() as err:
+        Xf = ode.integrate_batch(p, X0, sig, t_end, dt,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+    if expect:
+        error = str(err.value)
+    rows = [np.concatenate([blk[j][1:] for blk in blocks]) if blocks else None
+            for j in range(3)]
+    return rows, Xf, error
+
+
+def test_mid_block_failures_replay_exactly(p_en, monkeypatch):
+    # nineteen steps of 1e-9 (the switch times of a constant Piecewise) come
+    # before the step that fails or clips: the 20th, the fourth of the second
+    # block of 16
+    ticks = ode.Piecewise(tuple((j * 1e-9, 17.0) for j in range(20)))
+    t_c = 0.13688950680820497  # step 20 ends at t_c with I = -1.1e-9: clipped to 0
+    clip = ode.Piecewise(ticks.points + tuple((t_c + 0.01 * j, 17.0) for j in range(13)))
+    cases = [(np.array([[1e5, 1e5, 0.0]] * 3), ticks, 4000.0, 2000.0,
+              "state component below -1e-12*N at t=2000; reduce dt"),
+             # one row falls below the floor as the other overflows (its
+             # input jumps to 1e308): the non-finite one is reported
+             (np.array([[1e5, 1e5, 0.0], [100.0, 50.0, 10.0]]),
+              [ticks, ode.Step(19e-9, 17.0, 1e308)], 4000.0, 2000.0,
+              "non-finite state at t=2000; reduce dt"),
+             (np.array([[1e5, 1e5, 0.0], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]]),
+              [clip, ode.Constant(17.0), ode.Sinusoid(17.0, 6.0, 0.7)], t_c + 0.13, 1.0, None)]
+    for X0, sig, t_end, dt, message in cases:
+        runs = {}
+        for width in (0, len(X0) + 1):  # all stacked, then all float rows
+            monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+            for block_steps in (16, 1):
+                monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    runs[width, block_steps] = _observed(p_en, X0, sig, t_end, dt, message)
+        rows, Xf, error = runs[0, 1]
+        assert error == message and len(rows[0]) == (19 if message else 33)
+        if message is None:
+            assert rows[1][19, 0, 1] == 0.0 and rows[1][18, 0, 1] > 0.0  # the clip at step 20
+        for (width, block_steps), (rows_k, Xf_k, error_k) in runs.items():
+            # a failing run observes the first block of 16 only
+            n = 16 if message and block_steps == 16 else len(rows[0])
+            assert error_k == error and len(rows_k[0]) == n
+            assert all(np.array_equal(a[:n], b) for a, b in zip(rows, rows_k))
+            assert Xf_k is None if message else np.array_equal(Xf_k, Xf)
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
+def test_replay_gives_the_same_numpy_warnings(p_en, monkeypatch, errstate):
+    # the overflow of the second case above, on the stacked feed: the
+    # unchecked run warns of nothing, the replay as the per-step check does
+    monkeypatch.setattr(ode, "_FLOAT_ROWS", 0)
+    ticks = ode.Piecewise(tuple((j * 1e-9, 17.0) for j in range(20)))
+    X0 = np.array([[1e5, 1e5, 0.0], [100.0, 50.0, 10.0]])
+    sigs = [ticks, ode.Step(19e-9, 17.0, 1e308)]
+    seen = []
+    for block_steps in (16, 1):
+        monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+            warnings.simplefilter("always")
+            with pytest.raises((NonFiniteState, FloatingPointError)) as err:
+                ode.integrate_batch(p_en, X0, sigs, 4000.0, 2000.0)
+        seen.append((type(err.value), str(err.value),
+                     [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
+    assert seen[0] == seen[1]
+    assert seen[0][2] if not errstate else seen[0][0] is FloatingPointError
+
+
+def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
+    # with dR/dt = R a -0.0 in R stays -0.0 through a step; the state check
+    # clips it to +0.0, so the block that holds it is replayed
+    calls = []
+
+    def field(p, s, i, r, b):
+        calls.append(1)
+        ds, di, _ = model.rhs_arrays(p, s, i, r, b)
+        return ds, di, r * 1.0
+
+    monkeypatch.setattr(ode, "rhs_arrays", field)
+    monkeypatch.setattr(ode, "_BLOCK_STEPS", 4)
+    for width in (0, 3):
+        monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+        runs = []
+        for r0 in (0.0, -0.0):
+            calls.clear()
+            X0 = np.array([[100.0, 5.0, r0], [150.0, 20.0, 1.0]])
+            rows, Xf, _ = _observed(p_en, X0, ode.Constant(17.0), 1.0, 0.1, None)
+            runs.append((rows, Xf, len(calls)))
+        (rows, Xf, n), (rows_neg, Xf_neg, n_neg) = runs
+        assert not np.signbit(rows_neg[1]).any() and rows_neg[1][0, 0, 2] == 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_neg))
+        assert np.array_equal(Xf, Xf_neg) and not np.signbit(Xf_neg).any()
+        assert n_neg == n * 14 // 10  # ten steps, the first block of four twice
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("name, sig", [("step", ode.Step(3.05, 17.0, 5.0)),
+                                       ("sinusoid", ode.Sinusoid(17.0, 6.0, 0.7))])
+def test_trajectory_csv_matches_golden(tmp_path, monkeypatch, p_en, name, sig, every):
+    # recorded before the state check moved to once per block and the input
+    # levels to once per segment; the 16-step blocks cross the step's switch
+    golden = (DATA / f"trajectory_{name}_every{every}.csv").read_bytes()
+    for block_steps in (ode._BLOCK_STEPS, 16):
+        monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+        traj = sl.integrate(p_en, sl.State(300.0, 80.0, 40.0), sig, 10.0, dt=0.1,
+                            record_every=every)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == golden
 
 
 def test_step_calls_library_vector_field(p_df, monkeypatch):

@@ -18,9 +18,11 @@ and numpy versions, the size, both git SHAs, every run's result line and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's wins and whether a gain would count: wins in at
 least nine tenths of the pairs and medians further apart than the parent's
-interquartile range.  `--traced WORKLOAD` adds one `--trace 1`
-run per side on seed 1, parent first, whose per-layer metrics go under
-"traced".  Needs only the standard library and git.
+interquartile range.  The change reads `dirty` when a tracked file under
+`src`, `perfbench`, `configs` or `BENCHMARK.json` differs from HEAD.
+`--traced WORKLOAD` adds one `--trace 1` run per side on seed 1, parent
+first, whose per-layer metrics go under "traced".  Needs only the standard
+library and git.
 """
 from __future__ import annotations
 
@@ -41,6 +43,16 @@ from pathlib import Path
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+#: what the runs use of the working tree: a change elsewhere leaves a recording clean
+MEASURED_PATHS = ("src", "perfbench", "configs", "BENCHMARK.json")
+
+
+def dirty(root: Path) -> bool:
+    """True when a tracked file under MEASURED_PATHS differs from HEAD."""
+    return bool(git(root, "status", "--porcelain", "--untracked-files=no", "--",
+                    *MEASURED_PATHS))
 
 
 def export(root: Path, ref: str, dest: Path) -> None:
@@ -158,8 +170,7 @@ def main(argv=None) -> int:
         "size": args.size, "machine": machine(), "python": platform.python_version(),
         "numpy": numpy_version,
         "parent": {"ref": args.parent, "sha": git(root, "rev-parse", args.parent)},
-        "change": {"sha": git(root, "rev-parse", "HEAD"),
-                   "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no"))},
+        "change": {"sha": git(root, "rev-parse", "HEAD"), "dirty": dirty(root)},
         "runs": [], "traced": [],
     }
     out_path = root / f"BENCH_{args.label}.json"
