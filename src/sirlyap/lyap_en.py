@@ -376,7 +376,11 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
     lam_h2 = 0.1
     k_frac = 0.9
     for it in range(64):
-        k = k_frac * k0_bound(p, l_cur)
+        k0 = k0_bound(p, l_cur)
+        if not k0 > 0.0:
+            # R0 within rounding of gamma/mu + 2: term1 of k0 rounds to 0
+            raise NoConvergence(f"no admissible slope k: k0={k0:.3g} <= 0")
+        k = k_frac * k0
         provisional = EnLyapParams(1.0, 1.0, lam_h2, k, 1e-300, l_cur, delta)
         lp = replace(provisional, lambda3=lambda3_default(p, provisional))
         ok = check_condition_50(p, lp).passed

@@ -349,6 +349,18 @@ def test_select_en_params_in_every_regime(regime, frac, gamma, mu, log_l_bar):
     assert lyap_en.check_condition_50(p, lp).passed
 
 
+def test_select_en_params_at_rounding_edge_of_theorem_regime():
+    # R0 one ulp above gamma/mu + 2 classifies as ENDEMIC_THEOREM_APPLIES,
+    # but k0 rounds to 0, so no slope k is admissible
+    gamma, mu = 0.02, 0.016921266814305353
+    r0 = gamma / mu + 2.0
+    p = sl.ModelParams(beta=2e-4, gamma=gamma, mu=mu, b_hat=r0 * mu * (gamma + mu) / 2e-4)
+    assert model.classify_regime(p) is Regime.ENDEMIC_THEOREM_APPLIES
+    assert lyap_en.k0_bound(p, 1.0) <= 0.0
+    with pytest.raises(NoConvergence):
+        lyap_en.select_en_params(p, l_bar=1.0)
+
+
 def test_derived_constants(p_en, lp_en):
     dc = lyap_en.derived_constants(p_en, lp_en)
     assert dc.gamma_a >= 0.0 and dc.gamma_c >= 0.0 and dc.gamma_d >= 0.0
