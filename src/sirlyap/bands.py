@@ -11,6 +11,11 @@ from __future__ import annotations
 #: points per band of every bulk evaluation
 BAND_POINTS = 1 << 16
 
+#: sampling defaults of `verify`, kept here so the CLI's config need not import it
+DEFAULT_SEED = 0x5121  # "SIR1"
+GRID_N = 60            # grid points per axis of check_df_grid_iss
+N_SAMPLES = 100_000    # endemic decrease samples
+
 
 def bands(n: int, per: int = 1) -> list:
     """Consecutive (a, b) ranges covering range(n), in order, of about

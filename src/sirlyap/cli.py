@@ -2,7 +2,7 @@
 
 All subcommands read one JSON config (see configs/ in the repo) plus a few
 flag overrides; exit codes are 0 success, 1 config error, 2 regime error,
-3 check failure.
+3 check failure.  Each command imports only the modules it runs.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import levelset, lyap_df, lyap_en, model, ode, verify
+from . import bands, model, ode
 from .errors import ConfigError, RegimeError, SirLyapError
 from .model import ModelParams, State
 
@@ -48,7 +48,10 @@ def _window(v) -> list:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in v)):
         raise ConfigError(f"window must be [[lo, hi], [lo, hi]], got {v!r}")
-    return [[_finite("window", x) for x in row] for row in v]
+    w = [[_finite("window", x) for x in row] for row in v]
+    if not all(lo < hi for lo, hi in w):
+        raise ConfigError(f"window needs lo < hi on both axes, got {v!r}")
+    return w
 
 
 def _plane(v) -> dict:
@@ -77,9 +80,9 @@ class RunConfig:
     plane: dict = None
     resolution: list = field(default_factory=lambda: [800, 800])
     out_dir: str = "out"
-    seed: int = verify.DEFAULT_SEED
-    grid_n: int = verify.GRID_N
-    n_samples: int = verify.N_SAMPLES
+    seed: int = bands.DEFAULT_SEED
+    grid_n: int = bands.GRID_N
+    n_samples: int = bands.N_SAMPLES
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -179,9 +182,11 @@ def _load_config(args) -> RunConfig:
 def _build_lyap(cfg: RunConfig):
     p, ly = cfg.model, cfg.lyap
     if cfg.equilibrium == "df":
+        from . import lyap_df
         lp = lyap_df.select_df_params(p, mu0=ly.get("mu0"), eps=ly.get("eps"),
                                       delta=ly.get("delta"))
         return lyap_df.DiseaseFreeLyapunov(p, lp)
+    from . import lyap_en
     if "l_bar" in ly and "lambda_hat2" in ly and "k" in ly:
         lp = lyap_en.en_params_from(p, ly["l_bar"], ly["lambda_hat2"], ly["k"],
                                     lambda3=ly.get("lambda3"), delta=ly.get("delta"))
@@ -217,6 +222,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
+    from . import verify
     rep = verify.run_certification(_build_lyap(cfg), seed=cfg.seed,
                                    grid_n=cfg.grid_n, n_samples=cfg.n_samples)
     out_dir = Path(cfg.out_dir)
@@ -227,6 +233,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_levelsets(cfg: RunConfig) -> int:
+    from . import levelset
     lyap = _build_lyap(cfg)
     plane = ("x3t", 0.0) if cfg.plane is None else (cfg.plane["axis"], cfg.plane["value"])
     window = None if cfg.window is None else tuple(map(tuple, cfg.window))
@@ -252,11 +259,14 @@ def cmd_params(cfg: RunConfig) -> int:
     return 0
 
 
+_COMMANDS = {"equilibria": cmd_equilibria, "simulate": cmd_simulate, "certify": cmd_certify,
+             "levelsets": cmd_levelsets, "params": cmd_params}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sirlyap",
                                  description="SIR stability certification toolkit")
-    ap.add_argument("command",
-                    choices=["equilibria", "simulate", "certify", "levelsets", "params"])
+    ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--config", required=True, help="path to the JSON run config")
     ap.add_argument("--out", default=None, help="output directory override")
     ap.add_argument("--seed", type=int, default=None)
@@ -274,15 +284,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    handlers = {
-        "equilibria": cmd_equilibria,
-        "simulate": cmd_simulate,
-        "certify": cmd_certify,
-        "levelsets": cmd_levelsets,
-        "params": cmd_params,
-    }
     try:
-        return handlers[args.command](cfg)
+        return _COMMANDS[args.command](cfg)
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 2

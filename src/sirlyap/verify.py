@@ -16,14 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lyap_df, lyap_en, model, ode
-from .bands import bands
+from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
 from .lyap_en import sample_sublevel
 from .model import Deviation, EquilibriumKind, ModelParams, State
 
-DEFAULT_SEED = 0x5121  # "SIR1"
-GRID_N = 60              # grid points per axis of check_df_grid_iss
-N_SAMPLES = 100_000      # endemic decrease samples
 N_POINTWISE = 20_000     # cap on the pointwise ISS samples
 N_STARTS = 50            # nominal-input trajectory starts
 DT = 0.05                # RK4 step of every trajectory check

@@ -49,13 +49,19 @@ def test_summary_counts_ties_and_failures():
 
 
 def test_each_side_gets_its_own_bytecode_cache(monkeypatch, tmp_path):
+    # the caller's bytecode setting passes through; only the cache is per side
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     env = bench_record.side_env(tmp_path / "parent")
     assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
-    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert bench_record.side_env(tmp_path / "change")["PYTHONPYCACHEPREFIX"] == \
+        str(tmp_path / "change")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert "PYTHONDONTWRITEBYTECODE" not in bench_record.side_env(tmp_path / "parent")
 
 
 def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench_record, "git", lambda root, *args: "")
@@ -75,6 +81,7 @@ def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
         bench_record.main(argv + extra)
         record = json.loads((tmp_path / "BENCH_t.json").read_text())
         assert record["size"] == size and record["command"][-2:] == ["--size", size]
+        assert record["bytecode_written"] is True
         runs = [cmd for cmd in calls if "perfbench/run.py" in cmd]
         assert len(runs) == 4 and all(cmd[cmd.index("--size") + 1] == size for cmd in runs)
 

@@ -194,6 +194,8 @@ def test_bad_json_config(tmp_path):
     {**DF_CONFIG, "horizon": float("inf")},
     {**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}},
     {**DF_CONFIG, "window": [[0.0]]},
+    {**DF_CONFIG, "window": [[1.0, 1.0], [0.0, 5.0]]},
+    {**DF_CONFIG, "window": [[-100.0, 200.0], [220.0, 0.0]]},
     {**DF_CONFIG, "resolution": [1]},
     {**DF_CONFIG, "plane": {"axis": "x3t"}},
     {**DF_CONFIG, "plane": {"axis": "x1t", "value": 0}},
@@ -204,7 +206,8 @@ def test_bad_json_config(tmp_path):
     {**DF_CONFIG, "grid_n": 0},
     {**EN_CONFIG, "n_samples": 0},
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
-        "partial_endemic_override", "short_window", "short_resolution",
+        "partial_endemic_override", "short_window", "empty_window", "inverted_window",
+        "short_resolution",
         "plane_without_value", "plane_bad_axis", "scalar_levels", "negative_level",
         "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples"])
 def test_bad_config_values(tmp_path, capsys, bad):

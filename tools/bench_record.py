@@ -11,9 +11,11 @@ with the same workload, seed (the pair's number, from 1), `--size` (default
 `bench`, the size BENCHMARK.json runs) and the `run_seconds` of
 BENCHMARK.json; the side that goes first alternates from pair to pair.
 Each side keeps its bytecode in its own fresh cache (PYTHONPYCACHEPREFIX in
-the temporary directory, with writing allowed), so bytecode that the working
-tree already holds cannot favour the change.  The temporary directory
-follows TMPDIR.  The JSON file holds the machine, Python
+the temporary directory), so bytecode that the working tree already holds
+cannot favour the change.  The caller's PYTHONDONTWRITEBYTECODE passes
+through: set it to measure every child compiling the program afresh, as a
+benchmark run from a new checkout without a writable cache does; the header
+records which it was.  The temporary directory follows TMPDIR.  The JSON file holds the machine, Python
 and numpy versions, the size, both git SHAs, every run's result line and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's wins and whether a gain would count: wins in at
@@ -76,10 +78,8 @@ def machine() -> dict:
 
 
 def side_env(cache: Path) -> dict:
-    """The environment of one side's runs: bytecode read from and written to `cache`."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(cache)
-    return env
+    """The environment of one side's runs: the caller's, with bytecode kept in `cache`."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
 
 
 def run_one(root: Path, workload: str, seed: int, seconds: float, env: dict,
@@ -169,6 +169,8 @@ def main(argv=None) -> int:
                                       str(seconds), "--size", args.size],
         "size": args.size, "machine": machine(), "python": platform.python_version(),
         "numpy": numpy_version,
+        # Python writes no bytecode when this variable is set to a non-empty string
+        "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "parent": {"ref": args.parent, "sha": git(root, "rev-parse", args.parent)},
         "change": {"sha": git(root, "rev-parse", "HEAD"), "dirty": dirty(root)},
         "runs": [], "traced": [],
