@@ -49,15 +49,34 @@ def test_summary_counts_ties_and_failures():
 
 
 def test_each_side_gets_its_own_bytecode_cache(monkeypatch, tmp_path):
-    # the caller's bytecode setting passes through; only the cache is per side
+    # each side runs from its own copy, without the working tree's bytecode,
+    # under the caller's environment: PYTHONDONTWRITEBYTECODE passes through
+    root = tmp_path / "repo"
+    for name in ("src/sirlyap/cli.py", "src/sirlyap/__pycache__/cli.cpython-311.pyc",
+                 "perfbench/run.py", "configs/df.json"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("x\n")
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.chdir(root)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    env = bench_record.side_env(tmp_path / "parent")
-    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
-    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
-    assert bench_record.side_env(tmp_path / "change")["PYTHONPYCACHEPREFIX"] == \
-        str(tmp_path / "change")
-    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
-    assert "PYTHONDONTWRITEBYTECODE" not in bench_record.side_env(tmp_path / "parent")
+    monkeypatch.setattr(bench_record, "git", lambda root, *args: "")
+    monkeypatch.setattr(bench_record, "export", lambda root, ref, dest: dest.mkdir())
+    sides = []
+
+    def fake_run(cmd, **kwargs):
+        if "perfbench/run.py" in cmd:
+            cwd = Path(kwargs["cwd"])
+            assert "env" not in kwargs
+            assert (cwd / "src" / "sirlyap").is_dir() == (cwd.name == "change")
+            assert not list(cwd.rglob("__pycache__"))
+            sides.append(cwd)
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    bench_record.main(["--label", "t", "--parent", "HEAD", "--pairs", "certify=1"])
+    assert [p.name for p in sides] == ["parent", "change"] and root not in sides
+    assert json.loads((root / "BENCH_t.json").read_text())["bytecode_written"] is False
 
 
 def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
@@ -66,6 +85,7 @@ def test_size_reaches_every_run_and_the_header(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench_record, "git", lambda root, *args: "")
     monkeypatch.setattr(bench_record, "export", lambda root, ref, dest: None)
+    monkeypatch.setattr(bench_record, "copy_measured", lambda root, dest: None)
     calls = []
 
     def fake_run(cmd, **kwargs):

@@ -5,17 +5,18 @@
 
 Run from the root of a sirlyap checkout: that working tree is the change.
 The parent commit is exported with `git archive` into a temporary directory,
-so it runs from its committed files only.  Each pair runs the unchanged
-`perfbench/run.py` of each side, from that side's root, one run at a time,
+so it runs from its committed files only; the change's MEASURED_PATHS are
+copied there without their bytecode, so bytecode that the working tree
+already holds cannot favour the change.  Each pair runs the unchanged
+`perfbench/run.py` of each side, from that side's copy, one run at a time,
 with the same workload, seed (the pair's number, from 1), `--size` (default
 `bench`, the size BENCHMARK.json runs) and the `run_seconds` of
 BENCHMARK.json; the side that goes first alternates from pair to pair.
-Each side keeps its bytecode in its own fresh cache (PYTHONPYCACHEPREFIX in
-the temporary directory), so bytecode that the working tree already holds
-cannot favour the change.  The caller's PYTHONDONTWRITEBYTECODE passes
-through: set it to measure every child compiling the program afresh, as a
-benchmark run from a new checkout without a writable cache does; the header
-records which it was.  The temporary directory follows TMPDIR.  The JSON file holds the machine, Python
+The runs get the caller's environment.  With PYTHONDONTWRITEBYTECODE set,
+every child compiles sirlyap afresh while numpy and the standard library
+keep their installed bytecode, as in a benchmark run from a new checkout
+that writes none; the header records whether bytecode was written.  The
+temporary directory follows TMPDIR.  The JSON file holds the machine, Python
 and numpy versions, the size, both git SHAs, every run's result line and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's wins and whether a gain would count: wins in at
@@ -33,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -77,19 +79,25 @@ def machine() -> dict:
             "cpus": os.cpu_count()}
 
 
-def side_env(cache: Path) -> dict:
-    """The environment of one side's runs: the caller's, with bytecode kept in `cache`."""
-    return dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+def copy_measured(root: Path, dest: Path) -> None:
+    """The working tree's MEASURED_PATHS under dest, without bytecode."""
+    dest.mkdir(parents=True)
+    for name in MEASURED_PATHS:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(root / name, dest / name)
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float, env: dict,
+def run_one(root: Path, workload: str, seed: int, seconds: float,
             trace: int = 0, size: str = "bench") -> dict:
     """One `perfbench/run.py` run from `root`: its JSON result line plus wall time."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace), "--size", size],
-                          cwd=root, env=env, capture_output=True, text=True)
+                          cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     try:
@@ -177,15 +185,14 @@ def main(argv=None) -> int:
     }
     out_path = root / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        export(root, args.parent, parent_root)
-        sides = {"parent": parent_root, "change": root}
-        envs = {side: side_env(Path(tmp) / "pycache" / side) for side in sides}
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(root, args.parent, sides["parent"])
+        copy_measured(root, sides["change"])
         for workload, n in plan:
             for pair in range(n):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_one(sides[side], workload, pair + 1, seconds, envs[side],
+                    result = run_one(sides[side], workload, pair + 1, seconds,
                                      size=args.size)
                     record["runs"].append({"workload": workload, "pair": pair, "side": side,
                                            "first": side == order[0], "seed": pair + 1,
@@ -197,7 +204,7 @@ def main(argv=None) -> int:
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
         for workload in args.traced:
             for side in ("parent", "change"):
-                result = run_one(sides[side], workload, 1, seconds, envs[side], trace=1,
+                result = run_one(sides[side], workload, 1, seconds, trace=1,
                                  size=args.size)
                 record["traced"].append({"workload": workload, "side": side, "seed": 1, **result})
                 print(f"{workload} traced {side:6s} correct {result['correct']}", flush=True)
