@@ -2,7 +2,10 @@
 
 All subcommands read one JSON config (see configs/ in the repo) plus a few
 flag overrides; exit codes are 0 success, 1 config error, 2 regime error,
-3 check failure.  Each command imports only the modules it runs.
+3 check failure.  Run as a program (`python -m sirlyap.cli`), each command
+imports only the modules it runs.  Imported as a module, this one loads
+every layer first, so a tool that wraps the layers' functions before it
+calls `main` (perfbench/tracer.py) finds them all.
 """
 from __future__ import annotations
 
@@ -16,6 +19,9 @@ from pathlib import Path
 from . import bands, model, ode
 from .errors import ConfigError, RegimeError, SirLyapError
 from .model import ModelParams, State
+
+if __name__ != "__main__":
+    from . import levelset, lyap_df, lyap_en, verify  # noqa: F401
 
 _KNOWN_KEYS = {
     "model", "equilibrium", "lyap", "signal", "x0", "horizon", "dt",

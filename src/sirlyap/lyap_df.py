@@ -12,7 +12,7 @@ row 0 of the array path.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -47,11 +47,18 @@ class DfLyapParams:
     delta: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "mu0": self.mu0,
+            "eps": self.eps,
+            "gamma0": self.gamma0,
+            "lambda3": self.lambda3,
+            "delta": self.delta,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DfLyapParams":
-        return cls(*(float(d[f.name]) for f in fields(cls)))
+        return cls(float(d["mu0"]), float(d["eps"]), float(d["gamma0"]),
+                   float(d["lambda3"]), float(d["delta"]))
 
 
 class DfRegion(Enum):

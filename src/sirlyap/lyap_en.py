@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -76,11 +76,20 @@ class EnLyapParams:
         return self.lambda2 - self.k * self.lambda1
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "lambda1": self.lambda1,
+            "lambda2": self.lambda2,
+            "lambda_hat2": self.lambda_hat2,
+            "k": self.k,
+            "lambda3": self.lambda3,
+            "l_bar": self.l_bar,
+            "delta": self.delta,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnLyapParams":
-        return cls(*(float(d[f.name]) for f in fields(cls)))
+        return cls(float(d["lambda1"]), float(d["lambda2"]), float(d["lambda_hat2"]),
+                   float(d["k"]), float(d["lambda3"]), float(d["l_bar"]), float(d["delta"]))
 
 
 class EnRegion(Enum):

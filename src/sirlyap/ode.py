@@ -130,7 +130,13 @@ class Piecewise(InputSignal):
             raise ValueError("piecewise signal needs at least one segment")
 
     def value(self, t: float) -> float:
-        return next((c for ti, c in reversed(self.points) if t >= ti), self.points[0][1])
+        out = self.points[0][1]
+        for ti, ci in self.points:
+            if t >= ti:
+                out = ci
+            else:
+                break
+        return out
 
     def breakpoints(self, t_end: float) -> list:
         return [t for t, _ in self.points if 0.0 < t < t_end]

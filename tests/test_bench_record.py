@@ -59,7 +59,10 @@ def test_each_side_gets_its_own_bytecode_cache(monkeypatch, tmp_path):
     (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.chdir(root)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    monkeypatch.setattr(bench_record, "git", lambda root, *args: "")
+    tracked = "\0".join(["src/sirlyap/cli.py", "perfbench/run.py", "configs/df.json",
+                          "BENCHMARK.json"])
+    monkeypatch.setattr(bench_record, "git",
+                        lambda root, *args: tracked if args[0] == "ls-files" else "")
     monkeypatch.setattr(bench_record, "export", lambda root, ref, dest: dest.mkdir())
     sides = []
 
@@ -123,3 +126,22 @@ def test_dirty_reads_only_the_measured_paths(tmp_path):
     assert not bench_record.dirty(tmp_path)
     (tmp_path / "src" / "m.py").write_text("x = 2\n")
     assert bench_record.dirty(tmp_path)
+
+
+def test_copy_measured_takes_only_tracked_files(tmp_path):
+    # an untracked module under src would be measured while `dirty` reads false
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    for name in ("src/m.py", "configs/a.json", "NOTES.md"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("committed\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "init"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=root, check=True, capture_output=True)
+    (root / "src" / "m.py").write_text("edited\n")
+    for name in ("src/scratch.py", "src/__pycache__/m.cpython-311.pyc", "perfbench/new.py"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("untracked\n")
+    bench_record.copy_measured(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == ["configs/a.json", "src/m.py"]
+    assert (dest / "src" / "m.py").read_text() == "edited\n"

@@ -53,10 +53,14 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
+# `python -m sirlyap.cli ARGS`, then the sirlyap modules it loaded
 _RUN_COMMAND = """
-import json, sys
-from sirlyap import cli
-rc = cli.main(sys.argv[1:])
+import json, runpy, sys
+sys.argv[0] = "sirlyap.cli"
+try:
+    runpy.run_module("sirlyap.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    rc = exc.code
 print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap."))]))
 """
 
@@ -74,7 +78,19 @@ def test_each_command_loads_only_its_modules(tmp_path, command, cfg, extra):
     out = _fresh(_RUN_COMMAND, command, "--config", str(path), "--out", str(tmp_path / "out"))
     rc, loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
-    assert set(loaded) == BASE | extra | {"cli"}
+    assert set(loaded) == BASE | extra
+
+
+def test_cli_module_loads_every_traced_layer():
+    # imported as a module, the CLI loads every layer, so the benchmark's
+    # tracer finds each module it wraps before it calls main
+    out = _fresh("import sys\n"
+                 f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+                 "import tracer\n"
+                 "tracer.install(tracer.Recorder())\n"
+                 "print(all(f'sirlyap.{m}' in sys.modules\n"
+                 "          for m, *_ in tracer.SPANS + tracer.LEAVES))")
+    assert out.split() == ["True"]
 
 
 def test_import_loads_no_submodule():

@@ -5,9 +5,9 @@
 
 Run from the root of a sirlyap checkout: that working tree is the change.
 The parent commit is exported with `git archive` into a temporary directory,
-so it runs from its committed files only; the change's MEASURED_PATHS are
-copied there without their bytecode, so bytecode that the working tree
-already holds cannot favour the change.  Each pair runs the unchanged
+so it runs from its committed files only; the change's tracked files under
+MEASURED_PATHS are copied there, so neither bytecode that the working tree
+already holds nor an untracked module can reach the change's runs.  Each pair runs the unchanged
 `perfbench/run.py` of each side, from that side's copy, one run at a time,
 with the same workload, seed (the pair's number, from 1), `--size` (default
 `bench`, the size BENCHMARK.json runs) and the `run_seconds` of
@@ -80,13 +80,15 @@ def machine() -> dict:
 
 
 def copy_measured(root: Path, dest: Path) -> None:
-    """The working tree's MEASURED_PATHS under dest, without bytecode."""
+    """The working tree's tracked files under MEASURED_PATHS, under dest.
+
+    Untracked files (bytecode, scratch modules) stay behind, so the change
+    runs what `dirty` describes.
+    """
     dest.mkdir(parents=True)
-    for name in MEASURED_PATHS:
-        if (root / name).is_dir():
-            shutil.copytree(root / name, dest / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        else:
+    for name in git(root, "ls-files", "-z", "--", *MEASURED_PATHS).split("\0"):
+        if name and (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(root / name, dest / name)
 
 
