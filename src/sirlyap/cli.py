@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bands, model, ode
@@ -23,14 +23,10 @@ from .model import ModelParams, State
 if __name__ != "__main__":
     from . import levelset, lyap_df, lyap_en, verify  # noqa: F401
 
-_KNOWN_KEYS = {
-    "model", "equilibrium", "lyap", "signal", "x0", "horizon", "dt",
-    "levels", "window", "plane", "resolution", "out_dir", "seed",
-    "grid_n", "n_samples",
-}
-_KNOWN_LYAP_KEYS = {
-    "mu0", "eps", "delta",                       # disease-free
-    "lambda_hat2", "k", "l_bar", "lambda3",      # endemic
+#: the Lyapunov constants a config may set, per equilibrium
+_LYAP_KEYS = {
+    "df": {"mu0", "eps", "delta"},
+    "endemic": {"lambda_hat2", "k", "l_bar", "lambda3", "delta"},
 }
 
 
@@ -93,7 +89,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Validate a config; an omitted key takes its field's default."""
-        unknown = set(d) - _KNOWN_KEYS
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "model" not in d:
@@ -107,12 +103,12 @@ class RunConfig:
             raise ConfigError(f"bad model section: {exc}") from exc
         d = {**vars(cls(model=p)), **d}
         eq = d["equilibrium"]
-        if eq not in ("df", "endemic"):
+        if eq not in _LYAP_KEYS:
             raise ConfigError("equilibrium must be 'df' or 'endemic'")
         lyap = {k: _finite(f"lyap.{k}", v) for k, v in d["lyap"].items()}
-        bad = set(lyap) - _KNOWN_LYAP_KEYS
+        bad = set(lyap) - _LYAP_KEYS[eq]
         if bad:
-            raise ConfigError(f"unknown lyap keys: {sorted(bad)}")
+            raise ConfigError(f"unknown lyap keys for equilibrium {eq!r}: {sorted(bad)}")
         partial = {"lambda_hat2", "k", "lambda3"} & set(lyap)
         if partial and not {"l_bar", "lambda_hat2", "k"} <= set(lyap):
             raise ConfigError("lambda_hat2, k and lambda3 need the full l_bar, lambda_hat2, k triple")

@@ -19,7 +19,7 @@ from . import lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
 from .lyap_en import sample_sublevel
-from .model import Deviation, EquilibriumKind, ModelParams, State
+from .model import Deviation, ModelParams, State
 
 N_POINTWISE = 20_000     # cap on the pointwise ISS samples
 N_STARTS = 50            # nominal-input trajectory starts
@@ -51,10 +51,6 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list = field(default_factory=list)
-
-    def add(self, res: CheckResult) -> CheckResult:
-        self.checks.append(res)
-        return res
 
     @property
     def passed(self) -> bool:
@@ -696,34 +692,10 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
 
 
 def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = GRID_N,
-                      n_samples: int = N_SAMPLES, n_traj: int = N_STARTS) -> VerificationReport:
-    """Full check suite for the bound Lyapunov function `lyap`, as wired into the CLI.
-
-    The suite ends with one batched check_iss_bound over builtin_signal_suite,
-    of magnitude b_hat/10 (disease-free) or 45% of the nearer end of the
-    admissible input range (endemic).
-    """
-    p, lp = lyap.p, lyap.lp
-    rep = VerificationReport()
-    t_end = 50.0 / p.mu
-    if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        rep.add(check_df_continuity(lyap, seed=seed))
-        rep.add(check_df_positive_definite(lyap, seed=seed))
-        rep.add(check_df_grid_iss(lyap, n=grid_n))
-        rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
-                                              final_tol=1e-3))
-        u_mag = p.b_hat / 10.0
-    else:
-        res50 = lyap_en.check_condition_50(p, lp)
-        rep.add(CheckResult("condition_50", res50.passed, res50.worst_margin,
-                            res50.argmin_l, res50.samples))
-        rep.add(check_en_continuity(lyap, seed=seed))
-        rep.add(check_en_sample_decrease(lyap, n=n_samples, seed=seed))
-        rep.add(check_en_iss_pointwise(lyap, n=min(n_samples, N_POINTWISE), seed=seed))
-        rep.add(check_trajectory_monotonicity(lyap, n_starts=n_traj, seed=seed,
-                                              final_tol=1e-2))
-        rep.add(check_sublevel_nesting(lyap, seed=seed))
-        lo, hi = lyap.admissible_u()
-        u_mag = 0.45 * min(-lo, hi)
-    rep.checks.extend(check_iss_bound(lyap, builtin_signal_suite(p, u_mag, t_end), t_end=t_end))
-    return rep
+                      n_samples: int = N_SAMPLES) -> VerificationReport:
+    """The checks of `lyap.checks(...)` in order, then one check_iss_bound batch
+    over builtin_signal_suite of magnitude `lyap.iss_magnitude()`."""
+    t_end = 50.0 / lyap.p.mu
+    checks = [check() for check in lyap.checks(seed, grid_n, n_samples)]
+    signals = builtin_signal_suite(lyap.p, lyap.iss_magnitude(), t_end)
+    return VerificationReport(checks + check_iss_bound(lyap, signals, t_end=t_end))

@@ -205,11 +205,14 @@ def test_bad_json_config(tmp_path):
     {**DF_CONFIG, "seed": 1.5},
     {**DF_CONFIG, "grid_n": 0},
     {**EN_CONFIG, "n_samples": 0},
+    {**DF_CONFIG, "lyap": {"l_bar": -3.0, "k": 7.0, "lambda_hat2": 0.01}},
+    {**EN_CONFIG, "lyap": {"mu0": 0.001, "eps": 5.0}},
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
         "partial_endemic_override", "short_window", "empty_window", "inverted_window",
         "short_resolution",
         "plane_without_value", "plane_bad_axis", "scalar_levels", "negative_level",
-        "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples"])
+        "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples",
+        "df_with_endemic_keys", "endemic_with_df_keys"])
 def test_bad_config_values(tmp_path, capsys, bad):
     rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
     assert rc == 1

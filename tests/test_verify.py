@@ -257,18 +257,17 @@ def test_en_iss_pointwise(ly_en):
     assert res.samples > 0
 
 
-def test_run_certification_df_small(p_df, lp_df):
-    rep = verify.run_certification(lyap_df.DiseaseFreeLyapunov(p_df, lp_df),
-                                   grid_n=15, n_traj=6)
+def test_run_certification_df_small(p_df, lp_df, monkeypatch):
+    monkeypatch.setattr(verify, "N_STARTS", 6)
+    rep = verify.run_certification(lyap_df.DiseaseFreeLyapunov(p_df, lp_df), grid_n=15)
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert "df_grid_iss" in names and names.count("iss_bound") == 3
 
 
 def test_report_json_and_table(ly_df, tmp_path):
-    rep = verify.VerificationReport()
-    rep.add(verify.check_df_continuity(ly_df, n=100))
-    rep.add(verify.check_df_positive_definite(ly_df, n=100))
+    rep = verify.VerificationReport([verify.check_df_continuity(ly_df, n=100),
+                                     verify.check_df_positive_definite(ly_df, n=100)])
     assert rep.passed
     path = tmp_path / "report.json"
     rep.save_json(path)
@@ -292,7 +291,51 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
     monkeypatch.setattr(verify, "check_iss_bound", record)
     monkeypatch.setattr(verify, "check_trajectory_monotonicity",
                         lambda *args, **kwargs: verify.CheckResult("stub", True, 0.0))
-    verify.run_certification(ly_en, n_samples=1000, n_traj=1)
-    assert len(signals) == 3
+    for ly in (ly_df, ly_en):
+        assert type(ly.iss_magnitude()) is float
+        verify.run_certification(ly, grid_n=5, n_samples=1000)
+    assert len(signals) == 6
     for sig in signals:
         assert all(type(v) is float for v in dataclasses.astuple(sig)), sig
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("ly_df", [("check_df_continuity", {"seed": 7}),
+               ("check_df_positive_definite", {"seed": 7}),
+               ("check_df_grid_iss", {"n": 9}),
+               ("check_trajectory_monotonicity",
+                {"n_starts": 3, "seed": 7, "final_tol": 1e-3})]),
+    ("ly_en", [("check_condition_50", {}),
+               ("check_en_continuity", {"seed": 7}),
+               ("check_en_sample_decrease", {"n": 30_000, "seed": 7}),
+               ("check_en_iss_pointwise", {"n": verify.N_POINTWISE, "seed": 7}),
+               ("check_trajectory_monotonicity",
+                {"n_starts": 3, "seed": 7, "final_tol": 1e-2}),
+               ("check_sublevel_nesting", {"seed": 7})]),
+])
+def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expected):
+    """Each class lists its checks in report order and looks each one up, and
+    the module sizes it reads, when the callable runs; no numerics run."""
+    lyap = request.getfixturevalue(name)
+    calls = []
+
+    def recorder(check):
+        def record(*args, **kwargs):
+            calls.append((check, kwargs))
+            if check == "check_condition_50":
+                assert args == (lyap.p, lyap.lp)
+                return lyap_en.Cond50Result(True, -0.0, 0.0, 2049)
+            assert args == (lyap,)
+            return verify.CheckResult(check, True, 0.0)
+        return record
+
+    suite = lyap.checks(7, 9, 30_000)
+    for check in [n for n in dir(verify) if n.startswith("check_")]:
+        monkeypatch.setattr(verify, check, recorder(check))
+    monkeypatch.setattr(lyap_en, "check_condition_50", recorder("check_condition_50"))
+    monkeypatch.setattr(verify, "N_STARTS", 3)
+    results = [check() for check in suite]
+    assert calls == expected
+    assert all(isinstance(r, verify.CheckResult) for r in results)
+    if name == "ly_en":
+        assert results[0] == verify.CheckResult("condition_50", True, -0.0, 0.0, 2049)
