@@ -3,7 +3,8 @@
 All subcommands read one JSON config (see configs/ in the repo) plus a few
 flag overrides; exit codes are 0 success, 1 config error, 2 regime error,
 3 check failure.  Run as a program (`python -m sirlyap.cli`), each command
-imports only the modules it runs.  Imported as a module, this one loads
+imports only the modules it runs, and `equilibria` and `simulate` run
+without numpy.  Imported as a module, this one loads
 every layer first, so a tool that wraps the layers' functions before it
 calls `main` (perfbench/tracer.py) finds them all.
 """
@@ -16,12 +17,12 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import bands, model, ode
+from . import bands, flow, model
 from .errors import ConfigError, RegimeError, SirLyapError
 from .model import ModelParams, State
 
 if __name__ != "__main__":
-    from . import levelset, lyap_df, lyap_en, verify  # noqa: F401
+    from . import levelset, lyap_df, lyap_en, ode, verify  # noqa: F401
 
 #: the Lyapunov constants a config may set, per equilibrium
 _LYAP_KEYS = {
@@ -73,7 +74,7 @@ class RunConfig:
     model: ModelParams
     equilibrium: str = "df"
     lyap: dict = field(default_factory=dict)
-    signal: ode.InputSignal = None
+    signal: flow.InputSignal = None
     x0: State = None
     horizon: float = 5000.0
     dt: float = 0.01
@@ -113,7 +114,7 @@ class RunConfig:
         if partial and not {"l_bar", "lambda_hat2", "k"} <= set(lyap):
             raise ConfigError("lambda_hat2, k and lambda3 need the full l_bar, lambda_hat2, k triple")
         try:
-            sig = ode.Constant(p.b_hat) if d["signal"] is None else ode.signal_from_dict(d["signal"])
+            sig = flow.Constant(p.b_hat) if d["signal"] is None else flow.signal_from_dict(d["signal"])
         except KeyError as exc:
             raise ConfigError(f"signal is missing {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -149,7 +150,7 @@ class RunConfig:
             "model": self.model.as_dict(),
             "equilibrium": self.equilibrium,
             "lyap": dict(self.lyap),
-            "signal": ode.signal_to_dict(self.signal),
+            "signal": flow.signal_to_dict(self.signal),
             "horizon": self.horizon,
             "dt": self.dt,
             "levels": list(self.levels),
@@ -197,16 +198,20 @@ def _build_lyap(cfg: RunConfig):
     return lyap_en.EndemicLyapunov(p, lp)
 
 
+def _fields(x: State) -> list:
+    return [x.s, x.i, x.r]
+
+
 def cmd_equilibria(cfg: RunConfig) -> int:
     p = cfg.model
     out = {
         "r0_hat": model.r0_hat(p),
         "gamma_over_mu_plus_2": p.gamma / p.mu + 2.0,
         "regime": model.classify_regime(p).value,
-        "disease_free": list(model.disease_free_eq(p).point.as_array()),
+        "disease_free": _fields(model.disease_free_eq(p).point),
     }
     if model.r0_hat(p) > 1.0:
-        out["endemic"] = list(model.endemic_eq(p).point.as_array())
+        out["endemic"] = _fields(model.endemic_eq(p).point)
     print(json.dumps(out, indent=2))
     return 0
 
@@ -214,12 +219,11 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.model
     x0 = cfg.x0 if cfg.x0 is not None else model.disease_free_eq(p).point
-    traj = ode.integrate(p, x0, cfg.signal, cfg.horizon, cfg.dt)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"
-    traj.to_csv(path)
-    print(f"wrote {path} ({len(traj.times)} rows)")
+    n = flow.write_trajectory(path, flow.trajectory_rows(p, x0, cfg.signal, cfg.horizon, cfg.dt))
+    print(f"wrote {path} ({n} rows)")
     return 0
 
 

@@ -1,15 +1,15 @@
 """SIR model with demography: vector field, equilibria, reproduction number.
 
 States are continuum population counts (S, I, R).  The newborn/immigration
-rate B enters the susceptible equation as an external input.
+rate B enters the susceptible equation as an external input.  numpy is
+imported only by the array forms (`as_array`, `total_population_exact`), so
+the scalar model loads without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DomainError, R0NotAboveOne
 
@@ -61,7 +61,9 @@ class State:
         if self.s < 0.0 or self.i < 0.0 or self.r < 0.0:
             raise ValueError("state components must be nonnegative")
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """(S, I, R) as a numpy array."""
+        import numpy as np
         return np.array([self.s, self.i, self.r], dtype=float)
 
     @property
@@ -89,7 +91,9 @@ class Deviation:
     x2t: float
     x3t: float
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """(x1t, x2t, x3t) as a numpy array."""
+        import numpy as np
         return np.array([self.x1t, self.x2t, self.x3t], dtype=float)
 
     @classmethod
@@ -164,8 +168,9 @@ def total_population_bound(x0: State, b_max: float, p: ModelParams, t: float) ->
     return math.exp(-p.mu * t) * x0.n + b_max / p.mu
 
 
-def total_population_exact(x0: State, c: float, p: ModelParams, t) -> np.ndarray:
-    """Closed-form N(t) for a constant newborn rate c."""
+def total_population_exact(x0: State, c: float, p: ModelParams, t):
+    """Closed-form N(t) for a constant newborn rate c, as a numpy array."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     decay = np.exp(-p.mu * t)
     return decay * x0.n + (1.0 - decay) * c / p.mu

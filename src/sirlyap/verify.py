@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import lyap_df, lyap_en, model, ode
+from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import MismatchedEquilibrium, RangeError, RegimeError
 from .lyap_en import sample_sublevel
@@ -167,7 +167,7 @@ def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
     G[:, 2] = np.tile(ax2, slabs[0][1] * n)
     minima = [[] for _ in u_values]  # per u, per slab: the least margin and its location
     checked = 0
-    with (ode.csv_file(csv_path, "x1t,x2t,x3t,region,V,slack") if csv_path is not None
+    with (flow.csv_file(csv_path, "x1t,x2t,x3t,region,V,slack") if csv_path is not None
           else contextlib.nullcontext()) as fh:
         for a, b in slabs:
             X = G[:(b - a) * n * n]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirlyap import cli, lyap_en
+from sirlyap import cli, flow, lyap_en
 from sirlyap.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +86,40 @@ def test_cmd_simulate(tmp_path, capsys):
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,S,I,R,B"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("name, signal", [
+    ("step", {"kind": "step", "t_switch": 3.05, "before": 17.0, "after": 5.0}),
+    ("sinusoid", {"kind": "sinusoid", "mean": 17.0, "amplitude": 6.0, "angular_frequency": 0.7}),
+])
+def test_cmd_simulate_matches_golden(tmp_path, capsys, monkeypatch, name, signal):
+    # the streamed CSV is byte for byte the one integrate(...).to_csv wrote;
+    # blocks of 16 steps cross the step's switch time
+    golden = (ROOT / "tests" / "data" / f"trajectory_{name}_every1.csv").read_bytes()
+    cfg = {**EN_CONFIG, "signal": signal, "x0": [300.0, 80.0, 40.0], "horizon": 10.0, "dt": 0.1}
+    path = tmp_path / "out" / "trajectory.csv"
+    for block_steps in (flow._BLOCK_STEPS, 16):
+        monkeypatch.setattr(flow, "_BLOCK_STEPS", block_steps)
+        rc = cli.main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(path.parent)])
+        assert rc == 0
+        assert path.read_bytes() == golden
+        n_rows = golden.count(b"\n") - 1
+        assert capsys.readouterr().out == f"wrote {path} ({n_rows} rows)\n"
+
+
+def test_failed_simulate_leaves_no_partial_csv(tmp_path, capsys):
+    cfg = {**json.loads((ROOT / "configs" / "df.json").read_text()),
+           "x0": [1e5, 5e4, 0], "dt": 5.0, "horizon": 200}
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: state component below -1e-12*N at t=5; reduce dt\n"
+    assert list(out.iterdir()) == []
+    # an earlier run's CSV stays as it was
+    (out / "trajectory.csv").write_bytes(b"t,S,I,R,B\r\n0.0,1.0,2.0,3.0,4.0\r\n")
+    assert cli.main(argv) == 3
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+    assert (out / "trajectory.csv").read_bytes() == b"t,S,I,R,B\r\n0.0,1.0,2.0,3.0,4.0\r\n"
 
 
 def test_cmd_params(tmp_path, capsys):

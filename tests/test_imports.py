@@ -1,5 +1,6 @@
-"""What each entry point loads: the package exports lazily, and each CLI
-command imports only the sirlyap modules it runs."""
+"""What each entry point loads: the package exports lazily, each CLI
+command imports only the sirlyap modules it runs, and `equilibria` and
+`simulate` run without numpy."""
 import importlib
 import json
 import os
@@ -39,7 +40,7 @@ DF_FAST = {
     "n_samples": 10,
 }
 
-BASE = {"errors", "model", "ode", "bands"}
+BASE = {"errors", "model", "flow", "bands"}
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -53,7 +54,8 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
-# `python -m sirlyap.cli ARGS`, then the sirlyap modules it loaded
+# `python -m sirlyap.cli ARGS`, then the sirlyap modules it loaded and
+# whether numpy was loaded
 _RUN_COMMAND = """
 import json, runpy, sys
 sys.argv[0] = "sirlyap.cli"
@@ -61,7 +63,8 @@ try:
     runpy.run_module("sirlyap.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap."))]))
+print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap.")),
+                  "numpy" in sys.modules]))
 """
 
 
@@ -70,15 +73,25 @@ print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap
     ("simulate", DF, set()),
     ("params", DF, {"lyap_df"}),
     ("levelsets", EN, {"lyap_df", "lyap_en", "levelset"}),
-    ("certify", DF_FAST, {"lyap_df", "lyap_en", "verify"}),
+    ("certify", DF_FAST, {"lyap_df", "lyap_en", "ode", "verify"}),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, command, cfg, extra):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = _fresh(_RUN_COMMAND, command, "--config", str(path), "--out", str(tmp_path / "out"))
-    rc, loaded = json.loads(out.splitlines()[-1])
+    rc, loaded, numpy_loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert set(loaded) == BASE | extra
+    assert numpy_loaded is (command not in ("equilibria", "simulate"))
+
+
+def test_flow_loads_without_numpy():
+    out = _fresh("import sys\n"
+                 "import sirlyap.flow\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('sirlyap')), "
+                 "'numpy' in sys.modules)")
+    assert out.split() == ["['sirlyap',", "'sirlyap.errors',", "'sirlyap.flow',",
+                           "'sirlyap.model']", "False"]
 
 
 def test_cli_module_loads_every_traced_layer():

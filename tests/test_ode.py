@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sirlyap as sl
-from sirlyap import model, ode
+from sirlyap import flow, model, ode
 from sirlyap.errors import NonFiniteState, NotConverged
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -151,7 +151,7 @@ def test_integrate_batch_one_signal_per_row(p_df, monkeypatch):
 
 
 def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
-    monkeypatch.setattr(ode, "_BLOCK_STEPS", 4)
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 4)
     X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0]])
     sigs = [ode.Step(2.5, 3.0, 8.0), ode.Step(6.0, 3.0, 1.0)]
     blocks = []
@@ -175,7 +175,7 @@ def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
 
 @pytest.mark.parametrize("width", [2, 4])
 def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
-    monkeypatch.setattr(ode, "_BLOCK_STEPS", 16)
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 16)
     sigs = [ode.Constant(17.0), ode.Step(2.5, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7),
             ode.Constant(3.0), ode.Step(6.0, 3.0, 25.0)]
     X0 = np.array([[100.0, 0.0, -1e-13], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0],
@@ -202,7 +202,7 @@ def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
 
 def test_observer_owns_its_blocks(p_en, monkeypatch):
     # the wide feed reuses one block buffer; what it hands out must not alias it
-    monkeypatch.setattr(ode, "_BLOCK_STEPS", 3)
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 3)
     monkeypatch.setattr(ode, "_FLOAT_ROWS", 2)
     X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
     sigs = [ode.Constant(17.0), ode.Step(0.45, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7)]
@@ -234,7 +234,7 @@ def test_observer_owns_its_blocks(p_en, monkeypatch):
 def test_state_check_at_block_boundaries(p_en, monkeypatch):
     # one step per block: every step starts from the row the previous block
     # ended on, and both feeds check and clip it alike
-    monkeypatch.setattr(ode, "_BLOCK_STEPS", 1)
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 1)
     cases = [(np.array([[1e5, 1e5, 0.0]] * 3), 4000.0, 2000.0,
               "state component below -1e-12*N at t=2000; reduce dt"),
              (np.array([[100.0, 0.0, -1.0], [1e200, 1e200, 0.0]]), 1.0, 0.1,
@@ -297,7 +297,7 @@ def test_mid_block_failures_replay_exactly(p_en, monkeypatch):
         for width in (0, len(X0) + 1):  # all stacked, then all float rows
             monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
             for block_steps in (16, 1):
-                monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+                monkeypatch.setattr(flow, "_BLOCK_STEPS", block_steps)
                 with np.errstate(over="ignore", invalid="ignore"):
                     runs[width, block_steps] = _observed(p_en, X0, sig, t_end, dt, message)
         rows, Xf, error = runs[0, 1]
@@ -322,7 +322,7 @@ def test_replay_gives_the_same_numpy_warnings(p_en, monkeypatch, errstate):
     sigs = [ticks, ode.Step(19e-9, 17.0, 1e308)]
     seen = []
     for block_steps in (16, 1):
-        monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+        monkeypatch.setattr(flow, "_BLOCK_STEPS", block_steps)
         with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
             warnings.simplefilter("always")
             with pytest.raises((NonFiniteState, FloatingPointError)) as err:
@@ -343,8 +343,9 @@ def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
         ds, di, _ = model.rhs_arrays(p, s, i, r, b)
         return ds, di, r * 1.0
 
-    monkeypatch.setattr(ode, "rhs_arrays", field)
-    monkeypatch.setattr(ode, "_BLOCK_STEPS", 4)
+    monkeypatch.setattr(ode, "rhs_arrays", field)  # the stacked feed
+    monkeypatch.setattr(flow, "rhs_arrays", field)  # the float rows
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 4)
     for width in (0, 3):
         monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
         runs = []
@@ -367,8 +368,8 @@ def test_trajectory_csv_matches_golden(tmp_path, monkeypatch, p_en, name, sig, e
     # recorded before the state check moved to once per block and the input
     # levels to once per segment; the 16-step blocks cross the step's switch
     golden = (DATA / f"trajectory_{name}_every{every}.csv").read_bytes()
-    for block_steps in (ode._BLOCK_STEPS, 16):
-        monkeypatch.setattr(ode, "_BLOCK_STEPS", block_steps)
+    for block_steps in (flow._BLOCK_STEPS, 16):
+        monkeypatch.setattr(flow, "_BLOCK_STEPS", block_steps)
         traj = sl.integrate(p_en, sl.State(300.0, 80.0, 40.0), sig, 10.0, dt=0.1,
                             record_every=every)
         traj.to_csv(tmp_path / "traj.csv")
@@ -382,7 +383,7 @@ def test_step_calls_library_vector_field(p_df, monkeypatch):
         calls.append(args)
         return model.rhs_arrays(*args)
 
-    monkeypatch.setattr(ode, "rhs_arrays", counted)
+    monkeypatch.setattr(flow, "rhs_arrays", counted)
     sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 1.0, dt=0.1)
     assert len(calls) == 40  # four stages for each of the ten steps
 
@@ -440,6 +441,21 @@ def test_trajectory_csv_matches_csv_module_across_blocks(tmp_path, thin):
         for j in sorted(set(range(0, n, thin)) | {n - 1}):
             w.writerow([repr(float(x)) for x in (traj.times[j], *states[j], traj.inputs[j])])
     assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_streamed_rows_keep_times_strictly_increasing(p_df, monkeypatch):
+    grid = flow._grid
+
+    def stalled(*args):  # the third step ends where the second did
+        for k, (t, h, t_next, rate) in enumerate(grid(*args)):
+            yield t, h, t if k == 2 else t_next, rate
+
+    monkeypatch.setattr(flow, "_grid", stalled)
+    x0, sig = sl.State(100.0, 50.0, 0.0), ode.Constant(3.0)
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        sl.integrate(p_df, x0, sig, 1.0, dt=0.1)
+    # as in a Trajectory, only the recorded times count
+    assert len(sl.integrate(p_df, x0, sig, 1.0, dt=0.1, record_every=3).times) == 5
 
 
 def test_trajectory_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sirlyap as sl
-from sirlyap import bands, lyap_df, lyap_en, ode, verify
+from sirlyap import bands, flow, lyap_df, lyap_en, ode, verify
 from sirlyap.errors import MismatchedEquilibrium, RangeError
 from sirlyap.model import EquilibriumKind
 
@@ -121,7 +121,7 @@ def test_block_length_leaves_results_unchanged(monkeypatch, p_df, ly_en):
 
     default = run()
     for steps in (1, 3):
-        monkeypatch.setattr(ode, "_BLOCK_STEPS", steps)
+        monkeypatch.setattr(flow, "_BLOCK_STEPS", steps)
         assert run() == default
 
 
