@@ -157,6 +157,7 @@ def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
     blocks = []
     Xf = ode.integrate_batch(p_df, X0, sigs, 10.0, dt=0.5,
                              observer=lambda t, X, b: blocks.append((t, X, b)))
+    assert len(blocks) == 5  # twenty steps in blocks of four
     t, X, b = blocks[0]
     assert t[0] == 0.0 and np.array_equal(X[0], X0) and np.array_equal(b[0], [3.0, 3.0])
     for (t, X, b), (t_next, X_next, b_next) in zip(blocks, blocks[1:]):
