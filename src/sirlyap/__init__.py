@@ -9,7 +9,7 @@ import sys
 
 #: each public name -> its submodule; both load on first access (PEP 562)
 _EXPORTS = {name: mod for mod, names in {
-    "errors": "ConfigError DomainError InfeasibleOverride MismatchedEquilibrium NoConvergence "
+    "errors": "ConfigError DomainError InfeasibleOverride NoConvergence "
               "NonFiniteState NotConverged OnBoundary OutOfH R0NotAboveOne RangeError "
               "RegimeError SirLyapError",
     "model": "Deviation Equilibrium EquilibriumKind ModelParams Regime State classify_regime "

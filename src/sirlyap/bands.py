@@ -1,7 +1,7 @@
 """Bounded-memory bulk evaluation.
 
-Every bulk evaluation (the level-set grid, the disease-free ISS grid, the
-sublevel sampler's acceptance test and the endemic decrease check) runs over
+Every bulk evaluation (the disease-free ISS grid, the sublevel sampler's
+acceptance test and the endemic decrease check) runs over
 consecutive bands of rows of about `BAND_POINTS` points, so the memory it
 holds stays bounded whatever the grid or sample size.  Reductions over the
 bands keep first-occurrence order, so results do not depend on the band size.

@@ -41,10 +41,6 @@ class NoConvergence(SirLyapError):
     """Feasibility shrink loop exhausted its iteration budget."""
 
 
-class MismatchedEquilibrium(SirLyapError):
-    """Trajectory is anchored to a different equilibrium than the function."""
-
-
 class RangeError(SirLyapError):
     """Input signal leaves the admissible perturbation range."""
 

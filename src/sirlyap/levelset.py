@@ -1,22 +1,13 @@
-"""Level-contour extraction on coordinate planes of the deviation space.
+"""Level sets of the Lyapunov functions on coordinate planes of the deviation space.
 
-Marching squares on an evaluated grid, with each vertex placed by bisection
-along the grid edge it crosses, so that every emitted vertex satisfies
-|V(v) - level| <= 1e-3*(1 + level) even where the function has kinks inside a
-cell.  Kinks are preserved: vertices stay on grid edges and no smoothing is
-applied.
-
-Everything runs on arrays; no Python loop runs per cell or per edge.
-- The grid is evaluated in bands of grid rows, about `bands.BAND_POINTS`
-  points each, written into one reused buffer of deviations.
-- Grid edges are integer ids: horizontal edge (iy, ix) is `iy*(nu-1) + ix`,
-  and the vertical edges follow, (iy, ix) at `nv*(nu-1) + iy*nu + ix`.
-- One pass counts the levels below every node, which finds the crossing
-  cells of all levels at once; a table maps each crossed cell's case to its
-  segments as pairs of edge ids, in row-major cell order per level.
-- The crossing edges of all levels are bisected together in one pass of 45
-  steps, each edge against its own level.
-- Segments are chained into polylines by pointer jumping over their ends.
+Both functions are linear on each region, or P^{-1} of a linear form there,
+so on a plane x3t = c or x2t = c every level set is a polyline with
+closed-form vertices, which the Lyapunov class constructs (`level_ring`):
+four vertices for the disease-free function, a hexagon for the endemic one
+on x3t = c, and on x2t = c the graph x3t = (level - V12)/lambda3 with its
+mirror.  `extract_contours` clips that polyline to the window.  No value is
+evaluated on a grid and nothing is bisected, so every vertex lies on the
+level set up to rounding.
 """
 from __future__ import annotations
 
@@ -25,23 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import bands
 from .errors import DomainError
-from .lyap_df import DfLyapParams
+from .lyap_df import DfLyapParams, df_level_polyline
 from .model import ModelParams
-
-CONTOUR_TOL = 1e-3
-
-#: the four edges of a cell, as columns of the edge table in `_march`
-_L, _B, _R, _T = range(4)
-#: the segment of each one-segment marching-squares case, as a pair of cell edges
-_CASES = {1: (_L, _B), 14: (_L, _B), 2: (_B, _R), 13: (_B, _R), 3: (_L, _R), 12: (_L, _R),
-          4: (_R, _T), 11: (_R, _T), 6: (_B, _T), 9: (_B, _T), 7: (_L, _T), 8: (_L, _T)}
-#: segments per case, rows 16 and 17 holding the two resolutions of the
-#: saddle cases 5 and 10: row 16 cuts off the corners c00 and c11, row 17
-#: the corners c01 and c10 (unused rows and second segments are zeros)
-_SEGMENTS = np.array([[_CASES.get(c, (0, 0)), (0, 0)] for c in range(16)]
-                     + [[(_L, _B), (_R, _T)], [(_L, _T), (_B, _R)]], dtype=np.intp)
 
 
 @dataclass
@@ -53,150 +30,61 @@ class Contour:
     polylines: list = field(default_factory=list)
     marker: Optional[tuple] = None  # degenerate level: a single point
 
-    def max_residual(self, value_at) -> float:
-        worst = 0.0
-        for poly in self.polylines:
-            v = value_at(poly)
-            worst = max(worst, float(np.abs(v - self.level).max()))
-        return worst
 
+def _clip_half(poly: np.ndarray, axis: int, bound: float, sign: float) -> list:
+    """The pieces of a polyline in the closed half-plane sign*(x[axis] - bound) >= 0.
 
-def _plane_columns(plane) -> tuple:
-    """The columns of the two free coordinates and of the fixed one."""
-    if plane[0] == "x3t":
-        return [0, 1], 2
-    if plane[0] == "x2t":
-        return [0, 2], 1
-    raise ValueError("plane axis must be 'x2t' or 'x3t'")
-
-
-def _grid_values(value_fn, xs, ys, free, fixed, c):
-    """V at every grid node, (len(ys), len(xs)), one band of rows at a time."""
-    nu, nv = len(xs), len(ys)
-    rows = bands(nv, nu)
-    X = np.empty((rows[0][1] * nu, 3))
-    X[:, free[0]] = np.tile(xs, rows[0][1])
-    X[:, fixed] = c
-    Z = np.empty((nv, nu))
-    for a, b in rows:
-        n = (b - a) * nu
-        X[:n, free[1]] = np.repeat(ys[a:b], nu)
-        Z[a:b] = value_fn(X[:n]).reshape(b - a, nu)
-    return Z
-
-
-def _march(Z, levels):
-    """Segments of the contour of each of the increasing `levels`: per level,
-    (m, 2) pairs of edge ids in row-major cell order.  The two ends of every
-    such edge lie on opposite sides of the level; cells with a non-finite
-    corner are skipped."""
-    f = np.isfinite(Z)
-    ok = f[:-1, :-1] & f[:-1, 1:] & f[1:, 1:] & f[1:, :-1]
-    # a node lies above level j (for finite Z, Z > level is Z - level > 0)
-    # iff more than j levels lie below it, so a cell crosses the levels from
-    # the least to the greatest such count at its corners
-    count = np.zeros(Z.shape, dtype=np.min_scalar_type(len(levels)))
-    for level in levels:
-        count += Z > level
-    corners = [count[:-1, :-1], count[:-1, 1:], count[1:, 1:], count[1:, :-1]]
-    least = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
-    most = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
-    iy, ix = np.nonzero(ok & (least < most))
-    # one row per crossed (cell, level), by level, cells in row-major order
-    least = least[iy, ix].astype(np.intp)
-    reps = most[iy, ix] - least
-    j = np.repeat(least - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    order = np.argsort(j, kind="stable")
-    cell, j = np.repeat(np.arange(len(iy)), reps)[order], j[order]
-    iy, ix = iy[cell], ix[cell]
-    cs = sum(w * (c[iy, ix] > j) for w, c in zip((1, 2, 4, 8), corners))
-    saddle = np.flatnonzero((cs == 5) | (cs == 10))
-    y, x, lv = iy[saddle], ix[saddle], np.asarray(levels)[j[saddle]]
-    center = 0.25 * ((Z[y, x] - lv) + (Z[y, x + 1] - lv) + (Z[y + 1, x] - lv)
-                     + (Z[y + 1, x + 1] - lv))
-    # a centre above the level joins the two corners above it, so the
-    # segments cut off the two below: c01 and c10 in case 5, c00 and c11 in
-    # case 10; a centre at or below it cuts off the two corners above
-    cs[saddle] = np.where((center > 0.0) == (cs[saddle] == 5), 17, 16)
-    nv, nu = Z.shape
-    bottom = iy * (nu - 1) + ix
-    left = nv * (nu - 1) + iy * nu + ix
-    edges = np.column_stack([left, bottom, left + 1, bottom + nu - 1])  # L, B, R, T
-    ends = np.take_along_axis(edges, _SEGMENTS[cs].reshape(-1, 4), axis=1).reshape(-1, 2, 2)
-    two = np.column_stack([np.ones(len(cs), dtype=bool), cs >= 16])
-    level_of = np.broadcast_to(j[:, None], two.shape)[two]
-    return np.split(ends[two], np.searchsorted(level_of, np.arange(1, len(levels))))
-
-
-def _jump(nxt):
-    """Pointer jumping along `nxt` (-1 ends a walk): per position the last
-    position of its walk, the steps to it and the lowest position on the way.
-    On a cycle the last position is a cycle member and the lowest covers the
-    whole cycle."""
-    n = len(nxt)
-    succ = np.where(nxt < 0, np.arange(n), nxt)
-    dist = (nxt >= 0).astype(np.intp)
-    low = np.arange(n)
-    for _ in range(max(1, n - 1).bit_length()):
-        low = np.minimum(low, low[succ])
-        dist = dist + dist[succ]
-        succ = succ[succ]
-    return succ, dist, low
-
-
-def _stitch(segments):
-    """Chain segments that share grid edges into ordered polylines of node ids.
-
-    Every node meets one or two segments.  A chain starts at an open end
-    (first the end that appears first in `segments`) or, for a closed loop,
-    at its first-appearing node, and leaves a node by its earlier segment;
-    open chains come first, each group in the order of its start node, and a
-    loop ends on its start node again.
+    A piece that leaves the half-plane ends at the crossing point, whose
+    `axis` coordinate is `bound` exactly.  A closed ring (first vertex
+    repeated) that the edge cuts is first rotated to start outside, so no
+    piece wraps around its start.
     """
-    F = segments.ravel()
-    n = len(F)
-    if n == 0:
-        return []
-    # position q holds one end of segment q // 2; its mate is the other
-    # position of the same node, and a walk leaves position q along its
-    # segment to q ^ 1, then on by that node's other segment
-    order = np.argsort(F, kind="stable")
-    same = F[order[1:]] == F[order[:-1]]
-    mate = np.full(n, -1)
-    mate[order[:-1][same]] = order[1:][same]
-    mate[order[1:][same]] = order[:-1][same]
-    q = np.arange(n)
-    nxt = mate[q ^ 1]
-    last, _, low = _jump(nxt)
-    loop = nxt[last] >= 0
-    # an open walk starts where no walk arrives; of the two walks of an open
-    # chain, keep the one whose start position comes first.  A loop starts
-    # at its lowest position, which is even on the walk that leaves it.
-    first = np.full(n, -1)
-    heads = np.flatnonzero(mate < 0)
-    first[last[heads]] = heads
-    start = np.where(loop, low, first[last])
-    keep = np.where(loop, low % 2 == 0, start < (last ^ 1))
-    # cut each kept loop before its start and rank every walk from its start
-    cut = nxt.copy()
-    cut[keep & loop & (nxt == low)] = -1
-    _, dist, _ = _jump(cut)
-    walk = q[keep][np.lexsort((-dist[keep], start[keep], loop[keep]))]
-    begin = np.flatnonzero(np.r_[True, start[walk[1:]] != start[walk[:-1]]])
-    nodes = np.insert(F[walk ^ 1], begin, F[walk[begin]])
-    return np.split(nodes, begin[1:] + np.arange(1, len(begin)))
+    s = sign * (poly[:, axis] - bound)
+    if np.all(s >= 0.0):
+        return [poly]
+    if len(poly) > 2 and np.array_equal(poly[0], poly[-1]):
+        j = int(np.argmax(s < 0.0))
+        poly = np.vstack([poly[j:-1], poly[:j + 1]])
+        s = sign * (poly[:, axis] - bound)
+    a, b = s[:-1], s[1:]
+    cross = np.flatnonzero(((a > 0.0) & (b < 0.0)) | ((a < 0.0) & (b > 0.0)))
+    t = a[cross] / (a[cross] - b[cross])
+    pts = poly[cross] + t[:, None] * (poly[cross + 1] - poly[cross])
+    pts[:, axis] = bound
+    pts_all = np.insert(poly, cross + 1, pts, axis=0)
+    inside = np.insert(s >= 0.0, cross + 1, True)
+    # maximal runs of points inside; a run of one point only touches the edge
+    step = np.diff(np.r_[0, inside.astype(np.int8), 0])
+    return [pts_all[i:j] for i, j in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))
+            if j - i >= 2]
+
+
+def _clip_to_window(poly: np.ndarray, window) -> list:
+    """The pieces of a polyline inside the closed window rectangle: polyline
+    clipping against its four edges in turn (Sutherland & Hodgman, CACM
+    17(1), 1974).  A closed ring that the window does not cut stays closed;
+    one that it cuts becomes open pieces ending on the border."""
+    (u0, u1), (v0, v1) = window
+    pieces = [poly]
+    for axis, bound, sign in ((0, u0, 1.0), (0, u1, -1.0), (1, v0, 1.0), (1, v1, -1.0)):
+        pieces = [q for piece in pieces for q in _clip_half(piece, axis, bound, sign)]
+    return pieces
 
 
 def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
                      window=None, resolution=(800, 800)) -> list:
-    """Marching-squares contours of the bound Lyapunov function.
+    """Exact level sets of the bound Lyapunov function, clipped to the window.
 
     `lyap` is a DiseaseFreeLyapunov or EndemicLyapunov; `window` gives the
     ranges of the two free coordinates (default `lyap.default_window(plane)`);
-    level 0 degenerates to the anchor point and is emitted as a marker.  The
-    grid is evaluated only when some level is positive.
+    level 0 degenerates to the anchor point and is emitted as a marker.
+    `resolution[0]` sets the abscissae of the endemic graph on x2t planes;
+    the polygons of both functions ignore it.  Each level's polyline comes
+    from `lyap.level_ring`, which also refuses planes, windows and levels
+    outside the function's domain.
     """
-    free, fixed = _plane_columns(plane)
+    if plane[0] not in ("x2t", "x3t"):
+        raise ValueError("plane axis must be 'x2t' or 'x3t'")
     if window is None:
         window = lyap.default_window(plane)
     (u0, u1), (v0, v1) = window
@@ -204,84 +92,30 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
         raise DomainError("window must have positive extent")
     if any(level < 0.0 for level in levels):
         raise DomainError("levels must be nonnegative")
-    nu, nv = resolution
-    if nu < 2 or nv < 2:
+    if resolution[0] < 2 or resolution[1] < 2:
         raise ValueError("resolution must be at least 2x2")
-    value_fn = lyap.contour_values(levels, plane, window)
-    out = [Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)) if level == 0.0
-           else Contour(float(level), tuple(plane)) for level in levels]
-    if not any(level > 0.0 for level in levels):
-        return out
-    xs = np.linspace(u0, u1, nu)
-    ys = np.linspace(v0, v1, nv)
-    Z = _grid_values(value_fn, xs, ys, free, fixed, plane[1])
-    grid_levels = np.array(sorted({float(level) for level in levels if level > 0.0}))
-    segments = _march(Z, grid_levels)
-    found = []
-    for cont in out:
-        if cont.level > 0.0:
-            j = np.searchsorted(grid_levels, cont.level)
-            edges, seg = np.unique(segments[j], return_inverse=True)
-            found.append((cont, edges, seg.reshape(-1, 2)))
-    edges = np.concatenate([e for _, e, _ in found])
-    level_of = np.concatenate([np.full(len(e), cont.level) for cont, e, _ in found])
-    vertices = _bisect_edges(edges, level_of, Z, xs, ys, free, fixed, plane[1], value_fn)
-    offset = 0
-    for cont, e, seg in found:
-        cont.polylines = [vertices[offset + chain] for chain in _stitch(seg)]
-        offset += len(e)
+    out = []
+    for level in levels:
+        ring = lyap.level_ring(float(level), tuple(plane), window, resolution[0])
+        if level == 0.0:
+            out.append(Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)))
+        else:
+            pieces = [] if ring is None else _clip_to_window(ring, window)
+            out.append(Contour(float(level), tuple(plane), pieces))
     return out
-
-
-def _bisect_edges(edges, levels, Z, xs, ys, free, fixed, c, value_fn):
-    """The vertex on every edge, (n, 2): 45 bisections of V - level along the
-    edge, whose ends straddle its level, all edges in one pass."""
-    if len(edges) == 0:
-        return np.empty((0, 2))
-    nv, nu = Z.shape
-    vertical = edges >= nv * (nu - 1)
-    iy, ix = np.divmod(np.where(vertical, edges - nv * (nu - 1), edges),
-                       np.where(vertical, nu, nu - 1))
-    # bisect the one coordinate that runs along each edge, written into the
-    # deviations of the edges' first nodes
-    X = np.empty((len(edges), 3))
-    X[:, fixed] = c
-    X[:, free[0]] = xs[ix]
-    X[:, free[1]] = ys[iy]
-    rows, col = np.arange(len(edges)), np.where(vertical, free[1], free[0])
-    lo = X[rows, col]
-    hi = np.where(vertical, ys[iy + vertical], xs[ix + ~vertical])
-    swap = Z[iy, ix] - levels > 0.0  # then the second end lies at or below
-    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        X[rows, col] = mid
-        left = value_fn(X) - levels <= 0.0
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    X[rows, col] = 0.5 * (lo + hi)
-    return X[:, free]
 
 
 def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,
                         plane=("x3t", 0.0)) -> Contour:
-    """Exact piecewise-linear contour of the disease-free function on x3t = 0.
-
-    Serves as the oracle for the marching-squares extractor: one open
-    polyline with kinks at x1t = 0 and at the tilted region boundary.
+    """Exact contour of the disease-free function on x3t = 0, unclipped: one
+    open polyline with kinks at x1t = 0 and at the tilted region boundary
+    (`lyap_df.df_level_polyline`, the formula `level_ring` maps to any plane).
     """
     if plane[0] != "x3t" or plane[1] != 0.0:
         raise DomainError("analytic contour is defined on the plane x3t = 0")
     if level <= 0.0:
         raise DomainError("level must be positive")
-    c = p.beta * (p.b_hat / p.mu) / lp.mu0
-    poly = np.array([
-        [level, 0.0],        # region A endpoint on the x1t axis
-        [0.0, level],        # kink at x1t = 0
-        [-c * level, level],  # kink at the tilted boundary
-        [-c * level, 0.0],   # region C vertical segment end
-    ])
-    return Contour(float(level), tuple(plane), [poly])
+    return Contour(float(level), tuple(plane), [df_level_polyline(lp, p, level)])
 
 
 def polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:

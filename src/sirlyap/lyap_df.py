@@ -163,6 +163,15 @@ def df_grad_dot_f_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray, u: flo
     return G[:, 0] * f1 + G[:, 1] * f2 + G[:, 2] * f3
 
 
+def df_level_polyline(lp: DfLyapParams, p: ModelParams, level: float) -> np.ndarray:
+    """The level set {V = level} in the coordinates (x1t, w), w = x2t + lambda3*x3t,
+    on which V depends alone: the open polyline (level, 0), (0, level),
+    (-a*level, level), (-a*level, 0) with a = beta*x1h/mu0, one straight piece
+    in each of the regions A, B and C."""
+    a = p.beta * _x1hat(p) / lp.mu0
+    return np.array([[level, 0.0], [0.0, level], [-a * level, level], [-a * level, 0.0]])
+
+
 def df_near_boundary(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
     """True where a point lies within the band BOUNDARY_BAND*(1+|X|), measured
     along x1t, of a region boundary."""
@@ -261,12 +270,20 @@ class DiseaseFreeLyapunov:
     def default_levels(self) -> list:
         return [10.0, 30.0, 60.0, 100.0, 180.0, 260.0, 340.0, 420.0, 500.0]
 
-    def contour_values(self, levels, plane, window):
-        """V for level-set extraction; DomainError when the plane or window
-        leaves x2t, x3t >= 0."""
+    def level_ring(self, level, plane, window, n):
+        """The level set {V = level} on `plane` in the plane's free
+        coordinates: `df_level_polyline` with w mapped to x2t = w - lambda3*c
+        on x3t = c and to x3t = (w - c)/lambda3 on x2t = c, or None at level 0;
+        the window clips it to x2t, x3t >= 0 and `n` is unused.  DomainError
+        when the plane or window leaves x2t, x3t >= 0."""
         if plane[1] < 0.0 or window[1][0] < 0.0:
             raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
-        return self.value_many
+        if level == 0.0:
+            return None
+        ring = df_level_polyline(self.lp, self.p, level)
+        c, lam3 = plane[1], self.lp.lambda3
+        ring[:, 1] = ring[:, 1] - lam3 * c if plane[0] == "x3t" else (ring[:, 1] - c) / lam3
+        return ring
 
     def params_report(self) -> dict:
         return {"chi_slope": self.chi(1.0)}

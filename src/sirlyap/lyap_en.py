@@ -480,9 +480,10 @@ def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
                   l_cap: Optional[float] = None) -> np.ndarray:
     """Vectorised V over deviations X (n, 3); NaN outside the domain H.
 
-    l_cap widens the first domain inequality (used by contour extraction to
-    reach level sets that touch the nominal budget); callers must have
-    verified condition (50) out to l_cap when passing a value above l_bar.
+    l_cap (default l_bar) sets the first domain inequality, x2t <= l_cap/(lambda2*(1 - k));
+    `l_cap=np.inf` drops it, for callers that check points on or beyond the
+    budget's edge (the A/B vertex of the level-l_bar set lies on it).  The
+    formulas are certified only where condition (50) holds.
     """
     if l_cap is None:
         l_cap = lp.l_bar
@@ -572,6 +573,43 @@ def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> b
     if not (0.0 <= L <= lp.l_bar * (1.0 + 1e-12)):
         raise DomainError("L must lie in [0, l_bar]")
     return bool(in_sublevel_many(p, lp, _row(dev), L)[0])
+
+
+def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional[np.ndarray]:
+    """The level set {V12 = level} as its six vertices (6, 2) in (x1t, x2t), in
+    the order F/A, A/B, B/C, C/D, D/E, E/F of the region boundaries they lie
+    on, or None for level <= 0.  V12 is linear or P^{-1} of a linear form in
+    each region, so the set is straight between them: with P = P(level),
+
+        F/A (level/lambda1, 0)          A/B (-k*level/lam0, level/lam0)
+        B/C ((lambda_hat2*level/lam0 - P)/lambda1, level/lam0)
+        C/D (-P/lambda1, 0)             D/E (k*P/lam0, -P/lam0)
+        E/F (theta^{-1}(P/lam0), -P/lam0).
+
+    The partition into regions, and with it the hexagon, holds where
+    condition (50) does, up to l_bar.
+    """
+    if level <= 0.0:
+        return None
+    lam0, lam1 = lp.lam0, lp.lambda1
+    top, P = level / lam0, float(p_fun(p, lp, level))
+    bottom = P / lam0
+    return np.array([[level / lam1, 0.0], [-lp.k * top, top],
+                     [(lp.lambda_hat2 * top - P) / lam1, top], [-P / lam1, 0.0],
+                     [lp.k * bottom, -bottom], [_theta_inv(_xhat(p), bottom), -bottom]])
+
+
+def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, x2t: float) -> Optional[tuple]:
+    """The ends (x1_left, x1_right) of {V12 <= level} on the line x2t = c, or
+    None unless c lies strictly between the hexagon's bottom and top.  The
+    chains B/C -> C/D -> D/E and E/F -> F/A -> A/B of `en_level_hexagon` are
+    monotone in x2t, so each end is one linear interpolation."""
+    hexagon = en_level_hexagon(p, lp, level)
+    if hexagon is None or not hexagon[4, 1] < x2t < hexagon[1, 1]:
+        return None
+    left, right = hexagon[[4, 3, 2]], hexagon[[5, 0, 1]]
+    return (float(np.interp(x2t, left[:, 1], left[:, 0])),
+            float(np.interp(x2t, right[:, 1], right[:, 0])))
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
@@ -758,19 +796,46 @@ class EndemicLyapunov:
         """Five levels up to l_bar; (20, 100, 180, 260, 340) at l_bar = 340."""
         return [self.lp.l_bar * n / 17.0 for n in (1, 5, 9, 13, 17)]
 
-    def contour_values(self, levels, plane, window):
-        """V for level-set extraction, its domain cap widened to 1.05*max(levels)
-        where condition (50) holds out to that budget, so contours touching
-        l_bar are not clipped; DomainError when the plane or window reaches
-        x2t <= -x2h."""
+    def level_ring(self, level, plane, window, n):
+        """The level set {V = level} on `plane` as one closed polyline (its
+        first vertex repeated) in the plane's free coordinates, or None where
+        the plane misses the level or level is 0.
+
+        On x3t = c it is the hexagon of V12 = level - lambda3*|c|.  On x2t = c
+        it is the graph x3t = (level - V12(x1t, c))/lambda3 over the chord of
+        `en_level_chord` and its mirror below x3t = 0.  The graph's abscissae
+        are the `linspace` of the window's x1t range in n points, cut to the
+        chord, plus the chord's ends, the region boundaries -k*c and nu(c)
+        (c >= 0) or theta^{-1}(-c) (c < 0), and the points where the graph
+        meets the window's x3t edges, so the window cuts it at vertices.
+
+        DomainError for a level outside [0, l_bar], where condition (50)
+        certifies the regions, or a plane or window reaching x2t <= -x2h.
+        """
+        p, lp = self.p, self.lp
         x2t_min = plane[1] if plane[0] == "x2t" else window[1][0]
         if x2t_min <= -self.equilibrium.point.i:
             raise DomainError("level-set plane or window exits the domain: x2t <= -x2hat")
-        cap = max(self.lp.l_bar, 1.05 * max(levels, default=0.0))
-        if cap > self.lp.l_bar and not check_condition_50(
-                self.p, replace(self.lp, l_bar=cap)).passed:
-            cap = self.lp.l_bar
-        return lambda X: en_value_many(self.p, self.lp, X, l_cap=cap)
+        if not 0.0 <= level <= lp.l_bar * (1.0 + 1e-12):
+            raise DomainError(f"level {level:.6g} outside the budget [0, l_bar={lp.l_bar:.6g}]")
+        c = plane[1]
+        if plane[0] == "x3t":
+            hexagon = en_level_hexagon(p, lp, level - lp.lambda3 * abs(c))
+            return None if hexagon is None else np.vstack([hexagon, hexagon[:1]])
+        chord = en_level_chord(p, lp, level, c)
+        if chord is None:
+            return None
+        lo, hi = chord
+        xs = np.linspace(window[0][0], window[0][1], n)
+        kink = nu_fun(p, lp, c) if c >= 0.0 else _theta_inv(_xhat(p), -c)
+        edges = [en_level_chord(p, lp, level - lp.lambda3 * abs(v), c) for v in window[1]]
+        xs = np.concatenate([xs, [-lp.k * c, kink], *[e for e in edges if e is not None]])
+        xs = np.unique(np.concatenate([[lo, hi], xs[(lo < xs) & (xs < hi)]]))
+        X = np.column_stack([xs, np.full(len(xs), c), np.zeros(len(xs))])
+        h = np.maximum((level - self.value_many(X)) / lp.lambda3, 0.0)
+        h[[0, -1]] = 0.0
+        return np.vstack([np.column_stack([xs, h]), np.column_stack([xs, -h])[-2:0:-1],
+                          [[lo, 0.0]]])
 
     def params_report(self) -> dict:
         """Extra output of `sirlyap params`, here the feasibility summary."""

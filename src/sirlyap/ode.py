@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import flow
 from .errors import NotConverged
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
                    Step, sample_input, signal_from_dict, signal_to_dict)
-from .model import EquilibriumKind, ModelParams, State, rhs_arrays
+from .model import ModelParams, State, rhs_arrays
 
 # Batches narrower than this step row by row on Python floats, wider ones on
 # one stacked array.  A float step costs about 2.1 us a row under one shared
@@ -54,7 +54,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
-    anchor: Optional[EquilibriumKind] = None
 
     def __post_init__(self):
         if not (len(self.times) == len(self.states) == len(self.inputs)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
-from .errors import MismatchedEquilibrium, RangeError, RegimeError
+from .errors import RangeError, RegimeError
 from .lyap_en import sample_sublevel
 from .model import Deviation, ModelParams, State
 
@@ -359,9 +359,6 @@ def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.n
 
 def check_dini_along_trajectory(lyap, traj: ode.Trajectory, v_stop: float = 0.0) -> CheckResult:
     """The rate-free Dini bound of `_step_margins` at every recorded step with V > v_stop."""
-    if traj.anchor is not None and traj.anchor is not lyap.kind:
-        raise MismatchedEquilibrium(
-            f"trajectory anchored to {traj.anchor}, function to {lyap.kind}")
     v = _lyap_values_of_states(lyap, traj.states)
     steps = np.where(v[:-1] > v_stop, _step_margins(traj.times, v), np.inf)
     margin = np.append(steps, np.inf)  # one entry per row: the last row starts no step

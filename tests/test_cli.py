@@ -139,7 +139,11 @@ def test_cmd_levelsets(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "out" / "levelsets_df.csv").read_text().splitlines()
     assert lines[0] == "level,polyline_id,x1,x2"
-    assert len(lines) > 10
+    # level 10 is the whole four-vertex polyline; the window cuts level 60,
+    # whose kink lies at x1t = -162, on its edge x1t = -100
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[:2] for r in rows] == [["10.0", "0"]] * 4 + [["60.0", "0"]] * 3
+    assert rows[-1][2:] == ["-100.0", "60.0"]
 
 
 @pytest.mark.parametrize("l_bar", [100.0, 1000.0])
@@ -209,6 +213,16 @@ def test_cmd_levelsets_domain_error_exit_code(tmp_path, capsys):
     rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
     assert rc == 3
+
+
+def test_endemic_level_beyond_the_budget_exit_code(tmp_path, capsys):
+    # the hexagon formulas hold up to l_bar, where condition (50) is certified
+    cfg = {**EN_CONFIG, "levels": [100.0, 360.0]}
+    rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "level 360 outside the budget [0, l_bar=340]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "levelsets_endemic.csv").exists()
 
 
 def test_missing_config_file(tmp_path):

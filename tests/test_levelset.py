@@ -1,6 +1,5 @@
 import csv
 import json
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +46,9 @@ def test_vertex_residual_invariant(ly_df):
                                       window=((-300.0, 500.0), (0.0, 520.0)),
                                       resolution=(250, 250))
     for cont in conts:
-        resid = cont.max_residual(lambda poly: _df_plane_values(ly_df, poly))
-        assert resid <= 1e-3 * (1.0 + cont.level)
+        for poly in cont.polylines:
+            resid = np.abs(_df_plane_values(ly_df, poly) - cont.level)
+            assert resid.max() <= 1e-3 * (1.0 + cont.level)
 
 
 def test_endemic_closed_nested_loops(ly_en, p_en, lp_en):
@@ -62,10 +62,9 @@ def test_endemic_closed_nested_loops(ly_en, p_en, lp_en):
         assert len(cont.polylines) == 1
         poly = cont.polylines[0]
         assert np.linalg.norm(poly[0] - poly[-1]) <= cell  # closed loop
-        def val(q):
-            X = np.column_stack([q, np.zeros(len(q))])
-            return lyap_en.en_value_many(p_en, lp_en, X, l_cap=1.05 * lp_en.l_bar)
-        assert cont.max_residual(val) <= 1e-3 * (1.0 + cont.level)
+        X = np.column_stack([poly, np.zeros(len(poly))])
+        v = lyap_en.en_value_many(p_en, lp_en, X, l_cap=1.05 * lp_en.l_bar)
+        assert np.abs(v - cont.level).max() <= 1e-3 * (1.0 + cont.level)
     for small, big in zip(conts[:-1], conts[1:]):
         inside = levelset.polygon_contains(big.polylines[0], small.polylines[0])
         assert inside.all()  # nested without crossings
@@ -121,142 +120,137 @@ def test_contours_csv(tmp_path, ly_df):
     assert float(ab[2]) == pytest.approx(float(rel[2]) + 200.0)
 
 
-class _Stub:
-    """A Lyapunov stand-in whose value on the x3t = 0 plane is fn(u, v); it
-    counts the rows and calls it is asked to evaluate."""
-
-    def __init__(self, fn, window=((-1.0, 1.0), (-1.0, 1.0))):
-        self.fn, self.window = fn, window
-        self.rows = self.calls = 0
-
-    def default_window(self, plane):
-        return self.window
-
-    def contour_values(self, levels, plane, window):
-        return self.values
-
-    def values(self, X):
-        self.rows += len(X)
-        self.calls += 1
-        return self.fn(X[:, 0], X[:, 1])
+def _plane_points(plane, pts):
+    """Deviations (n, 3) of points given in a plane's free coordinates."""
+    X = np.empty((len(pts), 3))
+    free = [0, 1] if plane[0] == "x3t" else [0, 2]
+    X[:, free] = pts
+    X[:, 2 if plane[0] == "x3t" else 1] = plane[1]
+    return X
 
 
-def _contours(stub, level, resolution):
-    """The polylines of one level, checked against the two marching-squares
-    invariants: every vertex within the contour tolerance of the level, and
-    every segment of the march in exactly one chain."""
-    polys = levelset.extract_contours(stub, [level], resolution=resolution)[0].polylines
-    for poly in polys:
-        resid = np.abs(stub.fn(poly[:, 0], poly[:, 1]) - level)
-        assert resid.max() <= levelset.CONTOUR_TOL * (1.0 + level)
-    (u0, u1), (v0, v1) = stub.window
-    U, V = np.meshgrid(np.linspace(u0, u1, resolution[0]), np.linspace(v0, v1, resolution[1]))
-    Z = stub.fn(U, V)
-    segments = levelset._march(Z, [level])[0]
-    chains = levelset._stitch(segments)
-    links = Counter(frozenset(pair) for chain in chains for pair in zip(chain[:-1], chain[1:]))
-    assert links == Counter(frozenset(pair) for pair in segments.tolist())
-    assert set(links.values()) <= {1}
-    assert len(chains) == len(polys)
-    return polys, segments
+def _values(ly, X):
+    """V as the benchmark gate takes it: the endemic domain cap dropped."""
+    if isinstance(ly, lyap_en.EndemicLyapunov):
+        return lyap_en.en_value_many(ly.p, ly.lp, X, l_cap=np.inf)
+    return ly.value_many(X)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_saddle_cells_take_both_resolutions(sign):
-    # one cell whose diagonal corners lie 1 above and 1 below the offset a:
-    # case 5 for sign +1, case 10 for sign -1.  The centre value a picks the
-    # resolution that agrees with it: above the level it joins the two
-    # corners above, so the segments cut off the two corners below.
-    # Edge ids: bottom 0, top 1, left 2, right 3; each segment cuts a corner.
-    cut_c01_c10 = {frozenset({2, 1}), frozenset({0, 3})}
-    cut_c00_c11 = {frozenset({2, 0}), frozenset({3, 1})}
-    expected = {1.2: cut_c01_c10, 0.8: cut_c00_c11} if sign > 0 else \
-        {1.2: cut_c00_c11, 0.8: cut_c01_c10}
-    for a, cut in expected.items():
-        stub = _Stub(lambda u, v: a + sign * u * v)
-        polys, segments = _contours(stub, 1.0, (2, 2))
-        assert len(polys) == 2 and all(len(poly) == 2 for poly in polys)
-        assert {frozenset(pair) for pair in segments.tolist()} == cut
+#: per function, planes at c = 0 and c != 0 on both axes (the disease-free
+#: function needs x2t, x3t >= 0)
+_PLANES = {"ly_df": [("x3t", 0.0), ("x3t", 400.0), ("x2t", 0.0), ("x2t", 40.0)],
+           "ly_en": [("x3t", 0.0), ("x3t", 2000.0), ("x2t", 0.0), ("x2t", -40.0),
+                     ("x2t", 60.0)]}
 
 
-def test_cells_with_a_nan_corner_are_skipped():
-    # the unit circle, undefined right of u = 0.3: one open arc whose ends
-    # sit on the last finite grid column
-    stub = _Stub(lambda u, v: np.where(u > 0.3, np.nan, u * u + v * v),
-                 window=((-2.0, 2.0), (-2.0, 2.0)))
-    polys, _ = _contours(stub, 1.0, (41, 41))
-    xs = np.linspace(-2.0, 2.0, 41)
-    last = xs[xs <= 0.3].max()
-    assert len(polys) == 1
-    poly = polys[0]
-    assert np.all(poly[:, 0] <= last)
-    assert poly[0, 0] == poly[-1, 0] == last
-    assert poly[0, 1] * poly[-1, 1] < 0.0
+@pytest.mark.parametrize("name", ["ly_df", "ly_en"])
+def test_ring_agrees_with_value_signs(request, name):
+    # an independent cross-check of each level ring: on a dense grid of the
+    # default window, V < level exactly at the points the ring encloses.  The
+    # grid's x1t nodes are the endemic x2t-plane graph's abscissae, where its
+    # chords are exact; the disease-free ring is closed along w = 0, below
+    # the window.
+    ly = request.getfixturevalue(name)
+    n = 161
+    for plane in _PLANES[name]:
+        window = ly.default_window(plane)
+        us = np.linspace(*window[0], n)
+        vs = np.linspace(*window[1], 203)
+        pts = np.stack(np.meshgrid(us, vs), axis=-1).reshape(-1, 2)
+        v = ly.value_many(_plane_points(plane, pts))
+        compared = 0
+        for level in ly.default_levels():
+            ring = ly.level_ring(level, plane, window, n)
+            if ring is None:
+                assert np.all(~(v < level))
+                continue
+            inside = levelset.polygon_contains(ring, pts)
+            clear = np.isfinite(v) & (np.abs(v - level) > 1e-9 * (1.0 + level))
+            assert np.array_equal(inside[clear], v[clear] < level), (plane, level)
+            assert not np.any(inside & ~np.isfinite(v))  # the ring stays in the domain
+            compared += 1
+        assert compared >= 3
 
 
-def test_one_level_two_disjoint_loops():
-    stub = _Stub(lambda u, v: np.minimum((u - 1.0) ** 2, (u + 1.0) ** 2) + v * v,
-                 window=((-2.5, 2.5), (-1.5, 1.5)))
-    polys, _ = _contours(stub, 0.25, (101, 61))
-    assert len(polys) == 2
-    for poly in polys:
-        assert np.array_equal(poly[0], poly[-1])  # closed
-    assert sorted(round(float(poly[:, 0].mean())) for poly in polys) == [-1, 1]
+@pytest.mark.parametrize("name", ["ly_df", "ly_en"])
+def test_every_vertex_lies_on_its_level(request, name):
+    ly = request.getfixturevalue(name)
+    levels = ly.default_levels()
+    for plane in _PLANES[name]:
+        conts = levelset.extract_contours(ly, levels, plane=plane, resolution=(300, 300))
+        assert sum(len(c.polylines) for c in conts) >= 3
+        for cont in conts:
+            for poly in cont.polylines:
+                resid = np.abs(_values(ly, _plane_points(plane, poly)) - cont.level)
+                assert resid.max() <= 1e-12 * (1.0 + cont.level), (plane, cont.level)
 
 
-def test_open_chains_come_before_loops():
-    # the loop around (-1, 0) starts in an earlier cell than the arc that the
-    # right border cuts from the disc around (2.2, 0)
-    stub = _Stub(lambda u, v: np.minimum((u + 1.0) ** 2, (u - 2.2) ** 2) + v * v,
-                 window=((-2.5, 2.5), (-1.0, 1.0)))
-    polys, _ = _contours(stub, 0.25, (101, 41))
-    assert len(polys) == 2
-    assert polys[0][0, 0] == polys[0][-1, 0] == 2.5  # the arc, open on the border
-    assert np.array_equal(polys[1][0], polys[1][-1])  # the loop, closed
+def test_endemic_hexagon_at_the_budget(ly_en, p_en, lp_en):
+    # at level l_bar the A/B vertex lies on the closed edge x2t <= l_bar/lam0 of H
+    hexagon = lyap_en.en_level_hexagon(p_en, lp_en, lp_en.l_bar)
+    X = np.column_stack([hexagon, np.zeros(6)])
+    assert hexagon[1, 1] == lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
+    v = lyap_en.en_value_many(p_en, lp_en, X)
+    assert np.all(np.abs(v - lp_en.l_bar) <= 1e-12 * (1.0 + lp_en.l_bar))
+    cont, = levelset.extract_contours(ly_en, [lp_en.l_bar])
+    assert len(cont.polylines) == 1 and len(cont.polylines[0]) == 7
+    assert np.array_equal(cont.polylines[0][0], cont.polylines[0][-1])
 
 
-def test_open_chain_ends_on_the_window_border():
-    stub = _Stub(lambda u, v: (u + 0.5) ** 2 + v * v, window=((0.0, 2.0), (-2.0, 2.0)))
-    polys, _ = _contours(stub, 1.0, (60, 80))
-    assert len(polys) == 1
-    ends = polys[0][[0, -1]]
-    assert np.all(ends[:, 0] == 0.0)
-    assert np.allclose(np.abs(ends[:, 1]), np.sqrt(0.75), atol=1e-3)
-    assert ends[0, 1] * ends[1, 1] < 0.0
+@pytest.mark.parametrize("plane", [("x3t", 0.0), ("x2t", 0.0)])
+def test_endemic_levels_beyond_the_budget_are_refused(ly_en, lp_en, plane):
+    levelset.extract_contours(ly_en, [lp_en.l_bar * (1.0 + 1e-13)], plane=plane)
+    with pytest.raises(DomainError, match="budget"):
+        levelset.extract_contours(ly_en, [20.0, lp_en.l_bar * (1.0 + 1e-9)], plane=plane)
 
 
-@pytest.mark.parametrize("levels", [[-1.0], [0.0], []])
-def test_no_grid_evaluation_without_a_positive_level(levels):
-    stub = _Stub(lambda u, v: u * u + v * v)
-    if levels and levels[0] < 0.0:
-        with pytest.raises(DomainError):
-            levelset.extract_contours(stub, levels)
-    else:
-        conts = levelset.extract_contours(stub, levels)
-        assert [c.marker for c in conts] == [(0.0, 0.0)] * len(levels)
-    assert stub.rows == 0
+def test_window_cuts_rings_into_open_pieces(ly_en):
+    # the right border x1t = 0 leaves the left half of each hexagon; a band
+    # |x2t| <= 17.1 leaves a left and a right piece of the level-180 hexagon,
+    # each ending exactly on the band's edges (where interpolation alone
+    # would miss them by rounding)
+    half, = levelset.extract_contours(ly_en, [180.0], window=((-200.0, 0.0), (-260.0, 440.0)))
+    band, = levelset.extract_contours(ly_en, [180.0], window=((-200.0, 420.0), (-17.1, 17.1)))
+    assert len(half.polylines) == 1
+    ends = half.polylines[0][[0, -1]]
+    assert np.all(ends[:, 0] == 0.0) and ends[0, 1] * ends[1, 1] < 0.0
+    assert len(band.polylines) == 2
+    for poly in band.polylines:
+        assert sorted(poly[[0, -1], 1]) == [-17.1, 17.1]
+        assert np.all(np.abs(poly[:, 1]) <= 17.1)
+    assert sorted(np.sign(poly[0, 0]) for poly in band.polylines) == [-1.0, 1.0]
 
 
-def test_one_bisection_pass_for_all_levels():
-    # the grid costs the same in every run, so the extra calls are the
-    # bisection steps, and they do not grow with the number of levels
-    calls = []
-    for levels in ([0.3], [0.1, 0.3, 0.6, 0.9]):
-        stub = _Stub(lambda u, v: u * u + v * v)
-        levelset.extract_contours(stub, levels, resolution=(300, 500))
-        calls.append(stub.calls)
-    assert calls[0] == calls[1]
+@pytest.mark.parametrize("c", [60.0, -40.0])
+def test_endemic_graph_has_vertices_at_region_boundaries(ly_en, p_en, lp_en, c):
+    # on x2t = c the graph kinks where the line crosses x1t = -k*x2t and the
+    # curve nu (c > 0) or theta^{-1}(-x2t) (c < 0); a chord across a kink
+    # would cut its corner, so each is a vertex of the ring
+    plane = ("x2t", c)
+    ring = ly_en.level_ring(180.0, plane, ly_en.default_window(plane), 50)
+    kink = lyap_en.nu_fun(p_en, lp_en, c) if c > 0.0 else lyap_en.theta_inv(p_en, -c)
+    assert {-lp_en.k * c, float(kink)} <= set(ring[:, 0].tolist())
 
 
-def test_banded_grid_matches_one_call():
-    # 300 columns give 218-row bands, so 500 rows take three bands, the last
-    # one short
-    xs, ys = np.linspace(-1.0, 2.0, 300), np.linspace(0.5, 3.0, 500)
-    stub = _Stub(lambda u, v: np.abs(u - v) / (1.0 + v))
-    Z = levelset._grid_values(stub.values, xs, ys, [0, 1], 2, 0.0)
-    U, V = np.meshgrid(xs, ys)
-    assert stub.calls == 3
-    assert np.array_equal(Z, stub.fn(U, V))
+def test_planes_that_miss_the_level(ly_df, ly_en):
+    # on x3t = c the endemic level L needs L > lambda3*|c|, and on x2t = c
+    # a chord of the hexagon; the disease-free ring needs L > lambda3*c
+    lam3 = ly_en.lp.lambda3
+    for c in (100.0 / lam3, -100.0 / lam3, 200.0 / lam3):
+        conts = levelset.extract_contours(ly_en, [50.0, 100.0], plane=("x3t", c))
+        assert all(cont.polylines == [] and cont.marker is None for cont in conts)
+    top = 20.0 / ly_en.lp.lam0
+    conts = levelset.extract_contours(ly_en, [20.0, 100.0], plane=("x2t", top))
+    assert conts[0].polylines == [] and len(conts[1].polylines) == 1
+    c = 200.0 / ly_df.lp.lambda3
+    conts = levelset.extract_contours(ly_df, [100.0, 300.0], plane=("x3t", c))
+    assert conts[0].polylines == [] and len(conts[1].polylines) == 1
+
+
+@pytest.mark.parametrize("plane", [("x3t", 0.0), ("x2t", 0.0)])
+def test_endemic_level_zero_marker(ly_en, plane):
+    cont, = levelset.extract_contours(ly_en, [0.0], plane=plane)
+    assert cont.polylines == [] and cont.marker == (0.0, 0.0)
 
 
 def _golden_config(name, axis):

@@ -9,8 +9,7 @@ import pytest
 
 import sirlyap as sl
 from sirlyap import bands, flow, lyap_df, lyap_en, ode, verify
-from sirlyap.errors import MismatchedEquilibrium, RangeError
-from sirlyap.model import EquilibriumKind
+from sirlyap.errors import RangeError
 
 
 def test_dini_constant_at_equilibrium(p_df, ly_df):
@@ -28,13 +27,6 @@ def test_dini_one_row_trajectory(p_df, ly_df):
     assert res.passed
     assert res.worst_margin == math.inf
     assert res.worst_location == traj.times[0]
-
-
-def test_dini_mismatch_raises(ly_df, p_df):
-    traj = sl.integrate(p_df, sl.State(100.0, 10.0, 0.0), ode.Constant(3.0), 5.0, dt=0.1)
-    traj.anchor = EquilibriumKind.ENDEMIC
-    with pytest.raises(MismatchedEquilibrium):
-        verify.check_dini_along_trajectory(ly_df, traj)
 
 
 def test_dini_decrease_df(p_df, ly_df):
