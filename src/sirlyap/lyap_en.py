@@ -599,17 +599,17 @@ def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional
                      [lp.k * bottom, -bottom], [_theta_inv(_xhat(p), bottom), -bottom]])
 
 
-def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, x2t: float) -> Optional[tuple]:
+def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, c: float) -> Optional[tuple]:
     """The ends (x1_left, x1_right) of {V12 <= level} on the line x2t = c, or
     None unless c lies strictly between the hexagon's bottom and top.  The
     chains B/C -> C/D -> D/E and E/F -> F/A -> A/B of `en_level_hexagon` are
     monotone in x2t, so each end is one linear interpolation."""
     hexagon = en_level_hexagon(p, lp, level)
-    if hexagon is None or not hexagon[4, 1] < x2t < hexagon[1, 1]:
+    if hexagon is None or not hexagon[4, 1] < c < hexagon[1, 1]:
         return None
     left, right = hexagon[[4, 3, 2]], hexagon[[5, 0, 1]]
-    return (float(np.interp(x2t, left[:, 1], left[:, 0])),
-            float(np.interp(x2t, right[:, 1], right[:, 0])))
+    return (float(np.interp(c, left[:, 1], left[:, 0])),
+            float(np.interp(c, right[:, 1], right[:, 0])))
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sirlyap as sl
 from sirlyap import cli, levelset, lyap_df, lyap_en
 from sirlyap.errors import DomainError
 
