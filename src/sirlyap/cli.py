@@ -3,8 +3,10 @@
 All subcommands read one JSON config (see configs/ in the repo) plus a few
 flag overrides; exit codes are 0 success, 1 config error, 2 regime error,
 3 check failure.  Run as a program (`python -m sirlyap.cli`), each command
-imports only the modules it runs, and `equilibria` and `simulate` run
-without numpy.  Imported as a module, this one loads
+imports only the modules it runs, and numpy only where it evaluates arrays:
+`certify`, and `levelsets` of the endemic function on an x2t plane.  The
+other commands, `params` and the x3t-plane `levelsets` of either function
+included, run without it.  Imported as a module, this one loads
 every layer first, so a tool that wraps the layers' functions before it
 calls `main` (perfbench/tracer.py) finds them all.
 """

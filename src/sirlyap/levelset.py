@@ -7,23 +7,30 @@ four vertices for the disease-free function, a hexagon for the endemic one
 on x3t = c, and on x2t = c the graph x3t = (level - V12)/lambda3 with its
 mirror.  `extract_contours` clips that polyline to the window.  No value is
 evaluated on a grid and nothing is bisected, so every vertex lies on the
-level set up to rounding.
+level set up to rounding.  Polylines are lists of (u, v) float tuples, and
+clipping and the CSV writer work on them without numpy; only the endemic
+graph on x2t planes and the two geometry helpers (`polyline_distance`,
+`polygon_contains`) use arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import DomainError
 from .lyap_df import DfLyapParams, df_level_polyline
 from .model import ModelParams
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass
 class Contour:
-    """One level's polylines in the plane's free coordinates."""
+    """One level's polylines, lists of (u, v) float tuples in the plane's
+    free coordinates."""
 
     level: float
     plane: tuple  # (fixed axis name, value), e.g. ("x3t", 0.0)
@@ -31,7 +38,7 @@ class Contour:
     marker: Optional[tuple] = None  # degenerate level: a single point
 
 
-def _clip_half(poly: np.ndarray, axis: int, bound: float, sign: float) -> list:
+def _clip_half(poly: list, axis: int, bound: float, sign: float) -> list:
     """The pieces of a polyline in the closed half-plane sign*(x[axis] - bound) >= 0.
 
     A piece that leaves the half-plane ends at the crossing point, whose
@@ -39,27 +46,29 @@ def _clip_half(poly: np.ndarray, axis: int, bound: float, sign: float) -> list:
     repeated) that the edge cuts is first rotated to start outside, so no
     piece wraps around its start.
     """
-    s = sign * (poly[:, axis] - bound)
-    if np.all(s >= 0.0):
+    s = [sign * (q[axis] - bound) for q in poly]
+    if all(x >= 0.0 for x in s):
         return [poly]
-    if len(poly) > 2 and np.array_equal(poly[0], poly[-1]):
-        j = int(np.argmax(s < 0.0))
-        poly = np.vstack([poly[j:-1], poly[:j + 1]])
-        s = sign * (poly[:, axis] - bound)
-    a, b = s[:-1], s[1:]
-    cross = np.flatnonzero(((a > 0.0) & (b < 0.0)) | ((a < 0.0) & (b > 0.0)))
-    t = a[cross] / (a[cross] - b[cross])
-    pts = poly[cross] + t[:, None] * (poly[cross + 1] - poly[cross])
-    pts[:, axis] = bound
-    pts_all = np.insert(poly, cross + 1, pts, axis=0)
-    inside = np.insert(s >= 0.0, cross + 1, True)
+    if len(poly) > 2 and poly[0] == poly[-1]:
+        j = next((i for i, x in enumerate(s) if x < 0.0), 0)
+        poly, s = poly[j:-1] + poly[:j + 1], s[j:-1] + s[:j + 1]
+    # the vertices with the crossing points between them, each marked inside or not
+    pts, inside = [poly[0]], [s[0] >= 0.0]
+    for q0, q1, a, b in zip(poly, poly[1:], s, s[1:]):
+        if (a > 0.0 and b < 0.0) or (a < 0.0 and b > 0.0):
+            t = a / (a - b)
+            x = [c0 + t * (c1 - c0) for c0, c1 in zip(q0, q1)]
+            x[axis] = bound
+            pts.append(tuple(x))
+            inside.append(True)
+        pts.append(q1)
+        inside.append(b >= 0.0)
     # maximal runs of points inside; a run of one point only touches the edge
-    step = np.diff(np.r_[0, inside.astype(np.int8), 0])
-    return [pts_all[i:j] for i, j in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1))
-            if j - i >= 2]
+    runs = ([q for q, _ in run] for ok, run in groupby(zip(pts, inside), key=itemgetter(1)) if ok)
+    return [run for run in runs if len(run) >= 2]
 
 
-def _clip_to_window(poly: np.ndarray, window) -> list:
+def _clip_to_window(poly: list, window) -> list:
     """The pieces of a polyline inside the closed window rectangle: polyline
     clipping against its four edges in turn (Sutherland & Hodgman, CACM
     17(1), 1974).  A closed ring that the window does not cut stays closed;
@@ -77,7 +86,8 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
 
     `lyap` is a DiseaseFreeLyapunov or EndemicLyapunov; `window` gives the
     ranges of the two free coordinates (default `lyap.default_window(plane)`);
-    level 0 degenerates to the anchor point and is emitted as a marker.
+    level 0 degenerates to the anchor point, emitted as a marker on a plane
+    through it (value 0) and as nothing on any other.
     `resolution[0]` sets the abscissae of the endemic graph on x2t planes;
     the polygons of both functions ignore it.  Each level's polyline comes
     from `lyap.level_ring`, which also refuses planes, windows and levels
@@ -98,7 +108,8 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
     for level in levels:
         ring = lyap.level_ring(float(level), tuple(plane), window, resolution[0])
         if level == 0.0:
-            out.append(Contour(0.0, tuple(plane), [], marker=(0.0, 0.0)))
+            marker = (0.0, 0.0) if plane[1] == 0.0 else None
+            out.append(Contour(0.0, tuple(plane), [], marker=marker))
         else:
             pieces = [] if ring is None else _clip_to_window(ring, window)
             out.append(Contour(float(level), tuple(plane), pieces))
@@ -118,8 +129,11 @@ def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,
     return Contour(float(level), tuple(plane), [df_level_polyline(lp, p, level)])
 
 
-def polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to a polyline (min over its segments)."""
+def polyline_distance(points, poly) -> np.ndarray:
+    """Distance from each point to a polyline (min over its segments); both
+    are (n, 2) arrays or lists of (u, v) pairs."""
+    import numpy as np
+    points, poly = np.asarray(points, dtype=float), np.asarray(poly, dtype=float)
     best = np.full(len(points), np.inf)
     for a, b in zip(poly[:-1], poly[1:]):
         d = b - a
@@ -134,8 +148,11 @@ def polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return best
 
 
-def polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Ray-casting point-in-polygon test for a closed polyline."""
+def polygon_contains(poly, pts) -> np.ndarray:
+    """Ray-casting point-in-polygon test for a closed polyline; both are
+    (n, 2) arrays or lists of (u, v) pairs."""
+    import numpy as np
+    poly, pts = np.asarray(poly, dtype=float), np.asarray(pts, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
     xs, ys = poly[:, 0], poly[:, 1]
@@ -152,21 +169,22 @@ def polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
                        absolute: bool = False) -> None:
     """Emit `level,polyline_id,x1,x2` rows; `absolute` maps the plane
-    coordinates to populations by adding the anchor components."""
-    off = np.zeros(2)
+    coordinates to populations by adding the anchor components.  The offset
+    is added also when it is 0, which writes -0.0 as 0.0."""
+    du = dv = 0.0
     if absolute:
         if lyap is None:
             raise ValueError("absolute output needs the lyapunov object")
         q = lyap.equilibrium.point
         axis = contours[0].plane[0] if contours else "x3t"
-        off = np.array([q.s, q.i if axis == "x3t" else q.r])
+        du, dv = q.s, q.i if axis == "x3t" else q.r
     with open(path, "w", newline="") as fh:
         fh.write("level,polyline_id,x1,x2\r\n")
         for cont in contours:
             level = repr(float(cont.level))
-            for pid, poly in enumerate(cont.polylines):
-                fh.write("".join(f"{level},{pid},{u!r},{v!r}\r\n"
-                                 for u, v in (poly + off).tolist()))
+            rows = list(enumerate(cont.polylines))
             if cont.marker is not None:
-                u, v = (np.asarray(cont.marker) + off).tolist()
-                fh.write(f"{level},-1,{u!r},{v!r}\r\n")
+                rows.append((-1, [cont.marker]))
+            for pid, poly in rows:
+                fh.write("".join(f"{level},{pid},{float(u) + du!r},{float(v) + dv!r}\r\n"
+                                 for u, v in poly))

@@ -8,19 +8,23 @@ Evaluation is array-first: each region's value formula and gradient, the
 region split and the boundary band are written once, over deviation arrays
 of shape (n, 3).  The scalar functions (`df_region`, `df_value`,
 `df_gradient`, `df_grad_dot_f`) check the domain of one `Deviation` and read
-row 0 of the array path.
+row 0 of the array path.  numpy is imported inside the array functions
+only, so the constants, the level polyline and `sirlyap params` run
+without it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import model
 from .errors import DomainError, InfeasibleOverride, OnBoundary, RegimeError
 from .model import Deviation, EquilibriumKind, ModelParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: boundary band (relative) inside which analytic gradients are refused,
 #: for this function and the endemic one
@@ -138,6 +142,7 @@ def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
 def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
     """Values and region codes (0=A, 1=B, 2=C) for deviations X of shape (n, 3);
     boundary points go to the closed-inequality side."""
+    import numpy as np
     x1t = X[:, 0]
     in_b = x1t >= df_threshold(lp, p, X[:, 1], X[:, 2])
     codes = np.where(x1t >= 0.0, 0, np.where(in_b, 1, 2)).astype(np.int8)
@@ -146,6 +151,7 @@ def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
 
 def df_gradient_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
     """Per-point gradient (n, 3) of the assigned region; no boundary-band policing."""
+    import numpy as np
     grads = np.array([[1.0, 1.0, lp.lambda3], [0.0, 1.0, lp.lambda3],
                       [-lp.mu0 / (p.beta * _x1hat(p)), 0.0, 0.0]])
     return grads[df_value_region_arrays(lp, p, X)[1]]
@@ -163,18 +169,19 @@ def df_grad_dot_f_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray, u: flo
     return G[:, 0] * f1 + G[:, 1] * f2 + G[:, 2] * f3
 
 
-def df_level_polyline(lp: DfLyapParams, p: ModelParams, level: float) -> np.ndarray:
+def df_level_polyline(lp: DfLyapParams, p: ModelParams, level: float) -> list:
     """The level set {V = level} in the coordinates (x1t, w), w = x2t + lambda3*x3t,
     on which V depends alone: the open polyline (level, 0), (0, level),
     (-a*level, level), (-a*level, 0) with a = beta*x1h/mu0, one straight piece
-    in each of the regions A, B and C."""
+    in each of the regions A, B and C, as a list of (x1t, w) float tuples."""
     a = p.beta * _x1hat(p) / lp.mu0
-    return np.array([[level, 0.0], [0.0, level], [-a * level, level], [-a * level, 0.0]])
+    return [(level, 0.0), (0.0, level), (-a * level, level), (-a * level, 0.0)]
 
 
 def df_near_boundary(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
     """True where a point lies within the band BOUNDARY_BAND*(1+|X|), measured
     along x1t, of a region boundary."""
+    import numpy as np
     thr = df_threshold(lp, p, X[:, 1], X[:, 2])
     dist = np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
     return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
@@ -249,7 +256,7 @@ class DiseaseFreeLyapunov:
 
     def admissible_u(self) -> tuple:
         """Perturbation range keeping B(t) nonnegative."""
-        return (-self.p.b_hat, np.inf)
+        return (-self.p.b_hat, math.inf)
 
     def admits(self, u_pos: float, u_neg: float) -> bool:
         """Inputs within [-u_neg, u_pos] lie in the range, closed at -b_hat."""
@@ -257,6 +264,7 @@ class DiseaseFreeLyapunov:
 
     def start_states(self, n: int, seed: int) -> np.ndarray:
         """n seeded states in [0, 3*x1h] x [0, 2*x1h]^2."""
+        import numpy as np
         rng, x1h = np.random.default_rng(seed), self.equilibrium.point.s
         return np.column_stack([rng.uniform(0.0, f * x1h, n) for f in (3.0, 2.0, 2.0)])
 
@@ -272,18 +280,19 @@ class DiseaseFreeLyapunov:
 
     def level_ring(self, level, plane, window, n):
         """The level set {V = level} on `plane` in the plane's free
-        coordinates: `df_level_polyline` with w mapped to x2t = w - lambda3*c
-        on x3t = c and to x3t = (w - c)/lambda3 on x2t = c, or None at level 0;
-        the window clips it to x2t, x3t >= 0 and `n` is unused.  DomainError
-        when the plane or window leaves x2t, x3t >= 0."""
+        coordinates, a list of (u, v) float tuples: `df_level_polyline` with w
+        mapped to x2t = w - lambda3*c on x3t = c and to x3t = (w - c)/lambda3
+        on x2t = c, or None at level 0; the window clips it to x2t, x3t >= 0
+        and `n` is unused.  DomainError when the plane or window leaves
+        x2t, x3t >= 0."""
         if plane[1] < 0.0 or window[1][0] < 0.0:
             raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
         if level == 0.0:
             return None
-        ring = df_level_polyline(self.lp, self.p, level)
         c, lam3 = plane[1], self.lp.lambda3
-        ring[:, 1] = ring[:, 1] - lam3 * c if plane[0] == "x3t" else (ring[:, 1] - c) / lam3
-        return ring
+        if plane[0] == "x3t":
+            return [(u, w - lam3 * c) for u, w in df_level_polyline(self.lp, self.p, level)]
+        return [(u, (w - c) / lam3) for u, w in df_level_polyline(self.lp, self.p, level)]
 
     def params_report(self) -> dict:
         return {"chi_slope": self.chi(1.0)}

@@ -24,6 +24,13 @@ certified numerically by `check_condition_50`.
 Each region's V12 is written once, as a linear form in (x1t, x2t) taken
 through P^{-1} in regions C, D and E (`_region_forms`), and evaluated by the
 array functions over deviations (n, 3); the scalar functions read row 0.
+
+The monotone maps take a Python float and return one, or take an array and
+return an array, with one formula for both (`_theta`, `_omega_inv`, ...).
+The feasibility maths (k0, the lambda3 ceilings, condition (50), the input
+range), the hexagon and the default window run on floats, so `sirlyap
+params` and the x3t-plane level sets run without numpy; it is imported
+inside the array functions only.
 """
 from __future__ import annotations
 
@@ -31,9 +38,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Optional
 
 from . import model
 from .bands import bands
@@ -41,6 +47,9 @@ from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
                      OutOfH, RegimeError)
 from .lyap_df import BOUNDARY_BAND, DELTA
 from .model import Deviation, EquilibriumKind, ModelParams, Regime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,58 @@ def _xhat(p: ModelParams) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# monotone helper maps
+# monotone helper maps: each formula once, over a Python float or an array
 # ---------------------------------------------------------------------------
+
+def _real(s):
+    """A real scalar as a Python float, anything else as a float array."""
+    if isinstance(s, (int, float)):
+        return float(s)
+    import numpy as np
+    return np.asarray(s, dtype=float)
+
+
+def _any(mask) -> bool:
+    """Whether a bool, or any entry of a boolean array, is true."""
+    return bool(mask.any()) if hasattr(mask, "any") else mask
+
+
+def _sqrt(x):
+    if isinstance(x, float):
+        return math.sqrt(x)
+    import numpy as np
+    return np.sqrt(x)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b; one branch for a bool, np.where for arrays."""
+    if isinstance(cond, bool):
+        return a if cond else b
+    import numpy as np
+    return np.where(cond, a, b)[()]
+
+
+def _theta(xh: tuple, s):
+    """x2h*s/(x1h+s) without the domain check."""
+    return xh[1] * s / (xh[0] + s)
+
 
 def _theta_inv(xh: tuple, s):
     """x1h*s/(x2h-s) without the domain check."""
     return xh[0] * s / (xh[1] - s)
+
+
+def _omega_inv(lp: EnLyapParams, xh: tuple, v):
+    """The larger root of omega(s) = v; see `omega_inv`."""
+    x1h, x2h, lam1 = xh[0], xh[1], lp.lambda1
+    b = lam1 * x1h + lp.lambda_hat2 * x2h - v
+    sq = _sqrt(b * b + 4.0 * lam1 * v * x1h)
+    return _where(b > 0.0, 2.0 * v * x1h / (b + sq), (sq - b) / (2.0 * lam1))
+
+
+def _p_fun(lp: EnLyapParams, xh: tuple, s):
+    """lam0 * theta(omega^{-1}(s))."""
+    return lp.lam0 * _theta(xh, _omega_inv(lp, xh, s))
 
 
 def _p_inv(lp: EnLyapParams, xh: tuple, s):
@@ -144,26 +199,29 @@ def _p_inv(lp: EnLyapParams, xh: tuple, s):
     return lp.lambda1 * _theta_inv(xh, r) + lp.lambda_hat2 * r
 
 
+def _nu(lp: EnLyapParams, xh: tuple, s):
+    """(lambda_hat2*s - P(lam0*s))/lambda1."""
+    return (lp.lambda_hat2 * s - _p_fun(lp, xh, lp.lam0 * s)) / lp.lambda1
+
+
 def theta(p: ModelParams, s):
     """x2h*s/(x1h+s); strictly increasing on (-x1h, inf) with range (-inf, x2h)."""
-    x1h, x2h, _ = _xhat(p)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= -x1h):
+    xh, s = _xhat(p), _real(s)
+    if _any(s <= -xh[0]):
         raise DomainError("theta needs s > -x1h")
-    return x2h * s / (x1h + s)
+    return _theta(xh, s)
 
 
 def theta_inv(p: ModelParams, s):
     """Exact inverse x1h*s/(x2h-s), defined for s < x2h."""
-    xh = _xhat(p)
-    s = np.asarray(s, dtype=float)
-    if np.any(s >= xh[1]):
+    xh, s = _xhat(p), _real(s)
+    if _any(s >= xh[1]):
         raise DomainError("theta_inv needs s < x2h")
     return _theta_inv(xh, s)
 
 
 def omega(p: ModelParams, lp: EnLyapParams, s):
-    return lp.lambda1 * np.asarray(s, dtype=float) + lp.lambda_hat2 * theta(p, s)
+    return lp.lambda1 * _real(s) + lp.lambda_hat2 * theta(p, s)
 
 
 def omega_inv(p: ModelParams, lp: EnLyapParams, v):
@@ -175,24 +233,18 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
     otherwise, neither of which subtracts nearly equal numbers.
     """
-    x1h, x2h, _ = _xhat(p)
-    v = np.asarray(v, dtype=float)
-    lam1 = lp.lambda1
-    b = lam1 * x1h + lp.lambda_hat2 * x2h - v
-    sq = np.sqrt(b * b + 4.0 * lam1 * v * x1h)
-    return np.where(b > 0.0, 2.0 * v * x1h / (b + sq), (sq - b) / (2.0 * lam1))[()]
+    return _omega_inv(lp, _xhat(p), _real(v))
 
 
 def p_fun(p: ModelParams, lp: EnLyapParams, s):
     """P(s) = lam0 * theta(omega^{-1}(s)); increasing, range (-inf, lam0*x2h)."""
-    return lp.lam0 * theta(p, omega_inv(p, lp, s))
+    return _p_fun(lp, _xhat(p), _real(s))
 
 
 def p_inv(p: ModelParams, lp: EnLyapParams, s):
     """Closed-form inverse of P, defined for s < lam0*x2h."""
-    xh = _xhat(p)
-    s = np.asarray(s, dtype=float)
-    if np.any(s >= lp.lam0 * xh[1]):
+    xh, s = _xhat(p), _real(s)
+    if _any(s >= lp.lam0 * xh[1]):
         raise DomainError("p_inv needs s < lam0*x2h")
     return _p_inv(lp, xh, s)
 
@@ -200,16 +252,14 @@ def p_inv(p: ModelParams, lp: EnLyapParams, s):
 def p_inv_prime(p: ModelParams, lp: EnLyapParams, s):
     """(P^{-1})'(s) > lambda_hat2/lam0 for s < lam0*x2h."""
     x1h, x2h, _ = _xhat(p)
-    s = np.asarray(s, dtype=float)
     lam0 = lp.lam0
-    return (lp.lambda1 * lam0 ** 2 * x1h * x2h / (lam0 * x2h - s) ** 2
-            + lp.lambda_hat2) / lam0
+    d = lam0 * x2h - _real(s)
+    return (lp.lambda1 * lam0 ** 2 * x1h * x2h / (d * d) + lp.lambda_hat2) / lam0
 
 
 def nu_fun(p: ModelParams, lp: EnLyapParams, s):
     """Boundary curve between the two regions left of the equilibrium."""
-    s = np.asarray(s, dtype=float)
-    return (lp.lambda_hat2 * s - p_fun(p, lp, lp.lam0 * s)) / lp.lambda1
+    return _nu(lp, _xhat(p), _real(s))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +287,7 @@ def k0_bound(p: ModelParams, l_bar: float, lambda1: float = 1.0,
 def spread(p: ModelParams, lp: EnLyapParams) -> float:
     """x2h - theta(omega^{-1}(l_bar)) = x2h - P(l_bar)/lam0: the infected
     count at the lower edge x2t = -P(l_bar)/lam0 of the sublevel set."""
-    return float(_xhat(p)[1] - theta(p, omega_inv(p, lp, lp.l_bar)))
+    return _xhat(p)[1] - theta(p, omega_inv(p, lp, lp.l_bar))
 
 
 def lambda3_bound_terms(p: ModelParams, lp: EnLyapParams) -> tuple:
@@ -269,23 +319,31 @@ def lambda3_default(p: ModelParams, lp: EnLyapParams) -> float:
 Cond50Result = namedtuple("Cond50Result", "passed worst_margin argmin_l samples")
 
 
+@lru_cache(maxsize=64)
 def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
     """Certify nu(L/lam0) <= theta_inv(-L/lam0) on an even grid of [0, l_bar]
     (2048 intervals).
 
     Both sides vanish at L = 0, so the reported worst margin legitimately
     touches zero at that endpoint; interior margins are what feasibility
-    hinges on.
+    hinges on.  The grid is numpy's `linspace(0, l_bar, 2049)` and the worst
+    margin its first least one (a NaN first), so the loop over Python floats
+    gives the array evaluation's result bit for bit.  Both arguments are
+    frozen, so each pair is evaluated once.
     """
-    L = np.linspace(0.0, lp.l_bar, 2048 + 1)
-    s = L / lp.lam0
-    lhs = nu_fun(p, lp, s)
-    rhs = theta_inv(p, -s)
-    margin = rhs - lhs
-    tol = 1e-9 * (1.0 + np.abs(rhs) + np.abs(lhs))
-    passed = bool(np.all(margin >= -tol))
-    j = int(np.argmin(margin))
-    return Cond50Result(passed, float(margin[j]), float(L[j]), len(L))
+    step = lp.l_bar / 2048
+    L = [i * step for i in range(2048)] + [lp.l_bar]
+    xh, lam0 = _xhat(p), lp.lam0
+    passed, worst, j = True, math.inf, 0
+    for i, level in enumerate(L):
+        s = level / lam0
+        lhs, rhs = _nu(lp, xh, s), _theta_inv(xh, -s)
+        margin = rhs - lhs
+        if not margin >= -1e-9 * (1.0 + abs(rhs) + abs(lhs)):
+            passed = False
+        if worst == worst and not margin >= worst:
+            worst, j = margin, i
+    return Cond50Result(passed, worst, L[j], len(L))
 
 
 def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
@@ -342,6 +400,7 @@ def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
 
 
 def _box_corners_and_grid(box) -> np.ndarray:
+    import numpy as np
     axes = [np.linspace(lo, hi, 7) for lo, hi in box]
     G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     corners = np.array([[a, b, c] for a in box[0] for b in box[1] for c in box[2]])
@@ -364,6 +423,7 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
     x1h, x2h, x3h = _xhat(p)
     pts = None
     if box is not None:
+        import numpy as np  # the box path alone works on arrays
         pts = _box_corners_and_grid(box)
         if np.any(pts[:, 0] + pts[:, 1] <= -x2h) or np.any(pts[:, 1] <= -x2h) \
                 or np.any(pts[:, 2] < -x3h) or np.any(pts[:, 0] < -x1h):
@@ -385,7 +445,7 @@ def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
         lp = replace(provisional, lambda3=lambda3_default(p, provisional))
         ok = check_condition_50(p, lp).passed
         if ok and pts is not None:
-            v = en_value_many(p, lp, pts, l_cap=np.inf)
+            v = en_value_many(p, lp, pts, l_cap=math.inf)
             if np.all(np.isfinite(v)):
                 vmax = float(v.max())
                 if vmax > l_cur:
@@ -418,8 +478,11 @@ def _h_masks(p: ModelParams, lp: EnLyapParams, x1t, x2t, l_cap: float):
 #: P^{-1} arguments are clipped this factor below the pole lam0*x2h
 _POLE_CLIP = 1.0 - 1e-15
 
-#: regions whose V12 is P^{-1} of the region's linear form: C, D and E
-_CURVED = np.array([False, False, True, True, True, False])
+
+def _curved(codes):
+    """True for the regions C, D and E (codes 2..4), whose V12 is P^{-1} of
+    the region's linear form."""
+    return (2 <= codes) & (codes <= 4)
 
 
 def _region_forms(lp: EnLyapParams) -> np.ndarray:
@@ -428,6 +491,7 @@ def _region_forms(lp: EnLyapParams) -> np.ndarray:
     V12 = c1*x1t + c2*x2t in A, B and F, and P^{-1}(c1*x1t + c2*x2t) in C, D
     and E; the gradient of V12 is (c1, c2), times (P^{-1})' in C, D and E.
     """
+    import numpy as np
     lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
     return np.array([[lam1, lam2], [0.0, lam0], [-lam1, lh2],
                      [-lam1, -lam2], [0.0, -lam0], [lam1, -lh2]])
@@ -443,15 +507,17 @@ def en_region_v12(p: ModelParams, lp: EnLyapParams, codes, x1t, x2t):
     per point) wherever the points lie: each point's linear form, taken
     through P^{-1} only in C, D and E, its argument clipped just below the
     pole."""
+    import numpy as np
     xh = _xhat(p)
     v12 = np.asarray(_linear_form(lp, codes, x1t, x2t), dtype=float)
-    curved = np.broadcast_to(_CURVED[codes], v12.shape)
+    curved = np.broadcast_to(_curved(codes), v12.shape)
     v12[curved] = _p_inv(lp, xh, np.minimum(v12[curved], lp.lam0 * xh[1] * _POLE_CLIP))
     return v12
 
 
 def _region_codes(p: ModelParams, lp: EnLyapParams, x1t, x2t):
     """Codes 0..5 for regions A..F; assumes arguments already lie in H."""
+    import numpy as np
     xh = _xhat(p)
     kx2 = -lp.k * x2t
     # lower half: D / E / F split by -k*x2t and the hyperbola branch
@@ -469,9 +535,10 @@ def _region_codes(p: ModelParams, lp: EnLyapParams, x1t, x2t):
 def en_region_terms(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> tuple:
     """Per point in H: the region code (0..5 for A..F), the P^{-1} argument of
     its region (0 outside C, D and E) and (P^{-1})' at that argument."""
+    import numpy as np
     x1t, x2t = X[:, 0], X[:, 1]
     codes = _region_codes(p, lp, x1t, x2t)
-    arg = np.where(_CURVED[codes], _linear_form(lp, codes, x1t, x2t), 0.0)
+    arg = np.where(_curved(codes), _linear_form(lp, codes, x1t, x2t), 0.0)
     dpinv = p_inv_prime(p, lp, np.minimum(arg, lp.lam0 * _xhat(p)[1] * _POLE_CLIP))
     return codes, arg, dpinv
 
@@ -485,6 +552,7 @@ def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
     budget's edge (the A/B vertex of the level-l_bar set lies on it).  The
     formulas are certified only where condition (50) holds.
     """
+    import numpy as np
     if l_cap is None:
         l_cap = lp.l_bar
     x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
@@ -497,8 +565,9 @@ def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
 
 def en_gradient_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:
     """Per-point analytic gradient (n, 3); no boundary-band policing."""
+    import numpy as np
     codes, _, dpinv = en_region_terms(p, lp, X)
-    scale = np.where(_CURVED[codes], dpinv, 1.0)
+    scale = np.where(_curved(codes), dpinv, 1.0)
     c = _region_forms(lp)[codes]
     g3 = np.where(X[:, 2] >= 0.0, lp.lambda3, -lp.lambda3)
     return np.stack([c[:, 0] * scale, c[:, 1] * scale, g3], axis=1)
@@ -517,6 +586,7 @@ def en_grad_dot_f_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
 def en_near_boundary(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:
     """True where a point lies within the band BOUNDARY_BAND*(1+|X|) of a
     region boundary or of the x3t kink."""
+    import numpy as np
     x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
     x2h = _xhat(p)[1]
     curve = np.where(x2t >= 0.0, nu_fun(p, lp, np.maximum(x2t, 0.0)),
@@ -527,6 +597,7 @@ def en_near_boundary(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndar
 
 
 def in_sublevel_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray, L: float) -> np.ndarray:
+    import numpy as np
     x1h, x2h, x3h = _xhat(p)
     phys = (X[:, 0] >= -x1h) & (X[:, 1] >= -x2h) & (X[:, 2] >= -x3h)
     v = en_value_many(p, lp, X)
@@ -539,14 +610,15 @@ def _row(dev: Deviation) -> np.ndarray:
 
 def in_H(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> bool:
     """Membership in the Lipschitz domain H (three strict/closed inequalities)."""
-    return bool(_h_masks(p, lp, np.array([dev.x1t]), np.array([dev.x2t]), lp.l_bar)[0])
+    return bool(_h_masks(p, lp, dev.x1t, dev.x2t, lp.l_bar))
 
 
 def en_region(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> EnRegionLabel:
     """Classify a deviation; boundary points follow the non-strict inequalities."""
     if not in_H(p, lp, dev):
         raise OutOfH("deviation outside the domain H")
-    code = int(_region_codes(p, lp, np.array([dev.x1t]), np.array([dev.x2t]))[0])
+    X = _row(dev)
+    code = int(_region_codes(p, lp, X[:, 0], X[:, 1])[0])
     sign = X3Sign.NONNEG if dev.x3t >= 0.0 else X3Sign.NEG
     return EnRegionLabel(list(EnRegion)[code], sign)
 
@@ -575,11 +647,12 @@ def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> b
     return bool(in_sublevel_many(p, lp, _row(dev), L)[0])
 
 
-def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional[np.ndarray]:
-    """The level set {V12 = level} as its six vertices (6, 2) in (x1t, x2t), in
-    the order F/A, A/B, B/C, C/D, D/E, E/F of the region boundaries they lie
-    on, or None for level <= 0.  V12 is linear or P^{-1} of a linear form in
-    each region, so the set is straight between them: with P = P(level),
+def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional[list]:
+    """The level set {V12 = level} as its six vertices, (x1t, x2t) float
+    tuples in the order F/A, A/B, B/C, C/D, D/E, E/F of the region
+    boundaries they lie on, or None for level <= 0.  V12 is linear or P^{-1}
+    of a linear form in each region, so the set is straight between them:
+    with P = P(level),
 
         F/A (level/lambda1, 0)          A/B (-k*level/lam0, level/lam0)
         B/C ((lambda_hat2*level/lam0 - P)/lambda1, level/lam0)
@@ -592,11 +665,19 @@ def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional
     if level <= 0.0:
         return None
     lam0, lam1 = lp.lam0, lp.lambda1
-    top, P = level / lam0, float(p_fun(p, lp, level))
+    top, P = level / lam0, p_fun(p, lp, level)
     bottom = P / lam0
-    return np.array([[level / lam1, 0.0], [-lp.k * top, top],
-                     [(lp.lambda_hat2 * top - P) / lam1, top], [-P / lam1, 0.0],
-                     [lp.k * bottom, -bottom], [_theta_inv(_xhat(p), bottom), -bottom]])
+    return [(level / lam1, 0.0), (-lp.k * top, top),
+            ((lp.lambda_hat2 * top - P) / lam1, top), (-P / lam1, 0.0),
+            (lp.k * bottom, -bottom), (_theta_inv(_xhat(p), bottom), -bottom)]
+
+
+def _chain_x1(c: float, chain: list) -> float:
+    """x1t at x2t = c on a chain of three vertices (x1t, x2t) with increasing
+    x2t and c in its range: the straight interpolation of `numpy.interp`,
+    the vertex itself where c is one."""
+    (u0, v0), (u1, v1) = chain[:2] if c < chain[1][1] else chain[1:]
+    return u0 if c == v0 else (u1 - u0) / (v1 - v0) * (c - v0) + u0
 
 
 def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, c: float) -> Optional[tuple]:
@@ -605,11 +686,10 @@ def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, c: float) -> 
     chains B/C -> C/D -> D/E and E/F -> F/A -> A/B of `en_level_hexagon` are
     monotone in x2t, so each end is one linear interpolation."""
     hexagon = en_level_hexagon(p, lp, level)
-    if hexagon is None or not hexagon[4, 1] < c < hexagon[1, 1]:
+    if hexagon is None or not hexagon[4][1] < c < hexagon[1][1]:
         return None
-    left, right = hexagon[[4, 3, 2]], hexagon[[5, 0, 1]]
-    return (float(np.interp(c, left[:, 1], left[:, 0])),
-            float(np.interp(c, right[:, 1], right[:, 0])))
+    return (_chain_x1(c, [hexagon[i] for i in (4, 3, 2)]),
+            _chain_x1(c, [hexagon[i] for i in (5, 0, 1)]))
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
@@ -617,11 +697,12 @@ def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
     as Python floats (numpy-scalar inputs would slow the ISS batch's float rows)."""
     lo = -lp.delta * p.mu * p_fun(p, lp, lp.l_bar) / lp.lambda1
     hi = lp.delta * p.mu * lp.l_bar / lp.lambda1
-    return (float(lo), float(hi))
+    return (lo, hi)
 
 
 def _roots_in(coeffs, S: float, hi: float) -> np.ndarray:
     """w = S*(1 - t) at the real roots t of a polynomial, kept in (0, hi)."""
+    import numpy as np
     w = S * (1.0 - np.roots(coeffs).real)
     return w[(w > 0.0) & (w < hi)]
 
@@ -639,6 +720,7 @@ def en_eta(p: ModelParams, lp: EnLyapParams, l_total: float) -> float:
         raise DomainError("l_total must be nonnegative")
     if l_total == 0.0:
         return 0.0
+    import numpy as np
     x1h, x2h, _ = xh = _xhat(p)
     S, lam3 = lp.lam0 * x2h, lp.lambda3
     r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
@@ -666,6 +748,7 @@ def en_eta_inv(p: ModelParams, lp: EnLyapParams, y: float) -> float:
         return 0.0
     if y >= S:
         return math.inf
+    import numpy as np
     r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
     cubic = [(lam3 - 1.0) * r, 0.0, 1.0 + lam3, 2.0 * (y / S - 1.0)]
     w = np.concatenate([[0.0, y], _roots_in(cubic, S, y)])
@@ -693,6 +776,7 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
     full admissible magnitude range log-uniformly, since lambda3 is small and
     the set is extremely elongated in the x3 direction.
     """
+    import numpy as np
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
     q = lyap.equilibrium.point
@@ -798,8 +882,9 @@ class EndemicLyapunov:
 
     def level_ring(self, level, plane, window, n):
         """The level set {V = level} on `plane` as one closed polyline (its
-        first vertex repeated) in the plane's free coordinates, or None where
-        the plane misses the level or level is 0.
+        first vertex repeated), a list of (u, v) float tuples in the plane's
+        free coordinates, or None where the plane misses the level or level
+        is 0.
 
         On x3t = c it is the hexagon of V12 = level - lambda3*|c|.  On x2t = c
         it is the graph x3t = (level - V12(x1t, c))/lambda3 over the chord of
@@ -821,10 +906,11 @@ class EndemicLyapunov:
         c = plane[1]
         if plane[0] == "x3t":
             hexagon = en_level_hexagon(p, lp, level - lp.lambda3 * abs(c))
-            return None if hexagon is None else np.vstack([hexagon, hexagon[:1]])
+            return None if hexagon is None else hexagon + hexagon[:1]
         chord = en_level_chord(p, lp, level, c)
         if chord is None:
             return None
+        import numpy as np  # the x2t-plane graph alone evaluates V on arrays
         lo, hi = chord
         xs = np.linspace(window[0][0], window[0][1], n)
         kink = nu_fun(p, lp, c) if c >= 0.0 else _theta_inv(_xhat(p), -c)
@@ -834,8 +920,9 @@ class EndemicLyapunov:
         X = np.column_stack([xs, np.full(len(xs), c), np.zeros(len(xs))])
         h = np.maximum((level - self.value_many(X)) / lp.lambda3, 0.0)
         h[[0, -1]] = 0.0
-        return np.vstack([np.column_stack([xs, h]), np.column_stack([xs, -h])[-2:0:-1],
+        ring = np.vstack([np.column_stack([xs, h]), np.column_stack([xs, -h])[-2:0:-1],
                           [[lo, 0.0]]])
+        return list(map(tuple, ring.tolist()))
 
     def params_report(self) -> dict:
         """Extra output of `sirlyap params`, here the feasibility summary."""

@@ -149,7 +149,8 @@ def test_criterion_10_level_sets(p_df, lp_df_ref, ly_en, p_en, lp_en):
     lev_e = [20.0, 100.0, 180.0, 260.0, 340.0]
     conts_e = levelset.extract_contours(ly_en, lev_e, window=window_e, resolution=res_e)
     closed = all(len(c.polylines) == 1
-                 and np.linalg.norm(c.polylines[0][0] - c.polylines[0][-1]) <= cell_e
+                 and np.linalg.norm(np.asarray(c.polylines[0][0])
+                                    - np.asarray(c.polylines[0][-1])) <= cell_e
                  for c in conts_e)
     nested = all(levelset.polygon_contains(b.polylines[0], a.polylines[0]).all()
                  for a, b in zip(conts_e[:-1], conts_e[1:]))

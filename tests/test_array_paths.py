@@ -5,6 +5,7 @@ every name it lists must still resolve."""
 import importlib
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,62 @@ def test_en_wrappers_match_array_path(p_en, lp_en, rows, frac):
         else:
             g = lyap_en.en_gradient(p_en, lp_en, dev)
             assert all(_same(a, b) for a, b in zip(g, G[j]))
+
+
+def _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta):
+    """Model constants with R0 above gamma/mu + 2, where the endemic
+    construction applies."""
+    mu, ratio, beta = 10.0 ** log_mu, 10.0 ** log_ratio, 10.0 ** log_beta
+    r0 = (ratio + 2.0) * (1.0 + 10.0 ** log_excess)
+    return sl.ModelParams(beta=beta, gamma=ratio * mu, mu=mu,
+                          b_hat=r0 * mu * (ratio * mu + mu) / beta)
+
+
+_THEOREM_REGIME = dict(log_mu=st.floats(-3.0, -1.0), log_ratio=st.floats(-0.5, 1.0),
+                       log_excess=st.floats(-1.5, 1.0), log_beta=st.floats(-5.0, -3.0),
+                       log_budget=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_THEOREM_REGIME, fracs=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=4))
+def test_float_maps_match_array_path(log_mu, log_ratio, log_excess, log_beta, log_budget,
+                                     fracs):
+    # each monotone map on a Python float returns a Python float equal, bit
+    # for bit (the sign of zero included), to its 1-element array path
+    p = _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta)
+    q = sl.model.endemic_eq(p).point
+    lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
+    maps = [(lyap_en.theta, (p,), q.s), (lyap_en.theta_inv, (p,), q.i),
+            (lyap_en.omega_inv, (p, lp), 3.0 * lp.l_bar), (lyap_en.p_fun, (p, lp), 3.0 * lp.l_bar),
+            (lyap_en.p_inv, (p, lp), lp.lam0 * q.i),
+            (lyap_en.p_inv_prime, (p, lp), lp.lam0 * q.i),
+            (lyap_en.nu_fun, (p, lp), 3.0 * lp.l_bar / lp.lam0)]
+    for fn, args, scale in maps:
+        for s in [0.0, -0.0] + [f * scale for f in fracs]:
+            got = fn(*args, s)
+            assert type(got) is float, fn.__name__
+            assert _same(got, fn(*args, np.array([s]))[0]), (fn.__name__, s)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**_THEOREM_REGIME, log_stretch=st.floats(0.0, 3.0))
+def test_condition_50_matches_array_evaluation(log_mu, log_ratio, log_excess, log_beta,
+                                               log_budget, log_stretch):
+    # the float loop gives the verdict, worst margin and its L of the array
+    # evaluation on linspace(0, l_bar, 2049); stretched budgets may fail (50)
+    p = _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta)
+    q = sl.model.endemic_eq(p).point
+    lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
+    for lq in (lp, replace(lp, l_bar=lp.l_bar * 10.0 ** log_stretch)):
+        L = np.linspace(0.0, lq.l_bar, 2049)
+        s = L / lq.lam0
+        lhs, rhs = lyap_en.nu_fun(p, lq, s), lyap_en.theta_inv(p, -s)
+        margin = rhs - lhs
+        j = int(np.argmin(margin))
+        res = lyap_en.check_condition_50(p, lq)
+        assert res.passed is bool(np.all(margin >= -1e-9 * (1.0 + np.abs(rhs) + np.abs(lhs))))
+        assert _same(res.worst_margin, margin[j]) and _same(res.argmin_l, L[j])
+        assert res.samples == len(L)
 
 
 _NONNEG = st.floats(0.0, 1000.0)

@@ -131,6 +131,30 @@ def test_cmd_params(tmp_path, capsys):
     assert (tmp_path / "out" / "params_endemic.json").exists()
 
 
+#: configs of the `params` goldens besides the checked-in ones: a drawn
+#: endemic scenario without its constants (so `select_en_params` searches
+#: them) and a drawn disease-free one, both from the benchmark's seed-1 draws
+_DRAWN = {
+    "drawn_endemic": {
+        "model": {"beta": 0.0002, "gamma": 0.02863497201214802, "mu": 0.018050979941875836,
+                  "b_hat": 21.825499629112112},
+        "equilibrium": "endemic", "lyap": {"l_bar": 340.0, "delta": 0.5}},
+    "drawn_df": {
+        "model": {"beta": 0.0002, "gamma": 0.03394696737993359, "mu": 0.013511533618170538,
+                  "b_hat": 2.629792502961777},
+        "equilibrium": "df", "lyap": {"mu0": 0.013209686080843368, "delta": 0.5}},
+}
+
+
+@pytest.mark.parametrize("name", ["df", "endemic", "drawn_endemic", "drawn_df"])
+def test_cmd_params_matches_golden(tmp_path, capsys, name):
+    cfg = _DRAWN.get(name) or json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    assert cli.main(["params", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    golden = (ROOT / "tests" / "data" / f"params_{name}.json").read_bytes()
+    assert (tmp_path / f"params_{cfg['equilibrium']}.json").read_bytes() == golden
+    assert capsys.readouterr().out.encode() == golden + b"\n"
+
+
 def test_cmd_levelsets(tmp_path, capsys):
     cfg = {**DF_CONFIG, "levels": [10.0, 60.0],
            "window": [[-100.0, 200.0], [0.0, 220.0]], "resolution": [120, 120]}

@@ -1,6 +1,6 @@
 """What each entry point loads: the package exports lazily, each CLI
-command imports only the sirlyap modules it runs, and `equilibria` and
-`simulate` run without numpy."""
+command imports only the sirlyap modules it runs, and every command but
+`certify` and the endemic x2t-plane `levelsets` runs without numpy."""
 import importlib
 import json
 import os
@@ -30,6 +30,9 @@ EN = {
     "levels": [100.0],
     "resolution": [40, 40],
 }
+# the endemic level sets on a plane x2t = c: a graph over x1t, whose
+# heights come from the array evaluation of V
+EN_X2T = {**EN, "plane": {"axis": "x2t", "value": 0.0}}
 # the disease-free scenario on a 40x faster clock, with small samples: a
 # full certify run in well under a second
 DF_FAST = {
@@ -74,6 +77,9 @@ print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap
     ("params", DF, {"lyap_df"}),
     ("levelsets", EN, {"lyap_df", "lyap_en", "levelset"}),
     ("certify", DF_FAST, {"lyap_df", "lyap_en", "ode", "verify"}),
+    ("params", EN, {"lyap_df", "lyap_en"}),
+    ("levelsets", DF, {"lyap_df", "levelset"}),
+    ("levelsets", EN_X2T, {"lyap_df", "lyap_en", "levelset"}),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, command, cfg, extra):
     path = tmp_path / "cfg.json"
@@ -82,7 +88,7 @@ def test_each_command_loads_only_its_modules(tmp_path, command, cfg, extra):
     rc, loaded, numpy_loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert set(loaded) == BASE | extra
-    assert numpy_loaded is (command not in ("equilibria", "simulate"))
+    assert numpy_loaded is (command == "certify" or cfg is EN_X2T)
 
 
 def test_flow_loads_without_numpy():

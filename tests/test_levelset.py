@@ -59,7 +59,7 @@ def test_endemic_closed_nested_loops(ly_en, p_en, lp_en):
     conts = levelset.extract_contours(ly_en, levels, window=window, resolution=res)
     for cont in conts:
         assert len(cont.polylines) == 1
-        poly = cont.polylines[0]
+        poly = np.asarray(cont.polylines[0])
         assert np.linalg.norm(poly[0] - poly[-1]) <= cell  # closed loop
         X = np.column_stack([poly, np.zeros(len(poly))])
         v = lyap_en.en_value_many(p_en, lp_en, X, l_cap=1.05 * lp_en.l_bar)
@@ -80,7 +80,7 @@ def test_default_window_x2t_plane_holds_default_levels(request, name):
                                       resolution=(200, 200))
     for cont in conts:
         assert cont.polylines
-        x3 = np.concatenate([poly[:, 1] for poly in cont.polylines])
+        x3 = np.concatenate([np.asarray(poly)[:, 1] for poly in cont.polylines])
         assert np.all(x3 < top)
         assert abs(x3.max() - cont.level / ly.lp.lambda3) <= cell
 
@@ -186,7 +186,7 @@ def test_every_vertex_lies_on_its_level(request, name):
 
 def test_endemic_hexagon_at_the_budget(ly_en, p_en, lp_en):
     # at level l_bar the A/B vertex lies on the closed edge x2t <= l_bar/lam0 of H
-    hexagon = lyap_en.en_level_hexagon(p_en, lp_en, lp_en.l_bar)
+    hexagon = np.asarray(lyap_en.en_level_hexagon(p_en, lp_en, lp_en.l_bar))
     X = np.column_stack([hexagon, np.zeros(6)])
     assert hexagon[1, 1] == lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
     v = lyap_en.en_value_many(p_en, lp_en, X)
@@ -211,13 +211,13 @@ def test_window_cuts_rings_into_open_pieces(ly_en):
     half, = levelset.extract_contours(ly_en, [180.0], window=((-200.0, 0.0), (-260.0, 440.0)))
     band, = levelset.extract_contours(ly_en, [180.0], window=((-200.0, 420.0), (-17.1, 17.1)))
     assert len(half.polylines) == 1
-    ends = half.polylines[0][[0, -1]]
+    ends = np.asarray(half.polylines[0])[[0, -1]]
     assert np.all(ends[:, 0] == 0.0) and ends[0, 1] * ends[1, 1] < 0.0
     assert len(band.polylines) == 2
-    for poly in band.polylines:
+    for poly in map(np.asarray, band.polylines):
         assert sorted(poly[[0, -1], 1]) == [-17.1, 17.1]
         assert np.all(np.abs(poly[:, 1]) <= 17.1)
-    assert sorted(np.sign(poly[0, 0]) for poly in band.polylines) == [-1.0, 1.0]
+    assert sorted(np.sign(np.asarray(poly)[0, 0]) for poly in band.polylines) == [-1.0, 1.0]
 
 
 @pytest.mark.parametrize("c", [60.0, -40.0])
@@ -228,7 +228,7 @@ def test_endemic_graph_has_vertices_at_region_boundaries(ly_en, p_en, lp_en, c):
     plane = ("x2t", c)
     ring = ly_en.level_ring(180.0, plane, ly_en.default_window(plane), 50)
     kink = lyap_en.nu_fun(p_en, lp_en, c) if c > 0.0 else lyap_en.theta_inv(p_en, -c)
-    assert {-lp_en.k * c, float(kink)} <= set(ring[:, 0].tolist())
+    assert {-lp_en.k * c, float(kink)} <= set(np.asarray(ring)[:, 0].tolist())
 
 
 def test_planes_that_miss_the_level(ly_df, ly_en):
@@ -270,3 +270,15 @@ def test_levelsets_match_golden_csv(tmp_path, capsys, name, axis):
     assert cli.main(["levelsets", "--config", str(path), "--out", str(tmp_path)]) == 0
     golden = ROOT / "tests" / "data" / f"levelsets_{name}_{axis}.csv"
     assert (tmp_path / f"levelsets_{name}.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, plane", [("ly_df", ("x3t", 400.0)), ("ly_df", ("x2t", 40.0)),
+                                         ("ly_en", ("x3t", 2000.0)), ("ly_en", ("x2t", -40.0)),
+                                         ("ly_en", ("x2t", 60.0))])
+def test_level_zero_marks_nothing_off_the_anchor(request, name, plane):
+    # a plane x3t = c > 0 or x2t = c != 0 misses the anchor, and V > 0 all
+    # over it, so its level-0 set is empty: no marker at (0, 0)
+    ly = request.getfixturevalue(name)
+    assert ly.value_many(_plane_points(plane, [(0.0, 0.0)]))[0] > 0.0
+    cont, = levelset.extract_contours(ly, [0.0], plane=plane)
+    assert cont.polylines == [] and cont.marker is None
