@@ -289,10 +289,10 @@ class DiseaseFreeLyapunov:
             raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
         if level == 0.0:
             return None
-        c, lam3 = plane[1], self.lp.lambda3
+        ring, c, lam3 = df_level_polyline(self.lp, self.p, level), plane[1], self.lp.lambda3
         if plane[0] == "x3t":
-            return [(u, w - lam3 * c) for u, w in df_level_polyline(self.lp, self.p, level)]
-        return [(u, (w - c) / lam3) for u, w in df_level_polyline(self.lp, self.p, level)]
+            return [(u, w - lam3 * c) for u, w in ring]
+        return [(u, (w - c) / lam3) for u, w in ring]
 
     def params_report(self) -> dict:
         return {"chi_slope": self.chi(1.0)}

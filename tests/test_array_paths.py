@@ -146,6 +146,20 @@ def test_condition_50_matches_array_evaluation(log_mu, log_ratio, log_excess, lo
         assert res.samples == len(L)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(frac=st.floats(0.001, 1.0), t=st.one_of(st.just(0.0), st.floats(-0.999, 0.999)))
+def test_level_chord_matches_numpy_interp(p_en, lp_en, frac, t):
+    # each end of the chord on x2t = c is numpy.interp on a 3-vertex chain
+    # of the hexagon, bit for bit
+    level = frac * lp_en.l_bar
+    H = np.asarray(lyap_en.en_level_hexagon(p_en, lp_en, level))
+    c = t * (H[1, 1] if t > 0.0 else -H[4, 1])  # strictly between bottom and top
+    left, right = H[[4, 3, 2]], H[[5, 0, 1]]
+    got = lyap_en.en_level_chord(p_en, lp_en, level, c)
+    assert _same(got[0], np.interp(c, left[:, 1], left[:, 0]))
+    assert _same(got[1], np.interp(c, right[:, 1], right[:, 0]))
+
+
 _NONNEG = st.floats(0.0, 1000.0)
 
 
