@@ -13,6 +13,7 @@ calls `main` (perfbench/tracer.py) finds them all.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -148,27 +149,11 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        d = {
-            "model": self.model.as_dict(),
-            "equilibrium": self.equilibrium,
-            "lyap": dict(self.lyap),
-            "signal": flow.signal_to_dict(self.signal),
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "levels": list(self.levels),
-            "resolution": list(self.resolution),
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "grid_n": self.grid_n,
-            "n_samples": self.n_samples,
-        }
-        if self.x0 is not None:
-            d["x0"] = [self.x0.s, self.x0.i, self.x0.r]
-        if self.window is not None:
-            d["window"] = self.window
-        if self.plane is not None:
-            d["plane"] = self.plane
-        return d
+        """The config as `from_dict` reads it: each field that is not None,
+        in field order, as JSON values copied from the config."""
+        encode = {"model": ModelParams.as_dict, "signal": flow.signal_to_dict, "x0": _fields}
+        return {f.name: encode.get(f.name, copy.deepcopy)(v) for f in fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
 
 def _load_config(args) -> RunConfig:
@@ -182,6 +167,17 @@ def _load_config(args) -> RunConfig:
              "equilibrium": args.equilibrium}
     raw.update({k: v for k, v in flags.items() if v is not None})
     return RunConfig.from_dict(raw)
+
+
+def _artifact(cfg: RunConfig, name: str) -> Path:
+    """The path of the artifact `name` in the output directory, which is
+    made first; a directory that cannot be made is a ConfigError."""
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return out_dir / name
 
 
 def _build_lyap(cfg: RunConfig):
@@ -220,10 +216,8 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.model
+    path = _artifact(cfg, "trajectory.csv")
     x0 = cfg.x0 if cfg.x0 is not None else model.disease_free_eq(p).point
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "trajectory.csv"
     n = flow.write_trajectory(path, flow.trajectory_rows(p, x0, cfg.signal, cfg.horizon, cfg.dt))
     print(f"wrote {path} ({n} rows)")
     return 0
@@ -231,25 +225,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_certify(cfg: RunConfig) -> int:
     from . import verify
+    path = _artifact(cfg, f"certify_{cfg.equilibrium}.json")
     rep = verify.run_certification(_build_lyap(cfg), seed=cfg.seed,
                                    grid_n=cfg.grid_n, n_samples=cfg.n_samples)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rep.save_json(out_dir / f"certify_{cfg.equilibrium}.json")
+    rep.save_json(path)
     print(rep.format_table())
     return 0 if rep.passed else 3
 
 
 def cmd_levelsets(cfg: RunConfig) -> int:
     from . import levelset
+    path = _artifact(cfg, f"levelsets_{cfg.equilibrium}.csv")
     lyap = _build_lyap(cfg)
     plane = ("x3t", 0.0) if cfg.plane is None else (cfg.plane["axis"], cfg.plane["value"])
     window = None if cfg.window is None else tuple(map(tuple, cfg.window))
     contours = levelset.extract_contours(lyap, cfg.levels or lyap.default_levels(), plane=plane,
                                          window=window, resolution=tuple(cfg.resolution))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"levelsets_{cfg.equilibrium}.csv"
     levelset.write_contours_csv(path, contours)
     n_lines = sum(len(c.polylines) for c in contours)
     print(f"wrote {path} ({len(contours)} levels, {n_lines} polylines)")
@@ -257,12 +248,11 @@ def cmd_levelsets(cfg: RunConfig) -> int:
 
 
 def cmd_params(cfg: RunConfig) -> int:
+    path = _artifact(cfg, f"params_{cfg.equilibrium}.json")
     lyap = _build_lyap(cfg)
     out = {"equilibrium": cfg.equilibrium, "params": lyap.lp.as_dict(), **lyap.params_report()}
     print(json.dumps(out, indent=2))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"params_{cfg.equilibrium}.json", "w") as fh:
+    with open(path, "w") as fh:
         json.dump(out, fh, indent=2)
     return 0
 
@@ -294,6 +284,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 2

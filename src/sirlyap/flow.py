@@ -30,7 +30,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError, NonFiniteState
@@ -45,7 +45,11 @@ _BLOCK_STEPS = 512  # steps per block: a 50-row observer block stays under 1 MB
 # ---------------------------------------------------------------------------
 
 class InputSignal:
-    """Newborn/immigration rate B(t) >= 0 defined for t >= 0."""
+    """Newborn/immigration rate B(t) >= 0 defined for t >= 0.
+
+    Each kind is a frozen dataclass that names, once, its `kind` in a
+    config's signal object and the `keys` there of its fields, in field
+    order; `signal_from_dict` and `signal_to_dict` read both."""
 
     def value(self, t: float) -> float:
         raise NotImplementedError
@@ -69,6 +73,7 @@ class InputSignal:
 class Constant(InputSignal):
     c: float
 
+    kind, keys = "constant", ("value",)
     piecewise_constant = True
 
     def __post_init__(self):
@@ -85,6 +90,7 @@ class Step(InputSignal):
     c_before: float
     c_after: float
 
+    kind, keys = "step", ("t_switch", "before", "after")
     piecewise_constant = True
 
     def __post_init__(self):
@@ -104,6 +110,7 @@ class Piecewise(InputSignal):
 
     points: tuple  # ((t_0, c_0), (t_1, c_1), ...) with t_0 <= 0 recommended
 
+    kind, keys = "piecewise", ("points",)
     piecewise_constant = True
 
     def __post_init__(self):
@@ -136,6 +143,8 @@ class Sinusoid(InputSignal):
     amplitude: float
     angular_frequency: float
 
+    kind, keys = "sinusoid", ("mean", "amplitude", "angular_frequency")
+
     def value(self, t: float) -> float:
         return max(0.0, self.mean + self.amplitude * math.sin(self.angular_frequency * t))
 
@@ -157,42 +166,31 @@ def sample_input(sig: InputSignal, t: float) -> float:
     return sig.value(t)
 
 
-def signal_from_dict(d: dict) -> InputSignal:
-    def num(v) -> float:
-        x = float(v)
-        if not math.isfinite(x):
-            raise ValueError(f"signal values must be finite, got {v!r}")
-        return x
+def _finite(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"signal values must be finite, got {v!r}")
+    return x
 
-    kinds = {
-        "constant": lambda d: Constant(num(d["value"])),
-        "step": lambda d: Step(num(d["t_switch"]), num(d["before"]), num(d["after"])),
-        "piecewise": lambda d: Piecewise(tuple((num(t), num(c)) for t, c in d["points"])),
-        "sinusoid": lambda d: Sinusoid(
-            num(d["mean"]), num(d["amplitude"]), num(d["angular_frequency"])
-        ),
-    }
-    kind = d.get("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown signal kind {kind!r}")
-    return kinds[kind](d)
+
+_SIGNALS = {cls.kind: cls for cls in (Constant, Step, Piecewise, Sinusoid)}
+#: a signal field from its config value, and back, by the field's annotation
+_DECODE = {"float": _finite, "tuple": lambda pts: tuple((_finite(t), _finite(c)) for t, c in pts)}
+_ENCODE = {"float": lambda x: x, "tuple": lambda pts: [list(pt) for pt in pts]}
+
+
+def signal_from_dict(d: dict) -> InputSignal:
+    cls = _SIGNALS.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown signal kind {d.get('kind')!r}")
+    return cls(*(_DECODE[f.type](d[key]) for f, key in zip(fields(cls), cls.keys)))
 
 
 def signal_to_dict(sig: InputSignal) -> dict:
-    if isinstance(sig, Constant):
-        return {"kind": "constant", "value": sig.c}
-    if isinstance(sig, Step):
-        return {"kind": "step", "t_switch": sig.t_switch, "before": sig.c_before, "after": sig.c_after}
-    if isinstance(sig, Piecewise):
-        return {"kind": "piecewise", "points": [list(pt) for pt in sig.points]}
-    if isinstance(sig, Sinusoid):
-        return {
-            "kind": "sinusoid",
-            "mean": sig.mean,
-            "amplitude": sig.amplitude,
-            "angular_frequency": sig.angular_frequency,
-        }
-    raise ValueError(f"unsupported signal type {type(sig)!r}")
+    if type(sig) not in _SIGNALS.values():
+        raise ValueError(f"unsupported signal type {type(sig)!r}")
+    return {"kind": sig.kind, **{key: _ENCODE[f.type](getattr(sig, f.name))
+                                 for f, key in zip(fields(sig), sig.keys)}}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import flow
 from .errors import DomainError
 from .lyap_df import DfLyapParams, df_level_polyline
 from .model import ModelParams
@@ -116,17 +117,14 @@ def extract_contours(lyap, levels: Sequence[float], plane=("x3t", 0.0),
     return out
 
 
-def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float,
-                        plane=("x3t", 0.0)) -> Contour:
+def analytic_contour_df(lp: DfLyapParams, p: ModelParams, level: float) -> Contour:
     """Exact contour of the disease-free function on x3t = 0, unclipped: one
     open polyline with kinks at x1t = 0 and at the tilted region boundary
     (`lyap_df.df_level_polyline`, the formula `level_ring` maps to any plane).
     """
-    if plane[0] != "x3t" or plane[1] != 0.0:
-        raise DomainError("analytic contour is defined on the plane x3t = 0")
     if level <= 0.0:
         raise DomainError("level must be positive")
-    return Contour(float(level), tuple(plane), [df_level_polyline(lp, p, level)])
+    return Contour(float(level), ("x3t", 0.0), [df_level_polyline(lp, p, level)])
 
 
 def polyline_distance(points, poly) -> np.ndarray:
@@ -170,7 +168,8 @@ def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
                        absolute: bool = False) -> None:
     """Emit `level,polyline_id,x1,x2` rows; `absolute` maps the plane
     coordinates to populations by adding the anchor components.  The offset
-    is added also when it is 0, which writes -0.0 as 0.0."""
+    is added also when it is 0, which writes -0.0 as 0.0.  The text goes
+    through `flow.csv_file`, so it replaces `path` only once complete."""
     du = dv = 0.0
     if absolute:
         if lyap is None:
@@ -178,13 +177,14 @@ def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
         q = lyap.equilibrium.point
         axis = contours[0].plane[0] if contours else "x3t"
         du, dv = q.s, q.i if axis == "x3t" else q.r
-    with open(path, "w", newline="") as fh:
-        fh.write("level,polyline_id,x1,x2\r\n")
+
+    def blocks():  # one block of rows per polyline
         for cont in contours:
-            level = repr(float(cont.level))
             rows = list(enumerate(cont.polylines))
             if cont.marker is not None:
                 rows.append((-1, [cont.marker]))
             for pid, poly in rows:
-                fh.write("".join(f"{level},{pid},{float(u) + du!r},{float(v) + dv!r}\r\n"
-                                 for u, v in poly))
+                yield [(float(cont.level), pid, float(u) + du, float(v) + dv) for u, v in poly]
+
+    with flow.csv_file(path, "level,polyline_id,x1,x2") as fh:
+        flow.write_rows(fh, blocks(), "{!r},{},{!r},{!r}\r\n".format)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import model
 from .errors import DomainError, InfeasibleOverride, OnBoundary, RegimeError
-from .model import Deviation, EquilibriumKind, ModelParams
+from .model import Deviation, EquilibriumKind, FloatRecord, ModelParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,7 @@ DELTA = 0.5
 
 
 @dataclass(frozen=True)
-class DfLyapParams:
+class DfLyapParams(FloatRecord):
     """Constants of the disease-free function.
 
     mu0 in (0, mu); eps in (max{mu/(gamma+mu) - R0, 0}, 1 - R0);
@@ -49,20 +49,6 @@ class DfLyapParams:
     gamma0: float
     lambda3: float
     delta: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mu0": self.mu0,
-            "eps": self.eps,
-            "gamma0": self.gamma0,
-            "lambda3": self.lambda3,
-            "delta": self.delta,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DfLyapParams":
-        return cls(float(d["mu0"]), float(d["eps"]), float(d["gamma0"]),
-                   float(d["lambda3"]), float(d["delta"]))
 
 
 class DfRegion(Enum):

@@ -46,14 +46,14 @@ from .bands import bands
 from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
                      OutOfH, RegimeError)
 from .lyap_df import BOUNDARY_BAND, DELTA
-from .model import Deviation, EquilibriumKind, ModelParams, Regime
+from .model import Deviation, EquilibriumKind, FloatRecord, ModelParams, Regime
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 @dataclass(frozen=True)
-class EnLyapParams:
+class EnLyapParams(FloatRecord):
     """Constants of the endemic function; lambda1 == lambda2 by construction."""
 
     lambda1: float
@@ -83,22 +83,6 @@ class EnLyapParams:
     @property
     def lam0(self) -> float:
         return self.lambda2 - self.k * self.lambda1
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda_hat2": self.lambda_hat2,
-            "k": self.k,
-            "lambda3": self.lambda3,
-            "l_bar": self.l_bar,
-            "delta": self.delta,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnLyapParams":
-        return cls(float(d["lambda1"]), float(d["lambda2"]), float(d["lambda_hat2"]),
-                   float(d["k"]), float(d["lambda3"]), float(d["l_bar"]), float(d["delta"]))
 
 
 class EnRegion(Enum):

@@ -8,7 +8,7 @@ the scalar model loads without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from .errors import DomainError, R0NotAboveOne
@@ -17,8 +17,20 @@ from .errors import DomainError, R0NotAboveOne
 REGIME_BOUNDARY_RTOL = 1e-12
 
 
+class FloatRecord:
+    """A frozen dataclass of float constants: `as_dict` keys them by field
+    name in field order, and `from_dict` reads each back with `float`."""
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(FloatRecord):
     """Rate constants of the SIR model.
 
     beta:  transmission rate, 1/(individual * time)
@@ -38,15 +50,12 @@ class ModelParams:
         if not self.b_hat >= 0.0:
             raise ValueError("b_hat must be nonnegative")
 
-    def as_dict(self) -> dict:
-        return {"beta": self.beta, "gamma": self.gamma, "mu": self.mu, "b_hat": self.b_hat}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        unknown = set(d) - {"beta", "gamma", "mu", "b_hat"}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown ModelParams keys: {sorted(unknown)}")
-        return cls(float(d["beta"]), float(d["gamma"]), float(d["mu"]), float(d["b_hat"]))
+        return super().from_dict(d)
 
 
 @dataclass(frozen=True)

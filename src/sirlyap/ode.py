@@ -66,14 +66,10 @@ class Trajectory:
         s, i, r = self.states[-1]
         return State(float(s), float(i), float(r))
 
-    def to_csv(self, path, thin: int = 1) -> None:
-        """Write `t,S,I,R,B` rows, keeping every `thin`-th record plus the last."""
-        if thin < 1:
-            raise ValueError("thin must be >= 1")
-        n = len(self.times)
-        rows = slice(0, n, thin) if (n - 1) % thin == 0 else np.r_[0:n:thin, n - 1]
-        flow.write_trajectory(path, _row_blocks([self.times[rows], self.states[rows],
-                                                 self.inputs[rows]]))
+    def to_csv(self, path) -> None:
+        """Write one `t,S,I,R,B` row per record; `integrate(...,
+        record_every=k)` keeps every k-th step plus the last."""
+        flow.write_trajectory(path, _row_blocks([self.times, self.states, self.inputs]))
 
 
 def _row_blocks(columns: Sequence[np.ndarray]):

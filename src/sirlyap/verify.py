@@ -369,6 +369,11 @@ def check_dini_along_trajectory(lyap, traj: ode.Trajectory, v_stop: float = 0.0)
                        {"decay_rate": 0.0, "v_final": float(v[-1])})
 
 
+def _horizon(p: ModelParams) -> float:
+    """The default horizon of the trajectory checks: 50 mean lifetimes 1/mu."""
+    return 50.0 / p.mu
+
+
 def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optional[float] = None,
                                   seed: int = DEFAULT_SEED, final_tol: float = 1e-3) -> CheckResult:
     """Dini check over a batch of nominal-input trajectories, one reduction per block.
@@ -380,7 +385,7 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
     p = lyap.p
     qpt = lyap.equilibrium.point.as_array()
     if t_end is None:
-        t_end = 50.0 / p.mu
+        t_end = _horizon(p)
     X0 = lyap.start_states(n_starts, seed)
     blocks = [(math.inf, 0.0, 0)]  # per block: worst margin, its step's end time, nonstrict steps
 
@@ -425,7 +430,7 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     if len(signals) == 0:
         raise ValueError("check_iss_bound needs at least one input signal")
     if t_end is None:
-        t_end = 50.0 / lyap.p.mu
+        t_end = _horizon(lyap.p)
     if x0 is None:
         x0 = lyap.equilibrium.point
     b_hat = lyap.p.b_hat
@@ -467,7 +472,7 @@ def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None
     """
     p = lyap.p
     if t_end is None:
-        t_end = 50.0 / p.mu
+        t_end = _horizon(p)
     for u in u_steps:  # before building the steps, whose levels must be nonnegative
         _require_admissible(lyap, max(u, 0.0), max(-u, 0.0))
     u_vec = np.asarray(u_steps, dtype=float)
@@ -576,7 +581,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     q = lyap.equilibrium.point
     qpt = q.as_array()
     if t_end is None:
-        t_end = 50.0 / p.mu
+        t_end = _horizon(p)
     x2t0 = rng.uniform(-0.9 * q.i, -0.05 * q.i, n_starts)
     x1t0 = np.array([rng.uniform(-0.9 * q.s, -lp.k * v) for v in x2t0])
     x3t0 = rng.uniform(-0.9 * q.r, 1.5 * q.r, n_starts)
@@ -692,7 +697,6 @@ def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = GRID_N,
                       n_samples: int = N_SAMPLES) -> VerificationReport:
     """The checks of `lyap.checks(...)` in order, then one check_iss_bound batch
     over builtin_signal_suite of magnitude `lyap.iss_magnitude()`."""
-    t_end = 50.0 / lyap.p.mu
     checks = [check() for check in lyap.checks(seed, grid_n, n_samples)]
-    signals = builtin_signal_suite(lyap.p, lyap.iss_magnitude(), t_end)
-    return VerificationReport(checks + check_iss_bound(lyap, signals, t_end=t_end))
+    signals = builtin_signal_suite(lyap.p, lyap.iss_magnitude(), _horizon(lyap.p))
+    return VerificationReport(checks + check_iss_bound(lyap, signals))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirlyap import cli, flow, lyap_en
+from sirlyap import cli, flow, lyap_en, verify
 from sirlyap.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +120,22 @@ def test_failed_simulate_leaves_no_partial_csv(tmp_path, capsys):
     assert cli.main(argv) == 3
     assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
     assert (out / "trajectory.csv").read_bytes() == b"t,S,I,R,B\r\n0.0,1.0,2.0,3.0,4.0\r\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "params", "levelsets", "certify"])
+def test_unmakeable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # --out names an existing file; the directory is made before any numerics
+    monkeypatch.setattr(verify, "run_certification",
+                        lambda *args, **kwargs: pytest.fail("certify ran its checks"))
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    rc = cli.main([command, "--config", _write(tmp_path, {**DF_CONFIG, "levels": [30.0]}),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("config error: cannot create output directory")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert out.read_text() == "a file"
 
 
 def test_cmd_params(tmp_path, capsys):

@@ -119,6 +119,19 @@ def test_contours_csv(tmp_path, ly_df):
     assert float(ab[2]) == pytest.approx(float(rel[2]) + 200.0)
 
 
+def test_failed_contours_csv_leaves_the_earlier_file(tmp_path, ly_df):
+    conts = levelset.extract_contours(ly_df, [10.0, 20.0], window=((-40.0, 40.0), (0.0, 40.0)))
+    path = tmp_path / "levelsets_df.csv"
+    levelset.write_contours_csv(path, conts)
+    before = path.read_bytes()
+    # the second level's vertex is no number: the write raises after the first level's rows
+    bad = [conts[0], levelset.Contour(20.0, ("x3t", 0.0), [[(1.0, 2.0), ("x", 3.0)]])]
+    with pytest.raises(ValueError):
+        levelset.write_contours_csv(path, bad)
+    assert path.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["levelsets_df.csv"]
+
+
 def _plane_points(plane, pts):
     """Deviations (n, 3) of points given in a plane's free coordinates."""
     X = np.empty((len(pts), 3))

@@ -415,32 +415,36 @@ def test_steady_state_cases(p_df, p_en):
 
 
 def test_trajectory_csv(tmp_path, p_df):
-    traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 5.0, dt=0.1)
+    x0, sig = sl.State(100.0, 50.0, 0.0), ode.Constant(3.0)
+    traj = sl.integrate(p_df, x0, sig, 5.0, dt=0.1, record_every=5)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path, thin=5)
+    traj.to_csv(path)
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["t", "S", "I", "R", "B"]
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 5.0
-    idx = list(range(0, len(traj.times), 5))
-    expected = len(idx) + (0 if idx[-1] == len(traj.times) - 1 else 1)
+    n = len(sl.integrate(p_df, x0, sig, 5.0, dt=0.1).times)
+    idx = list(range(0, n, 5))
+    expected = len(idx) + (0 if idx[-1] == n - 1 else 1)
     assert len(rows) - 1 == expected
 
 
 @pytest.mark.parametrize("thin", [1, 3, 4096])
 def test_trajectory_csv_matches_csv_module_across_blocks(tmp_path, thin):
-    # more rows than one block of CSV text, with values whose repr is unusual
+    # more rows than one block of CSV text (at thin 1), with values whose
+    # repr is unusual; the trajectory keeps every `thin`-th record plus the last
     rng = np.random.default_rng(3)
     n = 9000
     states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
     states[0] = [-0.0, 0.0, 1e-320]
-    traj = ode.Trajectory(np.arange(n) * 0.1, states, rng.random(n))
-    traj.to_csv(tmp_path / "traj.csv", thin=thin)
+    times, inputs = np.arange(n) * 0.1, rng.random(n)
+    keep = sorted(set(range(0, n, thin)) | {n - 1})
+    ode.Trajectory(times[keep], states[keep], inputs[keep]).to_csv(tmp_path / "traj.csv")
     with open(tmp_path / "expected.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "S", "I", "R", "B"])
-        for j in sorted(set(range(0, n, thin)) | {n - 1}):
-            w.writerow([repr(float(x)) for x in (traj.times[j], *states[j], traj.inputs[j])])
+        for j in keep:
+            w.writerow([repr(float(x)) for x in (times[j], *states[j], inputs[j])])
     assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 

@@ -276,7 +276,7 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
         assert all(type(u) is float for u in ly.admissible_u())
     signals = []
 
-    def record(lyap, sigs, t_end):
+    def record(lyap, sigs, t_end=None):
         signals.extend(sigs)
         return []
 
