@@ -129,8 +129,7 @@ def test_unmakeable_output_directory_is_a_config_error(tmp_path, capsys, monkeyp
                         lambda *args, **kwargs: pytest.fail("certify ran its checks"))
     out = tmp_path / "taken"
     out.write_text("a file")
-    rc = cli.main([command, "--config", _write(tmp_path, {**DF_CONFIG, "levels": [30.0]}),
-                   "--out", str(out)])
+    rc = cli.main([command, "--config", _write(tmp_path, DF_CONFIG), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("config error: cannot create output directory")
