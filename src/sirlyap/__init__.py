@@ -10,8 +10,8 @@ import sys
 #: each public name -> its submodule; both load on first access (PEP 562)
 _EXPORTS = {name: mod for mod, names in {
     "errors": "ConfigError DomainError InfeasibleOverride NoConvergence "
-              "NonFiniteState NotConverged OnBoundary OutOfH R0NotAboveOne RangeError "
-              "RegimeError SirLyapError",
+              "NonFiniteState OnBoundary OutOfH R0NotAboveOne RangeError RegimeError "
+              "SirLyapError",
     "model": "Deviation Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
              "disease_free_eq endemic_eq r0_hat rhs total_population_bound",
     "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",

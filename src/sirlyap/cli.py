@@ -251,9 +251,9 @@ def cmd_params(cfg: RunConfig) -> int:
     path = _artifact(cfg, f"params_{cfg.equilibrium}.json")
     lyap = _build_lyap(cfg)
     out = {"equilibrium": cfg.equilibrium, "params": lyap.lp.as_dict(), **lyap.params_report()}
-    print(json.dumps(out, indent=2))
-    with open(path, "w") as fh:
+    with flow.text_file(path) as fh:
         json.dump(out, fh, indent=2)
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an artifact that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except RegimeError as exc:

@@ -33,12 +33,9 @@ class NonFiniteState(SirLyapError):
     """Integration produced a non-finite or significantly negative state."""
 
 
-class NotConverged(SirLyapError):
-    """Steady-state iteration hit its time limit before meeting tolerance."""
-
-
 class NoConvergence(SirLyapError):
-    """Feasibility shrink loop exhausted its iteration budget."""
+    """An iteration exhausted its budget: the feasibility shrink loop, the
+    sublevel sampling or a steady state's time limit."""
 
 
 class RangeError(SirLyapError):

@@ -1,5 +1,5 @@
-"""Fixed-step RK4 on Python floats, with no numpy: input signals, the step
-grid, the float stepper and the trajectory CSV.
+"""Fixed-step RK4 with no numpy: input signals, the step grid, the block
+stepper with its Python-float feed, and the trajectory CSV.
 
 An input signal is the newborn/immigration rate B(t).  The step grid cuts
 [0, t_end] at the switch times of every input and each segment between them
@@ -9,19 +9,21 @@ segment: the level of a piecewise-constant signal at the segment start,
 while a continuous one is evaluated at each step's midpoint and end, and
 its value at the step's start is the previous step's end.
 
-`float_blocks` steps a few rows in lockstep, each on Python floats under
-its own scalar B(t), in blocks of up to `_BLOCK_STEPS` steps.  The state
-check runs once per block: a block is stepped without it and its new values
-are tested together.  Values that are all finite and +0.0 or positive are
-exactly those no step's check would reject or clip; any other block is
-replayed from its first row with the check after every step.
+`blocks` is the one block stepper of both integrator feeds: it steps a
+state through blocks of up to `_BLOCK_STEPS` grid steps with the RK4 step
+and state check it is given.  The state check runs once per block: a block
+is stepped without it and its new values are tested together.  Values that
+are all finite and +0.0 or positive are exactly those no step's check would
+reject or clip; any other block is replayed from its first state with the
+check after every step.  `float_blocks` feeds it a few rows in lockstep,
+each on Python floats under its own scalar B(t).
 
 `trajectory_rows` yields the recorded rows of one solution block by block.
 `python -m sirlyap.cli simulate` streams them into its CSV through
 `write_trajectory`, and `ode.integrate` collects them into a Trajectory.
 `ode` builds the array API on this module: `integrate_batch` steps narrow
-batches with `float_blocks` and wide ones on stacked arrays over the same
-grid, blocks and check, bit-identically.
+batches with `float_blocks` and wide ones through `blocks` on stacked
+arrays, bit-identically.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import itertools
 import math
 import operator
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -309,21 +311,17 @@ def _check_rows(rows: list, t: float) -> list:
     return out
 
 
-def _float_block(p: ModelParams, rows: list, b, steps: list, check: bool) -> tuple:
-    """Step `rows`, (S, I, R) Python floats, through `steps` of the grid from
-    the levels b; with `check`, each step passes `_check_rows`.  Returns the
-    block, k+1 lists of rows, and its k+1 levels."""
-    states, levels = [rows], [b]
+def _block(step, check_state, x, b, steps: list, check: bool) -> tuple:
+    """Step the state x through `steps` of the grid from the levels b, each
+    step by `step(x, h, b0, bm, b1)`; with `check`, each new state passes
+    `check_state(x, t)`.  Returns the block, its k+1 states and k+1 levels."""
+    states, levels = [x], [b]
     for t, h, t_next, rate in steps:
         b0, bm, b = rate(b, t, h, t_next)
-        if isinstance(b, list):
-            rows = [_rk4(p, s, i, r, h, c0, cm, c1)
-                    for (s, i, r), c0, cm, c1 in zip(rows, b0, bm, b)]
-        else:
-            rows = [_rk4(p, s, i, r, h, b0, bm, b) for s, i, r in rows]
+        x = step(x, h, b0, bm, b)
         if check:
-            rows = _check_rows(rows, t_next)
-        states.append(rows)
+            x = check_state(x, t_next)
+        states.append(x)
         levels.append(b)
     return states, levels
 
@@ -342,24 +340,50 @@ def _clean(states: list) -> bool:
     return lo > 0.0 or lo == 0.0 and all(x or math.copysign(1.0, x) > 0.0 for x in values)
 
 
-def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: float):
-    """Step `rows`, a list of (S, I, R) Python floats, from t = 0 to t_end
-    under `signals` (one for every row, or one per row) and yield
-    (steps, states, levels) for each block of up to `_BLOCK_STEPS` grid
-    steps: states[0] and levels[0] are the row and levels the block starts
-    from, states[k] and levels[k] those after steps[k-1].
+def blocks(step, check_state, clean, unchecked, x, signals: list, t_end: float, dt: float, pack):
+    """Step the state x from t = 0 to t_end under `signals` (one for every
+    row, or one per row), and yield (steps, states, levels) for each block
+    of up to `_BLOCK_STEPS` grid steps: states[0] and levels[0] are the
+    state and levels the block starts from, states[k] and levels[k] those
+    after steps[k-1].  Levels are `pack`ed when there is one per row.
 
-    Each block is stepped without the state check and kept when `_clean`;
-    otherwise it is replayed with `_check_rows` after every step, so
-    NonFiniteState, its message and the clip at 0 come as if every step had
-    been checked."""
-    b = _start_levels(signals, list)
-    for steps in step_blocks(signals, t_end, dt, list):
-        states, levels = _float_block(p, rows, b, steps, False)
-        if not _clean(states):
-            states, levels = _float_block(p, rows, b, steps, True)
+    Each block is stepped by `step` without the state check, inside the
+    context `unchecked()`, and kept when `clean(states)`.  Otherwise, or when
+    the unchecked run raised FloatingPointError, it is replayed from its
+    first state with `check_state` after every step, so the state check's
+    error, its message and the clip at 0 come as if every step had been
+    checked."""
+    b = _start_levels(signals, pack)
+    for steps in step_blocks(signals, t_end, dt, pack):
+        try:
+            with unchecked():
+                states, levels = _block(step, check_state, x, b, steps, False)
+        except FloatingPointError:
+            states = None
+        if states is None or not clean(states):
+            states, levels = _block(step, check_state, x, b, steps, True)
         yield steps, states, levels
-        rows, b = states[-1], levels[-1]
+        x, b = states[-1], levels[-1]
+
+
+def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: float):
+    """`blocks` for `rows`, a list of (S, I, R) Python floats, each row
+    stepped by `_rk4` under its own scalar levels and checked by
+    `_check_rows`: a state is a list of rows."""
+    # loops, not comprehensions: one frame less a step
+    if len(signals) == 1:  # one scalar level for every row, for the whole run
+        def step(rows, h, b0, bm, b1):
+            out = []
+            for s, i, r in rows:
+                out.append(_rk4(p, s, i, r, h, b0, bm, b1))
+            return out
+    else:  # a list of levels, one per row
+        def step(rows, h, b0, bm, b1):
+            out = []
+            for (s, i, r), c0, cm, c1 in zip(rows, b0, bm, b1):
+                out.append(_rk4(p, s, i, r, h, c0, cm, c1))
+            return out
+    return blocks(step, _check_rows, _clean, nullcontext, rows, signals, t_end, dt, list)
 
 
 def trajectory_rows(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
@@ -399,22 +423,28 @@ def trajectory_rows(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def csv_file(path, header: str):
-    """`path` open for CSV text with its `header` line written; rows go in
-    by `write_rows`.  Lines end in "\r\n", as the csv module's.  The text
-    goes to a temporary file beside `path`, which replaces `path` when the
-    block ends and is removed if it raises, so a failed write leaves `path`
-    as it was."""
+def text_file(path):
+    """`path` open for text, which goes to a temporary file beside `path`.
+    That file replaces `path` when the block ends and is removed if it
+    raises, so a failed write leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(header + "\r\n")
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def csv_file(path, header: str):
+    """`text_file(path)` for CSV text with its `header` line written; rows go
+    in by `write_rows`.  Lines end in "\r\n", as the csv module's."""
+    with text_file(path) as fh:
+        fh.write(header + "\r\n")
+        yield fh
 
 
 def write_rows(fh, blocks, line) -> int:

@@ -64,6 +64,19 @@ def _eps_interval(p: ModelParams) -> tuple:
     return lo, hi
 
 
+def _require_overrides(delta: Optional[float], **positive: float) -> float:
+    """The delta to use (DELTA for None); InfeasibleOverride for delta outside
+    (0, 1) or a named value <= 0."""
+    if delta is None:
+        delta = DELTA
+    if not 0.0 < delta < 1.0:
+        raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
+    for name, v in positive.items():
+        if not v > 0.0:
+            raise InfeasibleOverride(f"{name}={v:.6g} must be positive")
+    return delta
+
+
 def select_df_params(p: ModelParams, mu0: Optional[float] = None,
                      eps: Optional[float] = None,
                      delta: Optional[float] = None) -> DfLyapParams:
@@ -84,10 +97,7 @@ def select_df_params(p: ModelParams, mu0: Optional[float] = None,
         mu0 = 0.99 * p.mu
     elif not (0.0 < mu0 < p.mu):
         raise InfeasibleOverride(f"mu0={mu0:.6g} outside (0, mu)")
-    if delta is None:
-        delta = DELTA
-    elif not (0.0 < delta < 1.0):
-        raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
+    delta = _require_overrides(delta)
     gamma0 = (p.gamma + p.mu) * (r0 + eps) - p.mu
     lambda3 = 1.0 - gamma0 / p.gamma
     if not (0.0 < gamma0 < p.gamma and lambda3 > 0.0):

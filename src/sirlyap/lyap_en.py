@@ -45,7 +45,7 @@ from . import model
 from .bands import bands
 from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
                      OutOfH, RegimeError)
-from .lyap_df import BOUNDARY_BAND, DELTA
+from .lyap_df import BOUNDARY_BAND, _require_overrides
 from .model import Deviation, EquilibriumKind, FloatRecord, ModelParams, Regime
 
 if TYPE_CHECKING:
@@ -340,19 +340,6 @@ def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
     gamma_f = p.gamma * (1.0 - lp.lambda3 / lp.lambda_hat2)
     a_b = min(lp.k * p.mu * (r0 - 1.0) - lp.lambda3 * p.gamma / lam0, p.mu)
     return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_f, a_b)
-
-
-def _require_overrides(delta: Optional[float], **positive: float) -> float:
-    """The delta to use (DELTA for None); InfeasibleOverride for delta outside
-    (0, 1) or a named value <= 0."""
-    if delta is None:
-        delta = DELTA
-    if not 0.0 < delta < 1.0:
-        raise InfeasibleOverride(f"delta={delta:.6g} outside (0, 1)")
-    for name, v in positive.items():
-        if not v > 0.0:
-            raise InfeasibleOverride(f"{name}={v:.6g} must be positive")
-    return delta
 
 
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,

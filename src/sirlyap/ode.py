@@ -6,16 +6,17 @@ shared input or one input per row; `steady_state` runs through it, and
 stream.  Its observer sees blocks of steps, each a short recorded
 trajectory, so a check along trajectories is one array reduction per block.
 
-`integrate_batch` is fed two ways by batch width.  A narrow batch steps
-every row in lockstep on Python floats with `flow.float_blocks`, which
-avoids the per-step numpy overhead that dominates small arrays.  A wide one
-steps one stacked (3, m) array, whose rows are S, I and R, so each stage
-argument and the final combination is one array operation; its steps are
-written in place into a block buffer that is reused from block to block.
-Either way the observer receives a fresh (k+1, m, 3) array per block, which
-it owns.  Both ways share `flow`'s step grid, blocks, once-per-block state
-check and input levels, and evaluate the same floating-point operations in
-the same order, so their results are bit-identical.
+`integrate_batch` is fed two ways by batch width, both through
+`flow.blocks`, the one block loop with its once-per-block state check and
+replay rule; each feed supplies only its RK4 step, state check, clean test
+and the context of its unchecked pass.  A narrow batch steps every row in
+lockstep on Python floats with `flow.float_blocks`, which avoids the
+per-step numpy overhead that dominates small arrays.  A wide one steps one
+stacked (3, m) array, whose rows are S, I and R, so each stage argument and
+the final combination is one array operation.  Either way the observer
+receives a fresh (k+1, m, 3) array per block, which it owns.  Both feeds
+evaluate the same floating-point operations in the same order, so their
+results are bit-identical.
 
 The signal names (`Constant`, `Step`, ..., `signal_from_dict`) live in
 `flow` and are re-exported here.
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import flow
-from .errors import NotConverged
+from .errors import NoConvergence
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
                    Step, sample_input, signal_from_dict, signal_to_dict)
 from .model import ModelParams, State, rhs_arrays
@@ -90,16 +91,16 @@ def write_rows(fh, columns: Sequence[np.ndarray], line) -> int:
 # ---------------------------------------------------------------------------
 
 def _stacked_rk4(p: ModelParams, m: int):
-    """`flow._rk4` on stacked (3, m) states: a function step(Y, out, h, b0,
-    bm, b1) that writes the step from Y into `out`, each b a scalar or one
-    value per row.  It runs the same operations in the same order, each one
-    array operation over the rows S, I, R, with the stage derivatives and
-    arguments held in a workspace that every step reuses."""
+    """`flow._rk4` on stacked (3, m) states: a function step(Y, h, b0, bm,
+    b1) that returns the step from Y as a new (3, m) array, each b a scalar
+    or one value per row.  It runs the same operations in the same order,
+    each one array operation over the rows S, I, R, with the stage
+    derivatives and arguments held in a workspace that every step reuses."""
     K, Z = np.empty((4, 3, m)), np.empty((3, m))
     k1, k2, k3, k4 = K
     z = tuple(Z)
 
-    def step(Y: np.ndarray, out: np.ndarray, h: float, b0, bm, b1) -> None:
+    def step(Y: np.ndarray, h: float, b0, bm, b1) -> np.ndarray:
         k1[0], k1[1], k1[2] = rhs_arrays(p, *Y, b0)
         for k, c, kn, b in ((k1, 0.5 * h, k2, bm), (k2, 0.5 * h, k3, bm), (k3, h, k4, b1)):
             np.multiply(k, c, out=Z)
@@ -110,72 +111,32 @@ def _stacked_rk4(p: ModelParams, m: int):
         np.add(k1, Z, out=Z)
         np.add(Z, k4, out=Z)
         np.multiply(Z, h / 6.0, out=Z)
-        np.add(Y, Z, out=out)
+        return Y + Z
 
     return step
 
 
-def _check_stacked(Y: np.ndarray, t: float) -> None:
-    """`flow._check_rows` on a stacked (3, m) state, in place: the same
-    tests, messages and clip."""
+def _check_stacked(Y: np.ndarray, t: float) -> np.ndarray:
+    """`flow._check_rows` on a stacked (3, m) state, clipped in place: the
+    same tests, messages and clip."""
     if not np.isfinite(Y).all():
         raise flow._nonfinite(t)
     s, i, r = Y
     if (np.minimum(np.minimum(s, i), r) < -1e-12 * np.maximum(1.0, s + i + r)).any():
         raise flow._below_floor(t)
-    np.maximum(Y, 0.0, out=Y)
+    return np.maximum(Y, 0.0, out=Y)
 
 
-def _stacked_block(p: ModelParams, m: int):
-    """`flow._float_block` on one stacked (3, m) state: its steps are written
-    in place into a block buffer that every block reuses, and the block is
-    returned as a fresh (k+1, m, 3) copy."""
-    step = _stacked_rk4(p, m)
-    buf = np.empty((flow._BLOCK_STEPS + 1, 3, m))
-
-    def block(x0: np.ndarray, b, steps: list, check: bool) -> tuple:
-        buf[0] = x0.T
-        levels = [b]
-        for k, (t, h, t_next, rate) in enumerate(steps, 1):
-            b0, bm, b = rate(b, t, h, t_next)
-            step(buf[k - 1], buf[k], h, b0, bm, b)
-            if check:
-                _check_stacked(buf[k], t_next)
-            levels.append(b)
-        return buf[:len(steps) + 1].transpose(0, 2, 1).copy(), levels
-
-    return block
+def _clean_stacked(states: list) -> bool:
+    """`flow._clean` on a block of stacked states."""
+    return bool(np.isfinite(S := np.concatenate(states[1:])).all() and not np.signbit(S).any())
 
 
-def _checked_block(block, x0: np.ndarray, b, steps: list) -> tuple:
-    """The block of `steps` from x0 and b, stepped by `block` without the
-    state check and then tested once.  It is kept when every new value is
-    finite and +0.0 or positive, which is exactly when no step's check would
-    raise or clip.  Otherwise it is replayed with the check after every
-    step, under the caller's errstate.  The unchecked run raises on each
-    floating-point error that the caller does not ignore, and such a block
-    is replayed too, so numpy warns or raises as if every step had been
-    checked."""
-    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
-    try:
-        with np.errstate(**strict):
-            X, levels = block(x0, b, steps, False)
-        if np.isfinite(X[1:]).all() and not np.signbit(X[1:]).any():
-            return X, levels
-    except FloatingPointError:
-        pass
-    return block(x0, b, steps, True)
-
-
-def _stacked_blocks(p: ModelParams, X: np.ndarray, signals: list, t_end: float, dt: float):
-    """`flow.float_blocks` on one stacked state: yield (steps, X, levels) per
-    block, X a fresh (k+1, m, 3) array that the caller owns."""
-    block = _stacked_block(p, len(X))
-    b = flow._start_levels(signals, np.array)
-    for steps in flow.step_blocks(signals, t_end, dt, np.array):
-        Xb, levels = _checked_block(block, X, b, steps)
-        X, b = Xb[-1].copy(), levels[-1]
-        yield steps, Xb, levels
+def _strict():
+    """The caller's np.errstate with every floating-point error it does not
+    ignore raised, so the unchecked run of a block stops at it."""
+    return np.errstate(**{kind: "ignore" if how == "ignore" else "raise"
+                          for kind, how in np.geterr().items()})
 
 
 def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
@@ -192,14 +153,13 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
 
     A batch of fewer than `_FLOAT_ROWS` rows steps every row on Python
     floats (`flow.float_blocks`), a wider one steps one stacked (3, m)
-    array.  Both feeds use the same step grid, blocks and state check, and
-    give bit-identical results.  Each block is stepped without the state
-    check and tested once.  A block with a non-finite, negative or -0.0
-    value, or, on the stacked feed, with a floating-point error that the
-    caller's `np.errstate` does not ignore, is replayed with the check
-    after every step, so NonFiniteState, its message, the clip at 0 and
-    numpy's warnings come as if every step had been checked.  Pure apart
-    from the observer callback; safe to run concurrently on separate data.
+    array.  Both run through `flow.blocks`, so they share the step grid, the
+    blocks and the once-per-block state check with its replay (on the
+    stacked feed also for a floating-point error that the caller's
+    `np.errstate` does not ignore): NonFiniteState, its message, the clip at
+    0 and numpy's warnings come as if every step had been checked, and the
+    results are bit-identical.  Pure apart from the observer callback; safe
+    to run concurrently on separate data.
     """
     flow._check_span(t_end, dt)
     X = np.array(X0, dtype=float, copy=True)
@@ -211,16 +171,22 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
         raise ValueError("need one signal, or one signal per row of X0")
     if m < _FLOAT_ROWS:
         blocks = flow.float_blocks(p, X.tolist(), signals, t_end, dt)
+
+        def stack(states: list) -> np.ndarray:
+            return np.array(states, dtype=float).reshape(len(states), m, 3)
     else:
-        blocks = _stacked_blocks(p, X, signals, t_end, dt)
-    t = 0.0
-    for steps, Xb, levels in blocks:
-        X = np.array(Xb[-1], dtype=float).reshape(m, 3)  # a copy: the observer owns Xb
+        blocks = flow.blocks(_stacked_rk4(p, m), _check_stacked, _clean_stacked, _strict,
+                             X.T.copy(), signals, t_end, dt, np.array)
+
+        def stack(states: list) -> np.ndarray:
+            return np.array(states).transpose(0, 2, 1).copy()
+    states, t = None, 0.0
+    for steps, states, levels in blocks:
         if observer is not None:
-            observer(np.array([t, *(t_next for _, _, t_next, _ in steps)]),
-                     np.asarray(Xb, dtype=float).reshape(len(levels), m, 3), np.array(levels))
+            observer(np.array([t, *(t_next for _, _, t_next, _ in steps)]), stack(states),
+                     np.array(levels))
         t = steps[-1][2]
-    return X
+    return X if states is None else stack(states[-1:])[0]  # a fresh (m, 3) array
 
 
 def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
@@ -242,7 +208,7 @@ def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
     """Steady states for several constant inputs advanced in lockstep: every
     row integrates under its Constant(c) until ||rhs||_1 < tol*(1 + ||x||_1).
 
-    Raises NotConverged when t_max is reached first.
+    Raises NoConvergence when t_max is reached first.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -259,11 +225,11 @@ def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
         resid = np.abs(ds) + np.abs(di) + np.abs(dr)
         if np.all(resid < tol * (1.0 + np.abs(X).sum(axis=1))):
             return X
-    raise NotConverged(f"no steady state within t_max={t_max:.6g} (c={cs.tolist()})")
+    raise NoConvergence(f"no steady state within t_max={t_max:.6g} (c={cs.tolist()})")
 
 
 def steady_state(p: ModelParams, c: float, x0: State, tol: float = 1e-9,
                  t_max: float = 1e5, dt: float = 0.1) -> State:
-    """Single-input form of `steady_state_batch`; raises NotConverged."""
+    """Single-input form of `steady_state_batch`; raises NoConvergence."""
     s, i, r = steady_state_batch(p, [c], x0.as_array()[None, :], tol, t_max, dt)[0]
     return State(float(s), float(i), float(r))

@@ -38,14 +38,14 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
+        return _jsonable({
             "name": self.name,
             "passed": bool(self.passed),
             "worst_margin": float(self.worst_margin),
             "worst_location": self.worst_location,
             "samples": int(self.samples),
-            "details": _jsonable(self.details),
-        }
+            "details": self.details,
+        })
 
 
 @dataclass
@@ -60,7 +60,7 @@ class VerificationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with flow.text_file(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
 
     def format_table(self) -> str:
@@ -72,15 +72,18 @@ class VerificationReport:
 
 
 def _jsonable(obj):
+    """`obj` in standard JSON values: numpy values as Python ones, tuples as
+    lists, and a non-finite float (no margin seen, an unbounded threshold)
+    as None."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _loc(X_row) -> list:
@@ -134,8 +137,9 @@ def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) ->
 
 def _first_least(minima: list) -> tuple:
     """The first of the per-band (least margin, location) pairs whose margin
-    is least, as np.argmin takes it over the bands joined: a NaN comes first."""
-    return minima[int(np.argmin([m for m, _ in minima]))]
+    is least, as np.argmin takes it over the bands joined: a NaN comes first.
+    (inf, None) when no band saw a margin."""
+    return minima[int(np.argmin([m for m, _ in minima]))] if minima else (math.inf, None)
 
 
 def _grid_line(a, b, c, code, val, slack) -> str:
@@ -188,11 +192,10 @@ def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
                     ode.write_rows(fh, [Xh, codes[hyp], vh, -gf - rate * vh], _grid_line)
     worst, worst_loc = math.inf, None
     for u, least in zip(u_values, minima):
-        if least:
-            m, x = _first_least(least)
-            if m < worst:
-                worst, worst_loc = float(m), x + [float(u)]
-    return CheckResult("df_grid_iss", worst >= -tol, worst, worst_loc, checked,
+        m, x = _first_least(least)
+        if m < worst:
+            worst, worst_loc = float(m), x + [float(u)]
+    return CheckResult("df_grid_iss", checked > 0 and worst >= -tol, worst, worst_loc, checked,
                        {"grid_n": n, "u_values": u_values, "tol": tol})
 
 
@@ -282,12 +285,12 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
     details = {
         "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
-        "max_grad_dot_f": float(np.max(gf_max)),
+        "max_grad_dot_f": float(np.max(gf_max, initial=-np.inf)),
         "gamma_ek": float(gamma_ek),
         "region_counts": {r.value: int(c) for r, c in zip(lyap_en.EnRegion, counts)},
     }
-    return CheckResult("en_sample_decrease", strictly_negative and within_tol, float(worst),
-                       worst_loc, checked, details)
+    passed = checked > 0 and strictly_negative and within_tol
+    return CheckResult("en_sample_decrease", passed, float(worst), worst_loc, checked, details)
 
 
 def check_en_iss_pointwise(lyap, n: int = N_POINTWISE, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -324,7 +327,8 @@ def check_en_iss_pointwise(lyap, n: int = N_POINTWISE, seed: int = DEFAULT_SEED)
             checked += int(hyp.sum())
             if margin[j] < worst:
                 worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
-    return CheckResult("en_iss_pointwise", worst >= -EN_DECREASE_TOL, worst, worst_loc, checked,
+    passed = checked > 0 and worst >= -EN_DECREASE_TOL
+    return CheckResult("en_iss_pointwise", passed, worst, worst_loc, checked,
                        {"n_u": n_u, "tol": EN_DECREASE_TOL})
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
 from sirlyap import lyap_df, lyap_en, model, ode
-from sirlyap.errors import DomainError, NotConverged, OnBoundary, OutOfH
+from sirlyap.errors import DomainError, NoConvergence, OnBoundary, OutOfH
 from sirlyap.model import Deviation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,8 +180,8 @@ def test_steady_state_matches_batch(p_en, x0, c):
     args = dict(tol=1e-6, t_max=1000.0, dt=1.0)
     try:
         batch = ode.steady_state_batch(p_en, [c], np.array([x0]), **args)[0]
-    except NotConverged:
-        with pytest.raises(NotConverged):
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
             ode.steady_state(p_en, c, sl.State(*x0), **args)
         return
     single = ode.steady_state(p_en, c, sl.State(*x0), **args)

@@ -137,6 +137,44 @@ def test_unmakeable_output_directory_is_a_config_error(tmp_path, capsys, monkeyp
     assert out.read_text() == "a file"
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "trajectory.csv"), ("params", "params_df.json"),
+    ("levelsets", "levelsets_df.csv"), ("certify", "certify_df.json")])
+def test_unwritable_artifact_is_a_config_error(tmp_path, capsys, monkeypatch, command, artifact):
+    # the artifact's own path is a directory: nothing is printed and nothing
+    # but that directory is left
+    report = verify.VerificationReport([verify.CheckResult("stub", True, 1.0)])
+    monkeypatch.setattr(verify, "run_certification", lambda *args, **kwargs: report)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    rc = cli.main([command, "--config", _write(tmp_path, DF_CONFIG), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("config error: ") and artifact in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert [p.name for p in out.iterdir()] == [artifact] and (out / artifact).is_dir()
+
+
+def test_check_without_samples_fails_in_standard_json(tmp_path, capsys):
+    # one requested sample leaves the pointwise ISS check nothing to
+    # evaluate at seed 0 (on the benchmark's 40x clock)
+    workloads = _perfbench("workloads")
+    with open(ROOT / "configs" / "endemic.json") as fh:
+        cfg = {**workloads.time_scaled(json.load(fh), 40), "n_samples": 1}
+    out = tmp_path / "out"
+    rc = cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(out), "--seed", "0"])
+    assert rc == 3
+
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+
+    with open(out / "certify_endemic.json") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    check, = (c for c in report["checks"] if c["name"] == "en_iss_pointwise")
+    assert check["samples"] == 0 and check["passed"] is False and check["worst_margin"] is None
+    assert not report["passed"]
+
+
 def test_cmd_params(tmp_path, capsys):
     rc = cli.main(["params", "--config", _write(tmp_path, EN_CONFIG),
                    "--out", str(tmp_path / "out")])

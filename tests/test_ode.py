@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
 from sirlyap import flow, model, ode
-from sirlyap.errors import NonFiniteState, NotConverged
+from sirlyap.errors import NoConvergence, NonFiniteState
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -202,7 +203,7 @@ def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
 
 
 def test_observer_owns_its_blocks(p_en, monkeypatch):
-    # the wide feed reuses one block buffer; what it hands out must not alias it
+    # what the wide feed hands out must not alias the states it steps on
     monkeypatch.setattr(flow, "_BLOCK_STEPS", 3)
     monkeypatch.setattr(ode, "_FLOAT_ROWS", 2)
     X0 = np.array([[100.0, 5.0, 0.0], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
@@ -362,6 +363,50 @@ def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
         assert n_neg == n * 14 // 10  # ten steps, the first block of four twice
 
 
+_LEVEL = st.floats(0.0, 30.0)
+_SIGNAL = st.one_of(st.builds(ode.Constant, _LEVEL),
+                    st.builds(ode.Step, st.floats(0.0, 3.0), _LEVEL, _LEVEL),
+                    st.builds(ode.Sinusoid, _LEVEL, st.floats(0.0, 20.0), st.floats(0.1, 5.0)))
+#: a plain start, or one whose R = -1e-13 makes its block replay and clip
+_START = st.one_of(st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+                   st.builds(lambda s: (s, 0.0, -1e-13), st.floats(1.0, 500.0)))
+
+
+@st.composite
+def _batches(draw):
+    m = draw(st.integers(1, 30))
+    X0 = np.array(draw(st.lists(_START, min_size=m, max_size=m)))
+    if draw(st.sampled_from([False, False, False, True])):
+        X0[draw(st.integers(0, m - 1))] = [1e200, 1e200, 0.0]  # overflows: NonFiniteState
+    sig = draw(st.lists(_SIGNAL, min_size=m, max_size=m) if draw(st.booleans()) else _SIGNAL)
+    return X0, sig, draw(st.floats(0.0, 3.0)), draw(st.sampled_from([0.1, 0.3]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=_batches(), block_steps=st.sampled_from([1, 3, 512]))
+def test_both_feeds_run_one_block_stepper_bit_identically(p_en, batch, block_steps):
+    X0, sig, t_end, dt = batch
+    runs = []
+    for float_rows in (0, len(X0) + 1):  # all stacked, then all float rows
+        calls, blocks, Xf, error = [], [], None, None
+        with pytest.MonkeyPatch.context() as mp:
+            stepper = flow.blocks
+            mp.setattr(flow, "blocks", lambda *args: calls.append(1) or stepper(*args))
+            mp.setattr(flow, "_BLOCK_STEPS", block_steps)
+            mp.setattr(ode, "_FLOAT_ROWS", float_rows)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Xf = ode.integrate_batch(p_en, X0, sig, t_end, dt, observer=lambda t, X, b:
+                                             blocks.append([(a.tobytes(), a.flags.c_contiguous)
+                                                            for a in (t, X, b)]))
+            except NonFiniteState as exc:
+                error = str(exc)
+        assert calls == [1]  # each feed steps through flow.blocks
+        assert all(contiguous for block in blocks for _, contiguous in block)
+        runs.append((None if Xf is None else Xf.tobytes(), blocks, error))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("name, sig", [("step", ode.Step(3.05, 17.0, 5.0)),
                                        ("sinusoid", ode.Sinusoid(17.0, 6.0, 0.7))])
@@ -410,7 +455,7 @@ def test_steady_state_cases(p_df, p_en):
     ss_df = sl.steady_state(p_en, 3.0, sl.State(100.0, 10.0, 10.0), tol=1e-8,
                             t_max=3e4, dt=0.25)
     assert np.abs(ss_df.as_array() - [200.0, 0.0, 0.0]).sum() < 5e-2
-    with pytest.raises(NotConverged):
+    with pytest.raises(NoConvergence):
         sl.steady_state(p_en, 17.0, sl.State(300.0, 250.0, 500.0), tol=1e-8, t_max=5.0)
 
 

@@ -249,6 +249,25 @@ def test_en_iss_pointwise(ly_en):
     assert res.samples > 0
 
 
+def _standard_json(result) -> dict:
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+
+    return json.loads(json.dumps(result.to_dict()), parse_constant=refuse)
+
+
+def test_checks_without_samples_fail(ly_en, monkeypatch):
+    # one sample at seed 0 meets no ISS hypothesis: nothing is evaluated
+    res = verify.check_en_iss_pointwise(ly_en, n=1, seed=0)
+    assert res.samples == 0 and res.passed is False
+    assert _standard_json(res)["worst_margin"] is None
+    # every sampled row in the boundary band
+    monkeypatch.setattr(lyap_en, "en_near_boundary", lambda p, lp, X: np.ones(len(X), dtype=bool))
+    res = verify.check_en_sample_decrease(ly_en, n=50)
+    assert res.samples == 0 and res.passed is False
+    assert _standard_json(res)["details"]["max_grad_dot_f"] is None
+
+
 def test_run_certification_df_small(p_df, lp_df, monkeypatch):
     monkeypatch.setattr(verify, "N_STARTS", 6)
     rep = verify.run_certification(lyap_df.DiseaseFreeLyapunov(p_df, lp_df), grid_n=15)
@@ -268,6 +287,16 @@ def test_report_json_and_table(ly_df, tmp_path):
     assert len(loaded["checks"]) == 2
     table = rep.format_table()
     assert "df_continuity" in table and "True" in table
+
+
+def test_failed_report_rewrite_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / "report.json"
+    verify.VerificationReport([verify.CheckResult("a", True, 1.0)]).save_json(path)
+    earlier = path.read_bytes()
+    unwritable = verify.CheckResult("b", True, 1.0, details={"x": object()})
+    with pytest.raises(TypeError):
+        verify.VerificationReport([unwritable]).save_json(path)
+    assert path.read_bytes() == earlier and [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
