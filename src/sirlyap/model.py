@@ -2,8 +2,8 @@
 
 States are continuum population counts (S, I, R).  The newborn/immigration
 rate B enters the susceptible equation as an external input.  numpy is
-imported only by the array forms (`as_array`, `total_population_exact`), so
-the scalar model loads without it.
+imported only by the array forms (`as_array`, `total_population_exact`,
+`rhs_stacked`), so the scalar model loads without it.
 """
 from __future__ import annotations
 
@@ -156,6 +156,37 @@ def rhs_arrays(p: ModelParams, s, i, r, b):
     di = infect - (p.gamma + p.mu) * i
     dr = p.gamma * i - p.mu * r
     return ds, di, dr
+
+
+def rhs_stacked(p: ModelParams, m: int):
+    """`rhs_arrays` on stacked (3, m) states, whose rows are S, I and R: a
+    function field(Y, b, out) that writes the derivative at Y into the
+    (3, m) array `out` and returns it, b a scalar or one value per row.
+
+    It runs `rhs_arrays`'s operations in the same order, six ufunc calls
+    over whole rows into `out` and one reused (2, m) scratch array, with each
+    subtraction written as the addition of the negated term.  IEEE
+    arithmetic gives x - y == x + (-y) and x + y == y + x, signed zeros
+    included, so the results are bit-identical to `rhs_arrays`'s.
+    """
+    import numpy as np
+    loss = np.array([[-p.mu], [-(p.gamma + p.mu)], [-p.mu]])
+    gain = np.array([[p.beta], [p.gamma]])
+    T = np.empty((2, m))
+    infect = T[0]
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def field(Y, b, out):
+        mul(Y, loss, out)  # -mu*S, -(gamma+mu)*I, -mu*R
+        mul(Y[1], gain, T)  # beta*I, gamma*I
+        mul(infect, Y[0], infect)  # infect = beta*I*S
+        add(out[1:], T, out[1:])  # dI = infect - (gamma+mu)*I, dR = gamma*I - mu*R
+        ds = out[0]
+        add(b, ds, ds)  # b - mu*S
+        sub(ds, infect, ds)  # dS = b - mu*S - infect
+        return out
+
+    return field
 
 
 def rhs(p: ModelParams, x: State, b: float) -> tuple:

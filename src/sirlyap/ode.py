@@ -13,10 +13,11 @@ and the context of its unchecked pass.  A narrow batch steps every row in
 lockstep on Python floats with `flow.float_blocks`, which avoids the
 per-step numpy overhead that dominates small arrays.  A wide one steps one
 stacked (3, m) array, whose rows are S, I and R, so each stage argument and
-the final combination is one array operation.  Either way the observer
-receives a fresh (k+1, m, 3) array per block, which it owns.  Both feeds
-evaluate the same floating-point operations in the same order, so their
-results are bit-identical.
+the final combination is one array operation and each stage derivative six
+(`model.rhs_stacked`); the feeds cross over at `_FLOAT_ROWS` rows.  Either
+way the observer receives a fresh (k+1, m, 3) array per block, which it
+owns.  Both feeds evaluate the same floating-point operations in the same
+order, so their results are bit-identical.
 
 The signal names (`Constant`, `Step`, ..., `signal_from_dict`) live in
 `flow` and are re-exported here.
@@ -33,14 +34,14 @@ from . import flow
 from .errors import NoConvergence
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
                    Step, sample_input, signal_from_dict, signal_to_dict)
-from .model import ModelParams, State, rhs_arrays
+from .model import ModelParams, State, rhs_arrays, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
-# one stacked array.  A float step costs about 2.1 us a row under one shared
-# Constant and 2.2 us with one Constant per row, a stacked step 41-46 us
-# whatever the width, so the two cross at 21-22 rows for a shared input and
-# 20-21 rows for per-row ones (measured on a 2-vCPU Xeon VM).
-_FLOAT_ROWS = 21
+# one stacked array.  A float step costs about 1.7 us a row under one shared
+# Constant or with one Constant per row, a stacked step 24-28 us whatever the
+# width, so the two cross at 15-16 rows for a shared input and 14-15 rows for
+# per-row ones (measured on a 2-vCPU Xeon VM).
+_FLOAT_ROWS = 15
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
 
@@ -94,23 +95,30 @@ def _stacked_rk4(p: ModelParams, m: int):
     """`flow._rk4` on stacked (3, m) states: a function step(Y, h, b0, bm,
     b1) that returns the step from Y as a new (3, m) array, each b a scalar
     or one value per row.  It runs the same operations in the same order,
-    each one array operation over the rows S, I, R, with the stage
-    derivatives and arguments held in a workspace that every step reuses."""
+    each one array operation over the rows S, I, R: `model.rhs_stacked`
+    writes each stage derivative into a (4, 3, m) workspace, and the stage
+    arguments and sums go to one (3, m) array; every step reuses both."""
+    field = rhs_stacked(p, m)
     K, Z = np.empty((4, 3, m)), np.empty((3, m))
     k1, k2, k3, k4 = K
-    z = tuple(Z)
+    mul, add = np.multiply, np.add
 
     def step(Y: np.ndarray, h: float, b0, bm, b1) -> np.ndarray:
-        k1[0], k1[1], k1[2] = rhs_arrays(p, *Y, b0)
-        for k, c, kn, b in ((k1, 0.5 * h, k2, bm), (k2, 0.5 * h, k3, bm), (k3, h, k4, b1)):
-            np.multiply(k, c, out=Z)
-            np.add(Y, Z, out=Z)
-            kn[0], kn[1], kn[2] = rhs_arrays(p, *z, b)
-        np.add(k2, k3, out=Z)
-        np.multiply(Z, 2.0, out=Z)
-        np.add(k1, Z, out=Z)
-        np.add(Z, k4, out=Z)
-        np.multiply(Z, h / 6.0, out=Z)
+        field(Y, b0, k1)
+        mul(k1, 0.5 * h, Z)
+        add(Y, Z, Z)
+        field(Z, bm, k2)
+        mul(k2, 0.5 * h, Z)
+        add(Y, Z, Z)
+        field(Z, bm, k3)
+        mul(k3, h, Z)
+        add(Y, Z, Z)
+        field(Z, b1, k4)
+        add(k2, k3, Z)
+        mul(Z, 2.0, Z)
+        add(k1, Z, Z)
+        add(Z, k4, Z)
+        mul(Z, h / 6.0, Z)
         return Y + Z
 
     return step

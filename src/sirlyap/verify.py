@@ -362,15 +362,19 @@ def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.n
 
 
 def check_dini_along_trajectory(lyap, traj: ode.Trajectory, v_stop: float = 0.0) -> CheckResult:
-    """The rate-free Dini bound of `_step_margins` at every recorded step with V > v_stop."""
+    """The rate-free Dini bound of `_step_margins` at every recorded step with
+    V > v_stop; a step from V <= v_stop passes.  `samples` counts the steps,
+    and a trajectory of one row, which has none, fails."""
     v = _lyap_values_of_states(lyap, traj.states)
-    steps = np.where(v[:-1] > v_stop, _step_margins(traj.times, v), np.inf)
+    above = v[:-1] > v_stop
+    steps = np.where(above, _step_margins(traj.times, v), np.inf)
     margin = np.append(steps, np.inf)  # one entry per row: the last row starts no step
     j = int(np.argmin(margin))
     worst = float(margin[j])
-    return CheckResult("dini_along_trajectory", worst >= 0.0, worst,
-                       float(traj.times[j]), max(len(steps), 1),
-                       {"decay_rate": 0.0, "v_final": float(v[-1])})
+    return CheckResult("dini_along_trajectory", len(steps) > 0 and worst >= 0.0, worst,
+                       float(traj.times[j]), len(steps),
+                       {"decay_rate": 0.0, "v_final": float(v[-1]),
+                        "steps_above_v_stop": int(above.sum())})
 
 
 def _horizon(p: ModelParams) -> float:

@@ -71,6 +71,32 @@ def test_rhs_sum_identity(p_en):
         assert sum(f) == pytest.approx(b - p_en.mu * x.n, rel=1e-12, abs=1e-12)
 
 
+def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
+    rng = np.random.default_rng(5)
+    m = 64
+    for p in (p_df, p_en):
+        field = model.rhs_stacked(p, m)
+        for _ in range(50):
+            Y = rng.uniform(0.0, 800.0, (3, m))
+            Y[rng.random((3, m)) < 0.15] = 0.0
+            Y[rng.random((3, m)) < 0.15] = -0.0
+            small = rng.random((3, m)) < 0.15
+            Y[small] = -rng.uniform(0.0, 1e-9, small.sum())
+            for b in (float(rng.uniform(0.0, 30.0)), 0.0, -0.0,
+                      rng.choice([0.0, -0.0, 17.0, 3.5], m)):
+                want = np.array(model.rhs_arrays(p, *Y, b))
+                out = np.full((3, m), np.nan)
+                assert field(Y, b, out) is out
+                assert np.array_equal(out, want)
+                assert np.array_equal(np.signbit(out), np.signbit(want))
+        Y = np.array([[1e200] * m, [1e200] * m, [0.0] * m])  # beta*I*S overflows
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                model.rhs_arrays(p, *Y, 1.0)
+            with pytest.raises(FloatingPointError):
+                field(Y, 1.0, np.empty((3, m)))
+
+
 def test_total_population_bound(p_df):
     x0 = sl.State(100.0, 50.0, 0.0)
     assert sl.total_population_bound(x0, 3.0, p_df, 0.0) == pytest.approx(350.0)

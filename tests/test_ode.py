@@ -345,7 +345,18 @@ def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
         ds, di, _ = model.rhs_arrays(p, s, i, r, b)
         return ds, di, r * 1.0
 
-    monkeypatch.setattr(ode, "rhs_arrays", field)  # the stacked feed
+    def stacked(p, m):
+        library = model.rhs_stacked(p, m)
+
+        def field(Y, b, out):
+            calls.append(1)
+            library(Y, b, out)
+            np.multiply(Y[2], 1.0, out=out[2])
+            return out
+
+        return field
+
+    monkeypatch.setattr(ode, "rhs_stacked", stacked)  # the stacked feed
     monkeypatch.setattr(flow, "rhs_arrays", field)  # the float rows
     monkeypatch.setattr(flow, "_BLOCK_STEPS", 4)
     for width in (0, 3):

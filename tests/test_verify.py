@@ -18,13 +18,14 @@ def test_dini_constant_at_equilibrium(p_df, ly_df):
     res = verify.check_dini_along_trajectory(ly_df, traj)
     assert res.passed
     assert res.details["v_final"] == pytest.approx(0.0, abs=1e-9)
+    assert res.samples == 500 and res.details["steps_above_v_stop"] == 0
 
 
 def test_dini_one_row_trajectory(p_df, ly_df):
     traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 0.0)
     assert len(traj.times) == 1
     res = verify.check_dini_along_trajectory(ly_df, traj)
-    assert res.passed
+    assert not res.passed and res.samples == 0  # no step was evaluated
     assert res.worst_margin == math.inf
     assert res.worst_location == traj.times[0]
 
@@ -33,7 +34,7 @@ def test_dini_decrease_df(p_df, ly_df):
     traj = sl.integrate(p_df, sl.State(80.0, 120.0, 40.0), ode.Constant(p_df.b_hat),
                         800.0, dt=0.05)
     res = verify.check_dini_along_trajectory(ly_df, traj, v_stop=1e-6)
-    assert res.passed
+    assert res.passed and res.details["steps_above_v_stop"] > 0
 
 
 def test_dini_decrease_endemic_boundary_crossing(p_en, ly_en):
