@@ -15,7 +15,7 @@ _EXPORTS = {name: mod for mod, names in {
     "model": "Deviation Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
              "disease_free_eq endemic_eq r0_hat rhs total_population_bound",
     "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",
-    "ode": "Trajectory integrate steady_state",
+    "ode": "Trajectory integrate",
     "lyap_df": "DfLyapParams DfRegion DiseaseFreeLyapunov df_chi df_decrease_slack df_gradient "
                "df_region df_value select_df_params",
     "lyap_en": "EndemicLyapunov EnLyapParams EnRegion check_condition_50 en_eta en_gradient "

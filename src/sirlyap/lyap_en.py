@@ -355,13 +355,13 @@ def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
     delta = _require_overrides(delta, l_bar=l_bar, lambda_hat2=lambda_hat2)
     k0 = k0_bound(p, l_bar)
     if not (0.0 < k < k0):
-        raise InfeasibleOverride(f"k={k:.6g} outside (0, k0={k0:.6g})")
+        raise InfeasibleOverride(f"k={k!r} outside (0.0, k0={k0!r})")
     provisional = EnLyapParams(1.0, 1.0, lambda_hat2, k, 1e-300, l_bar, delta)
     bound = lambda3_bound(p, provisional)
     if lambda3 is None:
         lambda3 = lambda3_default(p, provisional)
     elif not (0.0 < lambda3 < bound):
-        raise InfeasibleOverride(f"lambda3={lambda3:.6g} outside (0, {bound:.6g})")
+        raise InfeasibleOverride(f"lambda3={lambda3!r} outside (0.0, {bound!r})")
     lp = replace(provisional, lambda3=lambda3)
     res = check_condition_50(p, lp)
     if not res.passed:
@@ -872,8 +872,9 @@ class EndemicLyapunov:
         x2t_min = plane[1] if plane[0] == "x2t" else window[1][0]
         if x2t_min <= -self.equilibrium.point.i:
             raise DomainError("level-set plane or window exits the domain: x2t <= -x2hat")
-        if not 0.0 <= level <= lp.l_bar * (1.0 + 1e-12):
-            raise DomainError(f"level {level:.6g} outside the budget [0, l_bar={lp.l_bar:.6g}]")
+        top = lp.l_bar * (1.0 + 1e-12)
+        if not 0.0 <= level <= top:
+            raise DomainError(f"level {level!r} outside the budget [0.0, l_bar*(1+1e-12)={top!r}]")
         c = plane[1]
         if plane[0] == "x3t":
             hexagon = en_level_hexagon(p, lp, level - lp.lambda3 * abs(c))

@@ -1,8 +1,8 @@
 """The array API of the RK4 integration, built on `flow`.
 
 `integrate_batch` is the one integrator of batches, for states under one
-shared input or one input per row; `steady_state` runs through it, and
-`integrate` records one solution as a `Trajectory` from `flow`'s row
+shared input or one input per row; `steady_state_batch` runs through it,
+and `integrate` records one solution as a `Trajectory` from `flow`'s row
 stream.  Its observer sees blocks of steps, each a short recorded
 trajectory, so a check along trajectories is one array reduction per block.
 
@@ -235,9 +235,3 @@ def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
             return X
     raise NoConvergence(f"no steady state within t_max={t_max:.6g} (c={cs.tolist()})")
 
-
-def steady_state(p: ModelParams, c: float, x0: State, tol: float = 1e-9,
-                 t_max: float = 1e5, dt: float = 0.1) -> State:
-    """Single-input form of `steady_state_batch`; raises NoConvergence."""
-    s, i, r = steady_state_batch(p, [c], x0.as_array()[None, :], tol, t_max, dt)[0]
-    return State(float(s), float(i), float(r))

@@ -361,22 +361,6 @@ def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.n
     return v[:-1] * np.exp(-decay_rate * h) + tol * h - v[1:]
 
 
-def check_dini_along_trajectory(lyap, traj: ode.Trajectory, v_stop: float = 0.0) -> CheckResult:
-    """The rate-free Dini bound of `_step_margins` at every recorded step with
-    V > v_stop; a step from V <= v_stop passes.  `samples` counts the steps,
-    and a trajectory of one row, which has none, fails."""
-    v = _lyap_values_of_states(lyap, traj.states)
-    above = v[:-1] > v_stop
-    steps = np.where(above, _step_margins(traj.times, v), np.inf)
-    margin = np.append(steps, np.inf)  # one entry per row: the last row starts no step
-    j = int(np.argmin(margin))
-    worst = float(margin[j])
-    return CheckResult("dini_along_trajectory", len(steps) > 0 and worst >= 0.0, worst,
-                       float(traj.times[j]), len(steps),
-                       {"decay_rate": 0.0, "v_final": float(v[-1]),
-                        "steps_above_v_stop": int(above.sum())})
-
-
 def _horizon(p: ModelParams) -> float:
     """The default horizon of the trajectory checks: 50 mean lifetimes 1/mu."""
     return 50.0 / p.mu
@@ -388,7 +372,8 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
 
     Asserts V decreases (difference quotient below 1e-6*(1+V)) while
     V > 1e-6, and the final state lands within final_tol of the anchor
-    in the 1-norm by t_end (default 50 mean lifetimes).
+    in the 1-norm by t_end (default 50 mean lifetimes).  A run of no step
+    (t_end = 0) evaluates nothing: it fails with `samples` 0.
     """
     p = lyap.p
     qpt = lyap.equilibrium.point.as_array()
@@ -405,26 +390,21 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
                        int(np.sum((v[1:] >= v[:-1]) & (v[:-1] > 1e-9)))))
 
     Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
+    stepped = len(blocks) > 1
     worst, worst_t, _ = min(blocks, key=lambda blk: blk[0])
     nonstrict = sum(blk[2] for blk in blocks)
     final_dist = np.abs(Xf - qpt[None, :]).sum(axis=1)
-    ok = worst >= 0.0 and bool(np.all(final_dist <= final_tol)) and nonstrict == 0
+    ok = stepped and worst >= 0.0 and bool(np.all(final_dist <= final_tol)) and nonstrict == 0
     return CheckResult(f"trajectory_monotonicity_{lyap.kind.value}", ok,
                        float(min(worst, float(final_tol - final_dist.max()))),
-                       worst_t, n_starts,
+                       worst_t, n_starts if stepped else 0,
                        {"max_final_dist": float(final_dist.max()),
                         "final_tol": final_tol, "t_end": t_end,
                         "nonstrict_steps_above_1e-9": nonstrict})
 
 
-def _require_admissible(lyap, u_pos: float, u_neg: float) -> None:
-    if not lyap.admits(u_pos, u_neg):
-        lo, hi = lyap.admissible_u()
-        raise RangeError(f"input range [{-u_neg:.6g}, {u_pos:.6g}] outside ({lo:.6g}, {hi:.6g})")
-
-
 def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[float] = None,
-                    dt: float = DT, x0: Optional[State] = None) -> list:
+                    x0: Optional[State] = None) -> list:
     """limsup of V over the final 20% of the horizon stays below the gain
     threshold (with relative headroom 1e-3), one `iss_bound` result per signal.
 
@@ -434,6 +414,8 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     threshold is chi(sup|u|) = sup|u|/(delta*(mu-mu0)) for the disease-free
     function and the eta-derived level for the endemic one, capped at l_bar
     (`lyap.invariance_level`), below which V must stay over the whole horizon.
+    A run of no step (t_end = 0) evaluates nothing: each result fails with
+    `samples` 0.
     """
     if len(signals) == 0:
         raise ValueError("check_iss_bound needs at least one input signal")
@@ -445,55 +427,36 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     ext = [(max(hi - b_hat, 0.0), max(b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
            for lo, hi in (sig.value_range(t_end) for sig in signals)]
     for u_pos, u_neg in ext:
-        _require_admissible(lyap, u_pos, u_neg)
+        if not lyap.admits(u_pos, u_neg):
+            lo, hi = lyap.admissible_u()
+            raise RangeError(f"input range [{0.0 - u_neg!r}, {u_pos!r}] outside ({lo!r}, {hi!r})")
     t_tail = 0.8 * t_end
     vmax_tail = np.zeros(len(signals))
     vmax_all = np.zeros(len(signals))
+    blocks = []  # the step count of each observed block
 
     def observer(t, X, b):
+        blocks.append(len(t) - 1)
         v = _lyap_values_of_states(lyap, X[1:])  # row 0 is x0 or already seen
         np.maximum(vmax_all, v.max(axis=0), out=vmax_all)
         tail = v[t[1:] >= t_tail].max(axis=0, initial=0.0)  # V >= 0, as is vmax_tail
         np.maximum(vmax_tail, tail, out=vmax_tail)
 
-    ode.integrate_batch(lyap.p, np.tile(x0.as_array(), (len(signals), 1)), signals, t_end, dt,
+    ode.integrate_batch(lyap.p, np.tile(x0.as_array(), (len(signals), 1)), signals, t_end, DT,
                         observer=observer)
+    stepped = len(blocks) > 0
     results = []
     for (u_pos, u_neg), v_tail, v_all in zip(ext, vmax_tail.tolist(), vmax_all.tolist()):
         thr = float(lyap.chi_signed(u_pos, u_neg))
         margin = max(thr * (1.0 + 1e-3), 1e-6) - v_tail
-        ok = margin >= 0.0
+        ok = stepped and margin >= 0.0
         details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
         if lyap.invariance_level is not None:
             details["max_v_full_horizon"] = v_all
             details["forward_invariant"] = v_all <= lyap.invariance_level * (1.0 + 1e-9)
             ok = ok and details["forward_invariant"]
-        results.append(CheckResult("iss_bound", ok, margin, None, 1, details))
+        results.append(CheckResult("iss_bound", ok, margin, None, 1 if stepped else 0, details))
     return results
-
-
-def iss_step_suite(lyap, u_steps: Sequence[float], t_end: Optional[float] = None) -> CheckResult:
-    """check_iss_bound for a family of step perturbations, summarised in one result.
-
-    Every run starts at the equilibrium under the nominal rate and switches
-    to b_hat + u at 20% of the horizon.
-    """
-    p = lyap.p
-    if t_end is None:
-        t_end = _horizon(p)
-    for u in u_steps:  # before building the steps, whose levels must be nonnegative
-        _require_admissible(lyap, max(u, 0.0), max(-u, 0.0))
-    u_vec = np.asarray(u_steps, dtype=float)
-    runs = check_iss_bound(lyap, [ode.Step(0.2 * t_end, p.b_hat, p.b_hat + u) for u in u_vec],
-                           t_end)
-    details = {"u_steps": u_vec.tolist(), "limsups": [r.details["limsup_v"] for r in runs],
-               "thresholds": [r.details["threshold"] for r in runs]}
-    if lyap.invariance_level is not None:
-        details["forward_invariant"] = all(r.details["forward_invariant"] for r in runs)
-        details["max_v_full_horizon"] = [r.details["max_v_full_horizon"] for r in runs]
-    j = int(np.argmin([r.worst_margin for r in runs]))
-    return CheckResult("iss_step_suite", all(r.passed for r in runs), runs[j].worst_margin,
-                       float(u_vec[j]), len(u_vec), details)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
-from sirlyap import lyap_df, lyap_en, model, ode
-from sirlyap.errors import DomainError, NoConvergence, OnBoundary, OutOfH
+from sirlyap import lyap_df, lyap_en, model
+from sirlyap.errors import DomainError, OnBoundary, OutOfH
 from sirlyap.model import Deviation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,20 +172,6 @@ def test_rhs_matches_array_path(p_en, rows):
     for j, (s, i, r, b) in enumerate(rows):
         f = model.rhs(p_en, sl.State(s, i, r), b)
         assert all(_same(f[k], F[k][j]) for k in range(3))
-
-
-@settings(max_examples=5, deadline=None)
-@given(x0=st.tuples(_NONNEG, st.floats(0.0, 300.0), _NONNEG), c=st.floats(0.0, 20.0))
-def test_steady_state_matches_batch(p_en, x0, c):
-    args = dict(tol=1e-6, t_max=1000.0, dt=1.0)
-    try:
-        batch = ode.steady_state_batch(p_en, [c], np.array([x0]), **args)[0]
-    except NoConvergence:
-        with pytest.raises(NoConvergence):
-            ode.steady_state(p_en, c, sl.State(*x0), **args)
-        return
-    single = ode.steady_state(p_en, c, sl.State(*x0), **args)
-    assert all(_same(a, b) for a, b in zip(single.as_array(), batch))
 
 
 def test_tracer_paths_resolve():

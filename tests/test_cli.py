@@ -298,7 +298,8 @@ def test_endemic_level_beyond_the_budget_exit_code(tmp_path, capsys):
     rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "level 360 outside the budget [0, l_bar=340]" in capsys.readouterr().err
+    assert (f"level 360.0 outside the budget [0.0, l_bar*(1+1e-12)={340.0 * (1.0 + 1e-12)!r}]"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out" / "levelsets_endemic.csv").exists()
 
 

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -155,6 +158,30 @@ def test_en_params_from_validation(p_en):
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.5)  # k above its ceiling
     with pytest.raises(InfeasibleOverride):
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.0902, lambda3=1.0)
+
+
+def _compared(err, pattern) -> list:
+    """The numbers of an error message, as floats, by the groups of `pattern`."""
+    groups = re.fullmatch(pattern, str(err.value)).groups()
+    assert not any(g.startswith("-0") and float(g) == 0.0 for g in groups)
+    return [float(g) for g in groups]
+
+
+def test_bound_errors_show_the_compared_values(p_en, lp_en, ly_en):
+    # at each boundary the message's numbers are the floats that were compared
+    k0 = lyap_en.k0_bound(p_en, 340.0)
+    with pytest.raises(InfeasibleOverride) as err:
+        lyap_en.en_params_from(p_en, 340.0, 0.01, k0)
+    assert _compared(err, r"k=(\S+) outside \((\S+), k0=(\S+)\)") == [k0, 0.0, k0]
+    bound = lyap_en.lambda3_bound(p_en, replace(lp_en, lambda3=1e-300))
+    with pytest.raises(InfeasibleOverride) as err:
+        lyap_en.en_params_from(p_en, 340.0, 0.01, 0.0902, lambda3=bound)
+    assert _compared(err, r"lambda3=(\S+) outside \((\S+), (\S+)\)") == [bound, 0.0, bound]
+    level = 340.0000001
+    with pytest.raises(DomainError) as err:
+        ly_en.level_ring(level, ("x3t", 0.0), ly_en.default_window(("x3t", 0.0)), 10)
+    pattern = r"level (\S+) outside the budget \[(\S+), l_bar\*\(1\+1e-12\)=(\S+)\]"
+    assert _compared(err, pattern) == [level, 0.0, lp_en.l_bar * (1.0 + 1e-12)]
 
 
 def test_out_of_range_overrides_are_infeasible(p_en):

@@ -456,18 +456,19 @@ def test_recorded_rows_independent_of_record_every(p_df):
 
 
 def test_steady_state_cases(p_df, p_en):
+    def steady(c, x0, tol, t_max):
+        return ode.steady_state_batch(p_en, [c], np.array([x0]), tol=tol, t_max=t_max,
+                                      dt=0.25)[0]
+
     q = sl.endemic_eq(p_en).point
-    ss = sl.steady_state(p_en, 17.0, sl.State(300.0, 250.0, 500.0), tol=1e-8,
-                         t_max=3e4, dt=0.25)
-    assert np.abs(ss.as_array() - q.as_array()).sum() < 5e-2
-    ss0 = sl.steady_state(p_en, 0.0, sl.State(100.0, 10.0, 10.0), tol=1e-10,
-                          t_max=3e4, dt=0.25)
-    assert ss0.n < 1e-6
-    ss_df = sl.steady_state(p_en, 3.0, sl.State(100.0, 10.0, 10.0), tol=1e-8,
-                            t_max=3e4, dt=0.25)
-    assert np.abs(ss_df.as_array() - [200.0, 0.0, 0.0]).sum() < 5e-2
+    ss = steady(17.0, [300.0, 250.0, 500.0], 1e-8, 3e4)
+    assert np.abs(ss - q.as_array()).sum() < 5e-2
+    ss0 = steady(0.0, [100.0, 10.0, 10.0], 1e-10, 3e4)
+    assert ss0.sum() < 1e-6
+    ss_df = steady(3.0, [100.0, 10.0, 10.0], 1e-8, 3e4)
+    assert np.abs(ss_df - [200.0, 0.0, 0.0]).sum() < 5e-2
     with pytest.raises(NoConvergence):
-        sl.steady_state(p_en, 17.0, sl.State(300.0, 250.0, 500.0), tol=1e-8, t_max=5.0)
+        steady(17.0, [300.0, 250.0, 500.0], 1e-8, 5.0)
 
 
 def test_trajectory_csv(tmp_path, p_df):

@@ -6,7 +6,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "sirlyap"
 
 #: the most defaulted parameters the `def`s of src/sirlyap may have together
-MAX_SETTABLE = 67
+MAX_SETTABLE = 61
 
 
 def _settable(path: Path) -> int:

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,42 +14,51 @@ from sirlyap import bands, flow, lyap_df, lyap_en, ode, verify
 from sirlyap.errors import RangeError
 
 
-def test_dini_constant_at_equilibrium(p_df, ly_df):
-    q = sl.disease_free_eq(p_df).point
-    traj = sl.integrate(p_df, q, ode.Constant(p_df.b_hat), 50.0, dt=0.1)
-    res = verify.check_dini_along_trajectory(ly_df, traj)
-    assert res.passed
-    assert res.details["v_final"] == pytest.approx(0.0, abs=1e-9)
-    assert res.samples == 500 and res.details["steps_above_v_stop"] == 0
+def _one_start(monkeypatch, ly, x0):
+    """check_trajectory_monotonicity of `ly` starts its one row from the state x0."""
+    monkeypatch.setattr(ly, "start_states", lambda n, seed: np.array([x0], dtype=float))
 
 
-def test_dini_one_row_trajectory(p_df, ly_df):
-    traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 0.0)
-    assert len(traj.times) == 1
-    res = verify.check_dini_along_trajectory(ly_df, traj)
-    assert not res.passed and res.samples == 0  # no step was evaluated
-    assert res.worst_margin == math.inf
-    assert res.worst_location == traj.times[0]
+def test_dini_constant_at_equilibrium(monkeypatch, p_df, ly_df):
+    _one_start(monkeypatch, ly_df, sl.disease_free_eq(p_df).point.as_array())
+    res = verify.check_trajectory_monotonicity(ly_df, n_starts=1, t_end=50.0)
+    assert res.passed and res.samples == 1
+    assert res.details["max_final_dist"] == 0.0
+    assert res.details["nonstrict_steps_above_1e-9"] == 0
+    assert res.worst_location == 0.0  # no step started above V = 1e-6
 
 
-def test_dini_decrease_df(p_df, ly_df):
-    traj = sl.integrate(p_df, sl.State(80.0, 120.0, 40.0), ode.Constant(p_df.b_hat),
-                        800.0, dt=0.05)
-    res = verify.check_dini_along_trajectory(ly_df, traj, v_stop=1e-6)
-    assert res.passed and res.details["steps_above_v_stop"] > 0
+def test_dini_one_row_trajectory(ly_df):
+    # t_end = 0 records one row and no step: nothing was evaluated
+    res = verify.check_trajectory_monotonicity(ly_df, n_starts=3, t_end=0.0, final_tol=1e9)
+    assert not res.passed and res.samples == 0
+    json.dumps(res.to_dict(), allow_nan=False)
 
 
-def test_dini_decrease_endemic_boundary_crossing(p_en, ly_en):
+def test_iss_bound_without_a_step_fails(ly_df, p_df):
+    res, = verify.check_iss_bound(ly_df, [ode.Constant(p_df.b_hat)], t_end=0.0)
+    assert not res.passed and res.samples == 0
+    json.dumps(res.to_dict(), allow_nan=False)
+
+
+def test_dini_decrease_df(monkeypatch, ly_df):
+    _one_start(monkeypatch, ly_df, [80.0, 120.0, 40.0])
+    res = verify.check_trajectory_monotonicity(ly_df, n_starts=1, t_end=800.0, final_tol=1.0)
+    assert res.passed and res.details["nonstrict_steps_above_1e-9"] == 0
+    assert res.worst_location > 0.0  # a step from V > 1e-6 was tested
+
+
+def test_dini_decrease_endemic_boundary_crossing(monkeypatch, p_en, ly_en):
     # a spiral start crosses several region boundaries on its way in
     q = sl.endemic_eq(p_en).point
-    traj = sl.integrate(p_en, sl.State(q.s + 150.0, q.i - 120.0, q.r - 50.0),
-                        ode.Constant(p_en.b_hat), 800.0, dt=0.05)
-    res = verify.check_dini_along_trajectory(ly_en, traj, v_stop=1e-6)
-    assert res.passed
+    _one_start(monkeypatch, ly_en, [q.s + 150.0, q.i - 120.0, q.r - 50.0])
+    res = verify.check_trajectory_monotonicity(ly_en, n_starts=1, t_end=800.0)
+    assert res.passed and res.details["nonstrict_steps_above_1e-9"] == 0
+    assert res.worst_location > 0.0
 
 
 def test_iss_bound_zero_input(ly_df, p_df):
-    res, = verify.check_iss_bound(ly_df, [ode.Constant(p_df.b_hat)], dt=0.25,
+    res, = verify.check_iss_bound(ly_df, [ode.Constant(p_df.b_hat)],
                                   x0=sl.State(180.0, 20.0, 5.0))
     assert res.passed
     assert res.details["limsup_v"] <= 1e-6
@@ -58,7 +69,19 @@ def test_iss_bound_range_error(ly_en, p_en):
     with pytest.raises(RangeError):
         verify.check_iss_bound(ly_en, [ode.Constant(p_en.b_hat + hi + 0.5)], t_end=100.0)
     with pytest.raises(RangeError):
-        verify.iss_step_suite(ly_en, [hi + 0.1], t_end=100.0)
+        verify.check_iss_bound(ly_en, [ode.Step(20.0, p_en.b_hat, p_en.b_hat + hi + 0.1)],
+                               t_end=100.0)
+
+
+def test_iss_bound_range_error_shows_the_compared_values(ly_en, p_en):
+    lo, hi = ly_en.admissible_u()
+    with pytest.raises(RangeError) as err:
+        verify.check_iss_bound(ly_en, [ode.Constant(p_en.b_hat + hi)])
+    groups = re.fullmatch(r"input range \[(\S+), (\S+)\] outside \((\S+), (\S+)\)",
+                          str(err.value)).groups()
+    assert groups[0] == "0.0"  # no inward input, not -0
+    assert [float(g) for g in groups] == [0.0, (p_en.b_hat + hi) - p_en.b_hat, lo, hi]
+    assert float(groups[1]) != hi  # the sup of u that failed, above hi by rounding
 
 
 def test_iss_bound_batch_matches_single_runs(ly_en, p_en):
@@ -81,8 +104,6 @@ def test_iss_bound_empty_batch_value_error(monkeypatch, ly_df):
     monkeypatch.setattr(ode, "integrate_batch", integrate_batch)
     with pytest.raises(ValueError, match="at least one input signal"):
         verify.check_iss_bound(ly_df, [])
-    with pytest.raises(ValueError, match="at least one input signal"):
-        verify.iss_step_suite(ly_df, [])
 
 
 def test_iss_bound_batch_range_error(ly_en, p_en):
@@ -102,14 +123,16 @@ def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
                                x0=sl.State(235.0, 700.0, 100.0))
 
 
-def test_block_length_leaves_results_unchanged(monkeypatch, p_df, ly_en):
+def test_block_length_leaves_results_unchanged(monkeypatch, p_df, ly_en, p_en):
+    signals = [ode.Step(12.0, p_en.b_hat, p_en.b_hat + u) for u in (-0.5, 1.0)]
+
     def run():
         traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(7.3, 3.0, 5.0), 40.0,
                             dt=0.05, record_every=7)
         return ([traj.times.tolist(), traj.states.tolist(), traj.inputs.tolist()],
                 verify.check_trajectory_monotonicity(ly_en, n_starts=4, t_end=60.0,
                                                      final_tol=1e4),
-                verify.iss_step_suite(ly_en, [-0.5, 1.0], t_end=60.0),
+                verify.check_iss_bound(ly_en, signals, t_end=60.0),
                 verify.check_w_region(ly_en, n_starts=4, t_end=60.0, seed=2))
 
     default = run()
@@ -361,3 +384,17 @@ def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expe
     assert all(isinstance(r, verify.CheckResult) for r in results)
     if name == "ly_en":
         assert results[0] == verify.CheckResult("condition_50", True, -0.0, 0.0, 2049)
+
+
+def test_readme_names_every_check():
+    """The README's sentence "The checks are ..." names exactly the public
+    check_* functions defined in verify, each with its parameters."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("The checks are"):]
+    sentence = sentence[:sentence.index(";")]
+    named = re.findall(r"`(\w+)\(([^)]*)\)`", sentence)
+    defined = {name: obj for name, obj in vars(verify).items()
+               if name.startswith("check_") and getattr(obj, "__module__", None) == verify.__name__}
+    assert sorted(name for name, _ in named) == sorted(defined)
+    for name, params in named:
+        assert params.split(", ") == list(inspect.signature(defined[name]).parameters), name
