@@ -18,8 +18,8 @@ reject or clip; any other block is replayed from its first state with the
 check after every step.  `float_blocks` feeds it a few rows in lockstep,
 each on Python floats under its own scalar B(t).
 
-`trajectory_rows` yields the recorded rows of one solution block by block.
-`python -m sirlyap.cli simulate` streams them into its CSV through
+`trajectory_rows` yields the rows of one solution, one per step, block by
+block.  `python -m sirlyap.cli simulate` streams them into its CSV through
 `write_trajectory`, and `ode.integrate` collects them into a Trajectory.
 `ode` builds the array API on this module: `integrate_batch` steps narrow
 batches with `float_blocks` and wide ones through `blocks` on stacked
@@ -386,36 +386,26 @@ def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: fl
     return blocks(step, _check_rows, _clean, nullcontext, rows, signals, t_end, dt, list)
 
 
-def trajectory_rows(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
-                    dt: float = DEFAULT_DT, record_every: int = 1):
-    """Yield the recorded rows (t, S, I, R, B) of the RK4 solution from x0,
-    Python-float tuples in one list per block of steps.
+def trajectory_rows(p: ModelParams, x0: State, sig: InputSignal, t_end: float, dt: float):
+    """Yield the rows (t, S, I, R, B) of the RK4 solution from x0, one per
+    step of the grid, Python-float tuples in one list per block of steps.
 
     Row j is the state after step j of the grid and B the level that step
-    used (B(0) for row 0), as at interior switch times.  Row 0, every
-    `record_every`-th row and the last are recorded, so the recorded rows do
-    not depend on `record_every`.  Raises ValueError, as a Trajectory does,
-    when the recorded times are not strictly increasing.
+    used (B(0) for row 0), as at interior switch times.  Raises ValueError,
+    as a Trajectory does, when the times are not strictly increasing.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     _check_span(t_end, dt)
-    n = sum(_n_steps(a, b, dt) for a, b in _segments([sig], t_end))
     row = (float(x0.s), float(x0.i), float(x0.r))
-    t_prev, j = 0.0, 0  # the last recorded time; the steps taken
+    t_prev = 0.0  # the time of the last row yielded
     yield [(0.0, *row, sig.value(0.0))]
     for steps, states, levels in float_blocks(p, [row], [sig], t_end, dt):
-        keep = list(range(-(j + 1) % record_every, len(steps), record_every))
-        j += len(steps)
-        if j == n and keep[-1:] != [len(steps) - 1]:
-            keep.append(len(steps) - 1)
-        rows = [(steps[k][2], *states[k + 1][0], levels[k + 1]) for k in keep]
+        rows = [(t_next, *x, b)
+                for (_, _, t_next, _), (x,), b in zip(steps, states[1:], levels[1:])]
         times = [t_prev, *(row[0] for row in rows)]
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
         t_prev = times[-1]
-        if rows:
-            yield rows
+        yield rows
 
 
 # ---------------------------------------------------------------------------

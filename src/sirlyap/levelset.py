@@ -164,19 +164,10 @@ def polygon_contains(poly, pts) -> np.ndarray:
     return inside
 
 
-def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
-                       absolute: bool = False) -> None:
-    """Emit `level,polyline_id,x1,x2` rows; `absolute` maps the plane
-    coordinates to populations by adding the anchor components.  The offset
-    is added also when it is 0, which writes -0.0 as 0.0.  The text goes
+def write_contours_csv(path, contours: Sequence[Contour]) -> None:
+    """Emit `level,polyline_id,x1,x2` rows in the plane's coordinates.  Each
+    coordinate has 0.0 added, which writes -0.0 as 0.0.  The text goes
     through `flow.csv_file`, so it replaces `path` only once complete."""
-    du = dv = 0.0
-    if absolute:
-        if lyap is None:
-            raise ValueError("absolute output needs the lyapunov object")
-        q = lyap.equilibrium.point
-        axis = contours[0].plane[0] if contours else "x3t"
-        du, dv = q.s, q.i if axis == "x3t" else q.r
 
     def blocks():  # one block of rows per polyline
         for cont in contours:
@@ -184,7 +175,7 @@ def write_contours_csv(path, contours: Sequence[Contour], lyap=None,
             if cont.marker is not None:
                 rows.append((-1, [cont.marker]))
             for pid, poly in rows:
-                yield [(float(cont.level), pid, float(u) + du, float(v) + dv) for u, v in poly]
+                yield [(float(cont.level), pid, float(u) + 0.0, float(v) + 0.0) for u, v in poly]
 
     with flow.csv_file(path, "level,polyline_id,x1,x2") as fh:
         flow.write_rows(fh, blocks(), "{!r},{},{!r},{!r}\r\n".format)

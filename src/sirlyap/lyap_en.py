@@ -370,62 +370,26 @@ def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
     return lp
 
 
-def _box_corners_and_grid(box) -> np.ndarray:
-    import numpy as np
-    axes = [np.linspace(lo, hi, 7) for lo, hi in box]
-    G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    corners = np.array([[a, b, c] for a in box[0] for b in box[1] for c in box[2]])
-    return np.vstack([G, corners])
-
-
-def select_en_params(p: ModelParams, l_bar: Optional[float] = None,
-                     box=None, delta: Optional[float] = None) -> EnLyapParams:
-    """Geometric shrink search for feasible constants, at most 64 rounds.
-
-    Either a level budget l_bar or a compact deviation box inside G must be
-    supplied; with a box target the budget is raised to cover the box and
-    lambda_hat2 (and, on a slower schedule, k) is halved until condition (50)
-    passes and the box lies in the sublevel set.  delta defaults to DELTA.
+def select_en_params(p: ModelParams, l_bar: float,
+                     delta: Optional[float] = None) -> EnLyapParams:
+    """Geometric shrink search for feasible constants under the level budget
+    l_bar, at most 64 rounds: lambda_hat2 (and, on a slower schedule, k) is
+    halved until condition (50) passes.  delta defaults to DELTA.
     Raises InfeasibleOverride for l_bar <= 0 or delta outside (0, 1).
     """
     _require_endemic_regime(p)
-    if (l_bar is None) == (box is None):
-        raise ValueError("supply exactly one of l_bar or box")
-    x1h, x2h, x3h = _xhat(p)
-    pts = None
-    if box is not None:
-        import numpy as np  # the box path alone works on arrays
-        pts = _box_corners_and_grid(box)
-        if np.any(pts[:, 0] + pts[:, 1] <= -x2h) or np.any(pts[:, 1] <= -x2h) \
-                or np.any(pts[:, 2] < -x3h) or np.any(pts[:, 0] < -x1h):
-            raise DomainError("box must be contained in the interior of G")
-        l_cur = max(1.0, 2.0 * float(np.abs(pts).sum(axis=1).max()))
-    else:
-        l_cur = float(l_bar)
-    delta = _require_overrides(delta, l_bar=l_cur)
-
+    l_bar = float(l_bar)
+    delta = _require_overrides(delta, l_bar=l_bar)
+    k0 = k0_bound(p, l_bar)
+    if not k0 > 0.0:
+        # R0 within rounding of gamma/mu + 2: term1 of k0 rounds to 0
+        raise NoConvergence(f"no admissible slope k: k0={k0:.3g} <= 0")
     lam_h2 = 0.1
     k_frac = 0.9
     for it in range(64):
-        k0 = k0_bound(p, l_cur)
-        if not k0 > 0.0:
-            # R0 within rounding of gamma/mu + 2: term1 of k0 rounds to 0
-            raise NoConvergence(f"no admissible slope k: k0={k0:.3g} <= 0")
-        k = k_frac * k0
-        provisional = EnLyapParams(1.0, 1.0, lam_h2, k, 1e-300, l_cur, delta)
+        provisional = EnLyapParams(1.0, 1.0, lam_h2, k_frac * k0, 1e-300, l_bar, delta)
         lp = replace(provisional, lambda3=lambda3_default(p, provisional))
-        ok = check_condition_50(p, lp).passed
-        if ok and pts is not None:
-            v = en_value_many(p, lp, pts, l_cap=math.inf)
-            if np.all(np.isfinite(v)):
-                vmax = float(v.max())
-                if vmax > l_cur:
-                    l_cur = 1.05 * vmax  # raise the budget to cover the box
-                    continue
-                ok = bool(np.all(in_sublevel_many(p, lp, pts, l_cur)))
-            else:
-                ok = False  # box pokes out of H; shrink the constants
-        if ok:
+        if check_condition_50(p, lp).passed:
             return lp
         lam_h2 *= 0.5
         if (it + 1) % 4 == 0:

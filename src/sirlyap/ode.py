@@ -69,22 +69,13 @@ class Trajectory:
         return State(float(s), float(i), float(r))
 
     def to_csv(self, path) -> None:
-        """Write one `t,S,I,R,B` row per record; `integrate(...,
-        record_every=k)` keeps every k-th step plus the last."""
-        flow.write_trajectory(path, _row_blocks([self.times, self.states, self.inputs]))
-
-
-def _row_blocks(columns: Sequence[np.ndarray]):
-    """The rows of the stacked `columns` (arrays of equal length) as lists of
-    Python floats, _CSV_BLOCK rows at a time, so the text written from them
-    stays bounded."""
-    for a in range(0, len(columns[0]), _CSV_BLOCK):
-        yield np.column_stack([c[a:a + _CSV_BLOCK] for c in columns]).tolist()
-
-
-def write_rows(fh, columns: Sequence[np.ndarray], line) -> int:
-    """`flow.write_rows` for the rows of the stacked `columns`."""
-    return flow.write_rows(fh, _row_blocks(columns), line)
+        """Write one `t,S,I,R,B` row per record, the rows _CSV_BLOCK at a
+        time as lists of Python floats, so the text written from them stays
+        bounded."""
+        columns = [self.times, self.states, self.inputs]
+        blocks = (np.column_stack([c[a:a + _CSV_BLOCK] for c in columns]).tolist()
+                  for a in range(0, len(self.times), _CSV_BLOCK))
+        flow.write_trajectory(path, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +189,15 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
 
 
 def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
-              dt: float = DEFAULT_DT, record_every: int = 1) -> Trajectory:
-    """Integrate from x0 and record every `record_every`-th step plus the
-    last: the rows of `flow.trajectory_rows` as arrays.
+              dt: float = DEFAULT_DT) -> Trajectory:
+    """Integrate from x0 and record every step: the rows of
+    `flow.trajectory_rows` as arrays.
 
     Each recorded input is the level the step into that row used, as at
-    interior switch times, so the recorded rows do not depend on
-    `record_every`.
+    interior switch times.
     """
     rows = np.fromiter(itertools.chain.from_iterable(
-        flow.trajectory_rows(p, x0, sig, t_end, dt, record_every)), dtype=(float, 5))
+        flow.trajectory_rows(p, x0, sig, t_end, dt)), dtype=(float, 5))
     return Trajectory(rows[:, 0], rows[:, 1:4], rows[:, 4])
 
 

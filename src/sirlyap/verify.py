@@ -7,7 +7,6 @@ rerun with the same seed and grid reproduces the margins bit for bit.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -117,7 +116,7 @@ def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckR
     _, vb, vc = lyap_df.df_region_values(lp, p, np.column_stack([x1, x2, x3]))
     res2 = np.abs(vb - vc) / (1.0 + np.abs(vb))
     worst = float(max(res1.max(initial=0.0), res2.max(initial=0.0)))
-    return CheckResult("df_continuity", worst <= CONTINUITY_RTOL, -worst, None, n,
+    return CheckResult("df_continuity", n > 0 and worst <= CONTINUITY_RTOL, -worst, None, n,
                        {"rtol": CONTINUITY_RTOL})
 
 
@@ -129,10 +128,9 @@ def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) ->
                          rng.uniform(0.0, 5.0 * x1h, n)])
     v = lyap.value_many(X)
     v0 = lyap_df.df_value(lyap.lp, lyap.p, Deviation(0.0, 0.0, 0.0))
-    worst = float(v.min())
-    ok = bool(v0 == 0.0 and np.all(v > 0.0))
-    return CheckResult("df_positive_definite", ok, worst, _loc(X[np.argmin(v)]), n,
-                       {"value_at_zero": v0})
+    ok = bool(n > 0 and v0 == 0.0 and np.all(v > 0.0))
+    return CheckResult("df_positive_definite", ok, float(v.min(initial=math.inf)),
+                       _loc(X[np.argmin(v)]) if n > 0 else None, n, {"value_at_zero": v0})
 
 
 def _first_least(minima: list) -> tuple:
@@ -142,18 +140,14 @@ def _first_least(minima: list) -> tuple:
     return minima[int(np.argmin([m for m, _ in minima]))] if minima else (math.inf, None)
 
 
-def _grid_line(a, b, c, code, val, slack) -> str:
-    return f"{a!r},{b!r},{c!r},{'ABC'[int(code)]},{val!r},{slack!r}\r\n"
-
-
-def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
+def check_df_grid_iss(lyap, n: int = GRID_N) -> CheckResult:
     """Grid certificate of the ISS decrease implication.
 
     On [-x1h, 3*x1h] x [0, 3*x1h]^2 minus a boundary band, wherever
     V >= chi(|u|) for u in {-b_hat, -b_hat/2, 0, b_hat, 10*b_hat} the
     derivative must not exceed -(1-delta)*(mu-mu0)*V, up to -1e-12 per unit
     scale.  The grid is built and evaluated one slab of the first axis at a
-    time, about BAND_POINTS points each.  `csv_path` receives the u = 0 rows.
+    time, about BAND_POINTS points each.
     """
     p, lp = lyap.p, lyap.lp
     x1h = p.b_hat / p.mu
@@ -171,25 +165,20 @@ def check_df_grid_iss(lyap, n: int = GRID_N, csv_path=None) -> CheckResult:
     G[:, 2] = np.tile(ax2, slabs[0][1] * n)
     minima = [[] for _ in u_values]  # per u, per slab: the least margin and its location
     checked = 0
-    with (flow.csv_file(csv_path, "x1t,x2t,x3t,region,V,slack") if csv_path is not None
-          else contextlib.nullcontext()) as fh:
-        for a, b in slabs:
-            X = G[:(b - a) * n * n]
-            X[:, 0] = np.repeat(ax1[a:b], n * n)
-            v, codes = lyap_df.df_value_region_arrays(lp, p, X)
-            off_band = ~lyap_df.df_near_boundary(lp, p, X)
-            for u, thr, least in zip(u_values, thresholds, minima):
-                hyp = off_band & (v >= thr)
-                if not hyp.any():
-                    continue
-                Xh, vh = X[hyp], v[hyp]
-                gf = lyap_df.df_grad_dot_f_arrays(lp, p, Xh, u)
-                margin = _decrease_margins(gf, rate * vh)
-                j = int(np.argmin(margin))
-                least.append((margin[j], _loc(Xh[j])))
-                checked += len(vh)
-                if fh is not None and u == 0.0:
-                    ode.write_rows(fh, [Xh, codes[hyp], vh, -gf - rate * vh], _grid_line)
+    for a, b in slabs:
+        X = G[:(b - a) * n * n]
+        X[:, 0] = np.repeat(ax1[a:b], n * n)
+        v = lyap.value_many(X)
+        off_band = ~lyap_df.df_near_boundary(lp, p, X)
+        for u, thr, least in zip(u_values, thresholds, minima):
+            hyp = off_band & (v >= thr)
+            if not hyp.any():
+                continue
+            Xh, vh = X[hyp], v[hyp]
+            margin = _decrease_margins(lyap_df.df_grad_dot_f_arrays(lp, p, Xh, u), rate * vh)
+            j = int(np.argmin(margin))
+            least.append((margin[j], _loc(Xh[j])))
+            checked += len(vh)
     worst, worst_loc = math.inf, None
     for u, least in zip(u_values, minima):
         m, x = _first_least(least)
@@ -235,11 +224,12 @@ def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEE
     res["x2=0"] = np.concatenate([gap(F, A, x1, np.zeros(half)),
                                   gap(D, C, x1n, np.zeros(len(x1n)))])
 
-    worst = float(max(r.max() for r in res.values()))
-    which = max(res, key=lambda k: res[k].max())
-    return CheckResult("en_continuity", worst <= CONTINUITY_RTOL, -worst, which,
-                       5 * n_per_boundary, {"rtol": CONTINUITY_RTOL,
-                                            "per_boundary_max": {k: float(v.max()) for k, v in res.items()}})
+    per_boundary = {k: float(r.max(initial=0.0)) for k, r in res.items()}
+    which = max(per_boundary, key=per_boundary.get)
+    worst, n = per_boundary[which], 5 * n_per_boundary
+    return CheckResult("en_continuity", n > 0 and worst <= CONTINUITY_RTOL, -worst,
+                       which if n > 0 else None, n,
+                       {"rtol": CONTINUITY_RTOL, "per_boundary_max": per_boundary})
 
 
 def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -385,20 +375,20 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
     def observer(t, X, b):
         v = _lyap_values_of_states(lyap, X)
         margin = np.where(v[:-1] > 1e-6, _step_margins(t, v), np.inf)
-        j = int(np.argmin(margin)) // margin.shape[1]  # first step holding the minimum
-        blocks.append((float(margin.min()), float(t[j + 1]),
+        least = margin.min(axis=1, initial=math.inf)  # per step
+        j = int(np.argmin(least))  # first step holding the minimum
+        blocks.append((float(least[j]), float(t[j + 1]),
                        int(np.sum((v[1:] >= v[:-1]) & (v[:-1] > 1e-9)))))
 
     Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
-    stepped = len(blocks) > 1
+    samples = n_starts if len(blocks) > 1 else 0
     worst, worst_t, _ = min(blocks, key=lambda blk: blk[0])
     nonstrict = sum(blk[2] for blk in blocks)
-    final_dist = np.abs(Xf - qpt[None, :]).sum(axis=1)
-    ok = stepped and worst >= 0.0 and bool(np.all(final_dist <= final_tol)) and nonstrict == 0
+    final_dist = float(np.abs(Xf - qpt[None, :]).sum(axis=1).max(initial=0.0))
+    ok = samples > 0 and worst >= 0.0 and final_dist <= final_tol and nonstrict == 0
     return CheckResult(f"trajectory_monotonicity_{lyap.kind.value}", ok,
-                       float(min(worst, float(final_tol - final_dist.max()))),
-                       worst_t, n_starts if stepped else 0,
-                       {"max_final_dist": float(final_dist.max()),
+                       float(min(worst, final_tol - final_dist)), worst_t, samples,
+                       {"max_final_dist": final_dist,
                         "final_tol": final_tol, "t_end": t_end,
                         "nonstrict_steps_above_1e-9": nonstrict})
 
@@ -537,7 +527,7 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
                 ina = lyap_en.in_sublevel_many(p, lpa, Y, L) & cap
                 violations += int(np.sum(inb & ~ina))
                 tested += int(inb.sum())
-    return CheckResult("sublevel_nesting", violations == 0, -float(violations),
+    return CheckResult("sublevel_nesting", tested > 0 and violations == 0, -float(violations),
                        None, tested, {"lam_hat2_pairs": list(map(list, lam_hat2_pairs)),
                                       "k_pairs": list(map(list, k_pairs)),
                                       "L_values": L_values})
@@ -626,7 +616,7 @@ def prohibited_region_demo(p: ModelParams, l_bars=(340.0, 1e3, 3e3, 1e4),
     # on the axis itself the I-equation is at rest and S grows
     f_axis = model.rhs(p, State(start.s, 0.0, 0.0), p.b_hat)
     axis_ok = f_axis[1] == 0.0 and f_axis[0] > 0.0
-    traj = ode.integrate(p, start, ode.Constant(p.b_hat), t_end, DT, record_every=4)
+    traj = ode.integrate(p, start, ode.Constant(p.b_hat), t_end, DT)
     S, I = traj.states[:, 0], traj.states[:, 1]
     # the derivative sign is exact; the recorded decrease needs a small buffer
     # away from the threshold, where the decrement falls below roundoff

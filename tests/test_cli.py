@@ -95,7 +95,7 @@ def test_cmd_simulate(tmp_path, capsys):
 def test_cmd_simulate_matches_golden(tmp_path, capsys, monkeypatch, name, signal):
     # the streamed CSV is byte for byte the one integrate(...).to_csv wrote;
     # blocks of 16 steps cross the step's switch time
-    golden = (ROOT / "tests" / "data" / f"trajectory_{name}_every1.csv").read_bytes()
+    golden = (ROOT / "tests" / "data" / f"trajectory_{name}.csv").read_bytes()
     cfg = {**EN_CONFIG, "signal": signal, "x0": [300.0, 80.0, 40.0], "horizon": 10.0, "dt": 0.1}
     path = tmp_path / "out" / "trajectory.csv"
     for block_steps in (flow._BLOCK_STEPS, 16):

@@ -112,11 +112,6 @@ def test_contours_csv(tmp_path, ly_df):
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["level", "polyline_id", "x1", "x2"]
     assert any(r[1] == "-1" for r in rows[1:])  # the degenerate-level marker
-    path_abs = tmp_path / "contours_abs.csv"
-    levelset.write_contours_csv(path_abs, conts, lyap=ly_df, absolute=True)
-    rel = [r for r in rows[1:] if r[0] == "10.0"][0]
-    ab = [r for r in list(csv.reader(open(path_abs)))[1:] if r[0] == "10.0"][0]
-    assert float(ab[2]) == pytest.approx(float(rel[2]) + 200.0)
 
 
 def test_failed_contours_csv_leaves_the_earlier_file(tmp_path, ly_df):

@@ -61,20 +61,20 @@ def test_equilibrium_is_fixed_point(p_df):
 
 def test_long_horizon_convergence_df(p_df):
     traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0),
-                        5000.0, dt=0.05, record_every=100)
+                        5000.0, dt=0.05)
     assert np.abs(traj.final_state.as_array() - [200.0, 0.0, 0.0]).sum() < 1e-3
 
 
 def test_long_horizon_convergence_endemic(p_en):
     q = sl.endemic_eq(p_en).point
     traj = sl.integrate(p_en, sl.State(400.0, 100.0, 100.0), ode.Constant(17.0),
-                        5000.0, dt=0.05, record_every=100)
+                        5000.0, dt=0.05)
     assert np.abs(traj.final_state.as_array() - q.as_array()).sum() < 1e-2
 
 
 def test_population_bound_and_exact_n(p_df):
     x0 = sl.State(100.0, 50.0, 0.0)
-    traj = sl.integrate(p_df, x0, ode.Constant(3.0), 400.0, dt=0.05, record_every=10)
+    traj = sl.integrate(p_df, x0, ode.Constant(3.0), 400.0, dt=0.05)
     n_traj = traj.states.sum(axis=1)
     n_exact = model.total_population_exact(x0, 3.0, p_df, traj.times)
     assert np.abs(n_traj - n_exact).max() <= 1e-6 * np.abs(n_exact).max()
@@ -95,8 +95,7 @@ def test_nonnegativity_preserved(p_en):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x0 = sl.State(*rng.uniform(0.0, 50.0, 3))
-        traj = sl.integrate(p_en, x0, ode.Step(10.0, 0.0, 17.0), 200.0, dt=0.05,
-                            record_every=10)
+        traj = sl.integrate(p_en, x0, ode.Step(10.0, 0.0, 17.0), 200.0, dt=0.05)
         assert traj.states.min() >= 0.0
 
 
@@ -418,17 +417,15 @@ def test_both_feeds_run_one_block_stepper_bit_identically(p_en, batch, block_ste
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("name, sig", [("step", ode.Step(3.05, 17.0, 5.0)),
                                        ("sinusoid", ode.Sinusoid(17.0, 6.0, 0.7))])
-def test_trajectory_csv_matches_golden(tmp_path, monkeypatch, p_en, name, sig, every):
+def test_trajectory_csv_matches_golden(tmp_path, monkeypatch, p_en, name, sig):
     # recorded before the state check moved to once per block and the input
     # levels to once per segment; the 16-step blocks cross the step's switch
-    golden = (DATA / f"trajectory_{name}_every{every}.csv").read_bytes()
+    golden = (DATA / f"trajectory_{name}.csv").read_bytes()
     for block_steps in (flow._BLOCK_STEPS, 16):
         monkeypatch.setattr(flow, "_BLOCK_STEPS", block_steps)
-        traj = sl.integrate(p_en, sl.State(300.0, 80.0, 40.0), sig, 10.0, dt=0.1,
-                            record_every=every)
+        traj = sl.integrate(p_en, sl.State(300.0, 80.0, 40.0), sig, 10.0, dt=0.1)
         traj.to_csv(tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == golden
 
@@ -443,16 +440,6 @@ def test_step_calls_library_vector_field(p_df, monkeypatch):
     monkeypatch.setattr(flow, "rhs_arrays", counted)
     sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 1.0, dt=0.1)
     assert len(calls) == 40  # four stages for each of the ten steps
-
-
-def test_recorded_rows_independent_of_record_every(p_df):
-    finals = []
-    for every in (1, 3, 7):
-        tr = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(1.0, 3.0, 9.0), 1.0,
-                          dt=0.1, record_every=every)
-        finals.append((tr.times[-1], tr.states[-1].tolist(), tr.inputs[-1]))
-    assert finals[0] == finals[1] == finals[2]
-    assert finals[0][2] == 3.0  # the level the last step used
 
 
 def test_steady_state_cases(p_df, p_en):
@@ -473,17 +460,14 @@ def test_steady_state_cases(p_df, p_en):
 
 def test_trajectory_csv(tmp_path, p_df):
     x0, sig = sl.State(100.0, 50.0, 0.0), ode.Constant(3.0)
-    traj = sl.integrate(p_df, x0, sig, 5.0, dt=0.1, record_every=5)
+    traj = sl.integrate(p_df, x0, sig, 5.0, dt=0.1)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["t", "S", "I", "R", "B"]
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 5.0
-    n = len(sl.integrate(p_df, x0, sig, 5.0, dt=0.1).times)
-    idx = list(range(0, n, 5))
-    expected = len(idx) + (0 if idx[-1] == n - 1 else 1)
-    assert len(rows) - 1 == expected
+    assert len(rows) - 1 == 51  # row 0 and one row per step
 
 
 @pytest.mark.parametrize("thin", [1, 3, 4096])
@@ -516,8 +500,6 @@ def test_streamed_rows_keep_times_strictly_increasing(p_df, monkeypatch):
     x0, sig = sl.State(100.0, 50.0, 0.0), ode.Constant(3.0)
     with pytest.raises(ValueError, match="times must be strictly increasing"):
         sl.integrate(p_df, x0, sig, 1.0, dt=0.1)
-    # as in a Trajectory, only the recorded times count
-    assert len(sl.integrate(p_df, x0, sig, 1.0, dt=0.1, record_every=3).times) == 5
 
 
 def test_trajectory_validation():

@@ -128,7 +128,7 @@ def test_block_length_leaves_results_unchanged(monkeypatch, p_df, ly_en, p_en):
 
     def run():
         traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Step(7.3, 3.0, 5.0), 40.0,
-                            dt=0.05, record_every=7)
+                            dt=0.05)
         return ([traj.times.tolist(), traj.states.tolist(), traj.inputs.tolist()],
                 verify.check_trajectory_monotonicity(ly_en, n_starts=4, t_end=60.0,
                                                      final_tol=1e4),
@@ -218,27 +218,15 @@ def test_prohibited_region_demo(p_en):
     assert res.details["min_distance_to_disease_free"] < 550.0
 
 
-def test_grid_csv_emission(ly_df, tmp_path):
-    path = tmp_path / "grid.csv"
-    res = verify.check_df_grid_iss(ly_df, n=8, csv_path=path)
-    assert res.passed
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1t,x2t,x3t,region,V,slack"
-    assert len(lines) > 100
-    assert all(line.split(",")[3] in ("A", "B", "C") for line in lines[1:])
-
-
-GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "df_grid_iss_n8.csv"
-
-
 @pytest.mark.parametrize("band_points", [None, 7])
-def test_grid_csv_matches_golden(monkeypatch, ly_df, tmp_path, band_points):
-    # one slab of the 8x8x8 grid by default, one per first-axis value at 7
+def test_grid_check_pinned(monkeypatch, ly_df, band_points):
+    # the exact worst point and count of the 8x8x8 grid, in one slab by
+    # default and in one slab per first-axis value at 7
     if band_points is not None:
         monkeypatch.setattr(bands, "BAND_POINTS", band_points)
-    path = tmp_path / "grid.csv"
-    verify.check_df_grid_iss(ly_df, n=8, csv_path=path)
-    assert path.read_bytes() == GRID_GOLDEN.read_bytes()
+    res = verify.check_df_grid_iss(ly_df, n=8)
+    assert (res.worst_margin, res.worst_location, res.samples) == (
+        0.29805292061907146, [28.571428571428584, 0.0, 0.0, 0.0], 512)
 
 
 def _peak_mb(fn) -> float:
@@ -290,6 +278,24 @@ def test_checks_without_samples_fail(ly_en, monkeypatch):
     res = verify.check_en_sample_decrease(ly_en, n=50)
     assert res.samples == 0 and res.passed is False
     assert _standard_json(res)["details"]["max_grad_dot_f"] is None
+
+
+#: each check given a size of 0: the fixture it runs on and its arguments
+ZERO_SAMPLES = {
+    "check_df_continuity": ("ly_df", {"n": 0}),
+    "check_df_positive_definite": ("ly_df", {"n": 0}),
+    "check_en_continuity": ("ly_en", {"n_per_boundary": 0}),
+    "check_trajectory_monotonicity": ("ly_en", {"n_starts": 0, "t_end": 5.0}),
+    "check_sublevel_nesting": ("ly_en", {"n": 0}),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_SAMPLES)
+def test_check_of_zero_samples_fails(request, name):
+    fixture, kwargs = ZERO_SAMPLES[name]
+    res = getattr(verify, name)(request.getfixturevalue(fixture), **kwargs)
+    assert res.samples == 0 and res.passed is False
+    _standard_json(res)
 
 
 def test_run_certification_df_small(p_df, lp_df, monkeypatch):
