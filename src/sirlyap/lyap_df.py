@@ -293,13 +293,15 @@ class DiseaseFreeLyapunov:
     def params_report(self) -> dict:
         return {"chi_slope": self.chi(1.0)}
 
-    def checks(self, seed: int, grid_n: int, n_samples: int) -> list:
-        """Callables building this function's certify checks, in report order."""
+    def checks(self, seed: int, grid_n: int, n_samples: int, trajectory_check) -> list:
+        """Callables building this function's certify checks, in report order;
+        the trajectory monotonicity one calls `trajectory_check` with the
+        arguments of `verify.check_trajectory_monotonicity`."""
         from . import verify  # here, not at the top: verify imports this module
         return [lambda: verify.check_df_continuity(self, seed=seed),
                 lambda: verify.check_df_positive_definite(self, seed=seed),
                 lambda: verify.check_df_grid_iss(self, n=grid_n),
-                lambda: verify.check_trajectory_monotonicity(
+                lambda: trajectory_check(
                     self, n_starts=verify.N_STARTS, seed=seed, final_tol=1e-3)]
 
     def iss_magnitude(self) -> float:

@@ -864,15 +864,17 @@ class EndemicLyapunov:
         """Extra output of `sirlyap params`, here the feasibility summary."""
         return {"feasibility": feasibility_report(self.p, self.lp)}
 
-    def checks(self, seed: int, grid_n: int, n_samples: int) -> list:
-        """Callables building this function's certify checks, in report order."""
+    def checks(self, seed: int, grid_n: int, n_samples: int, trajectory_check) -> list:
+        """Callables building this function's certify checks, in report order;
+        the trajectory monotonicity one calls `trajectory_check` with the
+        arguments of `verify.check_trajectory_monotonicity`."""
         from . import verify  # here, not at the top: verify imports this module
         return [lambda: verify.CheckResult("condition_50", *check_condition_50(self.p, self.lp)),
                 lambda: verify.check_en_continuity(self, seed=seed),
                 lambda: verify.check_en_sample_decrease(self, n=n_samples, seed=seed),
                 lambda: verify.check_en_iss_pointwise(
                     self, n=min(n_samples, verify.N_POINTWISE), seed=seed),
-                lambda: verify.check_trajectory_monotonicity(
+                lambda: trajectory_check(
                     self, n_starts=verify.N_STARTS, seed=seed, final_tol=1e-2),
                 lambda: verify.check_sublevel_nesting(self, seed=seed)]
 

@@ -158,30 +158,31 @@ def rhs_arrays(p: ModelParams, s, i, r, b):
     return ds, di, dr
 
 
-def rhs_stacked(p: ModelParams, m: int):
-    """`rhs_arrays` on stacked (3, m) states, whose rows are S, I and R: a
-    function field(Y, b, out) that writes the derivative at Y into the
-    (3, m) array `out` and returns it, b a scalar or one value per row.
+def rhs_stacked(p: ModelParams, out):
+    """`rhs_arrays` on stacked (3, m) states, whose rows are S, I and R,
+    into the (3, m) array `out`: a function field(Y, s, i, b) that writes the
+    derivative at Y into `out` and returns it, s and i being the rows Y[0]
+    and Y[1] and b a scalar or one value per row.
 
     It runs `rhs_arrays`'s operations in the same order, six ufunc calls
     over whole rows into `out` and one reused (2, m) scratch array, with each
-    subtraction written as the addition of the negated term.  IEEE
-    arithmetic gives x - y == x + (-y) and x + y == y + x, signed zeros
-    included, so the results are bit-identical to `rhs_arrays`'s.
+    subtraction written as the addition of the negated term; the row views
+    of `out` and of the scratch are made once, here.  IEEE arithmetic gives
+    x - y == x + (-y) and x + y == y + x, signed zeros included, so the
+    results are bit-identical to `rhs_arrays`'s.
     """
     import numpy as np
     loss = np.array([[-p.mu], [-(p.gamma + p.mu)], [-p.mu]])
     gain = np.array([[p.beta], [p.gamma]])
-    T = np.empty((2, m))
-    infect = T[0]
+    T = np.empty((2, out.shape[1]))
+    infect, ds, di_dr = T[0], out[0], out[1:]
     mul, add, sub = np.multiply, np.add, np.subtract
 
-    def field(Y, b, out):
+    def field(Y, s, i, b):
         mul(Y, loss, out)  # -mu*S, -(gamma+mu)*I, -mu*R
-        mul(Y[1], gain, T)  # beta*I, gamma*I
-        mul(infect, Y[0], infect)  # infect = beta*I*S
-        add(out[1:], T, out[1:])  # dI = infect - (gamma+mu)*I, dR = gamma*I - mu*R
-        ds = out[0]
+        mul(i, gain, T)  # beta*I, gamma*I
+        mul(infect, s, infect)  # infect = beta*I*S
+        add(di_dr, T, di_dr)  # dI = infect - (gamma+mu)*I, dR = gamma*I - mu*R
         add(b, ds, ds)  # b - mu*S
         sub(ds, infect, ds)  # dS = b - mu*S - infect
         return out

@@ -14,7 +14,8 @@ lockstep on Python floats with `flow.float_blocks`, which avoids the
 per-step numpy overhead that dominates small arrays.  A wide one steps one
 stacked (3, m) array, whose rows are S, I and R, so each stage argument and
 the final combination is one array operation and each stage derivative six
-(`model.rhs_stacked`); the feeds cross over at `_FLOAT_ROWS` rows.  Either
+(`model.rhs_stacked`), on row views of its reused arrays made once per
+batch; the feeds cross over at `_FLOAT_ROWS` rows.  Either
 way the observer receives a fresh (k+1, m, 3) array per block, which it
 owns.  Both feeds evaluate the same floating-point operations in the same
 order, so their results are bit-identical.
@@ -37,11 +38,11 @@ from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # no
 from .model import ModelParams, State, rhs_arrays, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
-# one stacked array.  A float step costs about 1.7 us a row under one shared
-# Constant or with one Constant per row, a stacked step 24-28 us whatever the
-# width, so the two cross at 15-16 rows for a shared input and 14-15 rows for
+# one stacked array.  A float step costs about 1.6 us a row under one shared
+# Constant or with one Constant per row, a stacked step 18-21 us whatever the
+# width, so the two cross at 12-13 rows for a shared input and 11-12 rows for
 # per-row ones (measured on a 2-vCPU Xeon VM).
-_FLOAT_ROWS = 15
+_FLOAT_ROWS = 12
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
 
@@ -87,24 +88,27 @@ def _stacked_rk4(p: ModelParams, m: int):
     b1) that returns the step from Y as a new (3, m) array, each b a scalar
     or one value per row.  It runs the same operations in the same order,
     each one array operation over the rows S, I, R: `model.rhs_stacked`
-    writes each stage derivative into a (4, 3, m) workspace, and the stage
-    arguments and sums go to one (3, m) array; every step reuses both."""
-    field = rhs_stacked(p, m)
+    writes each stage derivative into its row of a (4, 3, m) workspace, and
+    the stage arguments and sums go to one (3, m) array Z; every step reuses
+    both, and their row views are made once, so a step makes only the two
+    views Y[0] and Y[1] of its incoming state."""
     K, Z = np.empty((4, 3, m)), np.empty((3, m))
     k1, k2, k3, k4 = K
+    f1, f2, f3, f4 = (rhs_stacked(p, k) for k in K)
+    zs, zi = Z[0], Z[1]
     mul, add = np.multiply, np.add
 
     def step(Y: np.ndarray, h: float, b0, bm, b1) -> np.ndarray:
-        field(Y, b0, k1)
+        f1(Y, Y[0], Y[1], b0)
         mul(k1, 0.5 * h, Z)
         add(Y, Z, Z)
-        field(Z, bm, k2)
+        f2(Z, zs, zi, bm)
         mul(k2, 0.5 * h, Z)
         add(Y, Z, Z)
-        field(Z, bm, k3)
+        f3(Z, zs, zi, bm)
         mul(k3, h, Z)
         add(Y, Z, Z)
-        field(Z, b1, k4)
+        f4(Z, zs, zi, b1)
         add(k2, k3, Z)
         mul(Z, 2.0, Z)
         add(k1, Z, Z)

@@ -4,6 +4,13 @@ Every check returns a CheckResult whose `worst_margin` is oriented so that
 larger is better and `passed` means worst_margin >= -tolerance for the
 check's declared tolerance.  Sampling is driven by an explicit seed, so a
 rerun with the same seed and grid reproduces the margins bit for bit.
+
+The two trajectory claims, V decreasing along nominal trajectories and V
+staying below the ISS gain of the input b_hat + u, are flows of one vector
+field that differ only in their input.  `run_certification` steps both as
+one integrate_batch, the nominal starts and one row per ISS signal, through
+`_trajectory_checks`; `check_trajectory_monotonicity` and `check_iss_bound`
+each run that path with the other half empty.
 """
 from __future__ import annotations
 
@@ -356,6 +363,82 @@ def _horizon(p: ModelParams) -> float:
     return 50.0 / p.mu
 
 
+def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
+                       signals: Sequence[ode.InputSignal], t_end: Optional[float],
+                       x0: Optional[State]) -> tuple:
+    """The monotonicity check of the nominal trajectories from the (n, 3)
+    `starts` and one `iss_bound` check per signal, run as one
+    integrate_batch: the n rows from `starts` under Constant(b_hat) first,
+    then one row per signal from x0 (by default the anchor).  One
+    observer reduces each block, the Dini margins on the nominal rows and the
+    running maxima of V on the signal rows.  Returns the monotonicity result
+    and the list of `iss_bound` results; RangeError for a signal leaving the
+    admissible range, before integrating.  See the two public checks.
+    """
+    p = lyap.p
+    if t_end is None:
+        t_end = _horizon(p)
+    if x0 is None:
+        x0 = lyap.equilibrium.point
+    ext = [(max(hi - p.b_hat, 0.0), max(p.b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
+           for lo, hi in (sig.value_range(t_end) for sig in signals)]
+    for u_pos, u_neg in ext:
+        if not lyap.admits(u_pos, u_neg):
+            lo, hi = lyap.admissible_u()
+            raise RangeError(f"input range [{0.0 - u_neg!r}, {u_pos!r}] outside ({lo!r}, {hi!r})")
+    n = len(starts)
+    X0 = np.concatenate([starts, np.tile(x0.as_array(), (len(signals), 1))])
+    t_tail = 0.8 * t_end
+    vmax_tail = np.zeros(len(signals))
+    vmax_all = np.zeros(len(signals))
+    # per block: worst margin, its step's end time, nonstrict steps, steps
+    blocks = [(math.inf, 0.0, 0, 0)]
+
+    def observer(t, X, b):
+        v = _lyap_values_of_states(lyap, X)
+        mono = v[:, :n]
+        margin = np.where(mono[:-1] > 1e-6, _step_margins(t, mono), np.inf)
+        least = margin.min(axis=1, initial=math.inf)  # per step
+        j = int(np.argmin(least))  # first step holding the minimum
+        blocks.append((float(least[j]), float(t[j + 1]),
+                       int(np.sum((mono[1:] >= mono[:-1]) & (mono[:-1] > 1e-9))), len(t) - 1))
+        iss = v[1:, n:]  # row 0 is x0 or already seen
+        np.maximum(vmax_all, iss.max(axis=0), out=vmax_all)
+        tail = iss[t[1:] >= t_tail].max(axis=0, initial=0.0)  # V >= 0, as is vmax_tail
+        np.maximum(vmax_tail, tail, out=vmax_tail)
+
+    Xf = ode.integrate_batch(p, X0, [ode.Constant(p.b_hat)] * n + list(signals), t_end, DT,
+                             observer=observer)
+    stepped = len(blocks) > 1
+    worst, worst_t, _, _ = min(blocks, key=lambda blk: blk[0])
+    nonstrict = sum(blk[2] for blk in blocks)
+    qpt = lyap.equilibrium.point.as_array()
+    final_dist = float(np.abs(Xf[:n] - qpt[None, :]).sum(axis=1).max(initial=0.0))
+    samples = n if stepped else 0
+    ok = samples > 0 and worst >= 0.0 and final_dist <= final_tol and nonstrict == 0
+    monotonicity = CheckResult(f"trajectory_monotonicity_{lyap.kind.value}", ok,
+                               float(min(worst, final_tol - final_dist)), worst_t, samples,
+                               {"max_final_dist": final_dist,
+                                "final_tol": final_tol, "t_end": t_end,
+                                "nonstrict_steps_above_1e-9": nonstrict,
+                                "rk4_steps": sum(blk[3] for blk in blocks),
+                                "batch_rows": len(X0)})
+    iss_bounds = []
+    for sig, (u_pos, u_neg), v_tail, v_all in zip(signals, ext, vmax_tail.tolist(),
+                                                  vmax_all.tolist()):
+        thr = float(lyap.chi_signed(u_pos, u_neg))
+        margin = max(thr * (1.0 + 1e-3), 1e-6) - v_tail
+        ok = stepped and margin >= 0.0
+        details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
+        if lyap.invariance_level is not None:
+            details["max_v_full_horizon"] = v_all
+            details["forward_invariant"] = v_all <= lyap.invariance_level * (1.0 + 1e-9)
+            ok = ok and details["forward_invariant"]
+        details["signal"] = ode.signal_to_dict(sig)
+        iss_bounds.append(CheckResult("iss_bound", ok, margin, None, 1 if stepped else 0, details))
+    return monotonicity, iss_bounds
+
+
 def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optional[float] = None,
                                   seed: int = DEFAULT_SEED, final_tol: float = 1e-3) -> CheckResult:
     """Dini check over a batch of nominal-input trajectories, one reduction per block.
@@ -363,40 +446,18 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
     Asserts V decreases (difference quotient below 1e-6*(1+V)) while
     V > 1e-6, and the final state lands within final_tol of the anchor
     in the 1-norm by t_end (default 50 mean lifetimes).  A run of no step
-    (t_end = 0) evaluates nothing: it fails with `samples` 0.
+    (t_end = 0) evaluates nothing: it fails with `samples` 0.  `details`
+    count the RK4 steps and the rows of the batch they stepped.
     """
-    p = lyap.p
-    qpt = lyap.equilibrium.point.as_array()
-    if t_end is None:
-        t_end = _horizon(p)
-    X0 = lyap.start_states(n_starts, seed)
-    blocks = [(math.inf, 0.0, 0)]  # per block: worst margin, its step's end time, nonstrict steps
-
-    def observer(t, X, b):
-        v = _lyap_values_of_states(lyap, X)
-        margin = np.where(v[:-1] > 1e-6, _step_margins(t, v), np.inf)
-        least = margin.min(axis=1, initial=math.inf)  # per step
-        j = int(np.argmin(least))  # first step holding the minimum
-        blocks.append((float(least[j]), float(t[j + 1]),
-                       int(np.sum((v[1:] >= v[:-1]) & (v[:-1] > 1e-9)))))
-
-    Xf = ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
-    samples = n_starts if len(blocks) > 1 else 0
-    worst, worst_t, _ = min(blocks, key=lambda blk: blk[0])
-    nonstrict = sum(blk[2] for blk in blocks)
-    final_dist = float(np.abs(Xf - qpt[None, :]).sum(axis=1).max(initial=0.0))
-    ok = samples > 0 and worst >= 0.0 and final_dist <= final_tol and nonstrict == 0
-    return CheckResult(f"trajectory_monotonicity_{lyap.kind.value}", ok,
-                       float(min(worst, final_tol - final_dist)), worst_t, samples,
-                       {"max_final_dist": final_dist,
-                        "final_tol": final_tol, "t_end": t_end,
-                        "nonstrict_steps_above_1e-9": nonstrict})
+    return _trajectory_checks(lyap, lyap.start_states(n_starts, seed), final_tol, [], t_end,
+                              None)[0]
 
 
 def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[float] = None,
                     x0: Optional[State] = None) -> list:
     """limsup of V over the final 20% of the horizon stays below the gain
-    threshold (with relative headroom 1e-3), one `iss_bound` result per signal.
+    threshold (with relative headroom 1e-3), one `iss_bound` result per
+    signal, its `details` naming the signal.
 
     The signals run as one batch, one row each, every row from x0 (by
     default the anchor); ValueError for no signals and RangeError for a
@@ -409,44 +470,7 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
     """
     if len(signals) == 0:
         raise ValueError("check_iss_bound needs at least one input signal")
-    if t_end is None:
-        t_end = _horizon(lyap.p)
-    if x0 is None:
-        x0 = lyap.equilibrium.point
-    b_hat = lyap.p.b_hat
-    ext = [(max(hi - b_hat, 0.0), max(b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
-           for lo, hi in (sig.value_range(t_end) for sig in signals)]
-    for u_pos, u_neg in ext:
-        if not lyap.admits(u_pos, u_neg):
-            lo, hi = lyap.admissible_u()
-            raise RangeError(f"input range [{0.0 - u_neg!r}, {u_pos!r}] outside ({lo!r}, {hi!r})")
-    t_tail = 0.8 * t_end
-    vmax_tail = np.zeros(len(signals))
-    vmax_all = np.zeros(len(signals))
-    blocks = []  # the step count of each observed block
-
-    def observer(t, X, b):
-        blocks.append(len(t) - 1)
-        v = _lyap_values_of_states(lyap, X[1:])  # row 0 is x0 or already seen
-        np.maximum(vmax_all, v.max(axis=0), out=vmax_all)
-        tail = v[t[1:] >= t_tail].max(axis=0, initial=0.0)  # V >= 0, as is vmax_tail
-        np.maximum(vmax_tail, tail, out=vmax_tail)
-
-    ode.integrate_batch(lyap.p, np.tile(x0.as_array(), (len(signals), 1)), signals, t_end, DT,
-                        observer=observer)
-    stepped = len(blocks) > 0
-    results = []
-    for (u_pos, u_neg), v_tail, v_all in zip(ext, vmax_tail.tolist(), vmax_all.tolist()):
-        thr = float(lyap.chi_signed(u_pos, u_neg))
-        margin = max(thr * (1.0 + 1e-3), 1e-6) - v_tail
-        ok = stepped and margin >= 0.0
-        details = {"limsup_v": v_tail, "threshold": thr, "u_pos": u_pos, "u_neg": u_neg}
-        if lyap.invariance_level is not None:
-            details["max_v_full_horizon"] = v_all
-            details["forward_invariant"] = v_all <= lyap.invariance_level * (1.0 + 1e-9)
-            ok = ok and details["forward_invariant"]
-        results.append(CheckResult("iss_bound", ok, margin, None, 1 if stepped else 0, details))
-    return results
+    return _trajectory_checks(lyap, np.empty((0, 3)), 0.0, signals, t_end, x0)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +680,18 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
 
 def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = GRID_N,
                       n_samples: int = N_SAMPLES) -> VerificationReport:
-    """The checks of `lyap.checks(...)` in order, then one check_iss_bound batch
-    over builtin_signal_suite of magnitude `lyap.iss_magnitude()`."""
-    checks = [check() for check in lyap.checks(seed, grid_n, n_samples)]
+    """The checks of `lyap.checks(...)` in order, then one `iss_bound` result
+    per builtin_signal_suite signal of magnitude `lyap.iss_magnitude()`.  The
+    suite's trajectory monotonicity check and these signals run as one
+    integrate_batch, the signal rows after the nominal ones."""
     signals = builtin_signal_suite(lyap.p, lyap.iss_magnitude(), _horizon(lyap.p))
-    return VerificationReport(checks + check_iss_bound(lyap, signals))
+    iss_bounds = []
+
+    def trajectory_check(lyap, n_starts, seed, final_tol):
+        monotonicity, iss = _trajectory_checks(lyap, lyap.start_states(n_starts, seed), final_tol,
+                                               signals, None, None)
+        iss_bounds.extend(iss)
+        return monotonicity
+
+    checks = [check() for check in lyap.checks(seed, grid_n, n_samples, trajectory_check)]
+    return VerificationReport(checks + iss_bounds)

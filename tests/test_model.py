@@ -75,7 +75,6 @@ def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
     rng = np.random.default_rng(5)
     m = 64
     for p in (p_df, p_en):
-        field = model.rhs_stacked(p, m)
         for _ in range(50):
             Y = rng.uniform(0.0, 800.0, (3, m))
             Y[rng.random((3, m)) < 0.15] = 0.0
@@ -86,7 +85,8 @@ def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
                       rng.choice([0.0, -0.0, 17.0, 3.5], m)):
                 want = np.array(model.rhs_arrays(p, *Y, b))
                 out = np.full((3, m), np.nan)
-                assert field(Y, b, out) is out
+                field = model.rhs_stacked(p, out)
+                assert field(Y, Y[0], Y[1], b) is out
                 assert np.array_equal(out, want)
                 assert np.array_equal(np.signbit(out), np.signbit(want))
         Y = np.array([[1e200] * m, [1e200] * m, [0.0] * m])  # beta*I*S overflows
@@ -94,7 +94,7 @@ def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
             with pytest.raises(FloatingPointError):
                 model.rhs_arrays(p, *Y, 1.0)
             with pytest.raises(FloatingPointError):
-                field(Y, 1.0, np.empty((3, m)))
+                model.rhs_stacked(p, np.empty((3, m)))(Y, Y[0], Y[1], 1.0)
 
 
 def test_total_population_bound(p_df):

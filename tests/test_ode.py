@@ -344,12 +344,12 @@ def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
         ds, di, _ = model.rhs_arrays(p, s, i, r, b)
         return ds, di, r * 1.0
 
-    def stacked(p, m):
-        library = model.rhs_stacked(p, m)
+    def stacked(p, out):
+        library = model.rhs_stacked(p, out)
 
-        def field(Y, b, out):
+        def field(Y, s, i, b):
             calls.append(1)
-            library(Y, b, out)
+            library(Y, s, i, b)
             np.multiply(Y[2], 1.0, out=out[2])
             return out
 

@@ -298,6 +298,56 @@ def test_check_of_zero_samples_fails(request, name):
     _standard_json(res)
 
 
+def _short_certification(monkeypatch, lyap) -> tuple:
+    """run_certification of `lyap` at small sizes over a 60-unit horizon, and
+    the rows of each integrate_batch call it made."""
+    monkeypatch.setattr(verify, "_horizon", lambda p: 60.0)
+    integrate_batch, batches = ode.integrate_batch, []
+
+    def counted(p, X0, *args, **kwargs):
+        batches.append(len(X0))
+        return integrate_batch(p, X0, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate_batch", counted)
+    return verify.run_certification(lyap, grid_n=5, n_samples=1000), batches
+
+
+@pytest.mark.parametrize("name", ["ly_df", "ly_en"])
+def test_run_certification_integrates_once(request, monkeypatch, name):
+    # the 50 nominal rows and the three ISS rows step as one batch, whose
+    # iss_bound results are those of the three signals run alone, bit for bit
+    lyap = request.getfixturevalue(name)
+    report, batches = _short_certification(monkeypatch, lyap)
+    assert batches == [53]
+    signals = verify.builtin_signal_suite(lyap.p, lyap.iss_magnitude(), 60.0)
+    merged = [c.to_dict() for c in report.checks[-3:]]
+    assert merged == [c.to_dict() for c in verify.check_iss_bound(lyap, signals)]
+    assert [c["details"]["signal"] for c in merged] == list(map(ode.signal_to_dict, signals))
+    mono, = [c for c in report.checks if c.name.startswith("trajectory_monotonicity")]
+    assert mono.details["batch_rows"] == 53 and mono.details["rk4_steps"] == 1200
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+@pytest.mark.parametrize("name", ["ly_df", "ly_en"])
+def test_merged_monotonicity_matches_standalone(request, monkeypatch, name, anchored):
+    # with signals free of breakpoints the nominal rows keep their step grid;
+    # nominal rows that start at the anchor stay nearer to it than the ISS rows
+    lyap = request.getfixturevalue(name)
+    if anchored:
+        anchor = lyap.equilibrium.point.as_array()
+        monkeypatch.setattr(lyap, "start_states", lambda n, seed: np.tile(anchor, (n, 1)))
+    monkeypatch.setattr(verify, "builtin_signal_suite", lambda p, u, t_end: [
+        ode.Constant(p.b_hat + u), ode.Sinusoid(p.b_hat, u, 2.0 * math.pi / 7.5)])
+    report, batches = _short_certification(monkeypatch, lyap)
+    assert batches == [verify.N_STARTS + 2]
+    merged, = [c.to_dict() for c in report.checks if c.name.startswith("trajectory_monotonicity")]
+    alone = verify.check_trajectory_monotonicity(
+        lyap, t_end=60.0, final_tol=merged["details"]["final_tol"]).to_dict()
+    assert merged["details"].pop("batch_rows") == verify.N_STARTS + 2
+    assert alone["details"].pop("batch_rows") == verify.N_STARTS
+    assert merged == alone and merged["details"]["rk4_steps"] == 1200
+
+
 def test_run_certification_df_small(p_df, lp_df, monkeypatch):
     monkeypatch.setattr(verify, "N_STARTS", 6)
     rep = verify.run_certification(lyap_df.DiseaseFreeLyapunov(p_df, lp_df), grid_n=15)
@@ -335,13 +385,11 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
         assert all(type(u) is float for u in ly.admissible_u())
     signals = []
 
-    def record(lyap, sigs, t_end=None):
+    def record(lyap, starts, final_tol, sigs, t_end, x0):
         signals.extend(sigs)
-        return []
+        return verify.CheckResult("stub", True, 0.0), []
 
-    monkeypatch.setattr(verify, "check_iss_bound", record)
-    monkeypatch.setattr(verify, "check_trajectory_monotonicity",
-                        lambda *args, **kwargs: verify.CheckResult("stub", True, 0.0))
+    monkeypatch.setattr(verify, "_trajectory_checks", record)
     for ly in (ly_df, ly_en):
         assert type(ly.iss_magnitude()) is float
         verify.run_certification(ly, grid_n=5, n_samples=1000)
@@ -380,7 +428,8 @@ def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expe
             return verify.CheckResult(check, True, 0.0)
         return record
 
-    suite = lyap.checks(7, 9, 30_000)
+    suite = lyap.checks(7, 9, 30_000, lambda *args, **kwargs:
+                        verify.check_trajectory_monotonicity(*args, **kwargs))
     for check in [n for n in dir(verify) if n.startswith("check_")]:
         monkeypatch.setattr(verify, check, recorder(check))
     monkeypatch.setattr(lyap_en, "check_condition_50", recorder("check_condition_50"))
