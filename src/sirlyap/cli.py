@@ -36,6 +36,8 @@ _LYAP_KEYS = {
 
 def _finite(where: str, v) -> float:
     try:
+        if isinstance(v, bool):  # a JSON true is not the number 1
+            raise TypeError
         x = float(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {v!r}") from None

@@ -169,6 +169,8 @@ def sample_input(sig: InputSignal, t: float) -> float:
 
 
 def _finite(v) -> float:
+    if isinstance(v, bool):  # a JSON true is not the number 1
+        raise TypeError(f"signal values must be numbers, got {v!r}")
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"signal values must be finite, got {v!r}")

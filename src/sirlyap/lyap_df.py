@@ -11,6 +11,9 @@ of shape (n, 3).  The scalar functions (`df_region`, `df_value`,
 row 0 of the array path.  numpy is imported inside the array functions
 only, so the constants, the level polyline and `sirlyap params` run
 without it.
+
+`DiseaseFreeLyapunov` describes V, its ISS gain and its input range; certify's
+checks and their order belong to the harness above this module.
 """
 from __future__ import annotations
 
@@ -292,18 +295,3 @@ class DiseaseFreeLyapunov:
 
     def params_report(self) -> dict:
         return {"chi_slope": self.chi(1.0)}
-
-    def checks(self, seed: int, grid_n: int, n_samples: int, trajectory_check) -> list:
-        """Callables building this function's certify checks, in report order;
-        the trajectory monotonicity one calls `trajectory_check` with the
-        arguments of `verify.check_trajectory_monotonicity`."""
-        from . import verify  # here, not at the top: verify imports this module
-        return [lambda: verify.check_df_continuity(self, seed=seed),
-                lambda: verify.check_df_positive_definite(self, seed=seed),
-                lambda: verify.check_df_grid_iss(self, n=grid_n),
-                lambda: trajectory_check(
-                    self, n_starts=verify.N_STARTS, seed=seed, final_tol=1e-3)]
-
-    def iss_magnitude(self) -> float:
-        """Magnitude of the certify ISS signals."""
-        return self.p.b_hat / 10.0

@@ -31,6 +31,9 @@ The feasibility maths (k0, the lambda3 ceilings, condition (50), the input
 range), the hexagon and the default window run on floats, so `sirlyap
 params` and the x3t-plane level sets run without numpy; it is imported
 inside the array functions only.
+
+`EndemicLyapunov` describes V, its ISS gain and its input range; certify's
+checks and their order belong to the harness above this module.
 """
 from __future__ import annotations
 
@@ -113,6 +116,7 @@ class EnDerivedConstants:
     gamma_c: float
     gamma_d: float
     gamma_e: float
+    gamma_ek: float
     gamma_f: float
     a_b: float
 
@@ -332,14 +336,15 @@ def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
 
 def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
     r0 = model.r0_hat(p)
-    lam0 = lp.lam0
+    lam0, sp = lp.lam0, spread(p, lp)
     gamma_a = p.gamma * (1.0 - lp.lambda3 / lp.lambda2)
     gamma_c = p.gamma * (1.0 - lp.lambda3 * lam0 / lp.lambda_hat2 ** 2)
     gamma_d = p.gamma * (1.0 - lp.lambda3 * lam0 / (lp.lambda2 * lp.lambda_hat2))
-    gamma_e = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * spread(p, lp) * p.beta)
+    gamma_e = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * sp * p.beta)
+    gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * sp * p.beta)
     gamma_f = p.gamma * (1.0 - lp.lambda3 / lp.lambda_hat2)
     a_b = min(lp.k * p.mu * (r0 - 1.0) - lp.lambda3 * p.gamma / lam0, p.mu)
-    return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_f, a_b)
+    return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_ek, gamma_f, a_b)
 
 
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
@@ -863,22 +868,3 @@ class EndemicLyapunov:
     def params_report(self) -> dict:
         """Extra output of `sirlyap params`, here the feasibility summary."""
         return {"feasibility": feasibility_report(self.p, self.lp)}
-
-    def checks(self, seed: int, grid_n: int, n_samples: int, trajectory_check) -> list:
-        """Callables building this function's certify checks, in report order;
-        the trajectory monotonicity one calls `trajectory_check` with the
-        arguments of `verify.check_trajectory_monotonicity`."""
-        from . import verify  # here, not at the top: verify imports this module
-        return [lambda: verify.CheckResult("condition_50", *check_condition_50(self.p, self.lp)),
-                lambda: verify.check_en_continuity(self, seed=seed),
-                lambda: verify.check_en_sample_decrease(self, n=n_samples, seed=seed),
-                lambda: verify.check_en_iss_pointwise(
-                    self, n=min(n_samples, verify.N_POINTWISE), seed=seed),
-                lambda: trajectory_check(
-                    self, n_starts=verify.N_STARTS, seed=seed, final_tol=1e-2),
-                lambda: verify.check_sublevel_nesting(self, seed=seed)]
-
-    def iss_magnitude(self) -> float:
-        """Magnitude of the certify ISS signals: 45% of the nearer end of admissible_u()."""
-        lo, hi = self.admissible_u()
-        return 0.45 * min(-lo, hi)

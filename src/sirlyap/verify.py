@@ -11,6 +11,10 @@ field that differ only in their input.  `run_certification` steps both as
 one integrate_batch, the nominal starts and one row per ISS signal, through
 `_trajectory_checks`; `check_trajectory_monotonicity` and `check_iss_bound`
 each run that path with the other half empty.
+
+Certify's two suites live here, one per equilibrium kind, each with its
+checks in report order and the size of its ISS signals; `run_certification`
+picks one by `lyap.kind`.  The Lyapunov modules do not import this one.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import RangeError, RegimeError
 from .lyap_en import sample_sublevel
-from .model import Deviation, ModelParams, State
+from .model import Deviation, EquilibriumKind, ModelParams, State
 
 N_POINTWISE = 20_000     # cap on the pointwise ISS samples
 N_STARTS = 50            # nominal-input trajectory starts
@@ -251,7 +255,6 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
     X = sample_sublevel(lyap, n, seed)
     dc = lyap_en.derived_constants(p, lp)
     spread = lyap_en.spread(p, lp)
-    gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * spread * p.beta)
     minima, gf_max, counts, checked = [], [], np.zeros(6, dtype=int), 0
     strictly_negative = within_tol = True
     for a, b in bands(len(X)):
@@ -265,8 +268,8 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
         rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
         rate = np.where(codes == 1, dc.a_b * v, rate)
         rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
-        if gamma_ek > 0.0:
-            rate_e = qd * arg * lp.k * p.beta * spread * gamma_ek + p.mu * v3
+        if dc.gamma_ek > 0.0:
+            rate_e = qd * arg * lp.k * p.beta * spread * dc.gamma_ek + p.mu * v3
         else:
             rate_e = np.zeros(len(Xb))  # fall back to plain negativity in E
         rate = np.where(codes == 4, rate_e, rate)
@@ -283,7 +286,7 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
         "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
         "max_grad_dot_f": float(np.max(gf_max, initial=-np.inf)),
-        "gamma_ek": float(gamma_ek),
+        "gamma_ek": dc.gamma_ek,
         "region_counts": {r.value: int(c) for r, c in zip(lyap_en.EnRegion, counts)},
     }
     passed = checked > 0 and strictly_negative and within_tol
@@ -487,11 +490,13 @@ def _formula_steady_state(p: ModelParams, c: float) -> np.ndarray:
 def check_bifurcation_continuity(p: ModelParams,
                                  c_values: Optional[np.ndarray] = None) -> CheckResult:
     """Simulated steady states track the closed-form branches across R0 = 1,
-    within 5e-2 in the 1-norm."""
+    within 5e-2 in the 1-norm; ValueError for fewer than two c_values."""
     c_star = p.mu * (p.gamma + p.mu) / p.beta
     if c_values is None:
         c_values = np.linspace(0.71 * c_star, 1.30 * c_star, 21)
     c_values = np.asarray(c_values, dtype=float)
+    if c_values.size < 2:
+        raise ValueError("check_bifurcation_continuity needs at least two c_values")
     X0 = np.column_stack([0.8 * c_values / p.mu,
                           np.full(len(c_values), 10.0),
                           np.full(len(c_values), 5.0)])
@@ -560,7 +565,8 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
 def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
                    seed: int = DEFAULT_SEED) -> CheckResult:
     """Exponential decay of W = -x1t - x2t + |x3t| inside the entry wedge,
-    and finite entry time into the sublevel set."""
+    and finite entry time into the sublevel set.  A run of no start or no
+    step evaluates nothing: it fails with `samples` 0."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
     q = lyap.equilibrium.point
@@ -571,7 +577,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     x1t0 = np.array([rng.uniform(-0.9 * q.s, -lp.k * v) for v in x2t0])
     x3t0 = rng.uniform(-0.9 * q.r, 1.5 * q.r, n_starts)
     D0 = np.column_stack([x1t0, x2t0, x3t0])
-    D0[0] = 0.0  # include the equilibrium itself: W stays at zero
+    D0[:1] = 0.0  # include the equilibrium itself: W stays at zero
     X0 = D0 + qpt[None, :]
 
     entry = np.full(n_starts, np.nan)
@@ -594,9 +600,10 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
     entered = ~np.isnan(entry)
     worst = min(block_worst)
-    ok = worst >= 0.0 and bool(entered.all())
-    return CheckResult("w_region", ok, worst, None, n_starts,
-                       {"max_entry_time": float(np.nanmax(entry)),
+    samples = n_starts if len(block_worst) > 1 else 0
+    ok = samples > 0 and worst >= 0.0 and bool(entered.all())
+    return CheckResult("w_region", ok, worst, None, samples,
+                       {"max_entry_time": float(np.nanmax(entry, initial=-math.inf)),
                         "all_entered": bool(entered.all())})
 
 
@@ -678,20 +685,33 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
     ]
 
 
+def _df_suite(lyap, seed: int, grid_n: int, n_samples: int) -> list:
+    """The disease-free checks in report order; ISS signals of size b_hat/10."""
+    signals = builtin_signal_suite(lyap.p, lyap.p.b_hat / 10.0, _horizon(lyap.p))
+    checks = [check_df_continuity(lyap, seed=seed),
+              check_df_positive_definite(lyap, seed=seed),
+              check_df_grid_iss(lyap, n=grid_n)]
+    monotonicity, iss_bounds = _trajectory_checks(lyap, lyap.start_states(N_STARTS, seed), 1e-3,
+                                                  signals, None, None)
+    return checks + [monotonicity] + iss_bounds
+
+
+def _en_suite(lyap, seed: int, grid_n: int, n_samples: int) -> list:
+    """The endemic checks in report order; ISS signals of 45% of admissible_u()'s nearer end."""
+    lo, hi = lyap.admissible_u()
+    signals = builtin_signal_suite(lyap.p, 0.45 * min(-lo, hi), _horizon(lyap.p))
+    checks = [CheckResult("condition_50", *lyap_en.check_condition_50(lyap.p, lyap.lp)),
+              check_en_continuity(lyap, seed=seed),
+              check_en_sample_decrease(lyap, n=n_samples, seed=seed),
+              check_en_iss_pointwise(lyap, n=min(n_samples, N_POINTWISE), seed=seed)]
+    monotonicity, iss_bounds = _trajectory_checks(lyap, lyap.start_states(N_STARTS, seed), 1e-2,
+                                                  signals, None, None)
+    return checks + [monotonicity, check_sublevel_nesting(lyap, seed=seed)] + iss_bounds
+
+
 def run_certification(lyap, seed: int = DEFAULT_SEED, grid_n: int = GRID_N,
                       n_samples: int = N_SAMPLES) -> VerificationReport:
-    """The checks of `lyap.checks(...)` in order, then one `iss_bound` result
-    per builtin_signal_suite signal of magnitude `lyap.iss_magnitude()`.  The
-    suite's trajectory monotonicity check and these signals run as one
-    integrate_batch, the signal rows after the nominal ones."""
-    signals = builtin_signal_suite(lyap.p, lyap.iss_magnitude(), _horizon(lyap.p))
-    iss_bounds = []
-
-    def trajectory_check(lyap, n_starts, seed, final_tol):
-        monotonicity, iss = _trajectory_checks(lyap, lyap.start_states(n_starts, seed), final_tol,
-                                               signals, None, None)
-        iss_bounds.extend(iss)
-        return monotonicity
-
-    checks = [check() for check in lyap.checks(seed, grid_n, n_samples, trajectory_check)]
-    return VerificationReport(checks + iss_bounds)
+    """The certify suite of `lyap.kind`, its `iss_bound` results last; its
+    monotonicity starts and ISS signals step as one integrate_batch."""
+    suite = _df_suite if lyap.kind is EquilibriumKind.DISEASE_FREE else _en_suite
+    return VerificationReport(suite(lyap, seed, grid_n, n_samples))

@@ -345,6 +345,19 @@ def test_bad_config_values(tmp_path, capsys, bad):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {**DF_CONFIG, "model": {**DF_CONFIG["model"], "mu": True}},
+    {**DF_CONFIG, "horizon": True},
+    {**DF_CONFIG, "levels": [True]},
+    {**DF_CONFIG, "signal": {"kind": "constant", "value": True}},
+], ids=["model_key", "horizon", "levels", "signal_value"])
+def test_config_refuses_booleans_as_numbers(tmp_path, capsys, bad):
+    # float(True) is 1.0: a JSON true must not pass for a number
+    rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lyap", [
     {"delta": 2.0},
     {"delta": 1.0},

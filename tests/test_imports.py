@@ -1,6 +1,7 @@
 """What each entry point loads: the package exports lazily, each CLI
 command imports only the sirlyap modules it runs, and every command but
 `certify` and the endemic x2t-plane `levelsets` runs without numpy."""
+import ast
 import importlib
 import json
 import os
@@ -133,3 +134,23 @@ def test_submodule_attribute_and_unknown_name():
     assert out.split() == ["sirlyap.verify", "0.1.0"]
     with pytest.raises(AttributeError, match="no_such_name"):
         sl.no_such_name
+
+
+def test_only_the_cli_imports_verify():
+    # the Lyapunov classes describe V and the layers below them step flows;
+    # certify's suites sit above them in verify, so no import cycle returns.
+    # The CLI imports verify inside its certify command: function-level
+    # imports count too.
+    importers = set()
+    for path in sorted((ROOT / "src" / "sirlyap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["sirlyap" if node.level else "", node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "sirlyap.verify" in names:
+                importers.add(path.stem)
+    assert importers - {"verify"} == {"cli"}

@@ -382,11 +382,13 @@ def test_select_en_params_at_rounding_edge_of_theorem_regime():
         lyap_en.select_en_params(p, l_bar=1.0)
 
 
-def test_derived_constants(p_en, lp_en):
+def test_derived_constants(p_en, lp_en, ly_en):
     dc = lyap_en.derived_constants(p_en, lp_en)
     assert dc.gamma_a >= 0.0 and dc.gamma_c >= 0.0 and dc.gamma_d >= 0.0
     assert dc.gamma_e > 0.0 and dc.gamma_f >= 0.0
     assert dc.a_b > 0.0
+    # the sample check reads its region-E constant from here
+    assert verify.check_en_sample_decrease(ly_en, n=200).details["gamma_ek"] == dc.gamma_ek
 
 
 def test_json_and_report(p_en, lp_en):

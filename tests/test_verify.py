@@ -202,6 +202,23 @@ def test_w_region(ly_en):
     assert np.isfinite(res.details["max_entry_time"])
 
 
+def test_w_region_without_a_step_fails(ly_en):
+    # t_end = 0 records the starts and no step: nothing was evaluated
+    res = verify.check_w_region(ly_en, n_starts=1, t_end=0.0)
+    assert not res.passed and res.samples == 0
+    _standard_json(res)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bifurcation_needs_two_c_values(monkeypatch, p_df, n):
+    def steady_state_batch(*args, **kwargs):
+        raise AssertionError("integrated too few c_values")
+
+    monkeypatch.setattr(ode, "steady_state_batch", steady_state_batch)
+    with pytest.raises(ValueError, match="at least two c_values"):
+        verify.check_bifurcation_continuity(p_df, c_values=np.linspace(0.01, 0.02, n))
+
+
 def test_separability_demo(p_en):
     res = verify.separability_obstruction_demo(p_en)
     assert res.passed
@@ -287,6 +304,7 @@ ZERO_SAMPLES = {
     "check_en_continuity": ("ly_en", {"n_per_boundary": 0}),
     "check_trajectory_monotonicity": ("ly_en", {"n_starts": 0, "t_end": 5.0}),
     "check_sublevel_nesting": ("ly_en", {"n": 0}),
+    "check_w_region": ("ly_en", {"n_starts": 0, "t_end": 5.0}),
 }
 
 
@@ -319,8 +337,8 @@ def test_run_certification_integrates_once(request, monkeypatch, name):
     lyap = request.getfixturevalue(name)
     report, batches = _short_certification(monkeypatch, lyap)
     assert batches == [53]
-    signals = verify.builtin_signal_suite(lyap.p, lyap.iss_magnitude(), 60.0)
     merged = [c.to_dict() for c in report.checks[-3:]]
+    signals = [ode.signal_from_dict(c["details"]["signal"]) for c in merged]
     assert merged == [c.to_dict() for c in verify.check_iss_bound(lyap, signals)]
     assert [c["details"]["signal"] for c in merged] == list(map(ode.signal_to_dict, signals))
     mono, = [c for c in report.checks if c.name.startswith("trajectory_monotonicity")]
@@ -380,7 +398,8 @@ def test_failed_report_rewrite_leaves_the_earlier_file(tmp_path):
 
 
 def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
-    """numpy-scalar levels would run the ISS batch's float rows in numpy arithmetic."""
+    """Certify's ISS signals hold Python floats, as the input ranges do; their
+    rows step in the 53-row stacked batch after the nominal ones."""
     for ly in (ly_df, ly_en):
         assert all(type(u) is float for u in ly.admissible_u())
     signals = []
@@ -391,7 +410,6 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
 
     monkeypatch.setattr(verify, "_trajectory_checks", record)
     for ly in (ly_df, ly_en):
-        assert type(ly.iss_magnitude()) is float
         verify.run_certification(ly, grid_n=5, n_samples=1000)
     assert len(signals) == 6
     for sig in signals:
@@ -402,19 +420,18 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
     ("ly_df", [("check_df_continuity", {"seed": 7}),
                ("check_df_positive_definite", {"seed": 7}),
                ("check_df_grid_iss", {"n": 9}),
-               ("check_trajectory_monotonicity",
-                {"n_starts": 3, "seed": 7, "final_tol": 1e-3})]),
+               ("_trajectory_checks", {"n_starts": 3, "seed": 7, "final_tol": 1e-3})]),
     ("ly_en", [("check_condition_50", {}),
                ("check_en_continuity", {"seed": 7}),
                ("check_en_sample_decrease", {"n": 30_000, "seed": 7}),
                ("check_en_iss_pointwise", {"n": verify.N_POINTWISE, "seed": 7}),
-               ("check_trajectory_monotonicity",
-                {"n_starts": 3, "seed": 7, "final_tol": 1e-2}),
+               ("_trajectory_checks", {"n_starts": 3, "seed": 7, "final_tol": 1e-2}),
                ("check_sublevel_nesting", {"seed": 7})]),
 ])
 def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expected):
-    """Each class lists its checks in report order and looks each one up, and
-    the module sizes it reads, when the callable runs; no numerics run."""
+    """run_certification runs the suite of `lyap.kind` in report order and
+    looks each check up, and the module sizes it reads, when it runs; no
+    numerics run."""
     lyap = request.getfixturevalue(name)
     calls = []
 
@@ -428,15 +445,27 @@ def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expe
             return verify.CheckResult(check, True, 0.0)
         return record
 
-    suite = lyap.checks(7, 9, 30_000, lambda *args, **kwargs:
-                        verify.check_trajectory_monotonicity(*args, **kwargs))
+    def trajectory_checks(ly, starts, final_tol, signals, t_end, x0):
+        # `starts` is what the stubbed start_states returned
+        assert ly is lyap and len(signals) == 3 and (t_end, x0) == (None, None)
+        n_starts, seed = starts
+        calls.append(("_trajectory_checks",
+                       {"n_starts": n_starts, "seed": seed, "final_tol": final_tol}))
+        return (verify.CheckResult("trajectory_monotonicity", True, 0.0),
+                [verify.CheckResult("iss_bound", True, 0.0) for _ in signals])
+
     for check in [n for n in dir(verify) if n.startswith("check_")]:
         monkeypatch.setattr(verify, check, recorder(check))
     monkeypatch.setattr(lyap_en, "check_condition_50", recorder("check_condition_50"))
+    monkeypatch.setattr(verify, "_trajectory_checks", trajectory_checks)
+    monkeypatch.setattr(lyap, "start_states", lambda n, seed: (n, seed))
     monkeypatch.setattr(verify, "N_STARTS", 3)
-    results = [check() for check in suite]
+    results = verify.run_certification(lyap, seed=7, grid_n=9, n_samples=30_000).checks
     assert calls == expected
     assert all(isinstance(r, verify.CheckResult) for r in results)
+    renamed = {"check_condition_50": "condition_50",
+               "_trajectory_checks": "trajectory_monotonicity"}
+    assert [r.name for r in results] == [renamed.get(c, c) for c, _ in expected] + ["iss_bound"] * 3
     if name == "ly_en":
         assert results[0] == verify.CheckResult("condition_50", True, -0.0, 0.0, 2049)
 
@@ -453,3 +482,16 @@ def test_readme_names_every_check():
     assert sorted(name for name, _ in named) == sorted(defined)
     for name, params in named:
         assert params.split(", ") == list(inspect.signature(defined[name]).parameters), name
+
+
+@pytest.mark.parametrize("half, name", [(0, "ly_df"), (1, "ly_en")])
+def test_readme_names_each_suite_in_report_order(request, monkeypatch, half, name):
+    """The README's sentence "The disease-free suite is ...; the endemic one
+    is ..." names the checks of each certify report in order."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = readme[readme.index("The disease-free suite is"):]
+    sentence = sentence[:re.search(r"\.\s", sentence).start()]
+    named = [check for three, check in re.findall(r"(three )?`(\w+)`", sentence.split(";")[half])
+             for _ in range(3 if three else 1)]
+    report, _ = _short_certification(monkeypatch, request.getfixturevalue(name))
+    assert named == [c.name for c in report.checks]
