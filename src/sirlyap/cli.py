@@ -2,7 +2,9 @@
 
 All subcommands read one JSON config (see configs/ in the repo) plus a few
 flag overrides; exit codes are 0 success, 1 config error, 2 regime error,
-3 check failure.  Run as a program (`python -m sirlyap.cli`), each command
+3 check failure.  `RunConfig.from_dict` reads every number of the config
+with `model.decode_number` and turns the ValueError of a bad value into a
+ConfigError.  Run as a program (`python -m sirlyap.cli`), each command
 imports only the modules it runs, and numpy only where it evaluates arrays:
 `certify`, and `levelsets` of the endemic function on an x2t plane.  The
 other commands, `params` and the x3t-plane `levelsets` of either function
@@ -15,14 +17,13 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bands, flow, model
 from .errors import ConfigError, RegimeError, SirLyapError
-from .model import ModelParams, State
+from .model import ModelParams, State, decode_number, decode_pairs
 
 if __name__ != "__main__":
     from . import levelset, lyap_df, lyap_en, ode, verify  # noqa: F401
@@ -34,18 +35,6 @@ _LYAP_KEYS = {
 }
 
 
-def _finite(where: str, v) -> float:
-    try:
-        if isinstance(v, bool):  # a JSON true is not the number 1
-            raise TypeError
-        x = float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {v!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{where} must be finite, got {v!r}")
-    return x
-
-
 def _integer(where: str, v, lo: int) -> int:
     if not (isinstance(v, int) and not isinstance(v, bool) and v >= lo):
         raise ConfigError(f"{where} must be an integer >= {lo}, got {v!r}")
@@ -53,19 +42,16 @@ def _integer(where: str, v, lo: int) -> int:
 
 
 def _window(v) -> list:
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in v)):
-        raise ConfigError(f"window must be [[lo, hi], [lo, hi]], got {v!r}")
-    w = [[_finite("window", x) for x in row] for row in v]
-    if not all(lo < hi for lo, hi in w):
-        raise ConfigError(f"window needs lo < hi on both axes, got {v!r}")
+    w = decode_pairs("window", v)
+    if not (len(w) == 2 and all(lo < hi for lo, hi in w)):
+        raise ConfigError(f"window must be [[lo, hi], [lo, hi]] with lo < hi, got {v!r}")
     return w
 
 
 def _plane(v) -> dict:
     if not (isinstance(v, dict) and set(v) == {"axis", "value"} and v["axis"] in ("x2t", "x3t")):
         raise ConfigError(f"plane must hold axis 'x2t' or 'x3t' and a value, got {v!r}")
-    return {"axis": v["axis"], "value": _finite("plane.value", v["value"])}
+    return {"axis": v["axis"], "value": decode_number("plane.value", v["value"])}
 
 
 def _resolution(v) -> list:
@@ -94,53 +80,53 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Validate a config; an omitted key takes its field's default."""
+        """Validate a config; an omitted key takes its field's default.  A
+        value that a decoder refuses with a ValueError is a ConfigError."""
+        try:
+            return cls._decode(d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def _decode(cls, d: dict) -> "RunConfig":
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "model" not in d:
-            raise ConfigError("config requires a 'model' section")
         for key in ("model", "lyap", "signal"):
             if key in d and not isinstance(d[key], dict):
                 raise ConfigError(f"'{key}' must be an object")
-        try:
-            p = ModelParams.from_dict({k: _finite(f"model.{k}", v) for k, v in d["model"].items()})
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad model section: {exc}") from exc
+        p = ModelParams.from_dict(d.get("model", {}))  # a missing one lacks every key
         d = {**vars(cls(model=p)), **d}
         eq = d["equilibrium"]
-        if eq not in _LYAP_KEYS:
+        if eq not in ("df", "endemic"):  # not a dict lookup: eq may be unhashable
             raise ConfigError("equilibrium must be 'df' or 'endemic'")
-        lyap = {k: _finite(f"lyap.{k}", v) for k, v in d["lyap"].items()}
+        lyap = {k: decode_number(f"lyap.{k}", v) for k, v in d["lyap"].items()}
         bad = set(lyap) - _LYAP_KEYS[eq]
         if bad:
             raise ConfigError(f"unknown lyap keys for equilibrium {eq!r}: {sorted(bad)}")
         partial = {"lambda_hat2", "k", "lambda3"} & set(lyap)
         if partial and not {"l_bar", "lambda_hat2", "k"} <= set(lyap):
             raise ConfigError("lambda_hat2, k and lambda3 need the full l_bar, lambda_hat2, k triple")
-        try:
-            sig = flow.Constant(p.b_hat) if d["signal"] is None else flow.signal_from_dict(d["signal"])
-        except KeyError as exc:
-            raise ConfigError(f"signal is missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad signal: {exc}") from exc
+        sig = flow.Constant(p.b_hat) if d["signal"] is None else flow.signal_from_dict(d["signal"])
         x0 = d["x0"]
         if x0 is not None:
             if not isinstance(x0, list) or len(x0) != 3:
                 raise ConfigError(f"x0 must be a list of 3 numbers, got {x0!r}")
-            x0 = State(*(_finite("x0", v) for v in x0))
-        horizon, dt = _finite("horizon", d["horizon"]), _finite("dt", d["dt"])
+            x0 = State(*(decode_number("x0", v) for v in x0))
+        horizon, dt = decode_number("horizon", d["horizon"]), decode_number("dt", d["dt"])
         if horizon < 0.0 or dt <= 0.0:
             raise ConfigError("need horizon >= 0 and dt > 0")
         levels, out_dir = d["levels"], d["out_dir"]
-        if not isinstance(levels, list) or any(_finite("levels", v) < 0.0 for v in levels):
+        if isinstance(levels, list):
+            levels = [decode_number("levels", v) for v in levels]
+        if not isinstance(levels, list) or any(v < 0.0 for v in levels):
             raise ConfigError(f"levels must be a list of numbers >= 0, got {levels!r}")
         if not isinstance(out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
         return cls(
             model=p, equilibrium=eq, lyap=lyap, signal=sig, x0=x0,
             horizon=horizon, dt=dt,
-            levels=[float(v) for v in levels],
+            levels=levels,
             window=None if d["window"] is None else _window(d["window"]),
             plane=None if d["plane"] is None else _plane(d["plane"]),
             resolution=_resolution(d["resolution"]),
@@ -165,7 +151,7 @@ def _load_config(args) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     flags = {"out_dir": args.out, "seed": args.seed, "dt": args.dt, "horizon": args.t_end,
-             "levels": None if args.levels is None else args.levels.split(","),
+             "levels": None if args.levels is None else [float(v) for v in args.levels.split(",")],
              "equilibrium": args.equilibrium}
     raw.update({k: v for k, v in flags.items() if v is not None})
     return RunConfig.from_dict(raw)
@@ -281,7 +267,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:  # ValueError: bad JSON or --levels
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

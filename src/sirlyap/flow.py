@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError, NonFiniteState
-from .model import ModelParams, State, rhs_arrays
+from .model import ModelParams, State, decode_number, decode_pairs, rhs_arrays
 
 DEFAULT_DT = 0.01
 _BLOCK_STEPS = 512  # steps per block: a 50-row observer block stays under 1 MB
@@ -51,7 +51,9 @@ class InputSignal:
 
     Each kind is a frozen dataclass that names, once, its `kind` in a
     config's signal object and the `keys` there of its fields, in field
-    order; `signal_from_dict` and `signal_to_dict` read both."""
+    order; `signal_from_dict` and `signal_to_dict` read both.  A signal
+    object holds exactly `kind` and those keys, and each number in it is
+    read with `model.decode_number`."""
 
     def value(self, t: float) -> float:
         raise NotImplementedError
@@ -168,30 +170,27 @@ def sample_input(sig: InputSignal, t: float) -> float:
     return sig.value(t)
 
 
-def _finite(v) -> float:
-    if isinstance(v, bool):  # a JSON true is not the number 1
-        raise TypeError(f"signal values must be numbers, got {v!r}")
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"signal values must be finite, got {v!r}")
-    return x
-
-
-_SIGNALS = {cls.kind: cls for cls in (Constant, Step, Piecewise, Sinusoid)}
+_SIGNALS = (Constant, Step, Piecewise, Sinusoid)
 #: a signal field from its config value, and back, by the field's annotation
-_DECODE = {"float": _finite, "tuple": lambda pts: tuple((_finite(t), _finite(c)) for t, c in pts)}
+_DECODE = {"float": decode_number,
+           "tuple": lambda key, pts: tuple(map(tuple, decode_pairs(key, pts)))}
 _ENCODE = {"float": lambda x: x, "tuple": lambda pts: [list(pt) for pt in pts]}
 
 
 def signal_from_dict(d: dict) -> InputSignal:
-    cls = _SIGNALS.get(d.get("kind"))
+    """The signal of the config object d, which holds exactly its kind's
+    `kind` and `keys`; a value is decoded by its field's annotation."""
+    cls = next((c for c in _SIGNALS if c.kind == d.get("kind")), None)
     if cls is None:
         raise ValueError(f"unknown signal kind {d.get('kind')!r}")
-    return cls(*(_DECODE[f.type](d[key]) for f, key in zip(fields(cls), cls.keys)))
+    if set(d) != {"kind", *cls.keys}:
+        raise ValueError(f"a {cls.kind} signal takes exactly the keys {['kind', *cls.keys]}, "
+                         f"got {list(d)}")
+    return cls(*(_DECODE[f.type](f"signal.{key}", d[key]) for f, key in zip(fields(cls), cls.keys)))
 
 
 def signal_to_dict(sig: InputSignal) -> dict:
-    if type(sig) not in _SIGNALS.values():
+    if type(sig) not in _SIGNALS:
         raise ValueError(f"unsupported signal type {type(sig)!r}")
     return {"kind": sig.kind, **{key: _ENCODE[f.type](getattr(sig, f.name))
                                  for f, key in zip(fields(sig), sig.keys)}}

@@ -8,6 +8,7 @@ imported only by the array forms (`as_array`, `total_population_exact`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -17,16 +18,36 @@ from .errors import DomainError, R0NotAboveOne
 REGIME_BOUNDARY_RTOL = 1e-12
 
 
+def decode_number(key: str, v) -> float:
+    """The finite JSON number v, an int or a float, as a float: the one
+    decoder of every number read from outside.  A bool, a string or any
+    other value, and a non-finite one, is a ValueError that names `key`."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)  # the bound refuses inf, nan and an int too large for a float
+    raise ValueError(f"{key} must be a finite number, got {v!r}")
+
+
+def decode_pairs(key: str, v) -> list:
+    """The JSON list v of [a, b] number pairs as a list of [float, float]."""
+    if not (isinstance(v, list) and all(isinstance(ab, list) and len(ab) == 2 for ab in v)):
+        raise ValueError(f"{key} must be a list of [a, b] number pairs, got {v!r}")
+    return [[decode_number(key, a), decode_number(key, b)] for a, b in v]
+
+
 class FloatRecord:
     """A frozen dataclass of float constants: `as_dict` keys them by field
-    name in field order, and `from_dict` reads each back with `float`."""
+    name in field order, and `from_dict` takes exactly those keys and
+    reads each value with `decode_number`."""
 
     def as_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        if set(d) != set(names):
+            raise ValueError(f"{cls.__name__} takes exactly the keys {names}, got {list(d)}")
+        return cls(*(decode_number(f"{cls.__name__}.{name}", d[name]) for name in names))
 
 
 @dataclass(frozen=True)
@@ -49,13 +70,6 @@ class ModelParams(FloatRecord):
             raise ValueError("beta, gamma and mu must be positive")
         if not self.b_hat >= 0.0:
             raise ValueError("b_hat must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown ModelParams keys: {sorted(unknown)}")
-        return super().from_dict(d)
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,17 @@ def test_certify_passes_benchmark_gate(tmp_path, capsys, name):
     assert gate.compare_reports(got, ref) == []
 
 
+@pytest.mark.parametrize("size", ["tiny", "bench", "full"])
+@pytest.mark.parametrize("workload", ["trajectory", "certify", "geometry"])
+def test_benchmark_configs_decode(tmp_path, workload, size):
+    # every config the benchmark writes, with its command's flags, passes the
+    # CLI's decoder, and its model section the gate's
+    gate, workloads = _perfbench("gate"), _perfbench("workloads")
+    for cmd in workloads.build(workload, 1, tmp_path, ROOT, size):
+        cli._load_config(cli.build_parser().parse_args(cmd.argv))
+        gate._params(cmd.config)
+
+
 def test_levels_flag_override(tmp_path, capsys):
     cfg = {**DF_CONFIG, "window": [[-100.0, 200.0], [0.0, 220.0]],
            "resolution": [100, 100]}
@@ -275,6 +286,11 @@ def test_levels_flag_override(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "out" / "levelsets_df.csv").read_text().splitlines()
     assert all(r.startswith("30.0,") for r in lines[1:])
+    for levels in ("10,abc", "nan"):
+        rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
+                       "--out", str(tmp_path / "out"), "--levels", levels])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cmd_certify_regime_error(tmp_path, capsys):
@@ -313,49 +329,77 @@ def test_bad_json_config(tmp_path):
     assert cli.main(["equilibria", "--config", str(path)]) == 1
 
 
-@pytest.mark.parametrize("bad", [
-    {**DF_CONFIG, "signal": {"kind": "constant"}},
-    {**DF_CONFIG, "lyap": {"mu0": "x"}},
-    {**DF_CONFIG, "x0": [1, 2]},
-    {**DF_CONFIG, "horizon": float("inf")},
-    {**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}},
-    {**DF_CONFIG, "window": [[0.0]]},
-    {**DF_CONFIG, "window": [[1.0, 1.0], [0.0, 5.0]]},
-    {**DF_CONFIG, "window": [[-100.0, 200.0], [220.0, 0.0]]},
-    {**DF_CONFIG, "resolution": [1]},
-    {**DF_CONFIG, "plane": {"axis": "x3t"}},
-    {**DF_CONFIG, "plane": {"axis": "x1t", "value": 0}},
-    {**DF_CONFIG, "levels": 5},
-    {**DF_CONFIG, "levels": [10.0, -1.0]},
-    {**DF_CONFIG, "seed": -1},
-    {**DF_CONFIG, "seed": 1.5},
-    {**DF_CONFIG, "grid_n": 0},
-    {**EN_CONFIG, "n_samples": 0},
-    {**DF_CONFIG, "lyap": {"l_bar": -3.0, "k": 7.0, "lambda_hat2": 0.01}},
-    {**EN_CONFIG, "lyap": {"mu0": 0.001, "eps": 5.0}},
+def _refused(tmp_path, capsys, bad, key):
+    """`params` on the config `bad` exits 1 with a config error that names `key`."""
+    rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({**DF_CONFIG, "signal": {"kind": "constant"}}, "'value'"),
+    ({**DF_CONFIG, "lyap": {"mu0": "x"}}, "lyap.mu0"),
+    ({**DF_CONFIG, "x0": [1, 2]}, "x0"),
+    ({**DF_CONFIG, "horizon": float("inf")}, "horizon"),
+    ({**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}}, "l_bar"),
+    ({**DF_CONFIG, "window": [[0.0]]}, "window"),
+    ({**DF_CONFIG, "window": [[1.0, 1.0], [0.0, 5.0]]}, "window"),
+    ({**DF_CONFIG, "window": [[-100.0, 200.0], [220.0, 0.0]]}, "window"),
+    ({**DF_CONFIG, "resolution": [1]}, "resolution"),
+    ({**DF_CONFIG, "plane": {"axis": "x3t"}}, "plane"),
+    ({**DF_CONFIG, "plane": {"axis": "x1t", "value": 0}}, "plane"),
+    ({**DF_CONFIG, "levels": 5}, "levels"),
+    ({**DF_CONFIG, "levels": [10.0, -1.0]}, "levels"),
+    ({**DF_CONFIG, "seed": -1}, "seed"),
+    ({**DF_CONFIG, "seed": 1.5}, "seed"),
+    ({**DF_CONFIG, "grid_n": 0}, "grid_n"),
+    ({**EN_CONFIG, "n_samples": 0}, "n_samples"),
+    ({**DF_CONFIG, "lyap": {"l_bar": -3.0, "k": 7.0, "lambda_hat2": 0.01}}, "l_bar"),
+    ({**EN_CONFIG, "lyap": {"mu0": 0.001, "eps": 5.0}}, "mu0"),
+    # an unhashable equilibrium is compared, not looked up
+    ({**DF_CONFIG, "equilibrium": ["df"]}, "equilibrium"),
+    ({**DF_CONFIG, "equilibrium": {}}, "equilibrium"),
+    # a signal object holds exactly its kind's keys
+    ({**DF_CONFIG, "signal": {"kind": "constant", "value": 3.0, "junk": 1}}, "'junk'"),
+    ({**DF_CONFIG, "signal": {"kind": "step", "t_switch": 5.0, "before": 3.0}}, "'after'"),
+    ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": [[0.0, 3.0, 1.0]]}}, "signal.points"),
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
         "partial_endemic_override", "short_window", "empty_window", "inverted_window",
         "short_resolution",
         "plane_without_value", "plane_bad_axis", "scalar_levels", "negative_level",
         "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples",
-        "df_with_endemic_keys", "endemic_with_df_keys"])
-def test_bad_config_values(tmp_path, capsys, bad):
-    rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "config error:" in capsys.readouterr().err
+        "df_with_endemic_keys", "endemic_with_df_keys",
+        "equilibrium_list", "equilibrium_object",
+        "signal_extra_key", "signal_missing_key", "piecewise_bad_points"])
+def test_bad_config_values(tmp_path, capsys, bad, key):
+    _refused(tmp_path, capsys, bad, key)
 
 
-@pytest.mark.parametrize("bad", [
-    {**DF_CONFIG, "model": {**DF_CONFIG["model"], "mu": True}},
-    {**DF_CONFIG, "horizon": True},
-    {**DF_CONFIG, "levels": [True]},
-    {**DF_CONFIG, "signal": {"kind": "constant", "value": True}},
-], ids=["model_key", "horizon", "levels", "signal_value"])
-def test_config_refuses_booleans_as_numbers(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, key", [
+    ({**DF_CONFIG, "model": {**DF_CONFIG["model"], "mu": True}}, "mu"),
+    ({**DF_CONFIG, "horizon": True}, "horizon"),
+    ({**DF_CONFIG, "levels": [True]}, "levels"),
+    ({**DF_CONFIG, "signal": {"kind": "constant", "value": True}}, "signal.value"),
+    # float("3.0") is 3.0: a JSON string must not pass for a number either
+    ({**DF_CONFIG, "model": {**DF_CONFIG["model"], "b_hat": "3.0"}}, "b_hat"),
+    ({**DF_CONFIG, "lyap": {"mu0": "0.0148"}}, "lyap.mu0"),
+    ({**DF_CONFIG, "horizon": "200"}, "horizon"),
+    ({**DF_CONFIG, "dt": "0.05"}, "dt"),
+    ({**DF_CONFIG, "levels": [10.0, "30"]}, "levels"),
+    ({**DF_CONFIG, "x0": [100.0, "50", 0.0]}, "x0"),
+    ({**DF_CONFIG, "window": [[-100.0, "200"], [0.0, 220.0]]}, "window"),
+    ({**DF_CONFIG, "plane": {"axis": "x3t", "value": "0"}}, "plane.value"),
+    ({**DF_CONFIG, "signal": {"kind": "constant", "value": "3.0"}}, "signal.value"),
+    ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": [[0.0, 3.0], ["100", 4.0]]}},
+     "signal.points"),
+], ids=["model_key", "horizon", "levels", "signal_value",
+        "model_key_string", "lyap_key_string", "horizon_string", "dt_string", "levels_string",
+        "x0_string", "window_string", "plane_value_string", "signal_value_string",
+        "piecewise_point_string"])
+def test_config_refuses_booleans_as_numbers(tmp_path, capsys, bad, key):
     # float(True) is 1.0: a JSON true must not pass for a number
-    rc = cli.main(["params", "--config", _write(tmp_path, bad), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "config error:" in capsys.readouterr().err
+    _refused(tmp_path, capsys, bad, key)
 
 
 @pytest.mark.parametrize("lyap", [

@@ -134,6 +134,26 @@ def test_params_validation_and_json(p_df):
         sl.ModelParams.from_dict({**d, "extra": 1.0})
 
 
+@pytest.mark.parametrize("record", ["p_df", "lp_df", "lp_en"])
+def test_float_records_take_exactly_their_keys(request, record):
+    rec = request.getfixturevalue(record)
+    d = rec.as_dict()
+    assert type(rec).from_dict(d) == rec
+    first = next(iter(d))
+    bad = [{**d, "extra": 1.0}, {k: v for k, v in d.items() if k != first},
+           {**d, first: True}, {**d, first: str(d[first])}]
+    for b, key in zip(bad, ["extra", first, first, first]):
+        with pytest.raises(ValueError, match=key):
+            type(rec).from_dict(b)
+
+
+def test_decode_number():
+    assert model.decode_number("x", 2) == 2.0 and type(model.decode_number("x", 2)) is float
+    for v in (True, "1", None, [1.0], float("inf"), float("nan"), 10 ** 400):
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            model.decode_number("x", v)
+
+
 def test_state_and_deviation(p_en):
     with pytest.raises(ValueError):
         sl.State(-1.0, 0.0, 0.0)
