@@ -10,18 +10,15 @@ import sys
 #: each public name -> its submodule; both load on first access (PEP 562)
 _EXPORTS = {name: mod for mod, names in {
     "errors": "ConfigError DomainError InfeasibleOverride NoConvergence "
-              "NonFiniteState OnBoundary OutOfH R0NotAboveOne RangeError RegimeError "
-              "SirLyapError",
-    "model": "Deviation Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
+              "NonFiniteState R0NotAboveOne RangeError RegimeError SirLyapError",
+    "model": "Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
              "disease_free_eq endemic_eq r0_hat rhs total_population_bound",
     "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",
     "ode": "Trajectory integrate",
-    "lyap_df": "DfLyapParams DfRegion DiseaseFreeLyapunov df_chi df_decrease_slack df_gradient "
-               "df_region df_value select_df_params",
-    "lyap_en": "EndemicLyapunov EnLyapParams EnRegion check_condition_50 en_eta en_gradient "
-               "en_input_range en_params_from en_region en_value in_H in_sublevel k0_bound "
-               "lambda3_bound nu_fun omega omega_inv p_fun p_inv select_en_params theta "
-               "theta_inv",
+    "lyap_df": "DfLyapParams DiseaseFreeLyapunov df_chi select_df_params",
+    "lyap_en": "EndemicLyapunov EnLyapParams EnRegion check_condition_50 en_eta "
+               "en_input_range en_params_from k0_bound lambda3_bound nu_fun omega omega_inv "
+               "p_fun p_inv select_en_params theta theta_inv",
     "verify": "CheckResult VerificationReport run_certification",
     "levelset": "Contour analytic_contour_df extract_contours",
 }.items() for name in names.split()}

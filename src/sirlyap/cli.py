@@ -112,7 +112,11 @@ class RunConfig:
         if x0 is not None:
             if not isinstance(x0, list) or len(x0) != 3:
                 raise ConfigError(f"x0 must be a list of 3 numbers, got {x0!r}")
-            x0 = State(*(decode_number("x0", v) for v in x0))
+            x0 = [decode_number(f"x0[{j}]", v) for j, v in enumerate(x0)]
+            for j, v in enumerate(x0):
+                if v < 0.0:
+                    raise ConfigError(f"x0[{j}] must be nonnegative, got {v!r}")
+            x0 = State(*x0)
         horizon, dt = decode_number("horizon", d["horizon"]), decode_number("dt", d["dt"])
         if horizon < 0.0 or dt <= 0.0:
             raise ConfigError("need horizon >= 0 and dt > 0")
@@ -150,9 +154,12 @@ def _load_config(args) -> RunConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    try:
+        levels = None if args.levels is None else [float(v) for v in args.levels.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--levels takes comma-separated numbers: {exc}") from None
     flags = {"out_dir": args.out, "seed": args.seed, "dt": args.dt, "horizon": args.t_end,
-             "levels": None if args.levels is None else [float(v) for v in args.levels.split(",")],
-             "equilibrium": args.equilibrium}
+             "levels": levels, "equilibrium": args.equilibrium}
     raw.update({k: v for k, v in flags.items() if v is not None})
     return RunConfig.from_dict(raw)
 
@@ -267,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, OSError, ValueError) as exc:  # ValueError: bad JSON or --levels
+    except (ConfigError, OSError, ValueError) as exc:  # ValueError: bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

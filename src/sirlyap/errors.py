@@ -21,14 +21,6 @@ class DomainError(SirLyapError):
     """Argument lies outside the domain of the function."""
 
 
-class OutOfH(DomainError):
-    """Deviation lies outside the Lipschitz domain of the endemic function."""
-
-
-class OnBoundary(SirLyapError):
-    """Gradient requested within the band around a region boundary."""
-
-
 class NonFiniteState(SirLyapError):
     """Integration produced a non-finite or significantly negative state."""
 

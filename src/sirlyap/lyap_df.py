@@ -4,13 +4,11 @@ The function is linear on each of three regions of the deviation space
 R x R+^2; the regions are separated by the plane x1t = 0 and by the tilted
 plane x1t = -(beta*x1hat/mu0) * (x2t + lambda3*x3t).
 
-Evaluation is array-first: each region's value formula and gradient, the
-region split and the boundary band are written once, over deviation arrays
-of shape (n, 3).  The scalar functions (`df_region`, `df_value`,
-`df_gradient`, `df_grad_dot_f`) check the domain of one `Deviation` and read
-row 0 of the array path.  numpy is imported inside the array functions
-only, so the constants, the level polyline and `sirlyap params` run
-without it.
+Evaluation runs on arrays only: each region's value formula and gradient,
+the region split and the boundary band are written once, over deviation
+arrays of shape (n, 3), and a single point is a 1-row array.  numpy is
+imported inside the array functions only, so the constants, the level
+polyline and `sirlyap params` run without it.
 
 `DiseaseFreeLyapunov` describes V, its ISS gain and its input range; certify's
 checks and their order belong to the harness above this module.
@@ -19,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from . import model
-from .errors import DomainError, InfeasibleOverride, OnBoundary, RegimeError
-from .model import Deviation, EquilibriumKind, FloatRecord, ModelParams
+from .errors import DomainError, InfeasibleOverride, RegimeError
+from .model import EquilibriumKind, FloatRecord, ModelParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,12 +49,6 @@ class DfLyapParams(FloatRecord):
     gamma0: float
     lambda3: float
     delta: float
-
-
-class DfRegion(Enum):
-    A = "A"  # x1t >= 0
-    B = "B"  # threshold <= x1t < 0
-    C = "C"  # x1t < threshold
 
 
 def _eps_interval(p: ModelParams) -> tuple:
@@ -128,7 +119,7 @@ def df_decay_rate(lp: DfLyapParams, p: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array evaluation over deviations X (n, 3); scalar forms read row 0
+# array evaluation over deviations X (n, 3)
 # ---------------------------------------------------------------------------
 
 def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
@@ -184,48 +175,6 @@ def df_near_boundary(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndar
     thr = df_threshold(lp, p, X[:, 1], X[:, 2])
     dist = np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
     return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
-
-
-def _row(dev: Deviation) -> np.ndarray:
-    """One deviation as a 1-row batch for the array path."""
-    if dev.x2t < 0.0 or dev.x3t < 0.0:
-        raise DomainError("disease-free function needs x2t >= 0 and x3t >= 0")
-    return dev.as_array()[None, :]
-
-
-def df_region(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> DfRegion:
-    """Classify a deviation; boundary points go to the closed-inequality side."""
-    return list(DfRegion)[df_value_region_arrays(lp, p, _row(dev))[1][0]]
-
-
-def df_value(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> float:
-    return float(df_value_region_arrays(lp, p, _row(dev))[0][0])
-
-
-def df_gradient(lp: DfLyapParams, p: ModelParams, dev: Deviation) -> tuple:
-    """Analytic gradient; refuses points within the boundary band."""
-    X = _row(dev)
-    if df_near_boundary(lp, p, X)[0]:
-        raise OnBoundary("deviation within band of a region boundary")
-    return tuple(float(g) for g in df_gradient_arrays(lp, p, X)[0])
-
-
-def df_grad_dot_f(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float) -> float:
-    """Directional derivative along the deviation dynamics; see df_grad_dot_f_arrays."""
-    return float(df_grad_dot_f_arrays(lp, p, _row(dev), u)[0])
-
-
-def df_decrease_slack(lp: DfLyapParams, p: ModelParams, dev: Deviation, u: float) -> float:
-    """Slack of the decrease inequality at one point.
-
-    Nonnegative slack certifies the ISS implication here whenever
-    V(dev) >= chi(|u|).  u must stay >= -b_hat so the rate B stays valid.
-    """
-    if u < -p.b_hat:
-        raise DomainError("u must be >= -b_hat")
-    gf = df_grad_dot_f(lp, p, dev, u)
-    v = df_value(lp, p, dev)
-    return -gf - df_decay_rate(lp, p) * v
 
 
 class DiseaseFreeLyapunov:

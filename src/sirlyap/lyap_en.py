@@ -23,7 +23,9 @@ certified numerically by `check_condition_50`.
 
 Each region's V12 is written once, as a linear form in (x1t, x2t) taken
 through P^{-1} in regions C, D and E (`_region_forms`), and evaluated by the
-array functions over deviations (n, 3); the scalar functions read row 0.
+array functions over deviations (n, 3), the one evaluation path: a single
+point is a 1-row array.  Outside the domain H the value is NaN, and the
+boundary band of the gradient is the mask `en_near_boundary`.
 
 The monotone maps take a Python float and return one, or take an array and
 return an array, with one formula for both (`_theta`, `_omega_inv`, ...).
@@ -46,10 +48,9 @@ from typing import TYPE_CHECKING, Optional
 
 from . import model
 from .bands import bands
-from .errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
-                     OutOfH, RegimeError)
+from .errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
 from .lyap_df import BOUNDARY_BAND, _require_overrides
-from .model import Deviation, EquilibriumKind, FloatRecord, ModelParams, Regime
+from .model import EquilibriumKind, FloatRecord, ModelParams, Regime
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,17 +96,6 @@ class EnRegion(Enum):
     D = "D"
     E = "E"
     F = "F"
-
-
-class X3Sign(Enum):
-    NONNEG = "nonneg"
-    NEG = "neg"
-
-
-@dataclass(frozen=True)
-class EnRegionLabel:
-    region: EnRegion
-    x3_sign: X3Sign
 
 
 @dataclass(frozen=True)
@@ -537,54 +527,15 @@ def en_near_boundary(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndar
 
 
 def in_sublevel_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray, L: float) -> np.ndarray:
+    """Membership of deviations X (n, 3) in the closed sublevel set {V <= L}
+    within the orthant shift; DomainError for L outside [0, l_bar]."""
+    if not (0.0 <= L <= lp.l_bar * (1.0 + 1e-12)):
+        raise DomainError("L must lie in [0, l_bar]")
     import numpy as np
     x1h, x2h, x3h = _xhat(p)
     phys = (X[:, 0] >= -x1h) & (X[:, 1] >= -x2h) & (X[:, 2] >= -x3h)
     v = en_value_many(p, lp, X)
     return phys & np.isfinite(v) & (v <= L)
-
-
-def _row(dev: Deviation) -> np.ndarray:
-    return dev.as_array()[None, :]
-
-
-def in_H(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> bool:
-    """Membership in the Lipschitz domain H (three strict/closed inequalities)."""
-    return bool(_h_masks(p, lp, dev.x1t, dev.x2t, lp.l_bar))
-
-
-def en_region(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> EnRegionLabel:
-    """Classify a deviation; boundary points follow the non-strict inequalities."""
-    if not in_H(p, lp, dev):
-        raise OutOfH("deviation outside the domain H")
-    X = _row(dev)
-    code = int(_region_codes(p, lp, X[:, 0], X[:, 1])[0])
-    sign = X3Sign.NONNEG if dev.x3t >= 0.0 else X3Sign.NEG
-    return EnRegionLabel(list(EnRegion)[code], sign)
-
-
-def en_value(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> float:
-    v = float(en_value_many(p, lp, _row(dev))[0])
-    if math.isnan(v):
-        raise OutOfH("deviation outside the domain H")
-    return v
-
-
-def en_gradient(p: ModelParams, lp: EnLyapParams, dev: Deviation) -> tuple:
-    """Analytic gradient; raises OnBoundary within the band of any kink."""
-    if not in_H(p, lp, dev):
-        raise OutOfH("deviation outside the domain H")
-    X = _row(dev)
-    if en_near_boundary(p, lp, X)[0]:
-        raise OnBoundary("deviation within band of a region boundary or the x3t kink")
-    return tuple(float(g) for g in en_gradient_arrays(p, lp, X)[0])
-
-
-def in_sublevel(p: ModelParams, lp: EnLyapParams, dev: Deviation, L: float) -> bool:
-    """Membership in the closed sublevel set {V <= L} within the orthant shift."""
-    if not (0.0 <= L <= lp.l_bar * (1.0 + 1e-12)):
-        raise DomainError("L must lie in [0, l_bar]")
-    return bool(in_sublevel_many(p, lp, _row(dev), L)[0])
 
 
 def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional[list]:

@@ -2,8 +2,9 @@
 
 States are continuum population counts (S, I, R).  The newborn/immigration
 rate B enters the susceptible equation as an external input.  numpy is
-imported only by the array forms (`as_array`, `total_population_exact`,
-`rhs_stacked`), so the scalar model loads without it.
+imported only by the array forms (`State.as_array`, `total_population_exact`,
+`rhs_stacked`), so the scalar model loads without it.  The scalar `rhs` of
+one state serves the two demos in `verify`; it is `rhs_arrays` on floats.
 """
 from __future__ import annotations
 
@@ -104,35 +105,6 @@ class EquilibriumKind(Enum):
 class Equilibrium:
     kind: EquilibriumKind
     point: State
-
-
-@dataclass(frozen=True)
-class Deviation:
-    """State relative to a chosen equilibrium, x_tilde = x - x_hat."""
-
-    x1t: float
-    x2t: float
-    x3t: float
-
-    def as_array(self):
-        """(x1t, x2t, x3t) as a numpy array."""
-        import numpy as np
-        return np.array([self.x1t, self.x2t, self.x3t], dtype=float)
-
-    @classmethod
-    def from_state(cls, x: State, eq: Equilibrium) -> "Deviation":
-        q = eq.point
-        return cls(x.s - q.s, x.i - q.i, x.r - q.r)
-
-    def to_state(self, eq: Equilibrium) -> State:
-        q = eq.point
-        s, i, r = q.s + self.x1t, q.i + self.x2t, q.r + self.x3t
-        if min(s, i, r) < 0.0:
-            raise DomainError("deviation leaves the physical orthant for this anchor")
-        return State(s, i, r)
-
-    def norm1(self) -> float:
-        return abs(self.x1t) + abs(self.x2t) + abs(self.x3t)
 
 
 class Regime(Enum):

@@ -29,7 +29,7 @@ from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import RangeError, RegimeError
 from .lyap_en import sample_sublevel
-from .model import Deviation, EquilibriumKind, ModelParams, State
+from .model import EquilibriumKind, ModelParams, State
 
 N_POINTWISE = 20_000     # cap on the pointwise ISS samples
 N_STARTS = 50            # nominal-input trajectory starts
@@ -138,7 +138,7 @@ def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) ->
                          rng.uniform(0.0, 5.0 * x1h, n),
                          rng.uniform(0.0, 5.0 * x1h, n)])
     v = lyap.value_many(X)
-    v0 = lyap_df.df_value(lyap.lp, lyap.p, Deviation(0.0, 0.0, 0.0))
+    v0 = float(lyap.value_many(np.zeros((1, 3)))[0])
     ok = bool(n > 0 and v0 == 0.0 and np.all(v > 0.0))
     return CheckResult("df_positive_definite", ok, float(v.min(initial=math.inf)),
                        _loc(X[np.argmin(v)]) if n > 0 else None, n, {"value_at_zero": v0})
@@ -657,11 +657,11 @@ def prohibited_region_demo(p: ModelParams, l_bars=(340.0, 1e3, 3e3, 1e4),
     i_monotone = sign_ok and bool(np.all(I[1:][below] < I[:-1][below]))
     dist_f = np.abs(traj.states - xf[None, :]).sum(axis=1)
     final_dist_e = float(np.abs(traj.states[-1] - q.as_array()).sum())
-    dev0 = Deviation(start.s - q.s, start.i - q.i, start.r - q.r)
+    dev0 = (start.as_array() - q.as_array())[None, :]
     excluded = []
     for lb in l_bars:
         lp = lyap_en.select_en_params(p, l_bar=lb)
-        excluded.append(not lyap_en.in_sublevel(p, lp, dev0, lb))
+        excluded.append(not lyap_en.in_sublevel_many(p, lp, dev0, lb)[0])
     ok = di_negative and axis_ok and i_monotone and all(excluded) and final_dist_e < 1.0
     return CheckResult("prohibited_region", ok,
                        float(min(-f0[1], 1.0 - final_dist_e)),

@@ -8,7 +8,6 @@ import pytest
 
 import sirlyap as sl
 from sirlyap import levelset, lyap_df, lyap_en, ode, verify
-from sirlyap.model import Deviation
 
 SEED = verify.DEFAULT_SEED
 

@@ -286,11 +286,12 @@ def test_levels_flag_override(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "out" / "levelsets_df.csv").read_text().splitlines()
     assert all(r.startswith("30.0,") for r in lines[1:])
-    for levels in ("10,abc", "nan"):
+    for levels, named in (("10,abc", ["--levels", "'abc'"]), ("nan", ["levels", "nan"])):
         rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
                        "--out", str(tmp_path / "out"), "--levels", levels])
+        err = capsys.readouterr().err
         assert rc == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        assert err.startswith("config error:") and all(n in err for n in named), err
 
 
 def test_cmd_certify_regime_error(tmp_path, capsys):
@@ -341,6 +342,7 @@ def _refused(tmp_path, capsys, bad, key):
     ({**DF_CONFIG, "signal": {"kind": "constant"}}, "'value'"),
     ({**DF_CONFIG, "lyap": {"mu0": "x"}}, "lyap.mu0"),
     ({**DF_CONFIG, "x0": [1, 2]}, "x0"),
+    ({**DF_CONFIG, "x0": [-1, 0, 0]}, "x0[0] must be nonnegative, got -1.0"),
     ({**DF_CONFIG, "horizon": float("inf")}, "horizon"),
     ({**EN_CONFIG, "lyap": {"lambda_hat2": 0.01}}, "l_bar"),
     ({**DF_CONFIG, "window": [[0.0]]}, "window"),
@@ -364,7 +366,8 @@ def _refused(tmp_path, capsys, bad, key):
     ({**DF_CONFIG, "signal": {"kind": "constant", "value": 3.0, "junk": 1}}, "'junk'"),
     ({**DF_CONFIG, "signal": {"kind": "step", "t_switch": 5.0, "before": 3.0}}, "'after'"),
     ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": [[0.0, 3.0, 1.0]]}}, "signal.points"),
-], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "infinite_horizon",
+], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "negative_x0",
+        "infinite_horizon",
         "partial_endemic_override", "short_window", "empty_window", "inverted_window",
         "short_resolution",
         "plane_without_value", "plane_bad_axis", "scalar_levels", "negative_level",

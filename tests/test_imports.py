@@ -15,6 +15,9 @@ import sirlyap as sl
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: the number of public names; a new export is a decision, made here
+N_EXPORTS = 55
+
 DF = {
     "model": {"beta": 0.0002, "gamma": 0.032, "mu": 0.015, "b_hat": 3.0},
     "equilibrium": "df",
@@ -121,7 +124,7 @@ def test_import_loads_no_submodule():
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(set(sl.__all__)) == len(sl.__all__)
+    assert len(set(sl.__all__)) == len(sl.__all__) == N_EXPORTS
     for name in sl.__all__:
         owner = importlib.import_module(f"sirlyap.{sl._EXPORTS[name]}")
         assert getattr(sl, name) is getattr(owner, name), name

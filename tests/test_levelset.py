@@ -128,7 +128,7 @@ def test_failed_contours_csv_leaves_the_earlier_file(tmp_path, ly_df):
 
 
 def _plane_points(plane, pts):
-    """Deviations (n, 3) of points given in a plane's free coordinates."""
+    """The deviations, an (n, 3) array, of points given in a plane's free coordinates."""
     X = np.empty((len(pts), 3))
     free = [0, 1] if plane[0] == "x3t" else [0, 2]
     X[:, free] = pts

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import sirlyap as sl
-from sirlyap import lyap_df, model
-from sirlyap.errors import DomainError, InfeasibleOverride, OnBoundary, RegimeError
-from sirlyap.model import Deviation
+from sirlyap import lyap_df
+from sirlyap.errors import InfeasibleOverride, RegimeError
 
 
 def test_select_defaults(p_df, lp_df):
@@ -40,71 +39,54 @@ def test_select_rejects_bad_overrides(p_df, p_en):
 
 
 def test_region_examples(p_df, lp_df_ref):
-    lp = lp_df_ref
-    assert lyap_df.df_region(lp, p_df, Deviation(1.0, 5.0, 5.0)) is lyap_df.DfRegion.A
-    assert lyap_df.df_region(lp, p_df, Deviation(-1.0, 0.0, 0.0)) is lyap_df.DfRegion.C
-    # threshold -(0.0002*200/0.0148)*5 = -13.51... < -1
-    assert lyap_df.df_region(lp, p_df, Deviation(-1.0, 5.0, 0.0)) is lyap_df.DfRegion.B
-    assert lyap_df.df_region(lp, p_df, Deviation(0.0, 5.0, 0.0)) is lyap_df.DfRegion.A
-    with pytest.raises(DomainError):
-        lyap_df.df_region(lp, p_df, Deviation(1.0, -1.0, 0.0))
+    # codes 0, 1, 2 for regions A, B, C; the threshold at x2t = 5, x3t = 0 is
+    # -(0.0002*200/0.0148)*5 = -13.51... < -1, and x1t = 0 closes region A
+    X = np.array([[1.0, 5.0, 5.0], [-1.0, 0.0, 0.0], [-1.0, 5.0, 0.0], [0.0, 5.0, 0.0]])
+    codes = lyap_df.df_value_region_arrays(lp_df_ref, p_df, X)[1]
+    assert codes.tolist() == [0, 2, 1, 0]
 
 
-def test_value_examples(p_df, lp_df):
-    assert lyap_df.df_value(lp_df, p_df, Deviation(0.0, 0.0, 0.0)) == 0.0
-    expect = 1.0 + 2.0 + 3.0 * lp_df.lambda3
-    assert lyap_df.df_value(lp_df, p_df, Deviation(1.0, 2.0, 3.0)) == pytest.approx(expect)
+def test_value_examples(ly_df, lp_df):
+    v = ly_df.value_many(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    assert v[0] == 0.0
+    assert v[1] == pytest.approx(1.0 + 2.0 + 3.0 * lp_df.lambda3)
 
 
-def test_boundary_continuity(p_df, lp_df):
-    rng = np.random.default_rng(5)
-    c = p_df.beta * 200.0 / lp_df.mu0
-    for _ in range(1000):
-        x2, x3 = rng.uniform(0.0, 600.0, 2)
-        lin = x2 + lp_df.lambda3 * x3
-        va = lyap_df.df_value(lp_df, p_df, Deviation(0.0, x2, x3))
-        assert va == pytest.approx(lin, rel=1e-9)
-        thr = -c * lin
-        vb = lin
-        vc = -lp_df.mu0 * thr / (p_df.beta * 200.0)
-        assert vc == pytest.approx(vb, rel=1e-9)
+def test_boundary_continuity(p_df, lp_df, ly_df):
+    x2, x3 = np.random.default_rng(5).uniform(0.0, 600.0, (1000, 2)).T
+    lin = x2 + lp_df.lambda3 * x3
+    va = ly_df.value_many(np.column_stack([np.zeros(1000), x2, x3]))
+    np.testing.assert_allclose(va, lin, rtol=1e-9)
+    thr = -(p_df.beta * 200.0 / lp_df.mu0) * lin
+    vc = -lp_df.mu0 * thr / (p_df.beta * 200.0)
+    np.testing.assert_allclose(vc, lin, rtol=1e-9)
 
 
 def test_gradient(p_df, lp_df):
-    g = lyap_df.df_gradient(lp_df, p_df, Deviation(5.0, 5.0, 5.0))
-    assert g == (1.0, 1.0, lp_df.lambda3)
-    gc = lyap_df.df_gradient(lp_df, p_df, Deviation(-500.0, 1.0, 1.0))
-    assert gc == (-lp_df.mu0 / (p_df.beta * 200.0), 0.0, 0.0)
-    with pytest.raises(OnBoundary):
-        lyap_df.df_gradient(lp_df, p_df, Deviation(0.0, 5.0, 5.0))
+    X = np.array([[5.0, 5.0, 5.0], [-500.0, 1.0, 1.0], [0.0, 5.0, 5.0]])
+    G = lyap_df.df_gradient_arrays(lp_df, p_df, X)
+    assert G[0].tolist() == [1.0, 1.0, lp_df.lambda3]
+    assert G[1].tolist() == [-lp_df.mu0 / (p_df.beta * 200.0), 0.0, 0.0]
+    # the A/B boundary x1t = 0 lies in the band, the other two points do not
+    assert lyap_df.df_near_boundary(lp_df, p_df, X).tolist() == [False, False, True]
 
 
-def test_gradient_matches_finite_differences(p_df, lp_df):
+def test_gradient_matches_finite_differences(p_df, lp_df, ly_df):
     rng = np.random.default_rng(6)
     checked = 0
     while checked < 100:
-        d = Deviation(float(rng.uniform(-600.0, 600.0)),
-                      float(rng.uniform(0.1, 600.0)), float(rng.uniform(0.1, 600.0)))
-        try:
-            g = lyap_df.df_gradient(lp_df, p_df, d)
-        except OnBoundary:
+        base = np.array([rng.uniform(-600.0, 600.0), rng.uniform(0.1, 600.0),
+                         rng.uniform(0.1, 600.0)])
+        X = base[None, :]
+        if lyap_df.df_near_boundary(lp_df, p_df, X)[0]:
             continue
-        h = 1e-6 * (1.0 + d.norm1())
-        fd = []
-        base = d.as_array()
-        ok = True
-        for i in range(3):
-            hi, lo = base.copy(), base.copy()
-            hi[i] += h
-            lo[i] -= h
-            if lo[1] < 0.0 or lo[2] < 0.0:
-                ok = False
-                break
-            fd.append((lyap_df.df_value(lp_df, p_df, Deviation(*hi))
-                       - lyap_df.df_value(lp_df, p_df, Deviation(*lo))) / (2.0 * h))
-        if not ok:
+        g = lyap_df.df_gradient_arrays(lp_df, p_df, X)[0]
+        h = 1e-6 * (1.0 + np.abs(base).sum())
+        step = h * np.eye(3)
+        if np.any((base - step)[:, 1:] < 0.0):
             continue
-        assert np.abs(np.array(fd) - np.array(g)).max() < 1e-6
+        fd = (ly_df.value_many(base + step) - ly_df.value_many(base - step)) / (2.0 * h)
+        assert np.abs(fd - g).max() < 1e-6
         checked += 1
 
 
@@ -118,26 +100,25 @@ def test_chi(p_df, lp_df_ref):
 
 
 def test_decrease_slack(p_df, lp_df):
-    assert lyap_df.df_decrease_slack(lp_df, p_df, Deviation(0.0, 0.0, 0.0), 0.0) \
-        == pytest.approx(0.0, abs=1e-15)
+    # slack -grad V . f - rate*V of the decrease inequality under u = 0
+    rate = lyap_df.df_decay_rate(lp_df, p_df)
+
+    def slack(X):
+        v = lyap_df.df_value_region_arrays(lp_df, p_df, X)[0]
+        return -lyap_df.df_grad_dot_f_arrays(lp_df, p_df, X, 0.0) - rate * v
+
+    assert slack(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(7)
     eps_lo = min(lp_df.eps * (lp_df.gamma0 + p_df.mu), p_df.mu)
     for _ in range(200):
-        d = Deviation(float(rng.uniform(-200.0, 600.0)),
-                      float(rng.uniform(0.0, 600.0)), float(rng.uniform(0.0, 600.0)))
-        try:
-            reg = lyap_df.df_region(lp_df, p_df, d)
-            slack = lyap_df.df_decrease_slack(lp_df, p_df, d, 0.0)
-        except OnBoundary:
-            continue
-        assert slack >= -1e-12
-        if reg is lyap_df.DfRegion.B:
-            # sharper per-region rate in the middle region
-            gf = lyap_df.df_grad_dot_f(lp_df, p_df, d, 0.0)
-            v = lyap_df.df_value(lp_df, p_df, d)
-            assert gf <= -eps_lo * v + 1e-12
-    with pytest.raises(DomainError):
-        lyap_df.df_decrease_slack(lp_df, p_df, Deviation(1.0, 1.0, 1.0), -p_df.b_hat - 1.0)
+        X = np.array([[rng.uniform(-200.0, 600.0), rng.uniform(0.0, 600.0),
+                       rng.uniform(0.0, 600.0)]])
+        assert slack(X)[0] >= -1e-12
+        v, codes = lyap_df.df_value_region_arrays(lp_df, p_df, X)
+        if codes[0] == 1:
+            # sharper per-region rate in the middle region B
+            gf = lyap_df.df_grad_dot_f_arrays(lp_df, p_df, X, 0.0)
+            assert gf[0] <= -eps_lo * v[0] + 1e-12
 
 
 def test_positive_definite_and_radially_unbounded(p_df, lp_df):
@@ -147,10 +128,9 @@ def test_positive_definite_and_radially_unbounded(p_df, lp_df):
                          rng.uniform(0.0, 1000.0, 1000)])
     v, _ = lyap_df.df_value_region_arrays(lp_df, p_df, X)
     assert np.all(v > 0.0)
-    for d in (Deviation(3.0, 1.0, 2.0), Deviation(-4.0, 0.5, 0.0)):
-        vals = [lyap_df.df_value(lp_df, p_df,
-                                 Deviation(s * d.x1t, s * d.x2t, s * d.x3t))
-                for s in (1.0, 10.0, 100.0, 1000.0)]
+    scales = np.array([1.0, 10.0, 100.0, 1000.0])
+    for d in ([3.0, 1.0, 2.0], [-4.0, 0.5, 0.0]):
+        vals = lyap_df.df_value_region_arrays(lp_df, p_df, scales[:, None] * np.array(d))[0]
         ratios = np.diff(np.log(vals))
         assert np.all(vals[:-1] < vals[1:])
         assert np.allclose(ratios, np.log(10.0), rtol=1e-6)  # linear growth

@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sirlyap as sl
 from sirlyap import lyap_en, model, verify
-from sirlyap.errors import (DomainError, InfeasibleOverride, NoConvergence, OnBoundary,
-                            OutOfH, RegimeError)
-from sirlyap.model import Deviation, Regime
+from sirlyap.errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
+from sirlyap.model import Regime
 
 X1H = 235.0
 X2H = 286.7021276595745
@@ -201,27 +200,25 @@ def test_select_en_params(p_en, p_df):
 
 
 def test_en_region(p_en, lp_en):
-    lab = lyap_en.en_region(p_en, lp_en, Deviation(5.0, 5.0, 0.0))
-    assert lab.region is lyap_en.EnRegion.A
-    assert lab.x3_sign is lyap_en.X3Sign.NONNEG
-    x2 = -50.0
-    x1 = lyap_en.theta_inv(p_en, 50.0) + 1.0
-    lab = lyap_en.en_region(p_en, lp_en, Deviation(x1, x2, -1.0))
-    assert lab.region is lyap_en.EnRegion.F
-    assert lab.x3_sign is lyap_en.X3Sign.NEG
+    # codes 0..5 for regions A..F; the x3t sign picks the sign of the x3 slope
+    X = np.array([[5.0, 5.0, 0.0], [lyap_en.theta_inv(p_en, 50.0) + 1.0, -50.0, -1.0]])
+    codes = lyap_en.en_region_terms(p_en, lp_en, X)[0]
+    assert [list(lyap_en.EnRegion)[c] for c in codes] == [lyap_en.EnRegion.A,
+                                                            lyap_en.EnRegion.F]
+    assert lyap_en.en_gradient_arrays(p_en, lp_en, X)[:, 2].tolist() == [lp_en.lambda3,
+                                                                         -lp_en.lambda3]
     # the hyperbola x1*x2 = x1h*x2h carries the E/F boundary
     for v in (10.0, 80.0, 150.0):
         x1b = lyap_en.theta_inv(p_en, v)
         prod = (X1H + x1b) * (X2H - v)
         assert prod == pytest.approx(X1H * X2H, rel=1e-12)
-    with pytest.raises(OutOfH):
-        lyap_en.en_region(p_en, lp_en, Deviation(-400.0, -250.0, 0.0))
 
 
-def test_en_value(p_en, lp_en):
-    assert lyap_en.en_value(p_en, lp_en, Deviation(0.0, 0.0, 0.0)) == 0.0
-    expect = 3.0 + 3.0 * lp_en.lambda3
-    assert lyap_en.en_value(p_en, lp_en, Deviation(1.0, 2.0, -3.0)) == pytest.approx(expect)
+def test_en_value(p_en, lp_en, ly_en):
+    v = ly_en.value_many(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -3.0], [-400.0, -250.0, 0.0]]))
+    assert v[0] == 0.0
+    assert v[1] == pytest.approx(3.0 + 3.0 * lp_en.lambda3)
+    assert np.isnan(v[2])
     rng = np.random.default_rng(9)
     X = np.column_stack([rng.uniform(-150.0, 330.0, 2000),
                          rng.uniform(-160.0, 360.0, 2000),
@@ -229,8 +226,6 @@ def test_en_value(p_en, lp_en):
     v = lyap_en.en_value_many(p_en, lp_en, X)
     good = np.isfinite(v)
     assert np.all(v[good] > 0.0)
-    with pytest.raises(OutOfH):
-        lyap_en.en_value(p_en, lp_en, Deviation(-400.0, -250.0, 0.0))
 
 
 def test_en_continuity_five_boundaries(ly_en):
@@ -240,50 +235,36 @@ def test_en_continuity_five_boundaries(ly_en):
 
 
 def test_en_gradient(p_en, lp_en):
-    g = lyap_en.en_gradient(p_en, lp_en, Deviation(5.0, 5.0, 1.0))
-    assert g == (1.0, 1.0, lp_en.lambda3)
-    with pytest.raises(OnBoundary):
-        lyap_en.en_gradient(p_en, lp_en, Deviation(5.0, 5.0, 0.0))
-    with pytest.raises(OnBoundary):
-        lyap_en.en_gradient(p_en, lp_en, Deviation(-lp_en.k * 5.0, 5.0, 1.0))
+    # the second point sits on the x3t kink, the third on the A/B boundary
+    X = np.array([[5.0, 5.0, 1.0], [5.0, 5.0, 0.0], [-lp_en.k * 5.0, 5.0, 1.0]])
+    assert lyap_en.en_gradient_arrays(p_en, lp_en, X)[0].tolist() == [1.0, 1.0, lp_en.lambda3]
+    assert lyap_en.en_near_boundary(p_en, lp_en, X).tolist() == [False, True, True]
 
 
-def test_en_gradient_matches_finite_differences(p_en, lp_en):
+def test_en_gradient_matches_finite_differences(p_en, lp_en, ly_en):
     rng = np.random.default_rng(10)
     checked = 0
     while checked < 200:
-        d = Deviation(float(rng.uniform(-140.0, 330.0)),
-                      float(rng.uniform(-160.0, 360.0)),
-                      float(rng.uniform(-600.0, 900.0)))
-        try:
-            g = np.array(lyap_en.en_gradient(p_en, lp_en, d))
-        except (OnBoundary, OutOfH):
+        base = np.array([rng.uniform(-140.0, 330.0), rng.uniform(-160.0, 360.0),
+                         rng.uniform(-600.0, 900.0)])
+        X = base[None, :]
+        if np.isnan(ly_en.value_many(X)[0]) or lyap_en.en_near_boundary(p_en, lp_en, X)[0]:
             continue
-        h = 1e-6 * (1.0 + d.norm1())
-        base = d.as_array()
-        fd = []
-        ok = True
-        for i in range(3):
-            hi, lo = base.copy(), base.copy()
-            hi[i] += h
-            lo[i] -= h
-            try:
-                fd.append((lyap_en.en_value(p_en, lp_en, Deviation(*hi))
-                           - lyap_en.en_value(p_en, lp_en, Deviation(*lo))) / (2 * h))
-            except OutOfH:
-                ok = False
-                break
-        if not ok:
+        g = lyap_en.en_gradient_arrays(p_en, lp_en, X)[0]
+        h = 1e-6 * (1.0 + np.abs(base).sum())
+        step = h * np.eye(3)
+        fd = (ly_en.value_many(base + step) - ly_en.value_many(base - step)) / (2 * h)
+        if np.isnan(fd).any():  # a step left H
             continue
-        assert np.abs(np.array(fd) - g).max() <= 1e-6 * (1.0 + np.abs(g).max())
+        assert np.abs(fd - g).max() <= 1e-6 * (1.0 + np.abs(g).max())
         checked += 1
 
 
 def test_in_h_and_sublevel(p_en, lp_en):
-    zero = Deviation(0.0, 0.0, 0.0)
-    assert lyap_en.in_H(p_en, lp_en, zero)
-    assert lyap_en.in_sublevel(p_en, lp_en, zero, 0.0)
-    assert not lyap_en.in_H(p_en, lp_en, Deviation(0.0, -X2H, 0.0))
+    zero = np.zeros((1, 3))
+    v = lyap_en.en_value_many(p_en, lp_en, np.array([[0.0, 0.0, 0.0], [0.0, -X2H, 0.0]]))
+    assert np.isfinite(v[0]) and np.isnan(v[1])  # in H, and outside it
+    assert lyap_en.in_sublevel_many(p_en, lp_en, zero, 0.0)[0]
     rng = np.random.default_rng(11)
     X = np.column_stack([rng.uniform(-160.0, 350.0, 10_000),
                          rng.uniform(-170.0, 380.0, 10_000),
@@ -296,8 +277,9 @@ def test_in_h_and_sublevel(p_en, lp_en):
     assert np.all(-m[:, 0] - m[:, 1] < (1.0 - lp_en.k) * x2h)
     assert np.all(-lp_en.lambda1 * m[:, 0] + lp_en.lambda_hat2 * m[:, 1]
                   < lp_en.lam0 * x2h)
-    with pytest.raises(DomainError):
-        lyap_en.in_sublevel(p_en, lp_en, zero, 2 * lp_en.l_bar)
+    for level in (2 * lp_en.l_bar, -1.0):
+        with pytest.raises(DomainError, match=r"^L must lie in \[0, l_bar\]$"):
+            lyap_en.in_sublevel_many(p_en, lp_en, zero, level)
 
 
 def test_en_input_range(p_en, lp_en):

@@ -128,6 +128,8 @@ def test_params_validation_and_json(p_df):
         sl.ModelParams(0.0, 0.032, 0.015, 3.0)
     with pytest.raises(ValueError):
         sl.ModelParams(0.0002, 0.032, 0.015, -1.0)
+    with pytest.raises(ValueError, match="state components must be nonnegative"):
+        sl.State(-1.0, 0.0, 0.0)
     d = p_df.as_dict()
     assert sl.ModelParams.from_dict(d) == p_df
     with pytest.raises(ValueError):
@@ -153,14 +155,3 @@ def test_decode_number():
         with pytest.raises(ValueError, match="^x must be a finite number"):
             model.decode_number("x", v)
 
-
-def test_state_and_deviation(p_en):
-    with pytest.raises(ValueError):
-        sl.State(-1.0, 0.0, 0.0)
-    eq = sl.endemic_eq(p_en)
-    x = sl.State(300.0, 200.0, 500.0)
-    d = sl.Deviation.from_state(x, eq)
-    back = d.to_state(eq)
-    assert np.allclose(back.as_array(), x.as_array())
-    with pytest.raises(DomainError):
-        sl.Deviation(-1000.0, 0.0, 0.0).to_state(eq)
