@@ -4,13 +4,15 @@ The function is linear on each of three regions of the deviation space
 R x R+^2; the regions are separated by the plane x1t = 0 and by the tilted
 plane x1t = -(beta*x1hat/mu0) * (x2t + lambda3*x3t).
 
-Evaluation runs on arrays only: each region's value formula and gradient,
-the region split and the boundary band are written once, over deviation
-arrays of shape (n, 3), and a single point is a 1-row array.  numpy is
-imported inside the array functions only, so the constants, the level
-polyline and `sirlyap params` run without it.
+Evaluation runs on arrays only: each region's value formula and gradient
+and the region split are written once, over deviation arrays of shape
+(n, 3), and a single point is a 1-row array; outside R x R+^2 the value is
+NaN.  numpy is imported inside the array functions only, so the constants,
+the level polyline and `sirlyap params` run without it.
 
-`DiseaseFreeLyapunov` describes V, its ISS gain and its input range; certify's
+`DiseaseFreeLyapunov` describes V, its ISS gain and input range, and what it
+certifies off its boundary band: wherever V >= chi(|u|), -grad V . f under
+the input u exceeds (1-delta)*(mu - mu0)*V (`iss_decrease`).  Certify's
 checks and their order belong to the harness above this module.
 """
 from __future__ import annotations
@@ -113,11 +115,6 @@ def df_chi(lp: DfLyapParams, p: ModelParams, u_mag: float) -> float:
     return abs(u_mag) / (lp.delta * (p.mu - lp.mu0))
 
 
-def df_decay_rate(lp: DfLyapParams, p: ModelParams) -> float:
-    """Certified decay rate (1-delta)*(mu-mu0) above the chi threshold."""
-    return (1.0 - lp.delta) * (p.mu - lp.mu0)
-
-
 # ---------------------------------------------------------------------------
 # array evaluation over deviations X (n, 3)
 # ---------------------------------------------------------------------------
@@ -131,12 +128,14 @@ def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
 
 def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
     """Values and region codes (0=A, 1=B, 2=C) for deviations X of shape (n, 3);
-    boundary points go to the closed-inequality side."""
+    boundary points go to the closed-inequality side, and the value is NaN
+    outside the domain R x R+^2 (x2t < 0 or x3t < 0)."""
     import numpy as np
     x1t = X[:, 0]
     in_b = x1t >= df_threshold(lp, p, X[:, 1], X[:, 2])
     codes = np.where(x1t >= 0.0, 0, np.where(in_b, 1, 2)).astype(np.int8)
-    return np.choose(codes, df_region_values(lp, p, X)), codes
+    outside = (X[:, 1] < 0.0) | (X[:, 2] < 0.0)
+    return np.where(outside, np.nan, np.choose(codes, df_region_values(lp, p, X))), codes
 
 
 def df_gradient_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -168,15 +167,6 @@ def df_level_polyline(lp: DfLyapParams, p: ModelParams, level: float) -> list:
     return [(level, 0.0), (0.0, level), (-a * level, level), (-a * level, 0.0)]
 
 
-def df_near_boundary(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:
-    """True where a point lies within the band BOUNDARY_BAND*(1+|X|), measured
-    along x1t, of a region boundary."""
-    import numpy as np
-    thr = df_threshold(lp, p, X[:, 1], X[:, 2])
-    dist = np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
-    return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
-
-
 class DiseaseFreeLyapunov:
     """Bound (model, params) pair with vectorised evaluation helpers."""
 
@@ -194,6 +184,22 @@ class DiseaseFreeLyapunov:
     def value_of_states(self, S: np.ndarray) -> np.ndarray:
         q = self.equilibrium.point.as_array()
         return self.value_many(S - q[None, :])
+
+    def near_boundary(self, X: np.ndarray) -> np.ndarray:
+        """True where a point lies within the band BOUNDARY_BAND*(1+|X|),
+        measured along x1t, of a region boundary."""
+        import numpy as np
+        thr = df_threshold(self.lp, self.p, X[:, 1], X[:, 2])
+        dist = np.minimum(np.abs(X[:, 0]), np.abs(X[:, 0] - thr))
+        return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
+
+    def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
+        return df_grad_dot_f_arrays(self.lp, self.p, X, u)
+
+    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u: float) -> tuple:
+        """Where V >= chi(|u|) holds, per row of X with values v, and the rate
+        (1-delta)*(mu - mu0)*V that -grad V . f under the input u exceeds there."""
+        return v >= self.chi(abs(u)), (1.0 - self.lp.delta) * (self.p.mu - self.lp.mu0) * v
 
     def chi(self, u_mag: float) -> float:
         return df_chi(self.lp, self.p, u_mag)

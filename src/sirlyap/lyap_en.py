@@ -24,8 +24,7 @@ certified numerically by `check_condition_50`.
 Each region's V12 is written once, as a linear form in (x1t, x2t) taken
 through P^{-1} in regions C, D and E (`_region_forms`), and evaluated by the
 array functions over deviations (n, 3), the one evaluation path: a single
-point is a 1-row array.  Outside the domain H the value is NaN, and the
-boundary band of the gradient is the mask `en_near_boundary`.
+point is a 1-row array.  Outside the domain H the value is NaN.
 
 The monotone maps take a Python float and return one, or take an array and
 return an array, with one formula for both (`_theta`, `_omega_inv`, ...).
@@ -34,8 +33,11 @@ range), the hexagon and the default window run on floats, so `sirlyap
 params` and the x3t-plane level sets run without numpy; it is imported
 inside the array functions only.
 
-`EndemicLyapunov` describes V, its ISS gain and its input range; certify's
-checks and their order belong to the harness above this module.
+`EndemicLyapunov` describes V, its ISS gain and input range, and what it
+certifies off its boundary band: the rate of each region with u = 0
+(`decrease_rate`) and, where an ISS hypothesis holds, (1-delta) times the
+outer regions' rates under u (`iss_decrease`).  Certify's checks and their
+order belong to the harness above this module.
 """
 from __future__ import annotations
 
@@ -513,19 +515,6 @@ def en_grad_dot_f_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
     return G[:, 0] * f1 + G[:, 1] * f2 + G[:, 2] * f3
 
 
-def en_near_boundary(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:
-    """True where a point lies within the band BOUNDARY_BAND*(1+|X|) of a
-    region boundary or of the x3t kink."""
-    import numpy as np
-    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
-    x2h = _xhat(p)[1]
-    curve = np.where(x2t >= 0.0, nu_fun(p, lp, np.maximum(x2t, 0.0)),
-                     theta_inv(p, np.minimum(-x2t, x2h * _POLE_CLIP)))
-    dist = np.minimum.reduce([np.abs(x2t), np.abs(x1t + lp.k * x2t), np.abs(x3t),
-                              np.abs(x1t - curve)])
-    return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
-
-
 def in_sublevel_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray, L: float) -> np.ndarray:
     """Membership of deviations X (n, 3) in the closed sublevel set {V <= L}
     within the orthant shift; DomainError for L outside [0, l_bar]."""
@@ -563,24 +552,17 @@ def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional
             (lp.k * bottom, -bottom), (_theta_inv(_xhat(p), bottom), -bottom)]
 
 
-def _chain_x1(c: float, chain: list) -> float:
-    """x1t at x2t = c on a chain of three vertices (x1t, x2t) with increasing
-    x2t and c in its range: the straight interpolation of `numpy.interp`,
-    the vertex itself where c is one."""
-    (u0, v0), (u1, v1) = chain[:2] if c < chain[1][1] else chain[1:]
-    return u0 if c == v0 else (u1 - u0) / (v1 - v0) * (c - v0) + u0
-
-
 def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, c: float) -> Optional[tuple]:
     """The ends (x1_left, x1_right) of {V12 <= level} on the line x2t = c, or
     None unless c lies strictly between the hexagon's bottom and top.  The
     chains B/C -> C/D -> D/E and E/F -> F/A -> A/B of `en_level_hexagon` are
-    monotone in x2t, so each end is one linear interpolation."""
+    monotone in x2t, so each end is one `numpy.interp`."""
     hexagon = en_level_hexagon(p, lp, level)
     if hexagon is None or not hexagon[4][1] < c < hexagon[1][1]:
         return None
-    return (_chain_x1(c, [hexagon[i] for i in (4, 3, 2)]),
-            _chain_x1(c, [hexagon[i] for i in (5, 0, 1)]))
+    import numpy as np
+    return tuple(float(np.interp(c, [hexagon[i][1] for i in chain], [hexagon[i][0] for i in chain]))
+                 for chain in ((4, 3, 2), (5, 0, 1)))
 
 
 def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
@@ -724,6 +706,51 @@ class EndemicLyapunov:
     def value_of_states(self, S: np.ndarray) -> np.ndarray:
         q = self.equilibrium.point.as_array()
         return self.value_many(S - q[None, :])
+
+    def near_boundary(self, X: np.ndarray) -> np.ndarray:
+        """True where a point lies within the band BOUNDARY_BAND*(1+|X|) of a
+        region boundary or of the x3t kink."""
+        import numpy as np
+        x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
+        curve = np.where(x2t >= 0.0, nu_fun(self.p, self.lp, np.maximum(x2t, 0.0)),
+                         theta_inv(self.p, np.minimum(-x2t, _xhat(self.p)[1] * _POLE_CLIP)))
+        dist = np.minimum.reduce([np.abs(x2t), np.abs(x1t + self.lp.k * x2t), np.abs(x3t),
+                                  np.abs(x1t - curve)])
+        return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
+
+    def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
+        return en_grad_dot_f_arrays(self.p, self.lp, X, u)
+
+    def decrease_rate(self, X: np.ndarray, v: np.ndarray) -> tuple:
+        """Per row of X with values v: the region code (0..5 for A..F) and the
+        rate that -grad V . f exceeds with u = 0: mu*V in A and F, a_B*V in B,
+        mu*((P^{-1})'*arg + V3) in C and D, and in E
+        (P^{-1})'*arg*k*beta*spread*gamma_Ek + mu*V3, where gamma_Ek keeps the
+        absorbed x2t cross term accounted for, or 0 if gamma_Ek <= 0."""
+        import numpy as np
+        p, lp, dc = self.p, self.lp, derived_constants(self.p, self.lp)
+        (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
+        rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
+        rate = np.where(codes == 1, dc.a_b * v, rate)
+        rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
+        rate_e = (qd * arg * lp.k * p.beta * spread(p, lp) * dc.gamma_ek + p.mu * v3
+                  if dc.gamma_ek > 0.0 else 0.0)
+        return codes, np.where(codes == 4, rate_e, rate)
+
+    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u: float) -> tuple:
+        """Where an ISS hypothesis holds, per row of X with values v, and the
+        rate that -grad V . f under the input u exceeds there.  In A and F:
+        u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C and D: -lambda1*u <=
+        delta*mu*(arg + V3/(P^{-1})'(arg)), which the eta-based hypothesis
+        implies, and (1-delta)*mu*((P^{-1})'*arg + V3)."""
+        import numpy as np
+        p, lp = self.p, self.lp
+        (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
+        af = np.isin(codes, [0, 5])
+        hyp_af = af & (u <= lp.delta * p.mu * v / lp.lambda1)
+        hyp_cd = np.isin(codes, [2, 3]) & (-lp.lambda1 * u <= lp.delta * p.mu * (arg + v3 / qd))
+        return hyp_af | hyp_cd, np.where(af, (1.0 - lp.delta) * p.mu * v,
+                                         (1.0 - lp.delta) * p.mu * (qd * arg + v3))
 
     def admissible_u(self) -> tuple:
         return en_input_range(self.p, self.lp)

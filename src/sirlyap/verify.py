@@ -151,50 +151,59 @@ def _first_least(minima: list) -> tuple:
     return minima[int(np.argmin([m for m, _ in minima]))] if minima else (math.inf, None)
 
 
+def _least_iss_margin(lyap, bands_of_rows, u_values) -> tuple:
+    """The first least decrease margin, its row with u appended, and the
+    number of (row, u) pairs checked, over the inputs `u_values` in turn and
+    the (X, keep) pairs of `bands_of_rows`: on each row that `keep` selects
+    and `lyap.iss_decrease` claims for u, grad V . f under u against the
+    certified rate.  (inf, None, 0) when no row is claimed."""
+    minima = [[] for _ in u_values]  # per u, per band: the least margin and its location
+    checked = 0
+    for X, keep in bands_of_rows:
+        v = lyap.value_many(X)
+        for u, least in zip(u_values, minima):
+            hyp, rate = lyap.iss_decrease(X, v, u)
+            hyp = hyp & keep
+            if not hyp.any():
+                continue
+            Xh = X[hyp]
+            margin = _decrease_margins(lyap.grad_dot_f(Xh, u), rate[hyp])
+            j = int(np.argmin(margin))
+            least.append((margin[j], _loc(Xh[j]) + [float(u)]))
+            checked += len(Xh)
+    worst, worst_loc = _first_least([m for least in minima for m in least])
+    return float(worst), worst_loc, checked
+
+
 def check_df_grid_iss(lyap, n: int = GRID_N) -> CheckResult:
     """Grid certificate of the ISS decrease implication.
 
-    On [-x1h, 3*x1h] x [0, 3*x1h]^2 minus a boundary band, wherever
-    V >= chi(|u|) for u in {-b_hat, -b_hat/2, 0, b_hat, 10*b_hat} the
-    derivative must not exceed -(1-delta)*(mu-mu0)*V, up to -1e-12 per unit
-    scale.  The grid is built and evaluated one slab of the first axis at a
-    time, about BAND_POINTS points each.
+    On [-x1h, 3*x1h] x [0, 3*x1h]^2 minus the boundary band, wherever
+    `lyap.iss_decrease` claims a row for u in {-b_hat, -b_hat/2, 0, b_hat,
+    10*b_hat}, grad V . f must not exceed minus its certified rate, up to
+    -1e-12 per unit scale.  The grid is built and evaluated one slab of the
+    first axis at a time, about BAND_POINTS points each.
     """
-    p, lp = lyap.p, lyap.lp
+    p = lyap.p
     x1h = p.b_hat / p.mu
     u_values = [-p.b_hat, -p.b_hat / 2.0, 0.0, p.b_hat, 10.0 * p.b_hat]
     tol = 1e-12
     ax1 = np.linspace(-x1h, 3.0 * x1h, n)
     ax2 = np.linspace(0.0, 3.0 * x1h, n)
-    rate = lyap_df.df_decay_rate(lp, p)
-    thresholds = [lyap.chi(abs(u)) for u in u_values]
     # the "ij" grid over (ax1, ax2, ax2) in row order, one slab of ax1 at a
     # time written into a reused buffer
     slabs = bands(n, n * n)
     G = np.empty((slabs[0][1] * n * n, 3))
     G[:, 1] = np.tile(np.repeat(ax2, n), slabs[0][1])
     G[:, 2] = np.tile(ax2, slabs[0][1] * n)
-    minima = [[] for _ in u_values]  # per u, per slab: the least margin and its location
-    checked = 0
-    for a, b in slabs:
-        X = G[:(b - a) * n * n]
-        X[:, 0] = np.repeat(ax1[a:b], n * n)
-        v = lyap.value_many(X)
-        off_band = ~lyap_df.df_near_boundary(lp, p, X)
-        for u, thr, least in zip(u_values, thresholds, minima):
-            hyp = off_band & (v >= thr)
-            if not hyp.any():
-                continue
-            Xh, vh = X[hyp], v[hyp]
-            margin = _decrease_margins(lyap_df.df_grad_dot_f_arrays(lp, p, Xh, u), rate * vh)
-            j = int(np.argmin(margin))
-            least.append((margin[j], _loc(Xh[j])))
-            checked += len(vh)
-    worst, worst_loc = math.inf, None
-    for u, least in zip(u_values, minima):
-        m, x = _first_least(least)
-        if m < worst:
-            worst, worst_loc = float(m), x + [float(u)]
+
+    def grid():
+        for a, b in slabs:
+            X = G[:(b - a) * n * n]
+            X[:, 0] = np.repeat(ax1[a:b], n * n)
+            yield X, ~lyap.near_boundary(X)
+
+    worst, worst_loc, checked = _least_iss_margin(lyap, grid(), u_values)
     return CheckResult("df_grid_iss", checked > 0 and worst >= -tol, worst, worst_loc, checked,
                        {"grid_n": n, "u_values": u_values, "tol": tol})
 
@@ -244,49 +253,31 @@ def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEE
 
 
 def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Strict decrease with u = 0 plus the per-region certified rate bounds.
-
-    Rates: -mu*V in A and F, -a_B*V in B, -mu*((Pinv)'*arg + V3) in C and D,
-    and -(Pinv)'(z)*k*beta*(x2h - theta(omega^{-1}(l_bar)))*gamma_Ek*z - mu*V3
-    in E, where gamma_Ek keeps the absorbed x2t cross term accounted for.
-    The sample is checked and reduced one band of BAND_POINTS rows at a time.
-    """
-    p, lp = lyap.p, lyap.lp
+    """Strict decrease with u = 0 and the region rates of `lyap.decrease_rate`
+    off the boundary band, checked one band of BAND_POINTS rows at a time."""
     X = sample_sublevel(lyap, n, seed)
-    dc = lyap_en.derived_constants(p, lp)
-    spread = lyap_en.spread(p, lp)
-    minima, gf_max, counts, checked = [], [], np.zeros(6, dtype=int), 0
+    minima, gf_max, counts, checked = [], [], np.zeros(len(lyap_en.EnRegion), dtype=int), 0
     strictly_negative = within_tol = True
     for a, b in bands(len(X)):
-        Xb = X[a:b][~lyap_en.en_near_boundary(p, lp, X[a:b])]
+        Xb = X[a:b][~lyap.near_boundary(X[a:b])]
         if len(Xb) == 0:
             continue
-        v = lyap.value_many(Xb)
-        v3 = lp.lambda3 * np.abs(Xb[:, 2])
-        codes, arg, qd = lyap_en.en_region_terms(p, lp, Xb)
-        gf = lyap_en.en_grad_dot_f_arrays(p, lp, Xb, 0.0)
-        rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
-        rate = np.where(codes == 1, dc.a_b * v, rate)
-        rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
-        if dc.gamma_ek > 0.0:
-            rate_e = qd * arg * lp.k * p.beta * spread * dc.gamma_ek + p.mu * v3
-        else:
-            rate_e = np.zeros(len(Xb))  # fall back to plain negativity in E
-        rate = np.where(codes == 4, rate_e, rate)
+        codes, rate = lyap.decrease_rate(Xb, lyap.value_many(Xb))
+        gf = lyap.grad_dot_f(Xb, 0.0)
         margin = _decrease_margins(gf, rate)
         j = int(np.argmin(margin))
         minima.append((margin[j], _loc(Xb[j])))
         strictly_negative = strictly_negative and bool(np.all(gf < 0.0))
         within_tol = within_tol and bool(np.all(margin >= -EN_DECREASE_TOL))
         gf_max.append(gf.max())
-        counts += np.bincount(codes, minlength=6)
+        counts += np.bincount(codes, minlength=len(counts))
         checked += len(Xb)
     worst, worst_loc = _first_least(minima)
     details = {
         "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
         "max_grad_dot_f": float(np.max(gf_max, initial=-np.inf)),
-        "gamma_ek": dc.gamma_ek,
+        "gamma_ek": lyap_en.derived_constants(lyap.p, lyap.lp).gamma_ek,
         "region_counts": {r.value: int(c) for r, c in zip(lyap_en.EnRegion, counts)},
     }
     passed = checked > 0 and strictly_negative and within_tol
@@ -294,39 +285,12 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
 
 
 def check_en_iss_pointwise(lyap, n: int = N_POINTWISE, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Pointwise ISS implications under five perturbations spanning 98% of
-    the admissible input range.
-
-    In the outer linear regions the hypothesis is u <= delta*mu*V/lambda1;
-    in the two inverse-map regions it is the per-state threshold
-    -lambda1*u <= delta*mu*(arg + V3/(Pinv)'(arg)), which is weaker than the
-    eta-based hypothesis and therefore covers it.  The two flat regions are
-    input-independent and certified by the u = 0 check.
-    """
-    p, lp = lyap.p, lyap.lp
-    X = sample_sublevel(lyap, n, seed)
-    v = lyap.value_many(X)
-    v3 = lp.lambda3 * np.abs(X[:, 2])
-    codes, arg, qd = lyap_en.en_region_terms(p, lp, X)
+    """The pointwise ISS implications of `lyap.iss_decrease` under five
+    inputs spanning 98% of the admissible range."""
     lo, hi = lyap.admissible_u()
-    af = np.isin(codes, [0, 5])
-    cd = np.isin(codes, [2, 3])
-    rate_af = (1.0 - lp.delta) * p.mu * v
-    rate_cd = (1.0 - lp.delta) * p.mu * (qd * arg + v3)
     n_u = 5
-    worst, worst_loc, checked = math.inf, None, 0
-    for u in np.linspace(0.98 * lo, 0.98 * hi, n_u):
-        gf = lyap_en.en_grad_dot_f_arrays(p, lp, X, u)
-        hyp_af = af & (u <= lp.delta * p.mu * v / lp.lambda1)
-        hyp_cd = cd & (-lp.lambda1 * u <= lp.delta * p.mu * (arg + v3 / qd))
-        for hyp, rate in ((hyp_af, rate_af), (hyp_cd, rate_cd)):
-            if not hyp.any():
-                continue
-            margin = _decrease_margins(gf[hyp], rate[hyp])
-            j = int(np.argmin(margin))
-            checked += int(hyp.sum())
-            if margin[j] < worst:
-                worst, worst_loc = float(margin[j]), _loc(X[hyp][j]) + [float(u)]
+    worst, worst_loc, checked = _least_iss_margin(lyap, [(sample_sublevel(lyap, n, seed), True)],
+                                                  np.linspace(0.98 * lo, 0.98 * hi, n_u))
     passed = checked > 0 and worst >= -EN_DECREASE_TOL
     return CheckResult("en_iss_pointwise", passed, worst, worst_loc, checked,
                        {"n_u": n_u, "tol": EN_DECREASE_TOL})

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import sirlyap as sl
 from sirlyap import lyap_df, lyap_en
+
+# the same examples on every run, and none replayed from an earlier one
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -208,6 +208,19 @@ def test_cmd_params_matches_golden(tmp_path, capsys, name):
     assert capsys.readouterr().out.encode() == golden + b"\n"
 
 
+@pytest.mark.parametrize("name", ["df", "endemic"])
+def test_cmd_certify_matches_golden(tmp_path, capsys, name):
+    # both checked-in configs on the benchmark's 40x clock, at small sizes
+    workloads = _perfbench("workloads")
+    cfg = {**workloads.time_scaled(json.loads((ROOT / "configs" / f"{name}.json").read_text()), 40),
+           "grid_n": 12, "n_samples": 2000}
+    assert cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    golden = ROOT / "tests" / "data" / f"certify_{name}"
+    report = (tmp_path / f"certify_{name}.json").read_bytes()
+    assert report == golden.with_suffix(".json").read_bytes()
+    assert capsys.readouterr().out.encode() == golden.with_suffix(".txt").read_bytes()
+
+
 def test_cmd_levelsets(tmp_path, capsys):
     cfg = {**DF_CONFIG, "levels": [10.0, 60.0],
            "window": [[-100.0, 200.0], [0.0, 220.0]], "resolution": [120, 120]}

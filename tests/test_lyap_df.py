@@ -50,6 +50,9 @@ def test_value_examples(ly_df, lp_df):
     v = ly_df.value_many(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert v[0] == 0.0
     assert v[1] == pytest.approx(1.0 + 2.0 + 3.0 * lp_df.lambda3)
+    # outside the domain R x R+^2 the value is NaN
+    assert np.isnan(ly_df.value_many(np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 0.0],
+                                               [0.0, 0.0, -1.0]]))).all()
 
 
 def test_boundary_continuity(p_df, lp_df, ly_df):
@@ -62,13 +65,13 @@ def test_boundary_continuity(p_df, lp_df, ly_df):
     np.testing.assert_allclose(vc, lin, rtol=1e-9)
 
 
-def test_gradient(p_df, lp_df):
+def test_gradient(p_df, lp_df, ly_df):
     X = np.array([[5.0, 5.0, 5.0], [-500.0, 1.0, 1.0], [0.0, 5.0, 5.0]])
     G = lyap_df.df_gradient_arrays(lp_df, p_df, X)
     assert G[0].tolist() == [1.0, 1.0, lp_df.lambda3]
     assert G[1].tolist() == [-lp_df.mu0 / (p_df.beta * 200.0), 0.0, 0.0]
     # the A/B boundary x1t = 0 lies in the band, the other two points do not
-    assert lyap_df.df_near_boundary(lp_df, p_df, X).tolist() == [False, False, True]
+    assert ly_df.near_boundary(X).tolist() == [False, False, True]
 
 
 def test_gradient_matches_finite_differences(p_df, lp_df, ly_df):
@@ -78,7 +81,7 @@ def test_gradient_matches_finite_differences(p_df, lp_df, ly_df):
         base = np.array([rng.uniform(-600.0, 600.0), rng.uniform(0.1, 600.0),
                          rng.uniform(0.1, 600.0)])
         X = base[None, :]
-        if lyap_df.df_near_boundary(lp_df, p_df, X)[0]:
+        if ly_df.near_boundary(X)[0]:
             continue
         g = lyap_df.df_gradient_arrays(lp_df, p_df, X)[0]
         h = 1e-6 * (1.0 + np.abs(base).sum())
@@ -99,13 +102,11 @@ def test_chi(p_df, lp_df_ref):
         2 * lyap_df.df_chi(lp_df_ref, p_df, u), rel=1e-12)
 
 
-def test_decrease_slack(p_df, lp_df):
+def test_decrease_slack(p_df, lp_df, ly_df):
     # slack -grad V . f - rate*V of the decrease inequality under u = 0
-    rate = lyap_df.df_decay_rate(lp_df, p_df)
-
     def slack(X):
         v = lyap_df.df_value_region_arrays(lp_df, p_df, X)[0]
-        return -lyap_df.df_grad_dot_f_arrays(lp_df, p_df, X, 0.0) - rate * v
+        return -ly_df.grad_dot_f(X, 0.0) - ly_df.iss_decrease(X, v, 0.0)[1]
 
     assert slack(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(7)

@@ -234,11 +234,11 @@ def test_en_continuity_five_boundaries(ly_en):
     assert all(v < 1e-9 for v in res.details["per_boundary_max"].values())
 
 
-def test_en_gradient(p_en, lp_en):
+def test_en_gradient(p_en, lp_en, ly_en):
     # the second point sits on the x3t kink, the third on the A/B boundary
     X = np.array([[5.0, 5.0, 1.0], [5.0, 5.0, 0.0], [-lp_en.k * 5.0, 5.0, 1.0]])
     assert lyap_en.en_gradient_arrays(p_en, lp_en, X)[0].tolist() == [1.0, 1.0, lp_en.lambda3]
-    assert lyap_en.en_near_boundary(p_en, lp_en, X).tolist() == [False, True, True]
+    assert ly_en.near_boundary(X).tolist() == [False, True, True]
 
 
 def test_en_gradient_matches_finite_differences(p_en, lp_en, ly_en):
@@ -248,7 +248,7 @@ def test_en_gradient_matches_finite_differences(p_en, lp_en, ly_en):
         base = np.array([rng.uniform(-140.0, 330.0), rng.uniform(-160.0, 360.0),
                          rng.uniform(-600.0, 900.0)])
         X = base[None, :]
-        if np.isnan(ly_en.value_many(X)[0]) or lyap_en.en_near_boundary(p_en, lp_en, X)[0]:
+        if np.isnan(ly_en.value_many(X)[0]) or ly_en.near_boundary(X)[0]:
             continue
         g = lyap_en.en_gradient_arrays(p_en, lp_en, X)[0]
         h = 1e-6 * (1.0 + np.abs(base).sum())

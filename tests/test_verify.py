@@ -173,6 +173,45 @@ def test_en_continuity_checks_library_formulas(monkeypatch, ly_en, region):
     assert not verify.check_en_continuity(ly_en, n_per_boundary=40).passed
 
 
+def test_sample_decrease_checks_the_class_rate(monkeypatch, ly_en):
+    # region A's rate scaled by 1.5 claims more decrease than grad V . f has
+    original = lyap_en.EndemicLyapunov.decrease_rate
+
+    def overstated(self, X, v):
+        codes, rate = original(self, X, v)
+        return codes, np.where(codes == 0, 1.5 * rate, rate)
+
+    assert verify.check_en_sample_decrease(ly_en, n=5000).passed
+    monkeypatch.setattr(lyap_en.EndemicLyapunov, "decrease_rate", overstated)
+    assert not verify.check_en_sample_decrease(ly_en, n=5000).passed
+
+
+def test_iss_pointwise_checks_the_class_rate(monkeypatch, p_en, lp_en, ly_en):
+    # the same scaling of region A's ISS rate
+    original = lyap_en.EndemicLyapunov.iss_decrease
+
+    def overstated(self, X, v, u):
+        hyp, rate = original(self, X, v, u)
+        return hyp, np.where(lyap_en.en_region_terms(p_en, lp_en, X)[0] == 0, 1.5 * rate, rate)
+
+    assert verify.check_en_iss_pointwise(ly_en, n=5000).passed
+    monkeypatch.setattr(lyap_en.EndemicLyapunov, "iss_decrease", overstated)
+    assert not verify.check_en_iss_pointwise(ly_en, n=5000).passed
+
+
+def test_grid_iss_checks_the_class_hypothesis(monkeypatch, ly_df):
+    # claiming every row for every u takes in states below chi(|u|), where
+    # the certified decay does not hold
+    original = lyap_df.DiseaseFreeLyapunov.iss_decrease
+
+    def everywhere(self, X, v, u):
+        return np.ones(len(X), dtype=bool), original(self, X, v, u)[1]
+
+    assert verify.check_df_grid_iss(ly_df, n=8).passed
+    monkeypatch.setattr(lyap_df.DiseaseFreeLyapunov, "iss_decrease", everywhere)
+    assert not verify.check_df_grid_iss(ly_df, n=8).passed
+
+
 def test_reproducible_margins(ly_en):
     a = verify.check_en_sample_decrease(ly_en, n=3000, seed=123)
     b = verify.check_en_sample_decrease(ly_en, n=3000, seed=123)
@@ -291,7 +330,8 @@ def test_checks_without_samples_fail(ly_en, monkeypatch):
     assert res.samples == 0 and res.passed is False
     assert _standard_json(res)["worst_margin"] is None
     # every sampled row in the boundary band
-    monkeypatch.setattr(lyap_en, "en_near_boundary", lambda p, lp, X: np.ones(len(X), dtype=bool))
+    monkeypatch.setattr(lyap_en.EndemicLyapunov, "near_boundary",
+                        lambda self, X: np.ones(len(X), dtype=bool))
     res = verify.check_en_sample_decrease(ly_en, n=50)
     assert res.samples == 0 and res.passed is False
     assert _standard_json(res)["details"]["max_grad_dot_f"] is None
