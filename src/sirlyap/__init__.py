@@ -12,7 +12,7 @@ _EXPORTS = {name: mod for mod, names in {
     "errors": "ConfigError DomainError InfeasibleOverride NoConvergence "
               "NonFiniteState R0NotAboveOne RangeError RegimeError SirLyapError",
     "model": "Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
-             "disease_free_eq endemic_eq r0_hat rhs total_population_bound",
+             "disease_free_eq endemic_eq r0_hat total_population_bound",
     "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",
     "ode": "Trajectory integrate",
     "lyap_df": "DfLyapParams DiseaseFreeLyapunov df_chi select_df_params",

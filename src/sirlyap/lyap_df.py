@@ -196,10 +196,12 @@ class DiseaseFreeLyapunov:
     def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
         return df_grad_dot_f_arrays(self.lp, self.p, X, u)
 
-    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u: float) -> tuple:
-        """Where V >= chi(|u|) holds, per row of X with values v, and the rate
-        (1-delta)*(mu - mu0)*V that -grad V . f under the input u exceeds there."""
-        return v >= self.chi(abs(u)), (1.0 - self.lp.delta) * (self.p.mu - self.lp.mu0) * v
+    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u_values) -> tuple:
+        """Per input u of u_values, where V >= chi(|u|) holds, per row of X with
+        values v; and the rate (1-delta)*(mu - mu0)*V that -grad V . f under
+        each such u exceeds there."""
+        return ([v >= self.chi(abs(u)) for u in u_values],
+                (1.0 - self.lp.delta) * (self.p.mu - self.lp.mu0) * v)
 
     def chi(self, u_mag: float) -> float:
         return df_chi(self.lp, self.p, u_mag)

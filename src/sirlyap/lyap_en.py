@@ -306,10 +306,9 @@ def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
 
     Both sides vanish at L = 0, so the reported worst margin legitimately
     touches zero at that endpoint; interior margins are what feasibility
-    hinges on.  The grid is numpy's `linspace(0, l_bar, 2049)` and the worst
-    margin its first least one (a NaN first), so the loop over Python floats
-    gives the array evaluation's result bit for bit.  Both arguments are
-    frozen, so each pair is evaluated once.
+    hinges on.  The grid equals numpy's `linspace(0, l_bar, 2049)` point for
+    point, and the worst margin is its first least one (a NaN first).  Both
+    arguments are frozen, so each pair is evaluated once.
     """
     step = lp.l_bar / 2048
     L = [i * step for i in range(2048)] + [lp.l_bar]
@@ -737,20 +736,20 @@ class EndemicLyapunov:
                   if dc.gamma_ek > 0.0 else 0.0)
         return codes, np.where(codes == 4, rate_e, rate)
 
-    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u: float) -> tuple:
-        """Where an ISS hypothesis holds, per row of X with values v, and the
-        rate that -grad V . f under the input u exceeds there.  In A and F:
-        u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C and D: -lambda1*u <=
-        delta*mu*(arg + V3/(P^{-1})'(arg)), which the eta-based hypothesis
-        implies, and (1-delta)*mu*((P^{-1})'*arg + V3)."""
+    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u_values) -> tuple:
+        """Per input u of u_values, where an ISS hypothesis holds, per row of X
+        with values v; and the rate that -grad V . f under each such u exceeds
+        there.  In A and F: u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C
+        and D: -lambda1*u <= delta*mu*(arg + V3/(P^{-1})'(arg)), which the
+        eta-based hypothesis implies, and (1-delta)*mu*((P^{-1})'*arg + V3).
+        The regions and both bounds are evaluated once for all the inputs."""
         import numpy as np
         p, lp = self.p, self.lp
         (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
-        af = np.isin(codes, [0, 5])
-        hyp_af = af & (u <= lp.delta * p.mu * v / lp.lambda1)
-        hyp_cd = np.isin(codes, [2, 3]) & (-lp.lambda1 * u <= lp.delta * p.mu * (arg + v3 / qd))
-        return hyp_af | hyp_cd, np.where(af, (1.0 - lp.delta) * p.mu * v,
-                                         (1.0 - lp.delta) * p.mu * (qd * arg + v3))
+        af, cd = np.isin(codes, [0, 5]), np.isin(codes, [2, 3])
+        bound_af, bound_cd = lp.delta * p.mu * v / lp.lambda1, lp.delta * p.mu * (arg + v3 / qd)
+        rate = np.where(af, (1.0 - lp.delta) * p.mu * v, (1.0 - lp.delta) * p.mu * (qd * arg + v3))
+        return [af & (u <= bound_af) | cd & (-lp.lambda1 * u <= bound_cd) for u in u_values], rate
 
     def admissible_u(self) -> tuple:
         return en_input_range(self.p, self.lp)

@@ -3,8 +3,8 @@
 States are continuum population counts (S, I, R).  The newborn/immigration
 rate B enters the susceptible equation as an external input.  numpy is
 imported only by the array forms (`State.as_array`, `total_population_exact`,
-`rhs_stacked`), so the scalar model loads without it.  The scalar `rhs` of
-one state serves the two demos in `verify`; it is `rhs_arrays` on floats.
+`rhs_stacked`), so the scalar model loads without it.  `rhs_arrays` is the
+one vector field: on Python floats it serves one state, on arrays a batch.
 """
 from __future__ import annotations
 
@@ -174,13 +174,6 @@ def rhs_stacked(p: ModelParams, out):
         return out
 
     return field
-
-
-def rhs(p: ModelParams, x: State, b: float) -> tuple:
-    """Time derivative (dS, dI, dR) of one state under newborn rate b >= 0."""
-    if b < 0.0:
-        raise DomainError("newborn rate must be nonnegative")
-    return rhs_arrays(p, x.s, x.i, x.r, b)
 
 
 def total_population_bound(x0: State, b_max: float, p: ModelParams, t: float) -> float:

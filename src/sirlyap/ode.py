@@ -1,10 +1,10 @@
 """The array API of the RK4 integration, built on `flow`.
 
 `integrate_batch` is the one integrator of batches, for states under one
-shared input or one input per row; `steady_state_batch` runs through it,
-and `integrate` records one solution as a `Trajectory` from `flow`'s row
-stream.  Its observer sees blocks of steps, each a short recorded
-trajectory, so a check along trajectories is one array reduction per block.
+shared input or one input per row, and `integrate` records one solution as
+a `Trajectory` from `flow`'s row stream.  Its observer sees blocks of steps,
+each a short recorded trajectory, so a check along trajectories is one array
+reduction per block.
 
 `integrate_batch` is fed two ways by batch width, both through
 `flow.blocks`, the one block loop with its once-per-block state check and
@@ -32,10 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from . import flow
-from .errors import NoConvergence
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
                    Step, sample_input, signal_from_dict, signal_to_dict)
-from .model import ModelParams, State, rhs_arrays, rhs_stacked
+from .model import ModelParams, State, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
 # one stacked array.  A float step costs about 1.6 us a row under one shared
@@ -203,29 +202,4 @@ def integrate(p: ModelParams, x0: State, sig: InputSignal, t_end: float,
     rows = np.fromiter(itertools.chain.from_iterable(
         flow.trajectory_rows(p, x0, sig, t_end, dt)), dtype=(float, 5))
     return Trajectory(rows[:, 0], rows[:, 1:4], rows[:, 4])
-
-
-def steady_state_batch(p: ModelParams, cs: Sequence[float], x0s: np.ndarray,
-                       tol: float = 1e-8, t_max: float = 4e4, dt: float = 0.25) -> np.ndarray:
-    """Steady states for several constant inputs advanced in lockstep: every
-    row integrates under its Constant(c) until ||rhs||_1 < tol*(1 + ||x||_1).
-
-    Raises NoConvergence when t_max is reached first.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    cs = np.asarray(cs, dtype=float)
-    signals = [Constant(c) for c in cs.tolist()]  # Python floats step fastest
-    X = np.array(x0s, dtype=float, copy=True)
-    t = 0.0
-    chunk = 200.0 * dt
-    while t < t_max:
-        step = min(chunk, t_max - t)
-        X = integrate_batch(p, X, signals, step, dt)
-        t += step
-        ds, di, dr = rhs_arrays(p, X[:, 0], X[:, 1], X[:, 2], cs)
-        resid = np.abs(ds) + np.abs(di) + np.abs(dr)
-        if np.all(resid < tol * (1.0 + np.abs(X).sum(axis=1))):
-            return X
-    raise NoConvergence(f"no steady state within t_max={t_max:.6g} (c={cs.tolist()})")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
-from .errors import RangeError, RegimeError
+from .errors import NoConvergence, RangeError, RegimeError
 from .lyap_en import sample_sublevel
 from .model import EquilibriumKind, ModelParams, State
 
@@ -156,13 +156,13 @@ def _least_iss_margin(lyap, bands_of_rows, u_values) -> tuple:
     number of (row, u) pairs checked, over the inputs `u_values` in turn and
     the (X, keep) pairs of `bands_of_rows`: on each row that `keep` selects
     and `lyap.iss_decrease` claims for u, grad V . f under u against the
-    certified rate.  (inf, None, 0) when no row is claimed."""
+    certified rate, which no u changes.  (inf, None, 0) when no row is
+    claimed."""
     minima = [[] for _ in u_values]  # per u, per band: the least margin and its location
     checked = 0
     for X, keep in bands_of_rows:
-        v = lyap.value_many(X)
-        for u, least in zip(u_values, minima):
-            hyp, rate = lyap.iss_decrease(X, v, u)
+        hyps, rate = lyap.iss_decrease(X, lyap.value_many(X), u_values)
+        for u, hyp, least in zip(u_values, hyps, minima):
             hyp = hyp & keep
             if not hyp.any():
                 continue
@@ -454,7 +454,11 @@ def _formula_steady_state(p: ModelParams, c: float) -> np.ndarray:
 def check_bifurcation_continuity(p: ModelParams,
                                  c_values: Optional[np.ndarray] = None) -> CheckResult:
     """Simulated steady states track the closed-form branches across R0 = 1,
-    within 5e-2 in the 1-norm; ValueError for fewer than two c_values."""
+    within 5e-2 in the 1-norm; ValueError for fewer than two c_values.
+
+    Every row steps under its Constant(c), 50 time units of integrate_batch
+    at dt 0.25 at a time, until each row's ||rhs||_1 is below
+    1e-8*(1 + ||x||_1); NoConvergence once t reaches 4e4 first."""
     c_star = p.mu * (p.gamma + p.mu) / p.beta
     if c_values is None:
         c_values = np.linspace(0.71 * c_star, 1.30 * c_star, 21)
@@ -464,7 +468,15 @@ def check_bifurcation_continuity(p: ModelParams,
     X0 = np.column_stack([0.8 * c_values / p.mu,
                           np.full(len(c_values), 10.0),
                           np.full(len(c_values), 5.0)])
-    X = ode.steady_state_batch(p, c_values, X0, tol=1e-8, t_max=4e4, dt=0.25)
+    signals = [ode.Constant(c) for c in c_values.tolist()]  # Python floats step fastest
+    X = X0
+    for _ in range(800):  # 800 spans of 50 reach t = 4e4
+        X = ode.integrate_batch(p, X, signals, 50.0, 0.25)
+        ds, di, dr = model.rhs_arrays(p, X[:, 0], X[:, 1], X[:, 2], c_values)
+        if np.all(np.abs(ds) + np.abs(di) + np.abs(dr) < 1e-8 * (1.0 + np.abs(X).sum(axis=1))):
+            break
+    else:
+        raise NoConvergence(f"no steady state within t=4e4 (c={c_values.tolist()})")
     F = np.stack([_formula_steady_state(p, c) for c in c_values])
     err = np.abs(X - F).sum(axis=1)
     dx = np.abs(np.diff(X, axis=0)).sum(axis=1)
@@ -579,15 +591,17 @@ def separability_obstruction_demo(p: ModelParams) -> CheckResult:
     # class (a): x2 above equilibrium, x3 in (x3h, ratio*x2]
     x2_up = q.i + 60.0
     x3_up = min(q.r + 60.0, ratio * x2_up)
-    f_up = model.rhs(p, State(q.s, x2_up, x3_up), p.b_hat)
-    # class (b): x2 below equilibrium, x3 in [ratio*x2, x3h)
+    f_up = model.rhs_arrays(p, q.s, x2_up, x3_up, p.b_hat)
+    # class (b): x2 below equilibrium, x3 in [ratio*x2, x3h); State refuses
+    # the point where it leaves the orthant, that is where x2h < 60
     x2_dn = q.i - 60.0
     x3_dn = 0.5 * (ratio * x2_dn + q.r)
-    f_dn = model.rhs(p, State(q.s, x2_dn, x3_dn), p.b_hat)
+    dn = State(q.s, x2_dn, x3_dn)
+    f_dn = model.rhs_arrays(p, dn.s, dn.i, dn.r, p.b_hat)
     # decrease with dI/dt = 0 and the x3 term nonnegative forces these signs
     sign_up = 1 if f_up[0] < 0.0 and f_up[2] >= 0.0 else 0
     sign_dn = -1 if f_dn[0] > 0.0 and f_dn[2] <= 0.0 else 0
-    f_eq = model.rhs(p, State(q.s, q.i, 1234.0), p.b_hat)
+    f_eq = model.rhs_arrays(p, q.s, q.i, 1234.0, p.b_hat)
     flow_vanishes = abs(f_eq[0]) <= 1e-9 * max(1.0, p.b_hat)
     ok = sign_up == 1 and sign_dn == -1 and flow_vanishes
     margin = min(-f_up[0], f_dn[0])
@@ -606,10 +620,10 @@ def prohibited_region_demo(p: ModelParams, l_bars=(340.0, 1e3, 3e3, 1e4),
     q = model.endemic_eq(p).point
     xf = model.disease_free_eq(p).point.as_array()
     start = State(100.0, 0.01, 0.0)
-    f0 = model.rhs(p, start, p.b_hat)
+    f0 = model.rhs_arrays(p, start.s, start.i, start.r, p.b_hat)
     di_negative = f0[1] < 0.0
     # on the axis itself the I-equation is at rest and S grows
-    f_axis = model.rhs(p, State(start.s, 0.0, 0.0), p.b_hat)
+    f_axis = model.rhs_arrays(p, start.s, 0.0, 0.0, p.b_hat)
     axis_ok = f_axis[1] == 0.0 and f_axis[0] > 0.0
     traj = ode.integrate(p, start, ode.Constant(p.b_hat), t_end, DT)
     S, I = traj.states[:, 0], traj.states[:, 1]

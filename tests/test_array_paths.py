@@ -1,8 +1,7 @@
 """Each float form equals its array path bit for bit: the monotone maps of
-the endemic function on a Python float, condition (50)'s float loop, the
-level chord's interpolation and the scalar vector field `model.rhs`.  The
-traced benchmark run wraps library functions by name, so every name it
-lists must still resolve."""
+the endemic function on a Python float, condition (50)'s float loop and the
+level chord's interpolation.  The traced benchmark run wraps library
+functions by name, so every name it lists must still resolve."""
 import importlib
 import importlib.util
 from dataclasses import replace
@@ -12,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
-from sirlyap import lyap_en, model
+from sirlyap import lyap_en
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,20 +88,6 @@ def test_level_chord_matches_numpy_interp(p_en, lp_en, frac, t):
     got = lyap_en.en_level_chord(p_en, lp_en, level, c)
     assert _same(got[0], np.interp(c, left[:, 1], left[:, 0]))
     assert _same(got[1], np.interp(c, right[:, 1], right[:, 0]))
-
-
-_NONNEG = st.floats(0.0, 1000.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(_NONNEG, _NONNEG, _NONNEG, st.floats(0.0, 30.0)),
-                     min_size=1, max_size=6))
-def test_rhs_matches_array_path(p_en, rows):
-    S, I, R, B = (np.array(c) for c in zip(*rows))
-    F = model.rhs_arrays(p_en, S, I, R, B)
-    for j, (s, i, r, b) in enumerate(rows):
-        f = model.rhs(p_en, sl.State(s, i, r), b)
-        assert all(_same(f[k], F[k][j]) for k in range(3))
 
 
 def test_tracer_paths_resolve():

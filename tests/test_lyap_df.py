@@ -106,7 +106,7 @@ def test_decrease_slack(p_df, lp_df, ly_df):
     # slack -grad V . f - rate*V of the decrease inequality under u = 0
     def slack(X):
         v = lyap_df.df_value_region_arrays(lp_df, p_df, X)[0]
-        return -ly_df.grad_dot_f(X, 0.0) - ly_df.iss_decrease(X, v, 0.0)[1]
+        return -ly_df.grad_dot_f(X, 0.0) - ly_df.iss_decrease(X, v, [0.0])[1]
 
     assert slack(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(7)

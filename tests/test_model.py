@@ -37,7 +37,7 @@ def test_endemic_eq(p_df, p_en):
 
 
 def test_rhs_hand_value(p_df):
-    ds, di, dr = sl.rhs(p_df, sl.State(100.0, 50.0, 0.0), 3.0)
+    ds, di, dr = model.rhs_arrays(p_df, 100.0, 50.0, 0.0, 3.0)
     assert ds == pytest.approx(0.5, rel=1e-12)
     assert di == pytest.approx(-1.35, rel=1e-12)
     assert dr == pytest.approx(1.6, rel=1e-12)
@@ -47,9 +47,9 @@ def test_rhs_vanishes_at_equilibria(p_df, p_en):
     for p in (p_df, p_en):
         q = sl.disease_free_eq(p).point
         scale = max(1.0, q.n)
-        assert np.abs(sl.rhs(p, q, p.b_hat)).max() < 1e-9 * scale
+        assert np.abs(model.rhs_arrays(p, q.s, q.i, q.r, p.b_hat)).max() < 1e-9 * scale
     q = sl.endemic_eq(p_en).point
-    assert np.abs(sl.rhs(p_en, q, p_en.b_hat)).max() < 1e-9 * max(1.0, q.n)
+    assert np.abs(model.rhs_arrays(p_en, q.s, q.i, q.r, p_en.b_hat)).max() < 1e-9 * max(1.0, q.n)
 
 
 def test_rhs_orthant_invariance(p_en):
@@ -58,7 +58,7 @@ def test_rhs_orthant_invariance(p_en):
         x = rng.uniform(0.0, 500.0, 3)
         i = rng.integers(0, 3)
         x[i] = 0.0
-        f = sl.rhs(p_en, sl.State(*x), float(rng.uniform(0.0, 20.0)))
+        f = model.rhs_arrays(p_en, *x, float(rng.uniform(0.0, 20.0)))
         assert f[i] >= 0.0
 
 
@@ -67,7 +67,7 @@ def test_rhs_sum_identity(p_en):
     for _ in range(100):
         x = sl.State(*rng.uniform(0.0, 800.0, 3))
         b = float(rng.uniform(0.0, 30.0))
-        f = sl.rhs(p_en, x, b)
+        f = model.rhs_arrays(p_en, x.s, x.i, x.r, b)
         assert sum(f) == pytest.approx(b - p_en.mu * x.n, rel=1e-12, abs=1e-12)
 
 

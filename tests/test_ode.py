@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
 from sirlyap import flow, model, ode
-from sirlyap.errors import NoConvergence, NonFiniteState
+from sirlyap.errors import NonFiniteState
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -440,22 +440,6 @@ def test_step_calls_library_vector_field(p_df, monkeypatch):
     monkeypatch.setattr(flow, "rhs_arrays", counted)
     sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0), 1.0, dt=0.1)
     assert len(calls) == 40  # four stages for each of the ten steps
-
-
-def test_steady_state_cases(p_df, p_en):
-    def steady(c, x0, tol, t_max):
-        return ode.steady_state_batch(p_en, [c], np.array([x0]), tol=tol, t_max=t_max,
-                                      dt=0.25)[0]
-
-    q = sl.endemic_eq(p_en).point
-    ss = steady(17.0, [300.0, 250.0, 500.0], 1e-8, 3e4)
-    assert np.abs(ss - q.as_array()).sum() < 5e-2
-    ss0 = steady(0.0, [100.0, 10.0, 10.0], 1e-10, 3e4)
-    assert ss0.sum() < 1e-6
-    ss_df = steady(3.0, [100.0, 10.0, 10.0], 1e-8, 3e4)
-    assert np.abs(ss_df - [200.0, 0.0, 0.0]).sum() < 5e-2
-    with pytest.raises(NoConvergence):
-        steady(17.0, [300.0, 250.0, 500.0], 1e-8, 5.0)
 
 
 def test_trajectory_csv(tmp_path, p_df):

@@ -11,7 +11,7 @@ import pytest
 
 import sirlyap as sl
 from sirlyap import bands, flow, lyap_df, lyap_en, ode, verify
-from sirlyap.errors import RangeError
+from sirlyap.errors import NoConvergence, RangeError
 
 
 def _one_start(monkeypatch, ly, x0):
@@ -190,9 +190,9 @@ def test_iss_pointwise_checks_the_class_rate(monkeypatch, p_en, lp_en, ly_en):
     # the same scaling of region A's ISS rate
     original = lyap_en.EndemicLyapunov.iss_decrease
 
-    def overstated(self, X, v, u):
-        hyp, rate = original(self, X, v, u)
-        return hyp, np.where(lyap_en.en_region_terms(p_en, lp_en, X)[0] == 0, 1.5 * rate, rate)
+    def overstated(self, X, v, u_values):
+        hyps, rate = original(self, X, v, u_values)
+        return hyps, np.where(lyap_en.en_region_terms(p_en, lp_en, X)[0] == 0, 1.5 * rate, rate)
 
     assert verify.check_en_iss_pointwise(ly_en, n=5000).passed
     monkeypatch.setattr(lyap_en.EndemicLyapunov, "iss_decrease", overstated)
@@ -204,12 +204,36 @@ def test_grid_iss_checks_the_class_hypothesis(monkeypatch, ly_df):
     # the certified decay does not hold
     original = lyap_df.DiseaseFreeLyapunov.iss_decrease
 
-    def everywhere(self, X, v, u):
-        return np.ones(len(X), dtype=bool), original(self, X, v, u)[1]
+    def everywhere(self, X, v, u_values):
+        return [np.ones(len(X), dtype=bool) for _ in u_values], original(self, X, v, u_values)[1]
 
     assert verify.check_df_grid_iss(ly_df, n=8).passed
     monkeypatch.setattr(lyap_df.DiseaseFreeLyapunov, "iss_decrease", everywhere)
     assert not verify.check_df_grid_iss(ly_df, n=8).passed
+
+
+def test_sampled_claims_across_regimes():
+    # seeded draws beyond the two reference scenarios, beta = 2e-4, gamma in
+    # [0.01, 0.1] and mu in [0.005, 0.03]: endemic ones with R0 at 1.001-1.3
+    # and 1.3-4 times the theorem threshold gamma/mu + 2 in turn, disease-free
+    # ones with R0 in [0.05, 0.999] and mu0 at 0.5-0.999 times mu
+    def model_params(gamma, mu, r0):
+        return sl.ModelParams(2e-4, gamma, mu, r0 * mu * (gamma + mu) / 2e-4)
+
+    for j in range(30):
+        rng = np.random.default_rng(j)
+        gamma, mu = rng.uniform(0.01, 0.1), rng.uniform(0.005, 0.03)
+        lo, hi = (1.001, 1.3) if j % 2 == 0 else (1.3, 4.0)
+        p = model_params(gamma, mu, rng.uniform(lo, hi) * (gamma / mu + 2.0))
+        ly = lyap_en.EndemicLyapunov(p, lyap_en.select_en_params(p, l_bar=340.0))
+        assert verify.check_en_sample_decrease(ly, n=2000, seed=j).passed, p
+        assert verify.check_en_iss_pointwise(ly, n=2000, seed=j).passed, p
+    for j in range(30):
+        rng = np.random.default_rng(j)
+        gamma, mu = rng.uniform(0.01, 0.1), rng.uniform(0.005, 0.03)
+        p = model_params(gamma, mu, rng.uniform(0.05, 0.999))
+        lp = lyap_df.select_df_params(p, mu0=rng.uniform(0.5, 0.999) * mu)
+        assert verify.check_df_grid_iss(lyap_df.DiseaseFreeLyapunov(p, lp), n=12).passed, (p, lp)
 
 
 def test_reproducible_margins(ly_en):
@@ -226,6 +250,30 @@ def test_bifurcation_small_grid(p_df):
     assert res.passed
     assert res.details["limit_gap_at_threshold"] <= 1e-3
     assert np.isfinite(res.details["lipschitz_estimate"])
+
+
+def test_bifurcation_extinction(p_en):
+    # without newborns every row dies out: the c = 0 row ends within 1e-5 of
+    # the origin, its closed form
+    res = verify.check_bifurcation_continuity(p_en, c_values=np.array([0.0, 1.0]))
+    assert res.passed
+    assert res.details["max_formula_error"] < 1e-5
+
+
+def test_bifurcation_both_branches(p_en):
+    # c = 3 lies below the threshold c* = 3.525 and c = 17 above it: each row
+    # settles on its own closed-form branch
+    assert sl.r0_hat(sl.ModelParams(p_en.beta, p_en.gamma, p_en.mu, 3.0)) < 1.0 < sl.r0_hat(p_en)
+    res = verify.check_bifurcation_continuity(p_en, c_values=np.array([3.0, 17.0]))
+    assert res.passed and res.samples == 2
+    assert res.details["max_formula_error"] < 5e-2
+
+
+def test_bifurcation_without_a_steady_state(monkeypatch, p_en):
+    # an integrator that never moves leaves every residual where it starts
+    monkeypatch.setattr(ode, "integrate_batch", lambda p, X, signals, t_end, dt: X)
+    with pytest.raises(NoConvergence, match="t=4e4"):
+        verify.check_bifurcation_continuity(p_en, c_values=np.array([3.0, 17.0]))
 
 
 def test_nesting_small(ly_en):
@@ -250,10 +298,10 @@ def test_w_region_without_a_step_fails(ly_en):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_bifurcation_needs_two_c_values(monkeypatch, p_df, n):
-    def steady_state_batch(*args, **kwargs):
+    def integrate_batch(*args, **kwargs):
         raise AssertionError("integrated too few c_values")
 
-    monkeypatch.setattr(ode, "steady_state_batch", steady_state_batch)
+    monkeypatch.setattr(ode, "integrate_batch", integrate_batch)
     with pytest.raises(ValueError, match="at least two c_values"):
         verify.check_bifurcation_continuity(p_df, c_values=np.linspace(0.01, 0.02, n))
 
@@ -265,6 +313,13 @@ def test_separability_demo(p_en):
     assert res.details["required_sign_lower"] == -1
     assert abs(res.details["dx2dt_on_plane"]) < 1e-12
     assert res.details["anti_parallel_vanishes_at_x2hat"]
+
+
+def test_separability_demo_refuses_a_point_below_the_orthant(p_en):
+    # at b_hat = 5.1 the endemic x2h is 33.5, so the lower point x2h - 60 is negative
+    p = sl.ModelParams(p_en.beta, p_en.gamma, p_en.mu, 5.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.separability_obstruction_demo(p)
 
 
 def test_prohibited_region_demo(p_en):
