@@ -233,7 +233,10 @@ def _rates(signals: list, a: float, pack):
     A piecewise-constant signal holds its level at a (segments are
     left-closed), read here once.  A continuous one is evaluated at t + h/2
     and t_next only: its B(t) is the step before's B(t_next), which it took
-    at the same float t."""
+    at the same float t.  With one signal per row, b0 is b itself after the
+    segment's first step (t == a exactly, as `_grid` yields it), since b
+    then already holds this segment's held levels; the test reads t, not a
+    flag, so a block replayed from a segment start builds it again."""
     held = [sig.value(a) if sig.piecewise_constant else None for sig in signals]
     if len(signals) == 1:
         c, f = held[0], signals[0].value
@@ -246,9 +249,14 @@ def _rates(signals: list, a: float, pack):
         return lambda b, t, h, t_next, bc=(held, held, held): bc
 
     def rate(b, t, h, t_next):
-        b0, bm, b1 = held.copy(), held.copy(), held.copy()
+        b0 = b
+        if t == a:
+            b0 = held.copy()
+            for j, _ in moving:
+                b0[j] = b[j]
+        bm, b1 = held.copy(), held.copy()
         for j, f in moving:
-            b0[j], bm[j], b1[j] = b[j], f(t + 0.5 * h), f(t_next)
+            bm[j], b1[j] = f(t + 0.5 * h), f(t_next)
         return b0, bm, b1
 
     return rate

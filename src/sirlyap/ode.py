@@ -13,7 +13,7 @@ and the context of its unchecked pass.  A narrow batch steps every row in
 lockstep on Python floats with `flow.float_blocks`, which avoids the
 per-step numpy overhead that dominates small arrays.  A wide one steps one
 stacked (3, m) array, whose rows are S, I and R, so each stage argument and
-the final combination is one array operation and each stage derivative six
+the final combination is one array operation and each stage derivative seven
 (`model.rhs_stacked`), on row views of its reused arrays made once per
 batch; the feeds cross over at `_FLOAT_ROWS` rows.  Either
 way the observer receives a fresh (k+1, m, 3) array per block, which it
@@ -37,11 +37,12 @@ from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # no
 from .model import ModelParams, State, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
-# one stacked array.  A float step costs about 1.6 us a row under one shared
-# Constant or with one Constant per row, a stacked step 18-21 us whatever the
-# width, so the two cross at 12-13 rows for a shared input and 11-12 rows for
-# per-row ones (measured on a 2-vCPU Xeon VM).
-_FLOAT_ROWS = 12
+# one stacked array.  A float step costs about 1.55 us a row under one shared
+# Constant and 1.65 us with one Constant per row, a stacked step 14.5 us and
+# 13.6 us whatever the width (a shared level enters as a Python float), so the
+# two cross at 9-10 rows for a shared input and 8-9 rows for per-row ones
+# (best of 15 runs of 2,000 steps, Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
+_FLOAT_ROWS = 9
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
 
@@ -90,29 +91,35 @@ def _stacked_rk4(p: ModelParams, m: int):
     writes each stage derivative into its row of a (4, 3, m) workspace, and
     the stage arguments and sums go to one (3, m) array Z; every step reuses
     both, and their row views are made once, so a step makes only the two
-    views Y[0] and Y[1] of its incoming state."""
+    views Y[0] and Y[1] of its incoming state.  The step scalars 0.5*h, h
+    and h/6 enter as 0-d arrays, built again only when h changes, since a
+    Python float costs a call about 1.5 times as much; 2*x is x + x."""
     K, Z = np.empty((4, 3, m)), np.empty((3, m))
     k1, k2, k3, k4 = K
     f1, f2, f3, f4 = (rhs_stacked(p, k) for k in K)
     zs, zi = Z[0], Z[1]
     mul, add = np.multiply, np.add
+    h_now = half = whole = sixth = None
 
     def step(Y: np.ndarray, h: float, b0, bm, b1) -> np.ndarray:
+        nonlocal h_now, half, whole, sixth
+        if h != h_now:
+            h_now, half, whole, sixth = h, np.array(0.5 * h), np.array(h), np.array(h / 6.0)
         f1(Y, Y[0], Y[1], b0)
-        mul(k1, 0.5 * h, Z)
+        mul(k1, half, Z)
         add(Y, Z, Z)
         f2(Z, zs, zi, bm)
-        mul(k2, 0.5 * h, Z)
+        mul(k2, half, Z)
         add(Y, Z, Z)
         f3(Z, zs, zi, bm)
-        mul(k3, h, Z)
+        mul(k3, whole, Z)
         add(Y, Z, Z)
         f4(Z, zs, zi, b1)
         add(k2, k3, Z)
-        mul(Z, 2.0, Z)
+        add(Z, Z, Z)
         add(k1, Z, Z)
         add(Z, k4, Z)
-        mul(Z, h / 6.0, Z)
+        mul(Z, sixth, Z)
         return Y + Z
 
     return step

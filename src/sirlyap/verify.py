@@ -588,16 +588,15 @@ def separability_obstruction_demo(p: ModelParams) -> CheckResult:
     separable candidate whose x3-part increases away from the anchor."""
     q = model.endemic_eq(p).point
     ratio = p.gamma / p.mu
+    off = min(60.0, q.i / 2)  # keeps the lower point inside the orthant
     # class (a): x2 above equilibrium, x3 in (x3h, ratio*x2]
-    x2_up = q.i + 60.0
-    x3_up = min(q.r + 60.0, ratio * x2_up)
+    x2_up = q.i + off
+    x3_up = min(q.r + off, ratio * x2_up)
     f_up = model.rhs_arrays(p, q.s, x2_up, x3_up, p.b_hat)
-    # class (b): x2 below equilibrium, x3 in [ratio*x2, x3h); State refuses
-    # the point where it leaves the orthant, that is where x2h < 60
-    x2_dn = q.i - 60.0
+    # class (b): x2 below equilibrium, x3 in [ratio*x2, x3h)
+    x2_dn = q.i - off
     x3_dn = 0.5 * (ratio * x2_dn + q.r)
-    dn = State(q.s, x2_dn, x3_dn)
-    f_dn = model.rhs_arrays(p, dn.s, dn.i, dn.r, p.b_hat)
+    f_dn = model.rhs_arrays(p, q.s, x2_dn, x3_dn, p.b_hat)
     # decrease with dI/dt = 0 and the x3 term nonnegative forces these signs
     sign_up = 1 if f_up[0] < 0.0 and f_up[2] >= 0.0 else 0
     sign_dn = -1 if f_dn[0] > 0.0 and f_dn[2] <= 0.0 else 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,7 @@ def test_rhs_sum_identity(p_en):
 
 def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
     rng = np.random.default_rng(5)
-    m = 64
-    for p in (p_df, p_en):
+    for m, p in itertools.product((1, 2, 53, 64), (p_df, p_en)):  # 1, 2: the edge widths
         for _ in range(50):
             Y = rng.uniform(0.0, 800.0, (3, m))
             Y[rng.random((3, m)) < 0.15] = 0.0

@@ -201,6 +201,63 @@ def test_float_rows_and_columns_agree(p_en, monkeypatch, width):
                 assert block[1].shape == ref[1].shape == (len(block[0]), m, 3)
 
 
+def _feeds(monkeypatch, run, m):
+    """run() once all on the stacked feed and once all on float rows."""
+    out = []
+    for width in (0, m + 1):
+        monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
+        out.append(run())
+    return out
+
+
+def test_stacked_step_follows_the_step_size_of_each_segment(p_en, monkeypatch):
+    # three segments of different step sizes: 4 of 0.0925 to the switch at
+    # 0.37, 7 of 0.09 to 1.0 and 10 of 0.1; the scalars of one h must not serve another
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 8)
+    X0 = np.array([[150.0, 20.0, 1.0], [300.0, 80.0, 40.0], [50.0, 200.0, 10.0]])
+    sigs = [ode.Step(0.37, 17.0, 5.0), ode.Piecewise(((0.0, 17.0), (1.0, 3.0))),
+            ode.Sinusoid(17.0, 6.0, 0.7)]
+
+    def run():
+        blocks = []
+        Xf = ode.integrate_batch(p_en, X0, sigs, 2.0, dt=0.1,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+        return Xf, blocks
+
+    (Xf, blocks), (Xf_ref, blocks_ref) = _feeds(monkeypatch, run, len(X0))
+    h = np.diff(np.concatenate([blocks[0][0]] + [t[1:] for t, _, _ in blocks[1:]]))
+    assert len(np.unique(h.round(12))) == 3
+    assert np.array_equal(Xf, Xf_ref) and len(blocks) == len(blocks_ref) == 3
+    for block, ref in zip(blocks, blocks_ref):
+        assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+
+
+def test_replayed_block_reads_the_levels_of_a_switch_inside_it(p_en, monkeypatch):
+    # row 0's R = -1e-13 is clipped by the first step, so the first block is
+    # replayed, and the step row switches inside it: the replay must start
+    # the new segment from its own held level, as the unchecked pass did
+    X0 = np.array([[100.0, 0.0, -1e-13], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
+    sigs = [ode.Constant(17.0), ode.Step(0.45, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7)]
+
+    def run():
+        blocks = []
+        Xf = ode.integrate_batch(p_en, X0, sigs, 2.0, dt=0.1,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+        return Xf, blocks
+
+    for Xf, blocks in _feeds(monkeypatch, run, len(X0)):
+        (t, X, b), = blocks
+        assert X[1, 0, 2] == 0.0 > X[0, 0, 2]  # the first step clips R
+        assert [sig.value(0.0) for sig in sigs] == list(b[0])
+        for k in range(1, len(t)):  # a held level from the step's start, the sinusoid's at its end
+            assert list(b[k]) == [sigs[0].value(t[k - 1]), sigs[1].value(t[k - 1]),
+                                  sigs[2].value(t[k])]
+        alone = []  # the step row as if stepped alone, on the same grid
+        ode.integrate_batch(p_en, X0[1:2], sigs[1], 2.0, dt=0.1,
+                            observer=lambda t, X, b: alone.append(X))
+        assert np.array_equal(X[:, 1], alone[0][:, 0]) and np.array_equal(Xf, X[-1])
+
+
 def test_observer_owns_its_blocks(p_en, monkeypatch):
     # what the wide feed hands out must not alias the states it steps on
     monkeypatch.setattr(flow, "_BLOCK_STEPS", 3)

@@ -315,11 +315,16 @@ def test_separability_demo(p_en):
     assert res.details["anti_parallel_vanishes_at_x2hat"]
 
 
-def test_separability_demo_refuses_a_point_below_the_orthant(p_en):
-    # at b_hat = 5.1 the endemic x2h is 33.5, so the lower point x2h - 60 is negative
+def test_separability_demo_below_an_x2h_of_60(p_en):
+    # at b_hat = 5.1 the endemic x2h is 33.5: x2h - 60 would leave the
+    # orthant, so the test points sit at x2h +- x2h/2
     p = sl.ModelParams(p_en.beta, p_en.gamma, p_en.mu, 5.1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        verify.separability_obstruction_demo(p)
+    x2h = sl.endemic_eq(p).point.i
+    res = verify.separability_obstruction_demo(p)
+    assert res.passed and res.worst_margin > 0.5
+    assert res.details["required_sign_upper"] == 1
+    assert res.details["required_sign_lower"] == -1
+    assert res.worst_location[1] == x2h + x2h / 2
 
 
 def test_prohibited_region_demo(p_en):
