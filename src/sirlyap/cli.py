@@ -8,22 +8,22 @@ ConfigError.  Run as a program (`python -m sirlyap.cli`), each command
 imports only the modules it runs, and numpy only where it evaluates arrays:
 `certify`, and `levelsets` of the endemic function on an x2t plane.  The
 other commands, `params` and the x3t-plane `levelsets` of either function
-included, run without it.  Imported as a module, this one loads
+included, run without it.  `RunConfig`, like every record of the package,
+is a `model.Record`, so no command imports `dataclasses` (which loads
+`inspect`, `ast` and `dis`).  Imported as a module, this one loads
 every layer first, so a tool that wraps the layers' functions before it
 calls `main` (perfbench/tracer.py) finds them all.
 """
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bands, flow, model
 from .errors import ConfigError, RegimeError, SirLyapError
-from .model import ModelParams, State, decode_number, decode_pairs
+from .model import ModelParams, Record, State, decode_number, decode_pairs
 
 if __name__ != "__main__":
     from . import levelset, lyap_df, lyap_en, ode, verify  # noqa: F401
@@ -60,19 +60,18 @@ def _resolution(v) -> list:
     return [_integer("resolution", n, 2) for n in v]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     model: ModelParams
     equilibrium: str = "df"
-    lyap: dict = field(default_factory=dict)
+    lyap: dict = {}
     signal: flow.InputSignal = None
     x0: State = None
     horizon: float = 5000.0
     dt: float = 0.01
-    levels: list = field(default_factory=list)
+    levels: list = []
     window: list = None
     plane: dict = None
-    resolution: list = field(default_factory=lambda: [800, 800])
+    resolution: list = [800, 800]
     out_dir: str = "out"
     seed: int = bands.DEFAULT_SEED
     grid_n: int = bands.GRID_N
@@ -89,14 +88,14 @@ class RunConfig:
 
     @classmethod
     def _decode(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = set(d) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("model", "lyap", "signal"):
             if key in d and not isinstance(d[key], dict):
                 raise ConfigError(f"'{key}' must be an object")
         p = ModelParams.from_dict(d.get("model", {}))  # a missing one lacks every key
-        d = {**vars(cls(model=p)), **d}
+        d = {**cls(model=p).as_dict(), **d}
         eq = d["equilibrium"]
         if eq not in ("df", "endemic"):  # not a dict lookup: eq may be unhashable
             raise ConfigError("equilibrium must be 'df' or 'endemic'")
@@ -143,9 +142,10 @@ class RunConfig:
     def to_dict(self) -> dict:
         """The config as `from_dict` reads it: each field that is not None,
         in field order, as JSON values copied from the config."""
+        import copy
         encode = {"model": ModelParams.as_dict, "signal": flow.signal_to_dict, "x0": _fields}
-        return {f.name: encode.get(f.name, copy.deepcopy)(v) for f in fields(self)
-                if (v := getattr(self, f.name)) is not None}
+        return {name: encode.get(name, copy.deepcopy)(v)
+                for name, v in self.as_dict().items() if v is not None}
 
 
 def _load_config(args) -> RunConfig:

@@ -32,11 +32,10 @@ import math
 import operator
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError, NonFiniteState
-from .model import ModelParams, State, decode_number, decode_pairs, rhs_arrays
+from .model import ModelParams, Record, State, decode_number, decode_pairs, rhs_arrays
 
 DEFAULT_DT = 0.01
 _BLOCK_STEPS = 512  # steps per block: a 50-row observer block stays under 1 MB
@@ -46,10 +45,10 @@ _BLOCK_STEPS = 512  # steps per block: a 50-row observer block stays under 1 MB
 # input signals
 # ---------------------------------------------------------------------------
 
-class InputSignal:
+class InputSignal(Record):
     """Newborn/immigration rate B(t) >= 0 defined for t >= 0.
 
-    Each kind is a frozen dataclass that names, once, its `kind` in a
+    Each kind is a `model.Record` that names, once, its `kind` in a
     config's signal object and the `keys` there of its fields, in field
     order; `signal_from_dict` and `signal_to_dict` read both.  A signal
     object holds exactly `kind` and those keys, and each number in it is
@@ -73,14 +72,13 @@ class InputSignal:
     piecewise_constant = False
 
 
-@dataclass(frozen=True)
 class Constant(InputSignal):
     c: float
 
     kind, keys = "constant", ("value",)
     piecewise_constant = True
 
-    def __post_init__(self):
+    def _check(self):
         if self.c < 0.0:
             raise ValueError("constant input must be nonnegative")
 
@@ -88,7 +86,6 @@ class Constant(InputSignal):
         return self.c
 
 
-@dataclass(frozen=True)
 class Step(InputSignal):
     t_switch: float
     c_before: float
@@ -97,7 +94,7 @@ class Step(InputSignal):
     kind, keys = "step", ("t_switch", "before", "after")
     piecewise_constant = True
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.c_before, self.c_after) < 0.0:
             raise ValueError("step levels must be nonnegative")
 
@@ -108,7 +105,6 @@ class Step(InputSignal):
         return [self.t_switch] if 0.0 < self.t_switch < t_end else []
 
 
-@dataclass(frozen=True)
 class Piecewise(InputSignal):
     """Left-closed segments: level c_i applies on [t_i, t_{i+1})."""
 
@@ -117,7 +113,7 @@ class Piecewise(InputSignal):
     kind, keys = "piecewise", ("points",)
     piecewise_constant = True
 
-    def __post_init__(self):
+    def _check(self):
         ts = [t for t, _ in self.points]
         if list(ts) != sorted(ts):
             raise ValueError("piecewise breakpoints must be increasing")
@@ -139,7 +135,6 @@ class Piecewise(InputSignal):
         return [t for t, _ in self.points if 0.0 < t < t_end]
 
 
-@dataclass(frozen=True)
 class Sinusoid(InputSignal):
     """max(0, mean + amplitude*sin(omega*t)); the clip keeps B nonnegative."""
 
@@ -186,14 +181,15 @@ def signal_from_dict(d: dict) -> InputSignal:
     if set(d) != {"kind", *cls.keys}:
         raise ValueError(f"a {cls.kind} signal takes exactly the keys {['kind', *cls.keys]}, "
                          f"got {list(d)}")
-    return cls(*(_DECODE[f.type](f"signal.{key}", d[key]) for f, key in zip(fields(cls), cls.keys)))
+    return cls(*(_DECODE[cls.__annotations__[name]](f"signal.{key}", d[key])
+                 for name, key in zip(cls._fields, cls.keys)))
 
 
 def signal_to_dict(sig: InputSignal) -> dict:
     if type(sig) not in _SIGNALS:
         raise ValueError(f"unsupported signal type {type(sig)!r}")
-    return {"kind": sig.kind, **{key: _ENCODE[f.type](getattr(sig, f.name))
-                                 for f, key in zip(fields(sig), sig.keys)}}
+    return {"kind": sig.kind, **{key: _ENCODE[sig.__annotations__[name]](value)
+                                 for (name, value), key in zip(sig.as_dict().items(), sig.keys)}}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,8 @@ def _rates(signals: list, a: float, pack):
     """The input levels of the segment starting at a, as a function
     rate(b, t, h, t_next) -> (b0, bm, b1): B at the start, midpoint and end
     of a step, given b, the levels the step before ended on.  Each is a
-    scalar for one shared signal, else `pack`ed with one level per row.
+    scalar for one shared signal, else `pack`ed with one level per row; a
+    shared held level is `pack`ed too, once per segment.
 
     A piecewise-constant signal holds its level at a (segments are
     left-closed), read here once.  A continuous one is evaluated at t + h/2
@@ -241,7 +238,7 @@ def _rates(signals: list, a: float, pack):
     if len(signals) == 1:
         c, f = held[0], signals[0].value
         if c is not None:
-            return lambda b, t, h, t_next, bc=(c, c, c): bc
+            return lambda b, t, h, t_next, bc=(pack(c),) * 3: bc
         return lambda b, t, h, t_next: (b, f(t + 0.5 * h), f(t_next))
     moving = [(j, sig.value) for j, sig in enumerate(signals) if held[j] is None]
     held = pack([0.0 if c is None else c for c in held])
@@ -354,7 +351,8 @@ def blocks(step, check_state, clean, unchecked, x, signals: list, t_end: float, 
     row, or one per row), and yield (steps, states, levels) for each block
     of up to `_BLOCK_STEPS` grid steps: states[0] and levels[0] are the
     state and levels the block starts from, states[k] and levels[k] those
-    after steps[k-1].  Levels are `pack`ed when there is one per row.
+    after steps[k-1].  `pack` puts a list of levels, one per row, or the
+    held level of one shared signal in the form `step` takes.
 
     Each block is stepped by `step` without the state check, inside the
     context `unchecked()`, and kept when `clean(states)`.  Otherwise, or when
@@ -378,7 +376,8 @@ def blocks(step, check_state, clean, unchecked, x, signals: list, t_end: float, 
 def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: float):
     """`blocks` for `rows`, a list of (S, I, R) Python floats, each row
     stepped by `_rk4` under its own scalar levels and checked by
-    `_check_rows`: a state is a list of rows."""
+    `_check_rows`: a state is a list of rows, and levels stay Python
+    floats and lists."""
     # loops, not comprehensions: one frame less a step
     if len(signals) == 1:  # one scalar level for every row, for the whole run
         def step(rows, h, b0, bm, b1):
@@ -392,7 +391,8 @@ def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: fl
             for (s, i, r), c0, cm, c1 in zip(rows, b0, bm, b1):
                 out.append(_rk4(p, s, i, r, h, c0, cm, c1))
             return out
-    return blocks(step, _check_rows, _clean, nullcontext, rows, signals, t_end, dt, list)
+    return blocks(step, _check_rows, _clean, nullcontext, rows, signals, t_end, dt,
+                  lambda b: b)
 
 
 def trajectory_rows(p: ModelParams, x0: State, sig: InputSignal, t_end: float, dt: float):

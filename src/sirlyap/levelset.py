@@ -14,7 +14,6 @@ graph on x2t planes and the two geometry helpers (`polyline_distance`,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -22,20 +21,19 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import flow
 from .errors import DomainError
 from .lyap_df import DfLyapParams, df_level_polyline
-from .model import ModelParams
+from .model import ModelParams, Record
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class Contour:
+class Contour(Record):
     """One level's polylines, lists of (u, v) float tuples in the plane's
     free coordinates."""
 
     level: float
     plane: tuple  # (fixed axis name, value), e.g. ("x3t", 0.0)
-    polylines: list = field(default_factory=list)
+    polylines: list = []
     marker: Optional[tuple] = None  # degenerate level: a single point
 
 

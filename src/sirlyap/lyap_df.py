@@ -18,7 +18,6 @@ checks and their order belong to the harness above this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import model
@@ -37,7 +36,6 @@ BOUNDARY_BAND = 1e-9
 DELTA = 0.5
 
 
-@dataclass(frozen=True)
 class DfLyapParams(FloatRecord):
     """Constants of the disease-free function.
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
@@ -52,13 +51,12 @@ from . import model
 from .bands import bands
 from .errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
 from .lyap_df import BOUNDARY_BAND, _require_overrides
-from .model import EquilibriumKind, FloatRecord, ModelParams, Regime
+from .model import EquilibriumKind, FloatRecord, ModelParams, Record, Regime
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
 class EnLyapParams(FloatRecord):
     """Constants of the endemic function; lambda1 == lambda2 by construction."""
 
@@ -70,7 +68,7 @@ class EnLyapParams(FloatRecord):
     l_bar: float
     delta: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.lambda1 > 0.0 and self.lambda1 == self.lambda2):
             raise ValueError("need 0 < lambda1 == lambda2")
         if not self.lambda_hat2 > 0.0:
@@ -100,8 +98,7 @@ class EnRegion(Enum):
     F = "F"
 
 
-@dataclass(frozen=True)
-class EnDerivedConstants:
+class EnDerivedConstants(Record):
     """Per-region decrease constants appearing in the certified rate bounds."""
 
     gamma_a: float
@@ -358,7 +355,7 @@ def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
         lambda3 = lambda3_default(p, provisional)
     elif not (0.0 < lambda3 < bound):
         raise InfeasibleOverride(f"lambda3={lambda3!r} outside (0.0, {bound!r})")
-    lp = replace(provisional, lambda3=lambda3)
+    lp = provisional.replace(lambda3=lambda3)
     res = check_condition_50(p, lp)
     if not res.passed:
         raise InfeasibleOverride(
@@ -384,7 +381,7 @@ def select_en_params(p: ModelParams, l_bar: float,
     k_frac = 0.9
     for it in range(64):
         provisional = EnLyapParams(1.0, 1.0, lam_h2, k_frac * k0, 1e-300, l_bar, delta)
-        lp = replace(provisional, lambda3=lambda3_default(p, provisional))
+        lp = provisional.replace(lambda3=lambda3_default(p, provisional))
         if check_condition_50(p, lp).passed:
             return lp
         lam_h2 *= 0.5
@@ -646,7 +643,11 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
 
     Half of the x3t draws are moderate (within a few x3h), half sweep the
     full admissible magnitude range log-uniformly, since lambda3 is small and
-    the set is extremely elongated in the x3 direction.
+    the set is extremely elongated in the x3 direction.  Each round draws
+    max(4*(n - k), 20000) rows, k being the rows kept so far, and keeps the
+    first of them inside the set, up to n in all.  It tests them one band
+    at a time and none after the band that completes the n, so the sample
+    does not depend on the band size.
     """
     import numpy as np
     p, lp = lyap.p, lyap.lp
@@ -676,8 +677,13 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
             half = rng.random(m) < 0.5
             np.clip(X[:, 2], -0.999 * q.r, None, out=X[:, 2])
             X[half, 2] = rng.uniform(-0.9 * q.r, 3.0 * q.r, m)[half]
-        keep = np.concatenate([in_sublevel_many(p, lp, X[a:b], level) for a, b in bands(m)])
-        out.append(X[np.flatnonzero(keep)[:n - got]])  # the first rows kept, up to n in all
+        keep, kept = [], got
+        for a, b in bands(m):  # only until the round holds the rows still wanted
+            keep.append(in_sublevel_many(p, lp, X[a:b], level))
+            kept += int(np.count_nonzero(keep[-1]))
+            if kept >= n:
+                break
+        out.append(X[np.flatnonzero(np.concatenate(keep))[:n - got]])  # the first rows kept
         got += len(out[-1])
         if got >= n:
             break

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from .errors import DomainError, R0NotAboveOne
@@ -35,23 +34,91 @@ def decode_pairs(key: str, v) -> list:
     return [[decode_number(key, a), decode_number(key, b)] for a, b in v]
 
 
-class FloatRecord:
-    """A frozen dataclass of float constants: `as_dict` keys them by field
-    name in field order, and `from_dict` takes exactly those keys and
-    reads each value with `decode_number`."""
+class Record:
+    """An immutable record, like a frozen dataclass, without the import of
+    `dataclasses` (which loads `inspect`, `ast` and `dis`) or its code
+    generation per class.
+
+    The fields are the names annotated in the class body, in order, and a
+    value assigned there is the field's default; a list or dict default is
+    copied for each record, so no two records share one.  A record is built
+    from its fields by position or keyword, `_check` then validates it, and
+    no field can be assigned afterwards.  It equals, and hashes with, only a
+    record of its own type with equal fields.  Fields are plain instance
+    attributes, not a namedtuple's: reading a namedtuple field costs about
+    three times as much, and the float RK4 step reads the model's rates in
+    every call of `rhs_arrays`."""
+
+    _fields = ()    # the field names, in order
+    _defaults = {}  # field name -> default
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)  # this class body's own, in order
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                            f"got {len(args)} values and the keywords {sorted(kwargs)}")
+        kwargs.update(zip(names, args))
+        for name in names:
+            object.__setattr__(self, name, kwargs[name] if name in kwargs else self._default(name))
+        self._check()
+
+    def _default(self, name: str):
+        if name not in self._defaults:
+            raise TypeError(f"{type(self).__name__} needs its field {name!r}")
+        value = self._defaults[name]
+        return value.copy() if isinstance(value, (list, dict)) else value
+
+    def _check(self) -> None:
+        """Raise ValueError for fields this record refuses."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order."""
+        return dict(zip(self._fields, self._values()))
+
+    def replace(self, **changes):
+        """A record of this type with `changes` to its fields, checked again."""
+        return type(self)(**{**self.as_dict(), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FloatRecord(Record):
+    """A record of float constants: `as_dict` keys them by field name in
+    field order, and `from_dict` takes exactly those keys and reads each
+    value with `decode_number`."""
 
     @classmethod
     def from_dict(cls, d: dict):
-        names = [f.name for f in fields(cls)]
+        names = list(cls._fields)
         if set(d) != set(names):
             raise ValueError(f"{cls.__name__} takes exactly the keys {names}, got {list(d)}")
         return cls(*(decode_number(f"{cls.__name__}.{name}", d[name]) for name in names))
 
 
-@dataclass(frozen=True)
 class ModelParams(FloatRecord):
     """Rate constants of the SIR model.
 
@@ -66,22 +133,21 @@ class ModelParams(FloatRecord):
     mu: float
     b_hat: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.beta > 0.0 and self.gamma > 0.0 and self.mu > 0.0):
             raise ValueError("beta, gamma and mu must be positive")
         if not self.b_hat >= 0.0:
             raise ValueError("b_hat must be nonnegative")
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """Nonnegative population triple (S, I, R)."""
 
     s: float
     i: float
     r: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.s < 0.0 or self.i < 0.0 or self.r < 0.0:
             raise ValueError("state components must be nonnegative")
 
@@ -101,8 +167,7 @@ class EquilibriumKind(Enum):
     ENDEMIC = "endemic"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     kind: EquilibriumKind
     point: State
 

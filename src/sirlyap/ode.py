@@ -26,7 +26,6 @@ The signal names (`Constant`, `Step`, ..., `signal_from_dict`) live in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,14 +33,13 @@ import numpy as np
 from . import flow
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
                    Step, sample_input, signal_from_dict, signal_to_dict)
-from .model import ModelParams, State, rhs_stacked
+from .model import ModelParams, Record, State, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
 # one stacked array.  A float step costs about 1.55 us a row under one shared
-# Constant and 1.65 us with one Constant per row, a stacked step 14.5 us and
-# 13.6 us whatever the width (a shared level enters as a Python float), so the
-# two cross at 9-10 rows for a shared input and 8-9 rows for per-row ones
-# (best of 15 runs of 2,000 steps, Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
+# Constant and 1.6 us with one Constant per row, a stacked step about 13.5 us
+# under either whatever the width, so the two cross near 9 rows (best of 7
+# runs of 2,000 steps, Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
 _FLOAT_ROWS = 9
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
@@ -50,15 +48,14 @@ _CSV_BLOCK = 4096  # rows per block of CSV text
 # trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Recorded solution: times (n,), states (n, 3), inputs (n,)."""
 
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         if not (len(self.times) == len(self.states) == len(self.inputs)):
             raise ValueError("times, states and inputs must have equal length")
         if np.any(np.diff(self.times) <= 0.0):

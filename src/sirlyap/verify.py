@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
 from .errors import NoConvergence, RangeError, RegimeError
 from .lyap_en import sample_sublevel
-from .model import EquilibriumKind, ModelParams, State
+from .model import EquilibriumKind, ModelParams, Record, State
 
 N_POINTWISE = 20_000     # cap on the pointwise ISS samples
 N_STARTS = 50            # nominal-input trajectory starts
@@ -38,14 +37,13 @@ CONTINUITY_RTOL = 1e-9   # relative gap allowed between adjacent region formulas
 EN_DECREASE_TOL = 1e-10  # margin tolerance of the two endemic sample checks
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     worst_margin: float
     worst_location: object = None
     samples: int = 0
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
     def to_dict(self) -> dict:
         return _jsonable({
@@ -58,9 +56,8 @@ class CheckResult:
         })
 
 
-@dataclass
-class VerificationReport:
-    checks: list = field(default_factory=list)
+class VerificationReport(Record):
+    checks: list = []
 
     @property
     def passed(self) -> bool:
@@ -522,7 +519,7 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
     for name, pairs, Y, capped in (("lambda_hat2", lam_hat2_pairs, X, False),
                                    ("k", k_pairs, Xp, True)):
         for a, b in pairs:
-            lpa, lpb = replace(lp, **{name: a}), replace(lp, **{name: b})
+            lpa, lpb = lp.replace(**{name: a}), lp.replace(**{name: b})
             for lq in (lpa, lpb):
                 if not lyap_en.check_condition_50(p, lq).passed:
                     raise RegimeError("condition (50) fails for a nesting parameter set")

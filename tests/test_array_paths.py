@@ -4,7 +4,6 @@ level chord's interpolation.  The traced benchmark run wraps library
 functions by name, so every name it lists must still resolve."""
 import importlib
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,7 @@ def test_condition_50_matches_array_evaluation(log_mu, log_ratio, log_excess, lo
     p = _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta)
     q = sl.model.endemic_eq(p).point
     lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
-    for lq in (lp, replace(lp, l_bar=lp.l_bar * 10.0 ** log_stretch)):
+    for lq in (lp, lp.replace(l_bar=lp.l_bar * 10.0 ** log_stretch)):
         L = np.linspace(0.0, lq.l_bar, 2049)
         s = L / lq.lam0
         lhs, rhs = lyap_en.nu_fun(p, lq, s), lyap_en.theta_inv(p, -s)

@@ -1,6 +1,7 @@
 """What each entry point loads: the package exports lazily, each CLI
 command imports only the sirlyap modules it runs, and every command but
-`certify` and the endemic x2t-plane `levelsets` runs without numpy."""
+`certify` and the endemic x2t-plane `levelsets` runs without numpy, and
+without `dataclasses` or `inspect`."""
 import ast
 import importlib
 import json
@@ -61,8 +62,8 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
-# `python -m sirlyap.cli ARGS`, then the sirlyap modules it loaded and
-# whether numpy was loaded
+# `python -m sirlyap.cli ARGS`, then the sirlyap modules it loaded, whether
+# numpy was loaded, and which of the heavy standard modules it loaded
 _RUN_COMMAND = """
 import json, runpy, sys
 sys.argv[0] = "sirlyap.cli"
@@ -71,7 +72,8 @@ try:
 except SystemExit as exc:
     rc = exc.code
 print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("sirlyap.")),
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules,
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -89,10 +91,12 @@ def test_each_command_loads_only_its_modules(tmp_path, command, cfg, extra):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = _fresh(_RUN_COMMAND, command, "--config", str(path), "--out", str(tmp_path / "out"))
-    rc, loaded, numpy_loaded = json.loads(out.splitlines()[-1])
+    rc, loaded, numpy_loaded, heavy = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert set(loaded) == BASE | extra
     assert numpy_loaded is (command == "certify" or cfg is EN_X2T)
+    if not numpy_loaded:  # numpy itself imports inspect
+        assert heavy == []
 
 
 def test_flow_loads_without_numpy():

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,8 +117,7 @@ def test_lambda3_bound(p_en, lp_en):
     bound = lyap_en.lambda3_bound(p_en, lp_en)
     assert bound == min(terms)
     assert 0.0 < 0.5 * bound < bound
-    from dataclasses import replace
-    small_k = replace(lp_en, k=1e-6)
+    small_k = lp_en.replace(k=1e-6)
     t1_small = lyap_en.lambda3_bound_terms(p_en, small_k)[0]
     assert t1_small < 1e-4 * terms[0]  # first ceiling collapses with k
 
@@ -140,15 +138,14 @@ def test_condition_50(p_en, lp_en):
 def test_condition_50_small_lambda_hat2_limit(p_en, lp_en):
     # the margin's limit stays nonnegative as lambda_hat2 shrinks, matching
     # the degenerate-limit claim without asserting the zero case itself
-    from dataclasses import replace
     worsts = []
     for lh2 in (1e-2, 1e-4, 1e-6, 1e-8):
-        lp = replace(lp_en, lambda_hat2=lh2)
+        lp = lp_en.replace(lambda_hat2=lh2)
         res = lyap_en.check_condition_50(p_en, lp)
         assert res.passed
         worsts.append(res.worst_margin)
     assert worsts[-1] >= -1e-9
-    big = replace(lp_en, lambda_hat2=1e-10, l_bar=1e5, k=0.9 * lyap_en.k0_bound(p_en, 1e5))
+    big = lp_en.replace(lambda_hat2=1e-10, l_bar=1e5, k=0.9 * lyap_en.k0_bound(p_en, 1e5))
     assert lyap_en.check_condition_50(p_en, big).passed
 
 
@@ -172,7 +169,7 @@ def test_bound_errors_show_the_compared_values(p_en, lp_en, ly_en):
     with pytest.raises(InfeasibleOverride) as err:
         lyap_en.en_params_from(p_en, 340.0, 0.01, k0)
     assert _compared(err, r"k=(\S+) outside \((\S+), k0=(\S+)\)") == [k0, 0.0, k0]
-    bound = lyap_en.lambda3_bound(p_en, replace(lp_en, lambda3=1e-300))
+    bound = lyap_en.lambda3_bound(p_en, lp_en.replace(lambda3=1e-300))
     with pytest.raises(InfeasibleOverride) as err:
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.0902, lambda3=bound)
     assert _compared(err, r"lambda3=(\S+) outside \((\S+), (\S+)\)") == [bound, 0.0, bound]
@@ -289,8 +286,7 @@ def test_en_input_range(p_en, lp_en):
     assert lo == pytest.approx(-lp_en.delta * p_en.mu * pl / lp_en.lambda1)
     assert hi == pytest.approx(lp_en.delta * p_en.mu * lp_en.l_bar / lp_en.lambda1)
     assert (-lo < hi) == (pl < lp_en.l_bar)
-    from dataclasses import replace
-    lo2, hi2 = lyap_en.en_input_range(p_en, replace(lp_en, delta=0.9))
+    lo2, hi2 = lyap_en.en_input_range(p_en, lp_en.replace(delta=0.9))
     assert lo2 < lo and hi2 > hi
 
 
@@ -387,3 +383,21 @@ def test_sampler_that_keeps_nothing_raises_no_convergence(monkeypatch, ly_en):
                         lambda p, lp, X, L: np.zeros(len(X), dtype=bool))
     with pytest.raises(NoConvergence):
         lyap_en.sample_sublevel(ly_en, 10, seed=1)
+
+
+def test_sampler_tests_only_the_bands_it_keeps_rows_from(monkeypatch, ly_en):
+    # at the reference scenario and certify's seed, the first three bands of
+    # the first round's 400,000 draws already hold the 100,000 rows kept
+    tested = []
+    in_sublevel_many = lyap_en.in_sublevel_many
+
+    def counting(p, lp, X, L):
+        tested.append(len(X))
+        return in_sublevel_many(p, lp, X, L)
+
+    monkeypatch.setattr(lyap_en, "in_sublevel_many", counting)
+    X = lyap_en.sample_sublevel(ly_en, 100_000, verify.DEFAULT_SEED)
+    assert sum(tested) == 3 * 65_536 and X.shape == (100_000, 3)
+    # the same rows as when every draw of a round is tested, in one band
+    monkeypatch.setattr(lyap_en, "bands", lambda m: [(0, m)])
+    assert lyap_en.sample_sublevel(ly_en, 100_000, verify.DEFAULT_SEED).tobytes() == X.tobytes()

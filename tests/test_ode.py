@@ -548,3 +548,25 @@ def test_trajectory_validation():
         ode.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         ode.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)), np.zeros(2))
+
+
+def test_shared_and_per_row_levels_step_bit_identically(p_en, monkeypatch):
+    # one shared signal enters the stacked step as an array level, as one
+    # signal per row does: the states and observer blocks are the same bits
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 16)
+    sig = ode.Step(2.5, 17.0, 5.0)
+    X0 = np.linspace([50.0, 1.0, 0.0], [400.0, 200.0, 40.0], 12)
+
+    def run(sigs):
+        blocks = []
+        Xf = ode.integrate_batch(p_en, X0, sigs, 10.0, dt=0.1,
+                                 observer=lambda t, X, b: blocks.append((t, X, b)))
+        return Xf, blocks
+
+    assert len(X0) >= ode._FLOAT_ROWS  # the stacked feed
+    (Xf, blocks), (Xf_rows, blocks_rows) = run(sig), run([sig] * len(X0))
+    assert Xf.tobytes() == Xf_rows.tobytes() and len(blocks) == len(blocks_rows) > 2
+    for (t, X, b), (t_rows, X_rows, b_rows) in zip(blocks, blocks_rows):
+        assert t.tobytes() == t_rows.tobytes() and X.tobytes() == X_rows.tobytes()
+        assert b.shape == (len(t),) and b_rows.shape == (len(t), len(X0))
+        assert np.repeat(b[:, None], len(X0), axis=1).tobytes() == b_rows.tobytes()

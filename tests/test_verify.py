@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -513,7 +512,7 @@ def test_iss_inputs_are_python_floats(ly_df, ly_en, monkeypatch):
         verify.run_certification(ly, grid_n=5, n_samples=1000)
     assert len(signals) == 6
     for sig in signals:
-        assert all(type(v) is float for v in dataclasses.astuple(sig)), sig
+        assert all(type(v) is float for v in sig.as_dict().values()), sig
 
 
 @pytest.mark.parametrize("name, expected", [
