@@ -1,14 +1,15 @@
 """Piecewise-linear ISS Lyapunov function for the disease-free equilibrium.
 
-The function is linear on each of three regions of the deviation space
-R x R+^2; the regions are separated by the plane x1t = 0 and by the tilted
-plane x1t = -(beta*x1hat/mu0) * (x2t + lambda3*x3t).
+V is the largest of three linear formulas on the deviation space R x R+^2,
+and a point's region is the first of A, B, C whose formula is largest; two
+formulas tie on the plane x1t = 0 (A) and on the tilted plane
+x1t = -(beta*x1hat/mu0) * (x2t + lambda3*x3t) (B, `df_threshold`).
 
 Evaluation runs on arrays only: each region's value formula and gradient
-and the region split are written once, over deviation arrays of shape
-(n, 3), and a single point is a 1-row array; outside R x R+^2 the value is
-NaN.  numpy is imported inside the array functions only, so the constants,
-the level polyline and `sirlyap params` run without it.
+are written once, over deviation arrays of shape (n, 3), and a single point
+is a 1-row array; outside R x R+^2 the value is NaN.  numpy is imported
+inside the array functions only, so the constants, the level polyline and
+`sirlyap params` run without it.
 
 `DiseaseFreeLyapunov` describes V, its ISS gain and input range, and what it
 certifies off its boundary band: wherever V >= chi(|u|), -grad V . f under
@@ -117,6 +118,19 @@ def df_chi(lp: DfLyapParams, p: ModelParams, u_mag: float) -> float:
 # array evaluation over deviations X (n, 3)
 # ---------------------------------------------------------------------------
 
+def _first_max(columns, codes) -> tuple:
+    """Per row, the largest of the (n,) `columns` and the code (an int or an
+    int8 array, one per column) of the first column reaching it: a strict >
+    keeps the earlier of equal values, a first +0.0 over a later -0.0 too."""
+    import numpy as np
+    best, code = columns[0], np.full(columns[0].shape, codes[0], dtype=np.int8)
+    for col, c in zip(columns[1:], codes[1:]):
+        gt = col > best
+        best = np.where(gt, col, best)
+        code = np.where(gt, c, code)
+    return best, code
+
+
 def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
     """The value formulas of regions A, B and C, each evaluated at every row."""
     x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
@@ -126,14 +140,10 @@ def df_region_values(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> tuple:
 
 def df_value_region_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray):
     """Values and region codes (0=A, 1=B, 2=C) for deviations X of shape (n, 3);
-    boundary points go to the closed-inequality side, and the value is NaN
-    outside the domain R x R+^2 (x2t < 0 or x3t < 0)."""
+    the value is NaN outside the domain R x R+^2 (x2t < 0 or x3t < 0)."""
     import numpy as np
-    x1t = X[:, 0]
-    in_b = x1t >= df_threshold(lp, p, X[:, 1], X[:, 2])
-    codes = np.where(x1t >= 0.0, 0, np.where(in_b, 1, 2)).astype(np.int8)
-    outside = (X[:, 1] < 0.0) | (X[:, 2] < 0.0)
-    return np.where(outside, np.nan, np.choose(codes, df_region_values(lp, p, X))), codes
+    v, codes = _first_max(df_region_values(lp, p, X), (0, 1, 2))
+    return np.where((X[:, 1] < 0.0) | (X[:, 2] < 0.0), np.nan, v), codes
 
 
 def df_gradient_arrays(lp: DfLyapParams, p: ModelParams, X: np.ndarray) -> np.ndarray:

@@ -22,9 +22,11 @@ endemic equilibrium; feasibility of (k, lambda3, lambda_hat2, l_bar) is
 certified numerically by `check_condition_50`.
 
 Each region's V12 is written once, as a linear form in (x1t, x2t) taken
-through P^{-1} in regions C, D and E (`_region_forms`), and evaluated by the
-array functions over deviations (n, 3), the one evaluation path: a single
-point is a 1-row array.  Outside the domain H the value is NaN.
+through P^{-1} in regions C, D and E (`_region_forms`); V12 is the largest
+of the six (each level set is a hexagon of half-planes, `en_level_hexagon`),
+and a point's region is the first of A..F whose formula is largest.  The
+array functions over deviations (n, 3) are the one evaluation path: a single
+point is a 1-row array.  Outside the domain H (`en_value_many`) V is NaN.
 
 The monotone maps take a Python float and return one, or take an array and
 return an array, with one formula for both (`_theta`, `_omega_inv`, ...).
@@ -50,7 +52,7 @@ from typing import TYPE_CHECKING, Optional
 from . import model
 from .bands import bands
 from .errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
-from .lyap_df import BOUNDARY_BAND, _require_overrides
+from .lyap_df import BOUNDARY_BAND, _first_max, _require_overrides
 from .model import EquilibriumKind, FloatRecord, ModelParams, Record, Regime
 
 if TYPE_CHECKING:
@@ -162,7 +164,7 @@ def _omega_inv(lp: EnLyapParams, xh: tuple, v):
     x1h, x2h, lam1 = xh[0], xh[1], lp.lambda1
     b = lam1 * x1h + lp.lambda_hat2 * x2h - v
     sq = _sqrt(b * b + 4.0 * lam1 * v * x1h)
-    return _where(b > 0.0, 2.0 * v * x1h / (b + sq), (sq - b) / (2.0 * lam1))
+    return _where(b > 0.0, 2.0 * v * x1h / (abs(b) + sq), (sq - b) / (2.0 * lam1))
 
 
 def _p_fun(lp: EnLyapParams, xh: tuple, s):
@@ -208,7 +210,8 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     b = lambda1*x1h + lambda_hat2*x2h - v; it is negative at s = -x1h, so one
     root lies on each side of the pole and the larger is wanted.  That root
     is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
-    otherwise, neither of which subtracts nearly equal numbers.
+    otherwise, neither of which subtracts nearly equal numbers; b is |b| in
+    the first, so the branch computed and dropped never divides by 0.
     """
     return _omega_inv(lp, _xhat(p), _real(v))
 
@@ -287,10 +290,14 @@ def lambda3_default(p: ModelParams, lp: EnLyapParams) -> float:
 
     The extra factor k on the third term keeps the certified region-E
     decrease constant strictly positive (the un-scaled ceiling only makes it
-    nonnegative in the limit).
+    nonnegative in the limit).  InfeasibleOverride when the ceiling is not
+    positive: a huge l_bar or beta rounds the spread, and with it t3, to 0.
     """
     t1, t2, t3, t4 = lambda3_bound_terms(p, lp)
-    return 0.5 * min(t1, t2, lp.k * t3, t4)
+    ceiling = min(t1, t2, lp.k * t3, t4)
+    if not ceiling > 0.0:
+        raise InfeasibleOverride(f"no admissible lambda3: the ceiling {ceiling:.3g} is not positive")
+    return 0.5 * ceiling
 
 
 Cond50Result = namedtuple("Cond50Result", "passed worst_margin argmin_l samples")
@@ -368,7 +375,8 @@ def select_en_params(p: ModelParams, l_bar: float,
     """Geometric shrink search for feasible constants under the level budget
     l_bar, at most 64 rounds: lambda_hat2 (and, on a slower schedule, k) is
     halved until condition (50) passes.  delta defaults to DELTA.
-    Raises InfeasibleOverride for l_bar <= 0 or delta outside (0, 1).
+    Raises InfeasibleOverride for l_bar <= 0, delta outside (0, 1) or no
+    admissible lambda3 (`lambda3_default`).
     """
     _require_endemic_regime(p)
     l_bar = float(l_bar)
@@ -394,15 +402,6 @@ def select_en_params(p: ModelParams, l_bar: float,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _h_masks(p: ModelParams, lp: EnLyapParams, x1t, x2t, l_cap: float):
-    _, x2h, _ = _xhat(p)
-    lam0 = lp.lam0
-    h1 = (x2t > -x2h) & (x2t <= l_cap / (lp.lambda2 * (1.0 - lp.k)))
-    h2 = -x1t - x2t < (1.0 - lp.k) * x2h
-    h3 = -lp.lambda1 * x1t + lp.lambda_hat2 * x2t < lam0 * x2h
-    return h1 & h2 & h3
-
-
 #: P^{-1} arguments are clipped this factor below the pole lam0*x2h
 _POLE_CLIP = 1.0 - 1e-15
 
@@ -425,70 +424,56 @@ def _region_forms(lp: EnLyapParams) -> np.ndarray:
                      [-lam1, -lam2], [0.0, -lam0], [lam1, -lh2]])
 
 
-def _linear_form(lp: EnLyapParams, codes, x1t, x2t):
-    c = _region_forms(lp)[codes]
-    return c[..., 0] * x1t + c[..., 1] * x2t
-
-
-def en_region_v12(p: ModelParams, lp: EnLyapParams, codes, x1t, x2t):
-    """V12 by the formula of region `codes` (0..5 for A..F; one code, or one
-    per point) wherever the points lie: each point's linear form, taken
-    through P^{-1} only in C, D and E, its argument clipped just below the
-    pole."""
+def en_region_v12(p: ModelParams, lp: EnLyapParams, code: int, x1t, x2t):
+    """V12 by the formula of region `code` (0..5 for A..F) wherever the points
+    lie: the region's linear form, taken through P^{-1} only in C, D and E,
+    its argument clipped just below the pole."""
     import numpy as np
     xh = _xhat(p)
-    v12 = np.asarray(_linear_form(lp, codes, x1t, x2t), dtype=float)
-    curved = np.broadcast_to(_curved(codes), v12.shape)
-    v12[curved] = _p_inv(lp, xh, np.minimum(v12[curved], lp.lam0 * xh[1] * _POLE_CLIP))
+    c1, c2 = _region_forms(lp)[code]
+    v12 = c1 * x1t + c2 * x2t
+    if _curved(code):
+        v12 = _p_inv(lp, xh, np.minimum(v12, lp.lam0 * xh[1] * _POLE_CLIP))
     return v12
 
 
-def _region_codes(p: ModelParams, lp: EnLyapParams, x1t, x2t):
-    """Codes 0..5 for regions A..F; assumes arguments already lie in H."""
+def _region_select(p: ModelParams, lp: EnLyapParams, x1t, x2t) -> tuple:
+    """Per point: the first region (0..5 for A..F) whose formula is largest,
+    its V12, and the largest linear form of C, D and E; P^{-1} increases, so
+    that form is the one P^{-1} argument, and C, D and E tie by their forms."""
     import numpy as np
     xh = _xhat(p)
-    kx2 = -lp.k * x2t
-    # lower half: D / E / F split by -k*x2t and the hyperbola branch
-    ti = _theta_inv(xh, np.minimum(-x2t, xh[1] * _POLE_CLIP))
-    lower = np.where(x1t <= kx2, 3, np.where(x1t <= ti, 4, 5))
-    codes = np.where(x2t >= 0.0, np.where(x1t >= kx2, 0, 1), lower).astype(np.int8)
-    # upper half: A right of -k*x2t; left of it, x1t < nu(x2t) (region C)
-    # exactly where C's formula exceeds B's (a monotone transform of the cut)
-    left = np.flatnonzero(codes == 1)
-    x1l, x2l = x1t[left], x2t[left]
-    codes[left[en_region_v12(p, lp, 2, x1l, x2l) > _linear_form(lp, 1, x1l, x2l)]] = 2
-    return codes
+    a, b, c, d, e, f = (c1 * x1t + c2 * x2t for c1, c2 in _region_forms(lp).tolist())
+    arg, curved = _first_max((c, d, e), (2, 3, 4))
+    pinv = _p_inv(lp, xh, np.minimum(arg, lp.lam0 * xh[1] * _POLE_CLIP))
+    v12, codes = _first_max((a, b, pinv, f), (0, 1, curved, 5))
+    return codes, v12, arg
 
 
 def en_region_terms(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> tuple:
     """Per point in H: the region code (0..5 for A..F), the P^{-1} argument of
     its region (0 outside C, D and E) and (P^{-1})' at that argument."""
     import numpy as np
-    x1t, x2t = X[:, 0], X[:, 1]
-    codes = _region_codes(p, lp, x1t, x2t)
-    arg = np.where(_curved(codes), _linear_form(lp, codes, x1t, x2t), 0.0)
-    dpinv = p_inv_prime(p, lp, np.minimum(arg, lp.lam0 * _xhat(p)[1] * _POLE_CLIP))
-    return codes, arg, dpinv
+    codes, _, arg = _region_select(p, lp, X[:, 0], X[:, 1])
+    arg = np.where(_curved(codes), arg, 0.0)
+    return codes, arg, p_inv_prime(p, lp, np.minimum(arg, lp.lam0 * _xhat(p)[1] * _POLE_CLIP))
 
 
 def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
                   l_cap: Optional[float] = None) -> np.ndarray:
     """Vectorised V over deviations X (n, 3); NaN outside the domain H.
 
-    l_cap (default l_bar) sets the first domain inequality, x2t <= l_cap/(lambda2*(1 - k));
-    `l_cap=np.inf` drops it, for callers that check points on or beyond the
-    budget's edge (the A/B vertex of the level-l_bar set lies on it).  The
+    H is x2t > -x2h, x2t <= l_cap/(lambda2*(1 - k)) (l_cap defaults to l_bar;
+    `l_cap=np.inf` drops it, for points on the A/B vertex of the level-l_bar
+    set and beyond) and every curved form below the pole lam0*x2h.  The
     formulas are certified only where condition (50) holds.
     """
     import numpy as np
-    if l_cap is None:
-        l_cap = lp.l_bar
-    x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
-    ok = _h_masks(p, lp, x1t, x2t, l_cap)
-    codes = _region_codes(p, lp, np.where(ok, x1t, 0.0), np.where(ok, x2t, 0.0))
-    out = en_region_v12(p, lp, codes, x1t, x2t) + lp.lambda3 * np.abs(x3t)
-    out[~ok] = np.nan
-    return out
+    x2t, x2h = X[:, 1], _xhat(p)[1]
+    cap = (lp.l_bar if l_cap is None else l_cap) / (lp.lambda2 * (1.0 - lp.k))
+    _, v12, arg = _region_select(p, lp, X[:, 0], x2t)
+    ok = (x2t > -x2h) & (x2t <= cap) & (arg < lp.lam0 * x2h)
+    return np.where(ok, v12 + lp.lambda3 * np.abs(X[:, 2]), np.nan)
 
 
 def en_gradient_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.ndarray:

@@ -122,6 +122,16 @@ def test_failed_simulate_leaves_no_partial_csv(tmp_path, capsys):
     assert (out / "trajectory.csv").read_bytes() == b"t,S,I,R,B\r\n0.0,1.0,2.0,3.0,4.0\r\n"
 
 
+@pytest.mark.parametrize("command", ["params", "levelsets", "certify"])
+@pytest.mark.parametrize("change", [{"lyap": {"l_bar": 1e20}},
+                                    {"model": {**EN_CONFIG["model"], "beta": 1e300}}])
+def test_zero_lambda3_ceiling_is_a_typed_error(tmp_path, capsys, command, change):
+    cfg = {**EN_CONFIG, "lyap": {"l_bar": 340.0}, **change}
+    argv = [command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: no admissible lambda3: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "params", "levelsets", "certify"])
 def test_unmakeable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
     # --out names an existing file; the directory is made before any numerics

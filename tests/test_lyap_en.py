@@ -55,6 +55,13 @@ def test_omega_inv_against_quadratic_formula(p_en, lp_en):
     assert np.abs(s_num - s_oracle).max() <= 1e-10 * (1.0 + np.abs(s_oracle)).max()
 
 
+def test_omega_inv_of_a_huge_level(p_en, lp_en):
+    # b + sqrt(D) rounds to 0 here, in the branch omega_inv computes and drops
+    assert lyap_en.omega_inv(p_en, lp_en, 1e19) == pytest.approx(1e19, rel=1e-12)
+    roots = lyap_en.omega_inv(p_en, lp_en, np.array([1e19, 1e20, -1e19]))
+    assert np.isfinite(roots).all()
+
+
 def test_p_and_inverse(p_en, lp_en):
     assert lyap_en.p_fun(p_en, lp_en, 0.0) == 0.0
     assert lyap_en.p_inv(p_en, lp_en, 0.0) == 0.0
@@ -154,6 +161,18 @@ def test_en_params_from_validation(p_en):
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.5)  # k above its ceiling
     with pytest.raises(InfeasibleOverride):
         lyap_en.en_params_from(p_en, 340.0, 0.01, 0.0902, lambda3=1.0)
+
+
+def test_zero_lambda3_ceiling_is_refused(p_en):
+    # a huge budget or beta rounds the spread, and with it the third
+    # lambda3 ceiling, to 0
+    with pytest.raises(InfeasibleOverride, match="no admissible lambda3"):
+        lyap_en.select_en_params(p_en, 1e20)
+    with pytest.raises(InfeasibleOverride, match="no admissible lambda3"):
+        lyap_en.select_en_params(p_en.replace(beta=1e300), 340.0)
+    k = 0.5 * lyap_en.k0_bound(p_en, 1e20)
+    with pytest.raises(InfeasibleOverride, match="no admissible lambda3"):
+        lyap_en.en_params_from(p_en, 1e20, 0.01, k)
 
 
 def _compared(err, pattern) -> list:
