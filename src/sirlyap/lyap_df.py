@@ -11,7 +11,7 @@ is a 1-row array; outside R x R+^2 the value is NaN.  numpy is imported
 inside the array functions only, so the constants, the level polyline and
 `sirlyap params` run without it.
 
-`DiseaseFreeLyapunov` describes V, its ISS gain and input range, and what it
+`DiseaseFreeLyapunov` holds V's ISS gain `chi`, its input range and what it
 certifies off its boundary band: wherever V >= chi(|u|), -grad V . f under
 the input u exceeds (1-delta)*(mu - mu0)*V (`iss_decrease`).  Certify's
 checks and their order belong to the harness above this module.
@@ -109,11 +109,6 @@ def df_threshold(lp: DfLyapParams, p: ModelParams, x2t, x3t):
     return -(p.beta * _x1hat(p) / lp.mu0) * (x2t + lp.lambda3 * x3t)
 
 
-def df_chi(lp: DfLyapParams, p: ModelParams, u_mag: float) -> float:
-    """ISS threshold |u| / (delta*(mu - mu0))."""
-    return abs(u_mag) / (lp.delta * (p.mu - lp.mu0))
-
-
 # ---------------------------------------------------------------------------
 # array evaluation over deviations X (n, 3)
 # ---------------------------------------------------------------------------
@@ -204,15 +199,17 @@ class DiseaseFreeLyapunov:
     def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
         return df_grad_dot_f_arrays(self.lp, self.p, X, u)
 
-    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u_values) -> tuple:
-        """Per input u of u_values, where V >= chi(|u|) holds, per row of X with
-        values v; and the rate (1-delta)*(mu - mu0)*V that -grad V . f under
-        each such u exceeds there."""
+    def iss_decrease(self, X: np.ndarray, u_values) -> tuple:
+        """Per input u of u_values, where V >= chi(|u|) holds, per row of X;
+        and the rate (1-delta)*(mu - mu0)*V that -grad V . f under each such
+        u exceeds there."""
+        v = self.value_many(X)
         return ([v >= self.chi(abs(u)) for u in u_values],
                 (1.0 - self.lp.delta) * (self.p.mu - self.lp.mu0) * v)
 
     def chi(self, u_mag: float) -> float:
-        return df_chi(self.lp, self.p, u_mag)
+        """ISS threshold |u| / (delta*(mu - mu0))."""
+        return abs(u_mag) / (self.lp.delta * (self.p.mu - self.lp.mu0))
 
     def chi_signed(self, u_pos: float, u_neg: float) -> float:
         """Threshold for inputs within [-u_neg, u_pos]: chi of the larger side."""

@@ -35,11 +35,11 @@ range), the hexagon and the default window run on floats, so `sirlyap
 params` and the x3t-plane level sets run without numpy; it is imported
 inside the array functions only.
 
-`EndemicLyapunov` describes V, its ISS gain and input range, and what it
-certifies off its boundary band: the rate of each region with u = 0
-(`decrease_rate`) and, where an ISS hypothesis holds, (1-delta) times the
-outer regions' rates under u (`iss_decrease`).  Certify's checks and their
-order belong to the harness above this module.
+`EndemicLyapunov` holds V's ISS gain, its input range, the feasibility
+summary and what it certifies off its boundary band: the rate of each region
+with u = 0 (`decrease_rate`) and, where an ISS hypothesis holds, (1-delta)
+times the outer regions' rates under u (`iss_decrease`).  Certify's checks
+and their order belong to the harness above this module.
 """
 from __future__ import annotations
 
@@ -134,11 +134,13 @@ def _any(mask) -> bool:
     return bool(mask.any()) if hasattr(mask, "any") else mask
 
 
-def _sqrt(x):
-    if isinstance(x, float):
-        return math.sqrt(x)
+def _root(b, c):
+    """sqrt(b*b + c), with b and c scaled by |b| where |b| > 1e150 (b*b would overflow)."""
+    if isinstance(b, float) and abs(b) <= 1e150:
+        return math.sqrt(b * b + c)
     import numpy as np
-    return np.sqrt(x)
+    s = np.where(np.abs(b) > 1e150, np.abs(b), 1.0)
+    return s * np.sqrt((b / s) * (b / s) + c / s / s)
 
 
 def _where(cond, a, b):
@@ -163,7 +165,7 @@ def _omega_inv(lp: EnLyapParams, xh: tuple, v):
     """The larger root of omega(s) = v; see `omega_inv`."""
     x1h, x2h, lam1 = xh[0], xh[1], lp.lambda1
     b = lam1 * x1h + lp.lambda_hat2 * x2h - v
-    sq = _sqrt(b * b + 4.0 * lam1 * v * x1h)
+    sq = _root(b, 4.0 * lam1 * v * x1h)
     return _where(b > 0.0, 2.0 * v * x1h / (abs(b) + sq), (sq - b) / (2.0 * lam1))
 
 
@@ -211,7 +213,8 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     root lies on each side of the pole and the larger is wanted.  That root
     is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
     otherwise, neither of which subtracts nearly equal numbers; b is |b| in
-    the first, so the branch computed and dropped never divides by 0.
+    the first, so the branch computed and dropped never divides by 0.  `_root`
+    scales D where |b| > 1e150, so the root of a huge level stays finite.
     """
     return _omega_inv(lp, _xhat(p), _real(v))
 
@@ -546,14 +549,6 @@ def en_level_chord(p: ModelParams, lp: EnLyapParams, level: float, c: float) -> 
                  for chain in ((4, 3, 2), (5, 0, 1)))
 
 
-def en_input_range(p: ModelParams, lp: EnLyapParams) -> tuple:
-    """Open admissible perturbation interval around the nominal newborn rate,
-    as Python floats (numpy-scalar inputs would slow the ISS batch's float rows)."""
-    lo = -lp.delta * p.mu * p_fun(p, lp, lp.l_bar) / lp.lambda1
-    hi = lp.delta * p.mu * lp.l_bar / lp.lambda1
-    return (lo, hi)
-
-
 def _roots_in(coeffs, S: float, hi: float) -> np.ndarray:
     """w = S*(1 - t) at the real roots t of a polynomial, kept in (0, hi)."""
     import numpy as np
@@ -608,18 +603,6 @@ def en_eta_inv(p: ModelParams, lp: EnLyapParams, y: float) -> float:
     w = np.concatenate([[0.0, y], _roots_in(cubic, S, y)])
     g = _p_inv(lp, xh, w) + (y - w) * p_inv_prime(p, lp, w) / lam3
     return float(g.max())
-
-
-def feasibility_report(p: ModelParams, lp: EnLyapParams) -> dict:
-    """Summary used by the CLI: k0, lambda3 ceiling, (50) margin, input range."""
-    res = check_condition_50(p, lp)
-    return {
-        "k0": k0_bound(p, lp.l_bar, lp.lambda1, lp.lambda2),
-        "lambda3_bound": lambda3_bound(p, lp),
-        "cond50_margin": res.worst_margin,
-        "cond50_argmin_l": res.argmin_l,
-        "input_range": list(en_input_range(p, lp)),
-    }
 
 
 def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
@@ -711,14 +694,14 @@ class EndemicLyapunov:
     def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
         return en_grad_dot_f_arrays(self.p, self.lp, X, u)
 
-    def decrease_rate(self, X: np.ndarray, v: np.ndarray) -> tuple:
-        """Per row of X with values v: the region code (0..5 for A..F) and the
-        rate that -grad V . f exceeds with u = 0: mu*V in A and F, a_B*V in B,
+    def decrease_rate(self, X: np.ndarray) -> tuple:
+        """Per row of X: the region code (0..5 for A..F) and the rate that
+        -grad V . f exceeds with u = 0: mu*V in A and F, a_B*V in B,
         mu*((P^{-1})'*arg + V3) in C and D, and in E
         (P^{-1})'*arg*k*beta*spread*gamma_Ek + mu*V3, where gamma_Ek keeps the
         absorbed x2t cross term accounted for, or 0 if gamma_Ek <= 0."""
         import numpy as np
-        p, lp, dc = self.p, self.lp, derived_constants(self.p, self.lp)
+        p, lp, dc, v = self.p, self.lp, derived_constants(self.p, self.lp), self.value_many(X)
         (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
         rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
         rate = np.where(codes == 1, dc.a_b * v, rate)
@@ -727,15 +710,15 @@ class EndemicLyapunov:
                   if dc.gamma_ek > 0.0 else 0.0)
         return codes, np.where(codes == 4, rate_e, rate)
 
-    def iss_decrease(self, X: np.ndarray, v: np.ndarray, u_values) -> tuple:
-        """Per input u of u_values, where an ISS hypothesis holds, per row of X
-        with values v; and the rate that -grad V . f under each such u exceeds
-        there.  In A and F: u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C
-        and D: -lambda1*u <= delta*mu*(arg + V3/(P^{-1})'(arg)), which the
-        eta-based hypothesis implies, and (1-delta)*mu*((P^{-1})'*arg + V3).
-        The regions and both bounds are evaluated once for all the inputs."""
+    def iss_decrease(self, X: np.ndarray, u_values) -> tuple:
+        """Per input u of u_values, where an ISS hypothesis holds, per row of
+        X; and the rate that -grad V . f under each such u exceeds there.  In
+        A and F: u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C and D:
+        -lambda1*u <= delta*mu*(arg + V3/(P^{-1})'(arg)), which the eta-based
+        hypothesis implies, and (1-delta)*mu*((P^{-1})'*arg + V3).  V, the
+        regions and both bounds are evaluated once for all the inputs."""
         import numpy as np
-        p, lp = self.p, self.lp
+        p, lp, v = self.p, self.lp, self.value_many(X)
         (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
         af, cd = np.isin(codes, [0, 5]), np.isin(codes, [2, 3])
         bound_af, bound_cd = lp.delta * p.mu * v / lp.lambda1, lp.delta * p.mu * (arg + v3 / qd)
@@ -743,7 +726,11 @@ class EndemicLyapunov:
         return [af & (u <= bound_af) | cd & (-lp.lambda1 * u <= bound_cd) for u in u_values], rate
 
     def admissible_u(self) -> tuple:
-        return en_input_range(self.p, self.lp)
+        """Open admissible perturbation interval around the nominal newborn rate,
+        as Python floats (numpy-scalar inputs would slow the ISS batch's float rows)."""
+        p, lp = self.p, self.lp
+        return (-lp.delta * p.mu * p_fun(p, lp, lp.l_bar) / lp.lambda1,
+                lp.delta * p.mu * lp.l_bar / lp.lambda1)
 
     def admits(self, u_pos: float, u_neg: float) -> bool:
         """Inputs within [-u_neg, u_pos] lie in the open admissible range."""
@@ -763,10 +750,6 @@ class EndemicLyapunov:
         if u_neg > 0.0:
             level = max(level, en_eta_inv(self.p, self.lp, scale * u_neg))
         return min(level, self.lp.l_bar)
-
-    def chi(self, u_mag: float) -> float:
-        """Symmetric-range threshold; see chi_signed."""
-        return self.chi_signed(abs(u_mag), abs(u_mag))
 
     def start_states(self, n: int, seed: int) -> np.ndarray:
         """n seeded states in the sublevel set of 0.95*l_bar, moderate in x3t."""
@@ -834,5 +817,13 @@ class EndemicLyapunov:
         return list(map(tuple, ring.tolist()))
 
     def params_report(self) -> dict:
-        """Extra output of `sirlyap params`, here the feasibility summary."""
-        return {"feasibility": feasibility_report(self.p, self.lp)}
+        """Extra output of `sirlyap params`: k0, lambda3 ceiling, (50) margin, input range."""
+        p, lp = self.p, self.lp
+        res = check_condition_50(p, lp)
+        return {"feasibility": {
+            "k0": k0_bound(p, lp.l_bar, lp.lambda1, lp.lambda2),
+            "lambda3_bound": lambda3_bound(p, lp),
+            "cond50_margin": res.worst_margin,
+            "cond50_argmin_l": res.argmin_l,
+            "input_range": list(self.admissible_u()),
+        }}

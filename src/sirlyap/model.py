@@ -8,11 +8,10 @@ one vector field: on Python floats it serves one state, on arrays a batch.
 """
 from __future__ import annotations
 
-import math
 import sys
 from enum import Enum
 
-from .errors import DomainError, R0NotAboveOne
+from .errors import R0NotAboveOne
 
 #: relative tolerance used to decide the reproduction-number boundary case
 REGIME_BOUNDARY_RTOL = 1e-12
@@ -243,18 +242,6 @@ def rhs_stacked(p: ModelParams, out):
         return out
 
     return field
-
-
-def total_population_bound(x0: State, b_max: float, p: ModelParams, t: float) -> float:
-    """Upper envelope exp(-mu*t)*N(0) + b_max/mu for the total population.
-
-    Valid for every N(0) whenever B(t) <= b_max, since dN = B - mu*N.  The
-    form exp(-t)*N(0) + b_max/mu holds only when N(0) <= b_max/mu or mu >= 1.
-    The exact solution for a constant rate is `total_population_exact`.
-    """
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
-    return math.exp(-p.mu * t) * x0.n + b_max / p.mu
 
 
 def total_population_exact(x0: State, c: float, p: ModelParams, t):

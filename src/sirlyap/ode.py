@@ -61,11 +61,6 @@ class Trajectory(Record):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def final_state(self) -> State:
-        s, i, r = self.states[-1]
-        return State(float(s), float(i), float(r))
-
     def to_csv(self, path) -> None:
         """Write one `t,S,I,R,B` row per record, the rows _CSV_BLOCK at a
         time as lists of Python floats, so the text written from them stays

@@ -158,7 +158,7 @@ def _least_iss_margin(lyap, bands_of_rows, u_values) -> tuple:
     minima = [[] for _ in u_values]  # per u, per band: the least margin and its location
     checked = 0
     for X, keep in bands_of_rows:
-        hyps, rate = lyap.iss_decrease(X, lyap.value_many(X), u_values)
+        hyps, rate = lyap.iss_decrease(X, u_values)
         for u, hyp, least in zip(u_values, hyps, minima):
             hyp = hyp & keep
             if not hyp.any():
@@ -259,7 +259,7 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
         Xb = X[a:b][~lyap.near_boundary(X[a:b])]
         if len(Xb) == 0:
             continue
-        codes, rate = lyap.decrease_rate(Xb, lyap.value_many(Xb))
+        codes, rate = lyap.decrease_rate(Xb)
         gf = lyap.grad_dot_f(Xb, 0.0)
         margin = _decrease_margins(gf, rate)
         j = int(np.argmin(margin))

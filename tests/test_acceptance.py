@@ -84,7 +84,7 @@ def _iss_steps(ly, u_steps):
     return verify.check_iss_bound(ly, [ode.Step(0.2 * t_end, b_hat, b_hat + u) for u in u_steps])
 
 
-def test_criterion_06_iss_bounds(ly_df, ly_en, p_df, p_en, lp_en):
+def test_criterion_06_iss_bounds(ly_df, ly_en, p_df):
     scale = p_df.b_hat / 10.0
     u_steps = [f * scale for f in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
     df = _iss_steps(ly_df, u_steps)
@@ -92,7 +92,7 @@ def test_criterion_06_iss_bounds(ly_df, ly_en, p_df, p_en, lp_en):
     linear = all(
         lims[2.0 * s * c] <= 2.0 * ly_df.chi(abs(c)) * 1.001
         for c in (0.5 * scale, 1.0 * scale) for s in (1.0, -1.0))
-    lo, hi = lyap_en.en_input_range(p_en, lp_en)
+    lo, hi = ly_en.admissible_u()
     en = _iss_steps(ly_en, [-1.1, -0.5, 0.5, 1.0, 2.0, 2.45])
     point = verify.check_en_iss_pointwise(ly_en, n=20_000, seed=SEED)
     ok = all(r.passed for r in df) and linear and all(r.passed for r in en) \

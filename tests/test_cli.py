@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirlyap import cli, flow, lyap_en, verify
-from sirlyap.errors import ConfigError
+from sirlyap import cli, flow, lyap_en, model, verify
+from sirlyap.errors import ConfigError, NoConvergence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -389,6 +389,13 @@ def _refused(tmp_path, capsys, bad, key):
     ({**DF_CONFIG, "signal": {"kind": "constant", "value": 3.0, "junk": 1}}, "'junk'"),
     ({**DF_CONFIG, "signal": {"kind": "step", "t_switch": 5.0, "before": 3.0}}, "'after'"),
     ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": [[0.0, 3.0, 1.0]]}}, "signal.points"),
+    ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": []}}, "at least one segment"),
+    ({**DF_CONFIG, "signal": {"kind": "piecewise", "points": [[0.0, -1.0]]}},
+     "levels must be nonnegative"),
+    ({**DF_CONFIG, "model": 3}, "'model' must be an object"),
+    ({**DF_CONFIG, "dt": 0}, "need horizon >= 0 and dt > 0"),
+    ({**DF_CONFIG, "horizon": -1}, "need horizon >= 0 and dt > 0"),
+    ([DF_CONFIG], "config must be a JSON object"),
 ], ids=["signal_without_value", "non_numeric_lyap", "short_x0", "negative_x0",
         "infinite_horizon",
         "partial_endemic_override", "short_window", "empty_window", "inverted_window",
@@ -397,7 +404,9 @@ def _refused(tmp_path, capsys, bad, key):
         "negative_seed", "fractional_seed", "zero_grid_n", "zero_n_samples",
         "df_with_endemic_keys", "endemic_with_df_keys",
         "equilibrium_list", "equilibrium_object",
-        "signal_extra_key", "signal_missing_key", "piecewise_bad_points"])
+        "signal_extra_key", "signal_missing_key", "piecewise_bad_points",
+        "piecewise_no_points", "piecewise_negative_level", "model_not_object", "zero_dt",
+        "negative_horizon", "config_list"])
 def test_bad_config_values(tmp_path, capsys, bad, key):
     _refused(tmp_path, capsys, bad, key)
 
@@ -428,23 +437,39 @@ def test_config_refuses_booleans_as_numbers(tmp_path, capsys, bad, key):
     _refused(tmp_path, capsys, bad, key)
 
 
-@pytest.mark.parametrize("lyap", [
-    {"delta": 2.0},
-    {"delta": 1.0},
-    {**EN_CONFIG["lyap"], "delta": 2.0},
-    {"l_bar": 0.0},
-    {"l_bar": -5.0},
-    {**EN_CONFIG["lyap"], "l_bar": 0.0},
-    {**EN_CONFIG["lyap"], "lambda_hat2": 0.0},
-    {**EN_CONFIG["lyap"], "lambda_hat2": -1.0},
+@pytest.mark.parametrize("lyap, message", [
+    ({"delta": 2.0}, "delta=2 outside (0, 1)"),
+    ({"delta": 1.0}, "delta=1 outside (0, 1)"),
+    ({**EN_CONFIG["lyap"], "delta": 2.0}, "delta=2 outside (0, 1)"),
+    ({"l_bar": 0.0}, "l_bar=0 must be positive"),
+    ({"l_bar": -5.0}, "l_bar=-5 must be positive"),
+    ({**EN_CONFIG["lyap"], "l_bar": 0.0}, "l_bar=0 must be positive"),
+    ({**EN_CONFIG["lyap"], "lambda_hat2": 0.0}, "lambda_hat2=0 must be positive"),
+    ({**EN_CONFIG["lyap"], "lambda_hat2": -1.0}, "lambda_hat2=-1 must be positive"),
+    # a feasible k and lambda3 whose (l_bar, lambda_hat2) pair breaks (50)
+    ({"l_bar": 340, "lambda_hat2": 0.5, "k": 0.0902}, "condition (50) fails: margin -182 at L=340"),
 ], ids=["delta_2", "delta_1", "triple_delta_2", "zero_l_bar", "negative_l_bar",
-        "triple_zero_l_bar", "triple_zero_lambda_hat2", "triple_negative_lambda_hat2"])
-def test_endemic_override_out_of_range(tmp_path, capsys, lyap):
+        "triple_zero_l_bar", "triple_zero_lambda_hat2", "triple_negative_lambda_hat2",
+        "condition_50"])
+def test_endemic_override_out_of_range(tmp_path, capsys, lyap, message):
     cfg = {**EN_CONFIG, "lyap": lyap}
     rc = cli.main(["params", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
     assert rc == 3
-    assert "error:" in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exhausted_feasibility_search_exit_code(tmp_path, capsys, monkeypatch):
+    # condition (50) failing every round runs the search out of its 64 rounds
+    rounds = []
+    monkeypatch.setattr(lyap_en, "check_condition_50",
+                        lambda p, lp: rounds.append(lp) or lyap_en.Cond50Result(False, -1.0, 1.0, 3))
+    with pytest.raises(NoConvergence, match="^feasibility search exhausted its iteration budget$"):
+        lyap_en.select_en_params(model.ModelParams(**EN_CONFIG["model"]), 340.0)
+    assert len(rounds) == 64
+    cfg = {**EN_CONFIG, "lyap": {"l_bar": 340.0}}
+    rc = cli.main(["params", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: feasibility search exhausted its iteration budget\n"
 
 
 def test_cmd_certify_sampler_failure_exit_code(tmp_path, capsys, monkeypatch):

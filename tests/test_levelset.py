@@ -24,6 +24,8 @@ def test_analytic_contour_shape(p_df, lp_df):
                               [-c * 100.0, 100.0], [-c * 100.0, 0.0]])
     v = _df_plane_values(lyap_df.DiseaseFreeLyapunov(p_df, lp_df), poly)
     assert np.allclose(v, 100.0, rtol=1e-12)
+    with pytest.raises(DomainError, match="level must be positive"):
+        levelset.analytic_contour_df(lp_df, p_df, 0.0)
 
 
 def test_marching_squares_matches_oracle(ly_df, p_df, lp_df):
@@ -101,6 +103,14 @@ def test_window_domain_errors(ly_df, ly_en):
                                   window=((-10.0, 10.0), (-x2h - 1.0, 10.0)))
     with pytest.raises(DomainError):
         levelset.extract_contours(ly_df, [-1.0], window=((-10.0, 10.0), (0.0, 10.0)))
+    for window in (((10.0, 10.0), (0.0, 10.0)), ((-10.0, 10.0), (5.0, 0.0))):
+        with pytest.raises(DomainError, match="window must have positive extent"):
+            levelset.extract_contours(ly_df, [10.0], window=window)
+    with pytest.raises(ValueError, match="plane axis must be 'x2t' or 'x3t'"):
+        levelset.extract_contours(ly_df, [10.0], plane=("x1t", 0.0))
+    for resolution in ((1, 20), (20, 1)):
+        with pytest.raises(ValueError, match="resolution must be at least 2x2"):
+            levelset.extract_contours(ly_df, [10.0], resolution=resolution)
 
 
 def test_contours_csv(tmp_path, ly_df):

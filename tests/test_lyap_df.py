@@ -94,19 +94,18 @@ def test_gradient_matches_finite_differences(p_df, lp_df, ly_df):
 
 
 def test_chi(p_df, lp_df_ref):
-    assert lyap_df.df_chi(lp_df_ref, p_df, 0.0) == 0.0
+    chi = lyap_df.DiseaseFreeLyapunov(p_df, lp_df_ref).chi
+    assert chi(0.0) == 0.0
     # delta = 0.5 and mu - mu0 = 0.0002
-    assert lyap_df.df_chi(lp_df_ref, p_df, 1.0) == pytest.approx(10000.0, rel=1e-9)
+    assert chi(1.0) == pytest.approx(10000.0, rel=1e-9)
     u = 0.37
-    assert lyap_df.df_chi(lp_df_ref, p_df, 2 * u) == pytest.approx(
-        2 * lyap_df.df_chi(lp_df_ref, p_df, u), rel=1e-12)
+    assert chi(2 * u) == pytest.approx(2 * chi(u), rel=1e-12)
 
 
 def test_decrease_slack(p_df, lp_df, ly_df):
     # slack -grad V . f - rate*V of the decrease inequality under u = 0
     def slack(X):
-        v = lyap_df.df_value_region_arrays(lp_df, p_df, X)[0]
-        return -ly_df.grad_dot_f(X, 0.0) - ly_df.iss_decrease(X, v, [0.0])[1]
+        return -ly_df.grad_dot_f(X, 0.0) - ly_df.iss_decrease(X, [0.0])[1]
 
     assert slack(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(7)

@@ -60,6 +60,15 @@ def test_omega_inv_of_a_huge_level(p_en, lp_en):
     assert lyap_en.omega_inv(p_en, lp_en, 1e19) == pytest.approx(1e19, rel=1e-12)
     roots = lyap_en.omega_inv(p_en, lp_en, np.array([1e19, 1e20, -1e19]))
     assert np.isfinite(roots).all()
+    # past |v| = 1e150 the discriminant is scaled, so b*b cannot overflow;
+    # far below the pole the root rounds onto it, as it does from about -1e17
+    huge = [1e155, 1e300, -1e155, -1e300]
+    for roots in ([lyap_en.omega_inv(p_en, lp_en, v) for v in huge],
+                  lyap_en.omega_inv(p_en, lp_en, np.array(huge))):
+        assert lyap_en.omega(p_en, lp_en, roots[:2]) == pytest.approx(huge[:2], rel=1e-12)
+        assert list(roots[2:]) == [-X1H, -X1H]
+    pl = lyap_en.p_fun(p_en, lp_en, np.array([1e155, 1e300]))
+    assert lyap_en.p_fun(p_en, lp_en, 1e300) == pl[1] == pytest.approx(lp_en.lam0 * X2H)
 
 
 def test_p_and_inverse(p_en, lp_en):
@@ -298,14 +307,14 @@ def test_in_h_and_sublevel(p_en, lp_en):
             lyap_en.in_sublevel_many(p_en, lp_en, zero, level)
 
 
-def test_en_input_range(p_en, lp_en):
-    lo, hi = lyap_en.en_input_range(p_en, lp_en)
+def test_en_input_range(p_en, lp_en, ly_en):
+    lo, hi = ly_en.admissible_u()
     assert lo < 0.0 < hi
     pl = lyap_en.p_fun(p_en, lp_en, lp_en.l_bar)
     assert lo == pytest.approx(-lp_en.delta * p_en.mu * pl / lp_en.lambda1)
     assert hi == pytest.approx(lp_en.delta * p_en.mu * lp_en.l_bar / lp_en.lambda1)
     assert (-lo < hi) == (pl < lp_en.l_bar)
-    lo2, hi2 = lyap_en.en_input_range(p_en, lp_en.replace(delta=0.9))
+    lo2, hi2 = lyap_en.EndemicLyapunov(p_en, lp_en.replace(delta=0.9)).admissible_u()
     assert lo2 < lo and hi2 > hi
 
 
@@ -317,6 +326,11 @@ def test_en_eta(p_en, lp_en):
     sup = lp_en.lam0 * X2H
     big = lyap_en.en_eta(p_en, lp_en, 1e9)
     assert big <= sup and big > 0.9 * sup
+    with pytest.raises(DomainError, match="l_total must be nonnegative"):
+        lyap_en.en_eta(p_en, lp_en, -1.0)
+    # en_eta_inv: no level is needed for y <= 0, and none reaches y >= sup
+    assert lyap_en.en_eta_inv(p_en, lp_en, 0.0) == lyap_en.en_eta_inv(p_en, lp_en, -1.0) == 0.0
+    assert lyap_en.en_eta_inv(p_en, lp_en, sup) == lyap_en.en_eta_inv(p_en, lp_en, 2 * sup) == np.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,9 +402,9 @@ def test_derived_constants(p_en, lp_en, ly_en):
     assert verify.check_en_sample_decrease(ly_en, n=200).details["gamma_ek"] == dc.gamma_ek
 
 
-def test_json_and_report(p_en, lp_en):
+def test_json_and_report(p_en, lp_en, ly_en):
     assert lyap_en.EnLyapParams.from_dict(lp_en.as_dict()) == lp_en
-    rep = lyap_en.feasibility_report(p_en, lp_en)
+    rep = ly_en.params_report()["feasibility"]
     assert set(rep) == {"k0", "lambda3_bound", "cond50_margin", "cond50_argmin_l",
                         "input_range"}
     assert rep["k0"] > lp_en.k

@@ -5,7 +5,7 @@ import pytest
 
 import sirlyap as sl
 from sirlyap import model
-from sirlyap.errors import DomainError, R0NotAboveOne
+from sirlyap.errors import R0NotAboveOne
 
 
 def test_r0_hat_values(p_df, p_en):
@@ -96,19 +96,6 @@ def test_stacked_field_matches_rhs_arrays_bit_for_bit(p_df, p_en):
                 model.rhs_arrays(p, *Y, 1.0)
             with pytest.raises(FloatingPointError):
                 model.rhs_stacked(p, np.empty((3, m)))(Y, Y[0], Y[1], 1.0)
-
-
-def test_total_population_bound(p_df):
-    x0 = sl.State(100.0, 50.0, 0.0)
-    assert sl.total_population_bound(x0, 3.0, p_df, 0.0) == pytest.approx(350.0)
-    assert sl.total_population_bound(x0, 3.0, p_df, 1e9) == pytest.approx(200.0)
-    # a start above b_max/mu decays at rate mu, not at rate 1
-    big = sl.State(1000.0, 0.0, 0.0)
-    exact = float(model.total_population_exact(big, 3.0, p_df, 10.0))
-    assert exact == pytest.approx(888.57, abs=0.01)
-    assert sl.total_population_bound(big, 3.0, p_df, 10.0) >= exact
-    with pytest.raises(DomainError):
-        sl.total_population_bound(x0, 3.0, p_df, -1.0)
 
 
 def test_classify_regime(p_df, p_en):

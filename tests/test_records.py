@@ -99,6 +99,11 @@ def test_fields_cannot_be_assigned(rec):
     (LP, {"lambda2": 2.0}, "need 0 < lambda1 == lambda2"),
     (ode.Trajectory(np.arange(3.0), np.ones((3, 3)), np.zeros(3)), {"inputs": np.zeros(2)},
      "times, states and inputs must have equal length"),
+    (LP, {"lambda_hat2": 0.0}, "lambda_hat2 must be positive"),
+    (LP, {"lambda3": -1e-4}, "lambda3 must be positive"),
+    (LP, {"l_bar": 0.0}, "l_bar must be positive"),
+    (LP, {"delta": 0.0}, r"delta must lie in \(0, 1\)"),
+    (LP, {"delta": 1.0}, r"delta must lie in \(0, 1\)"),
 ])
 def test_replace_validates_again(rec, change, message):
     with pytest.raises(ValueError, match=message):

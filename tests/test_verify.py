@@ -176,8 +176,8 @@ def test_sample_decrease_checks_the_class_rate(monkeypatch, ly_en):
     # region A's rate scaled by 1.5 claims more decrease than grad V . f has
     original = lyap_en.EndemicLyapunov.decrease_rate
 
-    def overstated(self, X, v):
-        codes, rate = original(self, X, v)
+    def overstated(self, X):
+        codes, rate = original(self, X)
         return codes, np.where(codes == 0, 1.5 * rate, rate)
 
     assert verify.check_en_sample_decrease(ly_en, n=5000).passed
@@ -189,8 +189,8 @@ def test_iss_pointwise_checks_the_class_rate(monkeypatch, p_en, lp_en, ly_en):
     # the same scaling of region A's ISS rate
     original = lyap_en.EndemicLyapunov.iss_decrease
 
-    def overstated(self, X, v, u_values):
-        hyps, rate = original(self, X, v, u_values)
+    def overstated(self, X, u_values):
+        hyps, rate = original(self, X, u_values)
         return hyps, np.where(lyap_en.en_region_terms(p_en, lp_en, X)[0] == 0, 1.5 * rate, rate)
 
     assert verify.check_en_iss_pointwise(ly_en, n=5000).passed
@@ -203,8 +203,8 @@ def test_grid_iss_checks_the_class_hypothesis(monkeypatch, ly_df):
     # the certified decay does not hold
     original = lyap_df.DiseaseFreeLyapunov.iss_decrease
 
-    def everywhere(self, X, v, u_values):
-        return [np.ones(len(X), dtype=bool) for _ in u_values], original(self, X, v, u_values)[1]
+    def everywhere(self, X, u_values):
+        return [np.ones(len(X), dtype=bool) for _ in u_values], original(self, X, u_values)[1]
 
     assert verify.check_df_grid_iss(ly_df, n=8).passed
     monkeypatch.setattr(lyap_df.DiseaseFreeLyapunov, "iss_decrease", everywhere)
@@ -484,6 +484,18 @@ def test_report_json_and_table(ly_df, tmp_path):
     assert len(loaded["checks"]) == 2
     table = rep.format_table()
     assert "df_continuity" in table and "True" in table
+
+
+def test_check_details_hold_numpy_values():
+    # numpy scalars become Python ones and arrays nested lists, a non-finite
+    # entry of either None
+    details = {"count": np.int64(7), "rate": np.float64(0.25), "cap": np.float32(np.inf),
+               "grid": np.array([[1.0, np.nan], [2.0, 3.0]]), "pair": (np.int8(1), 2.0)}
+    out = verify.CheckResult("probe", True, 1.0, details=details).to_dict()["details"]
+    assert out == {"count": 7, "rate": 0.25, "cap": None, "grid": [[1.0, None], [2.0, 3.0]],
+                   "pair": [1, 2.0]}
+    assert [type(out[k]) for k in ("count", "rate")] == [int, float]
+    json.dumps(out, allow_nan=False)
 
 
 def test_failed_report_rewrite_leaves_the_earlier_file(tmp_path):
