@@ -11,12 +11,12 @@ import sys
 _EXPORTS = {name: mod for mod, names in {
     "errors": "ConfigError DomainError InfeasibleOverride NoConvergence "
               "NonFiniteState R0NotAboveOne RangeError RegimeError SirLyapError",
-    "model": "Equilibrium EquilibriumKind ModelParams Regime State classify_regime "
+    "model": "EquilibriumKind ModelParams Regime State classify_regime "
              "disease_free_eq endemic_eq r0_hat",
     "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",
     "ode": "Trajectory integrate",
     "lyap_df": "DfLyapParams DiseaseFreeLyapunov select_df_params",
-    "lyap_en": "EndemicLyapunov EnLyapParams EnRegion check_condition_50 en_eta "
+    "lyap_en": "EndemicLyapunov EnLyapParams check_condition_50 en_eta "
                "en_params_from k0_bound lambda3_bound nu_fun omega omega_inv "
                "p_fun p_inv select_en_params theta theta_inv",
     "verify": "CheckResult VerificationReport run_certification",

@@ -201,10 +201,10 @@ def cmd_equilibria(cfg: RunConfig) -> int:
         "r0_hat": model.r0_hat(p),
         "gamma_over_mu_plus_2": p.gamma / p.mu + 2.0,
         "regime": model.classify_regime(p).value,
-        "disease_free": _fields(model.disease_free_eq(p).point),
+        "disease_free": _fields(model.disease_free_eq(p)),
     }
     if model.r0_hat(p) > 1.0:
-        out["endemic"] = _fields(model.endemic_eq(p).point)
+        out["endemic"] = _fields(model.endemic_eq(p))
     print(json.dumps(out, indent=2))
     return 0
 
@@ -212,7 +212,7 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.model
     path = _artifact(cfg, "trajectory.csv")
-    x0 = cfg.x0 if cfg.x0 is not None else model.disease_free_eq(p).point
+    x0 = cfg.x0 if cfg.x0 is not None else model.disease_free_eq(p)
     n = flow.write_trajectory(path, flow.trajectory_rows(p, x0, cfg.signal, cfg.horizon, cfg.dt))
     print(f"wrote {path} ({n} rows)")
     return 0

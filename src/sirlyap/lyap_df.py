@@ -185,7 +185,7 @@ class DiseaseFreeLyapunov:
         return df_value_region_arrays(self.lp, self.p, X)[0]
 
     def value_of_states(self, S: np.ndarray) -> np.ndarray:
-        q = self.equilibrium.point.as_array()
+        q = self.equilibrium.as_array()
         return self.value_many(S - q[None, :])
 
     def near_boundary(self, X: np.ndarray) -> np.ndarray:
@@ -226,13 +226,13 @@ class DiseaseFreeLyapunov:
     def start_states(self, n: int, seed: int) -> np.ndarray:
         """n seeded states in [0, 3*x1h] x [0, 2*x1h]^2."""
         import numpy as np
-        rng, x1h = np.random.default_rng(seed), self.equilibrium.point.s
+        rng, x1h = np.random.default_rng(seed), self.equilibrium.s
         return np.column_stack([rng.uniform(0.0, f * x1h, n) for f in (3.0, 2.0, 2.0)])
 
     def default_window(self, plane) -> tuple:
         """x1t in [-x1h, 3*x1h]; the other free coordinate from 0 to where V
         reaches 3.1*x1h along it (slope 1 for x2t, lambda3 for x3t)."""
-        x1h = self.equilibrium.point.s
+        x1h = self.equilibrium.s
         slope = 1.0 if plane[0] == "x3t" else self.lp.lambda3
         return ((-x1h, 3.0 * x1h), (0.0, 3.1 * x1h / slope))
 

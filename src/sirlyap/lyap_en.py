@@ -24,28 +24,30 @@ certified numerically by `check_condition_50`.
 Each region's V12 is written once, as a linear form in (x1t, x2t) taken
 through P^{-1} in regions C, D and E (`_region_forms`); V12 is the largest
 of the six (each level set is a hexagon of half-planes, `en_level_hexagon`),
-and a point's region is the first of A..F whose formula is largest.  The
-array functions over deviations (n, 3) are the one evaluation path: a single
-point is a 1-row array.  Outside the domain H (`en_value_many`) V is NaN.
+and a point's region is the first of A..F (codes 0..5, `REGION_LABELS`)
+whose formula is largest.  The array functions over deviations (n, 3) are
+the one evaluation path: a single point is a 1-row array.  Outside the
+domain H (`en_value_many`) V is NaN.
 
 The monotone maps take a Python float and return one, or take an array and
-return an array, with one formula for both (`_theta`, `_omega_inv`, ...).
-The feasibility maths (k0, the lambda3 ceilings, condition (50), the input
-range), the hexagon and the default window run on floats, so `sirlyap
-params` and the x3t-plane level sets run without numpy; it is imported
-inside the array functions only.
+return an array, with one formula for both (`_theta`, `_omega_inv`, ...),
+and refuse a level without a finite value (`_finite`).  The feasibility
+maths (k0, the lambda3 ceilings, condition (50), the input range), the
+hexagon and the default window run on floats, so `sirlyap params` and the
+x3t-plane level sets run without numpy; it is imported inside the array
+functions only.
 
 `EndemicLyapunov` holds V's ISS gain, its input range, the feasibility
 summary and what it certifies off its boundary band: the rate of each region
-with u = 0 (`decrease_rate`) and, where an ISS hypothesis holds, (1-delta)
-times the outer regions' rates under u (`iss_decrease`).  Certify's checks
-and their order belong to the harness above this module.
+with u = 0 (`decrease_rate`, its constants from `rate_constants`) and,
+where an ISS hypothesis holds, (1-delta) times the outer regions' rates
+under u (`iss_decrease`).  Certify's checks and their order belong to the
+harness above this module.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
@@ -53,7 +55,7 @@ from . import model
 from .bands import bands
 from .errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
 from .lyap_df import BOUNDARY_BAND, _first_max, _require_overrides
-from .model import EquilibriumKind, FloatRecord, ModelParams, Record, Regime
+from .model import EquilibriumKind, FloatRecord, ModelParams, Regime
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,29 +93,12 @@ class EnLyapParams(FloatRecord):
         return self.lambda2 - self.k * self.lambda1
 
 
-class EnRegion(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-    E = "E"
-    F = "F"
-
-
-class EnDerivedConstants(Record):
-    """Per-region decrease constants appearing in the certified rate bounds."""
-
-    gamma_a: float
-    gamma_c: float
-    gamma_d: float
-    gamma_e: float
-    gamma_ek: float
-    gamma_f: float
-    a_b: float
+#: the region labels by code: code 0..5 is region A..F
+REGION_LABELS = "ABCDEF"
 
 
 def _xhat(p: ModelParams) -> tuple:
-    q = model.endemic_eq(p).point
+    q = model.endemic_eq(p)
     return q.s, q.i, q.r
 
 
@@ -149,6 +134,24 @@ def _where(cond, a, b):
         return a if cond else b
     import numpy as np
     return np.where(cond, a, b)[()]
+
+
+def _finite(name: str, f, lp: EnLyapParams, xh: tuple, s):
+    """f(lp, xh, s), the map `name` at the level(s) s; DomainError naming the
+    first level where it is not finite (theta's pole, omega's D overflowing)."""
+    if isinstance(s, float) and abs(s) <= 1e150:  # where `_root` runs without numpy
+        try:
+            return f(lp, xh, s)
+        except ZeroDivisionError:  # theta at the pole
+            bad = [s]
+    else:
+        import numpy as np
+        with np.errstate(all="ignore"):
+            value = f(lp, xh, s)
+        bad = np.ravel(s)[~np.isfinite(np.ravel(value))]
+        if not len(bad):
+            return value
+    raise DomainError(f"{name} has no finite value at level {float(bad[0])!r}")
 
 
 def _theta(xh: tuple, s):
@@ -214,14 +217,15 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
     otherwise, neither of which subtracts nearly equal numbers; b is |b| in
     the first, so the branch computed and dropped never divides by 0.  `_root`
-    scales D where |b| > 1e150, so the root of a huge level stays finite.
+    scales D where |b| > 1e150, so the root of a huge level stays finite;
+    past about +-2e305 none is, and the level is a DomainError.
     """
-    return _omega_inv(lp, _xhat(p), _real(v))
+    return _finite("omega_inv", _omega_inv, lp, _xhat(p), _real(v))
 
 
 def p_fun(p: ModelParams, lp: EnLyapParams, s):
     """P(s) = lam0 * theta(omega^{-1}(s)); increasing, range (-inf, lam0*x2h)."""
-    return _p_fun(lp, _xhat(p), _real(s))
+    return _finite("p_fun", _p_fun, lp, _xhat(p), _real(s))
 
 
 def p_inv(p: ModelParams, lp: EnLyapParams, s):
@@ -242,7 +246,7 @@ def p_inv_prime(p: ModelParams, lp: EnLyapParams, s):
 
 def nu_fun(p: ModelParams, lp: EnLyapParams, s):
     """Boundary curve between the two regions left of the equilibrium."""
-    return _nu(lp, _xhat(p), _real(s))
+    return _finite("nu_fun", _nu, lp, _xhat(p), _real(s))
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +334,6 @@ def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
         if worst == worst and not margin >= worst:
             worst, j = margin, i
     return Cond50Result(passed, worst, L[j], len(L))
-
-
-def derived_constants(p: ModelParams, lp: EnLyapParams) -> EnDerivedConstants:
-    r0 = model.r0_hat(p)
-    lam0, sp = lp.lam0, spread(p, lp)
-    gamma_a = p.gamma * (1.0 - lp.lambda3 / lp.lambda2)
-    gamma_c = p.gamma * (1.0 - lp.lambda3 * lam0 / lp.lambda_hat2 ** 2)
-    gamma_d = p.gamma * (1.0 - lp.lambda3 * lam0 / (lp.lambda2 * lp.lambda_hat2))
-    gamma_e = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * sp * p.beta)
-    gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * sp * p.beta)
-    gamma_f = p.gamma * (1.0 - lp.lambda3 / lp.lambda_hat2)
-    a_b = min(lp.k * p.mu * (r0 - 1.0) - lp.lambda3 * p.gamma / lam0, p.mu)
-    return EnDerivedConstants(gamma_a, gamma_c, gamma_d, gamma_e, gamma_ek, gamma_f, a_b)
 
 
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
@@ -492,7 +483,7 @@ def en_gradient_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray) -> np.nd
 def en_grad_dot_f_arrays(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
                          u: float) -> np.ndarray:
     """grad V . f along the deviation dynamics for a batch of deviations."""
-    q = model.endemic_eq(p).point
+    q = model.endemic_eq(p)
     G = en_gradient_arrays(p, lp, X)
     f1, f2, f3 = model.rhs_arrays(p, q.s + X[:, 0], q.i + X[:, 1], q.r + X[:, 2],
                                   p.b_hat + u)
@@ -620,7 +611,7 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
     import numpy as np
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    q = lyap.equilibrium.point
+    q = lyap.equilibrium
     level = level_frac * lp.l_bar
     pl = p_fun(p, lp, lp.l_bar)
     lo1 = -(pl + lp.lambda_hat2 * q.i) / lp.lambda1 - 1.0
@@ -677,7 +668,7 @@ class EndemicLyapunov:
         return en_value_many(self.p, self.lp, X)
 
     def value_of_states(self, S: np.ndarray) -> np.ndarray:
-        q = self.equilibrium.point.as_array()
+        q = self.equilibrium.as_array()
         return self.value_many(S - q[None, :])
 
     def near_boundary(self, X: np.ndarray) -> np.ndarray:
@@ -694,20 +685,27 @@ class EndemicLyapunov:
     def grad_dot_f(self, X: np.ndarray, u: float) -> np.ndarray:
         return en_grad_dot_f_arrays(self.p, self.lp, X, u)
 
+    def rate_constants(self) -> tuple:
+        """a_B of region B's rate, and `spread` and gamma_Ek (which keeps the
+        absorbed x2t cross term accounted for) of region E's."""
+        p, lp, sp = self.p, self.lp, spread(self.p, self.lp)
+        gamma_ek = 1.0 - lp.lambda3 * p.gamma / (lp.lambda_hat2 * lp.k * sp * p.beta)
+        a_b = min(lp.k * p.mu * (model.r0_hat(p) - 1.0) - lp.lambda3 * p.gamma / lp.lam0, p.mu)
+        return a_b, sp, gamma_ek
+
     def decrease_rate(self, X: np.ndarray) -> tuple:
         """Per row of X: the region code (0..5 for A..F) and the rate that
         -grad V . f exceeds with u = 0: mu*V in A and F, a_B*V in B,
         mu*((P^{-1})'*arg + V3) in C and D, and in E
-        (P^{-1})'*arg*k*beta*spread*gamma_Ek + mu*V3, where gamma_Ek keeps the
-        absorbed x2t cross term accounted for, or 0 if gamma_Ek <= 0."""
+        (P^{-1})'*arg*k*beta*spread*gamma_Ek + mu*V3, or 0 if gamma_Ek <= 0
+        (`rate_constants`)."""
         import numpy as np
-        p, lp, dc, v = self.p, self.lp, derived_constants(self.p, self.lp), self.value_many(X)
+        p, lp, v, (a_b, sp, gamma_ek) = self.p, self.lp, self.value_many(X), self.rate_constants()
         (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
         rate = np.where(np.isin(codes, [0, 5]), p.mu * v, 0.0)
-        rate = np.where(codes == 1, dc.a_b * v, rate)
+        rate = np.where(codes == 1, a_b * v, rate)
         rate = np.where(np.isin(codes, [2, 3]), p.mu * (qd * arg + v3), rate)
-        rate_e = (qd * arg * lp.k * p.beta * spread(p, lp) * dc.gamma_ek + p.mu * v3
-                  if dc.gamma_ek > 0.0 else 0.0)
+        rate_e = qd * arg * lp.k * p.beta * sp * gamma_ek + p.mu * v3 if gamma_ek > 0.0 else 0.0
         return codes, np.where(codes == 4, rate_e, rate)
 
     def iss_decrease(self, X: np.ndarray, u_values) -> tuple:
@@ -754,7 +752,7 @@ class EndemicLyapunov:
     def start_states(self, n: int, seed: int) -> np.ndarray:
         """n seeded states in the sublevel set of 0.95*l_bar, moderate in x3t."""
         devs = sample_sublevel(self, n, seed, level_frac=0.95, x3_moderate=True)
-        return devs + self.equilibrium.point.as_array()[None, :]
+        return devs + self.equilibrium.as_array()[None, :]
 
     def default_window(self, plane) -> tuple:
         """1.2 times the reach of the l_bar sublevel set along each free
@@ -764,7 +762,7 @@ class EndemicLyapunov:
         if plane[0] == "x3t":
             free = (-1.2 * reach / lam0, 1.2 * l_bar / lam0)
         else:
-            free = (-self.equilibrium.point.r, 1.2 * l_bar / self.lp.lambda3)
+            free = (-self.equilibrium.r, 1.2 * l_bar / self.lp.lambda3)
         return ((-1.2 * reach, 1.2 * l_bar), free)
 
     def default_levels(self) -> list:
@@ -790,7 +788,7 @@ class EndemicLyapunov:
         """
         p, lp = self.p, self.lp
         x2t_min = plane[1] if plane[0] == "x2t" else window[1][0]
-        if x2t_min <= -self.equilibrium.point.i:
+        if x2t_min <= -self.equilibrium.i:
             raise DomainError("level-set plane or window exits the domain: x2t <= -x2hat")
         top = lp.l_bar * (1.0 + 1e-12)
         if not 0.0 <= level <= top:

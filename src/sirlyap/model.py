@@ -1,4 +1,4 @@
-"""SIR model with demography: vector field, equilibria, reproduction number.
+"""SIR model with demography: vector field, equilibrium `State`s, reproduction number.
 
 States are continuum population counts (S, I, R).  The newborn/immigration
 rate B enters the susceptible equation as an external input.  numpy is
@@ -166,11 +166,6 @@ class EquilibriumKind(Enum):
     ENDEMIC = "endemic"
 
 
-class Equilibrium(Record):
-    kind: EquilibriumKind
-    point: State
-
-
 class Regime(Enum):
     DISEASE_FREE_STABLE = "disease_free_stable"
     BOUNDARY = "boundary"
@@ -183,12 +178,12 @@ def r0_hat(p: ModelParams) -> float:
     return p.beta * p.b_hat / (p.mu * (p.gamma + p.mu))
 
 
-def disease_free_eq(p: ModelParams) -> Equilibrium:
+def disease_free_eq(p: ModelParams) -> State:
     """Infection-free steady state (b_hat/mu, 0, 0)."""
-    return Equilibrium(EquilibriumKind.DISEASE_FREE, State(p.b_hat / p.mu, 0.0, 0.0))
+    return State(p.b_hat / p.mu, 0.0, 0.0)
 
 
-def endemic_eq(p: ModelParams) -> Equilibrium:
+def endemic_eq(p: ModelParams) -> State:
     """Interior steady state; exists only for reproduction number > 1."""
     r0 = r0_hat(p)
     if r0 <= 1.0:
@@ -196,7 +191,7 @@ def endemic_eq(p: ModelParams) -> Equilibrium:
     s = (p.gamma + p.mu) / p.beta
     i = p.mu * (r0 - 1.0) / p.beta
     r = p.gamma * (r0 - 1.0) / p.beta
-    return Equilibrium(EquilibriumKind.ENDEMIC, State(s, i, r))
+    return State(s, i, r)
 
 
 def rhs_arrays(p: ModelParams, s, i, r, b):

@@ -15,6 +15,7 @@ each run that path with the other half empty.
 Certify's two suites live here, one per equilibrium kind, each with its
 checks in report order and the size of its ISS signals; `run_certification`
 picks one by `lyap.kind`.  The Lyapunov modules do not import this one.
+The nesting check takes its pairs from the function's own constants.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import flow, lyap_df, lyap_en, model, ode
 from .bands import DEFAULT_SEED, GRID_N, N_SAMPLES, bands
-from .errors import NoConvergence, RangeError, RegimeError
+from .errors import NoConvergence, RangeError
 from .lyap_en import sample_sublevel
 from .model import EquilibriumKind, ModelParams, Record, State
 
@@ -130,7 +131,7 @@ def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckR
 
 def check_df_positive_definite(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
-    x1h = lyap.equilibrium.point.s
+    x1h = lyap.equilibrium.s
     X = np.column_stack([rng.uniform(-5.0 * x1h, 5.0 * x1h, n),
                          rng.uniform(0.0, 5.0 * x1h, n),
                          rng.uniform(0.0, 5.0 * x1h, n)])
@@ -213,7 +214,7 @@ def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEE
     """The library's adjacent region formulas agree on all five internal boundaries."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    x2h = lyap.equilibrium.point.i
+    x2h = lyap.equilibrium.i
     lam0 = lp.lam0
     A, B, C, D, E, F = range(6)
 
@@ -253,7 +254,7 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
     """Strict decrease with u = 0 and the region rates of `lyap.decrease_rate`
     off the boundary band, checked one band of BAND_POINTS rows at a time."""
     X = sample_sublevel(lyap, n, seed)
-    minima, gf_max, counts, checked = [], [], np.zeros(len(lyap_en.EnRegion), dtype=int), 0
+    minima, gf_max, counts, checked = [], [], np.zeros(len(lyap_en.REGION_LABELS), dtype=int), 0
     strictly_negative = within_tol = True
     for a, b in bands(len(X)):
         Xb = X[a:b][~lyap.near_boundary(X[a:b])]
@@ -274,8 +275,8 @@ def check_en_sample_decrease(lyap, n: int = N_SAMPLES, seed: int = DEFAULT_SEED)
         "tol": EN_DECREASE_TOL,
         "strictly_negative": strictly_negative,
         "max_grad_dot_f": float(np.max(gf_max, initial=-np.inf)),
-        "gamma_ek": lyap_en.derived_constants(lyap.p, lyap.lp).gamma_ek,
-        "region_counts": {r.value: int(c) for r, c in zip(lyap_en.EnRegion, counts)},
+        "gamma_ek": lyap.rate_constants()[2],
+        "region_counts": {r: int(c) for r, c in zip(lyap_en.REGION_LABELS, counts)},
     }
     passed = checked > 0 and strictly_negative and within_tol
     return CheckResult("en_sample_decrease", passed, float(worst), worst_loc, checked, details)
@@ -343,7 +344,7 @@ def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
     if t_end is None:
         t_end = _horizon(p)
     if x0 is None:
-        x0 = lyap.equilibrium.point
+        x0 = lyap.equilibrium
     ext = [(max(hi - p.b_hat, 0.0), max(p.b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
            for lo, hi in (sig.value_range(t_end) for sig in signals)]
     for u_pos, u_neg in ext:
@@ -376,7 +377,7 @@ def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
     stepped = len(blocks) > 1
     worst, worst_t, _, _ = min(blocks, key=lambda blk: blk[0])
     nonstrict = sum(blk[2] for blk in blocks)
-    qpt = lyap.equilibrium.point.as_array()
+    qpt = lyap.equilibrium.as_array()
     final_dist = float(np.abs(Xf[:n] - qpt[None, :]).sum(axis=1).max(initial=0.0))
     samples = n if stepped else 0
     ok = samples > 0 and worst >= 0.0 and final_dist <= final_tol and nonstrict == 0
@@ -444,8 +445,8 @@ def check_iss_bound(lyap, signals: Sequence[ode.InputSignal], t_end: Optional[fl
 def _formula_steady_state(p: ModelParams, c: float) -> np.ndarray:
     pc = ModelParams(p.beta, p.gamma, p.mu, c)
     if model.r0_hat(pc) <= 1.0:
-        return model.disease_free_eq(pc).point.as_array()
-    return model.endemic_eq(pc).point.as_array()
+        return model.disease_free_eq(pc).as_array()
+    return model.endemic_eq(pc).as_array()
 
 
 def check_bifurcation_continuity(p: ModelParams,
@@ -479,9 +480,9 @@ def check_bifurcation_continuity(p: ModelParams,
     dx = np.abs(np.diff(X, axis=0)).sum(axis=1)
     dc = np.diff(c_values)
     K = float((dx / dc).max())
-    f_left = model.disease_free_eq(ModelParams(p.beta, p.gamma, p.mu, c_star)).point.as_array()
+    f_left = model.disease_free_eq(ModelParams(p.beta, p.gamma, p.mu, c_star)).as_array()
     pe = ModelParams(p.beta, p.gamma, p.mu, c_star * (1.0 + 1e-13))
-    f_right = model.endemic_eq(pe).point.as_array()
+    f_right = model.endemic_eq(pe).as_array()
     lim_gap = float(np.abs(f_left - f_right).sum() / (1.0 + np.abs(f_left).sum()))
     j = int(np.argmax(err))
     match_tol = 5e-2
@@ -492,47 +493,52 @@ def check_bifurcation_continuity(p: ModelParams,
                         "max_formula_error": float(err.max()), "match_tol": match_tol})
 
 
-def check_sublevel_nesting(lyap, lam_hat2_pairs=((0.005, 0.01),),
-                           k_pairs=((0.05, 0.0902),),
+def check_sublevel_nesting(lyap, lam_hat2_pairs=None, k_pairs=None,
                            n: int = 10_000, seed: int = DEFAULT_SEED) -> CheckResult:
     """Monotonicity of the sublevel sets of levels l_bar and l_bar/2 in
-    lambda_hat2 and (restricted) in k.
+    lambda_hat2 and (restricted) in k, over pairs (a, b), a < b, by default
+    (lambda_hat2/2, lambda_hat2) and (k/2, k) from the function's constants.
 
     The lambda_hat2 ordering holds pointwise for the full function, so it is
     sampled in all three coordinates.  The k ordering is a property of the
     planar part (its budget argument in the flat region is consumed by any
     positive x3 contribution, for which counterexamples exist), so it is
-    sampled on the x3t = 0 slice, restricted to x2t <= L/lambda2.
+    sampled on the x3t = 0 slice, restricted to x2t <= L/lambda2.  A pair
+    failing condition (50) is listed in details' `skipped_pairs`, not tested.
     """
     p, lp = lyap.p, lyap.lp
+    if lam_hat2_pairs is None:
+        lam_hat2_pairs = ((0.5 * lp.lambda_hat2, lp.lambda_hat2),)
+    if k_pairs is None:
+        k_pairs = ((0.5 * lp.k, lp.k),)
     L_values = [lp.l_bar, 0.5 * lp.l_bar]
     rng = np.random.default_rng(seed)
-    q = lyap.equilibrium.point
+    q = lyap.equilibrium
     X = np.empty((n, 3))
     X[:, 0] = rng.uniform(-0.99 * (1.0 - lp.k) * q.i, lp.l_bar, n)
     X[:, 1] = rng.uniform(-0.98 * q.i, lp.l_bar / lp.lam0, n)
     X[:, 2] = rng.uniform(-0.9 * q.r, lp.l_bar / lp.lambda3, n)
     Xp = X.copy()
     Xp[:, 2] = 0.0
-    violations = 0
-    tested = 0
+    violations, tested, skipped = 0, 0, {}
     for name, pairs, Y, capped in (("lambda_hat2", lam_hat2_pairs, X, False),
                                    ("k", k_pairs, Xp, True)):
         for a, b in pairs:
             lpa, lpb = lp.replace(**{name: a}), lp.replace(**{name: b})
-            for lq in (lpa, lpb):
-                if not lyap_en.check_condition_50(p, lq).passed:
-                    raise RegimeError("condition (50) fails for a nesting parameter set")
+            if not all(lyap_en.check_condition_50(p, lq).passed for lq in (lpa, lpb)):
+                skipped.setdefault(name, []).append([a, b])
+                continue
             for L in L_values:
                 cap = Y[:, 1] <= L / lp.lambda2 if capped else True
                 inb = lyap_en.in_sublevel_many(p, lpb, Y, L) & cap
                 ina = lyap_en.in_sublevel_many(p, lpa, Y, L) & cap
                 violations += int(np.sum(inb & ~ina))
                 tested += int(inb.sum())
+    details = {"lam_hat2_pairs": list(map(list, lam_hat2_pairs)),
+               "k_pairs": list(map(list, k_pairs)), "L_values": L_values,
+               **({"skipped_pairs": skipped} if skipped else {})}
     return CheckResult("sublevel_nesting", tested > 0 and violations == 0, -float(violations),
-                       None, tested, {"lam_hat2_pairs": list(map(list, lam_hat2_pairs)),
-                                      "k_pairs": list(map(list, k_pairs)),
-                                      "L_values": L_values})
+                       None, tested, details)
 
 
 def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
@@ -542,7 +548,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     step evaluates nothing: it fails with `samples` 0."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    q = lyap.equilibrium.point
+    q = lyap.equilibrium
     qpt = q.as_array()
     if t_end is None:
         t_end = _horizon(p)
@@ -583,7 +589,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
 def separability_obstruction_demo(p: ModelParams) -> CheckResult:
     """Contradictory sign requirements on dV/dx1t at x1t = 0 for any
     separable candidate whose x3-part increases away from the anchor."""
-    q = model.endemic_eq(p).point
+    q = model.endemic_eq(p)
     ratio = p.gamma / p.mu
     off = min(60.0, q.i / 2)  # keeps the lower point inside the orthant
     # class (a): x2 above equilibrium, x3 in (x3h, ratio*x2]
@@ -613,8 +619,8 @@ def prohibited_region_demo(p: ModelParams, l_bars=(340.0, 1e3, 3e3, 1e4),
     """The corner wedge along the S-axis, here the state (100, 0.01, 0), stays
     outside every sublevel set, and the infected count keeps falling while
     x1 < x1h."""
-    q = model.endemic_eq(p).point
-    xf = model.disease_free_eq(p).point.as_array()
+    q = model.endemic_eq(p)
+    xf = model.disease_free_eq(p).as_array()
     start = State(100.0, 0.01, 0.0)
     f0 = model.rhs_arrays(p, start.s, start.i, start.r, p.b_hat)
     di_negative = f0[1] < 0.0

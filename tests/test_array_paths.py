@@ -40,7 +40,7 @@ def test_float_maps_match_array_path(log_mu, log_ratio, log_excess, log_beta, lo
     # each monotone map on a Python float returns a Python float equal, bit
     # for bit (the sign of zero included), to its 1-element array path
     p = _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta)
-    q = sl.model.endemic_eq(p).point
+    q = sl.model.endemic_eq(p)
     lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
     maps = [(lyap_en.theta, (p,), q.s), (lyap_en.theta_inv, (p,), q.i),
             (lyap_en.omega_inv, (p, lp), 3.0 * lp.l_bar), (lyap_en.p_fun, (p, lp), 3.0 * lp.l_bar),
@@ -61,7 +61,7 @@ def test_condition_50_matches_array_evaluation(log_mu, log_ratio, log_excess, lo
     # the float loop gives the verdict, worst margin and its L of the array
     # evaluation on linspace(0, l_bar, 2049); stretched budgets may fail (50)
     p = _theorem_regime_params(log_mu, log_ratio, log_excess, log_beta)
-    q = sl.model.endemic_eq(p).point
+    q = sl.model.endemic_eq(p)
     lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
     for lq in (lp, lp.replace(l_bar=lp.l_bar * 10.0 ** log_stretch)):
         L = np.linspace(0.0, lq.l_bar, 2049)

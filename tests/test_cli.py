@@ -324,6 +324,16 @@ def test_cmd_certify_regime_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_certify_near_the_theorem_boundary(tmp_path, capsys):
+    # the nesting pairs come from the function's own constants, so a scenario
+    # whose constants are feasible certifies; the reference scenario's pairs
+    # fail condition (50) here
+    cfg = {"model": {"beta": 0.008, "gamma": 1.18, "mu": 0.622, "b_hat": 551.3},
+           "equilibrium": "endemic", "lyap": {"l_bar": 340.0}, "n_samples": 2000}
+    rc = cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_cmd_levelsets_domain_error_exit_code(tmp_path, capsys):
     cfg = {**DF_CONFIG, "levels": [10.0],
            "window": [[-100.0, 200.0], [-50.0, 220.0]]}  # x2t < 0 exits the domain

@@ -97,7 +97,7 @@ def test_level_zero_marker(ly_df):
 def test_window_domain_errors(ly_df, ly_en):
     with pytest.raises(DomainError):
         levelset.extract_contours(ly_df, [10.0], window=((-10.0, 10.0), (-5.0, 10.0)))
-    x2h = ly_en.equilibrium.point.i
+    x2h = ly_en.equilibrium.i
     with pytest.raises(DomainError):
         levelset.extract_contours(ly_en, [10.0],
                                   window=((-10.0, 10.0), (-x2h - 1.0, 10.0)))

@@ -71,6 +71,29 @@ def test_omega_inv_of_a_huge_level(p_en, lp_en):
     assert lyap_en.p_fun(p_en, lp_en, 1e300) == pl[1] == pytest.approx(lp_en.lam0 * X2H)
 
 
+@pytest.mark.parametrize("level", [-1e20, 1e306, -1e306])
+def test_maps_refuse_a_level_without_a_finite_value(p_en, lp_en, level):
+    # from about -2e16 down the root of omega rounds onto the pole -x1h, where
+    # theta divides by 0; past about +-2e305 omega's discriminant overflows.
+    # Floats and arrays alike raise a DomainError naming the level, and no
+    # RuntimeWarning
+    maps = [lyap_en.p_fun, lyap_en.nu_fun]
+    if level == -1e20:
+        assert lyap_en.omega_inv(p_en, lp_en, level) == -X1H  # finite, on the pole
+    else:
+        maps.append(lyap_en.omega_inv)
+    for f in maps:
+        for s in (level, np.array([0.0, level, 1.0])):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{f.__name__} has no finite value at level {level!r}")):
+                f(p_en, lp_en, s)
+    # the nearest levels that have a finite value keep it, as floats and arrays
+    for f, s in ((lyap_en.p_fun, -1e16), (lyap_en.nu_fun, -1e16), (lyap_en.omega_inv, 1e305),
+                 (lyap_en.p_fun, 1e305), (lyap_en.nu_fun, 1e305)):
+        value = f(p_en, lp_en, s)
+        assert np.isfinite(value) and f(p_en, lp_en, np.array([s])).tolist() == [value]
+
+
 def test_p_and_inverse(p_en, lp_en):
     assert lyap_en.p_fun(p_en, lp_en, 0.0) == 0.0
     assert lyap_en.p_inv(p_en, lp_en, 0.0) == 0.0
@@ -228,8 +251,7 @@ def test_en_region(p_en, lp_en):
     # codes 0..5 for regions A..F; the x3t sign picks the sign of the x3 slope
     X = np.array([[5.0, 5.0, 0.0], [lyap_en.theta_inv(p_en, 50.0) + 1.0, -50.0, -1.0]])
     codes = lyap_en.en_region_terms(p_en, lp_en, X)[0]
-    assert [list(lyap_en.EnRegion)[c] for c in codes] == [lyap_en.EnRegion.A,
-                                                            lyap_en.EnRegion.F]
+    assert [lyap_en.REGION_LABELS[c] for c in codes] == ["A", "F"]
     assert lyap_en.en_gradient_arrays(p_en, lp_en, X)[:, 2].tolist() == [lp_en.lambda3,
                                                                          -lp_en.lambda3]
     # the hyperbola x1*x2 = x1h*x2h carries the E/F boundary
@@ -344,7 +366,7 @@ def test_en_eta_inv_brackets_en_eta(log_mu, log_ratio, log_excess, log_beta,
     r0 = (ratio + 2.0) * (1.0 + 10.0 ** log_excess)
     p = sl.ModelParams(beta=beta, gamma=ratio * mu, mu=mu,
                        b_hat=r0 * mu * (ratio * mu + mu) / beta)
-    q = sl.model.endemic_eq(p).point
+    q = sl.model.endemic_eq(p)
     lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_budget * (q.s + q.i))
     S = lp.lam0 * q.i
     # y = S*(1 - 10^-depth) crowds toward sup eta = S, where both extrema are
@@ -394,12 +416,21 @@ def test_select_en_params_at_rounding_edge_of_theorem_regime():
 
 
 def test_derived_constants(p_en, lp_en, ly_en):
-    dc = lyap_en.derived_constants(p_en, lp_en)
-    assert dc.gamma_a >= 0.0 and dc.gamma_c >= 0.0 and dc.gamma_d >= 0.0
-    assert dc.gamma_e > 0.0 and dc.gamma_f >= 0.0
-    assert dc.a_b > 0.0
-    # the sample check reads its region-E constant from here
-    assert verify.check_en_sample_decrease(ly_en, n=200).details["gamma_ek"] == dc.gamma_ek
+    a_b, sp, gamma_ek = ly_en.rate_constants()
+    assert sp == lyap_en.spread(p_en, lp_en)
+    # the per-region decrease constants of the paper, which no rate reads
+    g, lam2, lh2 = p_en.gamma, lp_en.lambda2, lp_en.lambda_hat2
+    lam3, lam0 = lp_en.lambda3, lp_en.lam0
+    gamma_a = g * (1.0 - lam3 / lam2)
+    gamma_c = g * (1.0 - lam3 * lam0 / lh2 ** 2)
+    gamma_d = g * (1.0 - lam3 * lam0 / (lam2 * lh2))
+    gamma_e = 1.0 - lam3 * g / (lh2 * sp * p_en.beta)
+    gamma_f = g * (1.0 - lam3 / lh2)
+    assert gamma_a >= 0.0 and gamma_c >= 0.0 and gamma_d >= 0.0
+    assert gamma_e > 0.0 and gamma_f >= 0.0
+    assert a_b > 0.0
+    # the sample check reads its region-E constant from the class
+    assert verify.check_en_sample_decrease(ly_en, n=200).details["gamma_ek"] == gamma_ek
 
 
 def test_json_and_report(p_en, lp_en, ly_en):

@@ -17,14 +17,14 @@ def test_r0_hat_values(p_df, p_en):
 
 
 def test_disease_free_eq(p_df, p_en):
-    assert sl.disease_free_eq(p_df).point == sl.State(200.0, 0.0, 0.0)
+    assert sl.disease_free_eq(p_df) == sl.State(200.0, 0.0, 0.0)
     p0 = sl.ModelParams(0.0002, 0.032, 0.015, 0.0)
-    assert sl.disease_free_eq(p0).point == sl.State(0.0, 0.0, 0.0)
-    assert sl.disease_free_eq(p_en).point.s == pytest.approx(1133.33, abs=5e-3)
+    assert sl.disease_free_eq(p0) == sl.State(0.0, 0.0, 0.0)
+    assert sl.disease_free_eq(p_en).s == pytest.approx(1133.33, abs=5e-3)
 
 
 def test_endemic_eq(p_df, p_en):
-    q = sl.endemic_eq(p_en).point
+    q = sl.endemic_eq(p_en)
     # direct evaluation of the equilibrium formulas with R0 = 4.822695...
     assert q.s == pytest.approx(235.0, rel=1e-12)
     assert q.i == pytest.approx(286.7021276595745, rel=1e-12)
@@ -47,10 +47,10 @@ def test_rhs_hand_value(p_df):
 
 def test_rhs_vanishes_at_equilibria(p_df, p_en):
     for p in (p_df, p_en):
-        q = sl.disease_free_eq(p).point
+        q = sl.disease_free_eq(p)
         scale = max(1.0, q.n)
         assert np.abs(model.rhs_arrays(p, q.s, q.i, q.r, p.b_hat)).max() < 1e-9 * scale
-    q = sl.endemic_eq(p_en).point
+    q = sl.endemic_eq(p_en)
     assert np.abs(model.rhs_arrays(p_en, q.s, q.i, q.r, p_en.b_hat)).max() < 1e-9 * max(1.0, q.n)
 
 

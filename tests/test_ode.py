@@ -62,7 +62,7 @@ def test_signal_validation_and_json():
 
 
 def test_equilibrium_is_fixed_point(p_df):
-    q = sl.disease_free_eq(p_df).point
+    q = sl.disease_free_eq(p_df)
     traj = sl.integrate(p_df, q, ode.Constant(p_df.b_hat), 100.0, dt=0.05)
     assert np.abs(traj.states - q.as_array()).max() <= 1e-9 * max(1.0, q.n)
 
@@ -74,7 +74,7 @@ def test_long_horizon_convergence_df(p_df):
 
 
 def test_long_horizon_convergence_endemic(p_en):
-    q = sl.endemic_eq(p_en).point
+    q = sl.endemic_eq(p_en)
     traj = sl.integrate(p_en, sl.State(400.0, 100.0, 100.0), ode.Constant(17.0),
                         5000.0, dt=0.05)
     assert np.abs(traj.states[-1] - q.as_array()).sum() < 1e-2

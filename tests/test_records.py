@@ -1,12 +1,15 @@
 """Every record type of the package: immutable, equal and hashed only by
 type and fields, validated on every construction, and written to JSON only
 through its own encoders."""
+import importlib
 import json
+import pkgutil
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import sirlyap
 from sirlyap import cli, flow, levelset, lyap_df, lyap_en, model, ode, verify
 from sirlyap.model import Record
 
@@ -17,14 +20,12 @@ LP = lyap_en.EnLyapParams(1.0, 1.0, 0.01, 0.0902, 1e-4, 340.0, 0.5)
 RECORDS = [
     P,
     model.State(100.0, 5.0, 0.0),
-    model.Equilibrium(model.EquilibriumKind.ENDEMIC, model.State(235.0, 9.0, 19.2)),
     flow.Constant(3.0),
     flow.Step(5.0, 3.0, 17.0),
     flow.Piecewise(((0.0, 1.0), (2.0, 5.0))),
     flow.Sinusoid(3.0, 1.0, 0.1),
     lyap_df.DfLyapParams(0.0148, 0.0745, 0.001, 0.97, 0.5),
     LP,
-    lyap_en.EnDerivedConstants(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
     cli.RunConfig(P),
     levelset.Contour(100.0, ("x3t", 0.0), [[(0.0, 1.0), (1.0, 0.0)]]),
     verify.CheckResult("stub", True, 0.5, [1.0, 2.0, 3.0], 3, {"k": 1}),
@@ -32,6 +33,18 @@ RECORDS = [
     ode.Trajectory(np.arange(3.0), np.ones((3, 3)), np.zeros(3)),
 ]
 IDS = [type(r).__name__ for r in RECORDS]
+
+
+def _subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_records_lists_every_record_type():
+    # a new record type is a decision: it joins RECORDS, and these tests, here
+    for mod in pkgutil.iter_modules(sirlyap.__path__):
+        importlib.import_module(f"sirlyap.{mod.name}")
+    concrete = {c for c in _subclasses(Record) if c.__module__.startswith("sirlyap.") and c._fields}
+    assert {type(r) for r in RECORDS} == concrete and len(RECORDS) == len(concrete) == 13
 
 
 def _values(rec) -> list:

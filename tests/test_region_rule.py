@@ -22,7 +22,7 @@ def _cut_codes_en(p, lp, x1t, x2t):
     """Regions A..F (codes 0..5) by the cuts: x2t >= 0 is the upper half,
     -k*x2t splits A from B and D from E, the hyperbola x1t = theta^{-1}(-x2t)
     splits E from F, and C is where C's formula exceeds B's."""
-    x2h = model.endemic_eq(p).point.i
+    x2h = model.endemic_eq(p).i
     kx2 = -lp.k * x2t
     ti = lyap_en.theta_inv(p, np.minimum(-x2t, x2h * (1.0 - 1e-15)))
     lower = np.where(x1t <= kx2, D, np.where(x1t <= ti, E, F))
@@ -54,7 +54,7 @@ def _endemic_draws(lo, hi, n, seed):
 def _points_en(p, lp, n, rng):
     """n deviations (x3t = 0), half around the level-l_bar hexagon and half
     over the box of H below its cap."""
-    q = model.endemic_eq(p).point
+    q = model.endemic_eq(p)
     cap = lp.l_bar / (lp.lambda2 * (1.0 - lp.k))
     reach = lyap_en.p_fun(p, lp, lp.l_bar)
     half = n // 2
@@ -137,7 +137,7 @@ def test_endemic_boundaries_take_the_closed_side(p_en, lp_en):
     rng = np.random.default_rng(4)
     k, top = lp_en.k, lp_en.l_bar / lp_en.lam0
     bottom = -lyap_en.p_fun(p_en, lp_en, lp_en.l_bar) / lp_en.lam0
-    x2h = model.endemic_eq(p_en).point.i
+    x2h = model.endemic_eq(p_en).i
     up, down, zero = rng.uniform(1.0, top, 200), rng.uniform(bottom, -1.0, 200), np.zeros(200)
     boundaries = {
         (F, A): (rng.uniform(1e-6, lp_en.l_bar, 200), zero),

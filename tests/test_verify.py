@@ -19,7 +19,7 @@ def _one_start(monkeypatch, ly, x0):
 
 
 def test_dini_constant_at_equilibrium(monkeypatch, p_df, ly_df):
-    _one_start(monkeypatch, ly_df, sl.disease_free_eq(p_df).point.as_array())
+    _one_start(monkeypatch, ly_df, sl.disease_free_eq(p_df).as_array())
     res = verify.check_trajectory_monotonicity(ly_df, n_starts=1, t_end=50.0)
     assert res.passed and res.samples == 1
     assert res.details["max_final_dist"] == 0.0
@@ -49,7 +49,7 @@ def test_dini_decrease_df(monkeypatch, ly_df):
 
 def test_dini_decrease_endemic_boundary_crossing(monkeypatch, p_en, ly_en):
     # a spiral start crosses several region boundaries on its way in
-    q = sl.endemic_eq(p_en).point
+    q = sl.endemic_eq(p_en)
     _one_start(monkeypatch, ly_en, [q.s + 150.0, q.i - 120.0, q.r - 50.0])
     res = verify.check_trajectory_monotonicity(ly_en, n_starts=1, t_end=800.0)
     assert res.passed and res.details["nonstrict_steps_above_1e-9"] == 0
@@ -116,7 +116,7 @@ def test_iss_bound_batch_range_error(ly_en, p_en):
 def test_iss_bound_domain_exit_range_error(ly_en, p_en, lp_en):
     # x2t starts above l_bar/(lambda2*(1-k)): the run leaves the endemic domain H,
     # which the observer reports at the end of the block holding the step
-    assert 700.0 - sl.endemic_eq(p_en).point.i > lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
+    assert 700.0 - sl.endemic_eq(p_en).i > lp_en.l_bar / (lp_en.lambda2 * (1.0 - lp_en.k))
     with pytest.raises(RangeError):
         verify.check_iss_bound(ly_en, [ode.Constant(p_en.b_hat)], t_end=100.0,
                                x0=sl.State(235.0, 700.0, 100.0))
@@ -227,6 +227,7 @@ def test_sampled_claims_across_regimes():
         ly = lyap_en.EndemicLyapunov(p, lyap_en.select_en_params(p, l_bar=340.0))
         assert verify.check_en_sample_decrease(ly, n=2000, seed=j).passed, p
         assert verify.check_en_iss_pointwise(ly, n=2000, seed=j).passed, p
+        assert verify.check_sublevel_nesting(ly, n=2000, seed=j).passed, p
     for j in range(30):
         rng = np.random.default_rng(j)
         gamma, mu = rng.uniform(0.01, 0.1), rng.uniform(0.005, 0.03)
@@ -279,6 +280,21 @@ def test_nesting_small(ly_en):
     res = verify.check_sublevel_nesting(ly_en, n=2000)
     assert res.passed
     assert res.worst_margin == 0.0
+    # the pairs default to the function's own constants and their halves
+    assert res.details["lam_hat2_pairs"] == [[0.005, 0.01]]
+    assert res.details["k_pairs"] == [[0.0451, 0.0902]] and "skipped_pairs" not in res.details
+
+
+def test_nesting_skips_a_pair_that_fails_condition_50(ly_en):
+    # lambda_hat2 = 0.5 breaks (50) on the reference scenario: the pair is
+    # listed, not tested, and no regime error is raised
+    pairs = ((0.005, 0.01), (0.01, 0.5))
+    res = verify.check_sublevel_nesting(ly_en, lam_hat2_pairs=pairs, n=2000)
+    assert not lyap_en.check_condition_50(ly_en.p, ly_en.lp.replace(lambda_hat2=0.5)).passed
+    assert res.passed and res.details["skipped_pairs"] == {"lambda_hat2": [[0.01, 0.5]]}
+    assert res.samples == verify.check_sublevel_nesting(ly_en, n=2000).samples
+    res = verify.check_sublevel_nesting(ly_en, lam_hat2_pairs=pairs[1:], k_pairs=(), n=2000)
+    assert not res.passed and res.samples == 0
 
 
 def test_w_region(ly_en):
@@ -318,7 +334,7 @@ def test_separability_demo_below_an_x2h_of_60(p_en):
     # at b_hat = 5.1 the endemic x2h is 33.5: x2h - 60 would leave the
     # orthant, so the test points sit at x2h +- x2h/2
     p = sl.ModelParams(p_en.beta, p_en.gamma, p_en.mu, 5.1)
-    x2h = sl.endemic_eq(p).point.i
+    x2h = sl.endemic_eq(p).i
     res = verify.separability_obstruction_demo(p)
     assert res.passed and res.worst_margin > 0.5
     assert res.details["required_sign_upper"] == 1
@@ -451,7 +467,7 @@ def test_merged_monotonicity_matches_standalone(request, monkeypatch, name, anch
     # nominal rows that start at the anchor stay nearer to it than the ISS rows
     lyap = request.getfixturevalue(name)
     if anchored:
-        anchor = lyap.equilibrium.point.as_array()
+        anchor = lyap.equilibrium.as_array()
         monkeypatch.setattr(lyap, "start_states", lambda n, seed: np.tile(anchor, (n, 1)))
     monkeypatch.setattr(verify, "builtin_signal_suite", lambda p, u, t_end: [
         ode.Constant(p.b_hat + u), ode.Sinusoid(p.b_hat, u, 2.0 * math.pi / 7.5)])
