@@ -4,13 +4,13 @@ The planar part V12 is assembled from linear pieces and from compositions of
 two monotone maps:
 
     theta(s)  = x2h * s / (x1h + s)          on (-x1h, inf), range (-inf, x2h)
-    omega(s)  = lambda1*s + lambda_hat2*theta(s)   (a bijection onto R)
-    P(s)      = (lambda2 - k*lambda1) * theta(omega^{-1}(s))
-    nu(s)     = (lambda_hat2*s - P((lambda2 - k*lambda1)*s)) / lambda1
+    omega(s)  = s + lambda_hat2*theta(s)     (a bijection onto R)
+    P(s)      = lam0 * theta(omega^{-1}(s)),  lam0 = 1 - k
+    nu(s)     = lambda_hat2*s - P(lam0*s)
 
 P has the closed-form inverse
 
-    P^{-1}(s) = lambda1*theta^{-1}(s/lam0) + lambda_hat2*s/lam0,  lam0 = lambda2 - k*lambda1,
+    P^{-1}(s) = theta^{-1}(s/lam0) + lambda_hat2*s/lam0,
 
 defined for s < lam0*x2h, with derivative bounded below by lambda_hat2/lam0.
 omega^{-1} is a root of a quadratic, so P is closed-form as well.  The ISS
@@ -28,6 +28,11 @@ and a point's region is the first of A..F (codes 0..5, `REGION_LABELS`)
 whose formula is largest.  The array functions over deviations (n, 3) are
 the one evaluation path: a single point is a 1-row array.  Outside the
 domain H (`en_value_many`) V is NaN.
+
+The paper takes lambda1 = lambda2 as the weights of x1t and x2t.  V is
+homogeneous of degree one in (lambda1, lambda2, lambda_hat2, lambda3), with
+l_bar alongside; condition (50), k0 and lambda3's ratio to its ceilings are
+scale-free, so the normal form lambda1 = lambda2 = 1 here loses nothing.
 
 The monotone maps take a Python float and return one, or take an array and
 return an array, with one formula for both (`_theta`, `_omega_inv`, ...),
@@ -62,10 +67,9 @@ if TYPE_CHECKING:
 
 
 class EnLyapParams(FloatRecord):
-    """Constants of the endemic function; lambda1 == lambda2 by construction."""
+    """Constants of the endemic function, in the normal form lambda1 = lambda2 = 1."""
 
-    lambda1: float
-    lambda2: float
+    lambda1 = lambda2 = 1.0  # class constants, not fields
     lambda_hat2: float
     k: float
     lambda3: float
@@ -73,14 +77,10 @@ class EnLyapParams(FloatRecord):
     delta: float
 
     def _check(self):
-        if not (self.lambda1 > 0.0 and self.lambda1 == self.lambda2):
-            raise ValueError("need 0 < lambda1 == lambda2")
         if not self.lambda_hat2 > 0.0:
             raise ValueError("lambda_hat2 must be positive")
         if not (0.0 < self.k < 1.0):
             raise ValueError("k must lie in (0, 1)")
-        if not self.lambda2 - self.k * self.lambda1 > 0.0:
-            raise ValueError("need lambda2 - k*lambda1 > 0")
         if not self.lambda3 > 0.0:
             raise ValueError("lambda3 must be positive")
         if not self.l_bar > 0.0:
@@ -90,7 +90,7 @@ class EnLyapParams(FloatRecord):
 
     @property
     def lam0(self) -> float:
-        return self.lambda2 - self.k * self.lambda1
+        return 1.0 - self.k
 
 
 #: the region labels by code: code 0..5 is region A..F
@@ -166,10 +166,10 @@ def _theta_inv(xh: tuple, s):
 
 def _omega_inv(lp: EnLyapParams, xh: tuple, v):
     """The larger root of omega(s) = v; see `omega_inv`."""
-    x1h, x2h, lam1 = xh[0], xh[1], lp.lambda1
-    b = lam1 * x1h + lp.lambda_hat2 * x2h - v
-    sq = _root(b, 4.0 * lam1 * v * x1h)
-    return _where(b > 0.0, 2.0 * v * x1h / (abs(b) + sq), (sq - b) / (2.0 * lam1))
+    x1h, x2h = xh[0], xh[1]
+    b = x1h + lp.lambda_hat2 * x2h - v
+    sq = _root(b, 4.0 * v * x1h)
+    return _where(b > 0.0, 2.0 * v * x1h / (abs(b) + sq), (sq - b) / 2.0)
 
 
 def _p_fun(lp: EnLyapParams, xh: tuple, s):
@@ -178,14 +178,14 @@ def _p_fun(lp: EnLyapParams, xh: tuple, s):
 
 
 def _p_inv(lp: EnLyapParams, xh: tuple, s):
-    """lambda1*theta^{-1}(s/lam0) + lambda_hat2*s/lam0 without the domain check."""
+    """theta^{-1}(s/lam0) + lambda_hat2*s/lam0 without the domain check."""
     r = s / lp.lam0
-    return lp.lambda1 * _theta_inv(xh, r) + lp.lambda_hat2 * r
+    return _theta_inv(xh, r) + lp.lambda_hat2 * r
 
 
 def _nu(lp: EnLyapParams, xh: tuple, s):
-    """(lambda_hat2*s - P(lam0*s))/lambda1."""
-    return (lp.lambda_hat2 * s - _p_fun(lp, xh, lp.lam0 * s)) / lp.lambda1
+    """lambda_hat2*s - P(lam0*s)."""
+    return lp.lambda_hat2 * s - _p_fun(lp, xh, lp.lam0 * s)
 
 
 def theta(p: ModelParams, s):
@@ -205,16 +205,16 @@ def theta_inv(p: ModelParams, s):
 
 
 def omega(p: ModelParams, lp: EnLyapParams, s):
-    return lp.lambda1 * _real(s) + lp.lambda_hat2 * theta(p, s)
+    return _real(s) + lp.lambda_hat2 * theta(p, s)
 
 
 def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     """Closed-form inverse of omega, onto (-x1h, inf).
 
-    omega(s) = v is the quadratic lambda1*s^2 + b*s - v*x1h = 0 with
-    b = lambda1*x1h + lambda_hat2*x2h - v; it is negative at s = -x1h, so one
+    omega(s) = v is the quadratic s^2 + b*s - v*x1h = 0 with
+    b = x1h + lambda_hat2*x2h - v; it is negative at s = -x1h, so one
     root lies on each side of the pole and the larger is wanted.  That root
-    is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/(2*lambda1)
+    is 2*v*x1h/(b + sqrt(D)) when b > 0 and (sqrt(D) - b)/2
     otherwise, neither of which subtracts nearly equal numbers; b is |b| in
     the first, so the branch computed and dropped never divides by 0.  `_root`
     scales D where |b| > 1e150, so the root of a huge level stays finite;
@@ -241,7 +241,7 @@ def p_inv_prime(p: ModelParams, lp: EnLyapParams, s):
     x1h, x2h, _ = _xhat(p)
     lam0 = lp.lam0
     d = lam0 * x2h - _real(s)
-    return (lp.lambda1 * lam0 ** 2 * x1h * x2h / (d * d) + lp.lambda_hat2) / lam0
+    return (lam0 ** 2 * x1h * x2h / (d * d) + lp.lambda_hat2) / lam0
 
 
 def nu_fun(p: ModelParams, lp: EnLyapParams, s):
@@ -280,8 +280,8 @@ def spread(p: ModelParams, lp: EnLyapParams) -> float:
 def lambda3_bound_terms(p: ModelParams, lp: EnLyapParams) -> tuple:
     """The four admissibility ceilings for lambda3, in declaration order."""
     r0 = model.r0_hat(p)
-    t1 = lp.k * p.mu * lp.lambda1 * (r0 - 1.0) * (1.0 - lp.k) / p.gamma
-    t2 = lp.lambda_hat2 ** 2 / ((1.0 - lp.k) * lp.lambda1)
+    t1 = lp.k * p.mu * (r0 - 1.0) * (1.0 - lp.k) / p.gamma
+    t2 = lp.lambda_hat2 ** 2 / (1.0 - lp.k)
     t3 = p.beta * lp.lambda_hat2 * spread(p, lp) / p.gamma
     t4 = lp.lambda_hat2
     return t1, t2, t3, t4
@@ -339,8 +339,8 @@ def check_condition_50(p: ModelParams, lp: EnLyapParams) -> Cond50Result:
 def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
                    lambda3: Optional[float] = None,
                    delta: Optional[float] = None) -> EnLyapParams:
-    """Build validated constants from explicit choices, with lambda1 = lambda2 = 1
-    and delta = DELTA unless given.
+    """Build validated constants from explicit choices, with delta = DELTA
+    unless given.
 
     Raises InfeasibleOverride when l_bar, lambda_hat2 or delta is out of
     range, or k, lambda3 or the (l_bar, lambda_hat2) pair fails its
@@ -350,7 +350,7 @@ def en_params_from(p: ModelParams, l_bar: float, lambda_hat2: float, k: float,
     k0 = k0_bound(p, l_bar)
     if not (0.0 < k < k0):
         raise InfeasibleOverride(f"k={k!r} outside (0.0, k0={k0!r})")
-    provisional = EnLyapParams(1.0, 1.0, lambda_hat2, k, 1e-300, l_bar, delta)
+    provisional = EnLyapParams(lambda_hat2, k, 1e-300, l_bar, delta)
     bound = lambda3_bound(p, provisional)
     if lambda3 is None:
         lambda3 = lambda3_default(p, provisional)
@@ -382,7 +382,7 @@ def select_en_params(p: ModelParams, l_bar: float,
     lam_h2 = 0.1
     k_frac = 0.9
     for it in range(64):
-        provisional = EnLyapParams(1.0, 1.0, lam_h2, k_frac * k0, 1e-300, l_bar, delta)
+        provisional = EnLyapParams(lam_h2, k_frac * k0, 1e-300, l_bar, delta)
         lp = provisional.replace(lambda3=lambda3_default(p, provisional))
         if check_condition_50(p, lp).passed:
             return lp
@@ -413,9 +413,9 @@ def _region_forms(lp: EnLyapParams) -> np.ndarray:
     and E; the gradient of V12 is (c1, c2), times (P^{-1})' in C, D and E.
     """
     import numpy as np
-    lam0, lam1, lam2, lh2 = lp.lam0, lp.lambda1, lp.lambda2, lp.lambda_hat2
-    return np.array([[lam1, lam2], [0.0, lam0], [-lam1, lh2],
-                     [-lam1, -lam2], [0.0, -lam0], [lam1, -lh2]])
+    lam0, lh2 = lp.lam0, lp.lambda_hat2
+    return np.array([[1.0, 1.0], [0.0, lam0], [-1.0, lh2],
+                     [-1.0, -1.0], [0.0, -lam0], [1.0, -lh2]])
 
 
 def en_region_v12(p: ModelParams, lp: EnLyapParams, code: int, x1t, x2t):
@@ -457,14 +457,14 @@ def en_value_many(p: ModelParams, lp: EnLyapParams, X: np.ndarray,
                   l_cap: Optional[float] = None) -> np.ndarray:
     """Vectorised V over deviations X (n, 3); NaN outside the domain H.
 
-    H is x2t > -x2h, x2t <= l_cap/(lambda2*(1 - k)) (l_cap defaults to l_bar;
+    H is x2t > -x2h, x2t <= l_cap/(1 - k) (l_cap defaults to l_bar;
     `l_cap=np.inf` drops it, for points on the A/B vertex of the level-l_bar
     set and beyond) and every curved form below the pole lam0*x2h.  The
     formulas are certified only where condition (50) holds.
     """
     import numpy as np
     x2t, x2h = X[:, 1], _xhat(p)[1]
-    cap = (lp.l_bar if l_cap is None else l_cap) / (lp.lambda2 * (1.0 - lp.k))
+    cap = (lp.l_bar if l_cap is None else l_cap) / (1.0 - lp.k)
     _, v12, arg = _region_select(p, lp, X[:, 0], x2t)
     ok = (x2t > -x2h) & (x2t <= cap) & (arg < lp.lam0 * x2h)
     return np.where(ok, v12 + lp.lambda3 * np.abs(X[:, 2]), np.nan)
@@ -509,9 +509,9 @@ def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional
     of a linear form in each region, so the set is straight between them:
     with P = P(level),
 
-        F/A (level/lambda1, 0)          A/B (-k*level/lam0, level/lam0)
-        B/C ((lambda_hat2*level/lam0 - P)/lambda1, level/lam0)
-        C/D (-P/lambda1, 0)             D/E (k*P/lam0, -P/lam0)
+        F/A (level, 0)                  A/B (-k*level/lam0, level/lam0)
+        B/C (lambda_hat2*level/lam0 - P, level/lam0)
+        C/D (-P, 0)                     D/E (k*P/lam0, -P/lam0)
         E/F (theta^{-1}(P/lam0), -P/lam0).
 
     The partition into regions, and with it the hexagon, holds where
@@ -519,11 +519,10 @@ def en_level_hexagon(p: ModelParams, lp: EnLyapParams, level: float) -> Optional
     """
     if level <= 0.0:
         return None
-    lam0, lam1 = lp.lam0, lp.lambda1
-    top, P = level / lam0, p_fun(p, lp, level)
-    bottom = P / lam0
-    return [(level / lam1, 0.0), (-lp.k * top, top),
-            ((lp.lambda_hat2 * top - P) / lam1, top), (-P / lam1, 0.0),
+    top, P = level / lp.lam0, p_fun(p, lp, level)
+    bottom = P / lp.lam0
+    return [(level, 0.0), (-lp.k * top, top),
+            (lp.lambda_hat2 * top - P, top), (-P, 0.0),
             (lp.k * bottom, -bottom), (_theta_inv(_xhat(p), bottom), -bottom)]
 
 
@@ -554,7 +553,7 @@ def en_eta(p: ModelParams, lp: EnLyapParams, l_total: float) -> float:
     w in [0, P(l_total)] of  w + lambda3*(l_total - P^{-1}(w))/(P^{-1})'(w),
     taken at the two ends and at the stationary points in between: the real
     roots in t = 1 - w/S (S = lam0*x2h) of the quartic
-    (1 - lambda3)*(1 + r*t^2)^2 - 2*lambda3*(r*t^2 + (1 - r + l_total/(lambda1*x1h))*t - 1).
+    (1 - lambda3)*(1 + r*t^2)^2 - 2*lambda3*(r*t^2 + (1 - r + l_total/x1h)*t - 1).
     """
     if l_total < 0.0:
         raise DomainError("l_total must be nonnegative")
@@ -563,10 +562,10 @@ def en_eta(p: ModelParams, lp: EnLyapParams, l_total: float) -> float:
     import numpy as np
     x1h, x2h, _ = xh = _xhat(p)
     S, lam3 = lp.lam0 * x2h, lp.lambda3
-    r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
+    r = lp.lambda_hat2 * x2h / x1h
     pl = p_fun(p, lp, l_total)
     quartic = [(1.0 - lam3) * r * r, 0.0, 2.0 * r * (1.0 - 2.0 * lam3),
-               -2.0 * lam3 * (1.0 - r + l_total / (lp.lambda1 * x1h)), 1.0 + lam3]
+               -2.0 * lam3 * (1.0 - r + l_total / x1h), 1.0 + lam3]
     w = np.concatenate([[0.0], _roots_in(quartic, S, pl)])
     obj = w + lam3 * (l_total - _p_inv(lp, xh, w)) / p_inv_prime(p, lp, w)
     return float(min(obj.min(), pl))
@@ -589,7 +588,7 @@ def en_eta_inv(p: ModelParams, lp: EnLyapParams, y: float) -> float:
     if y >= S:
         return math.inf
     import numpy as np
-    r = lp.lambda_hat2 * x2h / (lp.lambda1 * x1h)
+    r = lp.lambda_hat2 * x2h / x1h
     cubic = [(lam3 - 1.0) * r, 0.0, 1.0 + lam3, 2.0 * (y / S - 1.0)]
     w = np.concatenate([[0.0, y], _roots_in(cubic, S, y)])
     g = _p_inv(lp, xh, w) + (y - w) * p_inv_prime(p, lp, w) / lam3
@@ -614,8 +613,8 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
     q = lyap.equilibrium
     level = level_frac * lp.l_bar
     pl = p_fun(p, lp, lp.l_bar)
-    lo1 = -(pl + lp.lambda_hat2 * q.i) / lp.lambda1 - 1.0
-    hi1 = lp.l_bar / lp.lambda1 + 1.0
+    lo1 = -(pl + lp.lambda_hat2 * q.i) - 1.0
+    hi1 = lp.l_bar + 1.0
     lo2 = -pl / lp.lam0 - 1.0
     hi2 = lp.l_bar / lp.lam0 + 1.0
     out = []
@@ -671,14 +670,24 @@ class EndemicLyapunov:
         q = self.equilibrium.as_array()
         return self.value_many(S - q[None, :])
 
+    def boundaries(self, x2t) -> tuple:
+        """The x1t of the two region boundaries that cross the line x2t (a
+        float or an array): the straight one -k*x2t (A/B above x2t = 0, D/E
+        below) and the curved one, nu(x2t) (B/C) for x2t >= 0 and
+        theta^{-1}(-x2t) (E/F) below, its argument clipped just below the
+        pole x2h."""
+        import numpy as np
+        curve = np.where(x2t >= 0.0, nu_fun(self.p, self.lp, np.maximum(x2t, 0.0)),
+                         theta_inv(self.p, np.minimum(-x2t, _xhat(self.p)[1] * _POLE_CLIP)))
+        return -self.lp.k * x2t, curve
+
     def near_boundary(self, X: np.ndarray) -> np.ndarray:
         """True where a point lies within the band BOUNDARY_BAND*(1+|X|) of a
         region boundary or of the x3t kink."""
         import numpy as np
         x1t, x2t, x3t = X[:, 0], X[:, 1], X[:, 2]
-        curve = np.where(x2t >= 0.0, nu_fun(self.p, self.lp, np.maximum(x2t, 0.0)),
-                         theta_inv(self.p, np.minimum(-x2t, _xhat(self.p)[1] * _POLE_CLIP)))
-        dist = np.minimum.reduce([np.abs(x2t), np.abs(x1t + self.lp.k * x2t), np.abs(x3t),
+        straight, curve = self.boundaries(x2t)
+        dist = np.minimum.reduce([np.abs(x2t), np.abs(x1t - straight), np.abs(x3t),
                                   np.abs(x1t - curve)])
         return dist <= BOUNDARY_BAND * (1.0 + np.linalg.norm(X, axis=1))
 
@@ -711,24 +720,23 @@ class EndemicLyapunov:
     def iss_decrease(self, X: np.ndarray, u_values) -> tuple:
         """Per input u of u_values, where an ISS hypothesis holds, per row of
         X; and the rate that -grad V . f under each such u exceeds there.  In
-        A and F: u <= delta*mu*V/lambda1 and (1-delta)*mu*V; in C and D:
-        -lambda1*u <= delta*mu*(arg + V3/(P^{-1})'(arg)), which the eta-based
+        A and F: u <= delta*mu*V and (1-delta)*mu*V; in C and D:
+        -u <= delta*mu*(arg + V3/(P^{-1})'(arg)), which the eta-based
         hypothesis implies, and (1-delta)*mu*((P^{-1})'*arg + V3).  V, the
         regions and both bounds are evaluated once for all the inputs."""
         import numpy as np
         p, lp, v = self.p, self.lp, self.value_many(X)
         (codes, arg, qd), v3 = en_region_terms(p, lp, X), lp.lambda3 * np.abs(X[:, 2])
         af, cd = np.isin(codes, [0, 5]), np.isin(codes, [2, 3])
-        bound_af, bound_cd = lp.delta * p.mu * v / lp.lambda1, lp.delta * p.mu * (arg + v3 / qd)
+        bound_af, bound_cd = lp.delta * p.mu * v, lp.delta * p.mu * (arg + v3 / qd)
         rate = np.where(af, (1.0 - lp.delta) * p.mu * v, (1.0 - lp.delta) * p.mu * (qd * arg + v3))
-        return [af & (u <= bound_af) | cd & (-lp.lambda1 * u <= bound_cd) for u in u_values], rate
+        return [af & (u <= bound_af) | cd & (-u <= bound_cd) for u in u_values], rate
 
     def admissible_u(self) -> tuple:
         """Open admissible perturbation interval around the nominal newborn rate,
         as Python floats (numpy-scalar inputs would slow the ISS batch's float rows)."""
         p, lp = self.p, self.lp
-        return (-lp.delta * p.mu * p_fun(p, lp, lp.l_bar) / lp.lambda1,
-                lp.delta * p.mu * lp.l_bar / lp.lambda1)
+        return -lp.delta * p.mu * p_fun(p, lp, lp.l_bar), lp.delta * p.mu * lp.l_bar
 
     def admits(self, u_pos: float, u_neg: float) -> bool:
         """Inputs within [-u_neg, u_pos] lie in the open admissible range."""
@@ -743,7 +751,7 @@ class EndemicLyapunov:
         eta-branch inward ones (u < 0); capped at l_bar, where the
         certificate saturates into plain forward invariance.
         """
-        scale = self.lp.lambda1 / (self.lp.delta * self.p.mu)
+        scale = 1.0 / (self.lp.delta * self.p.mu)
         level = scale * max(u_pos, 0.0)
         if u_neg > 0.0:
             level = max(level, en_eta_inv(self.p, self.lp, scale * u_neg))
@@ -779,8 +787,8 @@ class EndemicLyapunov:
         it is the graph x3t = (level - V12(x1t, c))/lambda3 over the chord of
         `en_level_chord` and its mirror below x3t = 0.  The graph's abscissae
         are the `linspace` of the window's x1t range in n points, cut to the
-        chord, plus the chord's ends, the region boundaries -k*c and nu(c)
-        (c >= 0) or theta^{-1}(-c) (c < 0), and the points where the graph
+        chord, plus the chord's ends, the region boundaries on x2t = c
+        (`boundaries`), and the points where the graph
         meets the window's x3t edges, so the window cuts it at vertices.
 
         DomainError for a level outside [0, l_bar], where condition (50)
@@ -803,9 +811,8 @@ class EndemicLyapunov:
         import numpy as np  # the x2t-plane graph alone evaluates V on arrays
         lo, hi = chord
         xs = np.linspace(window[0][0], window[0][1], n)
-        kink = nu_fun(p, lp, c) if c >= 0.0 else _theta_inv(_xhat(p), -c)
         edges = [en_level_chord(p, lp, level - lp.lambda3 * abs(v), c) for v in window[1]]
-        xs = np.concatenate([xs, [-lp.k * c, kink], *[e for e in edges if e is not None]])
+        xs = np.concatenate([xs, self.boundaries(c), *[e for e in edges if e is not None]])
         xs = np.unique(np.concatenate([[lo, hi], xs[(lo < xs) & (xs < hi)]]))
         X = np.column_stack([xs, np.full(len(xs), c), np.zeros(len(xs))])
         h = np.maximum((level - self.value_many(X)) / lp.lambda3, 0.0)
@@ -819,7 +826,7 @@ class EndemicLyapunov:
         p, lp = self.p, self.lp
         res = check_condition_50(p, lp)
         return {"feasibility": {
-            "k0": k0_bound(p, lp.l_bar, lp.lambda1, lp.lambda2),
+            "k0": k0_bound(p, lp.l_bar),
             "lambda3_bound": lambda3_bound(p, lp),
             "cond50_margin": res.worst_margin,
             "cond50_argmin_l": res.argmin_l,

@@ -211,7 +211,8 @@ def check_df_grid_iss(lyap, n: int = GRID_N) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
-    """The library's adjacent region formulas agree on all five internal boundaries."""
+    """The library's adjacent region formulas agree on all five internal
+    boundaries, the four off x2t = 0 where `lyap.boundaries` puts them."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
     x2h = lyap.equilibrium.i
@@ -226,18 +227,18 @@ def check_en_continuity(lyap, n_per_boundary: int = 200, seed: int = DEFAULT_SEE
 
     res = {}
     x2 = rng.uniform(0.0, lp.l_bar / lam0, n_per_boundary)
-    res["A/B"] = gap(A, B, -lp.k * x2, x2)
+    res["A/B"] = gap(A, B, lyap.boundaries(x2)[0], x2)
     x2 = rng.uniform(0.0, lp.l_bar / lam0, n_per_boundary)
-    res["B/C"] = gap(C, B, lyap_en.nu_fun(p, lp, x2), x2)
+    res["B/C"] = gap(C, B, lyap.boundaries(x2)[1], x2)
     lo2 = -lyap_en.p_fun(p, lp, lp.l_bar) / lam0
     x2 = rng.uniform(lo2, 0.0, n_per_boundary)
-    res["D/E"] = gap(D, E, -lp.k * x2, x2)
+    res["D/E"] = gap(D, E, lyap.boundaries(x2)[0], x2)
     x2 = rng.uniform(lo2, -1e-6 * x2h, n_per_boundary)
-    res["E/F"] = gap(E, F, lyap_en.theta_inv(p, -x2), x2)
+    res["E/F"] = gap(E, F, lyap.boundaries(x2)[1], x2)
 
     # along x2t = 0 the upper formulas (A, C) must meet the lower ones (F, D)
     half = n_per_boundary // 2
-    x1 = rng.uniform(1e-9, lp.l_bar / lp.lambda1, half)
+    x1 = rng.uniform(1e-9, lp.l_bar, half)
     x1n = rng.uniform(-(1.0 - lp.k) * x2h * 0.9, -1e-9, n_per_boundary - half)
     res["x2=0"] = np.concatenate([gap(F, A, x1, np.zeros(half)),
                                   gap(D, C, x1n, np.zeros(len(x1n)))])
@@ -323,9 +324,36 @@ def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.n
     return v[:-1] * np.exp(-decay_rate * h) + tol * h - v[1:]
 
 
-def _horizon(p: ModelParams) -> float:
-    """The default horizon of the trajectory checks: 50 mean lifetimes 1/mu."""
-    return 50.0 / p.mu
+def _slowest_rate(lyap) -> float:
+    """The slowest decay rate of the linearisation at the anchor: the least
+    of mu and, at the disease-free equilibrium, (gamma+mu)*(1-R0), or, at the
+    endemic one, the smaller real part of the (S, I) pair's rates, the roots
+    z of z^2 - mu*R0*z + mu*(gamma+mu)*(R0-1)."""
+    p, r0 = lyap.p, model.r0_hat(lyap.p)
+    if lyap.kind is EquilibriumKind.DISEASE_FREE:
+        return min(p.mu, (p.gamma + p.mu) * (1.0 - r0))
+    disc = p.mu ** 2 * r0 ** 2 - 4.0 * p.mu * (p.gamma + p.mu) * (r0 - 1.0)
+    if disc < 0.0:
+        return min(p.mu, p.mu * r0 / 2.0)
+    return min(p.mu, (p.mu * r0 - math.sqrt(disc)) / 2.0)
+
+
+def _horizon(lyap, starts: np.ndarray, final_tol: float) -> tuple:
+    """The horizon of the trajectory checks and whether its cap binds.
+
+    It is 50 mean lifetimes 1/mu, or longer where the linearisation at the
+    anchor needs it to bring the farthest of the nominal `starts`, d0 from
+    the anchor in the 1-norm, within final_tol: 1.5*ln(d0/final_tol)/r at
+    the slowest decay rate r (`_slowest_rate`), capped at 20*50/mu.  With no
+    start farther than final_tol, 50/mu.
+    """
+    floor, cap = 50.0 / lyap.p.mu, 20.0 * 50.0 / lyap.p.mu
+    d0 = float(np.abs(starts - lyap.equilibrium.as_array()).sum(axis=1).max(initial=0.0))
+    if d0 <= final_tol:
+        return floor, False
+    r = _slowest_rate(lyap)
+    need = 1.5 * math.log(d0 / final_tol) / r if final_tol > 0.0 and r > 0.0 else math.inf
+    return min(cap, max(floor, need)), need > cap
 
 
 def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
@@ -338,11 +366,14 @@ def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
     observer reduces each block, the Dini margins on the nominal rows and the
     running maxima of V on the signal rows.  Returns the monotonicity result
     and the list of `iss_bound` results; RangeError for a signal leaving the
-    admissible range, before integrating.  See the two public checks.
+    admissible range, before integrating.  By default t_end is `_horizon`
+    of the starts; `details` gain `horizon_capped` when its cap binds.  See
+    the two public checks.
     """
     p = lyap.p
+    capped = False
     if t_end is None:
-        t_end = _horizon(p)
+        t_end, capped = _horizon(lyap, starts, final_tol)
     if x0 is None:
         x0 = lyap.equilibrium
     ext = [(max(hi - p.b_hat, 0.0), max(p.b_hat - lo, 0.0))  # exact sup u+, sup u- over [0, t_end]
@@ -387,7 +418,8 @@ def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
                                 "final_tol": final_tol, "t_end": t_end,
                                 "nonstrict_steps_above_1e-9": nonstrict,
                                 "rk4_steps": sum(blk[3] for blk in blocks),
-                                "batch_rows": len(X0)})
+                                "batch_rows": len(X0),
+                                **({"horizon_capped": True} if capped else {})})
     iss_bounds = []
     for sig, (u_pos, u_neg), v_tail, v_all in zip(signals, ext, vmax_tail.tolist(),
                                                   vmax_all.tolist()):
@@ -410,7 +442,7 @@ def check_trajectory_monotonicity(lyap, n_starts: int = N_STARTS, t_end: Optiona
 
     Asserts V decreases (difference quotient below 1e-6*(1+V)) while
     V > 1e-6, and the final state lands within final_tol of the anchor
-    in the 1-norm by t_end (default 50 mean lifetimes).  A run of no step
+    in the 1-norm by t_end (default `_horizon` of the starts).  A run of no step
     (t_end = 0) evaluates nothing: it fails with `samples` 0.  `details`
     count the RK4 steps and the rows of the batch they stepped.
     """
@@ -503,7 +535,7 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=None, k_pairs=None,
     sampled in all three coordinates.  The k ordering is a property of the
     planar part (its budget argument in the flat region is consumed by any
     positive x3 contribution, for which counterexamples exist), so it is
-    sampled on the x3t = 0 slice, restricted to x2t <= L/lambda2.  A pair
+    sampled on the x3t = 0 slice, restricted to x2t <= L.  A pair
     failing condition (50) is listed in details' `skipped_pairs`, not tested.
     """
     p, lp = lyap.p, lyap.lp
@@ -529,7 +561,7 @@ def check_sublevel_nesting(lyap, lam_hat2_pairs=None, k_pairs=None,
                 skipped.setdefault(name, []).append([a, b])
                 continue
             for L in L_values:
-                cap = Y[:, 1] <= L / lp.lambda2 if capped else True
+                cap = Y[:, 1] <= L if capped else True
                 inb = lyap_en.in_sublevel_many(p, lpb, Y, L) & cap
                 ina = lyap_en.in_sublevel_many(p, lpa, Y, L) & cap
                 violations += int(np.sum(inb & ~ina))
@@ -551,7 +583,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     q = lyap.equilibrium
     qpt = q.as_array()
     if t_end is None:
-        t_end = _horizon(p)
+        t_end = _horizon(lyap, np.empty((0, 3)), 0.0)[0]
     x2t0 = rng.uniform(-0.9 * q.i, -0.05 * q.i, n_starts)
     x1t0 = np.array([rng.uniform(-0.9 * q.s, -lp.k * v) for v in x2t0])
     x3t0 = rng.uniform(-0.9 * q.r, 1.5 * q.r, n_starts)
@@ -667,25 +699,25 @@ def builtin_signal_suite(p: ModelParams, u_mag: float, t_end: float) -> list:
 
 def _df_suite(lyap, seed: int, grid_n: int, n_samples: int) -> list:
     """The disease-free checks in report order; ISS signals of size b_hat/10."""
-    signals = builtin_signal_suite(lyap.p, lyap.p.b_hat / 10.0, _horizon(lyap.p))
+    starts = lyap.start_states(N_STARTS, seed)
+    signals = builtin_signal_suite(lyap.p, lyap.p.b_hat / 10.0, _horizon(lyap, starts, 1e-3)[0])
     checks = [check_df_continuity(lyap, seed=seed),
               check_df_positive_definite(lyap, seed=seed),
               check_df_grid_iss(lyap, n=grid_n)]
-    monotonicity, iss_bounds = _trajectory_checks(lyap, lyap.start_states(N_STARTS, seed), 1e-3,
-                                                  signals, None, None)
+    monotonicity, iss_bounds = _trajectory_checks(lyap, starts, 1e-3, signals, None, None)
     return checks + [monotonicity] + iss_bounds
 
 
 def _en_suite(lyap, seed: int, grid_n: int, n_samples: int) -> list:
     """The endemic checks in report order; ISS signals of 45% of admissible_u()'s nearer end."""
     lo, hi = lyap.admissible_u()
-    signals = builtin_signal_suite(lyap.p, 0.45 * min(-lo, hi), _horizon(lyap.p))
+    starts = lyap.start_states(N_STARTS, seed)
+    signals = builtin_signal_suite(lyap.p, 0.45 * min(-lo, hi), _horizon(lyap, starts, 1e-2)[0])
     checks = [CheckResult("condition_50", *lyap_en.check_condition_50(lyap.p, lyap.lp)),
               check_en_continuity(lyap, seed=seed),
               check_en_sample_decrease(lyap, n=n_samples, seed=seed),
               check_en_iss_pointwise(lyap, n=min(n_samples, N_POINTWISE), seed=seed)]
-    monotonicity, iss_bounds = _trajectory_checks(lyap, lyap.start_states(N_STARTS, seed), 1e-2,
-                                                  signals, None, None)
+    monotonicity, iss_bounds = _trajectory_checks(lyap, starts, 1e-2, signals, None, None)
     return checks + [monotonicity, check_sublevel_nesting(lyap, seed=seed)] + iss_bounds
 
 

@@ -1,16 +1,19 @@
 """Each float form equals its array path bit for bit: the monotone maps of
 the endemic function on a Python float, condition (50)'s float loop and the
 level chord's interpolation.  The traced benchmark run wraps library
-functions by name, so every name it lists must still resolve."""
+functions by name, and the benchmark's output gate reads library names, so
+every name either uses must still resolve."""
+import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import sirlyap as sl
-from sirlyap import lyap_en
+from sirlyap import cli, lyap_en
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,3 +104,39 @@ def test_tracer_paths_resolve():
         for attr in path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{mod}.{path}"
+
+
+def _gate_reads() -> set:
+    """(module, dotted path) of every name perfbench/gate.py takes from
+    sirlyap's lyap_en, lyap_df, levelset, model and ode modules."""
+    modules = {"lyap_en", "lyap_df", "levelset", "model", "ode"}
+    reads = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "gate.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sirlyap."):
+            reads |= {(node.module.split(".")[1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            path, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                path, value = [value.attr, *path], value.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                reads.add((value.id, ".".join(path)))
+    return reads
+
+
+def test_gate_reads_resolve(tmp_path, capsys):
+    reads = _gate_reads()
+    assert {("lyap_en", "k0_bound"), ("lyap_en", "EnLyapParams.from_dict"),
+            ("model", "ModelParams")} <= reads
+    for mod, path in reads:
+        obj = importlib.import_module(f"sirlyap.{mod}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+    # the gate rebuilds emitted endemic constants and passes lambda1 and
+    # lambda2, the normal form's class constants, to k0_bound
+    config = ROOT / "configs" / "endemic.json"
+    assert cli.main(["params", "--config", str(config), "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "params_endemic.json").read_text())["params"]
+    lp = lyap_en.EnLyapParams.from_dict(params)
+    assert lp.lambda1 == lp.lambda2 == 1.0
+    p = sl.ModelParams.from_dict(json.loads(config.read_text())["model"])
+    assert lyap_en.k0_bound(p, lp.l_bar, lp.lambda1, lp.lambda2) == lyap_en.k0_bound(p, lp.l_bar)

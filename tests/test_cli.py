@@ -334,6 +334,21 @@ def test_certify_near_the_theorem_boundary(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
+def test_certify_a_slow_disease_free_scenario(tmp_path, capsys):
+    # gamma 0.045, mu 0.02, R0 0.97 on the x40 clock: the slowest linear rate
+    # (gamma+mu)*(1-R0) brings the starts within 1e-3 only after 50/mu, so
+    # the horizon comes from the linearisation
+    c, gamma, mu, r0, beta = 40.0, 0.045, 0.02, 0.97, 2e-4
+    cfg = {"model": {"beta": c * beta, "gamma": c * gamma, "mu": c * mu,
+                     "b_hat": c * r0 * mu * (gamma + mu) / beta},
+           "equilibrium": "df", "grid_n": 10, "n_samples": 1000}
+    rc = cli.main(["certify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "certify_df.json").read_text())
+    mono, = [ch for ch in report["checks"] if ch["name"].startswith("trajectory")]
+    assert mono["details"]["t_end"] > 50.0 / (c * mu)
+
+
 def test_cmd_levelsets_domain_error_exit_code(tmp_path, capsys):
     cfg = {**DF_CONFIG, "levels": [10.0],
            "window": [[-100.0, 200.0], [-50.0, 220.0]]}  # x2t < 0 exits the domain

@@ -14,7 +14,7 @@ from sirlyap import cli, flow, levelset, lyap_df, lyap_en, model, ode, verify
 from sirlyap.model import Record
 
 P = model.ModelParams(beta=0.0002, gamma=0.032, mu=0.015, b_hat=17.0)
-LP = lyap_en.EnLyapParams(1.0, 1.0, 0.01, 0.0902, 1e-4, 340.0, 0.5)
+LP = lyap_en.EnLyapParams(0.01, 0.0902, 1e-4, 340.0, 0.5)
 
 #: one record of each type
 RECORDS = [
@@ -45,6 +45,12 @@ def test_records_lists_every_record_type():
         importlib.import_module(f"sirlyap.{mod.name}")
     concrete = {c for c in _subclasses(Record) if c.__module__.startswith("sirlyap.") and c._fields}
     assert {type(r) for r in RECORDS} == concrete and len(RECORDS) == len(concrete) == 13
+
+
+def test_endemic_record_holds_what_a_config_chooses():
+    # lambda1 = lambda2 = 1 is the normal form: class constants, not fields
+    assert set(lyap_en.EnLyapParams._fields) == cli._LYAP_KEYS["endemic"]
+    assert LP.lambda1 == LP.lambda2 == 1.0 and LP.lam0 == 1.0 - LP.k
 
 
 def _values(rec) -> list:
@@ -109,7 +115,7 @@ def test_fields_cannot_be_assigned(rec):
     (flow.Piecewise(((0.0, 1.0),)), {"points": ((1.0, 1.0), (0.0, 2.0))},
      "piecewise breakpoints must be increasing"),
     (LP, {"k": 1.5}, r"k must lie in \(0, 1\)"),
-    (LP, {"lambda2": 2.0}, "need 0 < lambda1 == lambda2"),
+    (LP, {"k": 1.0}, r"k must lie in \(0, 1\)"),  # lam0 = 1 - k must be positive
     (ode.Trajectory(np.arange(3.0), np.ones((3, 3)), np.zeros(3)), {"inputs": np.zeros(2)},
      "times, states and inputs must have equal length"),
     (LP, {"lambda_hat2": 0.0}, "lambda_hat2 must be positive"),

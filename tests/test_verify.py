@@ -172,6 +172,22 @@ def test_en_continuity_checks_library_formulas(monkeypatch, ly_en, region):
     assert not verify.check_en_continuity(ly_en, n_per_boundary=40).passed
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_en_continuity_checks_the_class_boundaries(monkeypatch, ly_en, which):
+    # a straight (0) or curved (1) boundary 1e-6*(1+|x1t|) off where the
+    # region formulas meet fails the check, on the boundaries it lies on
+    original = lyap_en.EndemicLyapunov.boundaries
+
+    def shifted(self, x2t):
+        lines = list(original(self, x2t))
+        lines[which] = lines[which] + 1e-6 * (1.0 + np.abs(lines[which]))
+        return tuple(lines)
+
+    monkeypatch.setattr(lyap_en.EndemicLyapunov, "boundaries", shifted)
+    res = verify.check_en_continuity(ly_en, n_per_boundary=40)
+    assert not res.passed and res.worst_location in (("A/B", "D/E"), ("B/C", "E/F"))[which]
+
+
 def test_sample_decrease_checks_the_class_rate(monkeypatch, ly_en):
     # region A's rate scaled by 1.5 claims more decrease than grad V . f has
     original = lyap_en.EndemicLyapunov.decrease_rate
@@ -434,7 +450,7 @@ def test_check_of_zero_samples_fails(request, name):
 def _short_certification(monkeypatch, lyap) -> tuple:
     """run_certification of `lyap` at small sizes over a 60-unit horizon, and
     the rows of each integrate_batch call it made."""
-    monkeypatch.setattr(verify, "_horizon", lambda p: 60.0)
+    monkeypatch.setattr(verify, "_horizon", lambda *args: (60.0, False))
     integrate_batch, batches = ode.integrate_batch, []
 
     def counted(p, X0, *args, **kwargs):
@@ -479,6 +495,45 @@ def test_merged_monotonicity_matches_standalone(request, monkeypatch, name, anch
     assert merged["details"].pop("batch_rows") == verify.N_STARTS + 2
     assert alone["details"].pop("batch_rows") == verify.N_STARTS
     assert merged == alone and merged["details"]["rk4_steps"] == 1200
+
+
+def _jacobian_rate(p, q) -> float:
+    """The slowest decay rate at the state q: -max Re of the eigenvalues of
+    the vector field's Jacobian there."""
+    b, g, mu = p.beta, p.gamma, p.mu
+    J = [[-b * q.i - mu, -b * q.s, 0.0], [b * q.i, b * q.s - g - mu, 0.0], [0.0, g, -mu]]
+    return float(-np.linalg.eigvals(J).real.max())
+
+
+@pytest.mark.parametrize("b_hat", [3.0, 8.0, 17.0, 80.0])  # R0 0.85, 2.3, 4.8 and 23
+def test_slowest_rate_is_the_jacobian_one(b_hat):
+    # both endemic branches: complex (S, I) roots at R0 4.8, real ones at 23
+    p = sl.ModelParams(beta=0.0002, gamma=0.032, mu=0.015, b_hat=b_hat)
+    df = sl.model.r0_hat(p) < 1.0
+    kind = sl.EquilibriumKind.DISEASE_FREE if df else sl.EquilibriumKind.ENDEMIC
+    q = (sl.model.disease_free_eq if df else sl.model.endemic_eq)(p)
+    lyap = type("Anchor", (), {"p": p, "kind": kind})
+    assert verify._slowest_rate(lyap) == pytest.approx(_jacobian_rate(p, q), rel=1e-9)
+
+
+def test_horizon_from_the_linearisation(monkeypatch, ly_df, ly_en):
+    # the reference scenarios keep 50 mean lifetimes; a tighter tolerance
+    # lengthens the horizon, up to 20 times that, and past it the cap binds
+    for ly, tol in ((ly_df, 1e-3), (ly_en, 1e-2)):
+        floor, starts = 50.0 / ly.p.mu, ly.start_states(verify.N_STARTS, bands.DEFAULT_SEED)
+        assert verify._horizon(ly, starts, tol) == (floor, False)
+        assert verify._horizon(ly, starts[:0], 0.0) == (floor, False)
+        assert verify._horizon(ly, starts, 1e-300) == (20.0 * floor, True)
+        d0 = np.abs(starts - ly.equilibrium.as_array()).sum(axis=1).max()
+        t_end, capped = verify._horizon(ly, starts, 1e-20)  # between the floor and the cap
+        assert t_end == 1.5 * math.log(d0 / 1e-20) / verify._slowest_rate(ly) and not capped
+        assert floor < t_end < 20.0 * floor
+    for capped in (False, True):
+        monkeypatch.setattr(verify, "_horizon", lambda *args: (5.0, capped))
+        res = verify.check_trajectory_monotonicity(ly_en, n_starts=2)
+        assert res.details["t_end"] == 5.0 and res.details.get("horizon_capped", False) is capped
+        explicit = verify.check_trajectory_monotonicity(ly_en, n_starts=2, t_end=5.0)
+        assert "horizon_capped" not in explicit.details
 
 
 def test_run_certification_df_small(p_df, lp_df, monkeypatch):
@@ -586,6 +641,7 @@ def test_check_suite_order_and_call_time_lookup(request, monkeypatch, name, expe
     monkeypatch.setattr(lyap_en, "check_condition_50", recorder("check_condition_50"))
     monkeypatch.setattr(verify, "_trajectory_checks", trajectory_checks)
     monkeypatch.setattr(lyap, "start_states", lambda n, seed: (n, seed))
+    monkeypatch.setattr(verify, "_horizon", lambda ly, starts, final_tol: (60.0, False))
     monkeypatch.setattr(verify, "N_STARTS", 3)
     results = verify.run_certification(lyap, seed=7, grid_n=9, n_samples=30_000).checks
     assert calls == expected
