@@ -1,15 +1,17 @@
 """Bounded-memory bulk evaluation.
 
 Every bulk evaluation (the disease-free ISS grid, the sublevel sampler's
-acceptance test and the endemic decrease check) runs over
+random draw and acceptance test, and the endemic decrease check) runs over
 consecutive bands of rows of about `BAND_POINTS` points, so the memory it
 holds stays bounded whatever the grid or sample size.  Reductions over the
-bands keep first-occurrence order, so results do not depend on the band size.
+bands keep first-occurrence order, and the sampler draws each column of a
+round from its own jump-ahead copy of the round's random stream, so results
+do not depend on the band size.
 """
 from __future__ import annotations
 
 #: points per band of every bulk evaluation
-BAND_POINTS = 1 << 16
+BAND_POINTS = 1 << 14
 
 #: sampling defaults of `verify`, kept here so the CLI's config need not import it
 DEFAULT_SEED = 0x5121  # "SIR1"

@@ -603,52 +603,67 @@ def sample_sublevel(lyap, n: int, seed: int, level_frac: float = 1.0,
     full admissible magnitude range log-uniformly, since lambda3 is small and
     the set is extremely elongated in the x3 direction.  Each round draws
     max(4*(n - k), 20000) rows, k being the rows kept so far, and keeps the
-    first of them inside the set, up to n in all.  It tests them one band
-    at a time and none after the band that completes the n, so the sample
-    does not depend on the band size.
+    first of them inside the set, up to n in all.  It draws and tests them
+    one band at a time and none after the band that completes the n.
+
+    A round's columns are the consecutive stretches of one PCG64 stream that
+    drawing them whole, one after another, would take: each is drawn from a
+    copy of the round's generator advanced to its start (PCG64's jump-ahead),
+    and the generator then skips the whole round.  So the sample is that of
+    whole-round draws, whatever the band size.
     """
     import numpy as np
     p, lp = lyap.p, lyap.lp
-    rng = np.random.default_rng(seed)
+    bit_generator = np.random.PCG64(seed)  # the generator of np.random.default_rng(seed)
     q = lyap.equilibrium
     level = level_frac * lp.l_bar
     pl = p_fun(p, lp, lp.l_bar)
     lo1 = -(pl + lp.lambda_hat2 * q.i) - 1.0
     hi1 = lp.l_bar + 1.0
-    lo2 = -pl / lp.lam0 - 1.0
+    lo2 = max(-pl / lp.lam0 - 1.0, -q.i * 0.999)
     hi2 = lp.l_bar / lp.lam0 + 1.0
-    out = []
+    log_hi = np.log10(level / lp.lambda3)
+    X = np.empty((n, 3))
     got = 0
     for _ in range(400):
         m = max(4 * (n - got), 20000)
-        X = np.empty((m, 3))
-        X[:, 0] = rng.uniform(lo1, hi1, m)
-        X[:, 1] = rng.uniform(max(lo2, -q.i * 0.999), hi2, m)
-        if x3_moderate:
-            X[:, 2] = rng.uniform(-0.8 * q.r, 2.0 * q.r, m)
-        else:
-            # a log-uniform magnitude with a random sign, clipped at the
-            # physical boundary, drawn in place; half of the rows then take
-            # a moderate uniform draw
-            np.power(10.0, rng.uniform(-3.0, np.log10(level / lp.lambda3), m), out=X[:, 2])
-            np.multiply(rng.choice([-1.0, 1.0], m), X[:, 2], out=X[:, 2])
-            half = rng.random(m) < 0.5
-            np.clip(X[:, 2], -0.999 * q.r, None, out=X[:, 2])
-            X[half, 2] = rng.uniform(-0.9 * q.r, 3.0 * q.r, m)[half]
-        keep, kept = [], got
-        for a, b in bands(m):  # only until the round holds the rows still wanted
-            keep.append(in_sublevel_many(p, lp, X[a:b], level))
-            kept += int(np.count_nonzero(keep[-1]))
-            if kept >= n:
-                break
-        out.append(X[np.flatnonzero(np.concatenate(keep))[:n - got]])  # the first rows kept
-        got += len(out[-1])
-        if got >= n:
-            break
-    if got < n:
-        raise NoConvergence(f"sublevel sampling kept {got} of the {n} requested points "
-                            f"in 400 rounds")
-    return np.vstack(out)
+        # each column's start in 64-bit outputs: m for each uniform column
+        # and the mask, m/2 for the m signs (a 32-bit half each; m is even)
+        starts = (0, m, 2 * m) if x3_moderate else (0, m, 2 * m, 3 * m, 7 * m // 2, 9 * m // 2)
+        g = [_stream(bit_generator, start) for start in starts]
+        for a, b in bands(m):
+            k = b - a
+            Y = np.empty((k, 3))
+            Y[:, 0] = g[0].uniform(lo1, hi1, k)
+            Y[:, 1] = g[1].uniform(lo2, hi2, k)
+            if x3_moderate:
+                Y[:, 2] = g[2].uniform(-0.8 * q.r, 2.0 * q.r, k)
+            else:
+                # a log-uniform magnitude with a random sign, clipped at the
+                # physical boundary, drawn in place; half of the rows then
+                # take a moderate uniform draw
+                np.power(10.0, g[2].uniform(-3.0, log_hi, k), out=Y[:, 2])
+                np.multiply(g[3].choice([-1.0, 1.0], k), Y[:, 2], out=Y[:, 2])
+                half = g[4].random(k) < 0.5
+                np.clip(Y[:, 2], -0.999 * q.r, None, out=Y[:, 2])
+                Y[half, 2] = g[5].uniform(-0.9 * q.r, 3.0 * q.r, k)[half]
+            keep = np.flatnonzero(in_sublevel_many(p, lp, Y, level))[:n - got]
+            X[got:got + len(keep)] = Y[keep]  # the first rows kept
+            got += len(keep)
+            if got == n:
+                return X
+        bit_generator.advance(starts[-1] + m)
+    raise NoConvergence(f"sublevel sampling kept {got} of the {n} requested points "
+                        f"in 400 rounds")
+
+
+def _stream(bit_generator, start: int):
+    """A Generator on a copy of the PCG64 `bit_generator`, advanced `start`
+    64-bit outputs."""
+    import numpy as np
+    copy = np.random.PCG64()
+    copy.state = bit_generator.state
+    return np.random.Generator(copy.advance(start))
 
 
 class EndemicLyapunov:

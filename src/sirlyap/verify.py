@@ -326,16 +326,15 @@ def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.n
 
 def _slowest_rate(lyap) -> float:
     """The slowest decay rate of the linearisation at the anchor: the least
-    of mu and, at the disease-free equilibrium, (gamma+mu)*(1-R0), or, at the
-    endemic one, the smaller real part of the (S, I) pair's rates, the roots
-    z of z^2 - mu*R0*z + mu*(gamma+mu)*(R0-1)."""
-    p, r0 = lyap.p, model.r0_hat(lyap.p)
+    of mu and (gamma+mu)*(1-R0) at the disease-free equilibrium, and mu at
+    the endemic one.  There the (S, I) pair's rates, the roots z of
+    z^2 - mu*R0*z + mu*(gamma+mu)*(R0-1), have real parts above mu, since
+    the endemic regime has R0 > gamma/mu + 2 > 2: the vertex mu*R0/2 lies
+    above mu, and the polynomial is mu*gamma*(R0-1) > 0 at z = mu."""
+    p = lyap.p
     if lyap.kind is EquilibriumKind.DISEASE_FREE:
-        return min(p.mu, (p.gamma + p.mu) * (1.0 - r0))
-    disc = p.mu ** 2 * r0 ** 2 - 4.0 * p.mu * (p.gamma + p.mu) * (r0 - 1.0)
-    if disc < 0.0:
-        return min(p.mu, p.mu * r0 / 2.0)
-    return min(p.mu, (p.mu * r0 - math.sqrt(disc)) / 2.0)
+        return min(p.mu, (p.gamma + p.mu) * (1.0 - model.r0_hat(p)))
+    return p.mu
 
 
 def _horizon(lyap, starts: np.ndarray, final_tol: float) -> tuple:

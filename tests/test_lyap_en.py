@@ -1,11 +1,13 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sirlyap as sl
-from sirlyap import lyap_en, model, verify
+from sirlyap import bands, lyap_en, model, verify
 from sirlyap.errors import DomainError, InfeasibleOverride, NoConvergence, RegimeError
 from sirlyap.model import Regime
 
@@ -449,19 +451,95 @@ def test_sampler_that_keeps_nothing_raises_no_convergence(monkeypatch, ly_en):
         lyap_en.sample_sublevel(ly_en, 10, seed=1)
 
 
-def test_sampler_tests_only_the_bands_it_keeps_rows_from(monkeypatch, ly_en):
-    # at the reference scenario and certify's seed, the first three bands of
-    # the first round's 400,000 draws already hold the 100,000 rows kept
-    tested = []
+def _first_round_mask(monkeypatch, ly_en, n):
+    """The acceptance mask of the first round of sample_sublevel(ly_en, n,
+    DEFAULT_SEED), tested in one band."""
+    masks = []
     in_sublevel_many = lyap_en.in_sublevel_many
+
+    def recording(p, lp, X, L):
+        masks.append(in_sublevel_many(p, lp, X, L))
+        return masks[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(lyap_en, "in_sublevel_many", recording)
+        m.setattr(lyap_en, "bands", lambda rows: [(0, rows)])
+        lyap_en.sample_sublevel(ly_en, n, verify.DEFAULT_SEED)
+    return masks[0]
+
+
+def test_sampler_tests_only_the_bands_it_keeps_rows_from(monkeypatch, ly_en):
+    # at the reference scenario and certify's seed the first round holds the
+    # 100,000 rows kept: the sampler draws and tests the fewest whole bands
+    # of BAND_POINTS that hold them, and not one row more
+    n, band = 100_000, bands.BAND_POINTS
+    last = int(np.flatnonzero(_first_round_mask(monkeypatch, ly_en, n))[n - 1])
+    expected = min(-(-(last + 1) // band) * band, 4 * n)
+    tested, drawn = [], []
+    in_sublevel_many, stream = lyap_en.in_sublevel_many, lyap_en._stream
 
     def counting(p, lp, X, L):
         tested.append(len(X))
         return in_sublevel_many(p, lp, X, L)
 
+    class Counting:
+        """A generator that records the rows of each draw."""
+
+        def __init__(self, g):
+            self.g = g
+
+        def __getattr__(self, name):
+            def draw(*args):
+                drawn.append(args[-1])
+                return getattr(self.g, name)(*args)
+            return draw
+
     monkeypatch.setattr(lyap_en, "in_sublevel_many", counting)
-    X = lyap_en.sample_sublevel(ly_en, 100_000, verify.DEFAULT_SEED)
-    assert sum(tested) == 3 * 65_536 and X.shape == (100_000, 3)
-    # the same rows as when every draw of a round is tested, in one band
-    monkeypatch.setattr(lyap_en, "bands", lambda m: [(0, m)])
-    assert lyap_en.sample_sublevel(ly_en, 100_000, verify.DEFAULT_SEED).tobytes() == X.tobytes()
+    monkeypatch.setattr(lyap_en, "_stream", lambda bg, start: Counting(stream(bg, start)))
+    X = lyap_en.sample_sublevel(ly_en, n, verify.DEFAULT_SEED)
+    assert sum(tested) == expected and X.shape == (n, 3)
+    assert sum(drawn) == 6 * expected  # six columns, each drawn to the same row
+
+
+# sha256 of the samples of whole-round draws, each column drawn at full size
+# in turn from np.random.default_rng(DEFAULT_SEED): certify's draw, one over
+# 47 rounds and one of the moderate x3t draw
+_STREAM_CASES = {
+    "certify": ((100_000, {}),
+                "b2d5501fcefe778a30fa18f11eedb6f710dc81bd7c61e77c88f601dbf218fc67"),
+    "multi_round": ((20_000, {"level_frac": 0.1}),
+                    "bb0a14a4811d550d214e86b269ef62ddac6ed54da29d7c9873a2123ea049e72e"),
+    "x3_moderate": ((5_000, {"level_frac": 0.95, "x3_moderate": True}),
+                    "14c6e1b3958f82086852641a7ecb8cbf35617b1109b56e22c36d199bc023f1c9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+@pytest.mark.parametrize("band_points", [None, 4_999, 7_000])
+def test_sampler_keeps_the_whole_round_stream(monkeypatch, ly_en, case, band_points):
+    # drawn band by band on jump-ahead copies of the round's generator, the
+    # sample is the one of drawing each round in one band, which is the
+    # whole-round draw; an odd band size leaves half of a 64-bit output for
+    # the next band's signs
+    (n, kw), digest = _STREAM_CASES[case]
+    with monkeypatch.context() as m:
+        m.setattr(lyap_en, "bands", lambda rows: [(0, rows)])
+        whole = lyap_en.sample_sublevel(ly_en, n, verify.DEFAULT_SEED, **kw)
+    assert hashlib.sha256(whole.tobytes()).hexdigest() == digest
+    if band_points is not None:
+        monkeypatch.setattr(bands, "BAND_POINTS", band_points)
+    assert lyap_en.sample_sublevel(ly_en, n, verify.DEFAULT_SEED, **kw).tobytes() == whole.tobytes()
+
+
+def test_sampler_memory_is_one_band_plus_its_result(ly_en):
+    # drawn whole, a round's columns took 13.0 MB beyond the result at
+    # n = 1e5 and 51.9 MB at n = 4e5; one band's draw and test take 2.0 MB
+    # at both (BAND_POINTS = 16,384), bounded with about 1 MB to spare
+    for n in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            lyap_en.sample_sublevel(ly_en, n, verify.DEFAULT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 24 * n) / 2 ** 20 <= 3.0
