@@ -13,7 +13,7 @@ _EXPORTS = {name: mod for mod, names in {
               "NonFiniteState R0NotAboveOne RangeError RegimeError SirLyapError",
     "model": "EquilibriumKind ModelParams Regime State classify_regime "
              "disease_free_eq endemic_eq r0_hat",
-    "flow": "Constant InputSignal Piecewise Sinusoid Step sample_input",
+    "flow": "Constant InputSignal Piecewise Sinusoid Step",
     "ode": "Trajectory integrate",
     "lyap_df": "DfLyapParams DiseaseFreeLyapunov select_df_params",
     "lyap_en": "EndemicLyapunov EnLyapParams check_condition_50 en_eta "

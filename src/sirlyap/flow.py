@@ -34,7 +34,7 @@ import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from .errors import DomainError, NonFiniteState
+from .errors import NonFiniteState
 from .model import ModelParams, Record, State, decode_number, decode_pairs, rhs_arrays
 
 DEFAULT_DT = 0.01
@@ -158,13 +158,6 @@ class Sinusoid(InputSignal):
         return min(vals), max(vals)
 
 
-def sample_input(sig: InputSignal, t: float) -> float:
-    """Evaluate B(t); t must be nonnegative."""
-    if t < 0.0:
-        raise DomainError("signals are defined for t >= 0")
-    return sig.value(t)
-
-
 _SIGNALS = (Constant, Step, Piecewise, Sinusoid)
 #: a signal field from its config value, and back, by the field's annotation
 _DECODE = {"float": decode_number,
@@ -215,7 +208,7 @@ def _n_steps(t0: float, t1: float, dt: float) -> int:
 
 
 def _start_levels(signals: list, pack):
-    """B at t = 0: a scalar for one shared signal, else `pack`ed, one level per row."""
+    """B at t = 0, one level per row: a scalar for one row, else `pack`ed."""
     b = [sig.value(0.0) for sig in signals]
     return b[0] if len(b) == 1 else pack(b)
 
@@ -223,14 +216,14 @@ def _start_levels(signals: list, pack):
 def _rates(signals: list, a: float, pack):
     """The input levels of the segment starting at a, as a function
     rate(b, t, h, t_next) -> (b0, bm, b1): B at the start, midpoint and end
-    of a step, given b, the levels the step before ended on.  Each is a
-    scalar for one shared signal, else `pack`ed with one level per row; a
-    shared held level is `pack`ed too, once per segment.
+    of a step, given b, the levels the step before ended on, one per row.
+    For one row each is a scalar, its held level `pack`ed once per segment;
+    for more rows each is `pack`ed.
 
     A piecewise-constant signal holds its level at a (segments are
     left-closed), read here once.  A continuous one is evaluated at t + h/2
     and t_next only: its B(t) is the step before's B(t_next), which it took
-    at the same float t.  With one signal per row, b0 is b itself after the
+    at the same float t.  With more than one row, b0 is b itself after the
     segment's first step (t == a exactly, as `_grid` yields it), since b
     then already holds this segment's held levels; the test reads t, not a
     flag, so a block replayed from a segment start builds it again."""
@@ -347,12 +340,12 @@ def _clean(states: list) -> bool:
 
 
 def blocks(step, check_state, clean, unchecked, x, signals: list, t_end: float, dt: float, pack):
-    """Step the state x from t = 0 to t_end under `signals` (one for every
-    row, or one per row), and yield (steps, states, levels) for each block
-    of up to `_BLOCK_STEPS` grid steps: states[0] and levels[0] are the
-    state and levels the block starts from, states[k] and levels[k] those
-    after steps[k-1].  `pack` puts a list of levels, one per row, or the
-    held level of one shared signal in the form `step` takes.
+    """Step the state x from t = 0 to t_end under `signals`, one per row,
+    and yield (steps, states, levels) for each block of up to
+    `_BLOCK_STEPS` grid steps: states[0] and levels[0] are the state and
+    levels the block starts from, states[k] and levels[k] those after
+    steps[k-1].  `pack` puts a list of levels, one per row, or the
+    held level of a single row in the form `step` takes.
 
     Each block is stepped by `step` without the state check, inside the
     context `unchecked()`, and kept when `clean(states)`.  Otherwise, or when
@@ -379,7 +372,7 @@ def float_blocks(p: ModelParams, rows: list, signals: list, t_end: float, dt: fl
     `_check_rows`: a state is a list of rows, and levels stay Python
     floats and lists."""
     # loops, not comprehensions: one frame less a step
-    if len(signals) == 1:  # one scalar level for every row, for the whole run
+    if len(signals) == 1:  # one row: scalar levels, for the whole run
         def step(rows, h, b0, bm, b1):
             out = []
             for s, i, r in rows:
@@ -437,22 +430,17 @@ def text_file(path):
         raise
 
 
-@contextmanager
-def csv_file(path, header: str):
-    """`text_file(path)` for CSV text with its `header` line written; rows go
-    in by `write_rows`.  Lines end in "\r\n", as the csv module's."""
+def write_csv(path, header: str, blocks, line) -> int:
+    """Write the CSV `path` through `text_file`: the `header` line, then
+    `line(*row)` for every row of each block (a list of rows) of `blocks`,
+    one block of text at a time.  Lines end in "\r\n", as the csv module's.
+    Returns the number of rows."""
+    n = 0
     with text_file(path) as fh:
         fh.write(header + "\r\n")
-        yield fh
-
-
-def write_rows(fh, blocks, line) -> int:
-    """Write `line(*row)` for every row of each block (a list of rows) of
-    `blocks`, one block of text at a time; returns the number of rows."""
-    n = 0
-    for block in blocks:
-        fh.write("".join(itertools.starmap(line, block)))
-        n += len(block)
+        for block in blocks:
+            fh.write("".join(itertools.starmap(line, block)))
+            n += len(block)
     return n
 
 
@@ -460,5 +448,4 @@ def write_trajectory(path, blocks) -> int:
     """Write the trajectory CSV `path`, in the one row format of every
     trajectory CSV, from `blocks` of (t, S, I, R, B) rows such as
     `trajectory_rows` yields; returns the number of rows."""
-    with csv_file(path, "t,S,I,R,B") as fh:
-        return write_rows(fh, blocks, "{!r},{!r},{!r},{!r},{!r}\r\n".format)
+    return write_csv(path, "t,S,I,R,B", blocks, "{!r},{!r},{!r},{!r},{!r}\r\n".format)

@@ -165,7 +165,7 @@ def polygon_contains(poly, pts) -> np.ndarray:
 def write_contours_csv(path, contours: Sequence[Contour]) -> None:
     """Emit `level,polyline_id,x1,x2` rows in the plane's coordinates.  Each
     coordinate has 0.0 added, which writes -0.0 as 0.0.  The text goes
-    through `flow.csv_file`, so it replaces `path` only once complete."""
+    through `flow.write_csv`, so it replaces `path` only once complete."""
 
     def blocks():  # one block of rows per polyline
         for cont in contours:
@@ -175,5 +175,4 @@ def write_contours_csv(path, contours: Sequence[Contour]) -> None:
             for pid, poly in rows:
                 yield [(float(cont.level), pid, float(u) + 0.0, float(v) + 0.0) for u, v in poly]
 
-    with flow.csv_file(path, "level,polyline_id,x1,x2") as fh:
-        flow.write_rows(fh, blocks(), "{!r},{},{!r},{!r}\r\n".format)
+    flow.write_csv(path, "level,polyline_id,x1,x2", blocks(), "{!r},{},{!r},{!r}\r\n".format)

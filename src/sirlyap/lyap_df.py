@@ -77,12 +77,16 @@ def select_df_params(p: ModelParams, mu0: Optional[float] = None,
                      delta: Optional[float] = None) -> DfLyapParams:
     """Choose feasible constants; defaults put eps mid-interval, mu0 = 0.99*mu.
 
-    Raises RegimeError unless b_hat > 0 and R0 < 1, and InfeasibleOverride
-    when a supplied override violates its open-interval constraint.
+    Raises RegimeError unless b_hat > 0 and the regime is
+    DISEASE_FREE_STABLE (R0 below 1 by more than `model.REGIME_BOUNDARY_RTOL`),
+    and InfeasibleOverride when a supplied override violates its
+    open-interval constraint.
     """
     r0 = model.r0_hat(p)
-    if p.b_hat <= 0.0 or r0 >= 1.0:
-        raise RegimeError(f"disease-free construction needs b_hat > 0 and R0 < 1 (R0={r0:.6g})")
+    if p.b_hat <= 0.0 or model.classify_regime(p) is not model.Regime.DISEASE_FREE_STABLE:
+        raise RegimeError(f"disease-free construction needs b_hat > 0 and R0 below 1 by more "
+                          f"than the relative band {model.REGIME_BOUNDARY_RTOL!r} "
+                          f"(b_hat={p.b_hat!r}, R0={r0!r}, threshold 1.0)")
     lo, hi = _eps_interval(p)
     if eps is None:
         eps = 0.5 * (lo + hi)

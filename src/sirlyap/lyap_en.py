@@ -136,19 +136,24 @@ def _where(cond, a, b):
     return np.where(cond, a, b)[()]
 
 
-def _finite(name: str, f, lp: EnLyapParams, xh: tuple, s):
+def _finite(name: str, f, lp: EnLyapParams, xh: tuple, s, lo: float):
     """f(lp, xh, s), the map `name` at the level(s) s; DomainError naming the
-    first level where it is not finite (theta's pole, omega's D overflowing)."""
+    first level where it has no finite value above `lo` (theta's pole,
+    omega's D overflowing, a root of omega rounding onto the pole)."""
     if isinstance(s, float) and abs(s) <= 1e150:  # where `_root` runs without numpy
         try:
-            return f(lp, xh, s)
+            value = f(lp, xh, s)
         except ZeroDivisionError:  # theta at the pole
-            bad = [s]
+            value = lo
+        if value > lo:
+            return value
+        bad = [s]
     else:
         import numpy as np
         with np.errstate(all="ignore"):
             value = f(lp, xh, s)
-        bad = np.ravel(s)[~np.isfinite(np.ravel(value))]
+        v = np.ravel(value)
+        bad = np.ravel(s)[~(np.isfinite(v) & (v > lo))]
         if not len(bad):
             return value
     raise DomainError(f"{name} has no finite value at level {float(bad[0])!r}")
@@ -218,14 +223,16 @@ def omega_inv(p: ModelParams, lp: EnLyapParams, v):
     otherwise, neither of which subtracts nearly equal numbers; b is |b| in
     the first, so the branch computed and dropped never divides by 0.  `_root`
     scales D where |b| > 1e150, so the root of a huge level stays finite;
-    past about +-2e305 none is, and the level is a DomainError.
+    past about +-2e305 none is, and from about -1.8e16 down the root rounds
+    onto the pole -x1h, outside the range: either level is a DomainError.
     """
-    return _finite("omega_inv", _omega_inv, lp, _xhat(p), _real(v))
+    xh = _xhat(p)
+    return _finite("omega_inv", _omega_inv, lp, xh, _real(v), -xh[0])
 
 
 def p_fun(p: ModelParams, lp: EnLyapParams, s):
     """P(s) = lam0 * theta(omega^{-1}(s)); increasing, range (-inf, lam0*x2h)."""
-    return _finite("p_fun", _p_fun, lp, _xhat(p), _real(s))
+    return _finite("p_fun", _p_fun, lp, _xhat(p), _real(s), -math.inf)
 
 
 def p_inv(p: ModelParams, lp: EnLyapParams, s):
@@ -246,7 +253,7 @@ def p_inv_prime(p: ModelParams, lp: EnLyapParams, s):
 
 def nu_fun(p: ModelParams, lp: EnLyapParams, s):
     """Boundary curve between the two regions left of the equilibrium."""
-    return _finite("nu_fun", _nu, lp, _xhat(p), _real(s))
+    return _finite("nu_fun", _nu, lp, _xhat(p), _real(s), -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +263,9 @@ def nu_fun(p: ModelParams, lp: EnLyapParams, s):
 def _require_endemic_regime(p: ModelParams) -> None:
     if model.classify_regime(p) is not Regime.ENDEMIC_THEOREM_APPLIES:
         raise RegimeError(
-            f"endemic construction needs R0 > gamma/mu + 2 "
-            f"(R0={model.r0_hat(p):.6g}, gamma/mu+2={p.gamma / p.mu + 2.0:.6g})")
+            f"endemic construction needs R0 above gamma/mu + 2 by more than the relative "
+            f"band {model.REGIME_BOUNDARY_RTOL!r} "
+            f"(R0={model.r0_hat(p)!r}, threshold gamma/mu + 2={p.gamma / p.mu + 2.0!r})")
 
 
 def k0_bound(p: ModelParams, l_bar: float, lambda1: float = 1.0,
@@ -369,16 +377,21 @@ def select_en_params(p: ModelParams, l_bar: float,
     """Geometric shrink search for feasible constants under the level budget
     l_bar, at most 64 rounds: lambda_hat2 (and, on a slower schedule, k) is
     halved until condition (50) passes.  delta defaults to DELTA.
-    Raises InfeasibleOverride for l_bar <= 0, delta outside (0, 1) or no
+    Raises RegimeError outside ENDEMIC_THEOREM_APPLIES, and
+    InfeasibleOverride for l_bar <= 0, delta outside (0, 1) or no
     admissible lambda3 (`lambda3_default`).
+
+    k0 is positive here, with no rounding to fear.  With rho =
+    `model.REGIME_BOUNDARY_RTOL` the regime gives R0 > (gamma/mu + 2)(1 + rho),
+    so term1 = 1 - (gamma+mu)/(mu*(R0-1)) exceeds
+    rho*(gamma+2mu)/(gamma+mu+rho*(gamma+2mu)) > rho/(1+rho), about 1e-12,
+    some four orders above the rounding of its subtraction; and term2 =
+    t/(t - l_bar) with t = theta^{-1}(-l_bar) < 0 and l_bar > 0 lies in (0, 1).
     """
     _require_endemic_regime(p)
     l_bar = float(l_bar)
     delta = _require_overrides(delta, l_bar=l_bar)
     k0 = k0_bound(p, l_bar)
-    if not k0 > 0.0:
-        # R0 within rounding of gamma/mu + 2: term1 of k0 rounds to 0
-        raise NoConvergence(f"no admissible slope k: k0={k0:.3g} <= 0")
     lam_h2 = 0.1
     k_frac = 0.9
     for it in range(64):

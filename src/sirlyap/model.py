@@ -13,7 +13,8 @@ from enum import Enum
 
 from .errors import R0NotAboveOne
 
-#: relative tolerance used to decide the reproduction-number boundary case
+#: relative band around each regime threshold, R0 = 1 and R0 = gamma/mu + 2,
+#: inside which neither theorem is applied
 REGIME_BOUNDARY_RTOL = 1e-12
 
 
@@ -207,7 +208,7 @@ def rhs_stacked(p: ModelParams, out):
     """`rhs_arrays` on stacked (3, m) states, whose rows are S, I and R,
     into the (3, m) array `out`: a function field(Y, s, i, b) that writes the
     derivative at Y into `out` and returns it, s and i being the rows Y[0]
-    and Y[1] and b a scalar or one value per row.
+    and Y[1] and b the levels, one per row.
 
     It runs `rhs_arrays`'s operations in the same order, seven ufunc calls
     over whole rows into `out` and one reused (2, m) scratch array, with each
@@ -248,12 +249,17 @@ def total_population_exact(x0: State, c: float, p: ModelParams, t):
 
 
 def classify_regime(p: ModelParams) -> Regime:
-    """Place the parameters relative to the two theorem hypotheses."""
+    """Place the parameters relative to the two theorem hypotheses.
+
+    Each threshold has the same relative band of `REGIME_BOUNDARY_RTOL`: R0
+    within it of 1 is BOUNDARY, and the endemic theorem applies only for R0
+    above gamma/mu + 2 by more than it, so a theorem's construction never
+    meets the rounding of its own hypothesis."""
     r0 = r0_hat(p)
     if abs(r0 - 1.0) <= REGIME_BOUNDARY_RTOL:
         return Regime.BOUNDARY
     if r0 < 1.0:
         return Regime.DISEASE_FREE_STABLE
-    if r0 > p.gamma / p.mu + 2.0:
+    if r0 > (p.gamma / p.mu + 2.0) * (1.0 + REGIME_BOUNDARY_RTOL):
         return Regime.ENDEMIC_THEOREM_APPLIES
     return Regime.ENDEMIC_EXISTS

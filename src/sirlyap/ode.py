@@ -1,8 +1,8 @@
 """The array API of the RK4 integration, built on `flow`.
 
-`integrate_batch` is the one integrator of batches, for states under one
-shared input or one input per row, and `integrate` records one solution as
-a `Trajectory` from `flow`'s row stream.  Its observer sees blocks of steps,
+`integrate_batch` is the one integrator of batches, each row under its own
+input, and `integrate` records one solution as a `Trajectory` from
+`flow`'s row stream.  Its observer sees blocks of steps,
 each a short recorded trajectory, so a check along trajectories is one array
 reduction per block.
 
@@ -32,14 +32,14 @@ import numpy as np
 
 from . import flow
 from .flow import (DEFAULT_DT, Constant, InputSignal, Piecewise, Sinusoid,  # noqa: F401
-                   Step, sample_input, signal_from_dict, signal_to_dict)
+                   Step, signal_from_dict, signal_to_dict)
 from .model import ModelParams, Record, State, rhs_stacked
 
 # Batches narrower than this step row by row on Python floats, wider ones on
-# one stacked array.  A float step costs about 1.55 us a row under one shared
-# Constant and 1.6 us with one Constant per row, a stacked step about 13.5 us
-# under either whatever the width, so the two cross near 9 rows (best of 7
-# runs of 2,000 steps, Python 3.11, numpy 2.4, a 2-vCPU Xeon VM).
+# one stacked array.  A float step costs about 1.6 us a row with one Constant
+# per row, a stacked step about 13.5 us whatever the width, so the two cross
+# near 9 rows (best of 7 runs of 2,000 steps, Python 3.11, numpy 2.4, a
+# 2-vCPU Xeon VM).
 _FLOAT_ROWS = 9
 _CSV_BLOCK = 4096  # rows per block of CSV text
 
@@ -77,13 +77,13 @@ class Trajectory(Record):
 
 def _stacked_rk4(p: ModelParams, m: int):
     """`flow._rk4` on stacked (3, m) states: a function step(Y, h, b0, bm,
-    b1) that returns the step from Y as a new (3, m) array, each b a scalar
-    or one value per row.  It runs the same operations in the same order,
-    each one array operation over the rows S, I, R: `model.rhs_stacked`
-    writes each stage derivative into its row of a (4, 3, m) workspace, and
-    the stage arguments and sums go to one (3, m) array Z; every step reuses
-    both, and their row views are made once, so a step makes only the two
-    views Y[0] and Y[1] of its incoming state.  The step scalars 0.5*h, h
+    b1) that returns the step from Y as a new (3, m) array, each b one value
+    per row.  It runs the same operations in the same order, each one array
+    operation over the rows S, I, R: `model.rhs_stacked` writes each stage
+    derivative into its row of a (4, 3, m) workspace, and the stage
+    arguments and sums go to one (3, m) array Z; every step reuses both, and
+    their row views are made once, so a step makes only the two views Y[0]
+    and Y[1] of its incoming state.  The step scalars 0.5*h, h
     and h/6 enter as 0-d arrays, built again only when h changes, since a
     Python float costs a call about 1.5 times as much; 2*x is x + x."""
     K, Z = np.empty((4, 3, m)), np.empty((3, m))
@@ -140,17 +140,17 @@ def _strict():
                           for kind, how in np.geterr().items()})
 
 
-def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[InputSignal],
+def integrate_batch(p: ModelParams, X0: np.ndarray, signals: Sequence[InputSignal],
                     t_end: float, dt: float = DEFAULT_DT, observer=None) -> np.ndarray:
     """RK4 for a batch of initial states; returns the final batch.
 
-    `sig` is one InputSignal for every row or a sequence with one per row,
-    whose breakpoints are merged.  `observer(t, X, b)` is invoked once per
-    block of up to `flow._BLOCK_STEPS` accepted steps, with new arrays t
-    (k+1,), X (k+1, m, 3) and b (k+1,), or (k+1, m) for a sequence, which it
-    owns: writing to them changes nothing that follows, nor does writing to
-    the returned batch.  Row 0 is the row the block starts from: (0, X0),
-    then the previous block's last row.
+    `signals` holds one InputSignal per row of X0; their breakpoints are
+    merged.  `observer(t, X, b)` is invoked once per block of up to
+    `flow._BLOCK_STEPS` accepted steps, with new arrays t (k+1,), X
+    (k+1, m, 3) and b (k+1, m), which it owns: writing to them changes
+    nothing that follows, nor does writing to the returned batch.  Row 0 is
+    the row the block starts from: (0, X0), then the previous block's last
+    row.
 
     A batch of fewer than `_FLOAT_ROWS` rows steps every row on Python
     floats (`flow.float_blocks`), a wider one steps one stacked (3, m)
@@ -166,10 +166,9 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     X = np.array(X0, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError("X0 must have shape (m, 3)")
-    signals = [sig] if isinstance(sig, InputSignal) else list(sig)
     m = len(X)
-    if len(signals) != 1 and len(signals) != m:
-        raise ValueError("need one signal, or one signal per row of X0")
+    if not isinstance(signals, Sequence) or len(signals) != m:
+        raise ValueError("need a sequence of one signal per row of X0")
     if m < _FLOAT_ROWS:
         blocks = flow.float_blocks(p, X.tolist(), signals, t_end, dt)
 
@@ -185,7 +184,7 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, sig: InputSignal | Sequence[
     for steps, states, levels in blocks:
         if observer is not None:
             observer(np.array([t, *(t_next for _, _, t_next, _ in steps)]), stack(states),
-                     np.array(levels))
+                     np.array(levels).reshape(len(levels), m))
         t = steps[-1][2]
     return X if states is None else stack(states[-1:])[0]  # a fresh (m, 3) array
 

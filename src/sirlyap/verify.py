@@ -607,7 +607,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
             hit = inside.any(axis=0)
             entry[pending[hit]] = t[1:][inside.argmax(axis=0)[hit]]
 
-    ode.integrate_batch(p, X0, ode.Constant(p.b_hat), t_end, DT, observer=observer)
+    ode.integrate_batch(p, X0, [ode.Constant(p.b_hat)] * n_starts, t_end, DT, observer=observer)
     entered = ~np.isnan(entry)
     worst = min(block_worst)
     samples = n_starts if len(block_worst) > 1 else 0

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -145,3 +147,48 @@ def test_copy_measured_takes_only_tracked_files(tmp_path):
     copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert copied == ["configs/a.json", "src/m.py"]
     assert (dest / "src" / "m.py").read_text() == "edited\n"
+
+
+def _record(label, parent, change, dirty, size, summary):
+    return {"label": label, "size": size, "parent": {"ref": "HEAD~1", "sha": parent},
+            "change": {"sha": change, "dirty": dirty}, "runs": [], "traced": [],
+            "summary": summary}
+
+
+def test_history_tables_every_record_by_commit_time(tmp_path, capsys, monkeypatch):
+    # two synthetic records, named against their order in time: the table
+    # follows the change SHA's commit time, and neither file is touched
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tmp_path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    git("init", "-q")
+    git("add", "-A")
+    for day in (1, 2):
+        monkeypatch.setenv("GIT_COMMITTER_DATE", f"2020-01-0{day}T00:00:00")
+        git("commit", "-q", "--allow-empty", "-m", f"day {day}")
+    first, second = git("rev-parse", "HEAD~1"), git("rev-parse", "HEAD")
+    summary = bench_record.summarize(_runs([6.0, 6.2, 5.9], [2.0, 2.1, 2.2]), END_TO_END)
+    files = {"BENCH_a_later.json": _record("later", first, second, False, "bench", summary),
+             "BENCH_b_earlier.json": _record("earlier", first, first, True, None,
+                                             bench_record.summarize(_runs([1.0], [1.5],
+                                                                          "setup_s"),
+                                                                    END_TO_END))}
+    for name, record in files.items():
+        (tmp_path / name).write_text(json.dumps(record))
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.glob("*.json")}
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--history"]) == 0
+    header, earlier, later = capsys.readouterr().out.splitlines()
+    assert header.split() == ["label", "parent", "change", "size", "workload",
+                              *(spec["name"] for spec in END_TO_END)]
+    assert earlier.split() == ["earlier", first[:7], first[:7] + "+", "-", "w",
+                               "1", "1.5", "0/1", "-", "-", "-"]
+    assert later.split() == ["later", first[:7], second[:7], "bench", "w",
+                             "-", "6", "2.1", "3/3", "gain", "-"]
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in tmp_path.glob("*.json")} == before
+    with pytest.raises(SystemExit):  # recording still needs its three flags
+        bench_record.main(["--label", "t"])

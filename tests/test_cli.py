@@ -324,6 +324,34 @@ def test_cmd_certify_regime_error(tmp_path, capsys):
     assert rc == 2
 
 
+#: a scenario inside each threshold's band of REGIME_BOUNDARY_RTOL: R0 =
+#: 1 - 5e-13 on the x40 clock, and R0 one ulp above gamma/mu + 2
+_BAND_CONFIGS = {
+    "df": {"model": {"beta": 40 * 2e-4, "gamma": 40 * 0.032, "mu": 40 * 0.015,
+                     "b_hat": 40 * (1.0 - 5e-13) * 0.015 * (0.032 + 0.015) / 2e-4},
+           "equilibrium": "df"},
+    "endemic": {"model": {"beta": 2e-4, "gamma": 0.02, "mu": 0.016921266814305353,
+                          "b_hat": (0.02 / 0.016921266814305353 + 2.0) * 0.016921266814305353
+                          * (0.02 + 0.016921266814305353) / 2e-4},
+                "equilibrium": "endemic"},
+}
+
+
+@pytest.mark.parametrize("name, regime", [("df", "boundary"), ("endemic", "endemic_exists")])
+def test_threshold_bands_are_regime_errors(tmp_path, capsys, name, regime):
+    # neither construction runs inside a threshold's band: params and certify
+    # exit 2, with no artifact, where the theorem's hypothesis is not met
+    path = _write(tmp_path, _BAND_CONFIGS[name])
+    assert cli.main(["equilibria", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == regime
+    for command in ("params", "certify"):
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("regime error:") and "relative band 1e-12" in err, err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
 def test_certify_near_the_theorem_boundary(tmp_path, capsys):
     # the nesting pairs come from the function's own constants, so a scenario
     # whose constants are feasible certifies; the reference scenario's pairs

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,11 @@ def test_select_rejects_bad_overrides(p_df, p_en):
         lyap_df.select_df_params(p_en)  # R0 > 1
     with pytest.raises(RegimeError):
         lyap_df.select_df_params(sl.ModelParams(0.0002, 0.032, 0.015, 0.0))
+    # R0 = 1 - 5e-13 lies inside the band REGIME_BOUNDARY_RTOL of R0 = 1
+    edge = sl.ModelParams(0.0002, 0.032, 0.015, (1.0 - 5e-13) * 0.015 * 0.047 / 0.0002)
+    assert sl.classify_regime(edge) is sl.Regime.BOUNDARY and sl.r0_hat(edge) < 1.0
+    with pytest.raises(RegimeError, match=re.escape(f"R0={sl.r0_hat(edge)!r}, threshold 1.0")):
+        lyap_df.select_df_params(edge)
 
 
 def test_region_examples(p_df, lp_df_ref):

@@ -60,15 +60,13 @@ def test_omega_inv_against_quadratic_formula(p_en, lp_en):
 def test_omega_inv_of_a_huge_level(p_en, lp_en):
     # b + sqrt(D) rounds to 0 here, in the branch omega_inv computes and drops
     assert lyap_en.omega_inv(p_en, lp_en, 1e19) == pytest.approx(1e19, rel=1e-12)
-    roots = lyap_en.omega_inv(p_en, lp_en, np.array([1e19, 1e20, -1e19]))
-    assert np.isfinite(roots).all()
-    # past |v| = 1e150 the discriminant is scaled, so b*b cannot overflow;
-    # far below the pole the root rounds onto it, as it does from about -1e17
-    huge = [1e155, 1e300, -1e155, -1e300]
+    roots = lyap_en.omega_inv(p_en, lp_en, np.array([1e19, 1e20, -1e16]))
+    assert np.isfinite(roots).all() and roots[2] > -X1H
+    # past |v| = 1e150 the discriminant is scaled, so b*b cannot overflow
+    huge = [1e155, 1e300]
     for roots in ([lyap_en.omega_inv(p_en, lp_en, v) for v in huge],
                   lyap_en.omega_inv(p_en, lp_en, np.array(huge))):
-        assert lyap_en.omega(p_en, lp_en, roots[:2]) == pytest.approx(huge[:2], rel=1e-12)
-        assert list(roots[2:]) == [-X1H, -X1H]
+        assert lyap_en.omega(p_en, lp_en, roots) == pytest.approx(huge, rel=1e-12)
     pl = lyap_en.p_fun(p_en, lp_en, np.array([1e155, 1e300]))
     assert lyap_en.p_fun(p_en, lp_en, 1e300) == pl[1] == pytest.approx(lp_en.lam0 * X2H)
 
@@ -79,21 +77,31 @@ def test_maps_refuse_a_level_without_a_finite_value(p_en, lp_en, level):
     # theta divides by 0; past about +-2e305 omega's discriminant overflows.
     # Floats and arrays alike raise a DomainError naming the level, and no
     # RuntimeWarning
-    maps = [lyap_en.p_fun, lyap_en.nu_fun]
-    if level == -1e20:
-        assert lyap_en.omega_inv(p_en, lp_en, level) == -X1H  # finite, on the pole
-    else:
-        maps.append(lyap_en.omega_inv)
-    for f in maps:
+    for f in (lyap_en.omega_inv, lyap_en.p_fun, lyap_en.nu_fun):
         for s in (level, np.array([0.0, level, 1.0])):
             with pytest.raises(DomainError, match=re.escape(
                     f"{f.__name__} has no finite value at level {level!r}")):
                 f(p_en, lp_en, s)
     # the nearest levels that have a finite value keep it, as floats and arrays
-    for f, s in ((lyap_en.p_fun, -1e16), (lyap_en.nu_fun, -1e16), (lyap_en.omega_inv, 1e305),
+    for f, s in ((lyap_en.omega_inv, -1e16), (lyap_en.p_fun, -1e16), (lyap_en.nu_fun, -1e16),
+                 (lyap_en.omega_inv, 1e305),
                  (lyap_en.p_fun, 1e305), (lyap_en.nu_fun, 1e305)):
         value = f(p_en, lp_en, s)
         assert np.isfinite(value) and f(p_en, lp_en, np.array([s])).tolist() == [value]
+
+
+@pytest.mark.parametrize("level", [-1.9e16, -1e17])
+def test_omega_inv_refuses_a_root_on_the_pole(p_en, lp_en, level):
+    # from about -1.8e16 down the larger root of omega(s) = v rounds onto
+    # -x1h itself, outside the range (-x1h, inf): a DomainError naming the
+    # level, as p_fun and nu_fun give there, for floats and arrays alike
+    for v in (level, np.array([0.0, level])):
+        with pytest.raises(DomainError, match=re.escape(
+                f"omega_inv has no finite value at level {level!r}")):
+            lyap_en.omega_inv(p_en, lp_en, v)
+    with pytest.raises(DomainError):
+        lyap_en.p_fun(p_en, lp_en, level)
+    assert -X1H < lyap_en.omega_inv(p_en, lp_en, -1.8e16) < -X1H + 1e-13
 
 
 def test_p_and_inverse(p_en, lp_en):
@@ -389,32 +397,43 @@ def test_en_eta_inv_brackets_en_eta(log_mu, log_ratio, log_excess, log_beta,
 @given(frac=st.floats(0.0, 1.0), gamma=st.floats(0.02, 0.045), mu=st.floats(0.01, 0.02),
        log_l_bar=st.floats(-1.0, 5.0))
 def test_select_en_params_in_every_regime(regime, frac, gamma, mu, log_l_bar):
-    # feasible constants, or NoConvergence / RegimeError, and nothing else
-    tol = model.REGIME_BOUNDARY_RTOL
+    # RegimeError exactly outside ENDEMIC_THEOREM_APPLIES; inside it,
+    # feasible constants or NoConvergence, and nothing else.  The endemic
+    # threshold's band (T, T*(1 + tol)] belongs to ENDEMIC_EXISTS
+    tol, t = model.REGIME_BOUNDARY_RTOL, gamma / mu + 2.0
     lo, hi = {Regime.DISEASE_FREE_STABLE: (0.3, 1.0 - 2.0 * tol),
               Regime.BOUNDARY: (1.0 - 0.5 * tol, 1.0 + 0.5 * tol),
-              Regime.ENDEMIC_EXISTS: (1.0 + 2.0 * tol, gamma / mu + 2.0),
-              Regime.ENDEMIC_THEOREM_APPLIES: (gamma / mu + 2.0, 100.0)}[regime]
+              Regime.ENDEMIC_EXISTS: (1.0 + 2.0 * tol, t * (1.0 + 0.5 * tol)),
+              Regime.ENDEMIC_THEOREM_APPLIES: (t * (1.0 + 2.0 * tol), 100.0)}[regime]
     r0 = lo + frac * (hi - lo)
     p = sl.ModelParams(beta=2e-4, gamma=gamma, mu=mu, b_hat=r0 * mu * (gamma + mu) / 2e-4)
     assume(model.classify_regime(p) is regime)  # the interval ends may round across
+    if regime is not Regime.ENDEMIC_THEOREM_APPLIES:
+        with pytest.raises(RegimeError):
+            lyap_en.select_en_params(p, l_bar=10.0 ** log_l_bar)
+        return
+    assert lyap_en.k0_bound(p, 10.0 ** log_l_bar) > 0.0
     try:
         lp = lyap_en.select_en_params(p, l_bar=10.0 ** log_l_bar)
-    except (NoConvergence, RegimeError):
+    except NoConvergence:
         return
     assert lyap_en.check_condition_50(p, lp).passed
 
 
 def test_select_en_params_at_rounding_edge_of_theorem_regime():
-    # R0 one ulp above gamma/mu + 2 classifies as ENDEMIC_THEOREM_APPLIES,
-    # but k0 rounds to 0, so no slope k is admissible
+    # R0 one ulp above gamma/mu + 2 lies inside the threshold's band: the
+    # regime is ENDEMIC_EXISTS, so the construction refuses it, where k0
+    # would round to 0
     gamma, mu = 0.02, 0.016921266814305353
     r0 = gamma / mu + 2.0
     p = sl.ModelParams(beta=2e-4, gamma=gamma, mu=mu, b_hat=r0 * mu * (gamma + mu) / 2e-4)
-    assert model.classify_regime(p) is Regime.ENDEMIC_THEOREM_APPLIES
-    assert lyap_en.k0_bound(p, 1.0) <= 0.0
-    with pytest.raises(NoConvergence):
-        lyap_en.select_en_params(p, l_bar=1.0)
+    assert model.r0_hat(p) > gamma / mu + 2.0
+    assert model.classify_regime(p) is Regime.ENDEMIC_EXISTS
+    message = (f"R0={model.r0_hat(p)!r}, threshold gamma/mu + 2={gamma / mu + 2.0!r}")
+    for construct in (lambda: lyap_en.k0_bound(p, 1.0),
+                      lambda: lyap_en.select_en_params(p, l_bar=1.0)):
+        with pytest.raises(RegimeError, match=re.escape(message)):
+            construct()
 
 
 def test_derived_constants(p_en, lp_en, ly_en):

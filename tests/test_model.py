@@ -109,6 +109,13 @@ def test_classify_regime(p_df, p_en):
     c_star = p_df.mu * (p_df.gamma + p_df.mu) / p_df.beta
     assert sl.classify_regime(sl.ModelParams(0.0002, 0.032, 0.015, c_star)) \
         is sl.Regime.BOUNDARY
+    # the endemic threshold T = gamma/mu + 2 has the same relative band
+    t = p_df.gamma / p_df.mu + 2.0
+    for factor, regime in ((1.0, sl.Regime.ENDEMIC_EXISTS),
+                           (1.0 + 0.5e-12, sl.Regime.ENDEMIC_EXISTS),
+                           (1.0 + 2e-12, sl.Regime.ENDEMIC_THEOREM_APPLIES)):
+        b = t * factor * c_star
+        assert sl.classify_regime(sl.ModelParams(0.0002, 0.032, 0.015, b)) is regime
 
 
 def test_params_validation_and_json(p_df):

@@ -14,19 +14,17 @@ from sirlyap.errors import NonFiniteState
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def test_sample_input_examples():
-    assert sl.sample_input(ode.Constant(3.0), 10.0) == 3.0
+def test_signal_value_examples():
+    assert ode.Constant(3.0).value(10.0) == 3.0
     step = ode.Step(5.0, 3.0, 17.0)
-    assert sl.sample_input(step, 4.9) == 3.0
-    assert sl.sample_input(step, 5.0) == 17.0
+    assert step.value(4.9) == 3.0
+    assert step.value(5.0) == 17.0
     sin = ode.Sinusoid(1.0, 2.0, 1.0)
-    assert sl.sample_input(sin, 3.0 * np.pi / 2.0) == 0.0
+    assert sin.value(3.0 * np.pi / 2.0) == 0.0
     pw = ode.Piecewise(((0.0, 1.0), (2.0, 5.0), (4.0, 0.5)))
-    assert sl.sample_input(pw, 1.99) == 1.0
-    assert sl.sample_input(pw, 2.0) == 5.0
-    assert sl.sample_input(pw, 100.0) == 0.5
-    with pytest.raises(sl.DomainError, match=r"signals are defined for t >= 0"):
-        sl.sample_input(ode.Constant(3.0), -1e-9)
+    assert pw.value(1.99) == 1.0
+    assert pw.value(2.0) == 5.0
+    assert pw.value(100.0) == 0.5
 
 
 def test_signal_value_range():
@@ -120,7 +118,7 @@ def test_nonfinite_detection(p_en, monkeypatch):
         for width in (0, len(X0) + 1):  # all columns, then all float rows
             monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
             with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
-                ode.integrate_batch(p_en, X0, ode.Constant(17.0), t_end, dt)
+                ode.integrate_batch(p_en, X0, [ode.Constant(17.0)] * len(X0), t_end, dt)
             assert str(err.value) == message
 
 
@@ -145,22 +143,24 @@ def test_integrate_batch_one_signal_per_row(p_df, monkeypatch):
             monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
             rows = ode.integrate_batch(p_df, X0[:len(sigs)], sigs, 10.0, dt=0.5)
             for j, sig in enumerate(sigs):
-                alone = ode.integrate_batch(p_df, X0[j:j + 1], sig, 10.0, dt=0.5)
+                alone = ode.integrate_batch(p_df, X0[j:j + 1], [sig], 10.0, dt=0.5)
                 assert np.array_equal(rows[j], alone[0])
     # the grid holds every row's switch times
     times = []
     ode.integrate_batch(p_df, X0[:2], [ode.Step(2.5, 3.0, 8.0), ode.Sinusoid(3.0, 1.0, 0.1)],
                         10.0, dt=1.0, observer=lambda t, X, b: times.extend(t[1:]))
     assert 2.5 in times and times[-1] == 10.0
-    with pytest.raises(ValueError):
-        ode.integrate_batch(p_df, X0[:2], [ode.Constant(3.0)] * 3, 1.0)
+    # exactly one signal per row: a bare signal or a wrong count is refused
+    for m, sigs in ((2, [ode.Constant(3.0)] * 3), (2, [ode.Constant(3.0)]), (1, ode.Constant(3.0))):
+        with pytest.raises(ValueError, match="one signal per row of X0"):
+            ode.integrate_batch(p_df, X0[:m], sigs, 1.0)
     for shape in ((3,), (2, 2), (1, 2, 3)):
         with pytest.raises(ValueError, match=r"X0 must have shape \(m, 3\)"):
-            ode.integrate_batch(p_df, np.ones(shape), ode.Constant(3.0), 1.0)
+            ode.integrate_batch(p_df, np.ones(shape), [ode.Constant(3.0)], 1.0)
     for t_end, dt, message in ((1.0, 0.0, "dt must be positive"), (1.0, -0.5, "dt must be positive"),
                                (-1.0, 0.5, "t_end must be nonnegative")):
         with pytest.raises(ValueError, match=message):
-            ode.integrate_batch(p_df, X0, ode.Constant(3.0), t_end, dt=dt)
+            ode.integrate_batch(p_df, X0, [ode.Constant(3.0)] * 3, t_end, dt=dt)
 
 
 def test_integrate_batch_observer_sees_blocks(p_df, monkeypatch):
@@ -266,9 +266,33 @@ def test_replayed_block_reads_the_levels_of_a_switch_inside_it(p_en, monkeypatch
             assert list(b[k]) == [sigs[0].value(t[k - 1]), sigs[1].value(t[k - 1]),
                                   sigs[2].value(t[k])]
         alone = []  # the step row as if stepped alone, on the same grid
-        ode.integrate_batch(p_en, X0[1:2], sigs[1], 2.0, dt=0.1,
+        ode.integrate_batch(p_en, X0[1:2], sigs[1:2], 2.0, dt=0.1,
                             observer=lambda t, X, b: alone.append(X))
         assert np.array_equal(X[:, 1], alone[0][:, 0]) and np.array_equal(Xf, X[-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 12])
+def test_observer_levels_have_one_column_per_row(p_en, monkeypatch, m):
+    # b is (k+1, m) on both feeds, a one-row batch included, whether the
+    # first row's signal holds its level or moves
+    monkeypatch.setattr(flow, "_BLOCK_STEPS", 4)
+    kinds = [ode.Step(0.45, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7), ode.Constant(3.0)]
+    X0 = np.linspace([50.0, 1.0, 0.0], [400.0, 200.0, 40.0], m)
+    for k in range(len(kinds)):
+        sigs = ((kinds[k:] + kinds[:k]) * 4)[:m]
+
+        def run():
+            levels = []
+            ode.integrate_batch(p_en, X0, sigs, 1.0, dt=0.1,
+                                observer=lambda t, X, b: levels.append((len(t), b)))
+            return levels
+
+        feeds = _feeds(monkeypatch, run, m)
+        for levels in feeds:
+            assert len(levels) == 3  # ten steps in blocks of four
+            assert all(b.shape == (n, m) for n, b in levels)
+            assert list(levels[0][1][0]) == [sig.value(0.0) for sig in sigs]
+        assert [b.tobytes() for _, b in feeds[0]] == [b.tobytes() for _, b in feeds[1]]
 
 
 def test_observer_owns_its_blocks(p_en, monkeypatch):
@@ -314,7 +338,7 @@ def test_state_check_at_block_boundaries(p_en, monkeypatch):
         for width in (0, len(X0) + 1):
             monkeypatch.setattr(ode, "_FLOAT_ROWS", width)
             with pytest.raises(NonFiniteState) as err, np.errstate(over="ignore", invalid="ignore"):
-                ode.integrate_batch(p_en, X0, ode.Constant(17.0), t_end, dt)
+                ode.integrate_batch(p_en, X0, [ode.Constant(17.0)] * len(X0), t_end, dt)
             assert str(err.value) == message
     X0 = np.array([[100.0, 0.0, -1e-13], [150.0, 20.0, 1.0], [300.0, 80.0, 40.0]])
     sigs = [ode.Constant(17.0), ode.Step(2.5, 17.0, 5.0), ode.Sinusoid(17.0, 6.0, 0.7)]
@@ -333,12 +357,12 @@ def test_state_check_at_block_boundaries(p_en, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(block, ref))
 
 
-def _observed(p, X0, sig, t_end, dt, expect):
+def _observed(p, X0, signals, t_end, dt, expect):
     """Run integrate_batch; return its rows 1.. joined over the observer
     blocks, the final batch (None on error) and the error text."""
     blocks, Xf, error = [], None, None
     with pytest.raises(NonFiniteState) if expect else nullcontext() as err:
-        Xf = ode.integrate_batch(p, X0, sig, t_end, dt,
+        Xf = ode.integrate_batch(p, X0, signals, t_end, dt,
                                  observer=lambda t, X, b: blocks.append((t, X, b)))
     if expect:
         error = str(err.value)
@@ -354,7 +378,7 @@ def test_mid_block_failures_replay_exactly(p_en, monkeypatch):
     ticks = ode.Piecewise(tuple((j * 1e-9, 17.0) for j in range(20)))
     t_c = 0.13688950680820497  # step 20 ends at t_c with I = -1.1e-9: clipped to 0
     clip = ode.Piecewise(ticks.points + tuple((t_c + 0.01 * j, 17.0) for j in range(13)))
-    cases = [(np.array([[1e5, 1e5, 0.0]] * 3), ticks, 4000.0, 2000.0,
+    cases = [(np.array([[1e5, 1e5, 0.0]] * 3), [ticks] * 3, 4000.0, 2000.0,
               "state component below -1e-12*N at t=2000; reduce dt"),
              # one row falls below the floor as the other overflows (its
              # input jumps to 1e308): the non-finite one is reported
@@ -434,7 +458,7 @@ def test_negative_zero_is_replayed_and_clipped(p_en, monkeypatch):
         for r0 in (0.0, -0.0):
             calls.clear()
             X0 = np.array([[100.0, 5.0, r0], [150.0, 20.0, 1.0]])
-            rows, Xf, _ = _observed(p_en, X0, ode.Constant(17.0), 1.0, 0.1, None)
+            rows, Xf, _ = _observed(p_en, X0, [ode.Constant(17.0)] * 2, 1.0, 0.1, None)
             runs.append((rows, Xf, len(calls)))
         (rows, Xf, n), (rows_neg, Xf_neg, n_neg) = runs
         assert not np.signbit(rows_neg[1]).any() and rows_neg[1][0, 0, 2] == 0.0
@@ -458,7 +482,9 @@ def _batches(draw):
     X0 = np.array(draw(st.lists(_START, min_size=m, max_size=m)))
     if draw(st.sampled_from([False, False, False, True])):
         X0[draw(st.integers(0, m - 1))] = [1e200, 1e200, 0.0]  # overflows: NonFiniteState
-    sig = draw(st.lists(_SIGNAL, min_size=m, max_size=m) if draw(st.booleans()) else _SIGNAL)
+    # a signal of its own for each row, or one signal repeated on every row
+    sig = draw(st.lists(_SIGNAL, min_size=m, max_size=m)) if draw(st.booleans()) \
+        else [draw(_SIGNAL)] * m
     return X0, sig, draw(st.floats(0.0, 3.0)), draw(st.sampled_from([0.1, 0.3]))
 
 
@@ -562,24 +588,3 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         ode.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)), np.zeros(2))
 
-
-def test_shared_and_per_row_levels_step_bit_identically(p_en, monkeypatch):
-    # one shared signal enters the stacked step as an array level, as one
-    # signal per row does: the states and observer blocks are the same bits
-    monkeypatch.setattr(flow, "_BLOCK_STEPS", 16)
-    sig = ode.Step(2.5, 17.0, 5.0)
-    X0 = np.linspace([50.0, 1.0, 0.0], [400.0, 200.0, 40.0], 12)
-
-    def run(sigs):
-        blocks = []
-        Xf = ode.integrate_batch(p_en, X0, sigs, 10.0, dt=0.1,
-                                 observer=lambda t, X, b: blocks.append((t, X, b)))
-        return Xf, blocks
-
-    assert len(X0) >= ode._FLOAT_ROWS  # the stacked feed
-    (Xf, blocks), (Xf_rows, blocks_rows) = run(sig), run([sig] * len(X0))
-    assert Xf.tobytes() == Xf_rows.tobytes() and len(blocks) == len(blocks_rows) > 2
-    for (t, X, b), (t_rows, X_rows, b_rows) in zip(blocks, blocks_rows):
-        assert t.tobytes() == t_rows.tobytes() and X.tobytes() == X_rows.tobytes()
-        assert b.shape == (len(t),) and b_rows.shape == (len(t), len(X0))
-        assert np.repeat(b[:, None], len(X0), axis=1).tobytes() == b_rows.tobytes()

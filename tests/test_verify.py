@@ -10,7 +10,7 @@ import pytest
 
 import sirlyap as sl
 from sirlyap import bands, flow, lyap_df, lyap_en, ode, verify
-from sirlyap.errors import NoConvergence, RangeError
+from sirlyap.errors import NoConvergence, RangeError, RegimeError
 
 
 def _one_start(monkeypatch, ly, x0):
@@ -250,6 +250,50 @@ def test_sampled_claims_across_regimes():
         p = model_params(gamma, mu, rng.uniform(0.05, 0.999))
         lp = lyap_df.select_df_params(p, mu0=rng.uniform(0.5, 0.999) * mu)
         assert verify.check_df_grid_iss(lyap_df.DiseaseFreeLyapunov(p, lp), n=12).passed, (p, lp)
+
+
+def _drawn_lyapunov(j: int, c: float = 40.0):
+    """Draw j of `test_sampled_claims_across_regimes`' scheme on a clock c
+    times faster (every rate, mu0 included, times c, as
+    perfbench/workloads.time_scaled does): even j endemic, with R0 at
+    1.001-1.3 and 1.3-4 times the theorem threshold in turn, odd j
+    disease-free."""
+    rng = np.random.default_rng(j)
+    gamma, mu = rng.uniform(0.01, 0.1), rng.uniform(0.005, 0.03)
+    if j % 2 == 0:
+        lo, hi = (1.001, 1.3) if j % 4 == 0 else (1.3, 4.0)
+        r0 = rng.uniform(lo, hi) * (gamma / mu + 2.0)
+    else:
+        r0 = rng.uniform(0.05, 0.999)
+    p = sl.ModelParams(c * 2e-4, c * gamma, c * mu, c * r0 * mu * (gamma + mu) / 2e-4)
+    if j % 2 == 0:
+        return lyap_en.EndemicLyapunov(p, lyap_en.select_en_params(p, l_bar=340.0))
+    lp = lyap_df.select_df_params(p, mu0=c * rng.uniform(0.5, 0.999) * mu)
+    return lyap_df.DiseaseFreeLyapunov(p, lp)
+
+
+@pytest.mark.parametrize("j", range(8))
+def test_drawn_scenarios_certify_with_their_trajectory_checks(j):
+    # the whole certify suite, trajectory checks included, beyond the two
+    # reference scenarios
+    report = verify.run_certification(_drawn_lyapunov(j), seed=j, grid_n=8, n_samples=500)
+    assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+    assert any(c.name.startswith("trajectory_monotonicity") for c in report.checks)
+
+
+def test_threshold_bands_refuse_both_constructions():
+    # R0 = 1 - 5e-13 on the x40 clock and R0 one ulp above gamma/mu + 2 lie
+    # inside their threshold's band: neither construction, so no certificate
+    c, gamma, mu = 40.0, 0.032, 0.015
+    p = sl.ModelParams(c * 2e-4, c * gamma, c * mu, c * (1.0 - 5e-13) * mu * (gamma + mu) / 2e-4)
+    assert sl.classify_regime(p) is sl.Regime.BOUNDARY
+    with pytest.raises(RegimeError):
+        lyap_df.select_df_params(p)
+    gamma, mu = 0.02, 0.016921266814305353
+    p = sl.ModelParams(2e-4, gamma, mu, (gamma / mu + 2.0) * mu * (gamma + mu) / 2e-4)
+    assert sl.classify_regime(p) is sl.Regime.ENDEMIC_EXISTS
+    with pytest.raises(RegimeError):
+        lyap_en.select_en_params(p, l_bar=340.0)
 
 
 def test_reproducible_margins(ly_en):

@@ -26,6 +26,15 @@ interquartile range.  The change reads `dirty` when a tracked file under
 `--traced WORKLOAD` adds one `--trace 1` run per side on seed 1, parent
 first, whose per-layer metrics go under "traced".  Needs only the standard
 library and git.
+
+    python3 tools/bench_record.py --history
+
+prints one table over every BENCH_*.json at the root of the checkout, which
+it only reads: per file and workload the label, the short parent and change
+SHAs (a `+` marks a change recorded from a dirty working tree on that
+commit), the size and, per end-to-end metric of BENCHMARK.json, the parent
+and change medians, the change's wins over the pairs and whether a gain
+would count.  Rows follow the commit time of the change SHA.
 """
 from __future__ import annotations
 
@@ -155,11 +164,47 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def commit_time(root: Path, sha: str) -> int | None:
+    """The committer time of `sha` in seconds, or None when git does not know it."""
+    try:
+        return int(git(root, "show", "-s", "--format=%ct", sha))
+    except (subprocess.CalledProcessError, ValueError):
+        return None
+
+
+def history(root: Path) -> list:
+    """The lines of the `--history` table over root's BENCH_*.json files."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    rows = []
+    for path in root.glob("BENCH_*.json"):
+        record = json.loads(path.read_text())
+        change = record["change"]
+        head = [record["label"], record["parent"]["sha"][:7],
+                change["sha"][:7] + ("+" if change["dirty"] else ""), record.get("size") or "-"]
+        when = commit_time(root, change["sha"])
+        for workload, summary in record.get("summary", {}).items():
+            cells = []
+            for name in names:
+                row = summary["metrics"].get(name)
+                cells.append("-" if row is None else
+                             f"{row['parent']['median']:.4g} {row['change']['median']:.4g} "
+                             f"{row['change_wins']}/{row['pairs']} "
+                             f"{'gain' if row['gain_counts'] else '-'}")
+            rows.append(((when is None, when or 0, path.name), [*head, workload, *cells]))
+    table = [["label", "parent", "change", "size", "workload", *names]]
+    table += [cells for _, cells in sorted(rows)]
+    widths = [max(len(line[k]) for line in table) for k in range(len(table[0]))]
+    return ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in table]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
+    ap.add_argument("--history", action="store_true",
+                    help="print the table of every BENCH_*.json here and record nothing")
+    ap.add_argument("--label", help="writes BENCH_<label>.json")
+    ap.add_argument("--parent", help="git ref of the parent commit")
+    ap.add_argument("--pairs", action="append", metavar="WORKLOAD=N",
                     help="run N alternating pairs of WORKLOAD; repeatable")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
                     help="one traced run per side of WORKLOAD on seed 1; repeatable")
@@ -168,6 +213,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     root = Path.cwd()
+    if args.history:
+        print("\n".join(history(root)))
+        return 0
+    if not (args.label and args.parent and args.pairs):
+        ap.error("recording needs --label, --parent and --pairs")
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     plan = [(w, int(n)) for w, n in (item.split("=", 1) for item in args.pairs)]
