@@ -11,12 +11,14 @@ its value at the step's start is the previous step's end.
 
 `blocks` is the one block stepper of both integrator feeds: it steps a
 state through blocks of up to `_BLOCK_STEPS` grid steps with the RK4 step
-and state check it is given.  The state check runs once per block: a block
-is stepped without it and its new values are tested together.  Values that
-are all finite and +0.0 or positive are exactly those no step's check would
-reject or clip; any other block is replayed from its first state with the
-check after every step.  `float_blocks` feeds it a few rows in lockstep,
-each on Python floats under its own scalar B(t).
+and state check it is given.  `_check_rows` is the one state check, on rows
+of Python floats; `ode`'s stacked feed checks its arrays as such rows.  The
+check runs once per block: a block is stepped without it and its new values
+are tested together.  Values that are all finite and +0.0 or positive are
+exactly those no step's check would reject or clip; any other block is
+replayed from its first state with the check after every step.
+`float_blocks` feeds it a few rows in lockstep, each on Python floats under
+its own scalar B(t).
 
 `trajectory_rows` yields the rows of one solution, one per step, block by
 block.  `python -m sirlyap.cli simulate` streams them into its CSV through
@@ -264,13 +266,6 @@ def _grid(signals: list, t_end: float, dt: float, pack):
             yield t0 + j * h, h, t1 if j == n - 1 else t0 + (j + 1) * h, rate  # land on t1
 
 
-def step_blocks(signals: list, t_end: float, dt: float, pack):
-    """The steps of `_grid`, in lists of up to `_BLOCK_STEPS`."""
-    grid = _grid(signals, t_end, dt, pack)
-    while steps := list(itertools.islice(grid, _BLOCK_STEPS)):
-        yield steps
-
-
 # ---------------------------------------------------------------------------
 # the float stepper
 # ---------------------------------------------------------------------------
@@ -287,14 +282,6 @@ def _rk4(p: ModelParams, s, i, r, h: float, b0, bm, b1) -> tuple:
             r + (h / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r))
 
 
-def _nonfinite(t: float) -> NonFiniteState:
-    return NonFiniteState(f"non-finite state at t={t:.6g}; reduce dt")
-
-
-def _below_floor(t: float) -> NonFiniteState:
-    return NonFiniteState(f"state component below -1e-12*N at t={t:.6g}; reduce dt")
-
-
 def _check_rows(rows: list, t: float) -> list:
     """The state check after a step, on rows of Python floats: NonFiniteState
     for a non-finite component in any row, else for a component below
@@ -302,11 +289,11 @@ def _check_rows(rows: list, t: float) -> list:
     out, below = [], False
     for s, i, r in rows:
         if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
-            raise _nonfinite(t)
+            raise NonFiniteState(f"non-finite state at t={t:.6g}; reduce dt")
         below = below or min(s, i, r) < -1e-12 * max(1.0, s + i + r)
         out.append((s if s > 0.0 else 0.0, i if i > 0.0 else 0.0, r if r > 0.0 else 0.0))
     if below:
-        raise _below_floor(t)
+        raise NonFiniteState(f"state component below -1e-12*N at t={t:.6g}; reduce dt")
     return out
 
 
@@ -353,8 +340,8 @@ def blocks(step, check_state, clean, unchecked, x, signals: list, t_end: float, 
     first state with `check_state` after every step, so the state check's
     error, its message and the clip at 0 come as if every step had been
     checked."""
-    b = _start_levels(signals, pack)
-    for steps in step_blocks(signals, t_end, dt, pack):
+    b, grid = _start_levels(signals, pack), _grid(signals, t_end, dt, pack)
+    while steps := list(itertools.islice(grid, _BLOCK_STEPS)):
         try:
             with unchecked():
                 states, levels = _block(step, check_state, x, b, steps, False)

@@ -792,11 +792,13 @@ class EndemicLyapunov:
 
     def default_window(self, plane) -> tuple:
         """1.2 times the reach of the l_bar sublevel set along each free
-        coordinate, x3t starting at the physical boundary -x3h."""
+        coordinate, x3t starting at the physical boundary -x3h and x2t
+        clipped just inside the domain's edge x2t > -x2h, which 1.2 times the
+        reach passes once P(l_bar)/lam0 > x2h/1.2."""
         l_bar, lam0 = self.lp.l_bar, self.lp.lam0
         reach = p_fun(self.p, self.lp, l_bar)
         if plane[0] == "x3t":
-            free = (-1.2 * reach / lam0, 1.2 * l_bar / lam0)
+            free = (max(-1.2 * reach / lam0, -self.equilibrium.i * _POLE_CLIP), 1.2 * l_bar / lam0)
         else:
             free = (-self.equilibrium.r, 1.2 * l_bar / self.lp.lambda3)
         return ((-1.2 * reach, 1.2 * l_bar), free)

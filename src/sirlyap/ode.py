@@ -8,8 +8,10 @@ reduction per block.
 
 `integrate_batch` is fed two ways by batch width, both through
 `flow.blocks`, the one block loop with its once-per-block state check and
-replay rule; each feed supplies only its RK4 step, state check, clean test
-and the context of its unchecked pass.  A narrow batch steps every row in
+replay rule, and both checked by `flow._check_rows`, the one state check;
+each feed supplies only its RK4 step, clean test and the context of its
+unchecked pass, whose floating-point errors the stacked feed raises
+(`_strict`).  A narrow batch steps every row in
 lockstep on Python floats with `flow.float_blocks`, which avoids the
 per-step numpy overhead that dominates small arrays.  A wide one steps one
 stacked (3, m) array, whose rows are S, I and R, so each stage argument and
@@ -117,17 +119,6 @@ def _stacked_rk4(p: ModelParams, m: int):
     return step
 
 
-def _check_stacked(Y: np.ndarray, t: float) -> np.ndarray:
-    """`flow._check_rows` on a stacked (3, m) state, clipped in place: the
-    same tests, messages and clip."""
-    if not np.isfinite(Y).all():
-        raise flow._nonfinite(t)
-    s, i, r = Y
-    if (np.minimum(np.minimum(s, i), r) < -1e-12 * np.maximum(1.0, s + i + r)).any():
-        raise flow._below_floor(t)
-    return np.maximum(Y, 0.0, out=Y)
-
-
 def _clean_stacked(states: list) -> bool:
     """`flow._clean` on a block of stacked states."""
     return bool(np.isfinite(S := np.concatenate(states[1:])).all() and not np.signbit(S).any())
@@ -155,11 +146,12 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, signals: Sequence[InputSigna
     A batch of fewer than `_FLOAT_ROWS` rows steps every row on Python
     floats (`flow.float_blocks`), a wider one steps one stacked (3, m)
     array.  Both run through `flow.blocks`, so they share the step grid, the
-    blocks and the once-per-block state check with its replay (on the
-    stacked feed also for a floating-point error that the caller's
-    `np.errstate` does not ignore): NonFiniteState, its message, the clip at
-    0 and numpy's warnings come as if every step had been checked, and the
-    results are bit-identical.  Pure apart from the observer callback; safe
+    blocks and the once-per-block state check `flow._check_rows`, which the
+    stacked feed runs on its state's rows, with its replay (on the stacked
+    feed also for a floating-point error that the caller's `np.errstate`
+    does not ignore): NonFiniteState, its message, the clip at 0 and numpy's
+    warnings come as if every step had been checked, and the results are
+    bit-identical.  Pure apart from the observer callback; safe
     to run concurrently on separate data.
     """
     flow._check_span(t_end, dt)
@@ -175,8 +167,9 @@ def integrate_batch(p: ModelParams, X0: np.ndarray, signals: Sequence[InputSigna
         def stack(states: list) -> np.ndarray:
             return np.array(states, dtype=float).reshape(len(states), m, 3)
     else:
-        blocks = flow.blocks(_stacked_rk4(p, m), _check_stacked, _clean_stacked, _strict,
-                             X.T.copy(), signals, t_end, dt, np.array)
+        blocks = flow.blocks(_stacked_rk4(p, m),
+                             lambda Y, t: np.array(flow._check_rows(Y.T.tolist(), t)).T,
+                             _clean_stacked, _strict, X.T.copy(), signals, t_end, dt, np.array)
 
         def stack(states: list) -> np.ndarray:
             return np.array(states).transpose(0, 2, 1).copy()

@@ -111,7 +111,7 @@ def check_df_continuity(lyap, n: int = 1000, seed: int = DEFAULT_SEED) -> CheckR
     """The library's adjacent region formulas agree on both boundaries."""
     p, lp = lyap.p, lyap.lp
     rng = np.random.default_rng(seed)
-    x1h = p.b_hat / p.mu
+    x1h = lyap.equilibrium.s
     half = n // 2
     # surface x1t = 0: formula A vs formula B
     x2 = rng.uniform(0.0, 3.0 * x1h, half)
@@ -182,8 +182,7 @@ def check_df_grid_iss(lyap, n: int = GRID_N) -> CheckResult:
     -1e-12 per unit scale.  The grid is built and evaluated one slab of the
     first axis at a time, about BAND_POINTS points each.
     """
-    p = lyap.p
-    x1h = p.b_hat / p.mu
+    p, x1h = lyap.p, lyap.equilibrium.s
     u_values = [-p.b_hat, -p.b_hat / 2.0, 0.0, p.b_hat, 10.0 * p.b_hat]
     tol = 1e-12
     ax1 = np.linspace(-x1h, 3.0 * x1h, n)
@@ -308,7 +307,7 @@ def _lyap_values_of_states(lyap, S: np.ndarray) -> np.ndarray:
     return v
 
 
-def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float = 0.0) -> np.ndarray:
+def _step_margins(t: np.ndarray, v: np.ndarray, decay_rate: float) -> np.ndarray:
     """Forward-difference (Dini) slack of each step of a recorded V(t).
 
     `v` is (n,) or (n, m) at the n times `t`; entry j, for the step from t[j]
@@ -392,7 +391,7 @@ def _trajectory_checks(lyap, starts: np.ndarray, final_tol: float,
     def observer(t, X, b):
         v = _lyap_values_of_states(lyap, X)
         mono = v[:, :n]
-        margin = np.where(mono[:-1] > 1e-6, _step_margins(t, mono), np.inf)
+        margin = np.where(mono[:-1] > 1e-6, _step_margins(t, mono, 0.0), np.inf)
         least = margin.min(axis=1, initial=math.inf)  # per step
         j = int(np.argmin(least))  # first step holding the minimum
         blocks.append((float(least[j]), float(t[j + 1]),
@@ -584,7 +583,7 @@ def check_w_region(lyap, n_starts: int = 20, t_end: Optional[float] = None,
     if t_end is None:
         t_end = _horizon(lyap, np.empty((0, 3)), 0.0)[0]
     x2t0 = rng.uniform(-0.9 * q.i, -0.05 * q.i, n_starts)
-    x1t0 = np.array([rng.uniform(-0.9 * q.s, -lp.k * v) for v in x2t0])
+    x1t0 = rng.uniform(-0.9 * q.s, -lp.k * x2t0)
     x3t0 = rng.uniform(-0.9 * q.r, 1.5 * q.r, n_starts)
     D0 = np.column_stack([x1t0, x2t0, x3t0])
     D0[:1] = 0.0  # include the equilibrium itself: W stays at zero

@@ -246,7 +246,9 @@ def test_cmd_levelsets(tmp_path, capsys):
     assert rows[-1][2:] == ["-100.0", "60.0"]
 
 
-@pytest.mark.parametrize("l_bar", [100.0, 1000.0])
+# from l_bar ~ 1,200 on, 1.2 times the reach along x2t passes -x2h = -286.7:
+# the default window is clipped inside the domain there
+@pytest.mark.parametrize("l_bar", [100.0, 1000.0, 1200.0, 2000.0, 10000.0])
 def test_endemic_default_levels_follow_l_bar(tmp_path, capsys, l_bar):
     cfg = {**EN_CONFIG, "lyap": {"l_bar": l_bar}, "resolution": [400, 400]}
     rc = cli.main(["levelsets", "--config", _write(tmp_path, cfg),
@@ -254,7 +256,12 @@ def test_endemic_default_levels_follow_l_bar(tmp_path, capsys, l_bar):
     assert rc == 0
     with open(tmp_path / "out" / "levelsets_endemic.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    (u0, u1), (v0, v1) = cli._build_lyap(cli.RunConfig.from_dict(cfg)).default_window(("x3t", 0.0))
+    lyap = cli._build_lyap(cli.RunConfig.from_dict(cfg))
+    (u0, u1), (v0, v1) = lyap.default_window(("x3t", 0.0))
+    assert v0 > -lyap.equilibrium.i
+    X = np.array([[*r[2:], 0.0] for r in rows], dtype=float)
+    level = np.array([r[0] for r in rows], dtype=float)
+    assert (abs(lyap.value_many(X) - level) <= 1e-13 * (1.0 + level)).all()  # every vertex
     cell = np.hypot((u1 - u0) / 399, (v1 - v0) / 399)
     levels = [l_bar * n / 17.0 for n in (1, 5, 9, 13, 17)]
     assert sorted({float(r[0]) for r in rows}) == levels

@@ -7,7 +7,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sirlyap"
 
 #: the defaulted parameters the `def`s of src/sirlyap have together, exactly,
 #: so that removing an option lowers the pin and the freed room is not reused
-MAX_SETTABLE = 50
+MAX_SETTABLE = 49
 
 
 def _settable(path: Path) -> int:
